@@ -5,20 +5,16 @@
 #include <functional>
 #include <span>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "tricount/cetric/partition.hpp"
 #include "tricount/core/dist_graph.hpp"
 #include "tricount/kernels/intersect.hpp"
 #include "tricount/mpisim/collectives.hpp"
-#include "tricount/mpisim/runtime.hpp"
 #include "tricount/obs/flight.hpp"
 #include "tricount/obs/msgtrace.hpp"
 #include "tricount/obs/telemetry.hpp"
 #include "tricount/obs/trace.hpp"
-#include "tricount/util/time.hpp"
 
 namespace tricount::cetric {
 
@@ -50,428 +46,415 @@ struct CutTask {
 
 using SliceFactory = std::function<LocalSlice(mpisim::Comm&)>;
 
+/// Pre-supersteps "partition" and "ghost" on one rank; their samples
+/// land in `stats.pre_steps`.
+RankPartition build_partition(mpisim::Comm& comm, const LocalSlice& input,
+                              PhaseTracker& tracker, core::RankStats& stats) {
+  const int p = comm.size();
+  RankPartition part;
+
+  // --- pre superstep "partition": degree-aware contiguous split.
+  part.graph = build_cetric_graph(comm, input);
+  const CetricGraph& g = part.graph;
+  {
+    PhaseSample sample = tracker.cut();
+    sample.ops = g.routed_entries;
+    stats.pre_steps.emplace_back("partition", sample);
+  }
+
+  // --- pre superstep "ghost": pull Adj+(v) once for every external
+  // closing vertex whose wedge mass exceeds its list length — the
+  // degree-aware trade between replicating a row and shipping the
+  // wedges that close against it.
+  {
+    obs::ScopedSpan span("ghost", "pre");
+    std::unordered_map<VertexId, std::uint64_t> mass;
+    for (VertexId u = g.part.begin(); u < g.part.end(); ++u) {
+      const std::vector<VertexId>& au = g.plus(u);
+      for (std::size_t i = 0; i + 1 < au.size(); ++i) {
+        const VertexId v = au[i];
+        if (!g.part.owns(v)) {
+          mass[v] += static_cast<std::uint64_t>(au.size() - 1 - i);
+        }
+      }
+    }
+    std::vector<std::vector<VertexId>> requests(
+        static_cast<std::size_t>(p));
+    for (const auto& [v, m] : mass) {
+      if (m > g.deg_plus[v]) {
+        requests[static_cast<std::size_t>(g.part.owner(v))].push_back(v);
+      }
+    }
+    // Hash-map iteration order is not part of the contract; sorted
+    // requests keep message payloads deterministic.
+    for (auto& r : requests) std::sort(r.begin(), r.end());
+    const auto incoming_requests = mpisim::alltoallv(comm, requests);
+    std::vector<std::vector<VertexId>> replies(
+        static_cast<std::size_t>(p));
+    for (std::size_t s = 0; s < incoming_requests.size(); ++s) {
+      for (const VertexId v : incoming_requests[s]) {
+        if (!g.part.owns(v)) {
+          throw std::runtime_error("cetric: misrouted ghost request");
+        }
+        const std::vector<VertexId>& list = g.plus(v);
+        auto& reply = replies[s];
+        reply.push_back(v);
+        reply.push_back(static_cast<VertexId>(list.size()));
+        reply.insert(reply.end(), list.begin(), list.end());
+      }
+    }
+    const auto incoming_replies = mpisim::alltoallv(comm, replies);
+    for (const auto& bucket : incoming_replies) {
+      std::size_t at = 0;
+      while (at < bucket.size()) {
+        const VertexId v = bucket[at++];
+        const VertexId len = bucket[at++];
+        part.ghosts[v].assign(
+            bucket.begin() + static_cast<std::ptrdiff_t>(at),
+            bucket.begin() + static_cast<std::ptrdiff_t>(at + len));
+        at += len;
+        part.ghost_counters.ghost_lists_fetched += 1;
+        part.ghost_counters.ghost_list_entries += len;
+      }
+    }
+  }
+  {
+    PhaseSample sample = tracker.cut();
+    sample.ops = part.ghost_counters.ghost_list_entries;
+    stats.pre_steps.emplace_back("ghost", sample);
+  }
+  return part;
+}
+
+/// Superstep 0 (local) and superstep 1 (cut) on one rank; fills `stats`
+/// and `cet_out` and returns the global total.
+TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
+                              const Config& config, PhaseTracker& tracker,
+                              core::RankStats& stats,
+                              core::CetricRankCounters& cet_out) {
+  const int rank = comm.rank();
+  const int p = comm.size();
+  const CetricGraph& g = part.graph;
+  const auto& ghosts = part.ghosts;
+  core::CetricRankCounters cet = part.ghost_counters;
+  obs::RankTelemetry* live = obs::Telemetry::caller_slot();
+
+  // --- triangle counting: superstep 0 (local) + superstep 1 (cut).
+  kernels::IntersectScratch scratch;
+  std::size_t max_row = 16;
+  for (const auto& list : g.adj_plus) {
+    max_row = std::max(max_row, list.size());
+  }
+  scratch.reserve_for(max_row);
+  scratch.reset_probes();
+
+  const int crash_step = core::chaos_crash_step(comm);
+  const bool checkpointing = config.checkpoint || crash_step >= 0;
+
+  /// Everything the fail-restart model loses: the partial tallies
+  /// and the scratch's history-dependent probe/capacity state. The
+  /// cut superstep replays from its *retained received buffers*
+  /// (message logging) — peers never resend.
+  struct Checkpoint {
+    TriangleCount local_triangles = 0;
+    TriangleCount cut_triangles = 0;
+    KernelCounters kernel;
+    std::uint64_t lookups_before = 0;
+    std::uint64_t probes = 0;
+    std::size_t hash_capacity = 0;
+    core::CetricRankCounters cet;
+  };
+  Checkpoint ckpt;
+
+  TriangleCount local_count = 0;
+  TriangleCount cut_count = 0;
+  KernelCounters kernel;
+  std::uint64_t lookups_before = 0;
+
+  auto publish_live = [&](int step) {
+    if (live != nullptr) {
+      live->phase.store("tc", std::memory_order_relaxed);
+      live->superstep.store(step, std::memory_order_relaxed);
+      live->total_supersteps.store(kSupersteps,
+                                   std::memory_order_relaxed);
+      live->triangles.store(
+          static_cast<std::uint64_t>(local_count + cut_count),
+          std::memory_order_relaxed);
+      live->lookups.store(kernel.lookups, std::memory_order_relaxed);
+    }
+    if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
+      flight->counter("superstep", "tc", static_cast<double>(step));
+    }
+    if (obs::MsgTrace* mt = obs::MsgTrace::current()) {
+      mt->note_superstep(step);
+    }
+  };
+  auto save_checkpoint = [&] {
+    obs::ScopedSpan span("checkpoint", "chaos");
+    ckpt.local_triangles = local_count;
+    ckpt.cut_triangles = cut_count;
+    ckpt.kernel = kernel;
+    ckpt.lookups_before = lookups_before;
+    ckpt.probes = scratch.probes();
+    ckpt.hash_capacity = scratch.hash_capacity();
+    ckpt.cet = cet;
+  };
+  auto finish_superstep = [&] {
+    PhaseSample sample = tracker.cut();
+    core::apply_straggler(comm, sample);
+    sample.ops = kernel.lookups - lookups_before;
+    lookups_before = kernel.lookups;
+    stats.shifts.push_back(sample);
+  };
+
+  // ------- superstep 0: local counting, zero messages. ----------
+  // Every wedge (u; v, tail) with a locally resolvable closing row
+  // (v owned, or ghost-pulled) closes here; the rest is bucketed
+  // into per-destination cut-wedge payloads but nothing is sent —
+  // the zero-message invariant the cetric tests assert.
+  publish_live(0);
+  if (checkpointing) save_checkpoint();
+  std::vector<std::vector<VertexId>> wedge_out(
+      static_cast<std::size_t>(p));
+  // Per-u routing scratch, reused across rows: positions of the
+  // externally-closing entries of Adj+(u), grouped by destination
+  // so one shared suffix serves every wedge to the same rank.
+  std::vector<std::vector<std::uint32_t>> dest_positions(
+      static_cast<std::size_t>(p));
+  std::vector<int> touched;
+  auto run_local = [&] {
+    obs::ScopedSpan span("intersect", "tc");
+    for (VertexId u = g.part.begin(); u < g.part.end(); ++u) {
+      const std::vector<VertexId>& au = g.plus(u);
+      if (au.size() < 2) continue;
+      ++kernel.rows_visited;
+      scratch.begin_row(std::span<const VertexId>(au),
+                        config.modified_hashing);
+      touched.clear();
+      for (std::size_t i = 0; i + 1 < au.size(); ++i) {
+        const VertexId v = au[i];
+        const std::vector<VertexId>* closing = nullptr;
+        if (g.part.owns(v)) {
+          closing = &g.plus(v);
+        } else if (const auto it = ghosts.find(v); it != ghosts.end()) {
+          closing = &it->second;
+        }
+        if (closing != nullptr) {
+          ++kernel.intersection_tasks;
+          local_count += scratch.task(
+              config.kernel, std::span<const VertexId>(*closing),
+              config.backward_early_exit, kernel);
+          continue;
+        }
+        const auto d = static_cast<std::size_t>(g.part.owner(v));
+        if (dest_positions[d].empty()) touched.push_back(g.part.owner(v));
+        dest_positions[d].push_back(static_cast<std::uint32_t>(i));
+      }
+      for (const int d : touched) {
+        auto& positions = dest_positions[static_cast<std::size_t>(d)];
+        auto& buf = wedge_out[static_cast<std::size_t>(d)];
+        const std::uint32_t first = positions.front();
+        buf.push_back(static_cast<VertexId>(au.size() - first));
+        buf.insert(buf.end(),
+                   au.begin() + static_cast<std::ptrdiff_t>(first),
+                   au.end());
+        buf.push_back(static_cast<VertexId>(positions.size()));
+        for (const std::uint32_t pos : positions) {
+          buf.push_back(static_cast<VertexId>(pos - first));
+        }
+        cet.cut_wedges_sent += positions.size();
+        positions.clear();
+      }
+    }
+  };
+  run_local();
+  if (crash_step == 0) {
+    // One-shot fail-restart before any communication: restore the
+    // checkpoint, discard the staged wedge payloads, and re-execute
+    // the whole local superstep. Peers are unaffected.
+    core::recover_crash(comm, 0, [&] {
+      local_count = ckpt.local_triangles;
+      kernel = ckpt.kernel;
+      lookups_before = ckpt.lookups_before;
+      scratch.restore(ckpt.hash_capacity, ckpt.probes);
+      cet = ckpt.cet;
+      wedge_out.assign(static_cast<std::size_t>(p), {});
+      run_local();
+    });
+  }
+  finish_superstep();
+
+  // ------- superstep 1: cut-wedge exchange + resolution. ---------
+  publish_live(1);
+  std::vector<std::vector<VertexId>> received(
+      static_cast<std::size_t>(p));
+  std::vector<CutTask> tasks;
+  {
+    obs::ScopedSpan span("exchange", "tc");
+    // Per-destination element counts travel collectively so every
+    // rank knows which sources to expect; the payloads themselves
+    // are the run's only user-tagged traffic. Buffered sends make
+    // post-all-then-receive deadlock-free.
+    std::vector<std::vector<std::uint64_t>> announce(
+        static_cast<std::size_t>(p));
+    for (std::size_t d = 0; d < wedge_out.size(); ++d) {
+      announce[d] = {wedge_out[d].size()};
+    }
+    const auto expected = mpisim::alltoallv(comm, announce);
+    for (int d = 0; d < p; ++d) {
+      const auto& buf = wedge_out[static_cast<std::size_t>(d)];
+      if (buf.empty()) continue;
+      if (d == rank) {
+        throw std::logic_error("cetric: wedge routed to its own rank");
+      }
+      cet.cut_wedge_messages_sent += 1;
+      cet.cut_wedge_bytes_sent += buf.size() * sizeof(VertexId);
+      comm.send<VertexId>(d, kTagWedge, buf);
+    }
+    for (int s = 0; s < p; ++s) {
+      if (s == rank) continue;
+      const auto& counts = expected[static_cast<std::size_t>(s)];
+      if (counts.empty() || counts[0] == 0) continue;
+      received[static_cast<std::size_t>(s)] =
+          comm.recv<VertexId>(s, kTagWedge);
+    }
+    // Decode [suffix_len, suffix..., count, rel_pos...] groups into
+    // per-vertex tasks, sorted by closing vertex so each owned row
+    // is pinned into the scratch exactly once.
+    for (const auto& buf : received) {
+      std::size_t at = 0;
+      while (at < buf.size()) {
+        const std::size_t suffix_len = buf[at++];
+        const VertexId* suffix = buf.data() + at;
+        at += suffix_len;
+        const std::size_t count = buf[at++];
+        for (std::size_t k = 0; k < count; ++k) {
+          const std::size_t rel = buf[at++];
+          const VertexId v = suffix[rel];
+          if (!g.part.owns(v)) {
+            throw std::runtime_error("cetric: misrouted cut wedge");
+          }
+          tasks.push_back(CutTask{
+              v, suffix + rel + 1,
+              static_cast<std::uint32_t>(suffix_len - rel - 1)});
+        }
+      }
+    }
+    std::stable_sort(tasks.begin(), tasks.end(),
+                     [](const CutTask& a, const CutTask& b) {
+                       return a.v < b.v;
+                     });
+  }
+  // Checkpoint *after* the exchange: the received buffers are the
+  // message log, so a crashed rank replays the resolution from them
+  // without any peer resending.
+  if (checkpointing) save_checkpoint();
+  auto run_cut = [&] {
+    obs::ScopedSpan span("intersect", "tc");
+    bool pinned = false;
+    VertexId current = 0;
+    for (const CutTask& t : tasks) {
+      if (!pinned || t.v != current) {
+        current = t.v;
+        pinned = true;
+        ++kernel.rows_visited;
+        scratch.begin_row(std::span<const VertexId>(g.plus(t.v)),
+                          config.modified_hashing);
+      }
+      ++kernel.intersection_tasks;
+      cut_count += scratch.task(
+          config.kernel, std::span<const VertexId>(t.tail, t.len),
+          config.backward_early_exit, kernel);
+    }
+  };
+  run_cut();
+  if (crash_step == 1) {
+    core::recover_crash(comm, 1, [&] {
+      cut_count = ckpt.cut_triangles;
+      kernel = ckpt.kernel;
+      lookups_before = ckpt.lookups_before;
+      scratch.restore(ckpt.hash_capacity, ckpt.probes);
+      run_cut();
+    });
+  }
+  finish_superstep();
+
+  kernel.probes = scratch.probes();
+  if (live != nullptr) {
+    live->superstep.store(kSupersteps, std::memory_order_relaxed);
+    live->triangles.store(
+        static_cast<std::uint64_t>(local_count + cut_count),
+        std::memory_order_relaxed);
+    live->lookups.store(kernel.lookups, std::memory_order_relaxed);
+  }
+
+  const TriangleCount total =
+      mpisim::allreduce_sum(comm, local_count + cut_count);
+  if (live != nullptr) {
+    live->phase.store("done", std::memory_order_relaxed);
+  }
+
+  stats.kernel = kernel;
+  cet.local_triangles = static_cast<std::uint64_t>(local_count);
+  cet.cut_triangles = static_cast<std::uint64_t>(cut_count);
+  cet_out = cet;
+  return total;
+}
+
+RunResult cetric_result(int ranks, const util::AlphaBetaModel& model) {
+  RunResult result;
+  result.algorithm = "cetric";
+  result.ranks = ranks;
+  result.model = model;
+  result.per_rank.assign(static_cast<std::size_t>(ranks), core::RankStats{});
+  result.per_rank_cetric.assign(static_cast<std::size_t>(ranks),
+                                core::CetricRankCounters{});
+  // The local superstep has no communication to overlap with and the cut
+  // exchange posts all (buffered) sends before the first receive, so
+  // Config::overlap has nothing to change; counts are unaffected.
+  result.overlap_enabled = false;
+  return result;
+}
+
+/// Live telemetry phase tag: "pre" until the counting supersteps start.
+void mark_pre() {
+  if (obs::RankTelemetry* live = obs::Telemetry::caller_slot()) {
+    live->phase.store("pre", std::memory_order_relaxed);
+  }
+}
+
 RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
                               const SliceFactory& make_slice) {
   if (ranks < 1) {
     throw std::invalid_argument(
         "count_triangles_cetric: rank count must be positive");
   }
-  RunResult result;
-  result.algorithm = "cetric";
-  result.ranks = ranks;
-  result.grid_q = 0;
-  result.model = options.model;
-  result.per_rank.assign(static_cast<std::size_t>(ranks), core::RankStats{});
-  result.per_rank_cetric.assign(static_cast<std::size_t>(ranks),
-                                core::CetricRankCounters{});
-
+  RunResult result = cetric_result(ranks, options.model);
   mpisim::WorldOptions world_options;
   world_options.fault_injector = options.chaos.get();
   world_options.watchdog_seconds = options.watchdog_seconds;
   result.chaos_enabled = options.chaos != nullptr;
-  // The local superstep has no communication to overlap with and the cut
-  // exchange posts all (buffered) sends before the first receive, so
-  // Config::overlap has nothing to change; counts are unaffected.
-  result.overlap_enabled = false;
 
-  const Config& config = options.config;
-
-  mpisim::WorldReport report = mpisim::run_world_report(
+  result.take(mpisim::run_world_report(
       ranks,
       [&](mpisim::Comm& comm) {
-        const int rank = comm.rank();
-        const int p = comm.size();
-        mpisim::World& world = comm.world();
-
-        obs::RankTelemetry* live = nullptr;
-        if (obs::Telemetry* telemetry = obs::Telemetry::current()) {
-          live = telemetry->for_caller();
-        }
-        if (live != nullptr) {
-          live->phase.store("pre", std::memory_order_relaxed);
-        }
-
+        mark_pre();
         const LocalSlice input = make_slice(comm);
-
-        core::RankStats& stats =
-            result.per_rank[static_cast<std::size_t>(rank)];
-        core::CetricRankCounters cet;
+        const auto rank = static_cast<std::size_t>(comm.rank());
         PhaseTracker tracker(comm);
-
-        // --- pre superstep "partition": degree-aware contiguous split.
-        const CetricGraph g = build_cetric_graph(comm, input);
-        {
-          PhaseSample sample = tracker.cut();
-          sample.ops = g.routed_entries;
-          stats.pre_steps.emplace_back("partition", sample);
-        }
-
-        // --- pre superstep "ghost": pull Adj+(v) once for every external
-        // closing vertex whose wedge mass exceeds its list length — the
-        // degree-aware trade between replicating a row and shipping the
-        // wedges that close against it.
-        std::unordered_map<VertexId, std::vector<VertexId>> ghosts;
-        {
-          obs::ScopedSpan span("ghost", "pre");
-          std::unordered_map<VertexId, std::uint64_t> mass;
-          for (VertexId u = g.part.begin(); u < g.part.end(); ++u) {
-            const std::vector<VertexId>& au = g.plus(u);
-            for (std::size_t i = 0; i + 1 < au.size(); ++i) {
-              const VertexId v = au[i];
-              if (!g.part.owns(v)) {
-                mass[v] += static_cast<std::uint64_t>(au.size() - 1 - i);
-              }
-            }
-          }
-          std::vector<std::vector<VertexId>> requests(
-              static_cast<std::size_t>(p));
-          for (const auto& [v, m] : mass) {
-            if (m > g.deg_plus[v]) {
-              requests[static_cast<std::size_t>(g.part.owner(v))].push_back(v);
-            }
-          }
-          // Hash-map iteration order is not part of the contract; sorted
-          // requests keep message payloads deterministic.
-          for (auto& r : requests) std::sort(r.begin(), r.end());
-          const auto incoming_requests = mpisim::alltoallv(comm, requests);
-          std::vector<std::vector<VertexId>> replies(
-              static_cast<std::size_t>(p));
-          for (std::size_t s = 0; s < incoming_requests.size(); ++s) {
-            for (const VertexId v : incoming_requests[s]) {
-              if (!g.part.owns(v)) {
-                throw std::runtime_error("cetric: misrouted ghost request");
-              }
-              const std::vector<VertexId>& list = g.plus(v);
-              auto& reply = replies[s];
-              reply.push_back(v);
-              reply.push_back(static_cast<VertexId>(list.size()));
-              reply.insert(reply.end(), list.begin(), list.end());
-            }
-          }
-          const auto incoming_replies = mpisim::alltoallv(comm, replies);
-          for (const auto& bucket : incoming_replies) {
-            std::size_t at = 0;
-            while (at < bucket.size()) {
-              const VertexId v = bucket[at++];
-              const VertexId len = bucket[at++];
-              ghosts[v].assign(
-                  bucket.begin() + static_cast<std::ptrdiff_t>(at),
-                  bucket.begin() + static_cast<std::ptrdiff_t>(at + len));
-              at += len;
-              cet.ghost_lists_fetched += 1;
-              cet.ghost_list_entries += len;
-            }
-          }
-        }
-        {
-          PhaseSample sample = tracker.cut();
-          sample.ops = cet.ghost_list_entries;
-          stats.pre_steps.emplace_back("ghost", sample);
-        }
-
-        // --- triangle counting: superstep 0 (local) + superstep 1 (cut).
-        kernels::IntersectScratch scratch;
-        std::size_t max_row = 16;
-        for (const auto& list : g.adj_plus) {
-          max_row = std::max(max_row, list.size());
-        }
-        scratch.reserve_for(max_row);
-        scratch.reset_probes();
-
-        const mpisim::FaultInjector* injector = world.fault_injector();
-        const int crash_step =
-            injector != nullptr ? injector->crash_superstep(rank) : -1;
-        const double straggler =
-            injector != nullptr ? injector->straggler_factor(rank) : 1.0;
-        const bool checkpointing = config.checkpoint || crash_step >= 0;
-
-        /// Everything the fail-restart model loses: the partial tallies
-        /// and the scratch's history-dependent probe/capacity state. The
-        /// cut superstep replays from its *retained received buffers*
-        /// (message logging) — peers never resend.
-        struct Checkpoint {
-          TriangleCount local_triangles = 0;
-          TriangleCount cut_triangles = 0;
-          KernelCounters kernel;
-          std::uint64_t lookups_before = 0;
-          std::uint64_t probes = 0;
-          std::size_t hash_capacity = 0;
-          core::CetricRankCounters cet;
-        };
-        Checkpoint ckpt;
-
-        TriangleCount local_count = 0;
-        TriangleCount cut_count = 0;
-        KernelCounters kernel;
-        std::uint64_t lookups_before = 0;
-
-        auto publish_live = [&](int step) {
-          if (live != nullptr) {
-            live->phase.store("tc", std::memory_order_relaxed);
-            live->superstep.store(step, std::memory_order_relaxed);
-            live->total_supersteps.store(kSupersteps,
-                                         std::memory_order_relaxed);
-            live->triangles.store(
-                static_cast<std::uint64_t>(local_count + cut_count),
-                std::memory_order_relaxed);
-            live->lookups.store(kernel.lookups, std::memory_order_relaxed);
-          }
-          if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
-            flight->counter("superstep", "tc", static_cast<double>(step));
-          }
-          if (obs::MsgTrace* mt = obs::MsgTrace::current()) {
-            mt->note_superstep(step);
-          }
-        };
-        auto save_checkpoint = [&] {
-          obs::ScopedSpan span("checkpoint", "chaos");
-          ckpt.local_triangles = local_count;
-          ckpt.cut_triangles = cut_count;
-          ckpt.kernel = kernel;
-          ckpt.lookups_before = lookups_before;
-          ckpt.probes = scratch.probes();
-          ckpt.hash_capacity = scratch.hash_capacity();
-          ckpt.cet = cet;
-        };
-        auto note_crash = [&](int step) {
-          mpisim::ChaosCounters& cc = world.chaos_counters(rank);
-          cc.crashes += 1;
-          if (obs::Tracer* tracer = obs::Tracer::current()) {
-            tracer->instant("chaos.crash", "chaos");
-          }
-          if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
-            flight->instant("chaos.crash", "chaos", static_cast<double>(step));
-            flight->try_auto_dump("chaos-crash");
-          }
-        };
-        auto finish_superstep = [&] {
-          PhaseSample sample = tracker.cut();
-          if (straggler > 1.0) {
-            mpisim::ChaosCounters& cc = world.chaos_counters(rank);
-            cc.straggler_steps += 1;
-            cc.straggler_injected_seconds +=
-                (straggler - 1.0) * sample.compute_cpu_seconds;
-            sample.compute_cpu_seconds *= straggler;
-          }
-          sample.ops = kernel.lookups - lookups_before;
-          lookups_before = kernel.lookups;
-          stats.shifts.push_back(sample);
-        };
-
-        // ------- superstep 0: local counting, zero messages. ----------
-        // Every wedge (u; v, tail) with a locally resolvable closing row
-        // (v owned, or ghost-pulled) closes here; the rest is bucketed
-        // into per-destination cut-wedge payloads but nothing is sent —
-        // the zero-message invariant the cetric tests assert.
-        publish_live(0);
-        if (checkpointing) save_checkpoint();
-        std::vector<std::vector<VertexId>> wedge_out(
-            static_cast<std::size_t>(p));
-        // Per-u routing scratch, reused across rows: positions of the
-        // externally-closing entries of Adj+(u), grouped by destination
-        // so one shared suffix serves every wedge to the same rank.
-        std::vector<std::vector<std::uint32_t>> dest_positions(
-            static_cast<std::size_t>(p));
-        std::vector<int> touched;
-        auto run_local = [&] {
-          obs::ScopedSpan span("intersect", "tc");
-          for (VertexId u = g.part.begin(); u < g.part.end(); ++u) {
-            const std::vector<VertexId>& au = g.plus(u);
-            if (au.size() < 2) continue;
-            ++kernel.rows_visited;
-            scratch.begin_row(std::span<const VertexId>(au),
-                              config.modified_hashing);
-            touched.clear();
-            for (std::size_t i = 0; i + 1 < au.size(); ++i) {
-              const VertexId v = au[i];
-              const std::vector<VertexId>* closing = nullptr;
-              if (g.part.owns(v)) {
-                closing = &g.plus(v);
-              } else if (const auto it = ghosts.find(v); it != ghosts.end()) {
-                closing = &it->second;
-              }
-              if (closing != nullptr) {
-                ++kernel.intersection_tasks;
-                local_count += scratch.task(
-                    config.kernel, std::span<const VertexId>(*closing),
-                    config.backward_early_exit, kernel);
-                continue;
-              }
-              const auto d = static_cast<std::size_t>(g.part.owner(v));
-              if (dest_positions[d].empty()) touched.push_back(g.part.owner(v));
-              dest_positions[d].push_back(static_cast<std::uint32_t>(i));
-            }
-            for (const int d : touched) {
-              auto& positions = dest_positions[static_cast<std::size_t>(d)];
-              auto& buf = wedge_out[static_cast<std::size_t>(d)];
-              const std::uint32_t first = positions.front();
-              buf.push_back(static_cast<VertexId>(au.size() - first));
-              buf.insert(buf.end(),
-                         au.begin() + static_cast<std::ptrdiff_t>(first),
-                         au.end());
-              buf.push_back(static_cast<VertexId>(positions.size()));
-              for (const std::uint32_t pos : positions) {
-                buf.push_back(static_cast<VertexId>(pos - first));
-              }
-              cet.cut_wedges_sent += positions.size();
-              positions.clear();
-            }
-          }
-        };
-        run_local();
-        if (crash_step == 0) {
-          // One-shot fail-restart before any communication: restore the
-          // checkpoint, discard the staged wedge payloads, and re-execute
-          // the whole local superstep. Peers are unaffected.
-          note_crash(0);
-          mpisim::ChaosCounters& cc = world.chaos_counters(rank);
-          const double t0 = util::thread_cpu_seconds();
-          {
-            obs::ScopedSpan span("recover", "chaos");
-            local_count = ckpt.local_triangles;
-            kernel = ckpt.kernel;
-            lookups_before = ckpt.lookups_before;
-            scratch.restore(ckpt.hash_capacity, ckpt.probes);
-            cet = ckpt.cet;
-            wedge_out.assign(static_cast<std::size_t>(p), {});
-            run_local();
-          }
-          cc.recoveries += 1;
-          cc.recovery_seconds += util::thread_cpu_seconds() - t0;
-        }
-        finish_superstep();
-
-        // ------- superstep 1: cut-wedge exchange + resolution. ---------
-        publish_live(1);
-        std::vector<std::vector<VertexId>> received(
-            static_cast<std::size_t>(p));
-        std::vector<CutTask> tasks;
-        {
-          obs::ScopedSpan span("exchange", "tc");
-          // Per-destination element counts travel collectively so every
-          // rank knows which sources to expect; the payloads themselves
-          // are the run's only user-tagged traffic. Buffered sends make
-          // post-all-then-receive deadlock-free.
-          std::vector<std::vector<std::uint64_t>> announce(
-              static_cast<std::size_t>(p));
-          for (std::size_t d = 0; d < wedge_out.size(); ++d) {
-            announce[d] = {wedge_out[d].size()};
-          }
-          const auto expected = mpisim::alltoallv(comm, announce);
-          for (int d = 0; d < p; ++d) {
-            const auto& buf = wedge_out[static_cast<std::size_t>(d)];
-            if (buf.empty()) continue;
-            if (d == rank) {
-              throw std::logic_error("cetric: wedge routed to its own rank");
-            }
-            cet.cut_wedge_messages_sent += 1;
-            cet.cut_wedge_bytes_sent += buf.size() * sizeof(VertexId);
-            comm.send<VertexId>(d, kTagWedge, buf);
-          }
-          for (int s = 0; s < p; ++s) {
-            if (s == rank) continue;
-            const auto& counts = expected[static_cast<std::size_t>(s)];
-            if (counts.empty() || counts[0] == 0) continue;
-            received[static_cast<std::size_t>(s)] =
-                comm.recv<VertexId>(s, kTagWedge);
-          }
-          // Decode [suffix_len, suffix..., count, rel_pos...] groups into
-          // per-vertex tasks, sorted by closing vertex so each owned row
-          // is pinned into the scratch exactly once.
-          for (const auto& buf : received) {
-            std::size_t at = 0;
-            while (at < buf.size()) {
-              const std::size_t suffix_len = buf[at++];
-              const VertexId* suffix = buf.data() + at;
-              at += suffix_len;
-              const std::size_t count = buf[at++];
-              for (std::size_t k = 0; k < count; ++k) {
-                const std::size_t rel = buf[at++];
-                const VertexId v = suffix[rel];
-                if (!g.part.owns(v)) {
-                  throw std::runtime_error("cetric: misrouted cut wedge");
-                }
-                tasks.push_back(CutTask{
-                    v, suffix + rel + 1,
-                    static_cast<std::uint32_t>(suffix_len - rel - 1)});
-              }
-            }
-          }
-          std::stable_sort(tasks.begin(), tasks.end(),
-                           [](const CutTask& a, const CutTask& b) {
-                             return a.v < b.v;
-                           });
-        }
-        // Checkpoint *after* the exchange: the received buffers are the
-        // message log, so a crashed rank replays the resolution from them
-        // without any peer resending.
-        if (checkpointing) save_checkpoint();
-        auto run_cut = [&] {
-          obs::ScopedSpan span("intersect", "tc");
-          bool pinned = false;
-          VertexId current = 0;
-          for (const CutTask& t : tasks) {
-            if (!pinned || t.v != current) {
-              current = t.v;
-              pinned = true;
-              ++kernel.rows_visited;
-              scratch.begin_row(std::span<const VertexId>(g.plus(t.v)),
-                                config.modified_hashing);
-            }
-            ++kernel.intersection_tasks;
-            cut_count += scratch.task(
-                config.kernel, std::span<const VertexId>(t.tail, t.len),
-                config.backward_early_exit, kernel);
-          }
-        };
-        run_cut();
-        if (crash_step == 1) {
-          note_crash(1);
-          mpisim::ChaosCounters& cc = world.chaos_counters(rank);
-          const double t0 = util::thread_cpu_seconds();
-          {
-            obs::ScopedSpan span("recover", "chaos");
-            cut_count = ckpt.cut_triangles;
-            kernel = ckpt.kernel;
-            lookups_before = ckpt.lookups_before;
-            scratch.restore(ckpt.hash_capacity, ckpt.probes);
-            run_cut();
-          }
-          cc.recoveries += 1;
-          cc.recovery_seconds += util::thread_cpu_seconds() - t0;
-        }
-        finish_superstep();
-
-        kernel.probes = scratch.probes();
-        if (live != nullptr) {
-          live->superstep.store(kSupersteps, std::memory_order_relaxed);
-          live->triangles.store(
-              static_cast<std::uint64_t>(local_count + cut_count),
-              std::memory_order_relaxed);
-          live->lookups.store(kernel.lookups, std::memory_order_relaxed);
-        }
-
+        const RankPartition part =
+            build_partition(comm, input, tracker, result.per_rank[rank]);
         const TriangleCount total =
-            mpisim::allreduce_sum(comm, local_count + cut_count);
-        if (live != nullptr) {
-          live->phase.store("done", std::memory_order_relaxed);
-        }
-
-        stats.kernel = kernel;
-        cet.local_triangles = static_cast<std::uint64_t>(local_count);
-        cet.cut_triangles = static_cast<std::uint64_t>(cut_count);
-        result.per_rank_cetric[static_cast<std::size_t>(rank)] = cet;
+            count_partition(comm, part, options.config, tracker,
+                            result.per_rank[rank],
+                            result.per_rank_cetric[rank]);
         if (rank == 0) {
           result.triangles = total;
-          result.num_vertices = g.part.num_vertices;
-          result.num_edges = g.num_edges;
+          result.num_vertices = part.graph.part.num_vertices;
+          result.num_edges = part.graph.num_edges;
         }
       },
-      world_options);
-
-  result.per_rank_counters = std::move(report.counters);
-  result.comm_matrix = std::move(report.comm_matrix);
-  result.per_rank_chaos = std::move(report.chaos);
+      world_options));
 
   for (const auto& [name, sample] : result.per_rank[0].pre_steps) {
     result.step_names.push_back(name);
@@ -493,6 +476,45 @@ RunResult count_triangles_cetric(const graph::Csr& csr, int ranks,
   return run_cetric_pipeline(ranks, options, [&](mpisim::Comm& comm) {
     return core::block_slice_from_csr(csr, comm.rank(), comm.size());
   });
+}
+
+ResidentCetric preprocess_resident(mpisim::PersistentWorld& world,
+                                   const graph::EdgeList& graph,
+                                   const RunOptions& options) {
+  ResidentCetric resident;
+  resident.model = options.model;
+  resident.per_rank.resize(static_cast<std::size_t>(world.size()));
+  world.run_job([&](mpisim::Comm& comm) {
+    mark_pre();
+    const LocalSlice input =
+        core::block_slice_from_edges(graph, comm.rank(), comm.size());
+    PhaseTracker tracker(comm);
+    core::RankStats stats;  // build samples are not reported per request
+    resident.per_rank[static_cast<std::size_t>(comm.rank())] =
+        build_partition(comm, input, tracker, stats);
+  });
+  return resident;
+}
+
+RunResult count_resident(mpisim::PersistentWorld& world,
+                         const ResidentCetric& resident, const Config& config) {
+  const int ranks = static_cast<int>(resident.per_rank.size());
+  if (world.size() != ranks) {
+    throw std::invalid_argument(
+        "cetric::count_resident: world size does not match the partition");
+  }
+  RunResult result = cetric_result(ranks, resident.model);
+  result.num_vertices = resident.per_rank[0].graph.part.num_vertices;
+  result.num_edges = resident.per_rank[0].graph.num_edges;
+  result.take(world.run_job([&](mpisim::Comm& comm) {
+    const auto rank = static_cast<std::size_t>(comm.rank());
+    PhaseTracker tracker(comm);
+    const TriangleCount total =
+        count_partition(comm, resident.per_rank[rank], config, tracker,
+                        result.per_rank[rank], result.per_rank_cetric[rank]);
+    if (rank == 0) result.triangles = total;
+  }));
+  return result;
 }
 
 }  // namespace tricount::cetric

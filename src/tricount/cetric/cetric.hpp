@@ -23,13 +23,48 @@
 // reuse every existing seam.
 #pragma once
 
+#include <unordered_map>
+#include <vector>
+
+#include "tricount/cetric/partition.hpp"
 #include "tricount/core/driver.hpp"
+#include "tricount/mpisim/runtime.hpp"
 
 namespace tricount::cetric {
 
+/// One rank's cetric state between counts: its share of the degree-ordered
+/// DAG plus the Adj+ rows it pulled as ghosts.
+struct RankPartition {
+  CetricGraph graph;
+  std::unordered_map<VertexId, std::vector<VertexId>> ghosts;
+  /// The ghost exchange's tallies (only the ghost_* fields are set).
+  core::CetricRankCounters ghost_counters;
+};
+
+/// The output of the "partition" and "ghost" pre-supersteps on every
+/// rank, kept resident next to the 2D partition (docs/service.md).
+struct ResidentCetric {
+  util::AlphaBetaModel model;
+  std::vector<RankPartition> per_rank;
+};
+
+/// Runs the two pre-supersteps once on `world` (any size) over a
+/// simplified graph.
+ResidentCetric preprocess_resident(mpisim::PersistentWorld& world,
+                                   const graph::EdgeList& graph,
+                                   const core::RunOptions& options = {});
+
+/// Runs only the local and cut supersteps on the resident partition
+/// (empty preprocessing phase; traffic counters are this job's delta).
+/// `world` must be the world `resident` was built on.
+core::RunResult count_resident(mpisim::PersistentWorld& world,
+                               const ResidentCetric& resident,
+                               const core::Config& config);
+
 /// Counts triangles of a replicated, simplified edge list on a
 /// simulated world of `ranks` ranks (any positive count — no
-/// perfect-square constraint). `options.config.overlap` is ignored: the
+/// perfect-square constraint): both pre-supersteps, then both counting
+/// supersteps, in one world. `options.config.overlap` is ignored: the
 /// local superstep has no communication to overlap with, and the cut
 /// exchange already posts every send before the first receive.
 core::RunResult count_triangles_cetric(const graph::EdgeList& graph,

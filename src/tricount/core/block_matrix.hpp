@@ -68,6 +68,13 @@ class BlockCsr {
   /// Largest row degree (used to size the intersection hash map once).
   VertexId max_row_degree() const;
 
+  /// Approximate heap footprint — the CSR arrays, not an exact allocator
+  /// tally — for the memory gauges.
+  std::uint64_t heap_bytes() const {
+    return xadj_.size() * sizeof(std::uint64_t) +
+           (adj_.size() + nonempty_.size()) * sizeof(VertexId);
+  }
+
   /// §5.2 blob form: one contiguous byte buffer containing all arrays.
   std::vector<std::byte> to_blob() const;
   static BlockCsr from_blob(std::span<const std::byte> blob);

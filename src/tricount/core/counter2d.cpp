@@ -9,7 +9,6 @@
 #include "tricount/obs/msgtrace.hpp"
 #include "tricount/obs/telemetry.hpp"
 #include "tricount/obs/trace.hpp"
-#include "tricount/util/time.hpp"
 
 namespace tricount::core {
 
@@ -55,19 +54,54 @@ BlockCsr shift_block(mpisim::Comm& comm, BlockCsr block, int dest, int src,
                                 std::move(entries));
 }
 
-/// Approximate heap footprint of one block for the live-telemetry memory
-/// gauges — the CSR arrays, not an exact allocator tally.
-std::uint64_t block_bytes(const BlockCsr& b) {
-  return b.xadj().size() * sizeof(std::uint64_t) +
-         (b.adj().size() + b.nonempty().size()) * sizeof(VertexId);
-}
+/// The crediting tallies of cannon_count: every closed triangle goes to
+/// its corners (`vertex` set) or to its edges (`edges` set). step(z) names
+/// the column block z the current U/L pair closes through, so block-local
+/// (row r, entry e, closer t) map back to degree-ordered ids
+///   j = r·q + x,  i = e·q + y,  k = t·q + z.
+struct Credits {
+  VertexId q = 1;
+  VertexId x = 0;
+  VertexId y = 0;
+  VertexId z = 0;
+  std::vector<TriangleCount>* vertex = nullptr;
+  std::unordered_map<std::uint64_t, TriangleCount>* edges = nullptr;
 
-}  // namespace
+  void step(int column_block) { z = static_cast<VertexId>(column_block); }
+  TriangleCount& edge(VertexId a, VertexId b) {
+    return (*edges)[(static_cast<std::uint64_t>(std::min(a, b)) << 32) |
+                    std::max(a, b)];
+  }
+  /// Closer t of task (r, e): credits k, or the edges j–k and i–k.
+  void closer(VertexId r, VertexId e, VertexId t) {
+    const VertexId k = t * q + z;
+    if (vertex != nullptr) {
+      ++(*vertex)[k];
+    } else {
+      ++edge(r * q + x, k);
+      ++edge(e * q + y, k);
+    }
+  }
+  /// Task (r, e) closed `hits` triangles, all of them through j, i and
+  /// the edge j–i: one credit per task, not per triangle.
+  void task(VertexId r, VertexId e, TriangleCount hits) {
+    if (hits == 0) return;
+    const VertexId j = r * q + x;
+    const VertexId i = e * q + y;
+    if (vertex != nullptr) {
+      (*vertex)[j] += hits;
+      (*vertex)[i] += hits;
+    } else {
+      edge(j, i) += hits;
+    }
+  }
+};
 
-TriangleCount intersect_blocks(const BlockCsr& tasks, const BlockCsr& ublock,
-                               const BlockCsr& lblock, const Config& config,
-                               kernels::IntersectScratch& scratch,
-                               KernelCounters& counters) {
+template <bool kCredits>
+TriangleCount intersect_tally(const BlockCsr& tasks, const BlockCsr& ublock,
+                              const BlockCsr& lblock, const Config& config,
+                              kernels::IntersectScratch& scratch,
+                              KernelCounters& counters, Credits& tally) {
   TriangleCount found = 0;
 
   auto process_row = [&](VertexId r) {
@@ -84,8 +118,16 @@ TriangleCount intersect_blocks(const BlockCsr& tasks, const BlockCsr& ublock,
       const auto lrow = lblock.row(e);
       if (lrow.empty()) continue;
       ++counters.intersection_tasks;
-      found += scratch.task(config.kernel, lrow, config.backward_early_exit,
-                            counters);
+      if constexpr (kCredits) {
+        const TriangleCount hits = scratch.each_match(
+            lrow, config.backward_early_exit, counters,
+            [&](VertexId t) { tally.closer(r, e, t); });
+        tally.task(r, e, hits);
+        found += hits;
+      } else {
+        found += scratch.task(config.kernel, lrow,
+                              config.backward_early_exit, counters);
+      }
     }
   };
 
@@ -97,11 +139,11 @@ TriangleCount intersect_blocks(const BlockCsr& tasks, const BlockCsr& ublock,
   return found;
 }
 
-CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
-                         const Config& config) {
+template <bool kCredits>
+void cannon_sweep(mpisim::Cart2D& grid, Blocks blocks, const Config& config,
+                  Credits& tally, CountOutput& out) {
   mpisim::Comm& comm = grid.comm();
   const int q = grid.q();
-  CountOutput out;
 
   kernels::IntersectScratch scratch;
   // Sized from the *current* U block, not just the initial one: a
@@ -118,23 +160,17 @@ CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
   // Chaos schedule for this rank (docs/chaos.md): a scheduled fail-restart
   // forces superstep checkpointing so the crashed superstep can be
   // re-executed from the blocks as they were when it started.
-  mpisim::World& world = comm.world();
-  const mpisim::FaultInjector* injector = world.fault_injector();
-  const int rank = comm.rank();
-  const int crash_step =
-      injector != nullptr ? injector->crash_superstep(rank) : -1;
-  const double straggler =
-      injector != nullptr ? injector->straggler_factor(rank) : 1.0;
+  const int crash_step = chaos_crash_step(comm);
   const bool checkpointing = config.checkpoint || crash_step >= 0;
 
   /// Everything the fail-restart model loses: the three blocks plus the
-  /// partial count and kernel tallies accumulated before this superstep.
+  /// partial count, kernel tallies and credits accumulated before this
+  /// superstep.
   struct Checkpoint {
     std::vector<std::byte> ublock;
     std::vector<std::byte> lblock;
     std::vector<std::byte> tasks;
-    TriangleCount local_triangles = 0;
-    KernelCounters kernel;
+    CountOutput out;
     std::uint64_t lookups_before = 0;
     /// The scratch's cumulative probe tally lives outside out.kernel until
     /// the loop ends; without this field a recovery keeps the discarded
@@ -151,10 +187,7 @@ CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
   // loop entry. The flight "superstep" counter doubles as the crash
   // witness — on a chaos crash the dump's final superstep record is the
   // superstep the recovery path reports.
-  obs::RankTelemetry* live = nullptr;
-  if (obs::Telemetry* telemetry = obs::Telemetry::current()) {
-    live = telemetry->for_caller();
-  }
+  obs::RankTelemetry* live = obs::Telemetry::caller_slot();
   auto publish_live = [&](int step) {
     if (live != nullptr) {
       live->phase.store("tc", std::memory_order_relaxed);
@@ -164,9 +197,9 @@ CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
                             std::memory_order_relaxed);
       live->lookups.store(out.kernel.lookups, std::memory_order_relaxed);
       live->graph_bytes.store(
-          block_bytes(blocks.ublock) + block_bytes(blocks.lblock),
+          blocks.ublock.heap_bytes() + blocks.lblock.heap_bytes(),
           std::memory_order_relaxed);
-      live->partition_bytes.store(block_bytes(blocks.tasks),
+      live->partition_bytes.store(blocks.tasks.heap_bytes(),
                                   std::memory_order_relaxed);
       live->scratch_bytes.store(scratch.hash_capacity() * sizeof(VertexId),
                                 std::memory_order_relaxed);
@@ -188,8 +221,7 @@ CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
       ckpt.ublock = blocks.ublock.to_blob();
       ckpt.lblock = blocks.lblock.to_blob();
       ckpt.tasks = blocks.tasks.to_blob();
-      ckpt.local_triangles = out.local_triangles;
-      ckpt.kernel = out.kernel;
+      ckpt.out = out;
       ckpt.lookups_before = lookups_before;
       ckpt.probes = scratch.probes();
       ckpt.hash_capacity = scratch.hash_capacity();
@@ -213,11 +245,12 @@ CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
       u_req = comm.irecv(grid.right(), kTagUBlock);
       l_req = comm.irecv(grid.down(), kTagLBlock);
     }
+    tally.step((grid.row() + grid.col() + s) % q);
     {
       obs::ScopedSpan span("intersect", "tc");
-      out.local_triangles += intersect_blocks(blocks.tasks, blocks.ublock,
-                                              blocks.lblock, config, scratch,
-                                              out.kernel);
+      out.local_triangles +=
+          intersect_tally<kCredits>(blocks.tasks, blocks.ublock, blocks.lblock, config,
+                          scratch, out.kernel, tally);
     }
     if (s == crash_step) {
       // One-shot fail-restart: this rank loses the superstep's results,
@@ -225,33 +258,17 @@ CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
       // shifts have not happened yet, so peers are unaffected; the
       // recovery cost lands in this rank's compute sample (and the
       // modeled max-over-ranks superstep time).
-      mpisim::ChaosCounters& cc = world.chaos_counters(rank);
-      cc.crashes += 1;
-      if (obs::Tracer* tracer = obs::Tracer::current()) {
-        tracer->instant("chaos.crash", "chaos");
-      }
-      if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
-        // Dump at the crash instant: the last "superstep" counter in the
-        // crashing rank's stream is exactly the failed superstep.
-        flight->instant("chaos.crash", "chaos", static_cast<double>(s));
-        flight->try_auto_dump("chaos-crash");
-      }
-      const double t0 = util::thread_cpu_seconds();
-      {
-        obs::ScopedSpan span("recover", "chaos");
+      recover_crash(comm, s, [&] {
         blocks.ublock = BlockCsr::from_blob(ckpt.ublock);
         blocks.lblock = BlockCsr::from_blob(ckpt.lblock);
         blocks.tasks = BlockCsr::from_blob(ckpt.tasks);
-        out.local_triangles = ckpt.local_triangles;
-        out.kernel = ckpt.kernel;
+        out = ckpt.out;
         lookups_before = ckpt.lookups_before;
         scratch.restore(ckpt.hash_capacity, ckpt.probes);
-        out.local_triangles += intersect_blocks(blocks.tasks, blocks.ublock,
-                                                blocks.lblock, config, scratch,
-                                                out.kernel);
-      }
-      cc.recoveries += 1;
-      cc.recovery_seconds += util::thread_cpu_seconds() - t0;
+        out.local_triangles +=
+            intersect_tally<kCredits>(blocks.tasks, blocks.ublock, blocks.lblock,
+                            config, scratch, out.kernel, tally);
+      });
     }
     if (s + 1 < q) {
       // U one column left, L one row up (paper §5.1). Buffered sends keep
@@ -272,15 +289,7 @@ CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
     }
     PhaseSample sample = tracker.cut();
     sample.overlapped = overlapped;
-    if (straggler > 1.0) {
-      // Modeled slowdown: inflate the compute reading the α–β model sees;
-      // the injected share is tallied so reports can subtract it.
-      mpisim::ChaosCounters& cc = world.chaos_counters(rank);
-      cc.straggler_steps += 1;
-      cc.straggler_injected_seconds +=
-          (straggler - 1.0) * sample.compute_cpu_seconds;
-      sample.compute_cpu_seconds *= straggler;
-    }
+    apply_straggler(comm, sample);
     sample.ops = out.kernel.lookups - lookups_before;
     lookups_before = out.kernel.lookups;
     out.shifts.push_back(sample);
@@ -296,6 +305,38 @@ CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
   }
 
   out.total_triangles = mpisim::allreduce_sum(comm, out.local_triangles);
+}
+
+}  // namespace
+
+TriangleCount intersect_blocks(const BlockCsr& tasks, const BlockCsr& ublock,
+                               const BlockCsr& lblock, const Config& config,
+                               kernels::IntersectScratch& scratch,
+                               KernelCounters& counters) {
+  Credits none;
+  return intersect_tally<false>(tasks, ublock, lblock, config, scratch,
+                                counters, none);
+}
+
+CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
+                         const Config& config, Tally tally,
+                         VertexId num_vertices) {
+  CountOutput out;
+  Credits credits;
+  if (tally == Tally::kCount) {
+    cannon_sweep<false>(grid, std::move(blocks), config, credits, out);
+    return out;
+  }
+  credits.q = static_cast<VertexId>(grid.q());
+  credits.x = static_cast<VertexId>(grid.row());
+  credits.y = static_cast<VertexId>(grid.col());
+  if (tally == Tally::kPerVertex) {
+    out.vertex_credits.assign(num_vertices, 0);
+    credits.vertex = &out.vertex_credits;
+  } else {
+    credits.edges = &out.edge_credits;
+  }
+  cannon_sweep<true>(grid, std::move(blocks), config, credits, out);
   return out;
 }
 

@@ -8,6 +8,9 @@
 // rank's task block; then U shifts one column left and L one row up.
 #pragma once
 
+#include <cstdint>
+#include <unordered_map>
+
 #include "tricount/core/block_matrix.hpp"
 #include "tricount/core/config.hpp"
 #include "tricount/core/instrumentation.hpp"
@@ -20,6 +23,12 @@ namespace tricount::core {
 
 using graph::TriangleCount;
 
+/// What a Cannon sweep keeps besides the triangle total (docs/api.md).
+/// kCount is the paper's counting phase. The other two modes credit every
+/// closed triangle (j, i, k), in degree-ordered ids, to its three corners
+/// (per-vertex counts, clustering) or to its three edges (k-truss support).
+enum class Tally { kCount, kPerVertex, kEdgeSupport };
+
 struct CountOutput {
   /// Triangles found by this rank's tasks (pre-reduction).
   TriangleCount local_triangles = 0;
@@ -28,6 +37,11 @@ struct CountOutput {
   /// One sample per shift: the shift's compute plus its communication.
   std::vector<PhaseSample> shifts;
   KernelCounters kernel;
+  /// Tally::kPerVertex: this rank's credits, indexed by degree-ordered id.
+  std::vector<TriangleCount> vertex_credits;
+  /// Tally::kEdgeSupport: this rank's credits per degree-ordered edge,
+  /// keyed (lo << 32) | hi.
+  std::unordered_map<std::uint64_t, TriangleCount> edge_credits;
 };
 
 /// One compute step: intersects every task (r, e) in `tasks` against the
@@ -42,7 +56,11 @@ TriangleCount intersect_blocks(const BlockCsr& tasks, const BlockCsr& ublock,
                                KernelCounters& counters);
 
 /// Runs the full counting phase. Consumes (shifts away) the U/L blocks.
+/// kCount runs the kernel `config.kernel` selects per task; the crediting
+/// tallies run the hash kernel, which yields each closing vertex.
+/// `num_vertices` sizes the kPerVertex credits.
 CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
-                         const Config& config);
+                         const Config& config, Tally tally = Tally::kCount,
+                         VertexId num_vertices = 0);
 
 }  // namespace tricount::core

@@ -3,9 +3,10 @@
 //
 // Truss decomposition splits into (a) per-edge triangle-support counting
 // — the computation the paper's algorithm parallelizes — and (b) a cheap
-// support-peeling pass. This module distributes (a) exactly like the 2D
-// counter: every triangle closed during the Cannon shifts credits its
-// three edges; credits are reduced to per-edge owners in new-id space,
+// support-peeling pass. This module distributes (a) with the 2D counter's
+// own sweep under its edge-support tally (counter2d.hpp): every triangle
+// closed during the Cannon shifts credits its three edges; credits are
+// reduced to per-edge owners in new-id space,
 // translated back to the caller's original ids, and aligned with the
 // simplified edge order. Peeling then reuses the serial bucket-queue
 // (graph/ktruss), so `ktruss_2d` returns a decomposition bit-identical to

@@ -36,10 +36,7 @@ RunResult run_pipeline(int ranks, const RunOptions& options,
 
     // Live telemetry phase tag: "pre" until cannon_count flips it to "tc"
     // at its first superstep.
-    obs::RankTelemetry* live = nullptr;
-    if (obs::Telemetry* telemetry = obs::Telemetry::current()) {
-      live = telemetry->for_caller();
-    }
+    obs::RankTelemetry* live = obs::Telemetry::caller_slot();
     if (live != nullptr) {
       live->phase.store("pre", std::memory_order_relaxed);
     }
@@ -47,11 +44,7 @@ RunResult run_pipeline(int ranks, const RunOptions& options,
     const LocalSlice input = make_slice(comm);
 
     PreprocessOutput pre = preprocess(grid, input, options.config);
-    if (options.validate_blocks) {
-      pre.blocks.ublock.validate();
-      pre.blocks.lblock.validate();
-      pre.blocks.tasks.validate();
-    }
+    if (options.validate_blocks) pre.blocks.validate();
     CountOutput count = cannon_count(grid, std::move(pre.blocks),
                                      options.config);
     if (live != nullptr) {
@@ -69,9 +62,7 @@ RunResult run_pipeline(int ranks, const RunOptions& options,
     }
   }, world_options);
 
-  result.per_rank_counters = std::move(report.counters);
-  result.comm_matrix = std::move(report.comm_matrix);
-  result.per_rank_chaos = std::move(report.chaos);
+  result.take(std::move(report));
 
   for (const auto& [name, sample] : result.per_rank[0].pre_steps) {
     result.step_names.push_back(name);
@@ -145,6 +136,12 @@ std::uint64_t RunResult::tc_ops() const {
   std::uint64_t total = 0;
   for (const RankStats& stats : per_rank) total += stats.tc_total().ops;
   return total;
+}
+
+void RunResult::take(mpisim::WorldReport report) {
+  per_rank_counters = std::move(report.counters);
+  comm_matrix = std::move(report.comm_matrix);
+  per_rank_chaos = std::move(report.chaos);
 }
 
 mpisim::ChaosCounters RunResult::total_chaos() const {

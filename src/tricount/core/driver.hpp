@@ -20,6 +20,7 @@
 #include "tricount/graph/edge_list.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/mpisim/fault.hpp"
+#include "tricount/mpisim/runtime.hpp"
 #include "tricount/util/cost_model.hpp"
 
 namespace tricount::core {
@@ -72,15 +73,23 @@ struct RunResult {
   bool overlap_enabled = false;
   /// Per-rank chaos tallies (all zero unless chaos_enabled).
   std::vector<mpisim::ChaosCounters> per_rank_chaos;
-  /// Which counting algorithm produced this result ("2d" or "cetric").
+  /// Which counting algorithm produced this result ("2d", "cetric", or
+  /// "summa" for a SUMMA sweep over resident blocks).
   /// Artifacts serialize the key only when it differs from "2d", so
   /// pre-cetric baselines stay byte-identical.
   std::string algorithm = "2d";
   /// Per-rank CETRIC tallies (empty unless algorithm == "cetric").
   std::vector<CetricRankCounters> per_rank_cetric;
+  /// Tally::kPerVertex: triangles containing each vertex, in input ids.
+  std::vector<graph::TriangleCount> vertex_triangles;
+  /// Tally::kEdgeSupport: triangles containing each edge, aligned with the
+  /// simplified input's edge order.
+  std::vector<graph::TriangleCount> edge_supports;
 
   mpisim::ChaosCounters total_chaos() const;
   CetricRankCounters total_cetric() const;
+  /// Moves in a world's traffic counters, comm matrix and chaos tallies.
+  void take(mpisim::WorldReport report);
 
   // --- derived metrics (see instrumentation.hpp for the model) ----------
 

@@ -1,105 +1,8 @@
 #include "tricount/core/per_vertex.hpp"
 
-#include <algorithm>
-#include <limits>
-#include <stdexcept>
-
-#include "tricount/core/counter2d.hpp"
-#include "tricount/core/dist_graph.hpp"
-#include "tricount/core/preprocess.hpp"
-#include "tricount/hashmap/hash_set.hpp"
-#include "tricount/mpisim/collectives.hpp"
-#include "tricount/mpisim/runtime.hpp"
+#include "tricount/core/resident.hpp"
 
 namespace tricount::core {
-
-namespace {
-
-constexpr int kTagU = 111;
-constexpr int kTagL = 112;
-
-using graph::TriangleCount;
-
-/// Accumulating kernel: every closed triangle credits j (task row), i
-/// (task entry), and k (closing vertex) in global *new-id* space.
-void accumulate_blocks(const BlockCsr& tasks, const BlockCsr& ublock,
-                       const BlockCsr& lblock, const Config& config, int q,
-                       int x, int y, int z,
-                       hashmap::VertexHashSet& scratch,
-                       std::vector<TriangleCount>& acc,
-                       TriangleCount& local_total) {
-  const auto qv = static_cast<VertexId>(q);
-  const auto xv = static_cast<VertexId>(x);
-  const auto yv = static_cast<VertexId>(y);
-  const auto zv = static_cast<VertexId>(z);
-  // The accumulator needs the closing vertex of every match (to credit
-  // it), so it keeps its own two-kernel loop: merge when the policy
-  // forces it, the hash path otherwise.
-  const bool use_map = config.kernel != kernels::KernelPolicy::kMerge;
-
-  auto process_row = [&](VertexId r) {
-    const auto task_cols = tasks.row(r);
-    if (task_cols.empty()) return;
-    const auto urow = ublock.row(r);
-    if (urow.empty()) return;
-    if (use_map) scratch.build(urow, config.modified_hashing);
-    const VertexId umin = urow.front();
-    const VertexId j_global = r * qv + xv;
-
-    for (const VertexId e : task_cols) {
-      if (e >= lblock.num_local_rows()) continue;
-      const auto lrow = lblock.row(e);
-      if (lrow.empty()) continue;
-      const VertexId i_global = e * qv + yv;
-
-      auto credit = [&](VertexId t) {
-        const VertexId k_global = t * qv + zv;
-        ++acc[j_global];
-        ++acc[i_global];
-        ++acc[k_global];
-        ++local_total;
-      };
-
-      if (use_map) {
-        for (std::size_t at = lrow.size(); at-- > 0;) {
-          const VertexId t = lrow[at];
-          if (config.backward_early_exit && t < umin) break;
-          if (scratch.contains(t)) credit(t);
-        }
-      } else {
-        std::size_t a = 0;
-        std::size_t b = 0;
-        while (a < urow.size() && b < lrow.size()) {
-          if (urow[a] == lrow[b]) {
-            credit(urow[a]);
-            ++a;
-            ++b;
-          } else if (urow[a] < lrow[b]) {
-            ++a;
-          } else {
-            ++b;
-          }
-        }
-      }
-    }
-  };
-
-  if (config.doubly_sparse) {
-    for (const VertexId r : tasks.nonempty()) process_row(r);
-  } else {
-    for (VertexId r = 0; r < tasks.num_local_rows(); ++r) process_row(r);
-  }
-}
-
-BlockCsr blob_shift(mpisim::Comm& comm, BlockCsr block, int dest, int src,
-                    int tag) {
-  const std::vector<std::byte> blob = block.to_blob();
-  mpisim::Message m = comm.sendrecv_bytes(
-      dest, tag, std::span<const std::byte>(blob), src, tag);
-  return BlockCsr::from_blob(m.payload);
-}
-
-}  // namespace
 
 double PerVertexResult::local_clustering(graph::VertexId v,
                                          graph::EdgeIndex degree) const {
@@ -111,102 +14,15 @@ double PerVertexResult::local_clustering(graph::VertexId v,
 
 PerVertexResult count_per_vertex_2d(const graph::EdgeList& graph, int ranks,
                                     const RunOptions& options) {
-  if (mpisim::perfect_square_root(ranks) == 0) {
-    throw std::invalid_argument(
-        "count_per_vertex_2d: rank count must be a perfect square");
-  }
-  PerVertexResult result;
-  result.ranks = ranks;
-  result.counts.assign(graph.num_vertices, 0);
-
-  mpisim::run_world(ranks, [&](mpisim::Comm& comm) {
-    mpisim::Cart2D grid(comm);
-    const int p = comm.size();
-    const int q = grid.q();
-    const auto pv = static_cast<VertexId>(p);
-    const VertexId n = graph.num_vertices;
-
-    const LocalSlice input = block_slice_from_edges(graph, comm.rank(), p);
-    const CyclicSlice cyclic = cyclic_redistribute(comm, input);
-    const RelabeledSlice relabeled = degree_relabel(comm, cyclic);
-    Blocks blocks = scatter_2d(grid, relabeled, options.config.enumeration);
-
-    // --- accumulate over Cannon shifts in new-id space ------------------
-    std::vector<TriangleCount> acc(n, 0);
-    hashmap::VertexHashSet scratch;
-    TriangleCount local_total = 0;
-    for (int s = 0; s < q; ++s) {
-      const int z = (grid.row() + grid.col() + s) % q;
-      accumulate_blocks(blocks.tasks, blocks.ublock, blocks.lblock,
-                        options.config, q, grid.row(), grid.col(), z, scratch,
-                        acc, local_total);
-      if (s + 1 < q) {
-        blocks.ublock = blob_shift(comm, std::move(blocks.ublock),
-                                   grid.left(), grid.right(), kTagU);
-        blocks.lblock = blob_shift(comm, std::move(blocks.lblock), grid.up(),
-                                   grid.down(), kTagL);
-      }
-    }
-    const TriangleCount total = mpisim::allreduce_sum(comm, local_total);
-
-    // --- reduce per-vertex credits to the cyclic owner of each new id ---
-    std::vector<std::vector<VertexId>> credit_out(static_cast<std::size_t>(p));
-    for (VertexId v = 0; v < n; ++v) {
-      if (acc[v] == 0) continue;
-      if (acc[v] > std::numeric_limits<VertexId>::max()) {
-        // Per-rank per-vertex credits travel as 32-bit values; > 4e9
-        // triangles on one vertex from one rank is outside this
-        // simulator's scale by orders of magnitude.
-        throw std::overflow_error("count_per_vertex_2d: credit overflow");
-      }
-      auto& bucket = credit_out[v % pv];
-      bucket.push_back(v);
-      bucket.push_back(static_cast<VertexId>(acc[v]));
-    }
-    const auto credit_in = mpisim::alltoallv(comm, credit_out);
-    // owned_new[k] = triangles of new id (rank + k*p).
-    std::vector<TriangleCount> owned_new(
-        cyclic_row_count(n, p, comm.rank()), 0);
-    for (const auto& bucket : credit_in) {
-      for (std::size_t at = 0; at + 1 < bucket.size(); at += 2) {
-        owned_new[bucket[at] / pv] += bucket[at + 1];
-      }
-    }
-
-    // --- translate back to original ids ---------------------------------
-    // This rank owns the *old* ids congruent to its rank (cyclic); it
-    // knows each one's new id and asks the new id's owner for the count.
-    std::vector<std::vector<VertexId>> ask(static_cast<std::size_t>(p));
-    for (const VertexId w : relabeled.new_ids) {
-      ask[w % pv].push_back(w);
-    }
-    const auto asked = mpisim::alltoallv(comm, ask);
-    std::vector<std::vector<VertexId>> reply(static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      for (const VertexId w : asked[static_cast<std::size_t>(r)]) {
-        reply[static_cast<std::size_t>(r)].push_back(
-            static_cast<VertexId>(owned_new[w / pv]));
-      }
-    }
-    const auto replies = mpisim::alltoallv(comm, reply);
-    std::vector<std::size_t> cursor(static_cast<std::size_t>(p), 0);
-    for (std::size_t k = 0; k < relabeled.new_ids.size(); ++k) {
-      const VertexId w = relabeled.new_ids[k];
-      const auto owner = static_cast<std::size_t>(w % pv);
-      const VertexId old_id = cyclic.global_id(static_cast<VertexId>(k));
-      // Disjoint slots across ranks; thread-join publishes the writes.
-      result.counts[old_id] = replies[owner][cursor[owner]++];
-    }
-    if (comm.rank() == 0) result.total_triangles = total;
-  });
-
-  return result;
+  mpisim::PersistentWorld world(ranks);
+  RunResult run =
+      count_resident(world, preprocess_resident(world, graph, options),
+                     options.config, Tally::kPerVertex);
+  return {run.triangles, std::move(run.vertex_triangles), ranks};
 }
 
-ClusteringStats clustering_stats_2d(const graph::EdgeList& graph, int ranks,
-                                    const RunOptions& options) {
-  const PerVertexResult per_vertex =
-      count_per_vertex_2d(graph, ranks, options);
+ClusteringStats clustering_stats(const graph::EdgeList& graph,
+                                 const PerVertexResult& per_vertex) {
   const std::vector<graph::EdgeIndex> degrees = graph::degrees(graph);
 
   ClusteringStats stats;
@@ -228,6 +44,11 @@ ClusteringStats clustering_stats_2d(const graph::EdgeList& graph, int ranks,
         clustering_sum / static_cast<double>(graph.num_vertices);
   }
   return stats;
+}
+
+ClusteringStats clustering_stats_2d(const graph::EdgeList& graph, int ranks,
+                                    const RunOptions& options) {
+  return clustering_stats(graph, count_per_vertex_2d(graph, ranks, options));
 }
 
 }  // namespace tricount::core

@@ -2,16 +2,16 @@
 // 2D algorithm that the paper's motivating applications (clustering
 // coefficients, transitivity, k-truss support, community detection) need.
 //
-// The Cannon-pattern kernel is rerun with an accumulating variant: every
+// The Cannon sweep runs under its per-vertex tally (counter2d.hpp): every
 // closed triangle (i, j, k) credits all three endpoints. Because the
 // kernel works in block-local coordinates, the rank's grid position
 // (x, y) and the current shift's column block z recover the global ids:
 //   row r    -> j = r*q + x,
 //   entry e  -> i = e*q + y,
 //   closer t -> k = t*q + z.
-// Per-rank accumulators are then reduced to the cyclic owners of the
-// *new* (degree-ordered) ids and finally translated back to the caller's
-// original vertex ids via the owners of the old ids.
+// Per-rank credits are then reduced to the cyclic owners of the *new*
+// (degree-ordered) ids, which translate them back to the caller's
+// original vertex ids through the resident id map (core/resident.hpp).
 #pragma once
 
 #include <vector>
@@ -35,7 +35,8 @@ struct PerVertexResult {
 };
 
 /// Distributed per-vertex triangle counting on a simulated world of
-/// `ranks` ranks (perfect square).
+/// `ranks` ranks (perfect square): preprocess once, run the per-vertex
+/// tally once.
 PerVertexResult count_per_vertex_2d(const graph::EdgeList& graph, int ranks,
                                     const RunOptions& options = {});
 
@@ -51,5 +52,9 @@ struct ClusteringStats {
 
 ClusteringStats clustering_stats_2d(const graph::EdgeList& graph, int ranks,
                                     const RunOptions& options = {});
+
+/// The same statistics from per-vertex counts already computed on `graph`.
+ClusteringStats clustering_stats(const graph::EdgeList& graph,
+                                 const PerVertexResult& per_vertex);
 
 }  // namespace tricount::core

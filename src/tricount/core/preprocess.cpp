@@ -224,6 +224,7 @@ PreprocessOutput preprocess(mpisim::Cart2D& grid, const LocalSlice& input,
                   out.blocks.tasks.num_entries());
     out.steps.emplace_back("scatter_2d", s);
   }
+  out.new_ids = std::move(relabeled.new_ids);
 
   {
     obs::ScopedSpan span("edge_count", "pre");

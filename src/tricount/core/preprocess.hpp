@@ -50,6 +50,15 @@ struct Blocks {
   BlockCsr ublock;
   BlockCsr lblock;
   BlockCsr tasks;
+
+  std::uint64_t heap_bytes() const {
+    return ublock.heap_bytes() + lblock.heap_bytes() + tasks.heap_bytes();
+  }
+  void validate() const {
+    ublock.validate();
+    lblock.validate();
+    tasks.validate();
+  }
 };
 
 /// Steps (iii)+(iv): scatter entries per the 2D cyclic map and build the
@@ -62,6 +71,8 @@ struct PreprocessOutput {
   Blocks blocks;
   VertexId num_vertices = 0;
   EdgeIndex num_edges = 0;  ///< global undirected edge count
+  /// new_ids[k] = degree-ordered id of input vertex rank + k·p.
+  std::vector<VertexId> new_ids;
   /// Per-superstep measurements on this rank, in pipeline order.
   std::vector<std::pair<std::string, PhaseSample>> steps;
 };

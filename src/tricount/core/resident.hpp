@@ -8,10 +8,10 @@
 // ResidentPartition, then answer each query with count_resident — only
 // the √p counting supersteps, on blocks copied from the resident set
 // (cannon_count shifts its blocks away, so the originals stay intact for
-// the next query).
+// the next query). The same blocks serve the per-vertex and edge-support
+// tallies and, through SUMMA's broadcast schedule, count_resident_summa.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "tricount/core/driver.hpp"
@@ -37,10 +37,9 @@ struct ResidentPartition {
   util::AlphaBetaModel model;
   /// blocks[r] = rank r's aligned blocks; copied per counting sweep.
   std::vector<Blocks> blocks;
-  /// Preprocessing measurements, kept for diagnostics ("how expensive was
-  /// the setup this partition amortizes").
-  std::vector<std::string> step_names;
-  std::vector<RankStats> pre_stats;
+  /// old_ids[r][k] = input id of degree-ordered vertex r + k·p: the map
+  /// the crediting tallies translate back through.
+  std::vector<std::vector<VertexId>> old_ids;
 
   /// Approximate resident footprint of all ranks' blocks.
   std::uint64_t resident_bytes() const;
@@ -58,7 +57,19 @@ ResidentPartition preprocess_resident(mpisim::PersistentWorld& world,
 /// this job's delta). `config`'s kernel-phase knobs (kernel, overlap,
 /// §5.2 switches) are honored; its enumeration is overridden by the
 /// partition's. `world` must be the world `partition` was built on.
+/// A crediting `tally` also fills RunResult::vertex_triangles
+/// (kPerVertex) or RunResult::edge_supports (kEdgeSupport, aligned with
+/// `simplified`, the graph the partition was built from).
 RunResult count_resident(mpisim::PersistentWorld& world,
-                         const ResidentPartition& partition, Config config);
+                         const ResidentPartition& partition, Config config,
+                         Tally tally = Tally::kCount,
+                         const graph::EdgeList* simplified = nullptr);
+
+/// Square-grid SUMMA over the resident Cannon blocks: at step z the U
+/// root of grid row x is column (z−x) mod q and the L root of grid
+/// column y is row (z−y) mod q (summa2d.cpp).
+RunResult count_resident_summa(mpisim::PersistentWorld& world,
+                               const ResidentPartition& partition,
+                               Config config);
 
 }  // namespace tricount::core

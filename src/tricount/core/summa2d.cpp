@@ -11,7 +11,6 @@
 #include "tricount/obs/msgtrace.hpp"
 #include "tricount/obs/telemetry.hpp"
 #include "tricount/obs/trace.hpp"
-#include "tricount/util/time.hpp"
 
 namespace tricount::core {
 
@@ -119,22 +118,18 @@ SummaBlocks scatter_summa(mpisim::Comm& comm, int qr, int qc, int K,
   return blocks;
 }
 
-/// Approximate CSR heap footprint of one block, for the live-telemetry
-/// memory gauges (mirrors counter2d.cpp's block_bytes).
-std::uint64_t summa_block_bytes(const BlockCsr& b) {
-  return b.xadj().size() * sizeof(std::uint64_t) +
-         (b.adj().size() + b.nonempty().size()) * sizeof(VertexId);
-}
-
 /// Owner broadcasts a block (as its §5.2 blob) to the other members of
-/// its grid row/column via a binomial group broadcast.
-BlockCsr panel_bcast(mpisim::Comm& comm, const BlockCsr* own,
-                     int owner_index, std::span<const int> members) {
+/// its grid row/column via a binomial group broadcast. Members other than
+/// the owner decode it into `storage`.
+const BlockCsr& panel_bcast(mpisim::Comm& comm, const BlockCsr* own,
+                            int owner_index, std::span<const int> members,
+                            BlockCsr& storage) {
   std::vector<std::byte> blob;
   if (own != nullptr) blob = own->to_blob();
   mpisim::bcast_group(comm, blob, members, owner_index);
   if (own != nullptr) return *own;
-  return BlockCsr::from_blob(blob);
+  storage = BlockCsr::from_blob(blob);
+  return storage;
 }
 
 }  // namespace
@@ -143,6 +138,186 @@ mpisim::ChaosCounters SummaResult::total_chaos() const {
   mpisim::ChaosCounters total;
   for (const mpisim::ChaosCounters& c : per_rank_chaos) total += c;
   return total;
+}
+
+SummaSweep summa_sweep(mpisim::Comm& comm, int qr, int qc, int K,
+                       const PanelSchedule& schedule, const BlockCsr& tasks,
+                       const Config& config, PhaseTracker& tracker) {
+  const int x = comm.rank() / qc;
+  const int y = comm.rank() % qc;
+
+  // Chaos schedule for this rank; mirrors cannon_count (docs/chaos.md).
+  const int crash_step = chaos_crash_step(comm);
+  const bool checkpointing = config.checkpoint || crash_step >= 0;
+
+  std::vector<int> row_members;
+  for (int c = 0; c < qc; ++c) row_members.push_back(x * qc + c);
+  std::vector<int> col_members;
+  for (int r = 0; r < qr; ++r) col_members.push_back(r * qc + y);
+
+  kernels::IntersectScratch scratch;
+  SummaSweep out;
+  std::uint64_t lookups_before = 0;
+
+  /// The fail-restart checkpoint: the task block plus the partial count
+  /// and kernel tallies accumulated before this panel step. The U/L
+  /// panels are re-received per step, so only tasks need a blob.
+  struct Checkpoint {
+    std::vector<std::byte> tasks;
+    SummaSweep out;
+    std::uint64_t lookups_before = 0;
+    /// Cumulative scratch probe tally at step entry; restored on
+    /// recovery so the discarded execution's probes are rolled back.
+    std::uint64_t probes = 0;
+    /// Hash capacity at step entry — the replay must rerun under the
+    /// same table geometry to reproduce the discarded pass's tallies.
+    std::size_t hash_capacity = 0;
+  };
+  Checkpoint ckpt;
+
+  // Overlap mode replaces the binomial broadcast with a point-to-point
+  // prefetch pipeline one panel ahead: step z+1's owners isend their
+  // blobs (buffered, so the copy is immediate) and every other rank
+  // posts irecvs before step z's intersection runs; the requests are
+  // completed when the next step starts. Step 0's fetch is the pipeline
+  // fill and cannot overlap anything.
+  struct PanelFetch {
+    mpisim::Request req;
+    const BlockCsr* own = nullptr;
+  };
+  auto u_root = [&](int z) { return (z - schedule.u_shift + qc) % qc; };
+  auto l_root = [&](int z) { return (z - schedule.l_shift + qr) % qr; };
+  auto post = [&](const std::vector<int>& members, int root_index, int tag,
+                  const BlockCsr& panel) {
+    PanelFetch f;
+    const int owner = members[static_cast<std::size_t>(root_index)];
+    if (comm.rank() == owner) {
+      f.own = &panel;
+      const std::vector<std::byte> blob = f.own->to_blob();
+      for (const int m : members) {
+        if (m == comm.rank()) continue;
+        (void)comm.isend_bytes(m, tag, std::span<const std::byte>(blob));
+      }
+    } else {
+      f.req = comm.irecv(owner, tag);
+    }
+    return f;
+  };
+  auto u_panel = [&](int z) -> const BlockCsr& {
+    return schedule.upanels[static_cast<std::size_t>(z / qc)];
+  };
+  auto l_panel = [&](int z) -> const BlockCsr& {
+    return schedule.lpanels[static_cast<std::size_t>(z / qr)];
+  };
+  auto post_u = [&](int z) {
+    return post(row_members, u_root(z), kTagSummaU, u_panel(z));
+  };
+  auto post_l = [&](int z) {
+    return post(col_members, l_root(z), kTagSummaL, l_panel(z));
+  };
+  auto resolve = [](PanelFetch& f, BlockCsr& storage) -> const BlockCsr& {
+    if (f.own != nullptr) return *f.own;
+    storage = BlockCsr::from_blob(f.req.wait().payload);
+    return storage;
+  };
+
+  const bool overlap = config.overlap;
+  PanelFetch next_u;
+  PanelFetch next_l;
+  if (overlap) {
+    next_u = post_u(0);
+    next_l = post_l(0);
+  }
+
+  // Live telemetry + flight recorder, mirroring cannon_count: the
+  // "superstep" flight counter marks each panel step so a crash dump's
+  // final superstep record is the failed step.
+  obs::RankTelemetry* live = obs::Telemetry::caller_slot();
+  std::uint64_t panels_bytes = 0;
+  for (const auto panels : {schedule.upanels, schedule.lpanels}) {
+    for (const BlockCsr& b : panels) panels_bytes += b.heap_bytes();
+  }
+  auto publish_live = [&](int step) {
+    if (live != nullptr) {
+      live->phase.store("tc", std::memory_order_relaxed);
+      live->superstep.store(step, std::memory_order_relaxed);
+      live->total_supersteps.store(K, std::memory_order_relaxed);
+      live->triangles.store(static_cast<std::uint64_t>(out.local),
+                            std::memory_order_relaxed);
+      live->lookups.store(out.kernel.lookups, std::memory_order_relaxed);
+      live->graph_bytes.store(panels_bytes, std::memory_order_relaxed);
+      live->partition_bytes.store(tasks.heap_bytes(),
+                                  std::memory_order_relaxed);
+      live->scratch_bytes.store(scratch.hash_capacity() * sizeof(VertexId),
+                                std::memory_order_relaxed);
+    }
+    if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
+      flight->counter("superstep", "tc", static_cast<double>(step));
+    }
+    if (obs::MsgTrace* mt = obs::MsgTrace::current()) {
+      mt->note_superstep(step);
+    }
+  };
+
+  BlockCsr u_storage;
+  BlockCsr l_storage;
+  for (int z = 0; z < K; ++z) {
+    publish_live(z);
+    if (checkpointing) {
+      obs::ScopedSpan span("checkpoint", "chaos");
+      ckpt.tasks = tasks.to_blob();
+      ckpt.out = out;
+      ckpt.lookups_before = lookups_before;
+      ckpt.probes = scratch.probes();
+      ckpt.hash_capacity = scratch.hash_capacity();
+    }
+    const BlockCsr* uz = nullptr;
+    const BlockCsr* lz = nullptr;
+    if (overlap) {
+      uz = &resolve(next_u, u_storage);
+      lz = &resolve(next_l, l_storage);
+      if (z + 1 < K) {
+        next_u = post_u(z + 1);
+        next_l = post_l(z + 1);
+      }
+    } else {
+      const int ur = u_root(z);
+      uz = &panel_bcast(comm, y == ur ? &u_panel(z) : nullptr, ur,
+                        row_members, u_storage);
+      const int lr = l_root(z);
+      lz = &panel_bcast(comm, x == lr ? &l_panel(z) : nullptr, lr,
+                        col_members, l_storage);
+    }
+    out.local += intersect_blocks(tasks, *uz, *lz, config, scratch, out.kernel);
+    if (z == crash_step) {
+      // One-shot fail-restart, as in cannon_count: restore the
+      // checkpoint and re-execute the step against the already-received
+      // panels. Broadcasts for step z are complete, so peers never see
+      // the crash.
+      recover_crash(comm, z, [&] {
+        const BlockCsr restored = BlockCsr::from_blob(ckpt.tasks);
+        out = ckpt.out;
+        lookups_before = ckpt.lookups_before;
+        scratch.restore(ckpt.hash_capacity, ckpt.probes);
+        out.local +=
+            intersect_blocks(restored, *uz, *lz, config, scratch, out.kernel);
+      });
+    }
+    PhaseSample s = tracker.cut();
+    apply_straggler(comm, s);
+    s.ops = out.kernel.lookups - lookups_before;
+    lookups_before = out.kernel.lookups;
+    s.overlapped = overlap;
+    out.steps.push_back(s);
+  }
+  out.kernel.probes = scratch.probes();
+  if (live != nullptr) {
+    live->superstep.store(K, std::memory_order_relaxed);
+    live->triangles.store(static_cast<std::uint64_t>(out.local),
+                          std::memory_order_relaxed);
+    live->lookups.store(out.kernel.lookups, std::memory_order_relaxed);
+  }
+  return out;
 }
 
 SummaResult count_triangles_summa(const graph::EdgeList& graph,
@@ -173,232 +348,26 @@ SummaResult count_triangles_summa(const graph::EdgeList& graph,
   result.chaos_enabled = options.chaos != nullptr;
 
   mpisim::WorldReport report = mpisim::run_world_report(p, [&](mpisim::Comm& comm) {
-    const int x = comm.rank() / qc;
-    const int y = comm.rank() % qc;
     PhaseTracker tracker(comm);
-
-    // Chaos schedule for this rank; mirrors cannon_count (docs/chaos.md).
-    const mpisim::FaultInjector* injector = comm.world().fault_injector();
-    const int crash_step =
-        injector != nullptr ? injector->crash_superstep(comm.rank()) : -1;
-    const double straggler =
-        injector != nullptr ? injector->straggler_factor(comm.rank()) : 1.0;
-    const bool checkpointing = options.config.checkpoint || crash_step >= 0;
-
     const LocalSlice input =
         block_slice_from_edges(graph, comm.rank(), comm.size());
     const CyclicSlice cyclic = cyclic_redistribute(comm, input);
     const RelabeledSlice relabeled = degree_relabel(comm, cyclic);
-    SummaBlocks blocks =
+    const SummaBlocks blocks =
         scatter_summa(comm, qr, qc, K, relabeled, options.config.enumeration);
-    pre_samples[static_cast<std::size_t>(comm.rank())] = tracker.cut();
+    const auto rank = static_cast<std::size_t>(comm.rank());
+    pre_samples[rank] = tracker.cut();
 
-    std::vector<int> row_members;
-    for (int c = 0; c < qc; ++c) row_members.push_back(x * qc + c);
-    std::vector<int> col_members;
-    for (int r = 0; r < qr; ++r) col_members.push_back(r * qc + y);
+    // Panel z lives at grid column z % qc (U) and grid row z % qr (L).
+    PanelSchedule schedule;
+    schedule.upanels = blocks.upanels;
+    schedule.lpanels = blocks.lpanels;
+    SummaSweep sweep = summa_sweep(comm, qr, qc, K, schedule, blocks.tasks,
+                                   options.config, tracker);
+    step_samples[rank] = std::move(sweep.steps);
+    kernels[rank] = sweep.kernel;
 
-    kernels::IntersectScratch scratch;
-    KernelCounters kernel;
-    graph::TriangleCount local = 0;
-    std::uint64_t lookups_before = 0;
-
-    /// The fail-restart checkpoint: the task block plus the partial count
-    /// and kernel tallies accumulated before this panel step. The U/L
-    /// panels are re-received per step, so only tasks need a blob.
-    struct Checkpoint {
-      std::vector<std::byte> tasks;
-      graph::TriangleCount local = 0;
-      KernelCounters kernel;
-      std::uint64_t lookups_before = 0;
-      /// Cumulative scratch probe tally at step entry; restored on
-      /// recovery so the discarded execution's probes are rolled back.
-      std::uint64_t probes = 0;
-      /// Hash capacity at step entry — the replay must rerun under the
-      /// same table geometry to reproduce the discarded pass's tallies.
-      std::size_t hash_capacity = 0;
-    };
-    Checkpoint ckpt;
-
-    // Overlap mode replaces the binomial broadcast with a point-to-point
-    // prefetch pipeline one panel ahead: step z+1's owners isend their
-    // blobs (buffered, so the copy is immediate) and every other rank
-    // posts irecvs before step z's intersection runs; the requests are
-    // completed when the next step starts. Step 0's fetch is the pipeline
-    // fill and cannot overlap anything.
-    struct PanelFetch {
-      mpisim::Request req;
-      const BlockCsr* own = nullptr;
-    };
-    auto post_u = [&](int z) {
-      PanelFetch f;
-      const int u_owner = x * qc + (z % qc);
-      if (comm.rank() == u_owner) {
-        f.own = &blocks.upanels[static_cast<std::size_t>(z / qc)];
-        const std::vector<std::byte> blob = f.own->to_blob();
-        for (const int m : row_members) {
-          if (m == comm.rank()) continue;
-          (void)comm.isend_bytes(m, kTagSummaU,
-                                 std::span<const std::byte>(blob));
-        }
-      } else {
-        f.req = comm.irecv(u_owner, kTagSummaU);
-      }
-      return f;
-    };
-    auto post_l = [&](int z) {
-      PanelFetch f;
-      const int l_owner = (z % qr) * qc + y;
-      if (comm.rank() == l_owner) {
-        f.own = &blocks.lpanels[static_cast<std::size_t>(z / qr)];
-        const std::vector<std::byte> blob = f.own->to_blob();
-        for (const int m : col_members) {
-          if (m == comm.rank()) continue;
-          (void)comm.isend_bytes(m, kTagSummaL,
-                                 std::span<const std::byte>(blob));
-        }
-      } else {
-        f.req = comm.irecv(l_owner, kTagSummaL);
-      }
-      return f;
-    };
-    auto resolve = [](PanelFetch& f) {
-      if (f.own != nullptr) return *f.own;
-      return BlockCsr::from_blob(f.req.wait().payload);
-    };
-
-    const bool overlap = options.config.overlap;
-    PanelFetch next_u;
-    PanelFetch next_l;
-    if (overlap) {
-      next_u = post_u(0);
-      next_l = post_l(0);
-    }
-
-    // Live telemetry + flight recorder, mirroring cannon_count: the
-    // "superstep" flight counter marks each panel step so a crash dump's
-    // final superstep record is the failed step.
-    obs::RankTelemetry* live = nullptr;
-    if (obs::Telemetry* telemetry = obs::Telemetry::current()) {
-      live = telemetry->for_caller();
-    }
-    std::uint64_t panels_bytes = 0;
-    for (const BlockCsr& b : blocks.upanels) {
-      panels_bytes += summa_block_bytes(b);
-    }
-    for (const BlockCsr& b : blocks.lpanels) {
-      panels_bytes += summa_block_bytes(b);
-    }
-    auto publish_live = [&](int step) {
-      if (live != nullptr) {
-        live->phase.store("tc", std::memory_order_relaxed);
-        live->superstep.store(step, std::memory_order_relaxed);
-        live->total_supersteps.store(K, std::memory_order_relaxed);
-        live->triangles.store(static_cast<std::uint64_t>(local),
-                              std::memory_order_relaxed);
-        live->lookups.store(kernel.lookups, std::memory_order_relaxed);
-        live->graph_bytes.store(panels_bytes, std::memory_order_relaxed);
-        live->partition_bytes.store(summa_block_bytes(blocks.tasks),
-                                    std::memory_order_relaxed);
-        live->scratch_bytes.store(scratch.hash_capacity() * sizeof(VertexId),
-                                  std::memory_order_relaxed);
-      }
-      if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
-        flight->counter("superstep", "tc", static_cast<double>(step));
-      }
-      if (obs::MsgTrace* mt = obs::MsgTrace::current()) {
-        mt->note_superstep(step);
-      }
-    };
-
-    auto& steps = step_samples[static_cast<std::size_t>(comm.rank())];
-    for (int z = 0; z < K; ++z) {
-      publish_live(z);
-      if (checkpointing) {
-        obs::ScopedSpan span("checkpoint", "chaos");
-        ckpt.tasks = blocks.tasks.to_blob();
-        ckpt.local = local;
-        ckpt.kernel = kernel;
-        ckpt.lookups_before = lookups_before;
-        ckpt.probes = scratch.probes();
-        ckpt.hash_capacity = scratch.hash_capacity();
-      }
-      BlockCsr uz;
-      BlockCsr lz;
-      if (overlap) {
-        uz = resolve(next_u);
-        lz = resolve(next_l);
-        if (z + 1 < K) {
-          next_u = post_u(z + 1);
-          next_l = post_l(z + 1);
-        }
-      } else {
-        const int u_owner = x * qc + (z % qc);
-        const BlockCsr* own_u =
-            comm.rank() == u_owner
-                ? &blocks.upanels[static_cast<std::size_t>(z / qc)]
-                : nullptr;
-        uz = panel_bcast(comm, own_u, z % qc, row_members);
-        const int l_owner = (z % qr) * qc + y;
-        const BlockCsr* own_l =
-            comm.rank() == l_owner
-                ? &blocks.lpanels[static_cast<std::size_t>(z / qr)]
-                : nullptr;
-        lz = panel_bcast(comm, own_l, z % qr, col_members);
-      }
-      local += intersect_blocks(blocks.tasks, uz, lz, options.config, scratch,
-                                kernel);
-      if (z == crash_step) {
-        // One-shot fail-restart, as in cannon_count: restore the
-        // checkpoint and re-execute the step against the already-received
-        // panels. Broadcasts for step z are complete, so peers never see
-        // the crash.
-        mpisim::ChaosCounters& cc = comm.world().chaos_counters(comm.rank());
-        cc.crashes += 1;
-        if (obs::Tracer* tracer = obs::Tracer::current()) {
-          tracer->instant("chaos.crash", "chaos");
-        }
-        if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
-          flight->instant("chaos.crash", "chaos", static_cast<double>(z));
-          flight->try_auto_dump("chaos-crash");
-        }
-        const double t0 = util::thread_cpu_seconds();
-        {
-          obs::ScopedSpan span("recover", "chaos");
-          blocks.tasks = BlockCsr::from_blob(ckpt.tasks);
-          local = ckpt.local;
-          kernel = ckpt.kernel;
-          lookups_before = ckpt.lookups_before;
-          scratch.restore(ckpt.hash_capacity, ckpt.probes);
-          local += intersect_blocks(blocks.tasks, uz, lz, options.config,
-                                    scratch, kernel);
-        }
-        cc.recoveries += 1;
-        cc.recovery_seconds += util::thread_cpu_seconds() - t0;
-      }
-      PhaseSample s = tracker.cut();
-      if (straggler > 1.0) {
-        mpisim::ChaosCounters& cc = comm.world().chaos_counters(comm.rank());
-        cc.straggler_steps += 1;
-        cc.straggler_injected_seconds +=
-            (straggler - 1.0) * s.compute_cpu_seconds;
-        s.compute_cpu_seconds *= straggler;
-      }
-      s.ops = kernel.lookups - lookups_before;
-      lookups_before = kernel.lookups;
-      s.overlapped = overlap;
-      steps.push_back(s);
-    }
-    kernel.probes = scratch.probes();
-    if (live != nullptr) {
-      live->superstep.store(K, std::memory_order_relaxed);
-      live->triangles.store(static_cast<std::uint64_t>(local),
-                            std::memory_order_relaxed);
-      live->lookups.store(kernel.lookups, std::memory_order_relaxed);
-    }
-    kernels[static_cast<std::size_t>(comm.rank())] = kernel;
-
-    const graph::TriangleCount total = mpisim::allreduce_sum(comm, local);
+    const graph::TriangleCount total = mpisim::allreduce_sum(comm, sweep.local);
     if (comm.rank() == 0) triangles = total;
   }, world_options);
 

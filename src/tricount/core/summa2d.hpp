@@ -17,15 +17,44 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "tricount/core/block_matrix.hpp"
 #include "tricount/core/config.hpp"
 #include "tricount/core/instrumentation.hpp"
 #include "tricount/graph/edge_list.hpp"
+#include "tricount/mpisim/comm.hpp"
 #include "tricount/mpisim/fault.hpp"
 #include "tricount/util/cost_model.hpp"
 
 namespace tricount::core {
+
+/// Where a SUMMA step's panels come from on one rank of a qr × qc grid:
+/// U panel z is broadcast along the grid row by column (z − u_shift) mod
+/// qc, which holds it as upanels[z / qc]; L panel z down the grid column
+/// by row (z − l_shift) mod qr, as lpanels[z / qr].
+struct PanelSchedule {
+  std::span<const BlockCsr> upanels;
+  std::span<const BlockCsr> lpanels;
+  int u_shift = 0;
+  int l_shift = 0;
+};
+
+/// One rank's share of a SUMMA count.
+struct SummaSweep {
+  graph::TriangleCount local = 0;  ///< this rank's tasks, pre-reduction
+  KernelCounters kernel;
+  std::vector<PhaseSample> steps;  ///< one `tracker` sample per panel step
+};
+
+/// Runs the K panel steps of a qr × qc grid on one rank: broadcast (with
+/// Config::overlap, prefetch one step ahead) the step's panels, then
+/// intersect `tasks` against them. Follows the chaos schedule like
+/// cannon_count. The caller reduces `local`.
+SummaSweep summa_sweep(mpisim::Comm& comm, int qr, int qc, int K,
+                       const PanelSchedule& schedule, const BlockCsr& tasks,
+                       const Config& config, PhaseTracker& tracker);
 
 struct SummaOptions {
   int grid_rows = 2;

@@ -93,6 +93,32 @@ class IntersectScratch {
   TriangleCount task(KernelPolicy policy, std::span<const VertexId> probe,
                      bool backward_early_exit, KernelCounters& counters);
 
+  /// Like task() on the hash kernel, but also calls `on_match(k)` for
+  /// every matched id: the per-vertex and per-edge tallies credit each
+  /// closing vertex, so a count alone is not enough.
+  template <class OnMatch>
+  TriangleCount each_match(std::span<const VertexId> probe,
+                           bool backward_early_exit, KernelCounters& counters,
+                           OnMatch&& on_match) {
+    if (row_.empty() || probe.empty()) return 0;
+    const hashmap::VertexHashSet& set = hash(counters);
+    TriangleCount hits = 0;
+    for (std::size_t n = 0; n < probe.size(); ++n) {
+      // §5.2 backward early exit: walk down from the largest id and stop
+      // below the hashed row's minimum.
+      const VertexId k =
+          backward_early_exit ? probe[probe.size() - 1 - n] : probe[n];
+      if (backward_early_exit && k < row_.front()) break;
+      ++counters.lookups;
+      if (set.contains(k)) {
+        ++hits;
+        on_match(k);
+      }
+    }
+    counters.hits += hits;
+    return hits;
+  }
+
   std::uint64_t probes() const { return hash_.probes(); }
   void reset_probes() { hash_.reset_probes(); }
   /// Restores a checkpointed probe tally (see VertexHashSet::set_probes).

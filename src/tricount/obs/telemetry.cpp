@@ -42,6 +42,11 @@ Telemetry* Telemetry::current() {
   return g_current.load(std::memory_order_relaxed);
 }
 
+RankTelemetry* Telemetry::caller_slot() {
+  Telemetry* telemetry = current();
+  return telemetry != nullptr ? telemetry->for_caller() : nullptr;
+}
+
 json::Value Telemetry::snapshot_json() const {
   json::Value root = json::Value::object();
   root.set("schema", "tricount.telemetry.v1");

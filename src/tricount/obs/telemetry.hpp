@@ -70,6 +70,8 @@ class Telemetry {
   /// The calling rank thread's slot, or nullptr on non-rank threads or
   /// ranks outside this telemetry's world.
   RankTelemetry* for_caller();
+  /// The installed instance's slot for the calling rank thread, or nullptr.
+  static RankTelemetry* caller_slot();
 
   /// Publishes this instance process-wide (mirrors Tracer::install).
   /// Must outlive every world it observes: mpisim::World wires mailbox

@@ -11,6 +11,7 @@ std::string ResultCache::key(std::uint64_t graph_version,
 }
 
 std::optional<std::string> ResultCache::get(const std::string& key) {
+  std::lock_guard<std::mutex> lock(mutex_);
   if (capacity_ == 0) return std::nullopt;
   auto it = index_.find(key);
   if (it == index_.end()) {
@@ -23,6 +24,7 @@ std::optional<std::string> ResultCache::get(const std::string& key) {
 }
 
 void ResultCache::put(const std::string& key, std::string result) {
+  std::lock_guard<std::mutex> lock(mutex_);
   if (capacity_ == 0) return;
   auto it = index_.find(key);
   if (it != index_.end()) {
@@ -40,6 +42,7 @@ void ResultCache::put(const std::string& key, std::string result) {
 }
 
 void ResultCache::invalidate_version(std::uint64_t graph_version) {
+  std::lock_guard<std::mutex> lock(mutex_);
   const std::string prefix = std::to_string(graph_version) + '|';
   for (auto it = entries_.begin(); it != entries_.end();) {
     if (it->key.compare(0, prefix.size(), prefix) == 0) {
@@ -53,12 +56,14 @@ void ResultCache::invalidate_version(std::uint64_t graph_version) {
 }
 
 void ResultCache::invalidate_all() {
+  std::lock_guard<std::mutex> lock(mutex_);
   invalidations_ += entries_.size();
   entries_.clear();
   index_.clear();
 }
 
 ResultCache::Stats ResultCache::stats() const {
+  std::lock_guard<std::mutex> lock(mutex_);
   Stats s;
   s.hits = hits_;
   s.misses = misses_;

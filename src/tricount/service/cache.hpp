@@ -3,10 +3,12 @@
 // the version, so stale entries can never match again; invalidate_all()
 // additionally frees them eagerly. Capacity 0 disables caching entirely
 // (get/put become no-ops), which the batch coalescer uses in tests.
+// Thread-safe: the dispatcher mutates it while clients read stats().
 #pragma once
 
 #include <cstdint>
 #include <list>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -52,6 +54,7 @@ class ResultCache {
     std::string result;
   };
 
+  mutable std::mutex mutex_;
   std::size_t capacity_;
   std::list<Entry> entries_;  // front = most recently used
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;

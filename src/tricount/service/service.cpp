@@ -7,13 +7,11 @@
 #include <unordered_map>
 #include <utility>
 
-#include "tricount/cetric/cetric.hpp"
-#include "tricount/core/dist_truss.hpp"
 #include "tricount/core/per_vertex.hpp"
-#include "tricount/core/summa2d.hpp"
 #include "tricount/graph/approx.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/io.hpp"
+#include "tricount/graph/ktruss.hpp"
 #include "tricount/kernels/kernels.hpp"
 #include "tricount/util/time.hpp"
 
@@ -66,7 +64,8 @@ Service::Service(const ServiceOptions& options, ResponseSink sink)
     : options_(options),
       sink_(std::move(sink)),
       queue_(options.queue_depth),
-      cache_(options.cache_capacity) {
+      cache_(options.cache_capacity),
+      resident_(options.config, options.model) {
   if (mpisim::perfect_square_root(options_.ranks) == 0) {
     throw std::invalid_argument("service: ranks must be a perfect square");
   }
@@ -212,6 +211,7 @@ void Service::execute_batch(std::vector<Pending> batch) {
     }
     if (response.empty()) {
       Execution exec = execute(request);
+      publish_world_stats();
       if (exec.ok) {
         response = ok_response_raw(request.id, exec.result_json);
         row.supersteps = exec.supersteps;
@@ -243,6 +243,12 @@ void Service::execute_batch(std::vector<Pending> batch) {
 
 Service::Execution Service::execute(const Request& request) {
   const std::string& verb = request.verb;
+  const bool needs_graph = cacheable_verb(verb) || verb == "graph.apply" ||
+                           verb == "graph.window" || verb == "delta.stats" ||
+                           verb == "stream.sample";
+  if (needs_graph && !graph_loaded()) {
+    return fail(ErrorCode::kNoGraph, "no graph loaded");
+  }
   try {
     if (verb == "hello") return verb_hello(request);
     if (verb == "graph.load" || verb == "graph.swap") {
@@ -267,22 +273,29 @@ Service::Execution Service::execute(const Request& request) {
       }
       Value result = Value::object();
       result.set("stopping", true);
-      Execution out;
-      out.result_json = result.dump();
-      return out;
+      return done(result);
     }
-    Execution out;
-    out.ok = false;
-    out.error = ErrorCode::kBadVerb;
-    out.message = "unknown verb '" + verb + "'";
-    return out;
+    return fail(ErrorCode::kBadVerb, "unknown verb '" + verb + "'");
   } catch (const std::exception& e) {
-    Execution out;
-    out.ok = false;
-    out.error = ErrorCode::kInternal;
-    out.message = e.what();
-    return out;
+    return fail(ErrorCode::kInternal, e.what());
   }
+}
+
+Service::Execution Service::done(const Value& result,
+                                 std::uint64_t supersteps, bool cacheable) {
+  Execution out;
+  out.result_json = result.dump();
+  out.supersteps = supersteps;
+  out.cacheable = cacheable;
+  return out;
+}
+
+Service::Execution Service::fail(ErrorCode code, std::string message) {
+  Execution out;
+  out.ok = false;
+  out.error = code;
+  out.message = std::move(message);
+  return out;
 }
 
 Service::Execution Service::verb_hello(const Request&) {
@@ -292,9 +305,7 @@ Service::Execution Service::verb_hello(const Request&) {
   result.set("ranks", options_.ranks);
   result.set("graph_version", graph_version_.load(std::memory_order_relaxed));
   result.set("graph", graph_loaded() ? Value(graph_name_) : Value());
-  Execution out;
-  out.result_json = result.dump();
-  return out;
+  return done(result);
 }
 
 Service::Execution Service::verb_graph_load(const Request& request) {
@@ -302,48 +313,35 @@ Service::Execution Service::verb_graph_load(const Request& request) {
   std::string name;
   const Value* path = request.params.find("path");
   const Value* generate = request.params.find("generate");
-  Execution out;
   if ((path != nullptr) == (generate != nullptr)) {
-    out.ok = false;
-    out.error = ErrorCode::kBadParams;
-    out.message = "need exactly one of 'path' or 'generate'";
-    return out;
+    return fail(ErrorCode::kBadParams,
+                "need exactly one of 'path' or 'generate'");
   }
   if (path != nullptr) {
     if (!path->is_string() || path->as_string().empty()) {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "'path' must be a non-empty string";
-      return out;
+      return fail(ErrorCode::kBadParams, "'path' must be a non-empty string");
     }
     graph = load_graph_file(path->as_string());
     name = path->as_string();
   } else {
     if (!generate->is_object()) {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "'generate' must be an object";
-      return out;
+      return fail(ErrorCode::kBadParams, "'generate' must be an object");
     }
     const Value* type = generate->find("type");
     const std::string kind =
         type != nullptr && type->is_string() ? type->as_string() : "rmat";
     std::uint64_t seed = 1;
     if (!get_uint_param(*generate, "seed", 1, ~std::uint64_t{0}, seed)) {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "'seed' must be a non-negative integer";
-      return out;
+      return fail(ErrorCode::kBadParams,
+                  "'seed' must be a non-negative integer");
     }
     if (kind == "rmat") {
       std::uint64_t scale = 8;
       std::uint64_t edge_factor = 8;
       if (!get_uint_param(*generate, "scale", 8, 22, scale) ||
           !get_uint_param(*generate, "edge_factor", 8, 256, edge_factor)) {
-        out.ok = false;
-        out.error = ErrorCode::kBadParams;
-        out.message = "rmat: bad 'scale' or 'edge_factor'";
-        return out;
+        return fail(ErrorCode::kBadParams,
+                    "rmat: bad 'scale' or 'edge_factor'");
       }
       graph::RmatParams params;
       params.scale = static_cast<int>(scale);
@@ -356,10 +354,7 @@ Service::Execution Service::verb_graph_load(const Request& request) {
       std::uint64_t edges = 8192;
       if (!get_uint_param(*generate, "n", 1024, 1u << 24, n) ||
           !get_uint_param(*generate, "edges", 8192, 1u << 28, edges)) {
-        out.ok = false;
-        out.error = ErrorCode::kBadParams;
-        out.message = "er: bad 'n' or 'edges'";
-        return out;
+        return fail(ErrorCode::kBadParams, "er: bad 'n' or 'edges'");
       }
       graph = graph::erdos_renyi(static_cast<graph::VertexId>(n),
                                  static_cast<graph::EdgeIndex>(edges), seed);
@@ -372,42 +367,35 @@ Service::Execution Service::verb_graph_load(const Request& request) {
           beta != nullptr && beta->is_number() ? beta->as_number() : 0.1;
       if (!get_uint_param(*generate, "n", 512, 1u << 24, n) ||
           !get_uint_param(*generate, "k", 8, 512, k) || b < 0.0 || b > 1.0) {
-        out.ok = false;
-        out.error = ErrorCode::kBadParams;
-        out.message = "ws: bad 'n', 'k', or 'beta'";
-        return out;
+        return fail(ErrorCode::kBadParams, "ws: bad 'n', 'k', or 'beta'");
       }
       graph = graph::watts_strogatz(static_cast<graph::VertexId>(n),
                                     static_cast<int>(k), b, seed);
       name = "ws_n" + std::to_string(n);
     } else {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "unknown generator '" + kind + "'";
-      return out;
+      return fail(ErrorCode::kBadParams, "unknown generator '" + kind + "'");
     }
   }
 
   load_graph(std::move(graph), name);
+  const core::ResidentPartition& grid = resident_.grid(*world_);
   Value result = Value::object();
   result.set("graph_version", graph_version_.load(std::memory_order_relaxed));
   result.set("graph", graph_name_);
-  result.set("num_vertices", static_cast<std::uint64_t>(partition_.num_vertices));
-  result.set("num_edges", static_cast<std::uint64_t>(partition_.num_edges));
-  result.set("resident_bytes", partition_.resident_bytes());
-  out.result_json = result.dump();
-  return out;
+  result.set("num_vertices", static_cast<std::uint64_t>(grid.num_vertices));
+  result.set("num_edges", static_cast<std::uint64_t>(grid.num_edges));
+  result.set("resident_bytes", grid.resident_bytes());
+  return done(result);
 }
 
 void Service::load_graph(graph::EdgeList graph, const std::string& name) {
   ensure_world();
-  graph_ = graph::simplify(std::move(graph));
+  resident_.reset(graph::simplify(std::move(graph)));
   graph_name_ = name;
-  core::RunOptions run_options;
-  run_options.config = options_.config;
-  run_options.model = options_.model;
-  partition_ = core::preprocess_resident(*world_, graph_, run_options);
-  partition_dirty_ = false;
+  // The 2D partition is built at load; the cetric one waits for its
+  // first request.
+  (void)resident_.grid(*world_);
+  publish_world_stats();
   stream_.reset();  // wholesale replacement; delta state restarts fresh
   sample_.reset();
   const std::uint64_t version =
@@ -429,27 +417,34 @@ void Service::ensure_world() {
 void Service::ensure_stream() {
   if (stream_ == nullptr) {
     stream_ = std::make_unique<stream::StreamState>(
-        stream::StreamState::from_graph(graph_));
+        stream::StreamState::from_graph(resident_.graph()));
   }
 }
 
-void Service::ensure_partition() {
-  if (!partition_dirty_) return;
-  core::RunOptions run_options;
-  run_options.config = options_.config;
-  run_options.model = options_.model;
-  partition_ = core::preprocess_resident(*world_, graph_, run_options);
-  partition_dirty_ = false;
+core::RunResult Service::run_plan(const engine::Plan& plan) {
+  if (world_ == nullptr || world_->poisoned()) {
+    throw std::runtime_error("world poisoned; reload the graph");
+  }
+  return engine::run(plan, *world_, resident_);
+}
+
+core::RunResult Service::run_tally(core::Tally tally) {
+  engine::Plan plan;
+  plan.tally = tally;
+  plan.config = options_.config;
+  return run_plan(plan);
+}
+
+void Service::publish_world_stats() {
+  jobs_run_.store(world_ != nullptr ? world_->jobs_run() : 0,
+                  std::memory_order_relaxed);
+  registry_.counter("tc.resident.builds.2d")
+      .set(resident_.builds(engine::Algo::kCannon));
+  registry_.counter("tc.resident.builds.cetric")
+      .set(resident_.builds(engine::Algo::kCetric));
 }
 
 Service::Execution Service::verb_count(const Request& request) {
-  Execution out;
-  if (!graph_loaded()) {
-    out.ok = false;
-    out.error = ErrorCode::kNoGraph;
-    out.message = "no graph loaded";
-    return out;
-  }
   const Value* algo_param = request.params.find("algo");
   const std::string algo =
       algo_param != nullptr && algo_param->is_string() ? algo_param->as_string()
@@ -458,95 +453,45 @@ Service::Execution Service::verb_count(const Request& request) {
   if (const Value* kernel = request.params.find("kernel")) {
     if (!kernel->is_string() ||
         !kernels::parse_policy(kernel->as_string(), config.kernel)) {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "bad 'kernel'";
-      return out;
+      return fail(ErrorCode::kBadParams, "bad 'kernel'");
     }
   }
   if (const Value* overlap = request.params.find("overlap")) {
     if (overlap->type() != Value::Type::kBool) {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "'overlap' must be a bool";
-      return out;
+      return fail(ErrorCode::kBadParams, "'overlap' must be a bool");
     }
     config.overlap = overlap->as_bool();
   }
 
-  graph::TriangleCount triangles = 0;
-  std::uint64_t supersteps = 0;
-  if (algo == "2d") {
-    if (world_ == nullptr || world_->poisoned()) {
-      out.ok = false;
-      out.error = ErrorCode::kInternal;
-      out.message = "world poisoned; reload the graph";
-      return out;
-    }
-    ensure_partition();  // stream mutations dirty the resident blocks
-    core::RunResult run = core::count_resident(*world_, partition_, config);
-    triangles = run.triangles;
-    supersteps = run.num_shifts();
-  } else if (algo == "cetric") {
-    core::RunOptions run_options;
-    run_options.config = config;
-    run_options.model = options_.model;
-    core::RunResult run =
-        cetric::count_triangles_cetric(graph_, options_.ranks, run_options);
-    triangles = run.triangles;
-    supersteps = run.num_shifts();
+  engine::Plan plan;
+  plan.config = config;
+  if (algo == "cetric") {
+    plan.algo = engine::Algo::kCetric;
   } else if (algo == "summa") {
-    core::SummaOptions summa;
-    summa.grid_rows = partition_.grid_q;
-    summa.grid_cols = partition_.grid_q;
-    summa.config = config;
-    summa.model = options_.model;
-    core::SummaResult run = core::count_triangles_summa(graph_, summa);
-    triangles = run.triangles;
-    supersteps = static_cast<std::uint64_t>(run.panels);
-  } else {
-    out.ok = false;
-    out.error = ErrorCode::kBadParams;
-    out.message = "unknown algo '" + algo + "'";
-    return out;
+    plan.algo = engine::Algo::kSumma;
+  } else if (algo != "2d") {
+    return fail(ErrorCode::kBadParams, "unknown algo '" + algo + "'");
   }
+  const core::RunResult run = run_plan(plan);
 
   Value result = Value::object();
   result.set("algo", algo);
-  result.set("triangles", static_cast<std::uint64_t>(triangles));
-  out.result_json = result.dump();
-  out.supersteps = supersteps;
-  out.cacheable = true;
-  return out;
+  result.set("triangles", static_cast<std::uint64_t>(run.triangles));
+  return done(result, run.num_shifts(), true);
 }
 
 Service::Execution Service::verb_pervertex(const Request& request) {
-  Execution out;
-  if (!graph_loaded()) {
-    out.ok = false;
-    out.error = ErrorCode::kNoGraph;
-    out.message = "no graph loaded";
-    return out;
-  }
   std::uint64_t top = 10;
   if (!get_uint_param(request.params, "top", 10, 10000, top)) {
-    out.ok = false;
-    out.error = ErrorCode::kBadParams;
-    out.message = "'top' must be an integer in [0, 10000]";
-    return out;
+    return fail(ErrorCode::kBadParams,
+                "'top' must be an integer in [0, 10000]");
   }
 
-  core::RunOptions run_options;
-  run_options.config = options_.config;
-  run_options.model = options_.model;
-  core::PerVertexResult per_vertex =
-      core::count_per_vertex_2d(graph_, options_.ranks, run_options);
-
-  std::vector<graph::EdgeIndex> degree(graph_.num_vertices, 0);
-  for (const auto& edge : graph_.edges) {
-    ++degree[static_cast<std::size_t>(edge.u)];
-    ++degree[static_cast<std::size_t>(edge.v)];
-  }
+  const graph::EdgeList& graph = resident_.graph();
+  core::RunResult run = run_tally(core::Tally::kPerVertex);
+  const core::PerVertexResult per_vertex{
+      run.triangles, std::move(run.vertex_triangles), options_.ranks};
+  const std::vector<graph::EdgeIndex> degree = graph::degrees(graph);
 
   const Value* vertices = request.params.find("vertices");
   Value rows = Value::array();
@@ -561,25 +506,20 @@ Service::Execution Service::verb_pervertex(const Request& request) {
   };
   if (vertices != nullptr) {
     if (!vertices->is_array()) {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "'vertices' must be an array of vertex ids";
-      return out;
+      return fail(ErrorCode::kBadParams,
+                  "'vertices' must be an array of vertex ids");
     }
     for (std::size_t i = 0; i < vertices->size(); ++i) {
       const Value& v = vertices->at(i);
       if (!v.is_number() || v.as_number() < 0 ||
-          v.as_number() >= static_cast<double>(graph_.num_vertices)) {
-        out.ok = false;
-        out.error = ErrorCode::kBadParams;
-        out.message = "vertex id out of range";
-        return out;
+          v.as_number() >= static_cast<double>(graph.num_vertices)) {
+        return fail(ErrorCode::kBadParams, "vertex id out of range");
       }
       emit_vertex(static_cast<graph::VertexId>(v.as_uint()));
     }
   } else {
     std::vector<graph::VertexId> order(
-        static_cast<std::size_t>(graph_.num_vertices));
+        static_cast<std::size_t>(graph.num_vertices));
     std::iota(order.begin(), order.end(), graph::VertexId{0});
     std::sort(order.begin(), order.end(),
               [&](graph::VertexId a, graph::VertexId b) {
@@ -596,49 +536,26 @@ Service::Execution Service::verb_pervertex(const Request& request) {
   result.set("total_triangles",
              static_cast<std::uint64_t>(per_vertex.total_triangles));
   result.set(vertices != nullptr ? "vertices" : "top", std::move(rows));
-  out.result_json = result.dump();
-  out.supersteps = static_cast<std::uint64_t>(partition_.grid_q);
-  out.cacheable = true;
-  return out;
+  return done(result, run.num_shifts(), true);
 }
 
 Service::Execution Service::verb_clustering(const Request&) {
-  Execution out;
-  if (!graph_loaded()) {
-    out.ok = false;
-    out.error = ErrorCode::kNoGraph;
-    out.message = "no graph loaded";
-    return out;
-  }
-  core::RunOptions run_options;
-  run_options.config = options_.config;
-  run_options.model = options_.model;
-  const core::ClusteringStats stats =
-      core::clustering_stats_2d(graph_, options_.ranks, run_options);
+  core::RunResult run = run_tally(core::Tally::kPerVertex);
+  const core::ClusteringStats stats = core::clustering_stats(
+      resident_.graph(),
+      {run.triangles, std::move(run.vertex_triangles), options_.ranks});
   Value result = Value::object();
   result.set("triangles", static_cast<std::uint64_t>(stats.triangles));
   result.set("wedges", static_cast<std::uint64_t>(stats.wedges));
   result.set("transitivity", stats.transitivity);
   result.set("average_local_clustering", stats.average_local_clustering);
-  out.result_json = result.dump();
-  out.supersteps = static_cast<std::uint64_t>(partition_.grid_q);
-  out.cacheable = true;
-  return out;
+  return done(result, run.num_shifts(), true);
 }
 
 Service::Execution Service::verb_truss(const Request&) {
-  Execution out;
-  if (!graph_loaded()) {
-    out.ok = false;
-    out.error = ErrorCode::kNoGraph;
-    out.message = "no graph loaded";
-    return out;
-  }
-  core::RunOptions run_options;
-  run_options.config = options_.config;
-  run_options.model = options_.model;
+  const core::RunResult run = run_tally(core::Tally::kEdgeSupport);
   const graph::KtrussResult truss =
-      core::ktruss_2d(graph_, options_.ranks, run_options);
+      graph::ktruss_from_supports(resident_.graph(), run.edge_supports);
   Value per_k = Value::array();
   for (int k = 3; k <= truss.max_k; ++k) {
     std::uint64_t edges = 0;
@@ -653,32 +570,17 @@ Service::Execution Service::verb_truss(const Request&) {
   Value result = Value::object();
   result.set("max_k", truss.max_k);
   result.set("per_k", std::move(per_k));
-  out.result_json = result.dump();
-  out.supersteps = static_cast<std::uint64_t>(partition_.grid_q);
-  out.cacheable = true;
-  return out;
+  return done(result, run.num_shifts(), true);
 }
 
 Service::Execution Service::verb_support(const Request& request) {
-  Execution out;
-  if (!graph_loaded()) {
-    out.ok = false;
-    out.error = ErrorCode::kNoGraph;
-    out.message = "no graph loaded";
-    return out;
-  }
   std::uint64_t top = 10;
   if (!get_uint_param(request.params, "top", 10, 10000, top)) {
-    out.ok = false;
-    out.error = ErrorCode::kBadParams;
-    out.message = "'top' must be an integer in [0, 10000]";
-    return out;
+    return fail(ErrorCode::kBadParams,
+                "'top' must be an integer in [0, 10000]");
   }
-  core::RunOptions run_options;
-  run_options.config = options_.config;
-  run_options.model = options_.model;
-  const std::vector<graph::TriangleCount> supports =
-      core::edge_supports_2d(graph_, options_.ranks, run_options);
+  const core::RunResult run = run_tally(core::Tally::kEdgeSupport);
+  const std::vector<graph::TriangleCount>& supports = run.edge_supports;
 
   std::vector<std::size_t> order(supports.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -688,7 +590,7 @@ Service::Execution Service::verb_support(const Request& request) {
   Value rows = Value::array();
   const std::size_t take = std::min<std::size_t>(top, order.size());
   for (std::size_t i = 0; i < take; ++i) {
-    const auto& edge = graph_.edges[order[i]];
+    const auto& edge = resident_.graph().edges[order[i]];
     Value row = Value::object();
     row.set("u", static_cast<std::uint64_t>(edge.u));
     row.set("v", static_cast<std::uint64_t>(edge.v));
@@ -698,60 +600,38 @@ Service::Execution Service::verb_support(const Request& request) {
   Value result = Value::object();
   result.set("edges", static_cast<std::uint64_t>(supports.size()));
   result.set("top", std::move(rows));
-  out.result_json = result.dump();
-  out.supersteps = static_cast<std::uint64_t>(partition_.grid_q);
-  out.cacheable = true;
-  return out;
+  return done(result, run.num_shifts(), true);
 }
 
 Service::Execution Service::verb_approx(const Request& request) {
-  Execution out;
-  if (!graph_loaded()) {
-    out.ok = false;
-    out.error = ErrorCode::kNoGraph;
-    out.message = "no graph loaded";
-    return out;
-  }
   const Value* retention_param = request.params.find("retention");
   const double retention =
       retention_param != nullptr && retention_param->is_number()
           ? retention_param->as_number()
           : 0.1;
   if (!(retention > 0.0 && retention <= 1.0)) {
-    out.ok = false;
-    out.error = ErrorCode::kBadParams;
-    out.message = "'retention' must be in (0, 1]";
-    return out;
+    return fail(ErrorCode::kBadParams, "'retention' must be in (0, 1]");
   }
   std::uint64_t seed = 42;
   if (!get_uint_param(request.params, "seed", 42, ~std::uint64_t{0}, seed)) {
-    out.ok = false;
-    out.error = ErrorCode::kBadParams;
-    out.message = "'seed' must be a non-negative integer";
-    return out;
+    return fail(ErrorCode::kBadParams, "'seed' must be a non-negative integer");
   }
   const graph::ApproxCount approx =
-      graph::approx_triangles_doulion(graph_, retention, seed);
+      graph::approx_triangles_doulion(resident_.graph(), retention, seed);
   Value result = Value::object();
   result.set("estimate", approx.estimate);
   result.set("sparsified_triangles",
              static_cast<std::uint64_t>(approx.sparsified_triangles));
   result.set("kept_edges", static_cast<std::uint64_t>(approx.kept_edges));
   result.set("retention", approx.retention);
-  out.result_json = result.dump();
-  out.supersteps = 0;  // serial sparsify-and-count; no distributed sweep
-  out.cacheable = true;
-  return out;
+  // Serial sparsify-and-count: no distributed sweep.
+  return done(result, 0, true);
 }
 
 Service::Execution Service::apply_batch(const stream::Batch& batch,
                                         kernels::KernelPolicy kernel) {
-  Execution out;
   if (const auto reason = stream::validate(*stream_, batch)) {
-    out.ok = false;
-    out.error = ErrorCode::kBadParams;
-    out.message = *reason;
-    return out;
+    return fail(ErrorCode::kBadParams, *reason);
   }
   ensure_world();
   stream::DeltaConfig config;
@@ -760,8 +640,9 @@ Service::Execution Service::apply_batch(const stream::Batch& batch,
       stream::count_delta(*world_, *stream_, batch, config);
   stream::apply(*stream_, batch, delta);
   if (sample_ != nullptr) sample_->apply(batch);
-  graph_ = stream_->edge_list();
-  partition_dirty_ = true;  // the next 2d count re-preprocesses lazily
+  // Every resident piece goes stale; the next verb that needs one
+  // rebuilds it.
+  resident_.update(stream_->edge_list());
 
   const std::uint64_t old_version =
       graph_version_.fetch_add(1, std::memory_order_relaxed);
@@ -792,25 +673,14 @@ Service::Execution Service::apply_batch(const stream::Batch& batch,
   result.set("graph_version", old_version + 1);
   result.set("shard_messages", delta.shard_messages);
   result.set("shard_bytes", delta.shard_bytes);
-  out.result_json = result.dump();
-  out.supersteps = 1;  // one delta job on the world
-  return out;
+  return done(result, 1);
 }
 
 Service::Execution Service::verb_graph_apply(const Request& request) {
-  Execution out;
-  if (!graph_loaded()) {
-    out.ok = false;
-    out.error = ErrorCode::kNoGraph;
-    out.message = "no graph loaded";
-    return out;
-  }
   const Value* ops = request.params.find("ops");
   if (ops == nullptr || !ops->is_array() || ops->size() == 0) {
-    out.ok = false;
-    out.error = ErrorCode::kBadParams;
-    out.message = "'ops' must be a non-empty array of '+u v' / '-u v'";
-    return out;
+    return fail(ErrorCode::kBadParams,
+                "'ops' must be a non-empty array of '+u v' / '-u v'");
   }
   stream::Batch batch;
   for (std::size_t i = 0; i < ops->size(); ++i) {
@@ -819,10 +689,8 @@ Service::Execution Service::verb_graph_apply(const Request& request) {
         op.is_string() ? stream::parse_op(op.as_string())
                        : std::optional<stream::DeltaOp>();
     if (!parsed) {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "ops[" + std::to_string(i) + "]: malformed op";
-      return out;
+      return fail(ErrorCode::kBadParams,
+                  "ops[" + std::to_string(i) + "]: malformed op");
     }
     batch.ops.push_back(*parsed);
   }
@@ -830,10 +698,7 @@ Service::Execution Service::verb_graph_apply(const Request& request) {
   if (const Value* param = request.params.find("kernel")) {
     if (!param->is_string() ||
         !kernels::parse_policy(param->as_string(), kernel)) {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "bad 'kernel'";
-      return out;
+      return fail(ErrorCode::kBadParams, "bad 'kernel'");
     }
   }
   ensure_stream();
@@ -841,22 +706,13 @@ Service::Execution Service::verb_graph_apply(const Request& request) {
 }
 
 Service::Execution Service::verb_graph_window(const Request& request) {
-  Execution out;
-  if (!graph_loaded()) {
-    out.ok = false;
-    out.error = ErrorCode::kNoGraph;
-    out.message = "no graph loaded";
-    return out;
-  }
   std::uint64_t capacity = 0;
   const Value* param = request.params.find("capacity");
   if (param == nullptr ||
       !get_uint_param(request.params, "capacity", 0, ~std::uint64_t{0},
                       capacity)) {
-    out.ok = false;
-    out.error = ErrorCode::kBadParams;
-    out.message = "'capacity' must be a non-negative integer";
-    return out;
+    return fail(ErrorCode::kBadParams,
+                "'capacity' must be a non-negative integer");
   }
   ensure_stream();
   const stream::Batch evictions = stream::window_evictions(*stream_, capacity);
@@ -869,8 +725,7 @@ Service::Execution Service::verb_graph_window(const Request& request) {
                static_cast<std::uint64_t>(stream_->num_edges()));
     result.set("graph_version",
                graph_version_.load(std::memory_order_relaxed));
-    out.result_json = result.dump();
-    return out;
+    return done(result);
   }
   Execution applied = apply_batch(evictions, options_.config.kernel);
   if (!applied.ok) return applied;
@@ -881,13 +736,6 @@ Service::Execution Service::verb_graph_window(const Request& request) {
 }
 
 Service::Execution Service::verb_delta_stats(const Request&) {
-  Execution out;
-  if (!graph_loaded()) {
-    out.ok = false;
-    out.error = ErrorCode::kNoGraph;
-    out.message = "no graph loaded";
-    return out;
-  }
   ensure_stream();
   SessionCounters counters;
   {
@@ -906,44 +754,29 @@ Service::Execution Service::verb_delta_stats(const Request&) {
   result.set("triangles_removed", counters.delta_triangles_removed);
   result.set("graph_version", graph_version_.load(std::memory_order_relaxed));
   result.set("sampled", sample_ != nullptr);
-  out.result_json = result.dump();
-  return out;
+  return done(result);
 }
 
 Service::Execution Service::verb_stream_sample(const Request& request) {
-  Execution out;
-  if (!graph_loaded()) {
-    out.ok = false;
-    out.error = ErrorCode::kNoGraph;
-    out.message = "no graph loaded";
-    return out;
-  }
   ensure_stream();
   const Value* retention_param = request.params.find("retention");
   if (retention_param != nullptr) {
     if (!retention_param->is_number() ||
         !(retention_param->as_number() > 0.0 &&
           retention_param->as_number() <= 1.0)) {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "'retention' must be in (0, 1]";
-      return out;
+      return fail(ErrorCode::kBadParams, "'retention' must be in (0, 1]");
     }
     std::uint64_t seed = 42;
     if (!get_uint_param(request.params, "seed", 42, ~std::uint64_t{0},
                         seed)) {
-      out.ok = false;
-      out.error = ErrorCode::kBadParams;
-      out.message = "'seed' must be a non-negative integer";
-      return out;
+      return fail(ErrorCode::kBadParams,
+                  "'seed' must be a non-negative integer");
     }
     sample_ = std::make_unique<stream::SampledStream>(
         *stream_, retention_param->as_number(), seed);
   } else if (sample_ == nullptr) {
-    out.ok = false;
-    out.error = ErrorCode::kBadParams;
-    out.message = "no sampled estimator; pass 'retention' to start one";
-    return out;
+    return fail(ErrorCode::kBadParams,
+                "no sampled estimator; pass 'retention' to start one");
   }
   Value result = Value::object();
   result.set("estimate", sample_->estimate());
@@ -953,8 +786,7 @@ Service::Execution Service::verb_stream_sample(const Request& request) {
   result.set("retention", sample_->retention());
   result.set("seed", sample_->seed());
   result.set("exact", static_cast<std::uint64_t>(stream_->triangles()));
-  out.result_json = result.dump();
-  return out;
+  return done(result);
 }
 
 Service::Execution Service::verb_cache_stats(const Request&) {
@@ -966,9 +798,7 @@ Service::Execution Service::verb_cache_stats(const Request&) {
   result.set("invalidations", stats.invalidations);
   result.set("size", static_cast<std::uint64_t>(stats.size));
   result.set("capacity", static_cast<std::uint64_t>(stats.capacity));
-  Execution out;
-  out.result_json = result.dump();
-  return out;
+  return done(result);
 }
 
 Service::Execution Service::verb_stats(const Request&) {
@@ -984,15 +814,12 @@ Service::Execution Service::verb_stats(const Request&) {
   result.set("shed", counters.shed);
   result.set("rejected", counters.rejected);
   result.set("errors", counters.errors);
-  result.set("jobs", world_ != nullptr ? world_->jobs_run() : 0);
+  result.set("jobs", jobs_run());
   result.set("graph_version", graph_version_.load(std::memory_order_relaxed));
   result.set("queue_depth", static_cast<std::uint64_t>(queue.depth));
   result.set("queue_max_depth", queue.max_depth);
-  result.set("resident_bytes",
-             graph_loaded() ? partition_.resident_bytes() : 0);
-  Execution out;
-  out.result_json = result.dump();
-  return out;
+  result.set("resident_bytes", resident_.grid_bytes());
+  return done(result);
 }
 
 void Service::shutdown() {
@@ -1027,7 +854,7 @@ std::size_t Service::in_flight() const {
 }
 
 std::uint64_t Service::jobs_run() const {
-  return world_ != nullptr ? world_->jobs_run() : 0;
+  return jobs_run_.load(std::memory_order_relaxed);
 }
 
 ResultCache::Stats Service::cache_stats() const { return cache_.stats(); }
@@ -1037,7 +864,7 @@ AdmissionQueue::Stats Service::queue_stats() const { return queue_.stats(); }
 SessionCounters Service::counters() const {
   std::lock_guard<std::mutex> lock(state_mutex_);
   SessionCounters counters = counters_;
-  counters.jobs = world_ != nullptr ? world_->jobs_run() : 0;
+  counters.jobs = jobs_run();
   counters.graph_version = graph_version_.load(std::memory_order_relaxed);
   return counters;
 }

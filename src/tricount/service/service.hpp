@@ -2,8 +2,9 @@
 // behind `tools/tricountd`. One instance owns
 //
 //  * a PersistentWorld whose rank threads stay parked between requests,
-//  * the graph and its preprocessed 2D partition, kept resident so a
-//    served `count` pays only the √p counting supersteps,
+//  * the graph's engine::Resident state — the 2D partition, built at
+//    load, and the cetric partition, built by the first cetric request —
+//    so every served verb pays only its counting supersteps,
 //  * the bounded AdmissionQueue (backpressure → `shed` errors),
 //  * the versioned LRU ResultCache (a graph.load/swap bumps the version
 //    and invalidates), and
@@ -31,7 +32,7 @@
 
 #include "tricount/core/config.hpp"
 #include "tricount/core/driver.hpp"
-#include "tricount/core/resident.hpp"
+#include "tricount/engine/engine.hpp"
 #include "tricount/graph/edge_list.hpp"
 #include "tricount/mpisim/runtime.hpp"
 #include "tricount/obs/metrics.hpp"
@@ -97,7 +98,7 @@ class Service {
 
   // --- introspection (tests, bench) --------------------------------------
   int ranks() const { return options_.ranks; }
-  bool graph_loaded() const { return partition_.ranks != 0; }
+  bool graph_loaded() const { return resident_.loaded(); }
   std::uint64_t graph_version() const;
   /// Requests popped from the queue but not yet fully answered. The
   /// daemon's drain wait must cover this too, not just the queue depth —
@@ -128,6 +129,9 @@ class Service {
     bool cacheable = false;
   };
 
+  static Execution done(const obs::json::Value& result,
+                        std::uint64_t supersteps = 0, bool cacheable = false);
+  static Execution fail(ErrorCode code, std::string message);
   void dispatcher_loop();
   void execute_batch(std::vector<Pending> batch);
   Execution execute(const Request& request);
@@ -156,8 +160,13 @@ class Service {
   void ensure_world();
   /// Lazily builds the maintained stream state from the resident graph.
   void ensure_stream();
-  /// Re-preprocesses the 2D partition after stream mutations dirtied it.
-  void ensure_partition();
+  /// Runs `plan` through engine::run on the resident state; throws (→
+  /// `internal`) on a poisoned world.
+  core::RunResult run_plan(const engine::Plan& plan);
+  /// Publishes the world's job count and the resident build counters.
+  void publish_world_stats();
+  /// A crediting tally (pervertex/clustering, support/truss) as a plan.
+  core::RunResult run_tally(core::Tally tally);
   void emit(const std::string& line);
   void record(RequestRecord row);
   void refresh_gauges();
@@ -171,19 +180,20 @@ class Service {
 
   // Dispatcher-owned state.
   std::unique_ptr<mpisim::PersistentWorld> world_;
-  graph::EdgeList graph_;  ///< simplified, resident for non-2d verbs
   std::string graph_name_;
-  core::ResidentPartition partition_;
+  /// The simplified graph and every piece served verbs run on; graph.apply
+  /// marks the pieces stale and the next verb that needs one rebuilds it.
+  engine::Resident resident_;
   /// Incremental maintenance state (docs/streaming.md); built lazily by
   /// the first streaming verb, reset by graph.load/swap.
   std::unique_ptr<stream::StreamState> stream_;
   std::unique_ptr<stream::SampledStream> sample_;
-  /// Stream mutations landed since the partition was last preprocessed;
-  /// the next 2d count rebuilds it lazily.
-  bool partition_dirty_ = false;
   /// Atomic: the submit thread pins it at admission (see
   /// Pending::admit_version) while the dispatcher bumps it on swaps.
   std::atomic<std::uint64_t> graph_version_{0};
+  /// Atomic: counters() and jobs_run() read it on client threads while
+  /// the dispatcher may replace the world.
+  std::atomic<std::uint64_t> jobs_run_{0};
 
   // Shared between the reader and the dispatcher.
   mutable std::mutex state_mutex_;

@@ -1,20 +1,25 @@
 // Resident-service suite (`ctest -L service`): wire protocol, hardened
 // JSON parsing (seeded fuzz), admission/backpressure, the versioned LRU
 // result cache, batched-vs-unbatched byte equivalence, the
-// served-equals-library equivalence corpus, the warm-vs-cold speedup
-// acceptance gate, graceful-shutdown signal handling, and
+// served-equals-library equivalence corpus (every verb, before and after
+// graph.apply), once-per-version resident builds, the warm-vs-cold
+// speedup acceptance gate, graceful-shutdown signal handling, and
 // tricount.service.v1 artifact linting.
 //
 // Services here run with manual_dispatch: submit() parses and admits,
 // the test thread drives dispatch_once()/drain(), and every response
 // lands in a plain vector — no dispatcher thread, fully deterministic.
+// The one exception, ServiceConcurrency, runs a real dispatcher thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <condition_variable>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +27,7 @@
 #include "test_corpus.hpp"
 #include "test_seed.hpp"
 #include "tricount/cetric/cetric.hpp"
+#include "tricount/core/dist_truss.hpp"
 #include "tricount/core/per_vertex.hpp"
 #include "tricount/core/summa2d.hpp"
 #include "tricount/graph/approx.hpp"
@@ -635,42 +641,155 @@ TEST(ServiceEquivalence, ServedCountsMatchCorpusAcrossAlgorithms) {
   }
 }
 
-TEST(ServiceEquivalence, AnalyticsVerbsMatchLibraryCalls) {
+/// Serves every verb against `h`'s current graph and requires each answer
+/// to equal the batch library call on `simplified`, the same graph.
+void expect_verbs_match_library(Harness& h, const graph::EdgeList& simplified,
+                                const std::string& label) {
+  const int ranks = h.svc.ranks();
+  const graph::TriangleCount expected =
+      graph::count_triangles_serial(graph::Csr::from_edges(simplified));
+  for (const char* algo : {"2d", "cetric", "summa"}) {
+    EXPECT_EQ(served_triangles(h, count_request(1, algo)), expected)
+        << label << " algo=" << algo;
+  }
+
+  // clustering == clustering_stats_2d
+  const core::ClusteringStats stats = core::clustering_stats_2d(simplified, ranks);
+  Value doc = h.result(h.ask(R"({"id":2,"verb":"clustering"})"));
+  const Value& clustering = doc.get("result");
+  EXPECT_EQ(clustering.get("triangles").as_uint(),
+            static_cast<std::uint64_t>(stats.triangles)) << label;
+  EXPECT_EQ(clustering.get("wedges").as_uint(),
+            static_cast<std::uint64_t>(stats.wedges)) << label;
+  EXPECT_DOUBLE_EQ(clustering.get("transitivity").as_number(),
+                   stats.transitivity) << label;
+  EXPECT_DOUBLE_EQ(clustering.get("average_local_clustering").as_number(),
+                   stats.average_local_clustering) << label;
+
+  // pervertex over every vertex == count_per_vertex_2d
+  const core::PerVertexResult per_vertex =
+      core::count_per_vertex_2d(simplified, ranks);
+  std::string ids;
+  for (graph::VertexId v = 0; v < simplified.num_vertices; ++v) {
+    if (v > 0) ids += ',';
+    ids += std::to_string(v);
+  }
+  doc = h.result(h.ask(R"({"id":3,"verb":"pervertex","params":{"vertices":[)" +
+                       ids + "]}}"));
+  EXPECT_EQ(doc.get("result").get("total_triangles").as_uint(),
+            static_cast<std::uint64_t>(per_vertex.total_triangles)) << label;
+  const Value& rows = doc.get("result").get("vertices");
+  ASSERT_EQ(rows.size(), static_cast<std::size_t>(simplified.num_vertices));
+  for (std::size_t v = 0; v < rows.size(); ++v) {
+    EXPECT_EQ(rows.at(v).get("triangles").as_uint(),
+              static_cast<std::uint64_t>(per_vertex.counts[v]))
+        << label << " vertex " << v;
+  }
+
+  // support (every edge) == edge_supports_2d
+  const std::vector<graph::TriangleCount> supports =
+      core::edge_supports_2d(simplified, ranks);
+  doc = h.result(h.ask(R"({"id":4,"verb":"support","params":{"top":10000}})"));
+  EXPECT_EQ(doc.get("result").get("edges").as_uint(), supports.size());
+  const Value& top = doc.get("result").get("top");
+  ASSERT_EQ(top.size(), std::min<std::size_t>(10000, supports.size()));
+  for (std::size_t i = 0; i < top.size(); ++i) {
+    const graph::Edge key{
+        static_cast<graph::VertexId>(top.at(i).get("u").as_uint()),
+        static_cast<graph::VertexId>(top.at(i).get("v").as_uint())};
+    const auto it = std::lower_bound(simplified.edges.begin(),
+                                     simplified.edges.end(), key);
+    ASSERT_TRUE(it != simplified.edges.end() && *it == key) << label;
+    EXPECT_EQ(top.at(i).get("support").as_uint(),
+              static_cast<std::uint64_t>(
+                  supports[static_cast<std::size_t>(it - simplified.edges.begin())]))
+        << label << " edge " << key.u << "-" << key.v;
+  }
+
+  // truss == ktruss_2d
+  const graph::KtrussResult truss = core::ktruss_2d(simplified, ranks);
+  doc = h.result(h.ask(R"({"id":5,"verb":"truss"})"));
+  EXPECT_EQ(doc.get("result").get("max_k").as_number(),
+            static_cast<double>(truss.max_k)) << label;
+  const Value& per_k = doc.get("result").get("per_k");
+  ASSERT_EQ(per_k.size(),
+            static_cast<std::size_t>(std::max(0, truss.max_k - 2)));
+  for (std::size_t i = 0; i < per_k.size(); ++i) {
+    const int k = static_cast<int>(i) + 3;
+    const auto edges = static_cast<std::uint64_t>(std::count_if(
+        truss.trussness.begin(), truss.trussness.end(),
+        [k](int t) { return t >= k; }));
+    EXPECT_EQ(per_k.at(i).get("edges").as_uint(), edges) << label << " k=" << k;
+  }
+}
+
+TEST(ServiceEquivalence, EveryVerbMatchesLibraryAcrossCorpus) {
+  for (std::size_t gi = 0; gi < test_support::corpus().size(); ++gi) {
+    const auto& entry = test_support::corpus()[gi];
+    Harness h;
+    h.svc.load_graph(entry.graph, "corpus" + std::to_string(gi));
+    expect_verbs_match_library(h, graph::simplify(entry.graph),
+                               "corpus" + std::to_string(gi));
+  }
+}
+
+TEST(ServiceEquivalence, EveryVerbMatchesLibraryAfterApply) {
+  // Serve every verb (so both resident pieces exist), apply an
+  // insert/delete batch, and require every verb to equal the library on
+  // the graph after the apply: the stale pieces must be rebuilt.
+  for (std::size_t gi = 0; gi < test_support::corpus().size(); ++gi) {
+    const std::string label = "corpus" + std::to_string(gi);
+    const graph::EdgeList before =
+        graph::simplify(test_support::corpus()[gi].graph);
+    ASSERT_GE(before.edges.size(), 2u);
+    Harness h;
+    h.svc.load_graph(before, label);
+    expect_verbs_match_library(h, before, label);
+
+    graph::EdgeList after = before;
+    std::vector<std::string> ops;
+    auto op = [](char sign, graph::VertexId u, graph::VertexId v) {
+      std::string text(1, sign);
+      text += std::to_string(u);
+      text += ' ';
+      text += std::to_string(v);
+      return text;
+    };
+    for (const std::size_t at : {before.edges.size() - 1, std::size_t{0}}) {
+      const graph::Edge e = before.edges[at];
+      ops.push_back(op('-', e.u, e.v));
+      after.edges.erase(after.edges.begin() + static_cast<std::ptrdiff_t>(at));
+    }
+    for (graph::VertexId u = 0; u < before.num_vertices && ops.size() < 4; ++u) {
+      for (graph::VertexId v = u + 1;
+           v < before.num_vertices && ops.size() < 4; ++v) {
+        if (std::binary_search(before.edges.begin(), before.edges.end(),
+                               graph::Edge{u, v})) {
+          continue;
+        }
+        ops.push_back(op('+', u, v));
+        after.edges.push_back(graph::Edge{u, v});
+      }
+    }
+    after = graph::simplify(std::move(after));
+    std::string list;
+    for (const std::string& text : ops) {
+      if (!list.empty()) list += ',';
+      list += '"' + text + '"';
+    }
+    h.result(h.ask(R"({"id":9,"verb":"graph.apply","params":{"ops":[)" + list +
+                   "]}}"));
+    expect_verbs_match_library(h, after, label + " after apply");
+  }
+}
+
+TEST(ServiceEquivalence, ApproxMatchesLibraryCall) {
   const auto& entry = test_support::corpus()[4];
   Harness h;
   h.svc.load_graph(entry.graph, "corpus4");
   const graph::EdgeList simplified = graph::simplify(entry.graph);
-
-  // clustering == clustering_stats_2d
-  Value doc = h.result(h.ask("{\"id\":1,\"verb\":\"clustering\"}"));
-  const core::ClusteringStats stats = core::clustering_stats_2d(simplified, 4);
-  EXPECT_EQ(doc.get("result").get("triangles").as_uint(),
-            static_cast<std::uint64_t>(stats.triangles));
-  EXPECT_DOUBLE_EQ(doc.get("result").get("transitivity").as_number(),
-                   stats.transitivity);
-  EXPECT_DOUBLE_EQ(
-      doc.get("result").get("average_local_clustering").as_number(),
-      stats.average_local_clustering);
-
-  // pervertex top-k == the densest vertices of count_per_vertex_2d
-  doc = h.result(
-      h.ask("{\"id\":2,\"verb\":\"pervertex\",\"params\":{\"top\":3}}"));
-  const core::PerVertexResult reference =
-      core::count_per_vertex_2d(simplified, 4);
-  EXPECT_EQ(doc.get("result").get("total_triangles").as_uint(),
-            static_cast<std::uint64_t>(reference.total_triangles));
-  const Value& top = doc.get("result").get("top");
-  ASSERT_GE(top.size(), 1u);
-  for (std::size_t i = 0; i < top.size(); ++i) {
-    const auto v =
-        static_cast<std::size_t>(top.at(i).get("vertex").as_uint());
-    EXPECT_EQ(top.at(i).get("triangles").as_uint(),
-              static_cast<std::uint64_t>(reference.counts.at(v)))
-        << "pervertex rank " << i;
-  }
-
   // approx with a pinned seed == the library call with the same seed
-  doc = h.result(h.ask(
+  const Value doc = h.result(h.ask(
       "{\"id\":3,\"verb\":\"approx\",\"params\":{\"retention\":0.4,"
       "\"seed\":21}}"));
   const graph::ApproxCount approx =
@@ -679,6 +798,122 @@ TEST(ServiceEquivalence, AnalyticsVerbsMatchLibraryCalls) {
                    approx.estimate);
   EXPECT_EQ(h.svc.records().back().supersteps, 0u)
       << "approx runs no counting superstep";
+}
+
+// --- resident state: each piece built once per graph version -------------
+
+std::uint64_t resident_builds(const Harness& h, const std::string& piece) {
+  const Value artifact = h.svc.session_artifact();
+  const Value* value = artifact.get("metrics").get("counters").find(
+      "tc.resident.builds." + piece);
+  return value != nullptr ? value->as_uint() : 0;
+}
+
+TEST(ServiceResident, EachPieceBuiltOncePerGraphVersion) {
+  service::ServiceOptions options;
+  options.cache_capacity = 0;  // every request below runs its plan
+  Harness h(options);
+  const graph::EdgeList g = graph::simplify(test_support::corpus()[1].graph);
+  h.svc.load_graph(g, "corpus1");
+  EXPECT_EQ(resident_builds(h, "2d"), 1u) << "graph.load builds the 2D piece";
+
+  const std::vector<std::string> no_cetric = {
+      count_request(1, "2d"),
+      count_request(2, "summa"),
+      R"({"id":3,"verb":"pervertex"})",
+      R"({"id":4,"verb":"clustering"})",
+      R"({"id":5,"verb":"support"})",
+      R"({"id":6,"verb":"truss"})",
+      count_request(7, "2d", ",\"kernel\":\"merge\"")};
+  for (const std::string& line : no_cetric) h.result(h.ask(line));
+  EXPECT_EQ(resident_builds(h, "2d"), 1u);
+  EXPECT_EQ(resident_builds(h, "cetric"), 0u)
+      << "a session without cetric requests never builds the cetric piece";
+
+  // 40 interleaved uncached verbs on one version: one build of each.
+  for (std::size_t i = 0; i < 40; ++i) {
+    h.result(h.ask(i % 3 == 0 ? count_request(10 + i, "cetric")
+                              : no_cetric[i % no_cetric.size()]));
+  }
+  EXPECT_EQ(resident_builds(h, "2d"), 1u);
+  EXPECT_EQ(resident_builds(h, "cetric"), 1u);
+
+  // graph.apply only marks both pieces stale...
+  const graph::Edge e = g.edges.front();
+  h.result(h.ask(R"({"id":60,"verb":"graph.apply","params":{"ops":["-)" +
+                 std::to_string(e.u) + " " + std::to_string(e.v) + "\"]}}"));
+  EXPECT_EQ(resident_builds(h, "2d"), 1u);
+  EXPECT_EQ(resident_builds(h, "cetric"), 1u);
+  // ...and the next read that needs a piece rebuilds it, once.
+  h.result(h.ask(count_request(61, "cetric")));
+  EXPECT_EQ(resident_builds(h, "cetric"), 2u);
+  EXPECT_EQ(resident_builds(h, "2d"), 1u);
+  for (std::size_t i = 0; i < 12; ++i) {
+    h.result(h.ask(i % 3 == 0 ? count_request(70 + i, "cetric")
+                              : no_cetric[i % no_cetric.size()]));
+  }
+  EXPECT_EQ(resident_builds(h, "2d"), 2u);
+  EXPECT_EQ(resident_builds(h, "cetric"), 2u);
+}
+
+// --- client threads read while the dispatcher serves ---------------------
+
+TEST(ServiceConcurrency, ClientReadsWhileDispatcherServes) {
+  // A real dispatcher thread serves while the client thread submits and
+  // reads cache_stats(), counters() and jobs_run(). Under TRICOUNT_TSAN
+  // this is the race check for the cache and the world's job count.
+  std::mutex mutex;
+  std::condition_variable answered;
+  std::vector<std::string> responses;
+  service::ServiceOptions options;
+  options.cache_capacity = 4;  // five distinct keys: misses and evictions
+  service::Service svc(options, [&](const std::string& line) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      responses.push_back(line);
+    }
+    answered.notify_one();
+  });
+  const graph::EdgeList g = graph::watts_strogatz(64, 6, 0.1, 3);
+  const graph::TriangleCount expected =
+      graph::count_triangles_serial(graph::Csr::from_edges(graph::simplify(g)));
+  const char* kernels[] = {"auto", "merge", "galloping", "bitmap", "hash"};
+  constexpr std::uint64_t kRequests = 60;
+
+  auto wait_for = [&](std::size_t count) {
+    std::unique_lock<std::mutex> lock(mutex);
+    return answered.wait_for(lock, std::chrono::seconds(120),
+                             [&] { return responses.size() >= count; });
+  };
+  std::thread client([&] {
+    svc.submit(
+        "{\"id\":0,\"verb\":\"graph.load\",\"params\":{\"generate\":"
+        "{\"type\":\"ws\",\"n\":64,\"k\":6,\"beta\":0.1,\"seed\":3}}}");
+    // Counts admitted before the load lands would bypass the cache.
+    (void)wait_for(1);
+    for (std::uint64_t id = 1; id < kRequests; ++id) {
+      svc.submit(count_request(id, "2d",
+                               ",\"kernel\":\"" + std::string(kernels[id % 5]) +
+                                   "\""));
+      (void)svc.cache_stats();
+      (void)svc.counters();
+      (void)svc.jobs_run();
+    }
+  });
+  client.join();
+  ASSERT_TRUE(wait_for(kRequests));
+  svc.shutdown();
+
+  std::size_t served = 0;
+  for (const std::string& line : responses) {
+    const Value doc = Value::parse(line);
+    if (!doc.get("ok").as_bool() || doc.get("id").as_uint() == 0) continue;
+    EXPECT_EQ(doc.get("result").get("triangles").as_uint(), expected);
+    ++served;
+  }
+  EXPECT_GT(served, 0u);
+  EXPECT_EQ(svc.counters().requests, kRequests);
+  EXPECT_GT(svc.cache_stats().misses, 0u);
 }
 
 // --- warm-vs-cold acceptance gate ----------------------------------------
