@@ -11,6 +11,7 @@
 #include "tricount/core/dist_graph.hpp"
 #include "tricount/kernels/intersect.hpp"
 #include "tricount/mpisim/collectives.hpp"
+#include "tricount/mpisim/recovery.hpp"
 #include "tricount/obs/flight.hpp"
 #include "tricount/obs/msgtrace.hpp"
 #include "tricount/obs/telemetry.hpp"
@@ -139,37 +140,21 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
   core::CetricRankCounters cet = part.ghost_counters;
   obs::RankTelemetry* live = obs::Telemetry::caller_slot();
 
-  // --- triangle counting: superstep 0 (local) + superstep 1 (cut).
+  // --- triangle counting: superstep 0 (local) + superstep 1 (cut). Each
+  // superstep's compute returns what it adds and reads only the partition
+  // and the buffers received, so a crash replays it from them
+  // (mpisim/recovery.hpp). The table is sized for every row either
+  // superstep pins, so neither resizes it.
   kernels::IntersectScratch scratch;
   std::size_t max_row = 16;
   for (const auto& list : g.adj_plus) {
     max_row = std::max(max_row, list.size());
   }
   scratch.reserve_for(max_row);
-  scratch.reset_probes();
-
-  const int crash_step = core::chaos_crash_step(comm);
-  const bool checkpointing = config.checkpoint || crash_step >= 0;
-
-  /// Everything the fail-restart model loses: the partial tallies
-  /// and the scratch's history-dependent probe/capacity state. The
-  /// cut superstep replays from its *retained received buffers*
-  /// (message logging) — peers never resend.
-  struct Checkpoint {
-    TriangleCount local_triangles = 0;
-    TriangleCount cut_triangles = 0;
-    KernelCounters kernel;
-    std::uint64_t lookups_before = 0;
-    std::uint64_t probes = 0;
-    std::size_t hash_capacity = 0;
-    core::CetricRankCounters cet;
-  };
-  Checkpoint ckpt;
 
   TriangleCount local_count = 0;
   TriangleCount cut_count = 0;
   KernelCounters kernel;
-  std::uint64_t lookups_before = 0;
 
   auto publish_live = [&](int step) {
     if (live != nullptr) {
@@ -189,21 +174,11 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
       mt->note_superstep(step);
     }
   };
-  auto save_checkpoint = [&] {
-    obs::ScopedSpan span("checkpoint", "chaos");
-    ckpt.local_triangles = local_count;
-    ckpt.cut_triangles = cut_count;
-    ckpt.kernel = kernel;
-    ckpt.lookups_before = lookups_before;
-    ckpt.probes = scratch.probes();
-    ckpt.hash_capacity = scratch.hash_capacity();
-    ckpt.cet = cet;
-  };
-  auto finish_superstep = [&] {
+  auto finish_superstep = [&](const KernelCounters& step) {
+    kernel += step;
     PhaseSample sample = tracker.cut();
     core::apply_straggler(comm, sample);
-    sample.ops = kernel.lookups - lookups_before;
-    lookups_before = kernel.lookups;
+    sample.ops = step.lookups;
     stats.shifts.push_back(sample);
   };
 
@@ -213,21 +188,25 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
   // into per-destination cut-wedge payloads but nothing is sent —
   // the zero-message invariant the cetric tests assert.
   publish_live(0);
-  if (checkpointing) save_checkpoint();
-  std::vector<std::vector<VertexId>> wedge_out(
-      static_cast<std::size_t>(p));
-  // Per-u routing scratch, reused across rows: positions of the
-  // externally-closing entries of Adj+(u), grouped by destination
-  // so one shared suffix serves every wedge to the same rank.
+  struct LocalStep : core::StepCount {
+    std::uint64_t cut_wedges = 0;
+    std::vector<std::vector<VertexId>> wedge_out;
+  };
+  // Per-u routing scratch, reused across rows (and left empty by each):
+  // positions of the externally-closing entries of Adj+(u), grouped by
+  // destination so one shared suffix serves every wedge to the same rank.
   std::vector<std::vector<std::uint32_t>> dest_positions(
       static_cast<std::size_t>(p));
   std::vector<int> touched;
-  auto run_local = [&] {
+  const LocalStep local = mpisim::run_superstep(comm, 0, [&] {
+    LocalStep step;
+    step.wedge_out.resize(static_cast<std::size_t>(p));
+    scratch.reset_probes();
     obs::ScopedSpan span("intersect", "tc");
     for (VertexId u = g.part.begin(); u < g.part.end(); ++u) {
       const std::vector<VertexId>& au = g.plus(u);
       if (au.size() < 2) continue;
-      ++kernel.rows_visited;
+      ++step.kernel.rows_visited;
       scratch.begin_row(std::span<const VertexId>(au),
                         config.modified_hashing);
       touched.clear();
@@ -240,10 +219,10 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
           closing = &it->second;
         }
         if (closing != nullptr) {
-          ++kernel.intersection_tasks;
-          local_count += scratch.task(
+          ++step.kernel.intersection_tasks;
+          step.triangles += scratch.task(
               config.kernel, std::span<const VertexId>(*closing),
-              config.backward_early_exit, kernel);
+              config.backward_early_exit, step.kernel);
           continue;
         }
         const auto d = static_cast<std::size_t>(g.part.owner(v));
@@ -252,7 +231,7 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
       }
       for (const int d : touched) {
         auto& positions = dest_positions[static_cast<std::size_t>(d)];
-        auto& buf = wedge_out[static_cast<std::size_t>(d)];
+        auto& buf = step.wedge_out[static_cast<std::size_t>(d)];
         const std::uint32_t first = positions.front();
         buf.push_back(static_cast<VertexId>(au.size() - first));
         buf.insert(buf.end(),
@@ -262,27 +241,16 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
         for (const std::uint32_t pos : positions) {
           buf.push_back(static_cast<VertexId>(pos - first));
         }
-        cet.cut_wedges_sent += positions.size();
+        step.cut_wedges += positions.size();
         positions.clear();
       }
     }
-  };
-  run_local();
-  if (crash_step == 0) {
-    // One-shot fail-restart before any communication: restore the
-    // checkpoint, discard the staged wedge payloads, and re-execute
-    // the whole local superstep. Peers are unaffected.
-    core::recover_crash(comm, 0, [&] {
-      local_count = ckpt.local_triangles;
-      kernel = ckpt.kernel;
-      lookups_before = ckpt.lookups_before;
-      scratch.restore(ckpt.hash_capacity, ckpt.probes);
-      cet = ckpt.cet;
-      wedge_out.assign(static_cast<std::size_t>(p), {});
-      run_local();
-    });
-  }
-  finish_superstep();
+    step.kernel.probes = scratch.probes();
+    return step;
+  });
+  local_count = local.triangles;
+  cet.cut_wedges_sent += local.cut_wedges;
+  finish_superstep(local.kernel);
 
   // ------- superstep 1: cut-wedge exchange + resolution. ---------
   publish_live(1);
@@ -295,6 +263,7 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
     // rank knows which sources to expect; the payloads themselves
     // are the run's only user-tagged traffic. Buffered sends make
     // post-all-then-receive deadlock-free.
+    const auto& wedge_out = local.wedge_out;
     std::vector<std::vector<std::uint64_t>> announce(
         static_cast<std::size_t>(p));
     for (std::size_t d = 0; d < wedge_out.size(); ++d) {
@@ -345,11 +314,11 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
                        return a.v < b.v;
                      });
   }
-  // Checkpoint *after* the exchange: the received buffers are the
-  // message log, so a crashed rank replays the resolution from them
-  // without any peer resending.
-  if (checkpointing) save_checkpoint();
-  auto run_cut = [&] {
+  // The received buffers are the message log: a crashed rank replays the
+  // resolution from them without any peer resending.
+  const core::StepCount cut = mpisim::run_superstep(comm, 1, [&] {
+    core::StepCount step;
+    scratch.reset_probes();
     obs::ScopedSpan span("intersect", "tc");
     bool pinned = false;
     VertexId current = 0;
@@ -357,29 +326,21 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
       if (!pinned || t.v != current) {
         current = t.v;
         pinned = true;
-        ++kernel.rows_visited;
+        ++step.kernel.rows_visited;
         scratch.begin_row(std::span<const VertexId>(g.plus(t.v)),
                           config.modified_hashing);
       }
-      ++kernel.intersection_tasks;
-      cut_count += scratch.task(
+      ++step.kernel.intersection_tasks;
+      step.triangles += scratch.task(
           config.kernel, std::span<const VertexId>(t.tail, t.len),
-          config.backward_early_exit, kernel);
+          config.backward_early_exit, step.kernel);
     }
-  };
-  run_cut();
-  if (crash_step == 1) {
-    core::recover_crash(comm, 1, [&] {
-      cut_count = ckpt.cut_triangles;
-      kernel = ckpt.kernel;
-      lookups_before = ckpt.lookups_before;
-      scratch.restore(ckpt.hash_capacity, ckpt.probes);
-      run_cut();
-    });
-  }
-  finish_superstep();
+    step.kernel.probes = scratch.probes();
+    return step;
+  });
+  cut_count = cut.triangles;
+  finish_superstep(cut.kernel);
 
-  kernel.probes = scratch.probes();
   if (live != nullptr) {
     live->superstep.store(kSupersteps, std::memory_order_relaxed);
     live->triangles.store(

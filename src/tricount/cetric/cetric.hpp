@@ -56,7 +56,7 @@ ResidentCetric preprocess_resident(mpisim::PersistentWorld& world,
 
 /// Runs only the local and cut supersteps on the resident partition
 /// (empty preprocessing phase; traffic counters are this job's delta).
-/// `world` must be the world `resident` was built on.
+/// `world` must have the rank count `resident` was built for.
 core::RunResult count_resident(mpisim::PersistentWorld& world,
                                const ResidentCetric& resident,
                                const core::Config& config);

@@ -17,8 +17,7 @@ std::string Config::describe() const {
      << " modified_hashing=" << (modified_hashing ? "on" : "off")
      << " backward_early_exit=" << (backward_early_exit ? "on" : "off")
      << " blob_comm=" << (blob_comm ? "on" : "off")
-     << " overlap=" << (overlap ? "on" : "off")
-     << " checkpoint=" << (checkpoint ? "on" : "off");
+     << " overlap=" << (overlap ? "on" : "off");
   return os.str();
 }
 

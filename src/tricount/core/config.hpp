@@ -55,12 +55,6 @@ struct Config {
   /// checked-in baseline artifacts stay byte-identical.
   bool overlap = false;
 
-  /// Checkpoint the U/L/task blocks and partial count at every counting
-  /// superstep, whether or not a crash is scheduled (docs/chaos.md). A
-  /// scheduled chaos crash forces checkpointing on the crashing rank; this
-  /// knob measures the checkpoint overhead on healthy runs.
-  bool checkpoint = false;
-
   std::string describe() const;
 };
 

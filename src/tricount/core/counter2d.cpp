@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "tricount/mpisim/collectives.hpp"
+#include "tricount/mpisim/recovery.hpp"
 #include "tricount/mpisim/runtime.hpp"
 #include "tricount/obs/msgtrace.hpp"
 #include "tricount/obs/telemetry.hpp"
@@ -54,9 +55,26 @@ BlockCsr shift_block(mpisim::Comm& comm, BlockCsr block, int dest, int src,
                                 std::move(entries));
 }
 
+/// What one Cannon superstep adds to a rank's totals. It is a pure
+/// function of the three blocks the rank holds during the superstep, so a
+/// crash replays it from them (mpisim/recovery.hpp).
+struct StepTally : StepCount {
+  /// kPerVertex, by block-local index: corners j = r·q + x, i = e·q + y and
+  /// k = t·q + z. Each corner is one residue class mod q, so a superstep
+  /// holds 3·n/q entries rather than n.
+  std::vector<TriangleCount> rows;
+  std::vector<TriangleCount> cols;
+  std::vector<TriangleCount> closers;
+  /// kEdgeSupport: task edges by entry of the task block, which never
+  /// shifts, and closing edges by key. A closing edge j–k or i–k has k in
+  /// the superstep's column block, so no two supersteps share one.
+  std::vector<TriangleCount> task_edges;
+  std::unordered_map<std::uint64_t, TriangleCount> edges;
+};
+
 /// The crediting tallies of cannon_count: every closed triangle goes to
-/// its corners (`vertex` set) or to its edges (`edges` set). step(z) names
-/// the column block z the current U/L pair closes through, so block-local
+/// its corners (`rows` set) or to its edges (`edges` set). `z` names
+/// the column block the current U/L pair closes through, so block-local
 /// (row r, entry e, closer t) map back to degree-ordered ids
 ///   j = r·q + x,  i = e·q + y,  k = t·q + z.
 struct Credits {
@@ -64,35 +82,36 @@ struct Credits {
   VertexId x = 0;
   VertexId y = 0;
   VertexId z = 0;
-  std::vector<TriangleCount>* vertex = nullptr;
+  std::vector<TriangleCount>* rows = nullptr;
+  std::vector<TriangleCount>* cols = nullptr;
+  std::vector<TriangleCount>* closers = nullptr;
+  std::vector<TriangleCount>* task_edges = nullptr;
   std::unordered_map<std::uint64_t, TriangleCount>* edges = nullptr;
 
-  void step(int column_block) { z = static_cast<VertexId>(column_block); }
   TriangleCount& edge(VertexId a, VertexId b) {
     return (*edges)[(static_cast<std::uint64_t>(std::min(a, b)) << 32) |
                     std::max(a, b)];
   }
   /// Closer t of task (r, e): credits k, or the edges j–k and i–k.
   void closer(VertexId r, VertexId e, VertexId t) {
-    const VertexId k = t * q + z;
-    if (vertex != nullptr) {
-      ++(*vertex)[k];
+    if (closers != nullptr) {
+      ++(*closers)[t];
     } else {
+      const VertexId k = t * q + z;
       ++edge(r * q + x, k);
       ++edge(e * q + y, k);
     }
   }
-  /// Task (r, e) closed `hits` triangles, all of them through j, i and
-  /// the edge j–i: one credit per task, not per triangle.
-  void task(VertexId r, VertexId e, TriangleCount hits) {
+  /// Task (r, e), entry `at` of the task block, closed `hits` triangles,
+  /// all of them through j, i and the edge j–i: one credit per task, not
+  /// per triangle.
+  void task(VertexId r, VertexId e, std::size_t at, TriangleCount hits) {
     if (hits == 0) return;
-    const VertexId j = r * q + x;
-    const VertexId i = e * q + y;
-    if (vertex != nullptr) {
-      (*vertex)[j] += hits;
-      (*vertex)[i] += hits;
+    if (rows != nullptr) {
+      (*rows)[r] += hits;
+      (*cols)[e] += hits;
     } else {
-      edge(j, i) += hits;
+      (*task_edges)[at] += hits;
     }
   }
 };
@@ -113,7 +132,7 @@ TriangleCount intersect_tally(const BlockCsr& tasks, const BlockCsr& ublock,
 
     scratch.begin_row(urow, config.modified_hashing);
 
-    for (const VertexId e : task_cols) {
+    for (const VertexId& e : task_cols) {
       if (e >= lblock.num_local_rows()) continue;
       const auto lrow = lblock.row(e);
       if (lrow.empty()) continue;
@@ -122,7 +141,8 @@ TriangleCount intersect_tally(const BlockCsr& tasks, const BlockCsr& ublock,
         const TriangleCount hits = scratch.each_match(
             lrow, config.backward_early_exit, counters,
             [&](VertexId t) { tally.closer(r, e, t); });
-        tally.task(r, e, hits);
+        tally.task(r, e, static_cast<std::size_t>(&e - tasks.adj().data()),
+                   hits);
         found += hits;
       } else {
         found += scratch.task(config.kernel, lrow,
@@ -139,9 +159,19 @@ TriangleCount intersect_tally(const BlockCsr& tasks, const BlockCsr& ublock,
   return found;
 }
 
+/// Adds the credits of residue class c, by block-local index, into
+/// `total`, by degree-ordered id.
+void add_class(std::vector<TriangleCount>& total,
+               const std::vector<TriangleCount>& step, int q, int c) {
+  for (std::size_t at = 0; at < step.size(); ++at) {
+    total[at * static_cast<std::size_t>(q) + static_cast<std::size_t>(c)] +=
+        step[at];
+  }
+}
+
 template <bool kCredits>
 void cannon_sweep(mpisim::Cart2D& grid, Blocks blocks, const Config& config,
-                  Credits& tally, CountOutput& out) {
+                  Tally tally, VertexId num_vertices, CountOutput& out) {
   mpisim::Comm& comm = grid.comm();
   const int q = grid.q();
 
@@ -149,39 +179,13 @@ void cannon_sweep(mpisim::Cart2D& grid, Blocks blocks, const Config& config,
   // Sized from the *current* U block, not just the initial one: a
   // shifted-in block can carry longer rows, and an undersized table
   // degrades into mid-superstep rehashes — re-checked after every shift
-  // and on recovery restore (reserve_for never shrinks).
+  // (reserve_for never shrinks). A superstep therefore never resizes the
+  // table, which keeps its compute a pure function of the blocks.
   auto reserve_scratch = [&] {
     scratch.reserve_for(std::max<std::size_t>(
         {blocks.ublock.max_row_degree(), std::size_t{16}}));
   };
   reserve_scratch();
-  scratch.reset_probes();
-
-  // Chaos schedule for this rank (docs/chaos.md): a scheduled fail-restart
-  // forces superstep checkpointing so the crashed superstep can be
-  // re-executed from the blocks as they were when it started.
-  const int crash_step = chaos_crash_step(comm);
-  const bool checkpointing = config.checkpoint || crash_step >= 0;
-
-  /// Everything the fail-restart model loses: the three blocks plus the
-  /// partial count, kernel tallies and credits accumulated before this
-  /// superstep.
-  struct Checkpoint {
-    std::vector<std::byte> ublock;
-    std::vector<std::byte> lblock;
-    std::vector<std::byte> tasks;
-    CountOutput out;
-    std::uint64_t lookups_before = 0;
-    /// The scratch's cumulative probe tally lives outside out.kernel until
-    /// the loop ends; without this field a recovery keeps the discarded
-    /// superstep's probes and out.kernel.probes over-reports.
-    std::uint64_t probes = 0;
-    /// Hash capacity in effect at the checkpoint: the replay must rerun
-    /// under the same table geometry or its probe/direct-mode tallies
-    /// diverge from the pass it discards.
-    std::size_t hash_capacity = 0;
-  };
-  Checkpoint ckpt;
 
   // Live telemetry + flight recorder: publish superstep progress at every
   // loop entry. The flight "superstep" counter doubles as the crash
@@ -212,20 +216,46 @@ void cannon_sweep(mpisim::Cart2D& grid, Blocks blocks, const Config& config,
     }
   };
 
+  // The intersection of superstep s over the blocks the rank holds. The
+  // shift that follows replaces them, so a crash replays before it.
+  const auto compute = [&](int s) {
+    StepTally step;
+    Credits credits{static_cast<VertexId>(q),
+                    static_cast<VertexId>(grid.row()),
+                    static_cast<VertexId>(grid.col()),
+                    static_cast<VertexId>((grid.row() + grid.col() + s) % q)};
+    if constexpr (kCredits) {
+      if (tally == Tally::kPerVertex) {
+        step.rows.assign(cyclic_row_count(num_vertices, q, grid.row()), 0);
+        step.cols.assign(cyclic_row_count(num_vertices, q, grid.col()), 0);
+        step.closers.assign(
+            cyclic_row_count(num_vertices, q, static_cast<int>(credits.z)), 0);
+        credits.rows = &step.rows;
+        credits.cols = &step.cols;
+        credits.closers = &step.closers;
+      } else {
+        step.task_edges.assign(blocks.tasks.adj().size(), 0);
+        credits.task_edges = &step.task_edges;
+        credits.edges = &step.edges;
+      }
+    }
+    scratch.reset_probes();
+    obs::ScopedSpan span("intersect", "tc");
+    step.triangles = intersect_tally<kCredits>(
+        blocks.tasks, blocks.ublock, blocks.lblock, config, scratch,
+        step.kernel, credits);
+    step.kernel.probes = scratch.probes();
+    return step;
+  };
+
+  std::vector<TriangleCount> task_edges;  // kEdgeSupport, summed over steps
+  if (tally == Tally::kPerVertex) out.vertex_credits.assign(num_vertices, 0);
+  if (tally == Tally::kEdgeSupport) {
+    task_edges.assign(blocks.tasks.adj().size(), 0);
+  }
   PhaseTracker tracker(comm);
-  std::uint64_t lookups_before = 0;
   for (int s = 0; s < q; ++s) {
     publish_live(s);
-    if (checkpointing) {
-      obs::ScopedSpan span("checkpoint", "chaos");
-      ckpt.ublock = blocks.ublock.to_blob();
-      ckpt.lblock = blocks.lblock.to_blob();
-      ckpt.tasks = blocks.tasks.to_blob();
-      ckpt.out = out;
-      ckpt.lookups_before = lookups_before;
-      ckpt.probes = scratch.probes();
-      ckpt.hash_capacity = scratch.hash_capacity();
-    }
     // Overlap mode posts the next shift before intersecting: buffered
     // isends copy the blobs up front, so computing on the blocks while
     // the shift is in flight is safe, and the irecvs complete after the
@@ -245,30 +275,21 @@ void cannon_sweep(mpisim::Cart2D& grid, Blocks blocks, const Config& config,
       u_req = comm.irecv(grid.right(), kTagUBlock);
       l_req = comm.irecv(grid.down(), kTagLBlock);
     }
-    tally.step((grid.row() + grid.col() + s) % q);
-    {
-      obs::ScopedSpan span("intersect", "tc");
-      out.local_triangles +=
-          intersect_tally<kCredits>(blocks.tasks, blocks.ublock, blocks.lblock, config,
-                          scratch, out.kernel, tally);
-    }
-    if (s == crash_step) {
-      // One-shot fail-restart: this rank loses the superstep's results,
-      // restores the checkpoint, and re-executes the intersection. The
-      // shifts have not happened yet, so peers are unaffected; the
-      // recovery cost lands in this rank's compute sample (and the
-      // modeled max-over-ranks superstep time).
-      recover_crash(comm, s, [&] {
-        blocks.ublock = BlockCsr::from_blob(ckpt.ublock);
-        blocks.lblock = BlockCsr::from_blob(ckpt.lblock);
-        blocks.tasks = BlockCsr::from_blob(ckpt.tasks);
-        out = ckpt.out;
-        lookups_before = ckpt.lookups_before;
-        scratch.restore(ckpt.hash_capacity, ckpt.probes);
-        out.local_triangles +=
-            intersect_tally<kCredits>(blocks.tasks, blocks.ublock, blocks.lblock,
-                            config, scratch, out.kernel, tally);
-      });
+    StepTally step =
+        mpisim::run_superstep(comm, s, [&] { return compute(s); });
+    out.local_triangles += step.triangles;
+    out.kernel += step.kernel;
+    if constexpr (kCredits) {
+      add_class(out.vertex_credits, step.rows, q, grid.row());
+      add_class(out.vertex_credits, step.cols, q, grid.col());
+      add_class(out.vertex_credits, step.closers, q,
+                (grid.row() + grid.col() + s) % q);
+      for (std::size_t at = 0; at < step.task_edges.size(); ++at) {
+        task_edges[at] += step.task_edges[at];
+      }
+      if (!step.edges.empty()) {
+        out.edge_credits.push_back(std::move(step.edges));
+      }
     }
     if (s + 1 < q) {
       // U one column left, L one row up (paper §5.1). Buffered sends keep
@@ -290,11 +311,26 @@ void cannon_sweep(mpisim::Cart2D& grid, Blocks blocks, const Config& config,
     PhaseSample sample = tracker.cut();
     sample.overlapped = overlapped;
     apply_straggler(comm, sample);
-    sample.ops = out.kernel.lookups - lookups_before;
-    lookups_before = out.kernel.lookups;
+    sample.ops = step.kernel.lookups;
     out.shifts.push_back(sample);
   }
-  out.kernel.probes = scratch.probes();
+  if (!task_edges.empty()) {
+    // Task entry `at` in row r is the edge j–i, j = r·q + x, i = e·q + y.
+    std::unordered_map<std::uint64_t, TriangleCount> by_key;
+    Credits keys{static_cast<VertexId>(q), static_cast<VertexId>(grid.row()),
+                 static_cast<VertexId>(grid.col()), 0};
+    keys.edges = &by_key;
+    const BlockCsr& tasks = blocks.tasks;
+    for (VertexId r = 0; r < tasks.num_local_rows(); ++r) {
+      const std::uint64_t end = tasks.xadj()[r + 1];
+      for (std::uint64_t at = tasks.xadj()[r]; at < end; ++at) {
+        if (task_edges[at] == 0) continue;
+        keys.edge(r * keys.q + keys.x, tasks.adj()[at] * keys.q + keys.y) +=
+            task_edges[at];
+      }
+    }
+    out.edge_credits.push_back(std::move(by_key));
+  }
   if (live != nullptr) {
     // Final readings: superstep == q renders as "q/q" (done) in the
     // streaming views.
@@ -322,21 +358,13 @@ CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
                          const Config& config, Tally tally,
                          VertexId num_vertices) {
   CountOutput out;
-  Credits credits;
   if (tally == Tally::kCount) {
-    cannon_sweep<false>(grid, std::move(blocks), config, credits, out);
-    return out;
-  }
-  credits.q = static_cast<VertexId>(grid.q());
-  credits.x = static_cast<VertexId>(grid.row());
-  credits.y = static_cast<VertexId>(grid.col());
-  if (tally == Tally::kPerVertex) {
-    out.vertex_credits.assign(num_vertices, 0);
-    credits.vertex = &out.vertex_credits;
+    cannon_sweep<false>(grid, std::move(blocks), config, tally, num_vertices,
+                        out);
   } else {
-    credits.edges = &out.edge_credits;
+    cannon_sweep<true>(grid, std::move(blocks), config, tally, num_vertices,
+                       out);
   }
-  cannon_sweep<true>(grid, std::move(blocks), config, credits, out);
   return out;
 }
 

@@ -40,8 +40,9 @@ struct CountOutput {
   /// Tally::kPerVertex: this rank's credits, indexed by degree-ordered id.
   std::vector<TriangleCount> vertex_credits;
   /// Tally::kEdgeSupport: this rank's credits per degree-ordered edge,
-  /// keyed (lo << 32) | hi.
-  std::unordered_map<std::uint64_t, TriangleCount> edge_credits;
+  /// keyed (lo << 32) | hi, one map per superstep (an edge may appear in
+  /// several; the reduction sums them, so no superstep pays a merge).
+  std::vector<std::unordered_map<std::uint64_t, TriangleCount>> edge_credits;
 };
 
 /// One compute step: intersects every task (r, e) in `tasks` against the

@@ -48,6 +48,8 @@ struct CetricRankCounters {
   std::uint64_t cut_wedge_bytes_sent = 0;
   std::uint64_t ghost_lists_fetched = 0;
   std::uint64_t ghost_list_entries = 0;
+
+  bool operator==(const CetricRankCounters&) const = default;
 };
 
 struct RunResult {

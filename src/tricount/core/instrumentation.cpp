@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "tricount/mpisim/runtime.hpp"
-#include "tricount/obs/flight.hpp"
-#include "tricount/obs/trace.hpp"
 
 namespace tricount::core {
 
@@ -88,33 +86,6 @@ PhaseBreakdown breakdown(const std::vector<PhaseSample>& per_rank) {
   }
   out.avg_compute_seconds = compute_total / static_cast<double>(per_rank.size());
   return out;
-}
-
-int chaos_crash_step(mpisim::Comm& comm) {
-  const mpisim::FaultInjector* injector = comm.world().fault_injector();
-  return injector != nullptr ? injector->crash_superstep(comm.rank()) : -1;
-}
-
-void recover_crash(mpisim::Comm& comm, int step,
-                   const std::function<void()>& replay) {
-  mpisim::ChaosCounters& cc = comm.world().chaos_counters(comm.rank());
-  cc.crashes += 1;
-  if (obs::Tracer* tracer = obs::Tracer::current()) {
-    tracer->instant("chaos.crash", "chaos");
-  }
-  if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
-    // Dump at the crash instant: the last "superstep" counter in the
-    // crashing rank's stream is exactly the failed superstep.
-    flight->instant("chaos.crash", "chaos", static_cast<double>(step));
-    flight->try_auto_dump("chaos-crash");
-  }
-  const double t0 = util::thread_cpu_seconds();
-  {
-    obs::ScopedSpan span("recover", "chaos");
-    replay();
-  }
-  cc.recoveries += 1;
-  cc.recovery_seconds += util::thread_cpu_seconds() - t0;
 }
 
 void apply_straggler(mpisim::Comm& comm, PhaseSample& sample) {

@@ -16,11 +16,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "tricount/graph/types.hpp"
 #include "tricount/kernels/kernels.hpp"
 #include "tricount/mpisim/comm.hpp"
 #include "tricount/util/cost_model.hpp"
@@ -107,17 +107,12 @@ struct PhaseBreakdown {
 /// Reduces one superstep across ranks.
 PhaseBreakdown breakdown(const std::vector<PhaseSample>& per_rank);
 
-// --- chaos bookkeeping shared by the counting loops (docs/chaos.md) -----
-
-/// The superstep at which this rank's chaos schedule crashes it, or -1.
-int chaos_crash_step(mpisim::Comm& comm);
-
-/// A scheduled fail-restart at superstep `step`: counts the crash, marks
-/// it in the trace and the flight recorder (which dumps), then runs
-/// `replay` — restore and re-execute — in a "recover" span and charges its
-/// CPU to the rank's recovery tally.
-void recover_crash(mpisim::Comm& comm, int step,
-                   const std::function<void()>& replay);
+/// What one counting superstep adds on one rank: the value a superstep's
+/// compute hands back to mpisim::run_superstep (mpisim/recovery.hpp).
+struct StepCount {
+  graph::TriangleCount triangles = 0;
+  KernelCounters kernel;
+};
 
 /// Inflates `sample`'s compute by this rank's straggler factor (modeled
 /// slowdown; no-op without one) and tallies the injected share so reports

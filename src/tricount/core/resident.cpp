@@ -45,23 +45,27 @@ void reduce_vertex_credits(mpisim::Comm& comm,
   }
 }
 
-/// Routes each edge credit to the owner of its lower degree-ordered
-/// endpoint, which translates that endpoint and forwards the credit to the
-/// owner of the upper one; that rank translates it too and adds the credit
-/// at the edge's position in `simplified` (each edge lands on exactly one
-/// rank, so the slots are disjoint).
+/// Routes each edge credit, from every map in `credits`, to the owner of
+/// its lower degree-ordered endpoint, which translates that endpoint and
+/// forwards the credit to the owner of the upper one; that rank translates
+/// it too and adds the credit at the edge's position in `simplified` (each
+/// edge lands on exactly one rank, so the slots are disjoint, and an edge
+/// credited in two maps is summed there).
 void reduce_edge_credits(
     mpisim::Comm& comm,
-    const std::unordered_map<std::uint64_t, TriangleCount>& credits,
+    const std::vector<std::unordered_map<std::uint64_t, TriangleCount>>&
+        credits,
     const std::vector<VertexId>& old_ids, const graph::EdgeList& simplified,
     std::vector<TriangleCount>& supports) {
   const auto pv = static_cast<VertexId>(comm.size());
   std::vector<std::vector<VertexId>> out(pv);
-  for (const auto& [packed, count] : credits) {
-    const auto lo = static_cast<VertexId>(packed >> 32);
-    out[lo % pv].insert(out[lo % pv].end(),
-                        {lo, static_cast<VertexId>(packed & 0xffffffffu),
-                         credit_value(count)});
+  for (const auto& step : credits) {
+    for (const auto& [packed, count] : step) {
+      const auto lo = static_cast<VertexId>(packed >> 32);
+      out[lo % pv].insert(out[lo % pv].end(),
+                          {lo, static_cast<VertexId>(packed & 0xffffffffu),
+                           credit_value(count)});
+    }
   }
   std::vector<std::vector<VertexId>> forward(pv);
   for (const auto& bucket : mpisim::alltoallv(comm, out)) {

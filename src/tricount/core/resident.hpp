@@ -56,7 +56,8 @@ ResidentPartition preprocess_resident(mpisim::PersistentWorld& world,
 /// assembles a RunResult (empty preprocessing phase; traffic counters are
 /// this job's delta). `config`'s kernel-phase knobs (kernel, overlap,
 /// §5.2 switches) are honored; its enumeration is overridden by the
-/// partition's. `world` must be the world `partition` was built on.
+/// partition's. `world` must have the rank count `partition` was built
+/// for; any such world will do, the one it was built on or a new one.
 /// A crediting `tally` also fills RunResult::vertex_triangles
 /// (kPerVertex) or RunResult::edge_supports (kEdgeSupport, aligned with
 /// `simplified`, the graph the partition was built from).

@@ -1,5 +1,6 @@
 #include "tricount/core/summa2d.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 
@@ -7,6 +8,7 @@
 #include "tricount/core/dist_graph.hpp"
 #include "tricount/core/preprocess.hpp"
 #include "tricount/mpisim/collectives.hpp"
+#include "tricount/mpisim/recovery.hpp"
 #include "tricount/mpisim/runtime.hpp"
 #include "tricount/obs/msgtrace.hpp"
 #include "tricount/obs/telemetry.hpp"
@@ -146,10 +148,6 @@ SummaSweep summa_sweep(mpisim::Comm& comm, int qr, int qc, int K,
   const int x = comm.rank() / qc;
   const int y = comm.rank() % qc;
 
-  // Chaos schedule for this rank; mirrors cannon_count (docs/chaos.md).
-  const int crash_step = chaos_crash_step(comm);
-  const bool checkpointing = config.checkpoint || crash_step >= 0;
-
   std::vector<int> row_members;
   for (int c = 0; c < qc; ++c) row_members.push_back(x * qc + c);
   std::vector<int> col_members;
@@ -157,23 +155,6 @@ SummaSweep summa_sweep(mpisim::Comm& comm, int qr, int qc, int K,
 
   kernels::IntersectScratch scratch;
   SummaSweep out;
-  std::uint64_t lookups_before = 0;
-
-  /// The fail-restart checkpoint: the task block plus the partial count
-  /// and kernel tallies accumulated before this panel step. The U/L
-  /// panels are re-received per step, so only tasks need a blob.
-  struct Checkpoint {
-    std::vector<std::byte> tasks;
-    SummaSweep out;
-    std::uint64_t lookups_before = 0;
-    /// Cumulative scratch probe tally at step entry; restored on
-    /// recovery so the discarded execution's probes are rolled back.
-    std::uint64_t probes = 0;
-    /// Hash capacity at step entry — the replay must rerun under the
-    /// same table geometry to reproduce the discarded pass's tallies.
-    std::size_t hash_capacity = 0;
-  };
-  Checkpoint ckpt;
 
   // Overlap mode replaces the binomial broadcast with a point-to-point
   // prefetch pipeline one panel ahead: step z+1's owners isend their
@@ -263,14 +244,6 @@ SummaSweep summa_sweep(mpisim::Comm& comm, int qr, int qc, int K,
   BlockCsr l_storage;
   for (int z = 0; z < K; ++z) {
     publish_live(z);
-    if (checkpointing) {
-      obs::ScopedSpan span("checkpoint", "chaos");
-      ckpt.tasks = tasks.to_blob();
-      ckpt.out = out;
-      ckpt.lookups_before = lookups_before;
-      ckpt.probes = scratch.probes();
-      ckpt.hash_capacity = scratch.hash_capacity();
-    }
     const BlockCsr* uz = nullptr;
     const BlockCsr* lz = nullptr;
     if (overlap) {
@@ -288,29 +261,28 @@ SummaSweep summa_sweep(mpisim::Comm& comm, int qr, int qc, int K,
       lz = &panel_bcast(comm, x == lr ? &l_panel(z) : nullptr, lr,
                         col_members, l_storage);
     }
-    out.local += intersect_blocks(tasks, *uz, *lz, config, scratch, out.kernel);
-    if (z == crash_step) {
-      // One-shot fail-restart, as in cannon_count: restore the
-      // checkpoint and re-execute the step against the already-received
-      // panels. Broadcasts for step z are complete, so peers never see
-      // the crash.
-      recover_crash(comm, z, [&] {
-        const BlockCsr restored = BlockCsr::from_blob(ckpt.tasks);
-        out = ckpt.out;
-        lookups_before = ckpt.lookups_before;
-        scratch.restore(ckpt.hash_capacity, ckpt.probes);
-        out.local +=
-            intersect_blocks(restored, *uz, *lz, config, scratch, out.kernel);
-      });
-    }
+    // Step z's intersection over the panels it received, which stay
+    // held until step z+1 receives its own, so a crash replays from them
+    // (mpisim/recovery.hpp). Sizing the table up front keeps the step
+    // from resizing it mid-way.
+    const StepCount step = mpisim::run_superstep(comm, z, [&] {
+      StepCount result;
+      scratch.reserve_for(
+          std::max<std::size_t>(uz->max_row_degree(), std::size_t{16}));
+      scratch.reset_probes();
+      result.triangles =
+          intersect_blocks(tasks, *uz, *lz, config, scratch, result.kernel);
+      result.kernel.probes = scratch.probes();
+      return result;
+    });
+    out.local += step.triangles;
+    out.kernel += step.kernel;
     PhaseSample s = tracker.cut();
     apply_straggler(comm, s);
-    s.ops = out.kernel.lookups - lookups_before;
-    lookups_before = out.kernel.lookups;
+    s.ops = step.kernel.lookups;
     s.overlapped = overlap;
     out.steps.push_back(s);
   }
-  out.kernel.probes = scratch.probes();
   if (live != nullptr) {
     live->superstep.store(K, std::memory_order_relaxed);
     live->triangles.store(static_cast<std::uint64_t>(out.local),

@@ -20,13 +20,6 @@ void VertexHashSet::reserve_for(std::size_t list_len) {
   mask_ = wanted - 1;
 }
 
-void VertexHashSet::restore_capacity(std::size_t slots) {
-  if (slots == slots_.size()) return;
-  slots_.assign(slots, kEmpty);
-  touched_.clear();
-  mask_ = slots == 0 ? 0 : slots - 1;
-}
-
 void VertexHashSet::clear_touched() {
   for (const std::uint32_t at : touched_) slots_[at] = kEmpty;
   touched_.clear();

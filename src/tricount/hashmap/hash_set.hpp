@@ -61,16 +61,6 @@ class VertexHashSet {
   /// initial masked index.
   std::uint64_t probes() const { return probes_; }
   void reset_probes() { probes_ = 0; }
-  /// Restores a previously read tally — checkpoint recovery rolls the
-  /// counter back so a re-executed superstep is not double-counted.
-  void set_probes(std::uint64_t probes) { probes_ = probes; }
-
-  /// Rolls the table geometry back to a checkpointed `capacity()` value
-  /// (recovery-only; reserve_for never shrinks). Probe counts and the
-  /// direct-mode threshold depend on the capacity in effect, so a crash
-  /// replay must re-run under the capacity the discarded pass started
-  /// with or its tallies diverge. Invalidates contents.
-  void restore_capacity(std::size_t slots);
 
   /// The heuristic from §5.2: a list is treated as collision-free material
   /// when it is shorter than this fraction of the table.

@@ -121,21 +121,9 @@ class IntersectScratch {
 
   std::uint64_t probes() const { return hash_.probes(); }
   void reset_probes() { hash_.reset_probes(); }
-  /// Restores a checkpointed probe tally (see VertexHashSet::set_probes).
-  void set_probes(std::uint64_t probes) { hash_.set_probes(probes); }
 
-  /// Current hash-table capacity, for superstep checkpoints.
+  /// Current hash-table capacity (live telemetry's scratch bytes).
   std::size_t hash_capacity() const { return hash_.capacity(); }
-  /// Crash-recovery rollback: restores the checkpointed capacity and
-  /// probe tally together so a replayed superstep reproduces the kernel
-  /// tallies of the execution it discards (capacity gates both collision
-  /// rates and the direct-mode threshold). Drops any built row state.
-  void restore(std::size_t hash_capacity, std::uint64_t probes) {
-    hash_.restore_capacity(hash_capacity);
-    hash_.set_probes(probes);
-    hash_built_ = false;
-    bitmap_built_ = false;
-  }
 
  private:
   const hashmap::VertexHashSet& hash(KernelCounters& counters);

@@ -85,6 +85,7 @@ struct KernelCounters {
   std::uint64_t hash_lookups = 0;     ///< VertexHashSet::contains calls
 
   KernelCounters& operator+=(const KernelCounters& other);
+  bool operator==(const KernelCounters&) const = default;
 };
 
 }  // namespace tricount::kernels

@@ -410,6 +410,10 @@ void Service::load_graph(graph::EdgeList graph, const std::string& name) {
 
 void Service::ensure_world() {
   if (world_ != nullptr && !world_->poisoned()) return;
+  if (world_ != nullptr) {
+    jobs_retired_ += world_->jobs_run();
+    registry_.counter("tc.service.recoveries").inc();
+  }
   world_.reset();  // join any poisoned world's threads first
   world_ = std::make_unique<mpisim::PersistentWorld>(options_.ranks);
 }
@@ -422,9 +426,7 @@ void Service::ensure_stream() {
 }
 
 core::RunResult Service::run_plan(const engine::Plan& plan) {
-  if (world_ == nullptr || world_->poisoned()) {
-    throw std::runtime_error("world poisoned; reload the graph");
-  }
+  ensure_world();
   return engine::run(plan, *world_, resident_);
 }
 
@@ -436,8 +438,8 @@ core::RunResult Service::run_tally(core::Tally tally) {
 }
 
 void Service::publish_world_stats() {
-  jobs_run_.store(world_ != nullptr ? world_->jobs_run() : 0,
-                  std::memory_order_relaxed);
+  const std::uint64_t live = world_ != nullptr ? world_->jobs_run() : 0;
+  jobs_run_.store(jobs_retired_ + live, std::memory_order_relaxed);
   registry_.counter("tc.resident.builds.2d")
       .set(resident_.builds(engine::Algo::kCannon));
   registry_.counter("tc.resident.builds.cetric")

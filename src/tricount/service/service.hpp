@@ -66,6 +66,10 @@ struct ServiceOptions {
 
 class Service {
  public:
+  /// Tests reach the dispatcher-owned world through this peer; the
+  /// service itself never names it.
+  friend struct ServiceTestPeer;
+
   /// Receives one complete response line (no trailing newline) per call.
   using ResponseSink = std::function<void(const std::string& line)>;
 
@@ -157,11 +161,15 @@ class Service {
   Execution apply_batch(const stream::Batch& batch,
                         kernels::KernelPolicy kernel);
 
+  /// Builds the world, or rebuilds one a failed job poisoned (counted in
+  /// tc.service.recoveries). The resident pieces carry over: a job only
+  /// reads them, and a piece whose build failed is never marked current.
   void ensure_world();
   /// Lazily builds the maintained stream state from the resident graph.
   void ensure_stream();
-  /// Runs `plan` through engine::run on the resident state; throws (→
-  /// `internal`) on a poisoned world.
+  /// Runs `plan` through engine::run on the resident state. A rank
+  /// failure throws (→ `internal`) and poisons the world; the next request
+  /// runs on a rebuilt one.
   core::RunResult run_plan(const engine::Plan& plan);
   /// Publishes the world's job count and the resident build counters.
   void publish_world_stats();
@@ -194,6 +202,8 @@ class Service {
   /// Atomic: counters() and jobs_run() read it on client threads while
   /// the dispatcher may replace the world.
   std::atomic<std::uint64_t> jobs_run_{0};
+  /// Jobs run by worlds that were poisoned and replaced.
+  std::uint64_t jobs_retired_ = 0;
 
   // Shared between the reader and the dispatcher.
   mutable std::mutex state_mutex_;

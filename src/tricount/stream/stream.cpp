@@ -10,9 +10,9 @@
 #include "tricount/kernels/intersect.hpp"
 #include "tricount/mpisim/cart2d.hpp"
 #include "tricount/mpisim/collectives.hpp"
+#include "tricount/mpisim/recovery.hpp"
 #include "tricount/util/blob.hpp"
 #include "tricount/util/rng.hpp"
-#include "tricount/util/time.hpp"
 
 namespace tricount::stream {
 
@@ -230,11 +230,15 @@ std::optional<std::string> validate(const StreamState& state,
 
 namespace {
 
-/// One rank's contribution to the delta, written to a per-rank slot.
-struct RankOut {
+/// What the delta pass's counting superstep finds on one rank.
+struct DeltaTally {
   std::vector<Triangle> destroyed;
   std::vector<Triangle> created;
   kernels::KernelCounters kernel;
+};
+
+/// One rank's contribution to the delta, written to a per-rank slot.
+struct RankOut : DeltaTally {
   std::uint64_t shard_messages = 0;
   std::uint64_t shard_bytes = 0;
   std::uint64_t agreed_removed = 0;  ///< allreduce handshake
@@ -244,9 +248,9 @@ struct RankOut {
 /// The SPMD delta pass. Term 1 is sharded by grid cell: for delta edge
 /// (u, v) and column y, rank (u%q, y) executes the intersection after
 /// rank (v%q, y) ships its N_y(v) shard (one blob per rank pair). The
-/// batch-internal pair/triple terms run on rank 0. Counting is pure, so
-/// a scheduled chaos crash restarts the rank's compute from the shards
-/// it already received (message-logging recovery, like cetric).
+/// batch-internal pair/triple terms run on rank 0. Counting (superstep 0)
+/// is pure over the state and the shards already received, so a
+/// scheduled chaos crash replays it from them (mpisim/recovery.hpp).
 void delta_rank(mpisim::Comm& comm, const StreamState& state,
                 const Batch& batch, const DeletedSet& deleted,
                 const DeltaConfig& config, std::vector<RankOut>& outs) {
@@ -305,7 +309,7 @@ void delta_rank(mpisim::Comm& comm, const StreamState& state,
   }
 
   // Received shards, keyed (op << 32 | column). Buffered before compute
-  // so a crash recovery replays from the log without re-communication.
+  // so a crash replays from them without re-communication.
   std::unordered_map<std::uint64_t, std::vector<VertexId>> received;
   for (int src = 0; src < comm.size(); ++src) {
     std::size_t expected = expect_from[static_cast<std::size_t>(src)];
@@ -337,6 +341,7 @@ void delta_rank(mpisim::Comm& comm, const StreamState& state,
   std::vector<VertexId> u_shard;
   std::vector<VertexId> corners;
   const auto compute = [&] {
+    DeltaTally step;
     scratch.reset_probes();
     for (std::size_t i = 0; i < batch.ops.size(); ++i) {
       const DeltaOp& op = batch.ops[i];
@@ -359,24 +364,25 @@ void delta_rank(mpisim::Comm& comm, const StreamState& state,
       }
       if (v_shard.empty()) continue;
 
-      ++out.kernel.rows_visited;
-      ++out.kernel.intersection_tasks;
+      ++step.kernel.rows_visited;
+      ++step.kernel.intersection_tasks;
       scratch.begin_row(u_shard, /*allow_direct=*/true);
       const TriangleCount counted = scratch.task(
-          config.kernel, v_shard, /*backward_early_exit=*/false, out.kernel);
+          config.kernel, v_shard, /*backward_early_exit=*/false, step.kernel);
       merge_corners(u_shard, v_shard, corners);
       if (counted != corners.size()) {
         throw std::runtime_error(
             "stream: kernel count disagrees with corner enumeration");
       }
-      auto& sink = op.insert ? out.created : out.destroyed;
+      auto& sink = op.insert ? step.created : step.destroyed;
       for (const VertexId w : corners) sink.push_back(Triangle{e.u, e.v, w});
     }
+    step.kernel.probes = scratch.probes();
 
     // Batch-internal terms (rank 0): pairs sharing a vertex closed in H,
     // and triangles wholly inside the batch (recorded once, at the pair
     // whose shared vertex is the smallest corner).
-    if (rank != 0) return;
+    if (rank != 0) return step;
     std::unordered_set<std::uint64_t> inserted_keys;
     std::unordered_set<std::uint64_t> deleted_keys;
     for (const DeltaOp& op : batch.ops) {
@@ -404,7 +410,7 @@ void delta_rank(mpisim::Comm& comm, const StreamState& state,
         }
         const std::uint64_t closing = edge_key(p, r);
         const auto& same_sign = a.insert ? inserted_keys : deleted_keys;
-        auto& sink = a.insert ? out.created : out.destroyed;
+        auto& sink = a.insert ? step.created : step.destroyed;
         if (same_sign.count(closing) != 0) {
           // All three edges in the batch: record at the smallest corner.
           if (shared < p && shared < r) sink.push_back(Triangle{shared, p, r});
@@ -413,27 +419,10 @@ void delta_rank(mpisim::Comm& comm, const StreamState& state,
         }
       }
     }
+    return step;
   };
 
-  const mpisim::FaultInjector* injector = comm.world().fault_injector();
-  const int crash_step =
-      injector != nullptr ? injector->crash_superstep(rank) : -1;
-  compute();
-  if (crash_step >= 0) {
-    // One-shot fail-restart: discard this rank's results and replay the
-    // compute from the buffered shards (peers are unaffected; the
-    // exchange already completed).
-    mpisim::ChaosCounters& cc = comm.world().chaos_counters(rank);
-    cc.crashes += 1;
-    const double t0 = util::thread_cpu_seconds();
-    out.destroyed.clear();
-    out.created.clear();
-    out.kernel = kernels::KernelCounters{};
-    compute();
-    cc.recoveries += 1;
-    cc.recovery_seconds += util::thread_cpu_seconds() - t0;
-  }
-  out.kernel.probes = scratch.probes();
+  static_cast<DeltaTally&>(out) = mpisim::run_superstep(comm, 0, compute);
 
   // Agreement handshake: every rank must observe the same signed totals.
   out.agreed_removed = mpisim::allreduce_sum(
@@ -483,6 +472,13 @@ DeltaResult count_delta(mpisim::PersistentWorld& world,
 DeltaResult count_delta_world(int ranks, const StreamState& state,
                               const Batch& batch, const DeltaConfig& config,
                               const mpisim::WorldOptions& options) {
+  for (int rank = 0; options.fault_injector != nullptr && rank < ranks; ++rank) {
+    if (options.fault_injector->crash_superstep(rank) > 0) {
+      throw std::invalid_argument(
+          "stream: a chaos crash must be scheduled at superstep 0, the "
+          "delta pass's only counting superstep");
+    }
+  }
   DeletedSet deleted;
   for (const DeltaOp& op : batch.ops) {
     if (!op.insert) deleted.keys.insert(edge_key(op.edge.u, op.edge.v));

@@ -20,11 +20,11 @@
 // cell (x, y) owns the shard N_y(u) = {w ∈ N(u) : w ≡ y (mod q)} for
 // every u ≡ x (mod q). For a delta edge (u, v) and column y, the rank
 // owning N_y(v) ships that shard to the rank owning N_y(u) — grouped
-// into one blob per (sender, executor) pair, reusing the chaos
-// checkpoint serialization (util/blob.hpp) — and the executor counts
-// |N_y(u) ∩ N_y(v)| with the kernels subsystem. Counting never mutates
-// the state (count-then-apply), so a chaos crash restarts the rank's
-// compute from its received shards without touching peers.
+// into one blob per (sender, executor) pair (util/blob.hpp) — and the
+// executor counts |N_y(u) ∩ N_y(v)| with the kernels subsystem. Counting
+// never mutates the state (count-then-apply), so a chaos crash replays
+// the rank's counting superstep from its received shards without
+// touching peers (mpisim/recovery.hpp).
 #pragma once
 
 #include <cstdint>
@@ -158,7 +158,8 @@ DeltaResult count_delta(mpisim::PersistentWorld& world,
 
 /// Same pass on a throwaway world — the chaos-testing path, since
 /// PersistentWorld refuses fault injectors. `ranks` must be a perfect
-/// square.
+/// square. The pass counts in superstep 0, so a fault plan that crashes
+/// a rank at a later superstep throws std::invalid_argument.
 DeltaResult count_delta_world(int ranks, const StreamState& state,
                               const Batch& batch,
                               const DeltaConfig& config = {},

@@ -337,7 +337,7 @@ TEST(CetricChaosCampaign, MixedFaults) {
 
 TEST(CetricChaosCampaign, CrashRecovers) {
   // 20 crash runs, alternating the failed superstep between the local
-  // pass (restart from checkpoint) and the cut pass (replay from the
+  // pass (replay from the partition) and the cut pass (replay from the
   // retained received buffers); every run recovers and stays exact.
   std::uint64_t crashes = 0;
   for (int i = 0; i < 20; ++i) {

@@ -7,7 +7,8 @@
 // {drop, duplicate, reorder, delay, straggler, crash-at-superstep-k} ×
 // {2D Cannon, SUMMA} × {4, 16} ranks, every one of which must produce
 // exactly the serial reference count. 40 of the runs crash a rank mid-
-// count and recover from the superstep checkpoint. The base seed comes
+// count, which replays the superstep from the inputs it still holds
+// (mpisim/recovery.hpp). The base seed comes
 // from TRICOUNT_CHAOS_SEED (tests/test_seed.hpp); a failing run prints
 // the per-run seed so it replays in isolation.
 #include <gtest/gtest.h>
@@ -17,16 +18,21 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "test_seed.hpp"
 #include "tricount/chaos/fault_plan.hpp"
+#include "tricount/cetric/cetric.hpp"
 #include "tricount/chaos/options.hpp"
+#include "tricount/core/counter2d.hpp"
+#include "tricount/core/dist_graph.hpp"
 #include "tricount/core/driver.hpp"
 #include "tricount/core/summa2d.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/serial_count.hpp"
 #include "tricount/kernels/kernels.hpp"
+#include "tricount/mpisim/cart2d.hpp"
 #include "tricount/mpisim/runtime.hpp"
 #include "tricount/util/argparse.hpp"
 #include "tricount/util/rng.hpp"
@@ -433,12 +439,59 @@ TEST(ChaosRecovery, CrashAtSuperstepRecoversExactCount) {
   EXPECT_GT(total.recovery_seconds, 0.0);
 }
 
-TEST(ChaosRecovery, CrashRollsBackProbeCounter) {
-  // The scratch probe tally is cumulative across supersteps; a crash that
-  // replays a superstep must first restore the checkpointed tally or the
-  // replayed probes double-count. Compare against a fault-free run. The
-  // campaign graphs are too small to collide in the hash set, so use an
-  // RMAT big enough that classic probing provably probes.
+/// A fault plan that only crashes the seed-derived rank at `step`.
+std::shared_ptr<const chaos::FaultPlan> crash_plan(int step, int ranks,
+                                                   std::uint64_t seed) {
+  chaos::FaultSpec spec;
+  spec.seed = seed;
+  spec.crash_superstep = step;
+  return std::make_shared<const chaos::FaultPlan>(spec, ranks);
+}
+
+/// Per-rank output of a Cannon crediting tally, run on a plain world so a
+/// fault plan can crash it.
+struct CreditRun {
+  std::vector<std::vector<graph::TriangleCount>> vertex;
+  std::vector<
+      std::vector<std::unordered_map<std::uint64_t, graph::TriangleCount>>>
+      edges;
+  std::vector<core::KernelCounters> kernel;
+  mpisim::ChaosCounters chaos;
+};
+
+CreditRun run_credits(const graph::EdgeList& g, int ranks, core::Tally tally,
+                      const core::Config& config,
+                      const mpisim::FaultInjector* injector) {
+  CreditRun run;
+  run.vertex.resize(static_cast<std::size_t>(ranks));
+  run.edges.resize(static_cast<std::size_t>(ranks));
+  run.kernel.resize(static_cast<std::size_t>(ranks));
+  mpisim::WorldOptions options;
+  options.fault_injector = injector;
+  const mpisim::WorldReport report = mpisim::run_world_report(
+      ranks,
+      [&](mpisim::Comm& comm) {
+        mpisim::Cart2D grid(comm);
+        core::PreprocessOutput pre = core::preprocess(
+            grid, core::block_slice_from_edges(g, comm.rank(), ranks), config);
+        core::CountOutput out = core::cannon_count(
+            grid, std::move(pre.blocks), config, tally, pre.num_vertices);
+        const auto r = static_cast<std::size_t>(comm.rank());
+        run.vertex[r] = std::move(out.vertex_credits);
+        run.edges[r] = std::move(out.edge_credits);
+        run.kernel[r] = out.kernel;
+      },
+      options);
+  for (const mpisim::ChaosCounters& c : report.chaos) run.chaos += c;
+  return run;
+}
+
+// The one recovery model: a superstep replays from the inputs the rank
+// still holds, so a crash leaves no trace in anything the run reports.
+// Every counting loop, at every superstep, must report exactly the
+// fault-free run's count, kernel counters (probes included: the hash
+// table's history must not leak into a replay) and credits.
+TEST(ChaosRecovery, ReplayedSuperstepLeavesNoTrace) {
   graph::RmatParams params;
   params.scale = 10;
   params.edge_factor = 8;
@@ -447,54 +500,93 @@ TEST(ChaosRecovery, CrashRollsBackProbeCounter) {
   core::Config config;
   config.kernel = kernels::KernelPolicy::kHash;
   config.modified_hashing = false;  // classic probing: collisions probe
-  core::RunOptions clean;
-  clean.config = config;
-  const core::RunResult fault_free = core::count_triangles_2d(g, 4, clean);
-  const std::uint64_t expected_probes = fault_free.total_kernel().probes;
-  ASSERT_GT(expected_probes, 0u);
 
-  for (int superstep = 0; superstep < 2; ++superstep) {
-    chaos::FaultSpec spec;
-    spec.seed = run_seed(0xab51, superstep);
-    spec.crash_superstep = superstep;
-    core::RunOptions crashed;
-    crashed.config = config;
-    crashed.chaos = std::make_shared<const chaos::FaultPlan>(spec, 4);
-    const core::RunResult r = core::count_triangles_2d(g, 4, crashed);
-    EXPECT_EQ(r.total_chaos().crashes, 1u);
-    EXPECT_EQ(r.triangles, fault_free.triangles);
-    EXPECT_EQ(r.total_kernel().probes, expected_probes)
-        << "crash at superstep " << superstep
-        << " double-counted replayed probes";
+  auto expect_one_recovery = [](const mpisim::ChaosCounters& c,
+                                const std::string& where) {
+    EXPECT_EQ(c.crashes, 1u) << where;
+    EXPECT_EQ(c.recoveries, 1u) << where;
+  };
+  auto expect_same_ranks = [](const core::RunResult& a,
+                              const core::RunResult& b,
+                              const std::string& where) {
+    EXPECT_EQ(a.triangles, b.triangles) << where;
+    ASSERT_EQ(a.per_rank.size(), b.per_rank.size()) << where;
+    for (std::size_t r = 0; r < a.per_rank.size(); ++r) {
+      EXPECT_EQ(a.per_rank[r].kernel, b.per_rank[r].kernel)
+          << where << " rank " << r;
+    }
+  };
+
+  // Cannon at q = 3.
+  core::RunOptions options;
+  options.config = config;
+  const core::RunResult cannon = core::count_triangles_2d(g, 9, options);
+  ASSERT_GT(cannon.total_kernel().probes, 0u);
+  for (int step = 0; step < 3; ++step) {
+    core::RunOptions crashed = options;
+    crashed.chaos = crash_plan(step, 9, run_seed(0xab51, step));
+    const core::RunResult r = core::count_triangles_2d(g, 9, crashed);
+    const std::string where = "cannon step " + std::to_string(step);
+    expect_one_recovery(r.total_chaos(), where);
+    expect_same_ranks(r, cannon, where);
   }
 
-  // Same accounting on the SUMMA loop.
-  core::SummaOptions summa_clean;
-  summa_clean.config = config;
-  summa_clean.grid_rows = 2;
-  summa_clean.grid_cols = 2;
-  const core::SummaResult summa_free = core::count_triangles_summa(g, summa_clean);
-  ASSERT_GT(summa_free.kernel.probes, 0u);
-  chaos::FaultSpec spec;
-  spec.seed = run_seed(0xab52, 0);
-  spec.crash_superstep = 1;
-  core::SummaOptions summa_crashed = summa_clean;
-  summa_crashed.chaos = std::make_shared<const chaos::FaultPlan>(spec, 4);
-  const core::SummaResult sr = core::count_triangles_summa(g, summa_crashed);
-  EXPECT_EQ(sr.total_chaos().crashes, 1u);
-  EXPECT_EQ(sr.triangles, summa_free.triangles);
-  EXPECT_EQ(sr.kernel.probes, summa_free.kernel.probes);
-}
+  // SUMMA on a square and a rectangular grid (K = 2 and 6 panel steps).
+  const int grids[][3] = {{2, 2, 2}, {2, 3, 6}};
+  std::uint64_t summa_probes = 0;
+  for (const auto& grid : grids) {
+    core::SummaOptions summa;
+    summa.config = config;
+    summa.grid_rows = grid[0];
+    summa.grid_cols = grid[1];
+    const core::SummaResult free = core::count_triangles_summa(g, summa);
+    summa_probes += free.kernel.probes;
+    for (int step = 0; step < grid[2]; ++step) {
+      core::SummaOptions crashed = summa;
+      const auto salt = 0xab52 + static_cast<std::uint64_t>(grid[1]);
+      crashed.chaos =
+          crash_plan(step, grid[0] * grid[1], run_seed(salt, step));
+      const core::SummaResult r = core::count_triangles_summa(g, crashed);
+      const std::string where = "summa " + std::to_string(grid[1]) +
+                                " columns, step " + std::to_string(step);
+      expect_one_recovery(r.total_chaos(), where);
+      EXPECT_EQ(r.triangles, free.triangles) << where;
+      EXPECT_EQ(r.kernel, free.kernel) << where;
+    }
+  }
+  EXPECT_GT(summa_probes, 0u);
 
-TEST(ChaosRecovery, CheckpointWithoutChaosStaysExact) {
-  const graph::EdgeList g = campaign_graph(run_seed(0xabce, 0));
-  const graph::TriangleCount expected =
-      graph::count_triangles_serial(graph::Csr::from_edges(g));
-  core::RunOptions options;
-  options.config.checkpoint = true;  // checkpoints on, no fault injector
-  const core::RunResult r = core::count_triangles_2d(g, 4, options);
-  EXPECT_FALSE(r.chaos_enabled);
-  EXPECT_EQ(r.triangles, expected);
+  // cetric: the local superstep (wedges staged, nothing sent) and the cut
+  // superstep (replayed from the received buffers).
+  const core::RunResult cetric_free =
+      cetric::count_triangles_cetric(g, 4, options);
+  for (int step = 0; step < 2; ++step) {
+    core::RunOptions crashed = options;
+    crashed.chaos = crash_plan(step, 4, run_seed(0xab53, step));
+    const core::RunResult r = cetric::count_triangles_cetric(g, 4, crashed);
+    const std::string where = "cetric step " + std::to_string(step);
+    expect_one_recovery(r.total_chaos(), where);
+    expect_same_ranks(r, cetric_free, where);
+    EXPECT_EQ(r.per_rank_cetric, cetric_free.per_rank_cetric) << where;
+  }
+
+  // The crediting tallies fold per-superstep credits; a replayed step's
+  // credits must count once.
+  for (const core::Tally tally :
+       {core::Tally::kPerVertex, core::Tally::kEdgeSupport}) {
+    const CreditRun free = run_credits(g, 4, tally, config, nullptr);
+    for (int step = 0; step < 2; ++step) {
+      const auto plan = crash_plan(step, 4, run_seed(0xab54, step));
+      const CreditRun r = run_credits(g, 4, tally, config, plan.get());
+      const std::string where = "tally " +
+                                std::to_string(static_cast<int>(tally)) +
+                                " step " + std::to_string(step);
+      expect_one_recovery(r.chaos, where);
+      EXPECT_EQ(r.vertex, free.vertex) << where;
+      EXPECT_EQ(r.edges, free.edges) << where;
+      EXPECT_EQ(r.kernel, free.kernel) << where;
+    }
+  }
 }
 
 TEST(ChaosRecovery, StragglerSlowsOneRankOnly) {

@@ -8,6 +8,7 @@
 
 #include "tricount/mpisim/cart2d.hpp"
 #include "tricount/mpisim/collectives.hpp"
+#include "tricount/mpisim/recovery.hpp"
 #include "tricount/mpisim/runtime.hpp"
 
 namespace tricount::mpisim {
@@ -571,6 +572,60 @@ TEST(Cart2D, ShiftRingReturnsToStart) {
     }
     EXPECT_EQ(token, comm.rank());
   });
+}
+
+// --- crash recovery (mpisim/recovery.hpp) -----------------------------------
+
+/// Crashes rank 1 once, at superstep 1; injects no message faults.
+class CrashRankOne : public FaultInjector {
+ public:
+  FaultAction on_message(int, int, int, std::uint64_t, int) const override {
+    return {};
+  }
+  double straggler_factor(int) const override { return 1.0; }
+  int crash_superstep(int rank) const override { return rank == 1 ? 1 : -1; }
+};
+
+TEST(Recovery, CrashedSuperstepRunsTwiceAndKeepsTheReplay) {
+  const CrashRankOne plan;
+  WorldOptions options;
+  options.fault_injector = &plan;
+  std::vector<std::vector<int>> calls(3, std::vector<int>(3, 0));
+  std::vector<std::vector<int>> kept(3, std::vector<int>(3, 0));
+  const WorldReport report = run_world_report(
+      3,
+      [&](Comm& comm) {
+        auto& mine = calls[static_cast<std::size_t>(comm.rank())];
+        for (int step = 0; step < 3; ++step) {
+          auto& count = mine[static_cast<std::size_t>(step)];
+          // Returns which execution produced the value: a replay must be
+          // the one the caller keeps.
+          kept[static_cast<std::size_t>(comm.rank())]
+              [static_cast<std::size_t>(step)] =
+                  run_superstep(comm, step, [&] { return ++count; });
+        }
+      },
+      options);
+  for (int rank = 0; rank < 3; ++rank) {
+    const auto r = static_cast<std::size_t>(rank);
+    const int crashed = rank == 1 ? 1 : -1;
+    for (int step = 0; step < 3; ++step) {
+      const int runs = step == crashed ? 2 : 1;
+      EXPECT_EQ(calls[r][static_cast<std::size_t>(step)], runs);
+      EXPECT_EQ(kept[r][static_cast<std::size_t>(step)], runs);
+    }
+    EXPECT_EQ(report.chaos[r].crashes, rank == 1 ? 1u : 0u);
+    EXPECT_EQ(report.chaos[r].recoveries, report.chaos[r].crashes);
+  }
+}
+
+TEST(Recovery, NoInjectorRunsEachSuperstepOnce) {
+  int runs = 0;
+  run_world(2, [&](Comm& comm) {
+    EXPECT_EQ(crash_superstep(comm), -1);
+    if (comm.rank() == 0) (void)run_superstep(comm, 0, [&] { return ++runs; });
+  });
+  EXPECT_EQ(runs, 1);
 }
 
 }  // namespace

@@ -2,24 +2,29 @@
 // JSON parsing (seeded fuzz), admission/backpressure, the versioned LRU
 // result cache, batched-vs-unbatched byte equivalence, the
 // served-equals-library equivalence corpus (every verb, before and after
-// graph.apply), once-per-version resident builds, the warm-vs-cold
+// graph.apply), once-per-version resident builds, self-healing after a
+// failed rank (with a seeded failure campaign), the warm-vs-cold
 // speedup acceptance gate, graceful-shutdown signal handling, and
 // tricount.service.v1 artifact linting.
 //
 // Services here run with manual_dispatch: submit() parses and admits,
 // the test thread drives dispatch_once()/drain(), and every response
 // lands in a plain vector — no dispatcher thread, fully deterministic.
-// The one exception, ServiceConcurrency, runs a real dispatcher thread.
+// The exception, ServiceConcurrency, runs a real dispatcher thread.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -914,6 +919,149 @@ TEST(ServiceConcurrency, ClientReadsWhileDispatcherServes) {
   EXPECT_GT(served, 0u);
   EXPECT_EQ(svc.counters().requests, kRequests);
   EXPECT_GT(svc.cache_stats().misses, 0u);
+}
+
+// --- self-healing: a failed rank never needs a reload --------------------
+
+}  // namespace
+
+namespace service {
+
+/// Test access to the dispatcher-owned world.
+struct ServiceTestPeer {
+  /// Fails `rank` inside a job on the service's world, which is what a
+  /// rank that throws inside a served plan does: the job throws and the
+  /// world stays poisoned. Only between dispatches (manual dispatch).
+  static void fail_rank(Service& svc, int rank) {
+    EXPECT_THROW((void)svc.world_->run_job([rank](mpisim::Comm& comm) {
+      if (comm.rank() == rank) throw std::runtime_error("injected failure");
+    }),
+                 std::runtime_error);
+    EXPECT_TRUE(svc.world_->poisoned());
+  }
+};
+
+}  // namespace service
+
+namespace {
+
+using service::ServiceTestPeer;
+
+std::uint64_t recoveries(const service::Service& svc) {
+  const Value artifact = svc.session_artifact();
+  const Value* value =
+      artifact.get("metrics").get("counters").find("tc.service.recoveries");
+  return value != nullptr ? value->as_uint() : 0;
+}
+
+TEST(ServiceSelfHealing, PoisonedWorldIsRebuiltWithoutReload) {
+  service::ServiceOptions options;
+  options.cache_capacity = 0;
+  Harness h(options);
+  const graph::EdgeList g = graph::simplify(test_support::corpus()[4].graph);
+  const graph::TriangleCount expected =
+      graph::count_triangles_serial(graph::Csr::from_edges(g));
+  h.svc.load_graph(g, "corpus4");
+
+  std::uint64_t id = 1;
+  for (const char* algo : {"2d", "summa", "cetric"}) {
+    const std::uint64_t jobs = h.svc.jobs_run();
+    ServiceTestPeer::fail_rank(h.svc, 1);
+    EXPECT_EQ(served_triangles(h, count_request(id++, algo)), expected)
+        << algo;
+    EXPECT_GT(h.svc.jobs_run(), jobs) << "the job count survives the rebuild";
+  }
+  ServiceTestPeer::fail_rank(h.svc, 0);
+  h.result(h.ask(R"({"id":10,"verb":"pervertex"})"));
+  EXPECT_EQ(recoveries(h.svc), 4u);
+  // A job only reads the resident pieces, so the new worlds serve them
+  // as they were built.
+  EXPECT_EQ(resident_builds(h, "2d"), 1u);
+  EXPECT_EQ(resident_builds(h, "cetric"), 1u);
+
+  // graph.apply rebuilds a poisoned world too, then counts its delta.
+  ServiceTestPeer::fail_rank(h.svc, 2);
+  const graph::Edge e = g.edges.front();
+  h.result(h.ask(R"({"id":11,"verb":"graph.apply","params":{"ops":["-)" +
+                 std::to_string(e.u) + " " + std::to_string(e.v) + "\"]}}"));
+  EXPECT_EQ(recoveries(h.svc), 5u);
+  EXPECT_EQ(h.svc.counters().errors, 0u);
+}
+
+TEST(ServiceSelfHealing, FailureCampaignUnderQueuedLoadAndApply) {
+  // Seeded rank failures between the requests of queued bursts, with
+  // insert/delete batches between the bursts. Every answer must be the
+  // exact count of the graph it ran on, the service must never need a
+  // reload, and a world rebuild must never rebuild a resident piece.
+  const std::uint64_t seed = test_support::chaos_seed();
+  constexpr int kRanks = 4;
+  constexpr int kRounds = 8;
+  service::ServiceOptions options;
+  options.cache_capacity = 0;
+  options.max_batch = 1;  // one request per dispatch: a failure between each
+  Harness h(options);
+  graph::EdgeList g = graph::simplify(graph::watts_strogatz(96, 6, 0.2, 11));
+  h.svc.load_graph(g, "ws96");
+  std::set<graph::Edge> edges(g.edges.begin(), g.edges.end());
+  util::Xoshiro256 rng(seed);
+  const char* algos[] = {"2d", "summa", "cetric"};
+  std::uint64_t id = 1;
+  std::uint64_t failures = 0;
+  auto dispatch = [&](int requests) {
+    for (int i = 0; i < requests; ++i) {
+      if (rng.bounded(10) < 3) {
+        ServiceTestPeer::fail_rank(
+            h.svc, static_cast<int>(rng.bounded(kRanks)));
+        ++failures;
+      }
+      EXPECT_TRUE(h.svc.dispatch_once());
+    }
+  };
+
+  for (int round = 0; round < kRounds; ++round) {
+    graph::EdgeList current;
+    current.num_vertices = g.num_vertices;
+    current.edges.assign(edges.begin(), edges.end());
+    const graph::TriangleCount expected =
+        graph::count_triangles_serial(graph::Csr::from_edges(current));
+    const std::size_t first = h.responses.size();
+    for (int k = 0; k < 12; ++k) h.svc.submit(count_request(id++, algos[k % 3]));
+    dispatch(12);
+    ASSERT_EQ(h.responses.size(), first + 12);
+    for (std::size_t at = first; at < first + 12; ++at) {
+      EXPECT_EQ(h.result(h.responses[at]).get("result").get("triangles")
+                    .as_uint(),
+                expected)
+          << "round " << round;
+    }
+
+    // One delete of a live edge and one insert of an absent pair.
+    const graph::Edge gone = *std::next(
+        edges.begin(), static_cast<std::ptrdiff_t>(rng.bounded(edges.size())));
+    graph::Edge added{};
+    do {
+      const auto a = static_cast<graph::VertexId>(rng.bounded(g.num_vertices));
+      const auto b = static_cast<graph::VertexId>(rng.bounded(g.num_vertices));
+      added = graph::Edge{std::min(a, b), std::max(a, b)};
+    } while (added.u == added.v || edges.count(added) != 0);
+    edges.erase(gone);
+    edges.insert(added);
+    h.svc.submit("{\"id\":" + std::to_string(id++) +
+                 ",\"verb\":\"graph.apply\",\"params\":{\"ops\":[\"-" +
+                 std::to_string(gone.u) + " " + std::to_string(gone.v) +
+                 "\",\"+" + std::to_string(added.u) + " " +
+                 std::to_string(added.v) + "\"]}}");
+    dispatch(1);
+    h.result(h.responses.back());
+  }
+  EXPECT_GT(failures, 0u) << "seed " << seed;
+  // Every failure is followed by a dispatch that rebuilds the world.
+  EXPECT_EQ(recoveries(h.svc), failures);
+  EXPECT_EQ(h.svc.counters().errors, 0u);
+  // One build per graph version that a read needed: the load's version
+  // and each version a later round read.
+  EXPECT_EQ(resident_builds(h, "2d"), static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(resident_builds(h, "cetric"), static_cast<std::uint64_t>(kRounds));
 }
 
 // --- warm-vs-cold acceptance gate ----------------------------------------

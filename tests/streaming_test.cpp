@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -332,6 +333,23 @@ TEST(StreamChaos, DeltaReplayUnderFaults) {
     expect_matches_cold(chaotic_state,
                         "chaos round " + std::to_string(round));
   }
+}
+
+TEST(StreamChaos, CrashAfterTheOnlySuperstepIsRejected) {
+  // The delta pass counts in superstep 0. A plan that crashes a rank at a
+  // later superstep would never fire, so it is refused, not ignored.
+  const stream::StreamState state =
+      stream::StreamState::from_graph(test_support::corpus().front().graph);
+  util::Xoshiro256 rng(7);
+  const stream::Batch batch = random_batch(rng, state, Mode::kMixed, 10);
+  chaos::FaultSpec spec;
+  spec.seed = 5;
+  spec.crash_superstep = 1;
+  const chaos::FaultPlan plan(spec, 4);
+  mpisim::WorldOptions options;
+  options.fault_injector = &plan;
+  EXPECT_THROW((void)stream::count_delta_world(4, state, batch, {}, options),
+               std::invalid_argument);
 }
 
 // --- sliding window ------------------------------------------------------

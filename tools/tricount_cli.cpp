@@ -370,9 +370,6 @@ int cmd_count(int argc, const char* const* argv) {
                   "(2d only)");
   args.add_flag("analyze", false,
                 "print the perf-doctor bottleneck report (2d/cetric)");
-  args.add_flag("checkpoint", false,
-                "checkpoint counting supersteps even without a scheduled "
-                "crash (docs/chaos.md)");
   args.add_option("watchdog", "0",
                   "hang-watchdog budget in seconds (0 = auto, negative = "
                   "off; see docs/chaos.md)");
@@ -433,7 +430,6 @@ int cmd_count(int argc, const char* const* argv) {
   config.backward_early_exit = args.get_bool("backward-exit");
   config.blob_comm = args.get_bool("blob");
   config.overlap = args.get_bool("overlap");
-  config.checkpoint = args.get_bool("checkpoint");
   const double watchdog = args.get_double("watchdog");
 
   if (algorithm == "2d" || algorithm == "cetric") {
