@@ -69,26 +69,30 @@ RankPartition build_partition(mpisim::Comm& comm, const LocalSlice& input,
   // wedges that close against it.
   {
     obs::ScopedSpan span("ghost", "pre");
-    std::unordered_map<VertexId, std::uint64_t> mass;
+    // Adj+ entries exceed their row, so every unowned closing vertex lies
+    // above this rank's range: mass[v - above] is v's wedge mass.
+    const VertexId above = g.part.end();
+    std::vector<std::uint64_t> mass(g.part.num_vertices - above, 0);
     for (VertexId u = g.part.begin(); u < g.part.end(); ++u) {
       const std::vector<VertexId>& au = g.plus(u);
       for (std::size_t i = 0; i + 1 < au.size(); ++i) {
         const VertexId v = au[i];
-        if (!g.part.owns(v)) {
-          mass[v] += static_cast<std::uint64_t>(au.size() - 1 - i);
+        if (v >= above) {
+          mass[v - above] += static_cast<std::uint64_t>(au.size() - 1 - i);
         }
       }
     }
+    // An ascending scan, advancing the owner along the boundaries, emits
+    // every owner's requests already sorted.
     std::vector<std::vector<VertexId>> requests(
         static_cast<std::size_t>(p));
-    for (const auto& [v, m] : mass) {
-      if (m > g.deg_plus[v]) {
-        requests[static_cast<std::size_t>(g.part.owner(v))].push_back(v);
+    std::size_t owner = static_cast<std::size_t>(g.part.rank);
+    for (VertexId v = above; v < g.part.num_vertices; ++v) {
+      if (mass[v - above] > g.deg_plus[v]) {
+        while (g.part.boundaries[owner + 1] <= v) ++owner;
+        requests[owner].push_back(v);
       }
     }
-    // Hash-map iteration order is not part of the contract; sorted
-    // requests keep message payloads deterministic.
-    for (auto& r : requests) std::sort(r.begin(), r.end());
     const auto incoming_requests = mpisim::alltoallv(comm, requests);
     std::vector<std::vector<VertexId>> replies(
         static_cast<std::size_t>(p));

@@ -1,6 +1,7 @@
 #include "tricount/core/preprocess.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 #include "tricount/mpisim/collectives.hpp"
@@ -52,15 +53,28 @@ RelabeledSlice degree_relabel(mpisim::Comm& comm, const CyclicSlice& slice) {
   // (§5.3: "the position of the adjacent vertex is not locally available.
   // Thus, this requires us to perform a communication step with all
   // nodes.")
-  std::vector<std::vector<VertexId>> requests(static_cast<std::size_t>(p));
+  //
+  // slot[u] marks u as a neighbour, then holds u's position in
+  // requests[u % p]. The ascending walk leaves every request list sorted
+  // and duplicate-free, and an entry translates with two array reads.
+  // The table is one 32-bit word per vertex, held for this call.
+  const VertexId n = slice.num_vertices;
+  std::vector<std::uint32_t> slot(n, 0);
   for (const auto& list : slice.adj) {
     for (const VertexId u : list) {
-      requests[u % pv].push_back(u);
+      if (u >= n) {
+        throw std::out_of_range("degree_relabel: neighbour id out of range");
+      }
+      slot[u] = 1;
     }
   }
-  for (auto& r : requests) {
-    std::sort(r.begin(), r.end());
-    r.erase(std::unique(r.begin(), r.end()), r.end());
+  std::vector<std::vector<VertexId>> requests(static_cast<std::size_t>(p));
+  for (VertexId u = 0; u < n; ++u) {
+    if (slot[u] != 0) {
+      auto& r = requests[u % pv];
+      slot[u] = static_cast<std::uint32_t>(r.size());
+      r.push_back(u);
+    }
   }
   const auto incoming_requests = mpisim::alltoallv(comm, requests);
   std::vector<std::vector<VertexId>> answers(static_cast<std::size_t>(p));
@@ -77,18 +91,11 @@ RelabeledSlice degree_relabel(mpisim::Comm& comm, const CyclicSlice& slice) {
   }
   const auto responses = mpisim::alltoallv(comm, answers);
 
-  auto translate = [&](VertexId u) {
-    const auto owner = static_cast<std::size_t>(u % pv);
-    const auto& req = requests[owner];
-    const auto it = std::lower_bound(req.begin(), req.end(), u);
-    return responses[owner][static_cast<std::size_t>(it - req.begin())];
-  };
-
   out.adj.resize(slice.adj.size());
   for (std::size_t k = 0; k < slice.adj.size(); ++k) {
     out.adj[k].reserve(slice.adj[k].size());
     for (const VertexId u : slice.adj[k]) {
-      out.adj[k].push_back(translate(u));
+      out.adj[k].push_back(responses[u % pv][slot[u]]);
     }
   }
   return out;

@@ -35,7 +35,8 @@ struct RelabeledSlice {
 
 /// Step (ii): distributed counting sort + all-to-all neighbour relabel.
 /// Tie-break within a degree: (owner rank, local index), which is a valid
-/// (if different from the serial reference's by-id) stable order.
+/// (if different from the serial reference's by-id) stable order. Throws
+/// std::out_of_range for a neighbour id >= slice.num_vertices.
 RelabeledSlice degree_relabel(mpisim::Comm& comm, const CyclicSlice& slice);
 
 /// Identity relabel (new id == old id): the ablation path used when

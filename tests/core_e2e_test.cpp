@@ -3,6 +3,8 @@
 // distributed count must equal the serial reference exactly.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "tricount/core/driver.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/serial_count.hpp"
@@ -116,6 +118,16 @@ TEST(CoreE2E, NonSquareRankCountThrows) {
   const EdgeList g = graph::complete_graph(5);
   EXPECT_THROW(run(g, 2), std::invalid_argument);
   EXPECT_THROW(run(g, 12), std::invalid_argument);
+}
+
+TEST(CoreE2E, NeighbourIdOutOfRangeThrows) {
+  // An unsimplified edge list with an endpoint >= num_vertices: the
+  // degree relabel must reject the neighbour id, not index with it.
+  EdgeList g = graph::complete_graph(6);
+  g.edges.push_back(graph::Edge{2, 6});
+  for (const int ranks : {1, 4}) {
+    EXPECT_THROW(run(g, ranks), std::out_of_range) << "ranks=" << ranks;
+  }
 }
 
 TEST(CoreE2E, ReportsGraphStatistics) {

@@ -1,11 +1,13 @@
 // Tests for the preprocessing pipeline: block/cyclic distributions, the
-// distributed degree relabel (validity + monotonicity), and the 2D
-// scatter's structural invariants.
+// distributed degree relabel (its exact order, ties included, and the
+// relabeled adjacency), and the 2D scatter's structural invariants.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <map>
 #include <mutex>
+#include <numeric>
+#include <tuple>
 
 #include "tricount/core/preprocess.hpp"
 #include "tricount/graph/degree_order.hpp"
@@ -81,7 +83,9 @@ TEST(CyclicRedistribute, PreservesAdjacency) {
   }
 }
 
-TEST(DegreeRelabel, ProducesValidMonotonePermutation) {
+TEST(DegreeRelabel, EqualsSerialOrderByDegreeThenOwnerThenLocalIndex) {
+  // New ids are the serial sort by (deg, v mod p, v div p): degree order,
+  // with ties going to the lower cyclic owner, then the lower local index.
   const EdgeList g = graph::simplify(graph::rmat([] {
     graph::RmatParams params;
     params.scale = 8;
@@ -89,34 +93,39 @@ TEST(DegreeRelabel, ProducesValidMonotonePermutation) {
     params.seed = 13;
     return params;
   }()));
-  const int p = 6;
-  std::mutex mu;
-  std::vector<std::pair<VertexId, EdgeIndex>> id_and_degree;  // (new id, deg)
-  std::vector<VertexId> all_new_ids;
-  mpisim::run_world(p, [&](mpisim::Comm& comm) {
-    const LocalSlice input = block_slice_from_edges(g, comm.rank(), p);
-    const CyclicSlice cyclic = cyclic_redistribute(comm, input);
-    const RelabeledSlice relabeled = degree_relabel(comm, cyclic);
-    std::scoped_lock lock(mu);
-    for (std::size_t k = 0; k < relabeled.adj.size(); ++k) {
-      id_and_degree.emplace_back(relabeled.new_ids[k],
-                                 relabeled.adj[k].size());
-      all_new_ids.push_back(relabeled.new_ids[k]);
+  const std::vector<EdgeIndex> degree = graph::degrees(g);
+  for (const int p : {1, 4, 6}) {
+    const auto pv = static_cast<VertexId>(p);
+    std::vector<VertexId> order(g.num_vertices);
+    std::iota(order.begin(), order.end(), VertexId{0});
+    std::sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
+      return std::tuple(degree[a], a % pv, a / pv) <
+             std::tuple(degree[b], b % pv, b / pv);
+    });
+    std::vector<VertexId> expected(g.num_vertices);
+    for (VertexId pos = 0; pos < g.num_vertices; ++pos) {
+      expected[order[pos]] = pos;
     }
-  });
-  // New ids form a permutation of [0, n).
-  std::sort(all_new_ids.begin(), all_new_ids.end());
-  for (VertexId v = 0; v < g.num_vertices; ++v) {
-    ASSERT_EQ(all_new_ids[v], v);
+
+    std::mutex mu;
+    std::vector<VertexId> actual(g.num_vertices, g.num_vertices);
+    std::vector<EdgeIndex> max_degrees;
+    mpisim::run_world(p, [&](mpisim::Comm& comm) {
+      const LocalSlice input = block_slice_from_edges(g, comm.rank(), p);
+      const CyclicSlice cyclic = cyclic_redistribute(comm, input);
+      const RelabeledSlice rel = degree_relabel(comm, cyclic);
+      std::scoped_lock lock(mu);
+      for (VertexId k = 0; k < cyclic.owned(); ++k) {
+        actual[cyclic.global_id(k)] = rel.new_ids[k];
+      }
+      max_degrees.push_back(rel.global_max_degree);
+    });
+    EXPECT_EQ(actual, expected) << "p=" << p;
+    EXPECT_EQ(max_degrees,
+              std::vector<EdgeIndex>(static_cast<std::size_t>(p),
+                                     graph::max_degree(g)))
+        << "p=" << p;
   }
-  // Non-decreasing degree along the new id order.
-  std::sort(id_and_degree.begin(), id_and_degree.end());
-  for (std::size_t i = 1; i < id_and_degree.size(); ++i) {
-    EXPECT_LE(id_and_degree[i - 1].second, id_and_degree[i].second)
-        << "at new id " << i;
-  }
-  // Global max degree reported correctly.
-  EXPECT_EQ(id_and_degree.back().second, graph::max_degree(g));
 }
 
 TEST(DegreeRelabel, AdjacencyRelabeledConsistently) {
