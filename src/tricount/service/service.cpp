@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <numeric>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
@@ -321,15 +322,21 @@ Service::Execution Service::verb_graph_load(const Request& request) {
     if (!path->is_string() || path->as_string().empty()) {
       return fail(ErrorCode::kBadParams, "'path' must be a non-empty string");
     }
-    graph = load_graph_file(path->as_string());
+    try {
+      graph = load_graph_file(path->as_string());
+    } catch (const std::runtime_error& e) {  // unreadable or malformed file
+      return fail(ErrorCode::kBadParams, e.what());
+    }
     name = path->as_string();
   } else {
     if (!generate->is_object()) {
       return fail(ErrorCode::kBadParams, "'generate' must be an object");
     }
     const Value* type = generate->find("type");
-    const std::string kind =
-        type != nullptr && type->is_string() ? type->as_string() : "rmat";
+    if (type != nullptr && !type->is_string()) {
+      return fail(ErrorCode::kBadParams, "'type' must be a string");
+    }
+    const std::string kind = type != nullptr ? type->as_string() : "rmat";
     std::uint64_t seed = 1;
     if (!get_uint_param(*generate, "seed", 1, ~std::uint64_t{0}, seed)) {
       return fail(ErrorCode::kBadParams,
@@ -363,8 +370,10 @@ Service::Execution Service::verb_graph_load(const Request& request) {
       std::uint64_t n = 512;
       std::uint64_t k = 8;
       const Value* beta = generate->find("beta");
-      const double b =
-          beta != nullptr && beta->is_number() ? beta->as_number() : 0.1;
+      if (beta != nullptr && !beta->is_number()) {
+        return fail(ErrorCode::kBadParams, "ws: 'beta' must be a number");
+      }
+      const double b = beta != nullptr ? beta->as_number() : 0.1;
       if (!get_uint_param(*generate, "n", 512, 1u << 24, n) ||
           !get_uint_param(*generate, "k", 8, 512, k) || b < 0.0 || b > 1.0) {
         return fail(ErrorCode::kBadParams, "ws: bad 'n', 'k', or 'beta'");
@@ -448,9 +457,11 @@ void Service::publish_world_stats() {
 
 Service::Execution Service::verb_count(const Request& request) {
   const Value* algo_param = request.params.find("algo");
+  if (algo_param != nullptr && !algo_param->is_string()) {
+    return fail(ErrorCode::kBadParams, "'algo' must be a string");
+  }
   const std::string algo =
-      algo_param != nullptr && algo_param->is_string() ? algo_param->as_string()
-                                                       : "2d";
+      algo_param != nullptr ? algo_param->as_string() : "2d";
   core::Config config = options_.config;
   if (const Value* kernel = request.params.find("kernel")) {
     if (!kernel->is_string() ||
@@ -516,6 +527,9 @@ Service::Execution Service::verb_pervertex(const Request& request) {
       if (!v.is_number() || v.as_number() < 0 ||
           v.as_number() >= static_cast<double>(graph.num_vertices)) {
         return fail(ErrorCode::kBadParams, "vertex id out of range");
+      }
+      if (std::floor(v.as_number()) != v.as_number()) {
+        return fail(ErrorCode::kBadParams, "vertex ids must be integers");
       }
       emit_vertex(static_cast<graph::VertexId>(v.as_uint()));
     }
@@ -607,10 +621,11 @@ Service::Execution Service::verb_support(const Request& request) {
 
 Service::Execution Service::verb_approx(const Request& request) {
   const Value* retention_param = request.params.find("retention");
+  if (retention_param != nullptr && !retention_param->is_number()) {
+    return fail(ErrorCode::kBadParams, "'retention' must be a number");
+  }
   const double retention =
-      retention_param != nullptr && retention_param->is_number()
-          ? retention_param->as_number()
-          : 0.1;
+      retention_param != nullptr ? retention_param->as_number() : 0.1;
   if (!(retention > 0.0 && retention <= 1.0)) {
     return fail(ErrorCode::kBadParams, "'retention' must be in (0, 1]");
   }

@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "tricount/graph/serial_count.hpp"
 #include "tricount/kernels/intersect.hpp"
 #include "tricount/mpisim/cart2d.hpp"
 #include "tricount/mpisim/collectives.hpp"
@@ -45,6 +46,17 @@ void insert_sorted(std::vector<VertexId>& row, VertexId v) {
 void erase_sorted(std::vector<VertexId>& row, VertexId v) {
   const auto it = std::lower_bound(row.begin(), row.end(), v);
   if (it != row.end() && *it == v) row.erase(it);
+}
+
+/// The CSR's sorted neighbour rows as growable vectors.
+std::vector<std::vector<VertexId>> rows_of(const graph::Csr& csr) {
+  std::vector<std::vector<VertexId>> rows;
+  rows.reserve(csr.num_vertices());
+  for (VertexId v = 0; v < csr.num_vertices(); ++v) {
+    const auto row = csr.neighbors(v);
+    rows.emplace_back(row.begin(), row.end());
+  }
+  return rows;
 }
 
 /// N_y(vert) under H: the neighbors of `vert` in grid column y with the
@@ -121,45 +133,17 @@ std::optional<DeltaOp> parse_op(std::string_view text) {
 }
 
 StreamState StreamState::from_graph(const graph::EdgeList& simplified) {
+  const graph::Csr csr = graph::Csr::from_edges(simplified);
   StreamState state;
-  state.adj_.assign(static_cast<std::size_t>(simplified.num_vertices), {});
-  state.per_vertex_.assign(static_cast<std::size_t>(simplified.num_vertices),
-                           0);
+  state.adj_ = rows_of(csr);
   for (const Edge& e : simplified.edges) {
-    state.adj_[e.u].push_back(e.v);
-    state.adj_[e.v].push_back(e.u);
-  }
-  for (auto& row : state.adj_) std::sort(row.begin(), row.end());
-  for (const Edge& e : simplified.edges) {
-    state.support_.emplace(edge_key(e.u, e.v), 0);
     state.seq_.emplace(edge_key(e.u, e.v), state.next_seq_);
-    state.order_.emplace_back(state.next_seq_, Edge{e.u, e.v});
+    state.order_.emplace_back(state.next_seq_, e);
     ++state.next_seq_;
   }
   state.live_edges_ = simplified.num_edges();
-
-  // One serial forward pass enumerates each triangle u < v < w once and
-  // seeds all three count families.
-  std::vector<VertexId> corners;
-  for (const Edge& e : simplified.edges) {
-    merge_corners(state.adj_[e.u], state.adj_[e.v], corners);
-    for (const VertexId w : corners) {
-      if (w <= e.v) continue;  // enumerate with w as the largest corner
-      ++state.triangles_;
-      ++state.per_vertex_[e.u];
-      ++state.per_vertex_[e.v];
-      ++state.per_vertex_[w];
-      ++state.support_[edge_key(e.u, e.v)];
-      ++state.support_[edge_key(e.u, w)];
-      ++state.support_[edge_key(e.v, w)];
-    }
-  }
+  state.triangles_ = graph::count_triangles_serial(csr);
   return state;
-}
-
-TriangleCount StreamState::support(VertexId u, VertexId v) const {
-  const auto it = support_.find(edge_key(u, v));
-  return it != support_.end() ? it->second : 0;
 }
 
 bool StreamState::has_edge(VertexId u, VertexId v) const {
@@ -194,15 +178,6 @@ std::vector<Edge> StreamState::oldest_live(std::size_t count) const {
   return out;
 }
 
-bool StreamState::counts_consistent() const {
-  TriangleCount vertex_sum = 0;
-  for (const TriangleCount c : per_vertex_) vertex_sum += c;
-  TriangleCount support_sum = 0;
-  for (const auto& [key, s] : support_) support_sum += s;
-  return vertex_sum == 3 * triangles_ && support_sum == 3 * triangles_ &&
-         support_.size() == static_cast<std::size_t>(live_edges_);
-}
-
 std::optional<std::string> validate(const StreamState& state,
                                     const Batch& batch) {
   if (batch.ops.empty()) return "batch has no operations";
@@ -232,8 +207,8 @@ namespace {
 
 /// What the delta pass's counting superstep finds on one rank.
 struct DeltaTally {
-  std::vector<Triangle> destroyed;
-  std::vector<Triangle> created;
+  TriangleCount destroyed = 0;
+  TriangleCount created = 0;
   kernels::KernelCounters kernel;
 };
 
@@ -374,8 +349,7 @@ void delta_rank(mpisim::Comm& comm, const StreamState& state,
         throw std::runtime_error(
             "stream: kernel count disagrees with corner enumeration");
       }
-      auto& sink = op.insert ? step.created : step.destroyed;
-      for (const VertexId w : corners) sink.push_back(Triangle{e.u, e.v, w});
+      (op.insert ? step.created : step.destroyed) += corners.size();
     }
     step.kernel.probes = scratch.probes();
 
@@ -413,9 +387,9 @@ void delta_rank(mpisim::Comm& comm, const StreamState& state,
         auto& sink = a.insert ? step.created : step.destroyed;
         if (same_sign.count(closing) != 0) {
           // All three edges in the batch: record at the smallest corner.
-          if (shared < p && shared < r) sink.push_back(Triangle{shared, p, r});
+          if (shared < p && shared < r) ++sink;
         } else if (state.has_edge(p, r) && !deleted.contains(p, r)) {
-          sink.push_back(Triangle{shared, p, r});
+          ++sink;
         }
       }
     }
@@ -425,27 +399,25 @@ void delta_rank(mpisim::Comm& comm, const StreamState& state,
   static_cast<DeltaTally&>(out) = mpisim::run_superstep(comm, 0, compute);
 
   // Agreement handshake: every rank must observe the same signed totals.
-  out.agreed_removed = mpisim::allreduce_sum(
-      comm, static_cast<std::uint64_t>(out.destroyed.size()));
-  out.agreed_added = mpisim::allreduce_sum(
-      comm, static_cast<std::uint64_t>(out.created.size()));
+  out.agreed_removed =
+      mpisim::allreduce_sum(comm, static_cast<std::uint64_t>(out.destroyed));
+  out.agreed_added =
+      mpisim::allreduce_sum(comm, static_cast<std::uint64_t>(out.created));
 }
 
 DeltaResult collect(std::vector<RankOut>& outs,
                     std::vector<mpisim::ChaosCounters> chaos) {
   DeltaResult result;
   for (const RankOut& out : outs) {
-    result.destroyed.insert(result.destroyed.end(), out.destroyed.begin(),
-                            out.destroyed.end());
-    result.created.insert(result.created.end(), out.created.begin(),
-                          out.created.end());
+    result.destroyed += out.destroyed;
+    result.created += out.created;
     result.kernel += out.kernel;
     result.shard_messages += out.shard_messages;
     result.shard_bytes += out.shard_bytes;
   }
   for (const RankOut& out : outs) {
-    if (out.agreed_removed != result.destroyed.size() ||
-        out.agreed_added != result.created.size()) {
+    if (out.agreed_removed != result.destroyed ||
+        out.agreed_added != result.created) {
       throw std::runtime_error("stream: ranks disagree on the delta totals");
     }
   }
@@ -497,21 +469,10 @@ DeltaResult count_delta_world(int ranks, const StreamState& state,
 struct ApplyAccess {
   static void run(StreamState& state, const Batch& batch,
                   const DeltaResult& delta) {
-    // Destroyed triangles first: their support entries (including those
-    // of edges about to be deleted) still exist.
-    for (const Triangle& t : delta.destroyed) {
-      --state.per_vertex_[t.a];
-      --state.per_vertex_[t.b];
-      --state.per_vertex_[t.c];
-      --state.support_.at(edge_key(t.a, t.b));
-      --state.support_.at(edge_key(t.a, t.c));
-      --state.support_.at(edge_key(t.b, t.c));
-    }
     for (const DeltaOp& op : batch.ops) {
       if (op.insert) continue;
       erase_sorted(state.adj_[op.edge.u], op.edge.v);
       erase_sorted(state.adj_[op.edge.v], op.edge.u);
-      state.support_.erase(edge_key(op.edge.u, op.edge.v));
       state.seq_.erase(edge_key(op.edge.u, op.edge.v));
       --state.live_edges_;
     }
@@ -519,19 +480,10 @@ struct ApplyAccess {
       if (!op.insert) continue;
       insert_sorted(state.adj_[op.edge.u], op.edge.v);
       insert_sorted(state.adj_[op.edge.v], op.edge.u);
-      state.support_[edge_key(op.edge.u, op.edge.v)] = 0;
       state.seq_[edge_key(op.edge.u, op.edge.v)] = state.next_seq_;
       state.order_.emplace_back(state.next_seq_, op.edge);
       ++state.next_seq_;
       ++state.live_edges_;
-    }
-    for (const Triangle& t : delta.created) {
-      ++state.per_vertex_[t.a];
-      ++state.per_vertex_[t.b];
-      ++state.per_vertex_[t.c];
-      ++state.support_.at(edge_key(t.a, t.b));
-      ++state.support_.at(edge_key(t.a, t.c));
-      ++state.support_.at(edge_key(t.b, t.c));
     }
     state.triangles_ += delta.added();
     state.triangles_ -= delta.removed();
@@ -563,24 +515,12 @@ Batch window_evictions(const StreamState& state, std::uint64_t capacity) {
 SampledStream::SampledStream(const StreamState& base, double retention,
                              std::uint64_t seed)
     : retention_(retention), seed_(seed) {
-  adj_.assign(static_cast<std::size_t>(base.num_vertices()), {});
-  for (const Edge& e : base.edge_list().edges) {
-    if (!keeps(e)) continue;
-    adj_[e.u].push_back(e.v);
-    adj_[e.v].push_back(e.u);
-    ++kept_edges_;
-  }
-  for (auto& row : adj_) std::sort(row.begin(), row.end());
-  std::vector<VertexId> corners;
-  for (VertexId u = 0; u < adj_.size(); ++u) {
-    for (const VertexId v : adj_[u]) {
-      if (v <= u) continue;
-      merge_corners(adj_[u], adj_[v], corners);
-      for (const VertexId w : corners) {
-        if (w > v) ++triangles_;
-      }
-    }
-  }
+  graph::EdgeList kept = base.edge_list();
+  std::erase_if(kept.edges, [this](const Edge& e) { return !keeps(e); });
+  kept_edges_ = kept.edges.size();
+  const graph::Csr csr = graph::Csr::from_edges(kept);
+  adj_ = rows_of(csr);
+  triangles_ = graph::count_triangles_serial(csr);
 }
 
 bool SampledStream::keeps(Edge edge) const {

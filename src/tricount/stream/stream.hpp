@@ -1,8 +1,7 @@
 // Incremental triangle maintenance on the resident partition
 // (docs/streaming.md): accept edge insertion/deletion batches and update
-// the global, per-vertex, and per-edge-support triangle counts by
-// counting only the wedges the delta closes or opens, instead of
-// recounting the graph.
+// the global triangle count by counting only the wedges the delta
+// closes or opens, instead of recounting the graph.
 //
 // The delta identity (Tangwongsan/Pavan/Tirthapura, PAPERS.md): with
 // H = G \ D the survivor graph, D the deleted and B the inserted batch,
@@ -12,9 +11,9 @@
 //           + triangles wholly inside D                (3 deleted edges)
 //   added   = the same three terms over B,
 //
-// and |T(G')| = |T(G)| − removed + added, exactly. Every discovered
-// triangle carries its corner vertices, so the same pass maintains the
-// per-vertex counts and the per-edge support map.
+// and |T(G')| = |T(G)| − removed + added, exactly. The starting total
+// comes from the library's serial counter (graph::count_triangles_serial);
+// from then on only the delta is counted.
 //
 // The dominant term-1 intersections are sharded over the 2D grid: the
 // cell (x, y) owns the shard N_y(u) = {w ∈ N(u) : w ≡ y (mod q)} for
@@ -64,33 +63,21 @@ struct Batch {
 /// ids). Returns nullopt on any malformed spelling.
 std::optional<DeltaOp> parse_op(std::string_view text);
 
-/// A triangle by its corner vertices (unordered).
-struct Triangle {
-  VertexId a = 0;
-  VertexId b = 0;
-  VertexId c = 0;
-};
-
-/// The maintained stream state: sorted adjacency, the three count
-/// families, and the edge-arrival order the sliding window evicts in.
+/// The maintained stream state: sorted adjacency, the triangle total,
+/// and the edge-arrival order the sliding window evicts in.
 class StreamState {
  public:
   StreamState() = default;
 
-  /// Builds the state from a simplified edge list: adjacency, the exact
-  /// triangle total, per-vertex counts, and the per-edge support map
-  /// (one serial forward-enumeration pass). The base edges enter the
-  /// arrival order in edge-list order.
+  /// Builds the state from a simplified edge list: adjacency and the
+  /// exact triangle total (graph::count_triangles_serial). The base
+  /// edges enter the arrival order in edge-list order.
   static StreamState from_graph(const graph::EdgeList& simplified);
 
   VertexId num_vertices() const { return static_cast<VertexId>(adj_.size()); }
   EdgeIndex num_edges() const { return live_edges_; }
   TriangleCount triangles() const { return triangles_; }
-  const std::vector<TriangleCount>& per_vertex() const { return per_vertex_; }
 
-  /// Support (triangles through the edge) of a live edge; 0 when the
-  /// edge is absent.
-  TriangleCount support(VertexId u, VertexId v) const;
   bool has_edge(VertexId u, VertexId v) const;
   std::span<const VertexId> neighbors(VertexId u) const;
 
@@ -102,17 +89,11 @@ class StreamState {
   /// window's eviction candidates.
   std::vector<Edge> oldest_live(std::size_t count) const;
 
-  /// Consistency probe for tests: Σ per_vertex == 3·triangles and
-  /// Σ support == 3·triangles.
-  bool counts_consistent() const;
-
   // Mutation is driven by apply() below (count-then-apply).
   friend struct ApplyAccess;
 
  private:
   std::vector<std::vector<VertexId>> adj_;
-  std::vector<TriangleCount> per_vertex_;
-  std::unordered_map<std::uint64_t, TriangleCount> support_;
   TriangleCount triangles_ = 0;
   EdgeIndex live_edges_ = 0;
   /// Arrival order; entries are stale once their sequence number no
@@ -135,18 +116,18 @@ struct DeltaConfig {
   kernels::KernelPolicy kernel = kernels::KernelPolicy::kAuto;
 };
 
-/// Everything one counting pass produced: the signed triangle lists,
+/// Everything one counting pass produced: the signed triangle counts,
 /// the summed kernel tallies, and the shard-shipping traffic.
 struct DeltaResult {
-  std::vector<Triangle> destroyed;
-  std::vector<Triangle> created;
+  TriangleCount destroyed = 0;  ///< triangles the deletions break
+  TriangleCount created = 0;    ///< triangles the insertions close
   kernels::KernelCounters kernel;  ///< summed over ranks
   std::uint64_t shard_messages = 0;
   std::uint64_t shard_bytes = 0;
   std::vector<mpisim::ChaosCounters> chaos;  ///< per rank, when injected
 
-  TriangleCount removed() const { return destroyed.size(); }
-  TriangleCount added() const { return created.size(); }
+  TriangleCount removed() const { return destroyed; }
+  TriangleCount added() const { return created; }
 };
 
 /// Counts the batch's delta on the resident rank threads (the service
@@ -166,8 +147,7 @@ DeltaResult count_delta_world(int ranks, const StreamState& state,
                               const mpisim::WorldOptions& options = {});
 
 /// Applies the batch and its counted delta to the state: deletes, then
-/// inserts, then replays the triangle lists into the three count
-/// families.
+/// inserts, then moves the total by added − removed.
 void apply(StreamState& state, const Batch& batch, const DeltaResult& delta);
 
 /// Builds the deletion batch a `graph.window {capacity}` implies: the
@@ -183,7 +163,8 @@ Batch window_evictions(const StreamState& state, std::uint64_t capacity);
 class SampledStream {
  public:
   SampledStream() = default;
-  /// Sparsifies the current live edge set of `base`.
+  /// Sparsifies the current live edge set of `base` and counts its
+  /// triangles with graph::count_triangles_serial.
   SampledStream(const StreamState& base, double retention,
                 std::uint64_t seed);
 

@@ -1,4 +1,5 @@
-// Resident-service suite (`ctest -L service`): wire protocol, hardened
+// Resident-service suite (`ctest -L service`): wire protocol, typed
+// bad_params answers for mistyped or unreadable parameters, hardened
 // JSON parsing (seeded fuzz), admission/backpressure, the versioned LRU
 // result cache, batched-vs-unbatched byte equivalence, the
 // served-equals-library equivalence corpus (every verb, before and after
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -611,6 +613,95 @@ TEST(ServiceBatching, CoalescedDuplicatesSkipRecount) {
     }
   }
   EXPECT_EQ(coalesced, 3u);
+}
+
+// --- typed parameter errors ----------------------------------------------
+
+/// Asks `request` and requires a bad_params answer whose message names
+/// `mentions`.
+void expect_bad_params(Harness& h, const std::string& request,
+                       const std::string& mentions) {
+  const Value doc = Value::parse(h.ask(request));
+  EXPECT_FALSE(doc.get("ok").as_bool()) << request;
+  const Value* error = doc.find("error");
+  ASSERT_NE(error, nullptr) << request;
+  EXPECT_EQ(error->get("code").as_string(), "bad_params") << request;
+  EXPECT_NE(error->get("message").as_string().find(mentions),
+            std::string::npos)
+      << request << " -> " << error->get("message").as_string();
+}
+
+/// A harness with a small corpus graph loaded.
+struct LoadedHarness : Harness {
+  LoadedHarness() { svc.load_graph(test_support::corpus()[0].graph, "g"); }
+};
+
+TEST(ServiceTypedParams, CountAlgoMustBeString) {
+  LoadedHarness h;
+  expect_bad_params(h, R"({"id":1,"verb":"count","params":{"algo":2}})",
+                    "'algo'");
+}
+
+TEST(ServiceTypedParams, ApproxRetentionMustBeNumber) {
+  LoadedHarness h;
+  expect_bad_params(
+      h, R"({"id":1,"verb":"approx","params":{"retention":"0.5"}})",
+      "'retention'");
+}
+
+TEST(ServiceTypedParams, GenerateTypeMustBeString) {
+  LoadedHarness h;
+  const std::uint64_t version = h.svc.graph_version();
+  expect_bad_params(
+      h, R"({"id":1,"verb":"graph.load","params":{"generate":{"type":7}}})",
+      "'type'");
+  EXPECT_EQ(h.svc.graph_version(), version);
+}
+
+TEST(ServiceTypedParams, GenerateBetaMustBeNumber) {
+  LoadedHarness h;
+  const std::uint64_t version = h.svc.graph_version();
+  expect_bad_params(h,
+                    R"({"id":1,"verb":"graph.load","params":{"generate":)"
+                    R"({"type":"ws","n":64,"k":4,"beta":"high"}}})",
+                    "'beta'");
+  EXPECT_EQ(h.svc.graph_version(), version);
+}
+
+TEST(ServiceTypedParams, PervertexIdMustBeInteger) {
+  LoadedHarness h;
+  expect_bad_params(
+      h, R"({"id":1,"verb":"pervertex","params":{"vertices":[1.5]}})",
+      "integer");
+}
+
+TEST(ServiceTypedParams, UnopenablePathIsBadParams) {
+  LoadedHarness h;
+  const std::uint64_t version = h.svc.graph_version();
+  const std::string path =
+      (scratch_dir("typed_params") / "missing.mtx").string();
+  std::filesystem::remove(path);
+  expect_bad_params(
+      h, R"({"id":1,"verb":"graph.load","params":{"path":")" + path + "\"}}",
+      "cannot open");
+  EXPECT_EQ(h.svc.graph_version(), version);
+}
+
+TEST(ServiceTypedParams, UnparsablePathIsBadParams) {
+  LoadedHarness h;
+  const std::uint64_t version = h.svc.graph_version();
+  const std::string path =
+      (scratch_dir("typed_params") / "garbled.mtx").string();
+  {
+    std::ofstream out(path);
+    out << "%%MatrixMarket matrix coordinate pattern symmetric\n"
+        << "4 4 1\n"
+        << "two three\n";
+  }
+  expect_bad_params(
+      h, R"({"id":1,"verb":"graph.load","params":{"path":")" + path + "\"}}",
+      "malformed");
+  EXPECT_EQ(h.svc.graph_version(), version);
 }
 
 // --- served results equal the library (corpus equivalence) ---------------
