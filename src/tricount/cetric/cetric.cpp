@@ -41,9 +41,46 @@ constexpr int kSupersteps = 2;  // superstep 0 = local, superstep 1 = cut
 /// `tail` points into the received buffer (kept alive for crash replay).
 struct CutTask {
   VertexId v = 0;
-  const VertexId* tail = nullptr;
-  std::uint32_t len = 0;
+  std::span<const VertexId> tail;
 };
+
+/// The end of a chain of waiting rows (an empty chain's head).
+constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+/// Superstep 0's entry for one vertex v at or above the rank's range:
+/// Adj+(v) when the rank holds it (owned or ghost), and the first owned
+/// row waiting to close a wedge there.
+struct Closing {
+  const std::vector<VertexId>* row = nullptr;  // null: v's wedges ship
+  std::uint32_t waiting = kNone;
+};
+
+/// Superstep 0's cursor into one owned row Adj+(u): `at` is the entry v
+/// it waits on, (at, end) is the tail of the wedge (u; v, tail), and
+/// `next` is the next row waiting on the same v.
+struct Cursor {
+  const VertexId* at = nullptr;
+  const VertexId* end = nullptr;
+  std::uint32_t next = kNone;
+};
+
+/// Resolves every wedge (u; v, tail) that closes at one row: pins
+/// `closing` = Adj+(v) once, and each `probe(tail)` that `tails` makes
+/// intersects one wedge's tail with it. Both counting supersteps resolve
+/// through here, so every wedge probes only its tail, and the §5.2
+/// backward exit stops that probe at the first id below min Adj+(v).
+template <class Tails>
+void close_at(kernels::IntersectScratch& scratch, const Config& config,
+              std::span<const VertexId> closing, core::StepCount& step,
+              Tails&& tails) {
+  ++step.kernel.rows_visited;
+  scratch.begin_row(closing, config.modified_hashing);
+  tails([&](std::span<const VertexId> tail) {
+    ++step.kernel.intersection_tasks;
+    step.triangles += scratch.task(config.kernel, tail,
+                                   config.backward_early_exit, step.kernel);
+  });
+}
 
 using SliceFactory = std::function<LocalSlice(mpisim::Comm&)>;
 
@@ -148,10 +185,13 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
   // superstep's compute returns what it adds and reads only the partition
   // and the buffers received, so a crash replays it from them
   // (mpisim/recovery.hpp). The table is sized for every row either
-  // superstep pins, so neither resizes it.
+  // superstep pins, owned or ghost, so neither resizes it.
   kernels::IntersectScratch scratch;
   std::size_t max_row = 16;
   for (const auto& list : g.adj_plus) {
+    max_row = std::max(max_row, list.size());
+  }
+  for (const auto& [v, list] : ghosts) {
     max_row = std::max(max_row, list.size());
   }
   scratch.reserve_for(max_row);
@@ -187,10 +227,15 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
   };
 
   // ------- superstep 0: local counting, zero messages. ----------
-  // Every wedge (u; v, tail) with a locally resolvable closing row
-  // (v owned, or ghost-pulled) closes here; the rest is bucketed
-  // into per-destination cut-wedge payloads but nothing is sent —
-  // the zero-message invariant the cetric tests assert.
+  // Every wedge (u; v, tail) with a locally held closing row (v owned,
+  // or ghost-pulled) closes here; the rest is bucketed into
+  // per-destination cut-wedge payloads but nothing is sent — the
+  // zero-message invariant the cetric tests assert. Local wedges close
+  // at their closing row, as superstep 1 closes received ones: each
+  // owned row keeps a cursor on its next locally closable entry v and
+  // waits in v's chain, and an upward sweep over v pins Adj+(v) once,
+  // probes the tail after every waiting cursor, and moves each row on
+  // to the chain of its next such entry, which lies above v.
   publish_live(0);
   struct LocalStep : core::StepCount {
     std::uint64_t cut_wedges = 0;
@@ -207,28 +252,32 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
     step.wedge_out.resize(static_cast<std::size_t>(p));
     scratch.reset_probes();
     obs::ScopedSpan span("intersect", "tc");
-    for (VertexId u = g.part.begin(); u < g.part.end(); ++u) {
+    // Every Adj+ entry of an owned row lies in [begin, n), so the closing
+    // rows, and the chains of rows waiting on them, index by v - base.
+    const VertexId base = g.part.begin();
+    std::vector<Closing> closing(g.part.num_vertices - base);
+    for (VertexId v = base; v < g.part.end(); ++v) {
+      closing[v - base].row = &g.plus(v);
+    }
+    for (const auto& [v, list] : ghosts) closing[v - base].row = &list;
+    std::vector<Cursor> cursors(g.part.owned());
+    // Chains row r under its first locally closable entry in [at, end)
+    // that still has a tail; a row with none drops out.
+    auto wait_from = [&](std::uint32_t r, const VertexId* at,
+                         const VertexId* end) {
+      for (; end - at > 1; ++at) {
+        Closing& c = closing[*at - base];
+        if (c.row == nullptr) continue;
+        cursors[r] = Cursor{at, end, std::exchange(c.waiting, r)};
+        return;
+      }
+    };
+    for (VertexId u = base; u < g.part.end(); ++u) {
       const std::vector<VertexId>& au = g.plus(u);
-      if (au.size() < 2) continue;
-      ++step.kernel.rows_visited;
-      scratch.begin_row(std::span<const VertexId>(au),
-                        config.modified_hashing);
       touched.clear();
       for (std::size_t i = 0; i + 1 < au.size(); ++i) {
         const VertexId v = au[i];
-        const std::vector<VertexId>* closing = nullptr;
-        if (g.part.owns(v)) {
-          closing = &g.plus(v);
-        } else if (const auto it = ghosts.find(v); it != ghosts.end()) {
-          closing = &it->second;
-        }
-        if (closing != nullptr) {
-          ++step.kernel.intersection_tasks;
-          step.triangles += scratch.task(
-              config.kernel, std::span<const VertexId>(*closing),
-              config.backward_early_exit, step.kernel);
-          continue;
-        }
+        if (closing[v - base].row != nullptr) continue;
         const auto d = static_cast<std::size_t>(g.part.owner(v));
         if (dest_positions[d].empty()) touched.push_back(g.part.owner(v));
         dest_positions[d].push_back(static_cast<std::uint32_t>(i));
@@ -248,6 +297,18 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
         step.cut_wedges += positions.size();
         positions.clear();
       }
+      wait_from(u - base, au.data(), au.data() + au.size());
+    }
+    for (VertexId v = base; v < g.part.num_vertices; ++v) {
+      const Closing& c = closing[v - base];
+      if (c.waiting == kNone) continue;
+      close_at(scratch, config, *c.row, step, [&](auto&& probe) {
+        for (std::uint32_t r = c.waiting; r != kNone;) {
+          const Cursor cur = cursors[r];
+          probe(std::span<const VertexId>(cur.at + 1, cur.end));
+          wait_from(std::exchange(r, cur.next), cur.at + 1, cur.end);
+        }
+      });
     }
     step.kernel.probes = scratch.probes();
     return step;
@@ -307,9 +368,8 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
           if (!g.part.owns(v)) {
             throw std::runtime_error("cetric: misrouted cut wedge");
           }
-          tasks.push_back(CutTask{
-              v, suffix + rel + 1,
-              static_cast<std::uint32_t>(suffix_len - rel - 1)});
+          tasks.push_back(
+              CutTask{v, {suffix + rel + 1, suffix_len - rel - 1}});
         }
       }
     }
@@ -324,20 +384,13 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
     core::StepCount step;
     scratch.reset_probes();
     obs::ScopedSpan span("intersect", "tc");
-    bool pinned = false;
-    VertexId current = 0;
-    for (const CutTask& t : tasks) {
-      if (!pinned || t.v != current) {
-        current = t.v;
-        pinned = true;
-        ++step.kernel.rows_visited;
-        scratch.begin_row(std::span<const VertexId>(g.plus(t.v)),
-                          config.modified_hashing);
-      }
-      ++step.kernel.intersection_tasks;
-      step.triangles += scratch.task(
-          config.kernel, std::span<const VertexId>(t.tail, t.len),
-          config.backward_early_exit, step.kernel);
+    for (std::size_t at = 0; at < tasks.size();) {
+      const VertexId v = tasks[at].v;
+      close_at(scratch, config, g.plus(v), step, [&](auto&& probe) {
+        for (; at < tasks.size() && tasks[at].v == v; ++at) {
+          probe(tasks[at].tail);
+        }
+      });
     }
     step.kernel.probes = scratch.probes();
     return step;

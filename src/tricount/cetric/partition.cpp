@@ -16,20 +16,31 @@ int Partition::owner(VertexId v) const {
   return static_cast<int>(it - (boundaries.begin() + 1));
 }
 
+namespace {
+
+/// A vertex's split weight: 1 + deg+ + C(deg+, 2), the row itself plus
+/// the tails of the C(deg+, 2) wedges it generates.
+std::uint64_t tail_work(VertexId deg_plus) {
+  const auto d = static_cast<std::uint64_t>(deg_plus);
+  return 1 + d * (d + 1) / 2;
+}
+
+}  // namespace
+
 std::vector<VertexId> degree_aware_boundaries(
     const std::vector<VertexId>& deg_plus, int p) {
   const auto n = static_cast<VertexId>(deg_plus.size());
   std::vector<VertexId> boundaries(static_cast<std::size_t>(p) + 1, n);
   boundaries[0] = 0;
   std::uint64_t total = 0;
-  for (const VertexId d : deg_plus) total += 1 + static_cast<std::uint64_t>(d);
+  for (const VertexId d : deg_plus) total += tail_work(d);
   std::uint64_t prefix = 0;
   VertexId v = 0;
   for (int r = 1; r < p; ++r) {
     const std::uint64_t target =
         total * static_cast<std::uint64_t>(r) / static_cast<std::uint64_t>(p);
     while (v < n && prefix < target) {
-      prefix += 1 + static_cast<std::uint64_t>(deg_plus[v]);
+      prefix += tail_work(deg_plus[v]);
       ++v;
     }
     boundaries[static_cast<std::size_t>(r)] = v;

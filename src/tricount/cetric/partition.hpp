@@ -3,8 +3,10 @@
 // After the shared preprocessing (cyclic redistribution + degree
 // relabeling, core/preprocess.hpp), vertex ids are in non-decreasing
 // degree order. CETRIC owns *contiguous ranges* of that order, split so
-// every rank holds roughly the same amount of work (weight(v) = 1 +
-// deg+(v), the out-degree of the degree-ordered DAG). Contiguity is the
+// every rank holds roughly the same amount of work: weight(v) = 1 +
+// deg+(v) + C(deg+(v), 2), the row plus the tails of the wedges it
+// generates, with deg+ the out-degree of the degree-ordered DAG. A wedge
+// closes at a cost of at most its tail. Contiguity is the
 // property the counter leans on: every Adj+ entry points to a vertex
 // with an id larger than its row, so the rank owning a wedge's closing
 // vertex is never to the "left" of the wedge's generating rank.
@@ -50,7 +52,8 @@ struct Partition {
 };
 
 /// Deterministic greedy prefix split: boundary r is the first vertex at
-/// which the cumulative weight (1 + deg+) reaches r/p of the total.
+/// which the cumulative weight (1 + deg+ + C(deg+, 2)) reaches r/p of
+/// the total.
 /// Every rank computes this from the replicated deg+ array, so the
 /// partition needs no extra communication round.
 std::vector<VertexId> degree_aware_boundaries(

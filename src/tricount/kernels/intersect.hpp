@@ -2,12 +2,12 @@
 // them cheap to reuse.
 //
 // Call shape shared by every counting loop in the repo (2D Cannon, SUMMA,
-// serial forward algorithm, 1D baselines): one "hashed" row is fixed and
-// probed by many task rows. IntersectScratch::begin_row pins the hashed
-// row; IntersectScratch::task then intersects it with one probe row using
-// whatever kernel the policy selects, building the hash set or bitset
-// lazily on the first task that needs it and reusing it for the rest of
-// the row's tasks.
+// serial forward algorithm, 1D baselines, cetric): one "hashed" row is
+// fixed and probed by many task rows. IntersectScratch::begin_row pins
+// the hashed row; IntersectScratch::task then intersects it with one
+// probe row using whatever kernel the policy selects, building the hash
+// set or bitset lazily on the first task that needs it and reusing it
+// for the rest of the row's tasks.
 #pragma once
 
 #include <cstdint>

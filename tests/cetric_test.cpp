@@ -32,8 +32,8 @@ graph::TriangleCount serial_count(const graph::EdgeList& g) {
 // --- partition units -------------------------------------------------------
 
 TEST(CetricPartition, BoundariesCoverAndBalance) {
-  // Weights 1 + deg+: a skewed profile still splits into contiguous,
-  // covering, non-decreasing ranges.
+  // Weights 1 + deg+ + C(deg+, 2): a skewed profile still splits into
+  // contiguous, covering, non-decreasing ranges.
   const std::vector<VertexId> deg = {9, 0, 0, 0, 3, 3, 0, 1, 5, 0, 0, 2};
   for (const int p : {1, 2, 3, 4, 7, 16}) {
     const std::vector<VertexId> b = cetric::degree_aware_boundaries(deg, p);
@@ -273,6 +273,64 @@ TEST(CetricCount, KernelPoliciesAgree) {
     const core::RunResult r = cetric::count_triangles_cetric(g, 5, options);
     EXPECT_EQ(r.triangles, expected)
         << "policy=" << static_cast<int>(policy);
+  }
+}
+
+/// Σ_v C(deg+(v), 2) under the partition `ranks` ranks build: the summed
+/// tails of every wedge (u; v, tail), with deg+ from the replicated oracle.
+std::uint64_t summed_tails(const graph::EdgeList& g, int ranks) {
+  std::uint64_t tails = 0;
+  mpisim::run_world(ranks, [&](mpisim::Comm& comm) {
+    const cetric::CetricGraph dag = cetric::build_cetric_graph(
+        comm, core::block_slice_from_edges(g, comm.rank(), comm.size()));
+    if (comm.rank() != 0) return;
+    for (const VertexId d : dag.deg_plus) {
+      const auto deg = static_cast<std::uint64_t>(d);
+      tails += deg * (deg - 1) / 2;
+    }
+  });
+  return tails;
+}
+
+TEST(CetricCount, ProbesNoMoreThanTheTails) {
+  // Both supersteps close a wedge at its closing row Adj+(v) and probe
+  // only its tail, so a run looks up at most the summed tails. Merge is
+  // exempt: its steps walk both lists.
+  const auto rmat = [](int scale) {
+    graph::RmatParams params;
+    params.scale = scale;
+    params.edge_factor = 8;
+    params.seed = 1;
+    return graph::rmat(params);
+  };
+  const struct {
+    const char* name;
+    graph::EdgeList graph;
+    std::vector<int> ranks;
+  } inputs[] = {
+      {"rmat_s7", rmat(7), {1, 3, 5}},
+      {"rmat_s8", rmat(8), {1, 4}},
+      {"ws_n512",
+       graph::simplify(graph::watts_strogatz(512, 8, 0.1, 3)),
+       {1, 4}},
+  };
+  for (const auto& input : inputs) {
+    for (const int p : input.ranks) {
+      const std::uint64_t tails = summed_tails(input.graph, p);
+      for (const kernels::KernelPolicy policy :
+           {kernels::KernelPolicy::kAuto, kernels::KernelPolicy::kHash,
+            kernels::KernelPolicy::kBitmap}) {
+        core::RunOptions options;
+        options.config.kernel = policy;
+        const core::RunResult r =
+            cetric::count_triangles_cetric(input.graph, p, options);
+        SCOPED_TRACE(::testing::Message()
+                     << input.name << " p=" << p
+                     << " policy=" << kernels::to_string(policy));
+        EXPECT_EQ(r.triangles, serial_count(input.graph));
+        EXPECT_LE(r.total_kernel().lookups, tails);
+      }
+    }
   }
 }
 
