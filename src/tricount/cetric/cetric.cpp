@@ -448,12 +448,9 @@ RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
         "count_triangles_cetric: rank count must be positive");
   }
   RunResult result = cetric_result(ranks, options.model);
-  mpisim::WorldOptions world_options;
-  world_options.fault_injector = options.chaos.get();
-  world_options.watchdog_seconds = options.watchdog_seconds;
   result.chaos_enabled = options.chaos != nullptr;
 
-  result.take(mpisim::run_world_report(
+  result.take(mpisim::run_world(
       ranks,
       [&](mpisim::Comm& comm) {
         mark_pre();
@@ -472,7 +469,7 @@ RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
           result.num_edges = part.graph.num_edges;
         }
       },
-      world_options));
+      core::world_options(options)));
 
   for (const auto& [name, sample] : result.per_rank[0].pre_steps) {
     result.step_names.push_back(name);

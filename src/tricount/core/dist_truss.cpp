@@ -6,7 +6,7 @@ namespace tricount::core {
 
 std::vector<graph::TriangleCount> edge_supports_2d(
     const graph::EdgeList& simplified, int ranks, const RunOptions& options) {
-  mpisim::PersistentWorld world(ranks);
+  mpisim::PersistentWorld world(ranks, world_options(options));
   return count_resident(world, preprocess_resident(world, simplified, options),
                         options.config, Tally::kEdgeSupport, &simplified)
       .edge_supports;

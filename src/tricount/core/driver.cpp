@@ -25,13 +25,10 @@ RunResult run_pipeline(int ranks, const RunOptions& options,
   result.model = options.model;
   result.per_rank.assign(static_cast<std::size_t>(ranks), RankStats{});
 
-  mpisim::WorldOptions world_options;
-  world_options.fault_injector = options.chaos.get();
-  world_options.watchdog_seconds = options.watchdog_seconds;
   result.chaos_enabled = options.chaos != nullptr;
   result.overlap_enabled = options.config.overlap;
 
-  mpisim::WorldReport report = mpisim::run_world_report(ranks, [&](mpisim::Comm& comm) {
+  mpisim::WorldReport report = mpisim::run_world(ranks, [&](mpisim::Comm& comm) {
     mpisim::Cart2D grid(comm);
 
     // Live telemetry phase tag: "pre" until cannon_count flips it to "tc"
@@ -60,7 +57,7 @@ RunResult run_pipeline(int ranks, const RunOptions& options,
       result.num_vertices = pre.num_vertices;
       result.num_edges = pre.num_edges;
     }
-  }, world_options);
+  }, world_options(options));
 
   result.take(std::move(report));
 

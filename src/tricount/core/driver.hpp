@@ -37,6 +37,14 @@ struct RunOptions {
   double watchdog_seconds = 0.0;
 };
 
+/// The world a run's options ask for: their fault plan and watchdog
+/// budget. Every library call that builds its own world builds it from
+/// these (RunOptions and SummaOptions alike).
+template <class Options>
+mpisim::WorldOptions world_options(const Options& options) {
+  return {options.chaos.get(), options.watchdog_seconds};
+}
+
 /// One rank's CETRIC tallies (src/tricount/cetric/, docs/cetric.md):
 /// the local-vs-cut triangle classification plus the cut-wedge and
 /// ghost-exchange traffic the communication-avoiding claims rest on.

@@ -14,7 +14,7 @@ double PerVertexResult::local_clustering(graph::VertexId v,
 
 PerVertexResult count_per_vertex_2d(const graph::EdgeList& graph, int ranks,
                                     const RunOptions& options) {
-  mpisim::PersistentWorld world(ranks);
+  mpisim::PersistentWorld world(ranks, world_options(options));
   RunResult run =
       count_resident(world, preprocess_resident(world, graph, options),
                      options.config, Tally::kPerVertex);

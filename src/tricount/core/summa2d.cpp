@@ -6,6 +6,7 @@
 
 #include "tricount/core/counter2d.hpp"
 #include "tricount/core/dist_graph.hpp"
+#include "tricount/core/driver.hpp"
 #include "tricount/core/preprocess.hpp"
 #include "tricount/mpisim/collectives.hpp"
 #include "tricount/mpisim/recovery.hpp"
@@ -314,12 +315,9 @@ SummaResult count_triangles_summa(const graph::EdgeList& graph,
   std::vector<KernelCounters> kernels(static_cast<std::size_t>(p));
   graph::TriangleCount triangles = 0;
 
-  mpisim::WorldOptions world_options;
-  world_options.fault_injector = options.chaos.get();
-  world_options.watchdog_seconds = options.watchdog_seconds;
   result.chaos_enabled = options.chaos != nullptr;
 
-  mpisim::WorldReport report = mpisim::run_world_report(p, [&](mpisim::Comm& comm) {
+  mpisim::WorldReport report = mpisim::run_world(p, [&](mpisim::Comm& comm) {
     PhaseTracker tracker(comm);
     const LocalSlice input =
         block_slice_from_edges(graph, comm.rank(), comm.size());
@@ -341,7 +339,7 @@ SummaResult count_triangles_summa(const graph::EdgeList& graph,
 
     const graph::TriangleCount total = mpisim::allreduce_sum(comm, sweep.local);
     if (comm.rank() == 0) triangles = total;
-  }, world_options);
+  }, world_options(options));
 
   result.per_rank_chaos = std::move(report.chaos);
   result.triangles = triangles;

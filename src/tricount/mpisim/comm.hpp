@@ -134,8 +134,9 @@ class Comm {
   bool try_recv_message(int source, int tag, Message& out);
 
   /// Reliable-delivery quiesce: blocks until every send this rank issued
-  /// has been acknowledged, retransmitting as needed. Called by run_world
-  /// when the rank function returns; a no-op without a fault injector.
+  /// has been acknowledged, retransmitting as needed. Called by
+  /// PersistentWorld::run_job when the rank function returns; a no-op
+  /// without a fault injector.
   void flush_sends();
 
   // --- typed convenience wrappers ---------------------------------------

@@ -102,8 +102,8 @@ struct ChaosCounters {
 };
 
 /// Typed failure of the chaos machinery itself: a message that stayed
-/// undeliverable after max_retries(), or the run_world watchdog declaring
-/// the world stalled.
+/// undeliverable after max_retries(), or the watchdog declaring a job
+/// stalled.
 class ChaosError : public std::runtime_error {
  public:
   enum class Kind { kRetransmitTimeout, kWatchdogStall };

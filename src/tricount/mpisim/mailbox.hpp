@@ -28,7 +28,7 @@ class Mailbox {
  public:
   Mailbox() = default;
   /// `progress` (optional) is bumped on every push and successful pop; the
-  /// run_world watchdog watches it to detect a stalled world.
+  /// watchdog watches it to detect a stalled world.
   explicit Mailbox(std::atomic<std::uint64_t>* progress)
       : progress_(progress) {}
 
@@ -77,6 +77,10 @@ class Mailbox {
   /// Marks the world as failed and wakes all waiters so a crashing rank
   /// cannot leave its peers blocked forever.
   void fail();
+
+  /// Discards every queued and deferred message. Called between jobs,
+  /// when no rank runs.
+  void drain();
 
   std::size_t queued() const;
 

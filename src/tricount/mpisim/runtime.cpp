@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "tricount/obs/flight.hpp"
 #include "tricount/obs/telemetry.hpp"
@@ -187,6 +188,14 @@ void Mailbox::fail() {
   cv_.notify_all();
 }
 
+void Mailbox::drain() {
+  std::scoped_lock lock(mutex_);
+  queue_.clear();
+  deferred_.clear();
+  queued_bytes_ = 0;
+  publish_depth_locked();
+}
+
 std::size_t Mailbox::queued() const {
   std::scoped_lock lock(mutex_);
   return queue_.size();
@@ -198,7 +207,7 @@ Mailbox::WaitInfo Mailbox::waiting_info() const {
 }
 
 // ---------------------------------------------------------------------------
-// World & run_world
+// World
 
 World::World(int size, const WorldOptions& options)
     : size_(size),
@@ -224,6 +233,15 @@ World::World(int size, const WorldOptions& options)
 
 void World::fail_all() {
   for (auto& mb : mailboxes_) mb->fail();
+}
+
+WorldReport World::end_job() {
+  for (auto& mb : mailboxes_) mb->drain();
+  const auto p = static_cast<std::size_t>(size_);
+  return WorldReport{
+      std::exchange(counters_, std::vector<PerfCounters>(p)),
+      std::exchange(comm_matrix_, CommMatrix(size_)),
+      std::exchange(chaos_counters_, std::vector<ChaosCounters>(p))};
 }
 
 namespace {
@@ -273,132 +291,13 @@ std::string stall_diagnostic(World& world, double budget_seconds) {
 
 }  // namespace
 
-WorldReport run_world_report(int size, const RankFn& fn,
-                             const WorldOptions& options) {
-  World world(size, options);
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-
-  auto rank_main = [&](int rank) {
-    // Tag the thread so log lines and trace events carry the rank. The
-    // single-rank inline path reuses the caller's thread, so the previous
-    // tag is restored on exit.
-    const int previous_rank = util::current_rank();
-    util::set_current_rank(rank);
-    Comm comm(world, rank);
-    try {
-      fn(comm);
-      // Reliable-delivery quiesce: a rank may not return while peers still
-      // wait on its unacknowledged sends. No-op without a fault injector.
-      comm.flush_sends();
-    } catch (...) {
-      {
-        std::scoped_lock lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-      world.fail_all();
-    }
-    util::set_current_rank(previous_rank);
-  };
-
-  const double budget = watchdog_budget(options);
-  std::thread watchdog;
-  std::mutex wd_mutex;
-  std::condition_variable wd_cv;
-  bool wd_stop = false;
-  // The watchdog only makes sense with real rank threads: the single-rank
-  // inline path cannot deadlock on itself without also hanging the caller.
-  if (budget > 0.0 && size > 1) {
-    watchdog = std::thread([&] {
-      // Not a rank: label the thread so its log lines read [wdog] and
-      // its (rare) trace/flight events land in the shared world stream.
-      util::set_thread_label("wdog");
-      using clock = std::chrono::steady_clock;
-      const auto interval = std::chrono::duration<double>(
-          std::clamp(budget / 4.0, 0.01, 0.5));
-      std::uint64_t last_progress = world.progress();
-      auto last_change = clock::now();
-      std::unique_lock lock(wd_mutex);
-      while (!wd_cv.wait_for(lock, interval, [&] { return wd_stop; })) {
-        const std::uint64_t now_progress = world.progress();
-        if (now_progress != last_progress) {
-          last_progress = now_progress;
-          last_change = clock::now();
-          continue;
-        }
-        // Only declare a stall when someone is actually blocked; a world
-        // that is purely computing is slow, not stuck.
-        bool any_waiting = false;
-        for (int r = 0; r < size; ++r) {
-          any_waiting = any_waiting || world.mailbox(r).waiting_info().waiting;
-        }
-        const double stalled =
-            std::chrono::duration<double>(clock::now() - last_change).count();
-        if (!any_waiting || stalled < budget) continue;
-        const std::string diag = stall_diagnostic(world, budget);
-        TRICOUNT_LOG_ERROR("%s", diag.c_str());
-        // Dump the flight rings before tearing the world down: the hang
-        // is exactly the case where post-run artifacts never happen.
-        if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
-          flight->instant("watchdog.stall", "chaos", budget);
-          flight->try_auto_dump("watchdog-stall");
-        }
-        {
-          std::scoped_lock error_lock(error_mutex);
-          if (!first_error) {
-            first_error = std::make_exception_ptr(
-                ChaosError(ChaosError::Kind::kWatchdogStall, diag));
-          }
-        }
-        world.fail_all();
-        return;
-      }
-    });
-  }
-
-  if (size == 1) {
-    // Single-rank worlds run inline: cheaper, and debugger-friendly.
-    rank_main(0);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(size));
-    for (int r = 0; r < size; ++r) {
-      threads.emplace_back(rank_main, r);
-    }
-    for (auto& t : threads) t.join();
-  }
-
-  if (watchdog.joinable()) {
-    {
-      std::scoped_lock lock(wd_mutex);
-      wd_stop = true;
-    }
-    wd_cv.notify_all();
-    watchdog.join();
-  }
-
-  if (first_error) std::rethrow_exception(first_error);
-  return WorldReport{world.all_counters(), std::move(world.comm_matrix()),
-                     world.all_chaos_counters()};
-}
-
-std::vector<PerfCounters> run_world(int size, const RankFn& fn,
-                                    const WorldOptions& options) {
-  return run_world_report(size, fn, options).counters;
-}
-
 // ---------------------------------------------------------------------------
 // PersistentWorld
 
 PersistentWorld::PersistentWorld(int size, const WorldOptions& options)
-    : size_(size) {
-  if (options.fault_injector != nullptr) {
-    throw std::invalid_argument(
-        "mpisim: PersistentWorld does not support fault injection "
-        "(Mailbox::fail is permanent, so one chaos crash would poison "
-        "every later job)");
-  }
-  world_ = std::make_unique<World>(size, options);
+    : size_(size),
+      watchdog_seconds_(watchdog_budget(options)),
+      world_(std::make_unique<World>(size, options)) {
   if (size_ > 1) {
     threads_.reserve(static_cast<std::size_t>(size_));
     for (int r = 0; r < size_; ++r) {
@@ -430,17 +329,7 @@ void PersistentWorld::worker(int rank) {
       seen = generation_;
       fn = job_;
     }
-    Comm comm(*world_, rank);
-    try {
-      (*fn)(comm);
-      comm.flush_sends();
-    } catch (...) {
-      {
-        std::scoped_lock lock(mutex_);
-        if (!first_error_) first_error_ = std::current_exception();
-      }
-      world_->fail_all();
-    }
+    run_rank(*fn, rank);
     {
       std::scoped_lock lock(mutex_);
       if (--running_ == 0) done_cv_.notify_all();
@@ -448,35 +337,66 @@ void PersistentWorld::worker(int rank) {
   }
 }
 
-WorldReport PersistentWorld::job_delta(
-    const std::vector<PerfCounters>& counters_before,
-    const CommMatrix& matrix_before) const {
-  WorldReport report;
-  report.counters.reserve(static_cast<std::size_t>(size_));
-  for (int r = 0; r < size_; ++r) {
-    report.counters.push_back(world_->counters(r) -
-                              counters_before[static_cast<std::size_t>(r)]);
-  }
-  report.comm_matrix = CommMatrix(size_);
-  // The matrix accumulates across jobs; per-job cells are the increment
-  // since the last snapshot. Chaos is unsupported, so only the user and
-  // collective columns can have moved — copy all fields for symmetry.
-  for (int s = 0; s < size_; ++s) {
-    for (int d = 0; d < size_; ++d) {
-      const CommCell& now = world_->comm_matrix().at(s, d);
-      const CommCell& base = matrix_before.at(s, d);
-      CommCell& cell = report.comm_matrix.at(s, d);
-      cell.user_messages = now.user_messages - base.user_messages;
-      cell.user_bytes = now.user_bytes - base.user_bytes;
-      cell.collective_messages =
-          now.collective_messages - base.collective_messages;
-      cell.collective_bytes = now.collective_bytes - base.collective_bytes;
-      cell.chaos_messages = now.chaos_messages - base.chaos_messages;
-      cell.chaos_bytes = now.chaos_bytes - base.chaos_bytes;
+void PersistentWorld::run_rank(const RankFn& fn, int rank) {
+  Comm comm(*world_, rank);
+  try {
+    fn(comm);
+    // Reliable-delivery quiesce: a rank may not return while peers still
+    // wait on its unacknowledged sends. No-op without a fault injector.
+    comm.flush_sends();
+  } catch (...) {
+    {
+      std::scoped_lock lock(mutex_);
+      if (!first_error_) first_error_ = std::current_exception();
     }
+    world_->fail_all();
   }
-  report.chaos = world_->all_chaos_counters();  // all zero: no injector
-  return report;
+}
+
+void PersistentWorld::await_ranks() {
+  std::unique_lock lock(mutex_);
+  const auto joined = [&] { return running_ == 0; };
+  if (watchdog_seconds_ <= 0.0) {
+    done_cv_.wait(lock, joined);
+    return;
+  }
+  using clock = std::chrono::steady_clock;
+  const auto interval = std::chrono::duration<double>(
+      std::clamp(watchdog_seconds_ / 4.0, 0.01, 0.5));
+  std::uint64_t last_progress = world_->progress();
+  auto last_change = clock::now();
+  while (!done_cv_.wait_for(lock, interval, joined)) {
+    const std::uint64_t now_progress = world_->progress();
+    if (now_progress != last_progress) {
+      last_progress = now_progress;
+      last_change = clock::now();
+      continue;
+    }
+    // Only declare a stall when someone is actually blocked; a world that
+    // is purely computing is slow, not stuck.
+    bool any_waiting = false;
+    for (int r = 0; r < size_; ++r) {
+      any_waiting = any_waiting || world_->mailbox(r).waiting_info().waiting;
+    }
+    const double stalled =
+        std::chrono::duration<double>(clock::now() - last_change).count();
+    if (!any_waiting || stalled < watchdog_seconds_) continue;
+    const std::string diag = stall_diagnostic(*world_, watchdog_seconds_);
+    TRICOUNT_LOG_ERROR("%s", diag.c_str());
+    // Dump the flight rings before tearing the job down: the hang is
+    // exactly the case where post-run artifacts never happen.
+    if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
+      flight->instant("watchdog.stall", "chaos", watchdog_seconds_);
+      flight->try_auto_dump("watchdog-stall");
+    }
+    if (!first_error_) {
+      first_error_ = std::make_exception_ptr(
+          ChaosError(ChaosError::Kind::kWatchdogStall, diag));
+    }
+    world_->fail_all();
+    done_cv_.wait(lock, joined);
+    return;
+  }
 }
 
 WorldReport PersistentWorld::run_job(const RankFn& fn) {
@@ -485,23 +405,11 @@ WorldReport PersistentWorld::run_job(const RankFn& fn) {
         "mpisim: persistent world poisoned by an earlier job failure; "
         "rebuild the world before running more jobs");
   }
-  const std::vector<PerfCounters> before = world_->all_counters();
-  const CommMatrix matrix_before = world_->comm_matrix();
-
   if (size_ == 1) {
-    // Inline, like run_world's single-rank path; restore the caller's tag.
+    // Inline on the caller's thread; restore the caller's tag.
     const int previous_rank = util::current_rank();
     util::set_current_rank(0);
-    Comm comm(*world_, 0);
-    try {
-      fn(comm);
-      comm.flush_sends();
-    } catch (...) {
-      util::set_current_rank(previous_rank);
-      poisoned_ = true;
-      world_->fail_all();
-      throw;
-    }
+    run_rank(fn, 0);
     util::set_current_rank(previous_rank);
   } else {
     {
@@ -511,19 +419,19 @@ WorldReport PersistentWorld::run_job(const RankFn& fn) {
       ++generation_;
     }
     job_cv_.notify_all();
-    std::unique_lock lock(mutex_);
-    done_cv_.wait(lock, [&] { return running_ == 0; });
-    if (first_error_) {
-      poisoned_ = true;
-      std::exception_ptr error = first_error_;
-      first_error_ = nullptr;
-      lock.unlock();
-      std::rethrow_exception(error);
-    }
+    await_ranks();
   }
-
+  if (first_error_) {
+    poisoned_ = true;
+    std::rethrow_exception(std::exchange(first_error_, nullptr));
+  }
   ++jobs_run_;
-  return job_delta(before, matrix_before);
+  return world_->end_job();
+}
+
+WorldReport run_world(int size, const RankFn& fn,
+                      const WorldOptions& options) {
+  return PersistentWorld(size, options).run_job(fn);
 }
 
 }  // namespace tricount::mpisim

@@ -1,5 +1,9 @@
-// Runtime: spawns a world of p ranks, each an OS thread running the same
-// rank function (the SPMD main), and joins them.
+// Runtime: a world of p ranks, each an OS thread running the same rank
+// function (the SPMD main).
+//
+// PersistentWorld is the one world implementation: its rank threads park
+// between jobs, and each run_job runs one rank function on all of them.
+// run_world is its one-job case.
 //
 // Each rank gets a Comm handle; ranks may communicate only through it.
 // If any rank throws, the world is failed (all blocked receives wake and
@@ -9,7 +13,7 @@
 // Two optional services are configured through WorldOptions:
 //  * a FaultInjector (chaos subsystem, docs/chaos.md) interposed on every
 //    point-to-point transmission, and
-//  * a hang watchdog that fails the world with a per-rank blocked-state
+//  * a hang watchdog that fails the job with a per-rank blocked-state
 //    diagnostic when no rank makes progress for a configurable wall-time,
 //    instead of letting a deadlock hang ctest forever.
 #pragma once
@@ -33,17 +37,27 @@ namespace tricount::mpisim {
 struct WorldOptions {
   /// When non-null, every point-to-point transmission consults it and the
   /// Comm layer switches to sequenced, acked, retransmitting delivery.
-  /// Not owned; must outlive the run_world call.
+  /// Not owned; must outlive the world.
   const FaultInjector* fault_injector = nullptr;
 
   /// Wall-seconds without any mailbox progress before the watchdog fails
-  /// the world. 0 = auto: the TRICOUNT_WATCHDOG_SECONDS environment
+  /// the job. 0 = auto: the TRICOUNT_WATCHDOG_SECONDS environment
   /// variable if set, else 30 s when a fault injector is installed, else
   /// disabled. Negative disables unconditionally.
   double watchdog_seconds = 0.0;
 };
 
-/// Shared world state. Created by run_world(); Comm handles reference it.
+/// Everything one job measured: per-rank traffic counters, the (source,
+/// dest) communication matrix, and — when a fault injector is installed —
+/// per-rank chaos tallies.
+struct WorldReport {
+  std::vector<PerfCounters> counters;
+  CommMatrix comm_matrix;
+  std::vector<ChaosCounters> chaos;
+};
+
+/// Shared world state: the mailboxes and the current job's tallies. Owned
+/// by a PersistentWorld; Comm handles reference it.
 class World {
  public:
   explicit World(int size, const WorldOptions& options = {});
@@ -51,11 +65,9 @@ class World {
   int size() const { return size_; }
   Mailbox& mailbox(int rank) { return *mailboxes_.at(static_cast<size_t>(rank)); }
   PerfCounters& counters(int rank) { return counters_.at(static_cast<size_t>(rank)); }
-  const std::vector<PerfCounters>& all_counters() const { return counters_; }
   /// The p×p (source, dest) traffic matrix. Rank r's thread writes only
   /// row r, so sends record without locks; read after ranks have joined.
   CommMatrix& comm_matrix() { return comm_matrix_; }
-  const CommMatrix& comm_matrix() const { return comm_matrix_; }
 
   /// The installed fault injector, or nullptr (the common case).
   const FaultInjector* fault_injector() const { return fault_injector_; }
@@ -63,9 +75,6 @@ class World {
   /// Rank r's chaos tallies; written only by rank r's thread.
   ChaosCounters& chaos_counters(int rank) {
     return chaos_counters_.at(static_cast<size_t>(rank));
-  }
-  const std::vector<ChaosCounters>& all_chaos_counters() const {
-    return chaos_counters_;
   }
 
   /// Monotone count of mailbox pushes/pops, watched by the watchdog.
@@ -76,6 +85,11 @@ class World {
   /// Wakes every blocked receiver with a failure. Called when a rank
   /// throws.
   void fail_all();
+
+  /// Closes a job once every rank has returned: drains every mailbox, so
+  /// no stale copy, ack or delayed message reaches the next job, and
+  /// returns the job's tallies, leaving zeroed ones for the next job.
+  WorldReport end_job();
 
  private:
   int size_;
@@ -89,44 +103,22 @@ class World {
 
 using RankFn = std::function<void(Comm&)>;
 
-/// Everything a world measured: per-rank traffic counters, the (source,
-/// dest) communication matrix, and — when a fault injector was installed —
-/// per-rank chaos tallies.
-struct WorldReport {
-  std::vector<PerfCounters> counters;
-  CommMatrix comm_matrix;
-  std::vector<ChaosCounters> chaos;
-};
-
-/// Runs `fn` on `size` ranks and returns the per-rank traffic counters.
-/// Rethrows the first rank exception, if any. Each rank thread is tagged
-/// with its rank via util::set_current_rank, so log lines and trace
-/// events are attributed to the right rank.
-std::vector<PerfCounters> run_world(int size, const RankFn& fn,
-                                    const WorldOptions& options = {});
-
-/// Like run_world, but also returns the communication matrix and chaos
-/// tallies.
-WorldReport run_world_report(int size, const RankFn& fn,
-                             const WorldOptions& options = {});
-
-/// A world whose rank threads stay alive across many SPMD jobs — the
-/// long-lived service daemon's runtime (docs/service.md). run_world pays
-/// thread spawn + join per call; a resident service answering sub-
-/// millisecond queries cannot. PersistentWorld parks each rank thread on
-/// a condition variable between jobs and reuses the same mailboxes, so a
-/// job costs one wakeup instead of p thread creations.
+/// A world whose rank threads stay alive across many SPMD jobs. Each rank
+/// thread parks on a condition variable between jobs and the mailboxes
+/// are reused, so a job costs one wakeup instead of p thread creations —
+/// what a resident service answering sub-millisecond queries needs
+/// (docs/service.md).
 ///
-/// Differences from run_world:
-///  * run_job returns only the *delta* the job produced (counters and
-///    comm matrix), so per-request artifacts attribute traffic to the
-///    request that caused it, not to the world's lifetime.
-///  * Fault injection is unsupported: Mailbox::fail() is permanent, so a
-///    chaos crash would poison every later job. The constructor throws if
-///    a fault injector is configured.
-///  * If any rank throws, the world is failed exactly like run_world —
-///    and then *stays* failed: the world is poisoned, run_job refuses
-///    further jobs, and the owner must rebuild the world.
+///  * run_job returns only what that job produced (counters, comm matrix
+///    and chaos tallies), so per-request artifacts attribute traffic to
+///    the request that caused it, not to the world's lifetime.
+///  * Jobs never overlap, so draining the mailboxes between jobs is all
+///    the isolation a fault injector needs: each job's Comm handles
+///    restart their channel sequence numbers against empty mailboxes.
+///  * A chaos crash replays inside the rank (mpisim/recovery.hpp) and
+///    fails nothing. If a rank throws, the world is failed and then
+///    *stays* failed: the world is poisoned, run_job refuses further
+///    jobs, and the owner must rebuild the world.
 ///
 /// Single-rank worlds run jobs inline on the caller's thread.
 class PersistentWorld {
@@ -138,21 +130,31 @@ class PersistentWorld {
   PersistentWorld& operator=(const PersistentWorld&) = delete;
 
   int size() const { return size_; }
+  /// The installed fault injector, or nullptr.
+  const FaultInjector* fault_injector() const {
+    return world_->fault_injector();
+  }
   /// True after a job failed; every later run_job throws immediately.
   bool poisoned() const { return poisoned_; }
   /// Jobs completed successfully since construction.
   std::uint64_t jobs_run() const { return jobs_run_; }
 
   /// Runs `fn` as one SPMD job on the resident rank threads, blocks until
-  /// every rank returns, and reports only this job's traffic.
+  /// every rank returns, and reports only this job's traffic. Each rank
+  /// thread is tagged with its rank via util::set_current_rank, so log
+  /// lines and trace events are attributed to the right rank.
   WorldReport run_job(const RankFn& fn);
 
  private:
   void worker(int rank);
-  WorldReport job_delta(const std::vector<PerfCounters>& counters_before,
-                        const CommMatrix& matrix_before) const;
+  /// Runs `fn` as rank `rank`; a throw fails the world.
+  void run_rank(const RankFn& fn, int rank);
+  /// Blocks until every rank of the job has returned. With a watchdog
+  /// budget the waiting thread doubles as the watchdog.
+  void await_ranks();
 
   int size_;
+  double watchdog_seconds_ = 0.0;  ///< resolved budget; 0 = off
   std::unique_ptr<World> world_;
   std::vector<std::thread> threads_;
   std::mutex mutex_;
@@ -166,5 +168,10 @@ class PersistentWorld {
   std::uint64_t jobs_run_ = 0;
   std::exception_ptr first_error_;
 };
+
+/// Runs `fn` on `size` ranks as the one job of a fresh PersistentWorld and
+/// returns what it measured. Rethrows the first rank exception, if any.
+WorldReport run_world(int size, const RankFn& fn,
+                      const WorldOptions& options = {});
 
 }  // namespace tricount::mpisim

@@ -430,22 +430,9 @@ DeltaResult collect(std::vector<RankOut>& outs,
 DeltaResult count_delta(mpisim::PersistentWorld& world,
                         const StreamState& state, const Batch& batch,
                         const DeltaConfig& config) {
-  DeletedSet deleted;
-  for (const DeltaOp& op : batch.ops) {
-    if (!op.insert) deleted.keys.insert(edge_key(op.edge.u, op.edge.v));
-  }
-  std::vector<RankOut> outs(static_cast<std::size_t>(world.size()));
-  mpisim::WorldReport report = world.run_job([&](mpisim::Comm& comm) {
-    delta_rank(comm, state, batch, deleted, config, outs);
-  });
-  return collect(outs, std::move(report.chaos));
-}
-
-DeltaResult count_delta_world(int ranks, const StreamState& state,
-                              const Batch& batch, const DeltaConfig& config,
-                              const mpisim::WorldOptions& options) {
-  for (int rank = 0; options.fault_injector != nullptr && rank < ranks; ++rank) {
-    if (options.fault_injector->crash_superstep(rank) > 0) {
+  const mpisim::FaultInjector* injector = world.fault_injector();
+  for (int rank = 0; injector != nullptr && rank < world.size(); ++rank) {
+    if (injector->crash_superstep(rank) > 0) {
       throw std::invalid_argument(
           "stream: a chaos crash must be scheduled at superstep 0, the "
           "delta pass's only counting superstep");
@@ -455,13 +442,10 @@ DeltaResult count_delta_world(int ranks, const StreamState& state,
   for (const DeltaOp& op : batch.ops) {
     if (!op.insert) deleted.keys.insert(edge_key(op.edge.u, op.edge.v));
   }
-  std::vector<RankOut> outs(static_cast<std::size_t>(ranks));
-  mpisim::WorldReport report = mpisim::run_world_report(
-      ranks,
-      [&](mpisim::Comm& comm) {
-        delta_rank(comm, state, batch, deleted, config, outs);
-      },
-      options);
+  std::vector<RankOut> outs(static_cast<std::size_t>(world.size()));
+  mpisim::WorldReport report = world.run_job([&](mpisim::Comm& comm) {
+    delta_rank(comm, state, batch, deleted, config, outs);
+  });
   return collect(outs, std::move(report.chaos));
 }
 

@@ -20,10 +20,11 @@
 // every u ≡ x (mod q). For a delta edge (u, v) and column y, the rank
 // owning N_y(v) ships that shard to the rank owning N_y(u) — grouped
 // into one blob per (sender, executor) pair (util/blob.hpp) — and the
-// executor counts |N_y(u) ∩ N_y(v)| with the kernels subsystem. Counting
-// never mutates the state (count-then-apply), so a chaos crash replays
-// the rank's counting superstep from its received shards without
-// touching peers (mpisim/recovery.hpp).
+// executor counts |N_y(u) ∩ N_y(v)| with the kernels subsystem. The pass
+// runs as one job on a PersistentWorld, the service's or one armed with
+// a fault plan. Counting never mutates the state (count-then-apply), so
+// a chaos crash replays the rank's counting superstep from its received
+// shards without touching peers (mpisim/recovery.hpp).
 #pragma once
 
 #include <cstdint>
@@ -130,21 +131,15 @@ struct DeltaResult {
   TriangleCount added() const { return created; }
 };
 
-/// Counts the batch's delta on the resident rank threads (the service
-/// path). Pure: the state is not mutated. The batch must have passed
-/// validate().
+/// Counts the batch's delta on the world's rank threads (the resident
+/// service's world, or one armed with a fault plan). `world` must have a
+/// perfect-square size. Pure: the state is not mutated. The batch must
+/// have passed validate(). The pass counts in superstep 0, so a fault
+/// plan that crashes a rank at a later superstep throws
+/// std::invalid_argument.
 DeltaResult count_delta(mpisim::PersistentWorld& world,
                         const StreamState& state, const Batch& batch,
                         const DeltaConfig& config = {});
-
-/// Same pass on a throwaway world — the chaos-testing path, since
-/// PersistentWorld refuses fault injectors. `ranks` must be a perfect
-/// square. The pass counts in superstep 0, so a fault plan that crashes
-/// a rank at a later superstep throws std::invalid_argument.
-DeltaResult count_delta_world(int ranks, const StreamState& state,
-                              const Batch& batch,
-                              const DeltaConfig& config = {},
-                              const mpisim::WorldOptions& options = {});
 
 /// Applies the batch and its counted delta to the state: deletes, then
 /// inserts, then moves the total by added − removed.

@@ -6,7 +6,7 @@
 //
 //   [   0.001234] [r007] [DEBUG] shift 3 done
 //
-// The rank is a thread-local set by mpisim::run_world for each rank
+// The rank is a thread-local set by mpisim::PersistentWorld for each rank
 // thread ([r---] outside a world). The same thread-local feeds the
 // obs::Tracer per-rank buffers.
 #pragma once
@@ -22,14 +22,14 @@ void set_log_level(LogLevel level);
 LogLevel log_level();
 
 /// Tags the calling thread with a simulated rank id (negative clears the
-/// tag). Set by mpisim::run_world around each rank function.
+/// tag). Set by mpisim::PersistentWorld on each rank thread.
 void set_current_rank(int rank);
 /// The calling thread's rank tag, or -1 when unset.
 int current_rank();
 
-/// Tags a non-rank helper thread (watchdog, telemetry publisher) with a
-/// short label — at most 4 characters are shown — so its log lines read
-/// `[wdog]` instead of the anonymous `[r---]`. A rank tag, when set,
+/// Tags a non-rank helper thread (the telemetry publisher) with a short
+/// label — at most 4 characters are shown — so its log lines read
+/// `[tlm ]` instead of the anonymous `[r---]`. A rank tag, when set,
 /// wins. Pass nullptr to clear. The pointer must stay valid for the
 /// thread's lifetime (string literals in practice).
 void set_thread_label(const char* label);

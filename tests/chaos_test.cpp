@@ -1,7 +1,7 @@
 // Chaos subsystem tests (docs/chaos.md): the seeded fault-injection
 // campaign plus unit tests for the reliable-delivery protocol, the
-// mailbox fault entry points, crash/recovery, the watchdog, and the
-// replay-file round trip.
+// mailbox fault entry points, crash/recovery, the resident plans on a
+// chaos-armed world, the watchdog, and the replay-file round trip.
 //
 // The campaign is the tentpole acceptance check: 200 seeded runs across
 // {drop, duplicate, reorder, delay, straggler, crash-at-superstep-k} ×
@@ -16,9 +16,11 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "test_seed.hpp"
@@ -27,8 +29,11 @@
 #include "tricount/chaos/options.hpp"
 #include "tricount/core/counter2d.hpp"
 #include "tricount/core/dist_graph.hpp"
+#include "tricount/core/dist_truss.hpp"
 #include "tricount/core/driver.hpp"
+#include "tricount/core/per_vertex.hpp"
 #include "tricount/core/summa2d.hpp"
+#include "tricount/engine/engine.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/serial_count.hpp"
 #include "tricount/kernels/kernels.hpp"
@@ -277,7 +282,7 @@ TEST(ChaosProtocol, DuplicatesDiscardedDataIntact) {
   const chaos::FaultPlan plan(spec, 2);
   mpisim::WorldOptions options;
   options.fault_injector = &plan;
-  const mpisim::WorldReport report = mpisim::run_world_report(
+  const mpisim::WorldReport report = mpisim::run_world(
       2,
       [](mpisim::Comm& comm) {
         if (comm.rank() == 0) {
@@ -306,7 +311,7 @@ TEST(ChaosProtocol, ReorderedMessagesDeliverInSequence) {
   const chaos::FaultPlan plan(spec, 2);
   mpisim::WorldOptions options;
   options.fault_injector = &plan;
-  const mpisim::WorldReport report = mpisim::run_world_report(
+  const mpisim::WorldReport report = mpisim::run_world(
       2,
       [](mpisim::Comm& comm) {
         if (comm.rank() == 0) {
@@ -336,7 +341,7 @@ TEST(ChaosProtocol, DelayedMessagesNeverDeadlock) {
   mpisim::WorldOptions options;
   options.fault_injector = &plan;
   options.watchdog_seconds = 20.0;  // a hang here should fail, not block ctest
-  const mpisim::WorldReport report = mpisim::run_world_report(
+  const mpisim::WorldReport report = mpisim::run_world(
       2,
       [](mpisim::Comm& comm) {
         // Ping-pong: each message is the only traffic in flight, so a
@@ -448,8 +453,8 @@ std::shared_ptr<const chaos::FaultPlan> crash_plan(int step, int ranks,
   return std::make_shared<const chaos::FaultPlan>(spec, ranks);
 }
 
-/// Per-rank output of a Cannon crediting tally, run on a plain world so a
-/// fault plan can crash it.
+/// Per-rank output of a Cannon crediting tally, taken before the credits
+/// are reduced, so a replayed superstep is checked rank by rank.
 struct CreditRun {
   std::vector<std::vector<graph::TriangleCount>> vertex;
   std::vector<
@@ -468,7 +473,7 @@ CreditRun run_credits(const graph::EdgeList& g, int ranks, core::Tally tally,
   run.kernel.resize(static_cast<std::size_t>(ranks));
   mpisim::WorldOptions options;
   options.fault_injector = injector;
-  const mpisim::WorldReport report = mpisim::run_world_report(
+  const mpisim::WorldReport report = mpisim::run_world(
       ranks,
       [&](mpisim::Comm& comm) {
         mpisim::Cart2D grid(comm);
@@ -612,6 +617,101 @@ TEST(ChaosRecovery, StragglerSlowsOneRankOnly) {
     EXPECT_EQ(r.per_rank_chaos[static_cast<std::size_t>(rank)].straggler_steps,
               0u);
   }
+}
+
+// --- the resident path under chaos ------------------------------------------
+
+// The per-vertex, clustering, edge-support and k-truss calls build their
+// own world, which must carry the caller's fault plan. Nothing is ever
+// delivered, so each call must fail with the retry budget's typed error
+// instead of returning a count.
+TEST(ChaosResident, CreditingCallsHonourTheFaultPlan) {
+  const graph::EdgeList g =
+      graph::simplify(graph::watts_strogatz(64, 6, 0.2, 7));
+  chaos::FaultSpec spec;
+  spec.seed = 43;
+  spec.drop_rate = 1.0;
+  spec.max_retries = 3;
+  spec.retry_timeout_seconds = 1e-3;
+  core::RunOptions options;
+  options.chaos = std::make_shared<const chaos::FaultPlan>(spec, 4);
+  options.watchdog_seconds = -1.0;  // let the retry budget fail first
+  const std::pair<const char*, std::function<void()>> calls[] = {
+      {"count_per_vertex_2d",
+       [&] { (void)core::count_per_vertex_2d(g, 4, options); }},
+      {"clustering_stats_2d",
+       [&] { (void)core::clustering_stats_2d(g, 4, options); }},
+      {"edge_supports_2d",
+       [&] { (void)core::edge_supports_2d(g, 4, options); }},
+      {"ktruss_2d", [&] { (void)core::ktruss_2d(g, 4, options); }},
+  };
+  for (const auto& [name, call] : calls) {
+    try {
+      call();
+      ADD_FAILURE() << name << " returned under a drop-everything plan";
+    } catch (const mpisim::ChaosError& e) {
+      EXPECT_EQ(e.kind(), mpisim::ChaosError::Kind::kRetransmitTimeout)
+          << name;
+    }
+  }
+}
+
+// The service's code path: one chaos-armed world runs every resident plan
+// in turn, the piece builds included. Every answer must equal a
+// fault-free world's, and every counting job must report its own crash
+// and recovery, no more.
+TEST(ChaosResident, EveryPlanOnOneChaosArmedWorld) {
+  graph::RmatParams params;
+  params.scale = 8;
+  params.edge_factor = 8;
+  params.seed = 5;
+  const graph::EdgeList g = graph::simplify(graph::rmat(params));
+  chaos::FaultSpec spec = mixed_spec(run_seed(0x5e41, 0));
+  spec.straggler_factor = 1.0;
+  spec.crash_superstep = 1;  // every plan below has supersteps 0 and 1
+  const chaos::FaultPlan plan(spec, 4);
+  mpisim::WorldOptions options;
+  options.fault_injector = &plan;
+  mpisim::PersistentWorld chaotic_world(4, options);
+  mpisim::PersistentWorld clean_world(4);
+  engine::Resident chaotic({}, {});
+  engine::Resident clean({}, {});
+  chaotic.reset(g);
+  clean.reset(g);
+
+  const engine::Plan plans[] = {
+      {engine::Algo::kCannon, core::Tally::kCount, {}},
+      {engine::Algo::kCannon, core::Tally::kPerVertex, {}},
+      {engine::Algo::kCannon, core::Tally::kEdgeSupport, {}},
+      {engine::Algo::kSumma, core::Tally::kCount, {}},
+      {engine::Algo::kCetric, core::Tally::kCount, {}},
+  };
+  std::uint64_t injected = 0;
+  for (const engine::Plan& p : plans) {
+    const std::string where =
+        "algo " + std::to_string(static_cast<int>(p.algo)) + " tally " +
+        std::to_string(static_cast<int>(p.tally)) +
+        " chaos seed=" + std::to_string(spec.seed);
+    const core::RunResult want = engine::run(p, clean_world, clean);
+    const core::RunResult got = engine::run(p, chaotic_world, chaotic);
+    EXPECT_EQ(got.triangles, want.triangles) << where;
+    ASSERT_EQ(got.per_rank.size(), want.per_rank.size()) << where;
+    for (std::size_t r = 0; r < got.per_rank.size(); ++r) {
+      EXPECT_EQ(got.per_rank[r].kernel, want.per_rank[r].kernel)
+          << where << " rank " << r;
+    }
+    EXPECT_EQ(got.vertex_triangles, want.vertex_triangles) << where;
+    EXPECT_EQ(got.edge_supports, want.edge_supports) << where;
+    EXPECT_EQ(got.per_rank_cetric, want.per_rank_cetric) << where;
+    const mpisim::ChaosCounters c = got.total_chaos();
+    EXPECT_EQ(c.crashes, 1u) << where;
+    EXPECT_EQ(c.recoveries, 1u) << where;
+    injected += c.total_injected();
+  }
+  EXPECT_GT(injected, 0u);
+  EXPECT_EQ(chaotic.builds(engine::Algo::kCannon), 1u);
+  EXPECT_EQ(chaotic.builds(engine::Algo::kCetric), 1u);
+  EXPECT_FALSE(chaotic_world.poisoned());
 }
 
 // --- watchdog --------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Tests for the message-passing runtime: point-to-point semantics,
 // collective correctness against sequential oracles, topology helpers,
-// failure propagation, and performance counters.
+// failure propagation, performance counters, and job isolation on a
+// PersistentWorld under chaos.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -258,7 +259,7 @@ TEST(Requests, CountersChargeCompletionNotPosting) {
       Request req = comm.irecv(0, 2);
       req.wait();
     }
-  });
+  }).counters;
   EXPECT_EQ(counters[0].messages_sent, 1u);
   EXPECT_EQ(counters[0].bytes_sent, 32u);
   EXPECT_EQ(counters[1].messages_received, 1u);
@@ -272,7 +273,7 @@ TEST(Runtime, CountersTrackTraffic) {
     } else {
       (void)comm.recv<std::uint64_t>(0, 2);
     }
-  });
+  }).counters;
   EXPECT_EQ(counters[0].messages_sent, 1u);
   EXPECT_EQ(counters[0].bytes_sent, 32u);
   EXPECT_EQ(counters[1].messages_received, 1u);
@@ -283,7 +284,7 @@ TEST(Runtime, SingleRankWorldRunsInline) {
   const auto counters = run_world(1, [](Comm& comm) {
     EXPECT_EQ(comm.rank(), 0);
     EXPECT_EQ(comm.size(), 1);
-  });
+  }).counters;
   EXPECT_EQ(counters.size(), 1u);
 }
 
@@ -592,7 +593,7 @@ TEST(Recovery, CrashedSuperstepRunsTwiceAndKeepsTheReplay) {
   options.fault_injector = &plan;
   std::vector<std::vector<int>> calls(3, std::vector<int>(3, 0));
   std::vector<std::vector<int>> kept(3, std::vector<int>(3, 0));
-  const WorldReport report = run_world_report(
+  const WorldReport report = run_world(
       3,
       [&](Comm& comm) {
         auto& mine = calls[static_cast<std::size_t>(comm.rank())];
@@ -626,6 +627,119 @@ TEST(Recovery, NoInjectorRunsEachSuperstepOnce) {
     if (comm.rank() == 0) (void)run_superstep(comm, 0, [&] { return ++runs; });
   });
   EXPECT_EQ(runs, 1);
+}
+
+// --- PersistentWorld under chaos ---------------------------------------------
+
+/// Duplicates every transmission. The receiver takes the first copy and
+/// returns, so the second one is still queued when the job ends.
+class DuplicateEverything : public FaultInjector {
+ public:
+  FaultAction on_message(int, int, int, std::uint64_t, int) const override {
+    FaultAction action;
+    action.duplicate = true;
+    return action;
+  }
+  double straggler_factor(int) const override { return 1.0; }
+  int crash_superstep(int) const override { return -1; }
+};
+
+TEST(PersistentWorld, StaleCopiesNeverCrossJobs) {
+  const DuplicateEverything plan;
+  WorldOptions options;
+  options.fault_injector = &plan;
+  PersistentWorld world(2, options);
+  // Both jobs send on one tag, and each job's channels restart at
+  // sequence 1: a copy left over from the first job would pass for the
+  // second job's message.
+  for (const int payload : {100, 101}) {
+    int received = 0;
+    const WorldReport report = world.run_job([&](Comm& comm) {
+      if (comm.rank() == 0) {
+        comm.send_value<int>(1, 7, payload);
+      } else {
+        received = comm.recv_value<int>(0, 7);
+      }
+    });
+    EXPECT_EQ(received, payload);
+    EXPECT_EQ(report.chaos[0].duplicates_injected, 1u) << payload;
+  }
+  EXPECT_EQ(world.jobs_run(), 2u);
+}
+
+/// Faults first attempts only, picked by sequence number, so a job's
+/// injections are a pure function of its messages: retransmits go clean.
+class FaultFirstAttempts : public FaultInjector {
+ public:
+  FaultAction on_message(int, int, int, std::uint64_t seq,
+                         int attempt) const override {
+    FaultAction action;
+    if (attempt > 1) return action;
+    switch (seq % 4) {
+      case 0:
+        action.drop = true;
+        break;
+      case 1:
+        action.duplicate = true;
+        break;
+      case 2:
+        action.reorder = true;
+        break;
+      default:
+        action.delay_seconds = 1e-4;
+    }
+    return action;
+  }
+  double straggler_factor(int) const override { return 1.0; }
+  int crash_superstep(int) const override { return -1; }
+  double retry_timeout_seconds() const override { return 1e-3; }
+};
+
+TEST(PersistentWorld, ChaosTalliesArePerJob) {
+  const FaultFirstAttempts plan;
+  WorldOptions options;
+  options.fault_injector = &plan;
+  constexpr int p = 4;
+  // Job k: every rank sends k + 4 values to every peer, then reduces.
+  auto job = [](int k) {
+    return [k](Comm& comm) {
+      for (int peer = 0; peer < comm.size(); ++peer) {
+        if (peer == comm.rank()) continue;
+        for (int i = 0; i < k + 4; ++i) comm.send_value<int>(peer, 3, i);
+      }
+      for (int peer = 0; peer < comm.size(); ++peer) {
+        if (peer == comm.rank()) continue;
+        for (int i = 0; i < k + 4; ++i) {
+          EXPECT_EQ(comm.recv_value<int>(peer, 3), i);
+        }
+      }
+      EXPECT_EQ(allreduce_sum(comm, std::uint64_t{1}),
+                static_cast<std::uint64_t>(comm.size()));
+    };
+  };
+  PersistentWorld shared(p, options);
+  for (int k = 0; k < 3; ++k) {
+    const WorldReport alone = run_world(p, job(k), options);
+    const WorldReport reused = shared.run_job(job(k));
+    ChaosCounters total;
+    for (int r = 0; r < p; ++r) {
+      const ChaosCounters& got = reused.chaos[static_cast<std::size_t>(r)];
+      const ChaosCounters& want = alone.chaos[static_cast<std::size_t>(r)];
+      EXPECT_EQ(got.drops_injected, want.drops_injected) << k << "/" << r;
+      EXPECT_EQ(got.duplicates_injected, want.duplicates_injected)
+          << k << "/" << r;
+      EXPECT_EQ(got.reorders_injected, want.reorders_injected)
+          << k << "/" << r;
+      EXPECT_EQ(got.delays_injected, want.delays_injected) << k << "/" << r;
+      EXPECT_DOUBLE_EQ(got.delay_modeled_seconds, want.delay_modeled_seconds)
+          << k << "/" << r;
+      total += got;
+    }
+    EXPECT_GT(total.drops_injected, 0u) << k;
+    EXPECT_GT(total.duplicates_injected, 0u) << k;
+    EXPECT_GT(total.reorders_injected, 0u) << k;
+    EXPECT_GT(total.delays_injected, 0u) << k;
+  }
 }
 
 }  // namespace

@@ -142,7 +142,7 @@ TEST(Metrics, KindMismatchThrows) {
 TEST(CommMatrix, SumsMatchPerfCountersOnAlltoallv) {
   constexpr int kRanks = 4;
   const mpisim::WorldReport report =
-      mpisim::run_world_report(kRanks, [](mpisim::Comm& comm) {
+      mpisim::run_world(kRanks, [](mpisim::Comm& comm) {
         // Collective traffic: an alltoallv with rank-dependent volumes.
         std::vector<std::vector<std::uint64_t>> out(kRanks);
         for (int d = 0; d < kRanks; ++d) {

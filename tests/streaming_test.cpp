@@ -98,8 +98,9 @@ void count_and_apply(stream::StreamState& state, const stream::Batch& batch,
   ASSERT_FALSE(stream::validate(state, batch).has_value());
   stream::DeltaConfig config;
   config.kernel = kernel;
+  mpisim::PersistentWorld world(ranks);
   const stream::DeltaResult delta =
-      stream::count_delta_world(ranks, state, batch, config);
+      stream::count_delta(world, state, batch, config);
   stream::apply(state, batch, delta);
   if (delta_out != nullptr) *delta_out = delta;
 }
@@ -337,8 +338,9 @@ TEST(StreamChaos, DeltaReplayUnderFaults) {
     stream::StreamState state = stream::StreamState::from_graph(entry.graph);
     const stream::Batch batch = random_batch(rng, state, Mode::kMixed, 10);
     if (batch.ops.empty()) continue;
+    mpisim::PersistentWorld clean_world(4);
     const stream::DeltaResult clean =
-        stream::count_delta_world(4, state, batch);
+        stream::count_delta(clean_world, state, batch);
 
     chaos::FaultSpec spec;
     spec.seed = rng();
@@ -351,8 +353,9 @@ TEST(StreamChaos, DeltaReplayUnderFaults) {
     const chaos::FaultPlan plan(spec, 4);
     mpisim::WorldOptions options;
     options.fault_injector = &plan;
+    mpisim::PersistentWorld chaotic_world(4, options);
     const stream::DeltaResult chaotic =
-        stream::count_delta_world(4, state, batch, {}, options);
+        stream::count_delta(chaotic_world, state, batch);
 
     EXPECT_EQ(chaotic.removed(), clean.removed()) << "seed " << spec.seed;
     EXPECT_EQ(chaotic.added(), clean.added()) << "seed " << spec.seed;
@@ -392,7 +395,8 @@ TEST(StreamChaos, CrashAfterTheOnlySuperstepIsRejected) {
   const chaos::FaultPlan plan(spec, 4);
   mpisim::WorldOptions options;
   options.fault_injector = &plan;
-  EXPECT_THROW((void)stream::count_delta_world(4, state, batch, {}, options),
+  mpisim::PersistentWorld world(4, options);
+  EXPECT_THROW((void)stream::count_delta(world, state, batch),
                std::invalid_argument);
 }
 
