@@ -132,8 +132,9 @@ int main(int argc, char** argv) {
     stream::apply(state, batch, delta);
     maintenance_seconds += util::wall_seconds() - start;
 
-    // The alternative the service would pay: re-preprocess the mutated
-    // graph and run a full counting sweep on the resident blocks.
+    // A full recount: re-preprocess the mutated graph and run a
+    // full counting sweep on the resident blocks. (The service patches
+    // its resident blocks for the batch instead; docs/service.md.)
     const graph::EdgeList snapshot = state.edge_list();
     start = util::wall_seconds();
     core::RunOptions run_options;

@@ -53,6 +53,70 @@ BlockCsr BlockCsr::from_entries(VertexId num_local_rows,
   return block;
 }
 
+void BlockCsr::patch(std::vector<LocalEntry> removed,
+                     std::vector<LocalEntry> added) {
+  if (removed.empty() && added.empty()) return;  // no copy for a no-op
+  std::sort(removed.begin(), removed.end());
+  std::sort(added.begin(), added.end());
+  if (std::adjacent_find(added.begin(), added.end()) != added.end()) {
+    throw std::invalid_argument("BlockCsr::patch: entry added twice");
+  }
+  std::vector<std::uint64_t> xadj(xadj_.size(), 0);
+  std::vector<VertexId> adj;
+  adj.reserve(adj_.size() + added.size());
+  // Copies the untouched rows [from, to) in one run, shifting their
+  // offsets to where the run lands.
+  auto copy_rows = [&](VertexId from, VertexId to) {
+    const std::uint64_t base = adj.size();
+    adj.insert(adj.end(),
+               adj_.begin() + static_cast<std::ptrdiff_t>(xadj_[from]),
+               adj_.begin() + static_cast<std::ptrdiff_t>(xadj_[to]));
+    for (VertexId r = from; r < to; ++r) {
+      xadj[r + 1] = xadj_[r + 1] - xadj_[from] + base;
+    }
+  };
+  auto del = removed.cbegin();
+  auto ins = added.cbegin();
+  VertexId next = 0;  // first row not yet written
+  while (del != removed.cend() || ins != added.cend()) {
+    const VertexId r =
+        std::min(del != removed.cend() ? del->row : ~VertexId{0},
+                 ins != added.cend() ? ins->row : ~VertexId{0});
+    if (r >= num_local_rows_) {
+      throw std::out_of_range("BlockCsr::patch: entry row out of range");
+    }
+    copy_rows(next, r);
+    // Three cursors over row r: its columns, its removals, its additions.
+    const auto cols = row(r);
+    auto col = cols.begin();
+    const auto adding = [&] { return ins != added.cend() && ins->row == r; };
+    while (col != cols.end() || adding()) {
+      if (adding() && (col == cols.end() || ins->col < *col)) {
+        adj.push_back((ins++)->col);
+      } else if (adding() && ins->col == *col) {
+        throw std::invalid_argument("BlockCsr::patch: added entry present");
+      } else if (del != removed.cend() && del->row == r && del->col == *col) {
+        ++del;
+        ++col;
+      } else {
+        adj.push_back(*col++);
+      }
+    }
+    if (del != removed.cend() && del->row == r) {
+      throw std::invalid_argument("BlockCsr::patch: removed entry absent");
+    }
+    xadj[r + 1] = adj.size();
+    next = r + 1;
+  }
+  copy_rows(next, num_local_rows_);
+  xadj_ = std::move(xadj);
+  adj_ = std::move(adj);
+  nonempty_.clear();
+  for (VertexId r = 0; r < num_local_rows_; ++r) {
+    if (row_degree(r) > 0) nonempty_.push_back(r);
+  }
+}
+
 VertexId BlockCsr::max_row_degree() const {
   VertexId best = 0;
   for (const VertexId r : nonempty_) best = std::max(best, row_degree(r));

@@ -48,6 +48,14 @@ class BlockCsr {
   static BlockCsr from_entries(VertexId num_local_rows,
                                std::vector<LocalEntry> entries);
 
+  /// Removes `removed` and adds `added` (any order) in one linear merge
+  /// that rewrites xadj, adj and the nonempty row list; untouched runs of
+  /// rows are copied whole. Throws std::invalid_argument when a removed
+  /// entry is absent or an added one is present or repeated, and
+  /// std::out_of_range for a row outside the block; the block is then
+  /// unchanged.
+  void patch(std::vector<LocalEntry> removed, std::vector<LocalEntry> added);
+
   VertexId num_local_rows() const { return num_local_rows_; }
   std::uint64_t num_entries() const { return adj_.size(); }
 

@@ -1,6 +1,7 @@
 #include "tricount/core/preprocess.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 
@@ -124,52 +125,27 @@ Blocks scatter_2d(mpisim::Cart2D& grid, const RelabeledSlice& slice,
                   Enumeration enumeration) {
   mpisim::Comm& comm = grid.comm();
   const int q = grid.q();
-  const auto qv = static_cast<VertexId>(q);
   const std::size_t p = static_cast<std::size_t>(comm.size());
 
-  std::vector<std::vector<LocalEntry>> u_out(p);
-  std::vector<std::vector<LocalEntry>> l_out(p);
-  std::vector<std::vector<LocalEntry>> t_out(p);
-
+  // out[part][rank]: the entries of one block kind bound for one rank.
+  std::array<std::vector<std::vector<LocalEntry>>, 3> out;
+  out.fill(std::vector<std::vector<LocalEntry>>(p));
   for (std::size_t k = 0; k < slice.adj.size(); ++k) {
-    const VertexId w = slice.new_ids[k];
-    const int wx = static_cast<int>(w % qv);
-    const VertexId wloc = w / qv;
     for (const VertexId u : slice.adj[k]) {
-      const int ux = static_cast<int>(u % qv);
-      const VertexId uloc = u / qv;
-      if (u > w) {
-        // After degree ordering, id order IS degree order (§5.3), so u > w
-        // places u in w's upper-triangle adjacency.
-        //
-        // U_{x,z} entry (row w, col u), x = w%q, z = u%q. Sent directly to
-        // Cannon's aligned start: U_{x,z} begins at rank (x, (z-x) mod q).
-        const int u_dest = grid.rank_of(wx, (ux - wx + q) % q);
-        u_out[static_cast<std::size_t>(u_dest)].push_back(LocalEntry{wloc, uloc});
-        // L_{z,y} entry (stored column-major: row w, col u), z = u%q,
-        // y = w%q. Aligned start: rank ((z-y) mod q, y).
-        const int l_dest = grid.rank_of((ux - wx + q) % q, wx);
-        l_out[static_cast<std::size_t>(l_dest)].push_back(LocalEntry{wloc, uloc});
-        if (enumeration == Enumeration::kIJK) {
-          // Task (i=w, j=u) from the non-zeros of U -> rank (w%q, u%q).
-          const int t_dest = grid.rank_of(wx, ux);
-          t_out[static_cast<std::size_t>(t_dest)].push_back(LocalEntry{wloc, uloc});
-        }
-      } else if (u < w) {
-        if (enumeration == Enumeration::kJIK) {
-          // Task (j=w, i=u) from the non-zeros of L -> rank (w%q, u%q).
-          const int t_dest = grid.rank_of(wx, ux);
-          t_out[static_cast<std::size_t>(t_dest)].push_back(LocalEntry{wloc, uloc});
-        }
-      }
       // u == w cannot happen: new ids form a permutation and self-loops
       // were removed at ingestion.
+      place_2d(q, slice.new_ids[k], u, enumeration,
+               [&](Part part, int dest, LocalEntry entry) {
+                 out[static_cast<std::size_t>(part)]
+                    [static_cast<std::size_t>(dest)]
+                        .push_back(entry);
+               });
     }
   }
 
-  auto u_in = mpisim::alltoallv(comm, u_out);
-  auto l_in = mpisim::alltoallv(comm, l_out);
-  auto t_in = mpisim::alltoallv(comm, t_out);
+  auto u_in = mpisim::alltoallv(comm, out[0]);
+  auto l_in = mpisim::alltoallv(comm, out[1]);
+  auto t_in = mpisim::alltoallv(comm, out[2]);
 
   auto flatten = [](std::vector<std::vector<LocalEntry>> buckets) {
     std::vector<LocalEntry> flat;

@@ -62,9 +62,40 @@ struct Blocks {
   }
 };
 
-/// Steps (iii)+(iv): scatter entries per the 2D cyclic map and build the
-/// block CSRs. The task matrix is built from L for the ⟨j,i,k⟩ scheme and
-/// from U for ⟨i,j,k⟩ (§5.1 last paragraph).
+/// The block a scattered entry belongs to, in Blocks' member order.
+enum class Part { kU, kL, kTasks };
+
+/// The 2D cyclic map of step (iii) on a q × q grid for one adjacency
+/// entry w → u, in degree-ordered ids (every undirected edge is visited
+/// from both ends). Calls place(part, rank, entry) for each block entry
+/// it yields, at Cannon's aligned start: from the upper triangle (u > w)
+/// the U_{x,z} entry at rank (x, (z−x) mod q) and the L_{z,y} entry at
+/// rank ((z−y) mod q, y), stored as (row w, col u); and the task entry at
+/// rank (w%q, u%q), taken from L for ⟨j,i,k⟩ (u < w) and from U for
+/// ⟨i,j,k⟩ (u > w), §5.1 last paragraph. Grid rank (x, y) is x·q + y, as
+/// in mpisim::Cart2D; q is a value so that the scatter loop can hoist
+/// w's share of the arithmetic.
+template <typename Place>
+void place_2d(int q, VertexId w, VertexId u, Enumeration enumeration,
+              Place&& place) {
+  const auto qv = static_cast<VertexId>(q);
+  const int wx = static_cast<int>(w % qv);
+  const int ux = static_cast<int>(u % qv);
+  const LocalEntry entry{w / qv, u / qv};
+  if (u > w) {
+    // After degree ordering, id order IS degree order (§5.3), so u > w
+    // places u in w's upper-triangle adjacency.
+    const int z = (ux - wx + q) % q;
+    place(Part::kU, wx * q + z, entry);
+    place(Part::kL, z * q + wx, entry);
+  }
+  if ((u > w) == (enumeration == Enumeration::kIJK)) {
+    place(Part::kTasks, wx * q + ux, entry);
+  }
+}
+
+/// Steps (iii)+(iv): scatter entries per the 2D cyclic map (place_2d)
+/// and build the block CSRs.
 Blocks scatter_2d(mpisim::Cart2D& grid, const RelabeledSlice& slice,
                   Enumeration enumeration);
 

@@ -1,6 +1,7 @@
 #include "tricount/core/resident.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -9,6 +10,7 @@
 #include "tricount/core/summa2d.hpp"
 #include "tricount/mpisim/cart2d.hpp"
 #include "tricount/obs/telemetry.hpp"
+#include "tricount/obs/trace.hpp"
 
 namespace tricount::core {
 
@@ -136,6 +138,7 @@ ResidentPartition preprocess_resident(mpisim::PersistentWorld& world,
   partition.model = options.model;
   partition.blocks.resize(static_cast<std::size_t>(ranks));
   partition.old_ids.resize(static_cast<std::size_t>(ranks));
+  partition.new_ids.resize(static_cast<std::size_t>(ranks));
 
   world.run_job([&](mpisim::Comm& comm) {
     mpisim::Cart2D grid(comm);
@@ -168,6 +171,7 @@ ResidentPartition preprocess_resident(mpisim::PersistentWorld& world,
     }
 
     partition.blocks[rank] = std::move(pre.blocks);
+    partition.new_ids[rank] = std::move(pre.new_ids);
     if (comm.rank() == 0) {
       partition.num_vertices = pre.num_vertices;
       partition.num_edges = pre.num_edges;
@@ -180,6 +184,82 @@ ResidentPartition preprocess_resident(mpisim::PersistentWorld& world,
   });
 
   return partition;
+}
+
+void patch_resident(mpisim::PersistentWorld& world,
+                    ResidentPartition& partition,
+                    std::span<const graph::Edge> deleted,
+                    std::span<const graph::Edge> inserted) {
+  if (world.size() != partition.ranks) {
+    throw std::invalid_argument(
+        "patch_resident: world size does not match the resident partition");
+  }
+  for (const auto edges : {deleted, inserted}) {
+    for (const graph::Edge& e : edges) {
+      if (e.u >= partition.num_vertices || e.v >= partition.num_vertices) {
+        throw std::out_of_range("patch_resident: vertex out of range");
+      }
+    }
+  }
+
+  world.run_job([&](mpisim::Comm& comm) {
+    obs::ScopedSpan span("patch_2d", "pre");
+    obs::RankTelemetry* live = obs::Telemetry::caller_slot();
+    if (live != nullptr) live->phase.store("patch", std::memory_order_relaxed);
+    const auto pv = static_cast<VertexId>(comm.size());
+    const auto rank = static_cast<std::size_t>(comm.rank());
+    const std::vector<VertexId>& new_ids = partition.new_ids[rank];
+
+    // The owner of each edge's u translates it and forwards
+    // (new u, v, insert) to the owner of v...
+    std::vector<std::vector<VertexId>> forward(pv);
+    for (const VertexId insert : {0u, 1u}) {
+      for (const graph::Edge& e : insert != 0 ? inserted : deleted) {
+        if (e.u % pv != rank) continue;
+        forward[e.v % pv].insert(forward[e.v % pv].end(),
+                                 {new_ids[e.u / pv], e.v, insert});
+      }
+    }
+    // ...which translates v and sends the entries of both directions to
+    // the ranks scatter_2d places them on.
+    struct PatchEntry {
+      LocalEntry entry;
+      Part part = Part::kU;
+      std::uint32_t insert = 0;
+    };
+    std::vector<std::vector<PatchEntry>> out(pv);
+    for (const auto& bucket : mpisim::alltoallv(comm, forward)) {
+      for (std::size_t at = 0; at + 2 < bucket.size(); at += 3) {
+        const VertexId a = bucket[at];
+        const VertexId b = new_ids[bucket[at + 1] / pv];
+        const auto route = [&](Part part, int dest, LocalEntry entry) {
+          out[static_cast<std::size_t>(dest)].push_back(
+              PatchEntry{entry, part, bucket[at + 2]});
+        };
+        place_2d(partition.grid_q, a, b, partition.config.enumeration, route);
+        place_2d(partition.grid_q, b, a, partition.config.enumeration, route);
+      }
+    }
+    std::array<std::vector<LocalEntry>, 3> removed;
+    std::array<std::vector<LocalEntry>, 3> added;
+    for (const auto& bucket : mpisim::alltoallv(comm, out)) {
+      for (const PatchEntry& e : bucket) {
+        (e.insert != 0 ? added : removed)[static_cast<std::size_t>(e.part)]
+            .push_back(e.entry);
+      }
+    }
+    Blocks& blocks = partition.blocks[rank];
+    blocks.ublock.patch(std::move(removed[0]), std::move(added[0]));
+    blocks.lblock.patch(std::move(removed[1]), std::move(added[1]));
+    blocks.tasks.patch(std::move(removed[2]), std::move(added[2]));
+    if (live != nullptr) {
+      live->partition_bytes.store(blocks.heap_bytes(),
+                                  std::memory_order_relaxed);
+      live->phase.store("resident", std::memory_order_relaxed);
+    }
+  });
+  partition.num_edges += inserted.size();
+  partition.num_edges -= deleted.size();
 }
 
 RunResult count_resident(mpisim::PersistentWorld& world,

@@ -10,8 +10,13 @@
 // (cannon_count shifts its blocks away, so the originals stay intact for
 // the next query). The same blocks serve the per-vertex and edge-support
 // tallies and, through SUMMA's broadcast schedule, count_resident_summa.
+// A graph update does not re-run the pipeline: patch_resident edits every
+// rank's blocks for the changed edges in place, in the vertex order the
+// partition was built with (any fixed total order counts exactly; degree
+// order only sets the work).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "tricount/core/driver.hpp"
@@ -40,6 +45,9 @@ struct ResidentPartition {
   /// old_ids[r][k] = input id of degree-ordered vertex r + k·p: the map
   /// the crediting tallies translate back through.
   std::vector<std::vector<VertexId>> old_ids;
+  /// new_ids[r][k] = degree-ordered id of input vertex r + k·p: the map
+  /// a patch translates changed edges through.
+  std::vector<std::vector<VertexId>> new_ids;
 
   /// Approximate resident footprint of all ranks' blocks.
   std::uint64_t resident_bytes() const;
@@ -51,6 +59,20 @@ struct ResidentPartition {
 ResidentPartition preprocess_resident(mpisim::PersistentWorld& world,
                                       const graph::EdgeList& graph,
                                       const RunOptions& options = {});
+
+/// Edits the resident partition for a graph update in one job on `world`:
+/// `deleted` edges (live in the partition) leave it and `inserted` ones
+/// (absent from it) join it, both in input ids. The owners of each edge's
+/// endpoints translate them through new_ids, every U, L and task entry
+/// travels by alltoallv to the rank scatter_2d would place it on, and
+/// each block takes one BlockCsr::patch. The vertex order, the id maps
+/// and num_vertices stay; num_edges follows the update. If the job throws
+/// (a rank failure, or an edge that contradicts the blocks), some blocks
+/// may already be patched: the caller must drop the partition.
+void patch_resident(mpisim::PersistentWorld& world,
+                    ResidentPartition& partition,
+                    std::span<const graph::Edge> deleted,
+                    std::span<const graph::Edge> inserted);
 
 /// Runs only the counting supersteps on the resident partition and
 /// assembles a RunResult (empty preprocessing phase; traffic counters are

@@ -1,19 +1,24 @@
 // One resident engine (docs/service.md): every served verb is a Plan run
 // on a PersistentWorld against one graph version's Resident state, so a
 // request pays only counting — never the preprocessing the paper times
-// separately (ppt). The 2D partition (Cannon-aligned blocks plus the id
-// map) serves Cannon counts, the per-vertex and edge-support tallies and
+// separately (ppt). The 2D partition (Cannon-aligned blocks plus both id
+// maps) serves Cannon counts, the per-vertex and edge-support tallies and
 // square-grid SUMMA; the cetric partition is built by the first cetric
-// plan. reset() (graph.load / graph.swap) drops both pieces, update()
-// (graph.apply) marks them stale, and the next plan that needs a piece
-// rebuilds it.
+// plan. reset() (graph.load / graph.swap) drops both pieces. update()
+// (graph.apply / graph.window) marks the cetric piece stale, to be
+// rebuilt by the next cetric plan, and queues the batch's edges for the
+// 2D piece, which the next plan that needs it patches in place
+// (core::patch_resident) instead of rebuilding. A patch that throws drops
+// the 2D piece, and the plan after it rebuilds it.
 #pragma once
 
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "tricount/cetric/cetric.hpp"
 #include "tricount/core/resident.hpp"
+#include "tricount/stream/stream.hpp"
 
 namespace tricount::engine {
 
@@ -41,11 +46,13 @@ class Resident {
   }
 
   void reset(graph::EdgeList simplified);
-  void update(graph::EdgeList simplified);
+  /// `simplified` is the live graph after `batch`.
+  void update(graph::EdgeList simplified, const stream::Batch& batch);
 
   bool loaded() const { return loaded_; }
   const graph::EdgeList& graph() const { return graph_; }
-  /// The piece a plan runs on, (re)built first when missing or stale.
+  /// The piece a plan runs on: built first when missing, the 2D one
+  /// patched when updates are queued, the cetric one rebuilt when stale.
   const core::ResidentPartition& grid(mpisim::PersistentWorld& world);
   const cetric::ResidentCetric& cetric(mpisim::PersistentWorld& world);
 
@@ -63,6 +70,8 @@ class Resident {
   cetric::ResidentCetric cetric_;
   bool grid_current_ = false;
   bool cetric_current_ = false;
+  /// Ops of every batch since the 2D piece was last built or patched.
+  std::vector<stream::DeltaOp> pending_;
   std::uint64_t grid_builds_ = 0;
   std::uint64_t cetric_builds_ = 0;
 };

@@ -657,9 +657,9 @@ Service::Execution Service::apply_batch(const stream::Batch& batch,
       stream::count_delta(*world_, *stream_, batch, config);
   stream::apply(*stream_, batch, delta);
   if (sample_ != nullptr) sample_->apply(batch);
-  // Every resident piece goes stale; the next verb that needs one
-  // rebuilds it.
-  resident_.update(stream_->edge_list());
+  // The 2D piece queues the batch for a patch at the next verb that needs
+  // it; the cetric piece goes stale until the next cetric verb.
+  resident_.update(stream_->edge_list(), batch);
 
   const std::uint64_t old_version =
       graph_version_.fetch_add(1, std::memory_order_relaxed);

@@ -162,8 +162,9 @@ class Service {
                         kernels::KernelPolicy kernel);
 
   /// Builds the world, or rebuilds one a failed job poisoned (counted in
-  /// tc.service.recoveries). The resident pieces carry over: a job only
-  /// reads them, and a piece whose build failed is never marked current.
+  /// tc.service.recoveries). The resident pieces carry over: a counting
+  /// job only reads them, a piece whose build failed is never marked
+  /// current, and a 2D piece whose patch failed is dropped.
   void ensure_world();
   /// Lazily builds the maintained stream state from the resident graph.
   void ensure_stream();
@@ -189,8 +190,9 @@ class Service {
   // Dispatcher-owned state.
   std::unique_ptr<mpisim::PersistentWorld> world_;
   std::string graph_name_;
-  /// The simplified graph and every piece served verbs run on; graph.apply
-  /// marks the pieces stale and the next verb that needs one rebuilds it.
+  /// The simplified graph and every piece served verbs run on; after a
+  /// graph.apply the next verb that needs the 2D piece patches it in
+  /// place, and the next cetric verb rebuilds the cetric piece.
   engine::Resident resident_;
   /// Incremental maintenance state (docs/streaming.md); built lazily by
   /// the first streaming verb, reset by graph.load/swap.

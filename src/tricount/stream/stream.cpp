@@ -216,7 +216,7 @@ struct DeltaTally {
 struct RankOut : DeltaTally {
   std::uint64_t shard_messages = 0;
   std::uint64_t shard_bytes = 0;
-  std::uint64_t agreed_removed = 0;  ///< allreduce handshake
+  std::uint64_t agreed_removed = 0;  ///< agreement handshake
   std::uint64_t agreed_added = 0;
 };
 
@@ -399,10 +399,16 @@ void delta_rank(mpisim::Comm& comm, const StreamState& state,
   static_cast<DeltaTally&>(out) = mpisim::run_superstep(comm, 0, compute);
 
   // Agreement handshake: every rank must observe the same signed totals.
-  out.agreed_removed =
-      mpisim::allreduce_sum(comm, static_cast<std::uint64_t>(out.destroyed));
-  out.agreed_added =
-      mpisim::allreduce_sum(comm, static_cast<std::uint64_t>(out.created));
+  // Each rank sends both tallies to every rank and sums what arrives: one
+  // alltoallv round, where an allreduce would pay a tree's round trips.
+  const std::vector<std::uint64_t> mine{out.destroyed, out.created};
+  const std::vector<std::vector<std::uint64_t>> tallies = mpisim::alltoallv(
+      comm, std::vector<std::vector<std::uint64_t>>(
+                static_cast<std::size_t>(comm.size()), mine));
+  for (const std::vector<std::uint64_t>& tally : tallies) {
+    out.agreed_removed += tally.at(0);
+    out.agreed_added += tally.at(1);
+  }
 }
 
 DeltaResult collect(std::vector<RankOut>& outs,

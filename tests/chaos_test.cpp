@@ -1,7 +1,9 @@
 // Chaos subsystem tests (docs/chaos.md): the seeded fault-injection
 // campaign plus unit tests for the reliable-delivery protocol, the
 // mailbox fault entry points, crash/recovery, the resident plans on a
-// chaos-armed world, the watchdog, and the replay-file round trip.
+// chaos-armed world (built, and patched after graph updates), the patch
+// that fails over to a rebuild, the watchdog, and the replay-file round
+// trip.
 //
 // The campaign is the tentpole acceptance check: 200 seeded runs across
 // {drop, duplicate, reorder, delay, straggler, crash-at-superstep-k} ×
@@ -17,7 +19,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -39,6 +43,7 @@
 #include "tricount/kernels/kernels.hpp"
 #include "tricount/mpisim/cart2d.hpp"
 #include "tricount/mpisim/runtime.hpp"
+#include "tricount/stream/stream.hpp"
 #include "tricount/util/argparse.hpp"
 #include "tricount/util/rng.hpp"
 
@@ -712,6 +717,146 @@ TEST(ChaosResident, EveryPlanOnOneChaosArmedWorld) {
   EXPECT_EQ(chaotic.builds(engine::Algo::kCannon), 1u);
   EXPECT_EQ(chaotic.builds(engine::Algo::kCetric), 1u);
   EXPECT_FALSE(chaotic_world.poisoned());
+}
+
+/// A batch against `live`, applied to it: up to `count` deletes of random
+/// live edges, then inserts of absent pairs up to 2·count ops.
+stream::Batch churn(std::set<graph::Edge>& live, graph::VertexId n,
+                    util::Xoshiro256& rng, std::size_t count) {
+  stream::Batch batch;
+  std::set<graph::Edge> used;
+  for (std::size_t i = 0; i < count && !live.empty(); ++i) {
+    const graph::Edge e = *std::next(
+        live.begin(), static_cast<std::ptrdiff_t>(rng.bounded(live.size())));
+    if (used.insert(e).second) batch.ops.push_back({false, e});
+  }
+  while (batch.ops.size() < 2 * count) {
+    const auto a = static_cast<graph::VertexId>(rng.bounded(n));
+    const auto b = static_cast<graph::VertexId>(rng.bounded(n));
+    const graph::Edge e{std::min(a, b), std::max(a, b)};
+    if (a != b && live.count(e) == 0 && used.insert(e).second) {
+      batch.ops.push_back({true, e});
+    }
+  }
+  for (const stream::DeltaOp& op : batch.ops) {
+    if (op.insert) {
+      live.insert(op.edge);
+    } else {
+      live.erase(op.edge);
+    }
+  }
+  return batch;
+}
+
+// The same world and plans after two graph updates: the first plan pays
+// the patch of the 2D piece, on the chaos-armed world, and it must be
+// patched exactly, never rebuilt.
+TEST(ChaosResident, PatchedPlansOnOneChaosArmedWorld) {
+  graph::RmatParams params;
+  params.scale = 8;
+  params.edge_factor = 8;
+  params.seed = 5;
+  const graph::EdgeList g = graph::simplify(graph::rmat(params));
+  chaos::FaultSpec spec = mixed_spec(run_seed(0x9a7c, 0));
+  spec.straggler_factor = 1.0;
+  spec.crash_superstep = 1;
+  const chaos::FaultPlan plan(spec, 4);
+  mpisim::WorldOptions options;
+  options.fault_injector = &plan;
+  mpisim::PersistentWorld chaotic_world(4, options);
+  mpisim::PersistentWorld clean_world(4);
+  engine::Resident chaotic({}, {});
+  engine::Resident clean({}, {});
+  chaotic.reset(g);
+  clean.reset(g);
+  (void)chaotic.grid(chaotic_world);
+  (void)clean.grid(clean_world);
+
+  std::set<graph::Edge> live(g.edges.begin(), g.edges.end());
+  util::Xoshiro256 rng(spec.seed);
+  for (int b = 0; b < 2; ++b) {
+    const stream::Batch batch = churn(live, g.num_vertices, rng, 12);
+    const graph::EdgeList now{g.num_vertices, {live.begin(), live.end()}};
+    chaotic.update(now, batch);
+    clean.update(now, batch);
+  }
+  const graph::TriangleCount expected = graph::count_triangles_serial(
+      graph::Csr::from_edges({g.num_vertices, {live.begin(), live.end()}}));
+
+  const engine::Plan plans[] = {
+      {engine::Algo::kCannon, core::Tally::kCount, {}},
+      {engine::Algo::kCannon, core::Tally::kPerVertex, {}},
+      {engine::Algo::kCannon, core::Tally::kEdgeSupport, {}},
+      {engine::Algo::kSumma, core::Tally::kCount, {}},
+      {engine::Algo::kCetric, core::Tally::kCount, {}},
+  };
+  for (const engine::Plan& p : plans) {
+    const std::string where =
+        "algo " + std::to_string(static_cast<int>(p.algo)) + " tally " +
+        std::to_string(static_cast<int>(p.tally)) +
+        " chaos seed=" + std::to_string(spec.seed);
+    const core::RunResult want = engine::run(p, clean_world, clean);
+    const core::RunResult got = engine::run(p, chaotic_world, chaotic);
+    EXPECT_EQ(want.triangles, expected) << where;
+    EXPECT_EQ(got.triangles, want.triangles) << where;
+    EXPECT_EQ(got.num_edges, want.num_edges) << where;
+    ASSERT_EQ(got.per_rank.size(), want.per_rank.size()) << where;
+    for (std::size_t r = 0; r < got.per_rank.size(); ++r) {
+      EXPECT_EQ(got.per_rank[r].kernel, want.per_rank[r].kernel)
+          << where << " rank " << r;
+    }
+    EXPECT_EQ(got.vertex_triangles, want.vertex_triangles) << where;
+    EXPECT_EQ(got.edge_supports, want.edge_supports) << where;
+    EXPECT_EQ(got.per_rank_cetric, want.per_rank_cetric) << where;
+    EXPECT_EQ(got.total_chaos().crashes, 1u) << where;
+    EXPECT_EQ(got.total_chaos().recoveries, 1u) << where;
+  }
+  for (const core::Blocks& blocks : chaotic.grid(chaotic_world).blocks) {
+    EXPECT_NO_THROW(blocks.validate());
+  }
+  EXPECT_EQ(chaotic.builds(engine::Algo::kCannon), 1u);
+  EXPECT_EQ(clean.builds(engine::Algo::kCannon), 1u);
+  EXPECT_FALSE(chaotic_world.poisoned());
+}
+
+// A patch job that fails drops the 2D piece rather than leave some ranks'
+// blocks patched: the next grid() rebuilds it from the live graph.
+TEST(ChaosResident, FailedPatchFallsBackToRebuild) {
+  const graph::EdgeList g =
+      graph::simplify(graph::watts_strogatz(64, 6, 0.2, 7));
+  mpisim::PersistentWorld clean_world(4);
+  engine::Resident resident({}, {});
+  resident.reset(g);
+  (void)resident.grid(clean_world);
+  std::set<graph::Edge> live(g.edges.begin(), g.edges.end());
+  util::Xoshiro256 rng(11);
+  const stream::Batch batch = churn(live, g.num_vertices, rng, 4);
+  const graph::EdgeList now{g.num_vertices, {live.begin(), live.end()}};
+  resident.update(now, batch);
+
+  chaos::FaultSpec spec;
+  spec.seed = 43;
+  spec.drop_rate = 1.0;
+  spec.max_retries = 3;
+  spec.retry_timeout_seconds = 1e-3;
+  const chaos::FaultPlan plan(spec, 4);
+  mpisim::WorldOptions options;
+  options.fault_injector = &plan;
+  options.watchdog_seconds = -1.0;  // let the retry budget fail first
+  mpisim::PersistentWorld dropping_world(4, options);
+  try {
+    (void)resident.grid(dropping_world);
+    ADD_FAILURE() << "the patch returned under a drop-everything plan";
+  } catch (const mpisim::ChaosError& e) {
+    EXPECT_EQ(e.kind(), mpisim::ChaosError::Kind::kRetransmitTimeout);
+  }
+  EXPECT_EQ(resident.builds(engine::Algo::kCannon), 1u);
+
+  const core::ResidentPartition& rebuilt = resident.grid(clean_world);
+  EXPECT_EQ(resident.builds(engine::Algo::kCannon), 2u);
+  EXPECT_EQ(rebuilt.num_edges, live.size());
+  EXPECT_EQ(core::count_resident(clean_world, rebuilt, {}).triangles,
+            graph::count_triangles_serial(graph::Csr::from_edges(now)));
 }
 
 // --- watchdog --------------------------------------------------------------

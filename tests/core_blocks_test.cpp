@@ -1,8 +1,15 @@
 // Tests for BlockCsr: construction, transformed-index invariants, blob
-// round-trips, and the cyclic row-count helper.
+// round-trips, the in-place patch merge, and the cyclic row-count helper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <set>
+#include <stdexcept>
+#include <vector>
+
 #include "tricount/core/block_matrix.hpp"
+#include "tricount/util/rng.hpp"
 
 namespace tricount::core {
 namespace {
@@ -78,6 +85,80 @@ TEST(BlockCsr, BlobRoundTripEmpty) {
 TEST(BlockCsr, BlobRejectsGarbage) {
   std::vector<std::byte> garbage(128, std::byte{0x42});
   EXPECT_THROW(BlockCsr::from_blob(garbage), std::runtime_error);
+}
+
+// --- patch: one linear merge instead of a rebuild -------------------------
+
+TEST(BlockCsrPatch, EqualsRebuildOnRandomBlocks) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    util::Xoshiro256 rng(seed);
+    const auto rows = static_cast<VertexId>(1 + rng.bounded(30));
+    const auto cols = static_cast<VertexId>(1 + rng.bounded(30));
+    std::set<LocalEntry> live;
+    const std::uint64_t fill = rng.bounded(rows * cols + 1);
+    for (std::uint64_t i = 0; i < fill; ++i) {
+      live.insert({static_cast<VertexId>(rng.bounded(rows)),
+                   static_cast<VertexId>(rng.bounded(cols))});
+    }
+    BlockCsr block = BlockCsr::from_entries(
+        rows, std::vector<LocalEntry>(live.begin(), live.end()));
+
+    std::vector<LocalEntry> removed;
+    std::vector<LocalEntry> added;
+    for (const LocalEntry& e : live) {
+      if (rng.bounded(4) == 0) removed.push_back(e);
+    }
+    for (int i = 0; i < 20; ++i) {
+      const LocalEntry e{static_cast<VertexId>(rng.bounded(rows)),
+                         static_cast<VertexId>(rng.bounded(cols))};
+      if (live.count(e) == 0 &&
+          std::find(added.begin(), added.end(), e) == added.end()) {
+        added.push_back(e);
+      }
+    }
+    for (const LocalEntry& e : removed) live.erase(e);
+    live.insert(added.begin(), added.end());
+    // Unsorted input: the patch sorts its own lists.
+    std::reverse(removed.begin(), removed.end());
+    block.patch(removed, added);
+    block.validate();
+    const std::vector<LocalEntry> expected(live.begin(), live.end());
+    EXPECT_EQ(block, BlockCsr::from_entries(rows, expected)) << "seed " << seed;
+  }
+}
+
+TEST(BlockCsrPatch, RowsLeaveAndJoinTheNonemptyList) {
+  BlockCsr block = BlockCsr::from_entries(5, {{1, 4}, {3, 0}, {3, 2}});
+  ASSERT_EQ(block.nonempty(), (std::vector<VertexId>{1, 3}));
+  block.patch({{1, 4}}, {{0, 7}, {4, 1}, {4, 0}});
+  block.validate();
+  EXPECT_EQ(block.nonempty(), (std::vector<VertexId>{0, 3, 4}));
+  EXPECT_EQ(block.row_degree(1), 0u);
+  const auto row4 = block.row(4);
+  EXPECT_EQ(std::vector<VertexId>(row4.begin(), row4.end()),
+            (std::vector<VertexId>{0, 1}));
+  EXPECT_EQ(block.xadj(), (std::vector<std::uint64_t>{0, 1, 1, 1, 3, 5}));
+}
+
+TEST(BlockCsrPatch, ZeroRowBlockPatchesToItself) {
+  BlockCsr block = BlockCsr::from_entries(0, {});
+  block.patch({}, {});
+  block.validate();
+  EXPECT_EQ(block, BlockCsr::from_entries(0, {}));
+  EXPECT_THROW(block.patch({}, {{0, 0}}), std::out_of_range);
+}
+
+TEST(BlockCsrPatch, ContradictionsThrowAndLeaveTheBlock) {
+  const BlockCsr original = BlockCsr::from_entries(3, {{0, 1}, {2, 5}});
+  BlockCsr block = original;
+  EXPECT_THROW(block.patch({{0, 2}}, {}), std::invalid_argument);  // absent
+  EXPECT_THROW(block.patch({{1, 0}}, {}), std::invalid_argument);  // empty row
+  EXPECT_THROW(block.patch({}, {{2, 5}}), std::invalid_argument);  // present
+  EXPECT_THROW(block.patch({}, {{1, 3}, {1, 3}}), std::invalid_argument);
+  EXPECT_THROW(block.patch({{0, 1}, {0, 1}}, {}), std::invalid_argument);
+  EXPECT_THROW(block.patch({{0, 1}}, {{0, 1}}), std::invalid_argument);
+  EXPECT_THROW(block.patch({}, {{3, 0}}), std::out_of_range);
+  EXPECT_EQ(block, original);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // maintained total exactly equals cold recounts across insert/delete/
 // mixed/windowed schedules × kernel policies × rank counts, each sign of
 // the delta against survivor-graph recounts, typed batch rejections,
-// delta replay under chaos faults (including a crash), the sliding
-// window's eviction order, the DOULION sampled estimator (exact at
+// delta replay under chaos faults (including a crash), the resident 2D
+// partition patched across queued batches against fresh builds, the
+// sliding window's eviction order, the DOULION sampled estimator (exact at
 // retention 1, unbiased at retention < 1, maintained == rebuilt), and
 // the service-layer wiring (graph.apply / graph.window / delta.stats /
 // stream.sample, version bumps, cache invalidation, artifact lint).
@@ -12,14 +13,20 @@
 
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "test_corpus.hpp"
 #include "test_seed.hpp"
 #include "tricount/chaos/fault_plan.hpp"
+#include "tricount/core/resident.hpp"
+#include "tricount/engine/engine.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/serial_count.hpp"
 #include "tricount/obs/json.hpp"
@@ -400,6 +407,154 @@ TEST(StreamChaos, CrashAfterTheOnlySuperstepIsRejected) {
                std::invalid_argument);
 }
 
+// --- the patched 2D partition --------------------------------------------
+
+/// One read of the patched partition against a fresh preprocess of the
+/// live graph and the serial count: the three Cannon tallies and SUMMA.
+void expect_patched_matches_fresh(mpisim::PersistentWorld& world,
+                                  engine::Resident& resident,
+                                  const graph::EdgeList& live,
+                                  const core::Config& config,
+                                  const std::string& where) {
+  const TriangleCount expected = serial_count(live);
+  core::RunOptions options;
+  options.config = config;
+  const core::ResidentPartition fresh =
+      core::preprocess_resident(world, live, options);
+  const core::ResidentPartition& patched = resident.grid(world);
+  for (const core::Blocks& blocks : patched.blocks) {
+    EXPECT_NO_THROW(blocks.validate()) << where;
+  }
+  for (const core::Tally tally :
+       {core::Tally::kCount, core::Tally::kPerVertex,
+        core::Tally::kEdgeSupport}) {
+    const std::string tag =
+        where + " tally " + std::to_string(static_cast<int>(tally));
+    const core::RunResult got = engine::run(
+        {engine::Algo::kCannon, tally, config}, world, resident);
+    const core::RunResult want =
+        core::count_resident(world, fresh, config, tally, &live);
+    EXPECT_EQ(got.triangles, expected) << tag;
+    EXPECT_EQ(want.triangles, expected) << tag;
+    EXPECT_EQ(got.num_edges, want.num_edges) << tag;
+    EXPECT_EQ(got.num_edges, live.edges.size()) << tag;
+    EXPECT_EQ(got.vertex_triangles, want.vertex_triangles) << tag;
+    EXPECT_EQ(got.edge_supports, want.edge_supports) << tag;
+  }
+  EXPECT_EQ(engine::run({engine::Algo::kSumma, core::Tally::kCount, config},
+                        world, resident)
+                .triangles,
+            expected)
+      << where;
+  EXPECT_EQ(core::count_resident_summa(world, fresh, config).triangles,
+            expected)
+      << where;
+}
+
+/// Batch `b` of a patch schedule, drawn against `live` and applied to it:
+/// 1–6 ops, deletes of live edges and inserts of absent pairs. In each
+/// group of three batches the first remembers its first delete and first
+/// insert, and the second undoes both before its own ops.
+stream::Batch patch_batch(util::Xoshiro256& rng, std::set<Edge>& live,
+                          VertexId n, int b, std::optional<Edge>& deleted,
+                          std::optional<Edge>& inserted) {
+  stream::Batch batch;
+  std::set<Edge> used;
+  auto op = [&](bool insert, Edge e) {
+    if (!used.insert(e).second) return false;
+    batch.ops.push_back({insert, e});
+    if (insert) {
+      live.insert(e);
+    } else {
+      live.erase(e);
+    }
+    return true;
+  };
+  if (b % 3 == 1) {
+    if (deleted) op(true, *deleted);
+    if (inserted) op(false, *inserted);
+    deleted.reset();
+    inserted.reset();
+  }
+  const std::size_t want = 1 + rng.bounded(6);
+  for (int guard = 0; batch.ops.size() < want && guard < 100; ++guard) {
+    if (rng.bounded(2) == 0 && !live.empty()) {
+      const Edge e = *std::next(
+          live.begin(), static_cast<std::ptrdiff_t>(rng.bounded(live.size())));
+      if (op(false, e) && b % 3 == 0 && !deleted) deleted = e;
+      continue;
+    }
+    const auto u = static_cast<VertexId>(rng.bounded(n));
+    const auto v = static_cast<VertexId>(rng.bounded(n));
+    const Edge e{std::min(u, v), std::max(u, v)};
+    if (u != v && live.count(e) == 0 && op(true, e) && b % 3 == 0 &&
+        !inserted) {
+      inserted = e;
+    }
+  }
+  return batch;
+}
+
+// graph updates patch the resident 2D blocks in place instead of
+// rebuilding them. Batches queue up between reads (three per read), and
+// the second batch of each group undoes one delete and one insert of the
+// first, so the queue must cancel an edge deleted then re-inserted and
+// one inserted then deleted. Every read must equal a fresh build of the
+// live graph, over 1, 4 and 9 ranks, both enumerations, and with the
+// degree order on and off; the piece is built once per setting.
+TEST(StreamPatch, PatchedPartitionMatchesFreshBuild) {
+  std::vector<std::pair<std::string, graph::EdgeList>> inputs;
+  for (std::size_t i = 0; i < test_support::corpus().size(); ++i) {
+    inputs.emplace_back("corpus" + std::to_string(i),
+                        test_support::corpus()[i].graph);
+  }
+  graph::RmatParams rmat;
+  rmat.scale = 8;
+  rmat.edge_factor = 8;
+  rmat.seed = 1;
+  inputs.emplace_back("rmat_s8", graph::simplify(graph::rmat(rmat)));
+  inputs.emplace_back("ws_n512",
+                      graph::simplify(graph::watts_strogatz(512, 8, 0.1, 3)));
+  util::Xoshiro256 rng(util::stream_seed(test_support::fuzz_seed(), 0x9a7c));
+
+  for (const int ranks : {1, 4, 9}) {
+    mpisim::PersistentWorld world(ranks);
+    for (const core::Enumeration enumeration :
+         {core::Enumeration::kJIK, core::Enumeration::kIJK}) {
+      for (const bool ordered : {true, false}) {
+        core::Config config;
+        config.enumeration = enumeration;
+        config.degree_ordering = ordered;
+        for (const auto& [name, g] : inputs) {
+          const std::string setting =
+              name + " ranks " + std::to_string(ranks) + " enumeration " +
+              std::to_string(static_cast<int>(enumeration)) + " ordered " +
+              std::to_string(ordered);
+          engine::Resident resident(config, {});
+          resident.reset(g);
+          (void)resident.grid(world);
+          std::set<Edge> live(g.edges.begin(), g.edges.end());
+          std::optional<Edge> deleted;
+          std::optional<Edge> inserted;
+          for (int b = 0; b < 20; ++b) {
+            const stream::Batch batch = patch_batch(
+                rng, live, g.num_vertices, b, deleted, inserted);
+            const graph::EdgeList now{g.num_vertices,
+                                      {live.begin(), live.end()}};
+            resident.update(now, batch);
+            if (b % 3 == 2 || b == 19) {
+              expect_patched_matches_fresh(
+                  world, resident, now, config,
+                  setting + " batch " + std::to_string(b));
+            }
+          }
+          EXPECT_EQ(resident.builds(engine::Algo::kCannon), 1u) << setting;
+        }
+      }
+    }
+  }
+}
+
 // --- sliding window ------------------------------------------------------
 
 TEST(StreamWindow, EvictsOldestFirst) {
@@ -558,7 +713,7 @@ TEST(StreamService, ApplyMaintainsServedCounts) {
   EXPECT_EQ(h.svc.graph_version(), v1 + 1);
 
   // The maintained total equals the serial recount of the mutated graph,
-  // and a served 2d recount (lazy re-preprocess) agrees.
+  // and a served 2d recount (on the patched partition) agrees.
   count_and_apply(shadow, batch, 1, kernels::KernelPolicy::kAuto);
   EXPECT_EQ(applied.get("result").get("triangles").as_uint(),
             shadow.triangles());
