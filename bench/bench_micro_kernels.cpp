@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) of the kernels underlying the
 // experiment results: hash build/lookup in both modes, map vs list
-// intersection, blob serialization, and RMAT edge generation.
+// intersection, the bitmap-vs-hash universe sweep behind the auto
+// policy's bitmap budget, blob serialization, and RMAT edge generation.
 #include <benchmark/benchmark.h>
 
 #include "tricount/core/block_matrix.hpp"
@@ -11,8 +12,10 @@
 
 namespace {
 
+using tricount::graph::TriangleCount;
 using tricount::graph::VertexId;
 using tricount::hashmap::VertexHashSet;
+using tricount::kernels::KernelPolicy;
 
 std::vector<VertexId> random_keys(std::size_t n, std::uint64_t seed,
                                   std::uint64_t range) {
@@ -139,8 +142,9 @@ void BM_BitmapIntersection(benchmark::State& state) {
   bitmap.build(hashed);
   tricount::kernels::KernelCounters counters;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tricount::kernels::bitmap_intersect(bitmap, probe, counters));
+    benchmark::DoNotOptimize(tricount::kernels::bitmap_intersect(
+        bitmap, probe, hashed.front(), /*backward_early_exit=*/true,
+        counters));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(probe.size()) *
                           state.iterations());
@@ -159,6 +163,59 @@ void BM_BitmapBuild(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_BitmapBuild)->Range(64, 8192);
+
+void BM_BitmapVsHashUniverse(benchmark::State& state) {
+  // The sweep behind AutoThresholds::kBitmapMaxUniverse: ns per task of
+  // the bitmap (arg 0 = 0) and hash (1) kernels through IntersectScratch,
+  // the lazy build included, for rows of length arg 1 over a universe of
+  // 2^arg 2 ids. Each pinned row and its probes share a span of 2^12 ids
+  // placed at random in the universe, so successive rows land on
+  // different bitmap words, as they do in a block of a large graph.
+  const KernelPolicy policy =
+      state.range(0) == 0 ? KernelPolicy::kBitmap : KernelPolicy::kHash;
+  const auto len = static_cast<std::size_t>(state.range(1));
+  const std::uint64_t universe = std::uint64_t{1} << state.range(2);
+  constexpr std::uint64_t kSpan = 1u << 12;
+  constexpr std::size_t kRows = 4096;
+  constexpr std::size_t kProbesPerRow = 4;
+  tricount::util::Xoshiro256 rng(11);
+  std::vector<std::vector<VertexId>> rows;
+  std::vector<std::vector<VertexId>> probes;
+  auto placed = [&](VertexId base) {
+    auto row = random_keys(len, rng(), kSpan);
+    for (VertexId& v : row) v += base;
+    return row;
+  };
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const auto base = static_cast<VertexId>(rng.bounded(universe - kSpan));
+    rows.push_back(placed(base));
+    for (std::size_t t = 0; t < kProbesPerRow; ++t) {
+      probes.push_back(placed(base));
+    }
+  }
+  tricount::kernels::IntersectScratch scratch;
+  scratch.reserve_for(len);
+  tricount::kernels::KernelCounters counters;
+  for (auto _ : state) {
+    TriangleCount hits = 0;
+    for (std::size_t r = 0; r < kRows; ++r) {
+      scratch.begin_row(rows[r], /*allow_direct=*/true);
+      for (std::size_t t = 0; t < kProbesPerRow; ++t) {
+        hits += scratch.task(policy, probes[r * kProbesPerRow + t],
+                             /*backward_early_exit=*/true, counters);
+      }
+    }
+    benchmark::DoNotOptimize(hits);
+  }
+  // Printed as time per task (an inverted rate, e.g. "20.1ns").
+  state.counters["per_task"] = benchmark::Counter(
+      static_cast<double>(kRows * kProbesPerRow),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_BitmapVsHashUniverse)
+    ->ArgsProduct({{0, 1}, {4, 8, 16, 32, 64}, {14, 16, 18, 20, 22, 24, 26}})
+    ->ArgNames({"hash", "len", "log2_universe"});
 
 void BM_BlockBlobRoundTrip(benchmark::State& state) {
   std::vector<tricount::core::LocalEntry> entries;

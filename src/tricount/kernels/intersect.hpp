@@ -41,6 +41,10 @@ class RowBitmap {
   /// One past the largest id of the current row (0 when empty).
   VertexId universe() const { return universe_; }
 
+  /// The raw words, for probes that never index at or past universe():
+  /// word v >> 6 holds id v at bit v & 63.
+  const std::uint64_t* words() const { return words_.data(); }
+
  private:
   std::vector<std::uint64_t> words_;
   std::vector<std::uint32_t> touched_;
@@ -60,9 +64,13 @@ TriangleCount galloping_intersect(std::span<const VertexId> needles,
                                   KernelCounters& counters);
 
 /// Probes `probe` (ascending) against a built bitmap; stops at the first
-/// id past the bitmap's universe (everything later misses too).
+/// id past the bitmap's universe (everything later misses too). With
+/// `backward_early_exit` (§5.2) it also skips, by binary search, the
+/// probe ids below `hashed_min`, the bitmap row's smallest id, so only
+/// the ids in [min, max] are tested.
 TriangleCount bitmap_intersect(const RowBitmap& bitmap,
                                std::span<const VertexId> probe,
+                               VertexId hashed_min, bool backward_early_exit,
                                KernelCounters& counters);
 
 /// Probes `probe` against a built hash set. With `backward_early_exit`
@@ -103,18 +111,19 @@ class IntersectScratch {
     if (row_.empty() || probe.empty()) return 0;
     const hashmap::VertexHashSet& set = hash(counters);
     TriangleCount hits = 0;
-    for (std::size_t n = 0; n < probe.size(); ++n) {
+    std::size_t n = 0;
+    for (; n < probe.size(); ++n) {
       // §5.2 backward early exit: walk down from the largest id and stop
       // below the hashed row's minimum.
       const VertexId k =
           backward_early_exit ? probe[probe.size() - 1 - n] : probe[n];
       if (backward_early_exit && k < row_.front()) break;
-      ++counters.lookups;
       if (set.contains(k)) {
         ++hits;
         on_match(k);
       }
     }
+    counters.lookups += n;
     counters.hits += hits;
     return hits;
   }
@@ -132,7 +141,6 @@ class IntersectScratch {
   hashmap::VertexHashSet hash_;
   RowBitmap bitmap_;
   std::span<const VertexId> row_;
-  double row_density_ = 0.0;
   bool allow_direct_ = true;
   bool hash_built_ = false;
   bool bitmap_built_ = false;

@@ -43,7 +43,7 @@ bool parse_policy(std::string_view name, KernelPolicy& out) {
 }
 
 KernelKind choose_kernel(KernelPolicy policy, std::size_t hashed_len,
-                         std::size_t probe_len, double hashed_density) {
+                         std::size_t probe_len, graph::VertexId hashed_max) {
   switch (policy) {
     case KernelPolicy::kMerge: return KernelKind::kMerge;
     case KernelPolicy::kGalloping: return KernelKind::kGalloping;
@@ -57,11 +57,8 @@ KernelKind choose_kernel(KernelPolicy policy, std::size_t hashed_len,
   if (longer / shorter >= AutoThresholds::kGallopingSkew) {
     return KernelKind::kGalloping;
   }
-  if (hashed_len >= AutoThresholds::kBitmapMinRow &&
-      hashed_density >= AutoThresholds::kBitmapMinDensity) {
-    return KernelKind::kBitmap;
-  }
-  return KernelKind::kHash;
+  return hashed_max < AutoThresholds::kBitmapMaxUniverse ? KernelKind::kBitmap
+                                                         : KernelKind::kHash;
 }
 
 KernelCounters& KernelCounters::operator+=(const KernelCounters& other) {

@@ -3,17 +3,20 @@
 // The paper ships two intersection strategies: map-based (hash) and
 // list-based (sorted merge). The winning strategy depends on the task
 // pair, not the run: galloping search beats both on skewed pairs
-// (|long| ≫ |short|), and a dense bitset beats hashing once the hashed
-// row covers enough of its id span. This module packages all four as
-// interchangeable kernels behind one KernelPolicy switch, plus an
-// `auto` policy that picks per task pair from the row lengths and the
-// hashed row's density. Every kernel produces the exact same count;
-// only the operation mix (and therefore the compute time) differs.
+// (|long| ≫ |short|), and a bitset over the hashed row beats hashing
+// whenever that bitset fits a cache-sized budget. This module packages
+// all four as interchangeable kernels behind one KernelPolicy switch,
+// plus an `auto` policy that picks per task pair from the row lengths
+// and the hashed row's largest id. Every kernel produces the exact same
+// count; only the operation mix (and therefore the compute time)
+// differs.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
+
+#include "tricount/graph/types.hpp"
 
 namespace tricount::kernels {
 
@@ -39,20 +42,19 @@ struct AutoThresholds {
   /// than the other: the short side pays O(short · log(long/short))
   /// instead of O(short + long).
   static constexpr std::size_t kGallopingSkew = 32;
-  /// Bitmap probing needs the hashed row long enough to amortize the
-  /// bitset build...
-  static constexpr std::size_t kBitmapMinRow = 64;
-  /// ...and dense enough over its id span that the bitset stays small
-  /// and cache-resident. Density = row length / (max - min + 1).
-  static constexpr double kBitmapMinDensity = 0.125;
+  /// Otherwise the bitmap wins whenever the hashed row's largest id is
+  /// below this universe: its bitset is then at most 512 KiB, and with
+  /// the §5.2 clip a task reads only the words between the row's min and
+  /// max (docs/kernels.md has the sweep behind the constant).
+  static constexpr graph::VertexId kBitmapMaxUniverse = 1u << 22;
 };
 
 /// Resolves a policy for one task pair. `hashed_len`/`probe_len` are the
 /// two row lengths (hashed = the row a reusable structure is built
-/// over); `hashed_density` is that row's length divided by its id span.
-/// Both lengths must be non-zero (empty rows never reach a kernel).
+/// over); `hashed_max` is that row's largest id. Both lengths must be
+/// non-zero (empty rows never reach a kernel).
 KernelKind choose_kernel(KernelPolicy policy, std::size_t hashed_len,
-                         std::size_t probe_len, double hashed_density);
+                         std::size_t probe_len, graph::VertexId hashed_max);
 
 /// Counter bundle recorded by the counting kernels on each rank.
 ///
@@ -61,7 +63,8 @@ KernelKind choose_kernel(KernelPolicy policy, std::size_t hashed_len,
 /// step, one galloping needle, one bitmap test, or one hash lookup each
 /// count as one. The per-kernel call/operation pairs below it attribute
 /// that aggregate to the kernel that performed it, so `tricount_perf
-/// report` can show the kernel mix of a run.
+/// report` can show the kernel mix of a run. The kernels tally in
+/// locals and add to these fields once per call.
 struct KernelCounters {
   std::uint64_t intersection_tasks = 0;  ///< intersections performed
   std::uint64_t lookups = 0;             ///< elementary ops, all kernels

@@ -1,8 +1,9 @@
 // Adversarial unit tests for the intersection-kernel subsystem: golden
 // values on degenerate shapes (empty, singleton, identical, disjoint),
 // the auto policy's decision boundaries at exactly the thresholds, the
-// bitmap's stale-bit clearing across rebuilds, and the scratch's
-// cleared-between-rows invariant that guards against stale hash entries.
+// bitmap's [min, max] clip, the bitmap's stale-bit clearing across
+// rebuilds, and the scratch's cleared-between-rows invariant that guards
+// against stale hash entries.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -63,40 +64,46 @@ TEST(KernelPolicyNames, RoundTrip) {
 }
 
 TEST(ChooseKernel, ForcedPoliciesPassThrough) {
-  EXPECT_EQ(choose_kernel(KernelPolicy::kMerge, 1000, 1, 0.001),
+  EXPECT_EQ(choose_kernel(KernelPolicy::kMerge, 1000, 1, 5),
             KernelKind::kMerge);
-  EXPECT_EQ(choose_kernel(KernelPolicy::kGalloping, 5, 5, 1.0),
+  EXPECT_EQ(choose_kernel(KernelPolicy::kGalloping, 5, 5, 5),
             KernelKind::kGalloping);
-  EXPECT_EQ(choose_kernel(KernelPolicy::kBitmap, 2, 2, 0.01),
+  EXPECT_EQ(choose_kernel(KernelPolicy::kBitmap, 2, 2, 1u << 30),
             KernelKind::kBitmap);
-  EXPECT_EQ(choose_kernel(KernelPolicy::kHash, 1 << 20, 1, 1.0),
+  EXPECT_EQ(choose_kernel(KernelPolicy::kHash, 1 << 20, 1, 5),
             KernelKind::kHash);
 }
 
 TEST(ChooseKernel, GallopingSkewBoundaryIsExact) {
   const std::size_t skew = AutoThresholds::kGallopingSkew;
   // Exactly at the threshold: galloping, from either side.
-  EXPECT_EQ(choose_kernel(KernelPolicy::kAuto, skew * 7, 7, 0.0),
+  EXPECT_EQ(choose_kernel(KernelPolicy::kAuto, skew * 7, 7, 0),
             KernelKind::kGalloping);
-  EXPECT_EQ(choose_kernel(KernelPolicy::kAuto, 7, skew * 7, 0.0),
+  EXPECT_EQ(choose_kernel(KernelPolicy::kAuto, 7, skew * 7, 0),
             KernelKind::kGalloping);
   // One element short of the threshold: not galloping.
-  EXPECT_NE(choose_kernel(KernelPolicy::kAuto, skew * 7 - 1, 7, 0.0),
+  EXPECT_NE(choose_kernel(KernelPolicy::kAuto, skew * 7 - 1, 7, 0),
             KernelKind::kGalloping);
-  EXPECT_NE(choose_kernel(KernelPolicy::kAuto, 7, skew * 7 - 1, 0.0),
+  EXPECT_NE(choose_kernel(KernelPolicy::kAuto, 7, skew * 7 - 1, 0),
             KernelKind::kGalloping);
 }
 
 TEST(ChooseKernel, BitmapThresholdsAreExact) {
-  const std::size_t len = AutoThresholds::kBitmapMinRow;
-  const double density = AutoThresholds::kBitmapMinDensity;
-  EXPECT_EQ(choose_kernel(KernelPolicy::kAuto, len, len, density),
-            KernelKind::kBitmap);
-  // Just below either threshold falls back to hashing.
-  EXPECT_EQ(choose_kernel(KernelPolicy::kAuto, len - 1, len - 1, density),
-            KernelKind::kHash);
-  EXPECT_EQ(choose_kernel(KernelPolicy::kAuto, len, len, density * 0.5),
-            KernelKind::kHash);
+  const VertexId universe = AutoThresholds::kBitmapMaxUniverse;
+  // The largest id that still fits the budget gets the bitmap, at any
+  // row length; one more falls back to hashing.
+  for (const std::size_t len : {1u, 4u, 64u}) {
+    EXPECT_EQ(choose_kernel(KernelPolicy::kAuto, len, len, universe - 1),
+              KernelKind::kBitmap);
+    EXPECT_EQ(choose_kernel(KernelPolicy::kAuto, len, len, universe),
+              KernelKind::kHash);
+  }
+  // Skew still goes to galloping, inside the budget or past it.
+  const std::size_t skew = AutoThresholds::kGallopingSkew;
+  EXPECT_EQ(choose_kernel(KernelPolicy::kAuto, skew, 1, universe - 1),
+            KernelKind::kGalloping);
+  EXPECT_EQ(choose_kernel(KernelPolicy::kAuto, 1, skew, universe),
+            KernelKind::kGalloping);
 }
 
 TEST(Kernels, EmptyAndSingletonRows) {
@@ -195,6 +202,38 @@ TEST(Kernels, BackwardEarlyExitMatchesForwardHashing) {
       EXPECT_EQ(backward.early_exits, 1u);
     }
   }
+}
+
+TEST(Kernels, BitmapClipsProbeToHashedRowRange) {
+  // The pinned row spans [100, 200]; the probe starts below its min and
+  // runs past its max. Four probe ids lie in [100, 200], two of them hits.
+  const std::vector<VertexId> row{100, 150, 175, 200};
+  const std::vector<VertexId> probe{1, 7, 50, 99, 100, 120, 160, 200, 201,
+                                    900};
+  IntersectScratch scratch;
+  scratch.reserve_for(row.size());
+  scratch.begin_row(row, true);
+
+  KernelCounters clipped;
+  EXPECT_EQ(scratch.task(KernelPolicy::kBitmap, probe, true, clipped), 2u);
+  EXPECT_EQ(clipped.lookups, 4u);
+  EXPECT_EQ(clipped.bitmap_tests, 4u);
+  EXPECT_EQ(clipped.early_exits, 1u);
+  EXPECT_EQ(clipped.hits, 2u);
+
+  // Without the §5.2 exit only the stop past the max applies.
+  KernelCounters unclipped;
+  EXPECT_EQ(scratch.task(KernelPolicy::kBitmap, probe, false, unclipped), 2u);
+  EXPECT_EQ(unclipped.lookups, 8u);
+  EXPECT_EQ(unclipped.bitmap_tests, 8u);
+  EXPECT_EQ(unclipped.early_exits, 0u);
+
+  // A probe wholly below the min tests nothing and still exits once.
+  const std::vector<VertexId> below{3, 99};
+  KernelCounters none;
+  EXPECT_EQ(scratch.task(KernelPolicy::kBitmap, below, true, none), 0u);
+  EXPECT_EQ(none.lookups, 0u);
+  EXPECT_EQ(none.early_exits, 1u);
 }
 
 TEST(RowBitmap, RebuildClearsStaleBits) {

@@ -54,7 +54,11 @@ TEST(Metrics, SingleRankHasNoCommunicationModelCost) {
 
 TEST(Metrics, KernelCountersAreConsistent) {
   const EdgeList g = bench_graph();
-  const RunResult r = count_triangles_2d(g, 9);
+  // The hash kernel, so the build counters below have builds to count:
+  // kAuto sends every row of this graph to the bitmap.
+  RunOptions options;
+  options.config.kernel = kernels::KernelPolicy::kHash;
+  const RunResult r = count_triangles_2d(g, 9, options);
   const KernelCounters k = r.total_kernel();
   // Hits count exactly the triangles.
   EXPECT_EQ(k.hits, r.triangles);
@@ -89,12 +93,16 @@ TEST(Metrics, ListKernelPerformsNoHashBuilds) {
 
 TEST(Metrics, ModifiedHashingProducesDirectBuilds) {
   const EdgeList g = bench_graph();
+  // Modified hashing changes only the hash kernel's builds, and kAuto
+  // sends every row of this graph to the bitmap.
   RunOptions with;
+  with.config.kernel = kernels::KernelPolicy::kHash;
   with.config.modified_hashing = true;
   const RunResult yes = count_triangles_2d(g, 16, with);
   EXPECT_GT(yes.total_kernel().direct_builds, 0u);
 
   RunOptions without;
+  without.config.kernel = kernels::KernelPolicy::kHash;
   without.config.modified_hashing = false;
   const RunResult no = count_triangles_2d(g, 16, without);
   EXPECT_EQ(no.total_kernel().direct_builds, 0u);
