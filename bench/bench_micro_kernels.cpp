@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) of the kernels underlying the
 // experiment results: hash build/lookup in both modes, map vs list
 // intersection, the bitmap-vs-hash universe sweep behind the auto
-// policy's bitmap budget, blob serialization, and RMAT edge generation.
+// policy's bitmap budget, the pinned-row skew sweep behind its galloping
+// rule, blob serialization, and RMAT edge generation.
 #include <benchmark/benchmark.h>
 
 #include "tricount/core/block_matrix.hpp"
@@ -216,6 +217,61 @@ void BM_BitmapVsHashUniverse(benchmark::State& state) {
 BENCHMARK(BM_BitmapVsHashUniverse)
     ->ArgsProduct({{0, 1}, {4, 8, 16, 32, 64}, {14, 16, 18, 20, 22, 24, 26}})
     ->ArgNames({"hash", "len", "log2_universe"});
+
+void BM_PinnedRowSkew(benchmark::State& state) {
+  // The sweep behind kAuto's galloping rule: ns per task of galloping
+  // (arg 0 = 0) and the bitmap (1) through IntersectScratch, the bitmap
+  // build included, when the pinned row is arg 2 times as long as its
+  // probes of arg 1 ids and each row takes arg 3 tasks. A row and its
+  // probes share a span of 4x the row's length, placed at random in a
+  // universe of 2^17 ids, as a hub row and the short tails closing at it
+  // do in cetric on RMAT s17.
+  const KernelPolicy policy =
+      state.range(0) == 0 ? KernelPolicy::kGalloping : KernelPolicy::kBitmap;
+  const auto probe_len = static_cast<std::size_t>(state.range(1));
+  const std::size_t row_len =
+      probe_len * static_cast<std::size_t>(state.range(2));
+  const auto tasks = static_cast<std::size_t>(state.range(3));
+  const std::uint64_t span = 4 * row_len;
+  constexpr std::uint64_t kUniverse = 1u << 17;
+  constexpr std::size_t kRows = 256;
+  tricount::util::Xoshiro256 rng(13);
+  std::vector<std::vector<VertexId>> rows;
+  std::vector<std::vector<VertexId>> probes;
+  auto placed = [&](std::size_t len, VertexId base) {
+    auto row = random_keys(len, rng(), span);
+    for (VertexId& v : row) v += base;
+    return row;
+  };
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const auto base = static_cast<VertexId>(rng.bounded(kUniverse - span));
+    rows.push_back(placed(row_len, base));
+    for (std::size_t t = 0; t < tasks; ++t) {
+      probes.push_back(placed(probe_len, base));
+    }
+  }
+  tricount::kernels::IntersectScratch scratch;
+  scratch.reserve_for(row_len);
+  tricount::kernels::KernelCounters counters;
+  for (auto _ : state) {
+    TriangleCount hits = 0;
+    for (std::size_t r = 0; r < kRows; ++r) {
+      scratch.begin_row(rows[r], /*allow_direct=*/true);
+      for (std::size_t t = 0; t < tasks; ++t) {
+        hits += scratch.task(policy, probes[r * tasks + t],
+                             /*backward_early_exit=*/true, counters);
+      }
+    }
+    benchmark::DoNotOptimize(hits);
+  }
+  state.counters["per_task"] = benchmark::Counter(
+      static_cast<double>(kRows * tasks),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PinnedRowSkew)
+    ->ArgsProduct({{0, 1}, {1, 2, 4, 8}, {32, 128, 1024}, {1, 4, 32}})
+    ->ArgNames({"bitmap", "probe", "skew", "tasks"});
 
 void BM_BlockBlobRoundTrip(benchmark::State& state) {
   std::vector<tricount::core::LocalEntry> entries;

@@ -18,11 +18,18 @@ int Partition::owner(VertexId v) const {
 
 namespace {
 
-/// A vertex's split weight: 1 + deg+ + C(deg+, 2), the row itself plus
-/// the tails of the C(deg+, 2) wedges it generates.
+/// What one kernel task costs beyond its lookups, in lookups. Each entry
+/// of Adj+(v) opens at most one wedge, and each wedge is one kernel task
+/// with a fixed cost that a short tail's few lookups do not pay back.
+/// 64 is the smallest weight on the plateau of docs/cetric.md's sweep;
+/// larger ones cut more wedges and speed no rank beyond the runs' noise.
+constexpr std::uint64_t kTaskWeight = 64;
+
+/// A vertex's split weight: 1 + kTaskWeight·deg+ + C(deg+, 2), the row
+/// itself, a task per wedge it generates, and the wedges' tails.
 std::uint64_t tail_work(VertexId deg_plus) {
   const auto d = static_cast<std::uint64_t>(deg_plus);
-  return 1 + d * (d + 1) / 2;
+  return 1 + kTaskWeight * d + d * (d - 1) / 2;
 }
 
 }  // namespace

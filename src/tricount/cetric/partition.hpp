@@ -3,10 +3,13 @@
 // After the shared preprocessing (cyclic redistribution + degree
 // relabeling, core/preprocess.hpp), vertex ids are in non-decreasing
 // degree order. CETRIC owns *contiguous ranges* of that order, split so
-// every rank holds roughly the same amount of work: weight(v) = 1 +
-// deg+(v) + C(deg+(v), 2), the row plus the tails of the wedges it
-// generates, with deg+ the out-degree of the degree-ordered DAG. A wedge
-// closes at a cost of at most its tail. Contiguity is the
+// every rank holds roughly the same counting time: weight(v) = 1 +
+// kTaskWeight·deg+(v) + C(deg+(v), 2), with deg+ the out-degree of the
+// degree-ordered DAG. Each Adj+ entry opens at most one wedge, counted as
+// one kernel task whose fixed cost is worth kTaskWeight (64) lookups, and a
+// wedge closes at a cost of at most its tail. Without the task term the
+// rank holding the many short low-degree rows runs far more tasks per
+// lookup than the others and sets the superstep's time. Contiguity is the
 // property the counter leans on: every Adj+ entry points to a vertex
 // with an id larger than its row, so the rank owning a wedge's closing
 // vertex is never to the "left" of the wedge's generating rank.
@@ -52,8 +55,8 @@ struct Partition {
 };
 
 /// Deterministic greedy prefix split: boundary r is the first vertex at
-/// which the cumulative weight (1 + deg+ + C(deg+, 2)) reaches r/p of
-/// the total.
+/// which the cumulative weight (1 + kTaskWeight·deg+ + C(deg+, 2), with
+/// kTaskWeight = 64) reaches r/p of the total.
 /// Every rank computes this from the replicated deg+ array, so the
 /// partition needs no extra communication round.
 std::vector<VertexId> degree_aware_boundaries(

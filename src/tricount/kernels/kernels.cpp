@@ -1,7 +1,5 @@
 #include "tricount/kernels/kernels.hpp"
 
-#include <algorithm>
-
 namespace tricount::kernels {
 
 const char* to_string(KernelPolicy policy) {
@@ -51,10 +49,7 @@ KernelKind choose_kernel(KernelPolicy policy, std::size_t hashed_len,
     case KernelPolicy::kHash: return KernelKind::kHash;
     case KernelPolicy::kAuto: break;
   }
-  const std::size_t longer = std::max(hashed_len, probe_len);
-  const std::size_t shorter =
-      std::max<std::size_t>(1, std::min(hashed_len, probe_len));
-  if (longer / shorter >= AutoThresholds::kGallopingSkew) {
+  if (probe_len >= AutoThresholds::kGallopingSkew * hashed_len) {
     return KernelKind::kGalloping;
   }
   return hashed_max < AutoThresholds::kBitmapMaxUniverse ? KernelKind::kBitmap

@@ -38,9 +38,11 @@ bool parse_policy(std::string_view name, KernelPolicy& out);
 /// The kAuto selection thresholds (see docs/kernels.md for the
 /// rationale and the measurements behind the constants).
 struct AutoThresholds {
-  /// Galloping wins when one list is at least this many times longer
-  /// than the other: the short side pays O(short · log(long/short))
-  /// instead of O(short + long).
+  /// Galloping wins when the probe is at least this many times longer
+  /// than the hashed row: the row's ids pay O(short · log(long/short))
+  /// instead of O(long) bitmap tests or hash lookups. A hashed row that
+  /// is the long side never gallops; its bitmap or hash set is built
+  /// once and serves every short probe of the row at O(short) each.
   static constexpr std::size_t kGallopingSkew = 32;
   /// Otherwise the bitmap wins whenever the hashed row's largest id is
   /// below this universe: its bitset is then at most 512 KiB, and with
@@ -52,7 +54,9 @@ struct AutoThresholds {
 /// Resolves a policy for one task pair. `hashed_len`/`probe_len` are the
 /// two row lengths (hashed = the row a reusable structure is built
 /// over); `hashed_max` is that row's largest id. Both lengths must be
-/// non-zero (empty rows never reach a kernel).
+/// non-zero (empty rows never reach a kernel). kAuto returns galloping
+/// iff probe_len >= kGallopingSkew · hashed_len, else bitmap iff
+/// hashed_max < kBitmapMaxUniverse, else hash.
 KernelKind choose_kernel(KernelPolicy policy, std::size_t hashed_len,
                          std::size_t probe_len, graph::VertexId hashed_max);
 

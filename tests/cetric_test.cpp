@@ -32,7 +32,7 @@ graph::TriangleCount serial_count(const graph::EdgeList& g) {
 // --- partition units -------------------------------------------------------
 
 TEST(CetricPartition, BoundariesCoverAndBalance) {
-  // Weights 1 + deg+ + C(deg+, 2): a skewed profile still splits into
+  // Weights 1 + 64·deg+ + C(deg+, 2): a skewed profile still splits into
   // contiguous, covering, non-decreasing ranges.
   const std::vector<VertexId> deg = {9, 0, 0, 0, 3, 3, 0, 1, 5, 0, 0, 2};
   for (const int p : {1, 2, 3, 4, 7, 16}) {
@@ -49,6 +49,17 @@ TEST(CetricPartition, GreedySplitTracksWeightTargets) {
   const std::vector<VertexId> deg(12, 3);
   const std::vector<VertexId> b = cetric::degree_aware_boundaries(deg, 4);
   EXPECT_EQ(b, (std::vector<VertexId>{0, 3, 6, 9, 12}));
+}
+
+TEST(CetricPartition, SplitChargesEachWedgeATask) {
+  // Weights 1 + 64·deg+ + C(deg+, 2): twelve rows of deg+ 2 weigh 130
+  // each and two of deg+ 8 weigh 541, 2642 in all. Half is 1321, first
+  // reached after 11 rows (1430). Charging a task 1 instead would weigh
+  // them 4 and 37 and split after 13 rows.
+  std::vector<VertexId> deg(12, 2);
+  deg.insert(deg.end(), {8, 8});
+  EXPECT_EQ(cetric::degree_aware_boundaries(deg, 2),
+            (std::vector<VertexId>{0, 11, 14}));
 }
 
 TEST(CetricPartition, OwnerIsInverseOfBoundaries) {

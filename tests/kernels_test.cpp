@@ -76,15 +76,15 @@ TEST(ChooseKernel, ForcedPoliciesPassThrough) {
 
 TEST(ChooseKernel, GallopingSkewBoundaryIsExact) {
   const std::size_t skew = AutoThresholds::kGallopingSkew;
-  // Exactly at the threshold: galloping, from either side.
-  EXPECT_EQ(choose_kernel(KernelPolicy::kAuto, skew * 7, 7, 0),
-            KernelKind::kGalloping);
+  // A probe exactly skew times the pinned row: galloping.
   EXPECT_EQ(choose_kernel(KernelPolicy::kAuto, 7, skew * 7, 0),
             KernelKind::kGalloping);
   // One element short of the threshold: not galloping.
-  EXPECT_NE(choose_kernel(KernelPolicy::kAuto, skew * 7 - 1, 7, 0),
-            KernelKind::kGalloping);
   EXPECT_NE(choose_kernel(KernelPolicy::kAuto, 7, skew * 7 - 1, 0),
+            KernelKind::kGalloping);
+  // A pinned row skew times the probe never gallops: its structure is
+  // built once and serves the row's other tasks.
+  EXPECT_NE(choose_kernel(KernelPolicy::kAuto, skew * 7, 7, 0),
             KernelKind::kGalloping);
 }
 
@@ -98,12 +98,17 @@ TEST(ChooseKernel, BitmapThresholdsAreExact) {
     EXPECT_EQ(choose_kernel(KernelPolicy::kAuto, len, len, universe),
               KernelKind::kHash);
   }
-  // Skew still goes to galloping, inside the budget or past it.
+  // A probe skew times the pinned row gallops, inside the budget or past
+  // it; a pinned row skew times the probe takes the budget's kernel.
   const std::size_t skew = AutoThresholds::kGallopingSkew;
-  EXPECT_EQ(choose_kernel(KernelPolicy::kAuto, skew, 1, universe - 1),
+  EXPECT_EQ(choose_kernel(KernelPolicy::kAuto, 1, skew, universe - 1),
             KernelKind::kGalloping);
   EXPECT_EQ(choose_kernel(KernelPolicy::kAuto, 1, skew, universe),
             KernelKind::kGalloping);
+  EXPECT_EQ(choose_kernel(KernelPolicy::kAuto, skew, 1, universe - 1),
+            KernelKind::kBitmap);
+  EXPECT_EQ(choose_kernel(KernelPolicy::kAuto, skew, 1, universe),
+            KernelKind::kHash);
 }
 
 TEST(Kernels, EmptyAndSingletonRows) {
@@ -234,6 +239,31 @@ TEST(Kernels, BitmapClipsProbeToHashedRowRange) {
   EXPECT_EQ(scratch.task(KernelPolicy::kBitmap, below, true, none), 0u);
   EXPECT_EQ(none.lookups, 0u);
   EXPECT_EQ(none.early_exits, 1u);
+}
+
+TEST(Kernels, AutoBuildsLongPinnedRowOnceForShortProbes) {
+  // A hub row pinned against short tails, as cetric closes wedges at a
+  // hub: kAuto builds the row's bitmap once and tests every probe in it,
+  // instead of galloping each short probe through the long row.
+  const std::vector<VertexId> row = sorted_random(2048, 21, 1u << 16);
+  IntersectScratch scratch;
+  scratch.reserve_for(row.size());
+  scratch.begin_row(row, true);
+  util::Xoshiro256 rng(22);
+  KernelCounters counters;
+  TriangleCount found = 0;
+  TriangleCount expected = 0;
+  for (int t = 0; t < 16; ++t) {
+    const auto probe = sorted_random(1 + rng.bounded(8), rng(), 1u << 16);
+    KernelCounters reference;
+    expected += merge_intersect(row, probe, reference);
+    found += scratch.task(KernelPolicy::kAuto, probe, true, counters);
+  }
+  EXPECT_EQ(found, expected);
+  EXPECT_EQ(counters.galloping_calls, 0u);
+  EXPECT_EQ(counters.bitmap_calls, 16u);
+  EXPECT_EQ(counters.bitmap_builds, 1u);
+  EXPECT_EQ(counters.hash_calls, 0u);
 }
 
 TEST(RowBitmap, RebuildClearsStaleBits) {
