@@ -48,10 +48,7 @@ BaselineResult count_triangles_aop1d(const graph::EdgeList& graph, int ranks,
     for (int r = 0; r < p; ++r) {
       auto& reply = replies[static_cast<std::size_t>(r)];
       for (const VertexId u : requests[static_cast<std::size_t>(r)]) {
-        const auto& list = dag.plus(u);
-        reply.push_back(u);
-        reply.push_back(static_cast<VertexId>(list.size()));
-        reply.insert(reply.end(), list.begin(), list.end());
+        core::append_record(reply, u, dag.plus(u));
       }
     }
     const auto ghost_data = mpisim::alltoallv(comm, replies);
@@ -72,7 +69,7 @@ BaselineResult count_triangles_aop1d(const graph::EdgeList& graph, int ranks,
 
     // --- counting phase: purely local intersections via the shared
     // kernel layer, reusing Adj+(w) as the pinned row across its tasks.
-    auto plus_of = [&](VertexId u) -> const std::vector<VertexId>& {
+    auto plus_of = [&](VertexId u) -> std::span<const VertexId> {
       if (dag.owns(u)) return dag.plus(u);
       return ghosts.at(u);
     };
@@ -80,12 +77,11 @@ BaselineResult count_triangles_aop1d(const graph::EdgeList& graph, int ranks,
     kernels::IntersectScratch scratch;
     kernels::KernelCounters counters;
     for (VertexId k = 0; k < dag.owned(); ++k) {
-      const auto& aw = dag.adj_plus[k];
+      const auto aw = dag.adj_plus[k];
       if (aw.empty()) continue;
-      scratch.begin_row(std::span<const VertexId>(aw), /*allow_direct=*/true);
+      scratch.begin_row(aw, /*allow_direct=*/true);
       for (const VertexId u : aw) {
-        const auto& au = plus_of(u);
-        local += scratch.task(options.kernel, std::span<const VertexId>(au),
+        local += scratch.task(options.kernel, plus_of(u),
                               /*backward_early_exit=*/true, counters);
       }
     }

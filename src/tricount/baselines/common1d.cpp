@@ -1,7 +1,6 @@
 #include "tricount/baselines/common1d.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "tricount/core/preprocess.hpp"
 #include "tricount/mpisim/collectives.hpp"
@@ -12,44 +11,29 @@ Dag1D build_dag_1d(mpisim::Comm& comm, const core::LocalSlice& input) {
   const int p = comm.size();
   const VertexId n = input.num_vertices;
 
-  const core::CyclicSlice cyclic = core::cyclic_redistribute(comm, input);
-  const core::RelabeledSlice relabeled = core::degree_relabel(comm, cyclic);
+  const core::RelabeledSlice relabeled =
+      core::degree_relabel(comm, core::cyclic_redistribute(comm, input));
 
   // Route (new id, Adj+ in new ids) to the block owner of the new id.
   std::vector<std::vector<VertexId>> outgoing(static_cast<std::size_t>(p));
   for (std::size_t k = 0; k < relabeled.adj.size(); ++k) {
     const VertexId w = relabeled.new_ids[k];
-    std::vector<VertexId> plus;
-    for (const VertexId u : relabeled.adj[k]) {
-      if (u > w) plus.push_back(u);
-    }
-    auto& bucket =
-        outgoing[static_cast<std::size_t>(core::block_owner(w, n, p))];
-    bucket.push_back(w);
-    bucket.push_back(static_cast<VertexId>(plus.size()));
-    bucket.insert(bucket.end(), plus.begin(), plus.end());
+    const auto row = relabeled.adj[k];
+    const auto above = std::upper_bound(row.begin(), row.end(), w);
+    core::append_record(
+        outgoing[static_cast<std::size_t>(core::block_owner(w, n, p))], w,
+        {above, row.end()});
   }
   const auto incoming = mpisim::alltoallv(comm, outgoing);
 
   Dag1D dag;
   dag.num_vertices = n;
   std::tie(dag.begin, dag.end) = core::block_range(n, comm.rank(), p);
-  dag.adj_plus.assign(dag.owned(), {});
-  for (const auto& bucket : incoming) {
-    std::size_t at = 0;
-    while (at < bucket.size()) {
-      const VertexId w = bucket[at++];
-      const VertexId len = bucket[at++];
-      if (!dag.owns(w)) {
-        throw std::runtime_error("build_dag_1d: misrouted vertex");
-      }
-      auto& list = dag.adj_plus[w - dag.begin];
-      list.assign(bucket.begin() + static_cast<std::ptrdiff_t>(at),
-                  bucket.begin() + static_cast<std::ptrdiff_t>(at + len));
-      std::sort(list.begin(), list.end());
-      at += len;
-    }
-  }
+  const VertexId owned = dag.owned();
+  dag.adj_plus = core::unpack_records(
+      owned, incoming, "build_dag_1d", [&](VertexId w, VertexId) {
+        return dag.owns(w) ? w - dag.begin : owned;
+      });
   return dag;
 }
 

@@ -4,6 +4,7 @@
 // with the same modeled-time construction as the 2D algorithm's.
 #pragma once
 
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,10 +28,10 @@ struct Dag1D {
   VertexId num_vertices = 0;
   VertexId begin = 0;
   VertexId end = 0;
-  std::vector<std::vector<VertexId>> adj_plus;
+  core::Adjacency adj_plus;
 
   VertexId owned() const { return end - begin; }
-  const std::vector<VertexId>& plus(VertexId global) const {
+  std::span<const VertexId> plus(VertexId global) const {
     return adj_plus[global - begin];
   }
   bool owns(VertexId global) const { return global >= begin && global < end; }
@@ -38,8 +39,8 @@ struct Dag1D {
 
 /// Builds the distributed DAG from this rank's block input slice:
 /// cyclic redistribution, distributed degree relabel (reusing the core
-/// preprocessing), then routing each vertex's Adj+ list to the block
-/// owner of its new id.
+/// preprocessing), then routing each vertex's Adj+ list, the suffix of
+/// its ascending relabeled row above it, to the block owner of its new id.
 Dag1D build_dag_1d(mpisim::Comm& comm, const core::LocalSlice& input);
 
 /// Result of a baseline run: triangles plus named per-rank phase samples

@@ -36,8 +36,7 @@ BaselineResult count_triangles_push1d(const graph::EdgeList& graph, int ranks,
       if (aw.empty()) return;
       scratch.begin_row(aw, /*allow_direct=*/true);
       for (const VertexId u : targets) {
-        local += scratch.task(options.kernel,
-                              std::span<const VertexId>(dag.plus(u)),
+        local += scratch.task(options.kernel, dag.plus(u),
                               /*backward_early_exit=*/true, counters);
       }
     };
@@ -55,7 +54,7 @@ BaselineResult count_triangles_push1d(const graph::EdgeList& graph, int ranks,
       //   [#targets, target u..., |Adj+(w)|, Adj+(w)...]
       std::vector<std::vector<VertexId>> outgoing(static_cast<std::size_t>(p));
       for (VertexId k = lo; k < hi; ++k) {
-        const auto& aw = dag.adj_plus[k];
+        const auto aw = dag.adj_plus[k];
         // Group this vertex's targets by owner so the (usually long) list
         // is shipped at most once per destination rank.
         std::vector<std::vector<VertexId>> targets(static_cast<std::size_t>(p));
@@ -68,8 +67,7 @@ BaselineResult count_triangles_push1d(const graph::EdgeList& graph, int ranks,
           const auto& t = targets[static_cast<std::size_t>(r)];
           if (t.empty()) continue;
           if (r == comm.rank()) {
-            count_against(std::span<const VertexId>(aw),
-                          std::span<const VertexId>(t));
+            count_against(aw, t);
             continue;
           }
           auto& bucket = outgoing[static_cast<std::size_t>(r)];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <span>
 #include <stdexcept>
 
 #include "tricount/mpisim/collectives.hpp"
@@ -13,37 +14,45 @@ namespace {
 
 /// Distributed 2-core peeling on the block-distributed full adjacency.
 /// Returns the number of vertices peeled on this rank; `slice.adj` is
-/// filtered in place so peeled vertices and their edges disappear.
+/// compacted in place so peeled vertices and their edges disappear.
 VertexId two_core_peel(mpisim::Comm& comm, core::LocalSlice& slice) {
   const int p = comm.size();
   const VertexId n = slice.num_vertices;
+  core::Adjacency& adj = slice.adj;
+  // Row k keeps its live entries, still ascending, at the front of its
+  // slot [offsets[k], offsets[k + 1]) until the peel ends.
+  std::vector<EdgeIndex> live(slice.owned());
+  for (VertexId k = 0; k < slice.owned(); ++k) live[k] = adj[k].size();
+  auto row = [&](VertexId k) {
+    return std::span<VertexId>(adj.ids.data() + adj.offsets[k], live[k]);
+  };
   VertexId peeled = 0;
   while (true) {
     // Notices (u, v): "edge (v, u) vanished because v was peeled".
     std::vector<std::vector<VertexId>> notices(static_cast<std::size_t>(p));
     VertexId died = 0;
     for (VertexId k = 0; k < slice.owned(); ++k) {
-      auto& list = slice.adj[k];
-      if (list.empty() || list.size() >= 2) continue;
-      const VertexId v = slice.begin + k;
-      for (const VertexId u : list) {
-        auto& bucket = notices[static_cast<std::size_t>(
-            core::block_owner(u, n, p))];
-        bucket.push_back(u);
-        bucket.push_back(v);
-      }
-      list.clear();
+      if (live[k] != 1) continue;
+      const VertexId u = row(k)[0];
+      auto& bucket =
+          notices[static_cast<std::size_t>(core::block_owner(u, n, p))];
+      bucket.push_back(u);
+      bucket.push_back(slice.begin + k);
+      live[k] = 0;
       ++died;
     }
     const auto incoming = mpisim::alltoallv(comm, notices);
     for (const auto& bucket : incoming) {
       for (std::size_t at = 0; at + 1 < bucket.size();
            at += 2) {
-        const VertexId u = bucket[at];
+        const VertexId k = bucket[at] - slice.begin;
         const VertexId v = bucket[at + 1];
-        auto& list = slice.adj[u - slice.begin];
+        const auto list = row(k);
         const auto it = std::lower_bound(list.begin(), list.end(), v);
-        if (it != list.end() && *it == v) list.erase(it);
+        if (it != list.end() && *it == v) {
+          std::copy(it + 1, list.end(), it);
+          --live[k];
+        }
       }
     }
     peeled += died;
@@ -51,6 +60,16 @@ VertexId two_core_peel(mpisim::Comm& comm, core::LocalSlice& slice) {
       break;
     }
   }
+  EdgeIndex write = 0;
+  for (VertexId k = 0; k < slice.owned(); ++k) {
+    const auto list = row(k);
+    adj.offsets[k] = write;
+    std::copy(list.begin(), list.end(),
+              adj.ids.begin() + static_cast<std::ptrdiff_t>(write));
+    write += live[k];
+  }
+  adj.offsets[slice.owned()] = write;
+  adj.ids.resize(write);
   return peeled;
 }
 
@@ -95,7 +114,7 @@ WedgeResult count_triangles_wedge(const graph::EdgeList& graph, int ranks,
       // vertex, and ship each to a's owner for the closure check.
       std::vector<std::vector<VertexId>> queries(static_cast<std::size_t>(p));
       for (VertexId k = lo; k < hi; ++k) {
-        const auto& plus = dag.adj_plus[k];
+        const auto plus = dag.adj_plus[k];
         for (std::size_t i = 0; i < plus.size(); ++i) {
           for (std::size_t j = i + 1; j < plus.size(); ++j) {
             const VertexId a = plus[i];

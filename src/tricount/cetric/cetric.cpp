@@ -49,10 +49,18 @@ constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
 /// Superstep 0's entry for one vertex v at or above the rank's range:
 /// Adj+(v) when the rank holds it (owned or ghost), and the first owned
-/// row waiting to close a wedge there.
+/// row waiting to close a wedge there. No row is kNone long: deg+ < n.
 struct Closing {
-  const std::vector<VertexId>* row = nullptr;  // null: v's wedges ship
+  const VertexId* row = nullptr;
+  std::uint32_t length = kNone;  // kNone: v's wedges ship
   std::uint32_t waiting = kNone;
+
+  bool held() const { return length != kNone; }
+  void hold(std::span<const VertexId> list) {
+    row = list.data();
+    length = static_cast<std::uint32_t>(list.size());
+  }
+  std::span<const VertexId> list() const { return {row, length}; }
 };
 
 /// Superstep 0's cursor into one owned row Adj+(u): `at` is the entry v
@@ -111,7 +119,7 @@ RankPartition build_partition(mpisim::Comm& comm, const LocalSlice& input,
     const VertexId above = g.part.end();
     std::vector<std::uint64_t> mass(g.part.num_vertices - above, 0);
     for (VertexId u = g.part.begin(); u < g.part.end(); ++u) {
-      const std::vector<VertexId>& au = g.plus(u);
+      const std::span<const VertexId> au = g.plus(u);
       for (std::size_t i = 0; i + 1 < au.size(); ++i) {
         const VertexId v = au[i];
         if (v >= above) {
@@ -138,11 +146,7 @@ RankPartition build_partition(mpisim::Comm& comm, const LocalSlice& input,
         if (!g.part.owns(v)) {
           throw std::runtime_error("cetric: misrouted ghost request");
         }
-        const std::vector<VertexId>& list = g.plus(v);
-        auto& reply = replies[s];
-        reply.push_back(v);
-        reply.push_back(static_cast<VertexId>(list.size()));
-        reply.insert(reply.end(), list.begin(), list.end());
+        core::append_record(replies[s], v, g.plus(v));
       }
     }
     const auto incoming_replies = mpisim::alltoallv(comm, replies);
@@ -188,8 +192,8 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
   // superstep pins, owned or ghost, so neither resizes it.
   kernels::IntersectScratch scratch;
   std::size_t max_row = 16;
-  for (const auto& list : g.adj_plus) {
-    max_row = std::max(max_row, list.size());
+  for (std::size_t k = 0; k < g.adj_plus.size(); ++k) {
+    max_row = std::max(max_row, g.adj_plus[k].size());
   }
   for (const auto& [v, list] : ghosts) {
     max_row = std::max(max_row, list.size());
@@ -257,9 +261,9 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
     const VertexId base = g.part.begin();
     std::vector<Closing> closing(g.part.num_vertices - base);
     for (VertexId v = base; v < g.part.end(); ++v) {
-      closing[v - base].row = &g.plus(v);
+      closing[v - base].hold(g.plus(v));
     }
-    for (const auto& [v, list] : ghosts) closing[v - base].row = &list;
+    for (const auto& [v, list] : ghosts) closing[v - base].hold(list);
     std::vector<Cursor> cursors(g.part.owned());
     // Chains row r under its first locally closable entry in [at, end)
     // that still has a tail; a row with none drops out.
@@ -267,17 +271,17 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
                          const VertexId* end) {
       for (; end - at > 1; ++at) {
         Closing& c = closing[*at - base];
-        if (c.row == nullptr) continue;
+        if (!c.held()) continue;
         cursors[r] = Cursor{at, end, std::exchange(c.waiting, r)};
         return;
       }
     };
     for (VertexId u = base; u < g.part.end(); ++u) {
-      const std::vector<VertexId>& au = g.plus(u);
+      const std::span<const VertexId> au = g.plus(u);
       touched.clear();
       for (std::size_t i = 0; i + 1 < au.size(); ++i) {
         const VertexId v = au[i];
-        if (closing[v - base].row != nullptr) continue;
+        if (closing[v - base].held()) continue;
         const auto d = static_cast<std::size_t>(g.part.owner(v));
         if (dest_positions[d].empty()) touched.push_back(g.part.owner(v));
         dest_positions[d].push_back(static_cast<std::uint32_t>(i));
@@ -302,7 +306,7 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
     for (VertexId v = base; v < g.part.num_vertices; ++v) {
       const Closing& c = closing[v - base];
       if (c.waiting == kNone) continue;
-      close_at(scratch, config, *c.row, step, [&](auto&& probe) {
+      close_at(scratch, config, c.list(), step, [&](auto&& probe) {
         for (std::uint32_t r = c.waiting; r != kNone;) {
           const Cursor cur = cursors[r];
           probe(std::span<const VertexId>(cur.at + 1, cur.end));

@@ -58,24 +58,25 @@ std::vector<VertexId> degree_aware_boundaries(
 CetricGraph build_cetric_graph(mpisim::Comm& comm,
                                const core::LocalSlice& input) {
   const int p = comm.size();
-  const core::CyclicSlice cyclic = core::cyclic_redistribute(comm, input);
-  const core::RelabeledSlice relabeled = core::degree_relabel(comm, cyclic);
+  const core::RelabeledSlice relabeled =
+      core::degree_relabel(comm, core::cyclic_redistribute(comm, input));
   const VertexId n = relabeled.num_vertices;
 
-  // Local Adj+ lists in new ids, plus the (new id, deg+) pairs every
-  // rank needs for the replicated oracle.
-  std::vector<std::vector<VertexId>> plus_lists(relabeled.adj.size());
+  // Adj+(w) is the suffix of w's row above w (rows ascend in new ids, and
+  // w is not in its own row). Every rank needs the (new id, deg+) pairs
+  // for the replicated oracle.
+  const std::size_t rows = relabeled.adj.size();
+  auto plus_of = [&](std::size_t k) {
+    const auto row = relabeled.adj[k];
+    const auto above =
+        std::upper_bound(row.begin(), row.end(), relabeled.new_ids[k]);
+    return row.subspan(static_cast<std::size_t>(above - row.begin()));
+  };
   std::vector<VertexId> pairs;
-  pairs.reserve(relabeled.adj.size() * 2);
-  for (std::size_t k = 0; k < relabeled.adj.size(); ++k) {
-    const VertexId w = relabeled.new_ids[k];
-    auto& plus = plus_lists[k];
-    for (const VertexId u : relabeled.adj[k]) {
-      if (u > w) plus.push_back(u);
-    }
-    std::sort(plus.begin(), plus.end());
-    pairs.push_back(w);
-    pairs.push_back(static_cast<VertexId>(plus.size()));
+  pairs.reserve(rows * 2);
+  for (std::size_t k = 0; k < rows; ++k) {
+    pairs.push_back(relabeled.new_ids[k]);
+    pairs.push_back(static_cast<VertexId>(plus_of(k).size()));
   }
   const auto all_pairs = mpisim::allgatherv(comm, pairs);
 
@@ -95,35 +96,28 @@ CetricGraph build_cetric_graph(mpisim::Comm& comm,
   g.part.rank = comm.rank();
   g.part.boundaries = degree_aware_boundaries(g.deg_plus, p);
 
-  // Route every Adj+ list to the boundary owner of its row id, in the
-  // [w, len, list...] bucket encoding shared with build_dag_1d.
+  // Route every Adj+ list to the boundary owner of its row id as a
+  // routing record, the encoding shared with build_dag_1d.
   std::vector<std::vector<VertexId>> outgoing(static_cast<std::size_t>(p));
-  for (std::size_t k = 0; k < plus_lists.size(); ++k) {
+  for (std::size_t k = 0; k < rows; ++k) {
     const VertexId w = relabeled.new_ids[k];
-    auto& plus = plus_lists[k];
-    auto& bucket = outgoing[static_cast<std::size_t>(g.part.owner(w))];
-    bucket.push_back(w);
-    bucket.push_back(static_cast<VertexId>(plus.size()));
-    bucket.insert(bucket.end(), plus.begin(), plus.end());
+    const auto plus = plus_of(k);
+    core::append_record(outgoing[static_cast<std::size_t>(g.part.owner(w))],
+                        w, plus);
     g.routed_entries += plus.size();
   }
   const auto incoming = mpisim::alltoallv(comm, outgoing);
 
-  g.adj_plus.assign(g.part.owned(), {});
-  for (const auto& bucket : incoming) {
-    std::size_t at = 0;
-    while (at < bucket.size()) {
-      const VertexId w = bucket[at++];
-      const VertexId len = bucket[at++];
-      if (!g.part.owns(w)) {
-        throw std::runtime_error("build_cetric_graph: misrouted vertex");
-      }
-      auto& list = g.adj_plus[static_cast<std::size_t>(w - g.part.begin())];
-      list.assign(bucket.begin() + static_cast<std::ptrdiff_t>(at),
-                  bucket.begin() + static_cast<std::ptrdiff_t>(at + len));
-      at += len;
-    }
-  }
+  const VertexId owned = g.part.owned();
+  g.adj_plus = core::unpack_records(
+      owned, incoming, "build_cetric_graph", [&](VertexId w, VertexId len) {
+        if (!g.part.owns(w)) return owned;
+        if (len != g.deg_plus[w]) {
+          throw std::runtime_error(
+              "build_cetric_graph: Adj+ length disagrees with deg+");
+        }
+        return w - g.part.begin();
+      });
   return g;
 }
 

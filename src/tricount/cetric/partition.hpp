@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tricount/core/dist_graph.hpp"
@@ -66,8 +67,9 @@ std::vector<VertexId> degree_aware_boundaries(
 /// partition, plus the replicated routing oracle.
 struct CetricGraph {
   Partition part;
-  /// Adj+(v) for each owned v, sorted ascending; entries are > v.
-  std::vector<std::vector<VertexId>> adj_plus;
+  /// Adj+(v) for each owned v (row v - part.begin()), sorted ascending;
+  /// entries are > v.
+  core::Adjacency adj_plus;
   /// Replicated deg+ of *every* vertex (the routing/ghost oracle).
   std::vector<VertexId> deg_plus;
   EdgeIndex num_edges = 0;  ///< global undirected edge count
@@ -75,7 +77,7 @@ struct CetricGraph {
   /// partition owners (the partition superstep's ops sample).
   std::uint64_t routed_entries = 0;
 
-  const std::vector<VertexId>& plus(VertexId v) const {
+  std::span<const VertexId> plus(VertexId v) const {
     return adj_plus[static_cast<std::size_t>(v - part.begin())];
   }
 };
@@ -83,6 +85,10 @@ struct CetricGraph {
 /// Builds the partitioned DAG from this rank's input slice: cyclic
 /// redistribution -> degree relabel -> deg+ replication -> boundary
 /// computation -> all-to-all routing of Adj+ lists to their owners.
+/// Adj+(w) is the suffix of w's relabeled row above w, so nothing is
+/// filtered or sorted. Throws std::runtime_error when a routed list
+/// reaches the wrong rank, arrives twice, or disagrees in length with the
+/// replicated deg+.
 CetricGraph build_cetric_graph(mpisim::Comm& comm,
                                const core::LocalSlice& input);
 

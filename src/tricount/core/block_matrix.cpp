@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "tricount/core/adjacency.hpp"
+
 namespace tricount::core {
 
 VertexId cyclic_row_count(VertexId n, int q, int residue) {
@@ -11,42 +13,21 @@ VertexId cyclic_row_count(VertexId n, int q, int residue) {
   return (n - 1 - r) / static_cast<VertexId>(q) + 1;
 }
 
-BlockCsr BlockCsr::from_entries(VertexId num_local_rows,
-                                std::vector<LocalEntry> entries) {
+BlockCsr BlockCsr::from_entries(
+    VertexId num_local_rows, std::span<const std::vector<LocalEntry>> buckets) {
+  Adjacency rows = Adjacency::build(num_local_rows, [&](auto&& emit) {
+    for (const auto& bucket : buckets) {
+      for (const LocalEntry& e : bucket) emit(e.row, e.col);
+    }
+  });
+  // §5.2 notes the sort cost is amortized over the many intersections
+  // that rely on sorted order for the backward early exit. Rows that
+  // arrive as one ascending run, as all of scatter_2d's do, skip it.
+  rows.sort_rows();
   BlockCsr block;
   block.num_local_rows_ = num_local_rows;
-  block.xadj_.assign(static_cast<std::size_t>(num_local_rows) + 1, 0);
-  for (const LocalEntry& e : entries) {
-    if (e.row >= num_local_rows) {
-      throw std::out_of_range("BlockCsr: entry row out of range");
-    }
-    ++block.xadj_[e.row + 1];
-  }
-  for (std::size_t i = 1; i < block.xadj_.size(); ++i) {
-    block.xadj_[i] += block.xadj_[i - 1];
-  }
-  block.adj_.resize(entries.size());
-  std::vector<std::uint64_t> cursor(block.xadj_.begin(), block.xadj_.end() - 1);
-  for (const LocalEntry& e : entries) {
-    block.adj_[cursor[e.row]++] = e.col;
-  }
-  // Sort each row; §5.2 notes the sort cost is amortized over the many
-  // intersections that rely on sorted order for the backward early exit.
-  std::uint64_t write = 0;
-  std::vector<std::uint64_t> new_xadj(block.xadj_.size(), 0);
-  for (VertexId r = 0; r < num_local_rows; ++r) {
-    const auto begin = block.adj_.begin() + static_cast<std::ptrdiff_t>(block.xadj_[r]);
-    const auto end = block.adj_.begin() + static_cast<std::ptrdiff_t>(block.xadj_[r + 1]);
-    std::sort(begin, end);
-    const auto unique_end = std::unique(begin, end);
-    // Compact dedup result in place.
-    for (auto it = begin; it != unique_end; ++it) {
-      block.adj_[write++] = *it;
-    }
-    new_xadj[r + 1] = write;
-  }
-  block.adj_.resize(write);
-  block.xadj_ = std::move(new_xadj);
+  block.xadj_ = std::move(rows.offsets);
+  block.adj_ = std::move(rows.ids);
   for (VertexId r = 0; r < num_local_rows; ++r) {
     if (block.row_degree(r) > 0) block.nonempty_.push_back(r);
   }

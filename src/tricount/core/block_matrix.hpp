@@ -42,11 +42,18 @@ class BlockCsr {
  public:
   BlockCsr() = default;
 
-  /// Builds from unordered entries. Rows outside [0, num_local_rows) are
-  /// an error. Column ids within each row are sorted ascending and
-  /// deduplicated.
+  /// Builds from entries split over any number of buckets (an alltoallv's
+  /// received buckets), taken in order. Rows outside [0, num_local_rows)
+  /// are an error. A row whose entries arrive strictly ascending is kept
+  /// as it arrives; any other row is sorted ascending and deduplicated.
+  static BlockCsr from_entries(
+      VertexId num_local_rows,
+      std::span<const std::vector<LocalEntry>> buckets);
+  /// The same, from one bucket.
   static BlockCsr from_entries(VertexId num_local_rows,
-                               std::vector<LocalEntry> entries);
+                               const std::vector<LocalEntry>& entries) {
+    return from_entries(num_local_rows, {&entries, 1});
+  }
 
   /// Removes `removed` and adds `added` (any order) in one linear merge
   /// that rewrites xadj, adj and the nonempty row list; untouched runs of

@@ -51,8 +51,7 @@ BlockCsr shift_block(mpisim::Comm& comm, BlockCsr block, int dest, int src,
     }
   }
   (void)in_nonempty;
-  return BlockCsr::from_entries(static_cast<VertexId>(in_rows),
-                                std::move(entries));
+  return BlockCsr::from_entries(static_cast<VertexId>(in_rows), entries);
 }
 
 /// What one Cannon superstep adds to a rank's totals. It is a pure

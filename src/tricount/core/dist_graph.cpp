@@ -40,16 +40,19 @@ LocalSlice block_slice_from_edges(const graph::EdgeList& graph, int rank,
   LocalSlice slice;
   slice.num_vertices = graph.num_vertices;
   std::tie(slice.begin, slice.end) = block_range(graph.num_vertices, rank, p);
-  slice.adj.assign(slice.owned(), {});
-  for (const graph::Edge& e : graph.edges) {
-    if (e.u >= slice.begin && e.u < slice.end) {
-      slice.adj[e.u - slice.begin].push_back(e.v);
+  const VertexId begin = slice.begin;
+  const VertexId end = slice.end;
+  slice.adj = Adjacency::build(slice.owned(), [&](auto&& emit) {
+    for (const graph::Edge& e : graph.edges) {
+      if (e.u == e.v) continue;
+      if (e.u >= begin && e.u < end) emit(e.u - begin, e.v);
+      if (e.v >= begin && e.v < end) emit(e.v - begin, e.u);
     }
-    if (e.v >= slice.begin && e.v < slice.end) {
-      slice.adj[e.v - slice.begin].push_back(e.u);
-    }
-  }
-  for (auto& list : slice.adj) std::sort(list.begin(), list.end());
+  });
+  // Edges sorted by (u, v), u < v, fill row v with its lower neighbours
+  // and then its higher ones, both ascending, so a simplified list
+  // leaves nothing to sort.
+  slice.adj.sort_rows();
   return slice;
 }
 
@@ -57,11 +60,13 @@ LocalSlice block_slice_from_csr(const graph::Csr& csr, int rank, int p) {
   LocalSlice slice;
   slice.num_vertices = csr.num_vertices();
   std::tie(slice.begin, slice.end) = block_range(csr.num_vertices(), rank, p);
-  slice.adj.reserve(slice.owned());
-  for (VertexId v = slice.begin; v < slice.end; ++v) {
-    const auto nbrs = csr.neighbors(v);
-    slice.adj.emplace_back(nbrs.begin(), nbrs.end());
-  }
+  const auto xadj = csr.xadj().begin();
+  const EdgeIndex first = xadj[slice.begin];
+  slice.adj.offsets.assign(xadj + slice.begin, xadj + slice.end + 1);
+  for (EdgeIndex& at : slice.adj.offsets) at -= first;
+  const auto ids = csr.adj().begin();
+  slice.adj.ids.assign(ids + static_cast<std::ptrdiff_t>(first),
+                       ids + static_cast<std::ptrdiff_t>(xadj[slice.end]));
   return slice;
 }
 
@@ -93,37 +98,39 @@ LocalSlice block_slice_from_rmat(mpisim::Comm& comm,
   LocalSlice slice;
   slice.num_vertices = n;
   std::tie(slice.begin, slice.end) = block_range(n, comm.rank(), p);
-  slice.adj.assign(slice.owned(), {});
   for (const auto& bucket : incoming) {
     if (bucket.size() % 2 != 0) {
       throw std::runtime_error("rmat routing: odd record stream");
     }
-    for (std::size_t i = 0; i < bucket.size(); i += 2) {
-      const VertexId v = bucket[i];
-      const VertexId u = bucket[i + 1];
-      slice.adj[v - slice.begin].push_back(u);
-    }
   }
+  slice.adj = Adjacency::build(slice.owned(), [&](auto&& emit) {
+    for (const auto& bucket : incoming) {
+      for (std::size_t i = 0; i < bucket.size(); i += 2) {
+        emit(bucket[i] - slice.begin, bucket[i + 1]);
+      }
+    }
+  });
   // Generation is a multigraph stream; deduplicate per list. Both
   // endpoints' owners see the identical multiset for an edge, so the
   // deduplicated graph is globally consistent.
-  for (auto& list : slice.adj) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-  }
+  slice.adj.sort_rows();
   return slice;
 }
 
 CyclicSlice cyclic_redistribute(mpisim::Comm& comm, const LocalSlice& input) {
   const int p = comm.size();
-  // Record format per vertex: [global id, degree, neighbours...].
+  const auto pv = static_cast<VertexId>(p);
+  std::vector<std::size_t> words(static_cast<std::size_t>(p), 0);
+  for (VertexId k = 0; k < input.owned(); ++k) {
+    words[(input.begin + k) % pv] += 2 + input.adj[k].size();
+  }
   std::vector<std::vector<VertexId>> outgoing(static_cast<std::size_t>(p));
+  for (std::size_t r = 0; r < outgoing.size(); ++r) {
+    outgoing[r].reserve(words[r]);
+  }
   for (VertexId k = 0; k < input.owned(); ++k) {
     const VertexId v = input.begin + k;
-    auto& bucket = outgoing[v % static_cast<VertexId>(p)];
-    bucket.push_back(v);
-    bucket.push_back(static_cast<VertexId>(input.adj[k].size()));
-    bucket.insert(bucket.end(), input.adj[k].begin(), input.adj[k].end());
+    append_record(outgoing[v % pv], v, input.adj[k]);
   }
   const auto incoming = mpisim::alltoallv(comm, outgoing);
 
@@ -131,22 +138,11 @@ CyclicSlice cyclic_redistribute(mpisim::Comm& comm, const LocalSlice& input) {
   slice.num_vertices = input.num_vertices;
   slice.rank = comm.rank();
   slice.p = p;
-  slice.adj.assign(
-      cyclic_row_count(input.num_vertices, p, comm.rank()), {});
-  for (const auto& bucket : incoming) {
-    std::size_t at = 0;
-    while (at < bucket.size()) {
-      const VertexId v = bucket[at++];
-      const VertexId deg = bucket[at++];
-      if (v % static_cast<VertexId>(p) != static_cast<VertexId>(comm.rank())) {
-        throw std::runtime_error("cyclic redistribute: misrouted vertex");
-      }
-      auto& list = slice.adj[v / static_cast<VertexId>(p)];
-      list.assign(bucket.begin() + static_cast<std::ptrdiff_t>(at),
-                  bucket.begin() + static_cast<std::ptrdiff_t>(at + deg));
-      at += deg;
-    }
-  }
+  const VertexId rows = cyclic_row_count(input.num_vertices, p, comm.rank());
+  slice.adj = unpack_records(
+      rows, incoming, "cyclic redistribute", [&](VertexId v, VertexId) {
+        return v % pv == static_cast<VertexId>(comm.rank()) ? v / pv : rows;
+      });
   return slice;
 }
 

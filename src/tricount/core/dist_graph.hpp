@@ -16,6 +16,7 @@
 
 #include <vector>
 
+#include "tricount/core/adjacency.hpp"
 #include "tricount/core/block_matrix.hpp"
 #include "tricount/graph/csr.hpp"
 #include "tricount/graph/edge_list.hpp"
@@ -34,7 +35,7 @@ struct LocalSlice {
   VertexId end = 0;
   /// adj[v - begin] = sorted, deduplicated full adjacency of v (no
   /// self-loops).
-  std::vector<std::vector<VertexId>> adj;
+  Adjacency adj;
 
   VertexId owned() const { return end - begin; }
   /// Number of undirected edges whose lower endpoint lives here.
@@ -45,9 +46,11 @@ struct LocalSlice {
 std::pair<VertexId, VertexId> block_range(VertexId n, int rank, int p);
 int block_owner(VertexId v, VertexId n, int p);
 
-/// Builds this rank's block slice from a replicated, simplified edge list.
-/// No communication. O(m) per rank — prefer the CSR overload when many
-/// ranks slice the same graph.
+/// Builds this rank's block slice from a replicated edge list. No
+/// communication. O(m) per rank — prefer the CSR overload when many ranks
+/// slice the same graph. A simplified list leaves every row ascending;
+/// any other list is brought to the slice's invariant here: repeated
+/// edges, in either orientation, and self-loops are dropped.
 LocalSlice block_slice_from_edges(const graph::EdgeList& graph, int rank,
                                   int p);
 
@@ -65,8 +68,8 @@ struct CyclicSlice {
   VertexId num_vertices = 0;
   int rank = 0;
   int p = 1;
-  /// adj[k] = adjacency of global vertex rank + k*p.
-  std::vector<std::vector<VertexId>> adj;
+  /// adj[k] = adjacency of global vertex rank + k*p, as in the input.
+  Adjacency adj;
 
   VertexId owned() const { return static_cast<VertexId>(adj.size()); }
   VertexId global_id(VertexId local) const {
@@ -74,7 +77,10 @@ struct CyclicSlice {
   }
 };
 
-/// Step (i) of preprocessing: block -> cyclic redistribution.
+/// Step (i) of preprocessing: block -> cyclic redistribution. Each row
+/// travels as one routing record and lands as one copied run. Throws
+/// std::runtime_error when a record reaches the wrong rank or a vertex's
+/// record arrives twice (input slices that overlap).
 CyclicSlice cyclic_redistribute(mpisim::Comm& comm, const LocalSlice& input);
 
 }  // namespace tricount::core

@@ -11,20 +11,47 @@
 
 namespace tricount::core {
 
+namespace {
+
+/// Sorts every row of `adj` ascending with one counting sort over its ids,
+/// all below n: each entry's row is bucketed under its id, then a walk over
+/// the ids in ascending order appends each id to the rows in its bucket.
+void counting_sort_rows(Adjacency& adj, VertexId n) {
+  // start[u] is the first slot of id u's bucket, and its end once filled.
+  std::vector<EdgeIndex> start(static_cast<std::size_t>(n) + 1, 0);
+  for (const VertexId u : adj.ids) ++start[u + 1];
+  util::inclusive_prefix_sum(start);
+  std::vector<VertexId> holders(adj.ids.size());
+  for (std::size_t k = 0; k < adj.size(); ++k) {
+    for (EdgeIndex j = adj.offsets[k]; j < adj.offsets[k + 1]; ++j) {
+      holders[start[adj.ids[j]]++] = static_cast<VertexId>(k);
+    }
+  }
+  std::vector<EdgeIndex> cursor(adj.offsets.begin(), adj.offsets.end() - 1);
+  EdgeIndex at = 0;
+  for (VertexId u = 0; u < n; ++u) {
+    for (; at < start[u]; ++at) adj.ids[cursor[holders[at]]++] = u;
+  }
+}
+
+}  // namespace
+
 RelabeledSlice degree_relabel(mpisim::Comm& comm, const CyclicSlice& slice) {
   const int p = slice.p;
   const auto pv = static_cast<VertexId>(p);
 
   // --- counting sort of the degree distribution (§5.4's two scans, a
   // max-reduction, and a d_max-long prefix over ranks) -------------------
+  const std::size_t rows = slice.adj.size();
   EdgeIndex local_max = 0;
-  for (const auto& list : slice.adj) {
-    local_max = std::max(local_max, static_cast<EdgeIndex>(list.size()));
+  for (std::size_t k = 0; k < rows; ++k) {
+    local_max =
+        std::max(local_max, static_cast<EdgeIndex>(slice.adj[k].size()));
   }
   const EdgeIndex dmax = mpisim::allreduce_max(comm, local_max);
 
   std::vector<std::uint64_t> histogram(static_cast<std::size_t>(dmax) + 1, 0);
-  for (const auto& list : slice.adj) ++histogram[list.size()];
+  for (std::size_t k = 0; k < rows; ++k) ++histogram[slice.adj[k].size()];
 
   // lower_counts[d] = same-degree vertices owned by lower ranks;
   // global[d] = total vertices of degree d.
@@ -40,10 +67,10 @@ RelabeledSlice degree_relabel(mpisim::Comm& comm, const CyclicSlice& slice) {
   out.rank = slice.rank;
   out.p = p;
   out.global_max_degree = dmax;
-  out.new_ids.resize(slice.adj.size());
+  out.new_ids.resize(rows);
   {
     std::vector<std::uint64_t> within(static_cast<std::size_t>(dmax) + 1, 0);
-    for (std::size_t k = 0; k < slice.adj.size(); ++k) {
+    for (std::size_t k = 0; k < rows; ++k) {
       const std::size_t d = slice.adj[k].size();
       out.new_ids[k] =
           static_cast<VertexId>(global[d] + lower_counts[d] + within[d]++);
@@ -61,13 +88,11 @@ RelabeledSlice degree_relabel(mpisim::Comm& comm, const CyclicSlice& slice) {
   // The table is one 32-bit word per vertex, held for this call.
   const VertexId n = slice.num_vertices;
   std::vector<std::uint32_t> slot(n, 0);
-  for (const auto& list : slice.adj) {
-    for (const VertexId u : list) {
-      if (u >= n) {
-        throw std::out_of_range("degree_relabel: neighbour id out of range");
-      }
-      slot[u] = 1;
+  for (const VertexId u : slice.adj.ids) {
+    if (u >= n) {
+      throw std::out_of_range("degree_relabel: neighbour id out of range");
     }
+    slot[u] = 1;
   }
   std::vector<std::vector<VertexId>> requests(static_cast<std::size_t>(p));
   for (VertexId u = 0; u < n; ++u) {
@@ -92,13 +117,14 @@ RelabeledSlice degree_relabel(mpisim::Comm& comm, const CyclicSlice& slice) {
   }
   const auto responses = mpisim::alltoallv(comm, answers);
 
-  out.adj.resize(slice.adj.size());
-  for (std::size_t k = 0; k < slice.adj.size(); ++k) {
-    out.adj[k].reserve(slice.adj[k].size());
-    for (const VertexId u : slice.adj[k]) {
-      out.adj[k].push_back(responses[u % pv][slot[u]]);
-    }
-  }
+  out.adj.offsets = slice.adj.offsets;
+  out.adj.ids.resize(slice.adj.ids.size());
+  std::transform(slice.adj.ids.begin(), slice.adj.ids.end(),
+                 out.adj.ids.begin(),
+                 [&](VertexId u) { return responses[u % pv][slot[u]]; });
+  // The translation keeps each row in old-id order; this is the
+  // pipeline's one row sort.
+  counting_sort_rows(out.adj, n);
   return out;
 }
 
@@ -109,14 +135,13 @@ RelabeledSlice identity_relabel(mpisim::Comm& comm,
   out.rank = slice.rank;
   out.p = slice.p;
   out.new_ids.resize(slice.adj.size());
+  EdgeIndex local_max = 0;
   for (std::size_t k = 0; k < slice.adj.size(); ++k) {
     out.new_ids[k] = slice.global_id(static_cast<VertexId>(k));
+    local_max =
+        std::max(local_max, static_cast<EdgeIndex>(slice.adj[k].size()));
   }
-  out.adj = slice.adj;
-  EdgeIndex local_max = 0;
-  for (const auto& list : slice.adj) {
-    local_max = std::max(local_max, static_cast<EdgeIndex>(list.size()));
-  }
+  out.adj = slice.adj;  // new id == old id: rows already ascend
   out.global_max_degree = mpisim::allreduce_max(comm, local_max);
   return out;
 }
@@ -143,27 +168,16 @@ Blocks scatter_2d(mpisim::Cart2D& grid, const RelabeledSlice& slice,
     }
   }
 
-  auto u_in = mpisim::alltoallv(comm, out[0]);
-  auto l_in = mpisim::alltoallv(comm, out[1]);
-  auto t_in = mpisim::alltoallv(comm, out[2]);
-
-  auto flatten = [](std::vector<std::vector<LocalEntry>> buckets) {
-    std::vector<LocalEntry> flat;
-    std::size_t total = 0;
-    for (const auto& b : buckets) total += b.size();
-    flat.reserve(total);
-    for (auto& b : buckets) {
-      flat.insert(flat.end(), b.begin(), b.end());
-    }
-    return flat;
-  };
+  const auto u_in = mpisim::alltoallv(comm, out[0]);
+  const auto l_in = mpisim::alltoallv(comm, out[1]);
+  const auto t_in = mpisim::alltoallv(comm, out[2]);
 
   Blocks blocks;
   const VertexId u_rows = cyclic_row_count(slice.num_vertices, q, grid.row());
   const VertexId l_rows = cyclic_row_count(slice.num_vertices, q, grid.col());
-  blocks.ublock = BlockCsr::from_entries(u_rows, flatten(std::move(u_in)));
-  blocks.lblock = BlockCsr::from_entries(l_rows, flatten(std::move(l_in)));
-  blocks.tasks = BlockCsr::from_entries(u_rows, flatten(std::move(t_in)));
+  blocks.ublock = BlockCsr::from_entries(u_rows, u_in);
+  blocks.lblock = BlockCsr::from_entries(l_rows, l_in);
+  blocks.tasks = BlockCsr::from_entries(u_rows, t_in);
   return blocks;
 }
 
@@ -180,7 +194,7 @@ PreprocessOutput preprocess(mpisim::Cart2D& grid, const LocalSlice& input,
   }();
   {
     PhaseSample s = tracker.cut();
-    for (const auto& list : cyclic.adj) s.ops += list.size();
+    s.ops += cyclic.adj.ids.size();
     out.steps.emplace_back("redistribute", s);
   }
 
@@ -191,7 +205,7 @@ PreprocessOutput preprocess(mpisim::Cart2D& grid, const LocalSlice& input,
   }();
   {
     PhaseSample s = tracker.cut();
-    for (const auto& list : relabeled.adj) s.ops += list.size();
+    s.ops += relabeled.adj.ids.size();
     s.ops += relabeled.global_max_degree;
     out.steps.emplace_back("degree_order", s);
   }

@@ -23,17 +23,20 @@ namespace tricount::core {
 /// Cyclic slice after degree relabeling. Indexing is unchanged (local k
 /// still corresponds to *old* global id rank + k*p); `new_ids[k]` is the
 /// vertex's position in the non-decreasing degree order, and `adj` is
-/// already expressed in new ids.
+/// already expressed in new ids. Postcondition of both relabels: every
+/// row of `adj` strictly ascends in new ids, so the 2D blocks and every
+/// Adj+ (a row's suffix above its vertex) take the rows without sorting.
 struct RelabeledSlice {
   VertexId num_vertices = 0;
   int rank = 0;
   int p = 1;
   std::vector<VertexId> new_ids;
-  std::vector<std::vector<VertexId>> adj;
+  Adjacency adj;
   EdgeIndex global_max_degree = 0;
 };
 
-/// Step (ii): distributed counting sort + all-to-all neighbour relabel.
+/// Step (ii): distributed counting sort + all-to-all neighbour relabel,
+/// then one counting sort over new ids that leaves every row ascending.
 /// Tie-break within a degree: (owner rank, local index), which is a valid
 /// (if different from the serial reference's by-id) stable order. Throws
 /// std::out_of_range for a neighbour id >= slice.num_vertices.
@@ -95,7 +98,9 @@ void place_2d(int q, VertexId w, VertexId u, Enumeration enumeration,
 }
 
 /// Steps (iii)+(iv): scatter entries per the 2D cyclic map (place_2d)
-/// and build the block CSRs.
+/// and build the block CSRs. A block row holds one vertex w's entries,
+/// all sent by the one rank holding w, and that rank walks w's ascending
+/// row, so every block row arrives as one ascending run, kept as is.
 Blocks scatter_2d(mpisim::Cart2D& grid, const RelabeledSlice& slice,
                   Enumeration enumeration);
 

@@ -105,11 +105,11 @@ SummaBlocks scatter_summa(mpisim::Comm& comm, int qr, int qc, int K,
   }
   const VertexId u_rows = cyclic_row_count(n, qr, x);
   const VertexId l_rows = cyclic_row_count(n, qc, y);
-  for (auto& entries : u_split) {
-    blocks.upanels.push_back(BlockCsr::from_entries(u_rows, std::move(entries)));
+  for (const auto& entries : u_split) {
+    blocks.upanels.push_back(BlockCsr::from_entries(u_rows, entries));
   }
-  for (auto& entries : l_split) {
-    blocks.lpanels.push_back(BlockCsr::from_entries(l_rows, std::move(entries)));
+  for (const auto& entries : l_split) {
+    blocks.lpanels.push_back(BlockCsr::from_entries(l_rows, entries));
   }
   std::vector<LocalEntry> task_entries;
   for (const auto& bucket : t_in) {
@@ -117,7 +117,7 @@ SummaBlocks scatter_summa(mpisim::Comm& comm, int qr, int qc, int K,
       task_entries.push_back(LocalEntry{e.row, e.col});
     }
   }
-  blocks.tasks = BlockCsr::from_entries(u_rows, std::move(task_entries));
+  blocks.tasks = BlockCsr::from_entries(u_rows, task_entries);
   return blocks;
 }
 

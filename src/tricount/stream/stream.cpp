@@ -27,11 +27,31 @@ std::uint64_t edge_key(VertexId u, VertexId v) {
   return (static_cast<std::uint64_t>(u) << 32) | v;
 }
 
-/// The batch's deleted-edge set: membership defines H = G \ D.
+/// The batch's deleted-edge set: membership defines H = G \ D. Each
+/// deleted edge is held as two sorted arcs (u << 32 | v), so one vertex's
+/// deleted partners form one ascending run.
 struct DeletedSet {
-  std::unordered_set<std::uint64_t> keys;
+  std::vector<std::uint64_t> arcs;
+
+  static std::uint64_t arc(VertexId u, VertexId v) {
+    return (static_cast<std::uint64_t>(u) << 32) | v;
+  }
+  explicit DeletedSet(const Batch& batch) {
+    for (const DeltaOp& op : batch.ops) {
+      if (op.insert) continue;
+      arcs.push_back(arc(op.edge.u, op.edge.v));
+      arcs.push_back(arc(op.edge.v, op.edge.u));
+    }
+    std::sort(arcs.begin(), arcs.end());
+  }
+  /// The arcs out of `vert`, ascending by partner.
+  std::span<const std::uint64_t> from(VertexId vert) const {
+    const auto first = std::lower_bound(arcs.begin(), arcs.end(), arc(vert, 0));
+    return {first, std::upper_bound(first, arcs.end(),
+                                    arc(vert, graph::kInvalidVertex))};
+  }
   bool contains(VertexId u, VertexId v) const {
-    return keys.count(edge_key(u, v)) != 0;
+    return std::binary_search(arcs.begin(), arcs.end(), arc(u, v));
   }
 };
 
@@ -64,9 +84,13 @@ std::vector<std::vector<VertexId>> rows_of(const graph::Csr& csr) {
 void extract_shard(const StreamState& state, const DeletedSet& deleted,
                    VertexId vert, int y, int q, std::vector<VertexId>& out) {
   out.clear();
+  // Both the row and vert's deleted arcs ascend: one merge filters them.
+  const auto gone = deleted.from(vert);
+  auto next = gone.begin();
   for (const VertexId w : state.neighbors(vert)) {
+    while (next != gone.end() && static_cast<VertexId>(*next) < w) ++next;
     if (static_cast<int>(w % static_cast<VertexId>(q)) == y &&
-        !deleted.contains(vert, w)) {
+        (next == gone.end() || static_cast<VertexId>(*next) != w)) {
       out.push_back(w);
     }
   }
@@ -357,12 +381,11 @@ void delta_rank(mpisim::Comm& comm, const StreamState& state,
     // and triangles wholly inside the batch (recorded once, at the pair
     // whose shared vertex is the smallest corner).
     if (rank != 0) return step;
-    std::unordered_set<std::uint64_t> inserted_keys;
-    std::unordered_set<std::uint64_t> deleted_keys;
+    std::vector<std::uint64_t> inserted_keys;
     for (const DeltaOp& op : batch.ops) {
-      (op.insert ? inserted_keys : deleted_keys)
-          .insert(edge_key(op.edge.u, op.edge.v));
+      if (op.insert) inserted_keys.push_back(edge_key(op.edge.u, op.edge.v));
     }
+    std::sort(inserted_keys.begin(), inserted_keys.end());
     for (std::size_t i = 0; i < batch.ops.size(); ++i) {
       for (std::size_t j = i + 1; j < batch.ops.size(); ++j) {
         const DeltaOp& a = batch.ops[i];
@@ -382,10 +405,12 @@ void delta_rank(mpisim::Comm& comm, const StreamState& state,
         } else {
           continue;
         }
-        const std::uint64_t closing = edge_key(p, r);
-        const auto& same_sign = a.insert ? inserted_keys : deleted_keys;
+        const bool closing_in_batch =
+            a.insert ? std::binary_search(inserted_keys.begin(),
+                                          inserted_keys.end(), edge_key(p, r))
+                     : deleted.contains(p, r);
         auto& sink = a.insert ? step.created : step.destroyed;
-        if (same_sign.count(closing) != 0) {
+        if (closing_in_batch) {
           // All three edges in the batch: record at the smallest corner.
           if (shared < p && shared < r) ++sink;
         } else if (state.has_edge(p, r) && !deleted.contains(p, r)) {
@@ -444,10 +469,7 @@ DeltaResult count_delta(mpisim::PersistentWorld& world,
           "delta pass's only counting superstep");
     }
   }
-  DeletedSet deleted;
-  for (const DeltaOp& op : batch.ops) {
-    if (!op.insert) deleted.keys.insert(edge_key(op.edge.u, op.edge.v));
-  }
+  const DeletedSet deleted(batch);
   std::vector<RankOut> outs(static_cast<std::size_t>(world.size()));
   mpisim::WorldReport report = world.run_job([&](mpisim::Comm& comm) {
     delta_rank(comm, state, batch, deleted, config, outs);

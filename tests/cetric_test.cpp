@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "test_seed.hpp"
@@ -106,7 +107,7 @@ TEST(CetricGraphBuild, RoutedListsMatchReplicatedOracle) {
     EXPECT_EQ(oracle_sum, m);
     // Owned lists are sorted, point upward, and agree with the oracle.
     for (VertexId v = dag.part.begin(); v < dag.part.end(); ++v) {
-      const auto& plus = dag.plus(v);
+      const auto plus = dag.plus(v);
       EXPECT_EQ(plus.size(), dag.deg_plus[v]);
       EXPECT_TRUE(std::is_sorted(plus.begin(), plus.end()));
       for (const VertexId w : plus) {
@@ -115,6 +116,19 @@ TEST(CetricGraphBuild, RoutedListsMatchReplicatedOracle) {
       }
     }
   });
+}
+
+TEST(CetricGraphBuild, OverlappingSlicesThrow) {
+  // Both ranks claim the whole graph: every row would be routed twice.
+  const graph::EdgeList g =
+      graph::simplify(graph::watts_strogatz(60, 4, 0.2, 3));
+  EXPECT_THROW(mpisim::run_world(2,
+                                 [&](mpisim::Comm& comm) {
+                                   const core::LocalSlice slice =
+                                       core::block_slice_from_edges(g, 0, 1);
+                                   cetric::build_cetric_graph(comm, slice);
+                                 }),
+               std::runtime_error);
 }
 
 // --- exactness + classification invariants ---------------------------------

@@ -49,8 +49,44 @@ TEST(BlockCsr, FromEntriesSortsAndDeduplicates) {
   EXPECT_EQ(block.max_row_degree(), 3u);
 }
 
+TEST(BlockCsr, FromEntriesKeepsAscendingRunsAndSortsTheirShuffle) {
+  // scatter_2d's buckets carry each row as one ascending run, which the
+  // build keeps as it arrives. The same entries shuffled over the buckets,
+  // with repeats, must build the same block.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Xoshiro256 rng(seed);
+    const auto rows = static_cast<VertexId>(1 + rng.bounded(30));
+    const auto cols = static_cast<VertexId>(1 + rng.bounded(30));
+    std::set<LocalEntry> live;
+    const std::uint64_t fill = rng.bounded(rows * cols + 1);
+    for (std::uint64_t i = 0; i < fill; ++i) {
+      live.insert({static_cast<VertexId>(rng.bounded(rows)),
+                   static_cast<VertexId>(rng.bounded(cols))});
+    }
+    std::vector<std::vector<LocalEntry>> runs(3);
+    for (const LocalEntry& e : live) runs[e.row % 3].push_back(e);
+    std::vector<LocalEntry> shuffled(live.begin(), live.end());
+    for (std::size_t i = 0, size = shuffled.size(); i < size; i += 3) {
+      shuffled.push_back(shuffled[i]);
+    }
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    std::vector<std::vector<LocalEntry>> scattered(3);
+    for (const LocalEntry& e : shuffled) {
+      scattered[rng.bounded(3)].push_back(e);
+    }
+
+    const BlockCsr from_runs = BlockCsr::from_entries(rows, runs);
+    from_runs.validate();
+    std::vector<VertexId> expected_cols;
+    for (const LocalEntry& e : live) expected_cols.push_back(e.col);
+    EXPECT_EQ(from_runs.adj(), expected_cols) << "seed " << seed;
+    EXPECT_EQ(BlockCsr::from_entries(rows, scattered), from_runs)
+        << "seed " << seed;
+  }
+}
+
 TEST(BlockCsr, EmptyBlock) {
-  const BlockCsr block = BlockCsr::from_entries(5, {});
+  const BlockCsr block = BlockCsr::from_entries(5, std::vector<LocalEntry>{});
   block.validate();
   EXPECT_EQ(block.num_entries(), 0u);
   EXPECT_TRUE(block.nonempty().empty());
@@ -58,7 +94,7 @@ TEST(BlockCsr, EmptyBlock) {
 }
 
 TEST(BlockCsr, ZeroRowBlock) {
-  const BlockCsr block = BlockCsr::from_entries(0, {});
+  const BlockCsr block = BlockCsr::from_entries(0, std::vector<LocalEntry>{});
   block.validate();
   EXPECT_EQ(block.num_local_rows(), 0u);
 }
@@ -78,7 +114,7 @@ TEST(BlockCsr, BlobRoundTrip) {
 }
 
 TEST(BlockCsr, BlobRoundTripEmpty) {
-  const BlockCsr block = BlockCsr::from_entries(3, {});
+  const BlockCsr block = BlockCsr::from_entries(3, std::vector<LocalEntry>{});
   EXPECT_EQ(BlockCsr::from_blob(block.to_blob()), block);
 }
 
@@ -141,10 +177,10 @@ TEST(BlockCsrPatch, RowsLeaveAndJoinTheNonemptyList) {
 }
 
 TEST(BlockCsrPatch, ZeroRowBlockPatchesToItself) {
-  BlockCsr block = BlockCsr::from_entries(0, {});
+  BlockCsr block = BlockCsr::from_entries(0, std::vector<LocalEntry>{});
   block.patch({}, {});
   block.validate();
-  EXPECT_EQ(block, BlockCsr::from_entries(0, {}));
+  EXPECT_EQ(block, BlockCsr::from_entries(0, std::vector<LocalEntry>{}));
   EXPECT_THROW(block.patch({}, {{0, 0}}), std::out_of_range);
 }
 

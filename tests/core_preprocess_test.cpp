@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <numeric>
 #include <tuple>
 
+#include "test_corpus.hpp"
 #include "tricount/core/preprocess.hpp"
 #include "tricount/graph/degree_order.hpp"
 #include "tricount/graph/generators.hpp"
@@ -52,7 +54,7 @@ TEST(BlockSlice, CoversAllAdjacency) {
   for (int r = 0; r < p; ++r) {
     const LocalSlice slice = block_slice_from_edges(g, r, p);
     EXPECT_EQ(slice.num_vertices, g.num_vertices);
-    for (const auto& list : slice.adj) total_entries += list.size();
+    total_entries += slice.adj.ids.size();
   }
   EXPECT_EQ(total_entries, 2 * g.edges.size());
 }
@@ -69,7 +71,8 @@ TEST(CyclicRedistribute, PreservesAdjacency) {
               cyclic_row_count(g.num_vertices, p, comm.rank()));
     std::scoped_lock lock(mu);
     for (VertexId k = 0; k < cyclic.owned(); ++k) {
-      collected[cyclic.global_id(k)] = cyclic.adj[k];
+      collected[cyclic.global_id(k)].assign(cyclic.adj[k].begin(),
+                                            cyclic.adj[k].end());
     }
   });
   // Every vertex appears exactly once with its full adjacency.
@@ -81,6 +84,19 @@ TEST(CyclicRedistribute, PreservesAdjacency) {
               std::vector<VertexId>(nbrs.begin(), nbrs.end()))
         << "vertex " << v;
   }
+}
+
+TEST(CyclicRedistribute, OverlappingSlicesThrow) {
+  // Both ranks claim the whole graph, so every vertex's record reaches
+  // its cyclic owner twice.
+  const EdgeList g = graph::simplify(graph::erdos_renyi(40, 100, 5));
+  EXPECT_THROW(mpisim::run_world(2,
+                                 [&](mpisim::Comm& comm) {
+                                   const LocalSlice input =
+                                       block_slice_from_edges(g, 0, 1);
+                                   cyclic_redistribute(comm, input);
+                                 }),
+               std::runtime_error);
 }
 
 TEST(DegreeRelabel, EqualsSerialOrderByDegreeThenOwnerThenLocalIndex) {
@@ -159,6 +175,31 @@ TEST(DegreeRelabel, AdjacencyRelabeledConsistently) {
   std::sort(expected.begin(), expected.end());
   std::sort(relabeled_edges.begin(), relabeled_edges.end());
   EXPECT_EQ(relabeled_edges, expected);
+}
+
+TEST(DegreeRelabel, RowsStrictlyAscendInNewIds) {
+  for (const auto& entry : test_support::corpus()) {
+    for (const int p : {1, 4, 9}) {
+      std::atomic<int> unsorted{0};
+      std::atomic<std::uint64_t> entries{0};
+      mpisim::run_world(p, [&](mpisim::Comm& comm) {
+        const LocalSlice input =
+            block_slice_from_edges(entry.graph, comm.rank(), p);
+        const RelabeledSlice rel =
+            degree_relabel(comm, cyclic_redistribute(comm, input));
+        for (std::size_t k = 0; k < rel.adj.size(); ++k) {
+          const auto row = rel.adj[k];
+          if (std::adjacent_find(row.begin(), row.end(),
+                                 std::greater_equal<>()) != row.end()) {
+            ++unsorted;
+          }
+        }
+        entries += rel.adj.ids.size();
+      });
+      EXPECT_EQ(unsorted.load(), 0) << "p=" << p;
+      EXPECT_EQ(entries.load(), 2 * entry.graph.edges.size()) << "p=" << p;
+    }
+  }
 }
 
 TEST(Scatter2D, BlockEntryCountsAddUp) {

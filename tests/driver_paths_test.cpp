@@ -1,12 +1,18 @@
 // Tests for the driver's input paths: CSR-based slicing must agree with
-// edge-list slicing, and the CSR driver overload must produce identical
+// edge-list slicing, an unsimplified edge list must slice and count like
+// its simplification, and the CSR driver overload must produce identical
 // runs (it is the path the bench harness uses).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "tricount/cetric/cetric.hpp"
 #include "tricount/core/dist_graph.hpp"
 #include "tricount/core/driver.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/serial_count.hpp"
+#include "tricount/util/rng.hpp"
 
 namespace tricount::core {
 namespace {
@@ -31,6 +37,42 @@ TEST(SlicePaths, CsrSliceEqualsEdgeListSlice) {
       ASSERT_EQ(a.begin, b.begin);
       ASSERT_EQ(a.end, b.end);
       ASSERT_EQ(a.adj, b.adj) << "p=" << p << " rank=" << r;
+    }
+  }
+}
+
+TEST(SlicePaths, UnsimplifiedListsCountAsTheirSimplification) {
+  // Two triangles, {0,1,2} and {1,2,3}; then the list with a repeated
+  // edge, a reversed repeat, a self-loop, and all three shuffled in.
+  const EdgeList base{4, {{0, 1}, {1, 2}, {0, 2}, {2, 3}, {1, 3}}};
+  std::vector<EdgeList> variants;
+  for (const graph::Edge extra : {graph::Edge{0, 1}, graph::Edge{1, 0},
+                                  graph::Edge{2, 2}}) {
+    variants.push_back(base);
+    variants.back().edges.push_back(extra);
+  }
+  EdgeList shuffled = base;
+  shuffled.edges.insert(shuffled.edges.end(), {{0, 1}, {1, 0}, {2, 2}});
+  std::shuffle(shuffled.edges.begin(), shuffled.edges.end(),
+               util::Xoshiro256(7));
+  variants.push_back(shuffled);
+
+  for (const EdgeList& g : variants) {
+    const EdgeList simple = graph::simplify(g);
+    ASSERT_EQ(graph::count_triangles_serial(graph::Csr::from_edges(simple)),
+              2);
+    for (const int p : {1, 2, 3, 4}) {
+      for (int r = 0; r < p; ++r) {
+        EXPECT_EQ(block_slice_from_edges(g, r, p).adj,
+                  block_slice_from_edges(simple, r, p).adj)
+            << "p=" << p << " rank=" << r;
+      }
+      EXPECT_EQ(cetric::count_triangles_cetric(g, p).triangles, 2)
+          << "p=" << p;
+    }
+    for (const int ranks : {1, 4}) {
+      EXPECT_EQ(count_triangles_2d(g, ranks).triangles, 2)
+          << "ranks=" << ranks;
     }
   }
 }
