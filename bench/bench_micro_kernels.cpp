@@ -2,7 +2,8 @@
 // experiment results: hash build/lookup in both modes, map vs list
 // intersection, the bitmap-vs-hash universe sweep behind the auto
 // policy's bitmap budget, the pinned-row skew sweep behind its galloping
-// rule, blob serialization, and RMAT edge generation.
+// rule, the probe-length sweep behind the SIMD bitmap probe's floor, blob
+// serialization, and RMAT edge generation.
 #include <benchmark/benchmark.h>
 
 #include "tricount/core/block_matrix.hpp"
@@ -141,11 +142,9 @@ void BM_BitmapIntersection(benchmark::State& state) {
   const auto probe = random_keys(n, 2, static_cast<std::uint64_t>(n) * 4);
   tricount::kernels::RowBitmap bitmap;
   bitmap.build(hashed);
-  tricount::kernels::KernelCounters counters;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tricount::kernels::bitmap_intersect(
-        bitmap, probe, hashed.front(), /*backward_early_exit=*/true,
-        counters));
+    benchmark::DoNotOptimize(tricount::kernels::bitmap_probe(
+        bitmap, probe, hashed.front(), /*clip=*/true));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(probe.size()) *
                           state.iterations());
@@ -200,11 +199,13 @@ void BM_BitmapVsHashUniverse(benchmark::State& state) {
   for (auto _ : state) {
     TriangleCount hits = 0;
     for (std::size_t r = 0; r < kRows; ++r) {
-      scratch.begin_row(rows[r], /*allow_direct=*/true);
-      for (std::size_t t = 0; t < kProbesPerRow; ++t) {
-        hits += scratch.task(policy, probes[r * kProbesPerRow + t],
-                             /*backward_early_exit=*/true, counters);
-      }
+      hits += scratch.intersect_row(
+          policy, rows[r], /*allow_direct=*/true,
+          /*backward_early_exit=*/true, counters, [&](auto&& emit) {
+            for (std::size_t t = 0; t < kProbesPerRow; ++t) {
+              emit(probes[r * kProbesPerRow + t]);
+            }
+          });
     }
     benchmark::DoNotOptimize(hits);
   }
@@ -256,11 +257,13 @@ void BM_PinnedRowSkew(benchmark::State& state) {
   for (auto _ : state) {
     TriangleCount hits = 0;
     for (std::size_t r = 0; r < kRows; ++r) {
-      scratch.begin_row(rows[r], /*allow_direct=*/true);
-      for (std::size_t t = 0; t < tasks; ++t) {
-        hits += scratch.task(policy, probes[r * tasks + t],
-                             /*backward_early_exit=*/true, counters);
-      }
+      hits += scratch.intersect_row(
+          policy, rows[r], /*allow_direct=*/true,
+          /*backward_early_exit=*/true, counters, [&](auto&& emit) {
+            for (std::size_t t = 0; t < tasks; ++t) {
+              emit(probes[r * tasks + t]);
+            }
+          });
     }
     benchmark::DoNotOptimize(hits);
   }
@@ -272,6 +275,73 @@ void BM_PinnedRowSkew(benchmark::State& state) {
 BENCHMARK(BM_PinnedRowSkew)
     ->ArgsProduct({{0, 1}, {1, 2, 4, 8}, {32, 128, 1024}, {1, 4, 32}})
     ->ArgNames({"bitmap", "probe", "skew", "tasks"});
+
+void BM_BitmapProbeLength(benchmark::State& state) {
+  // The sweep behind kSimdProbeFloor: ns per probe of the scalar (arg 0 =
+  // 0) and the SIMD (1) bitmap probe, clip on, for probes of arg 1 ids
+  // over a universe of 2^arg 2 ids. Each of 64 pinned rows and its 8
+  // probes draw ids from one span of 4x the probe length placed at
+  // random in the universe, so a probe runs both below the row's min
+  // (the clip) and past its max (the stop). Bitmaps are built outside
+  // the timed loop.
+  const bool simd = state.range(0) != 0;
+  if (simd && !tricount::kernels::simd_probe_supported()) {
+    state.SkipWithError("this CPU has no AVX2");
+    return;
+  }
+  const auto len = static_cast<std::size_t>(state.range(1));
+  const std::uint64_t universe = std::uint64_t{1} << state.range(2);
+  const std::uint64_t span = 4 * len;
+  constexpr std::size_t kRows = 64;
+  constexpr std::size_t kProbesPerRow = 8;
+  tricount::util::Xoshiro256 rng(17);
+  std::vector<std::vector<VertexId>> rows;
+  std::vector<std::vector<VertexId>> probes;
+  std::vector<tricount::kernels::RowBitmap> bitmaps(kRows);
+  auto placed = [&](VertexId base) {  // exactly len distinct ids
+    std::vector<VertexId> row;
+    while (row.size() < len) {
+      auto more = random_keys(len - row.size(), rng(), span);
+      row.insert(row.end(), more.begin(), more.end());
+      std::sort(row.begin(), row.end());
+      row.erase(std::unique(row.begin(), row.end()), row.end());
+    }
+    for (VertexId& v : row) v += base;
+    return row;
+  };
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const auto base = static_cast<VertexId>(rng.bounded(universe - span));
+    rows.push_back(placed(base));
+    bitmaps[r].build(rows[r]);
+    for (std::size_t t = 0; t < kProbesPerRow; ++t) {
+      probes.push_back(placed(base));
+    }
+  }
+  for (auto _ : state) {
+    std::uint64_t hits = 0;
+    for (std::size_t r = 0; r < kRows; ++r) {
+      for (std::size_t t = 0; t < kProbesPerRow; ++t) {
+        const auto& probe = probes[r * kProbesPerRow + t];
+        hits += simd ? tricount::kernels::bitmap_probe_simd(
+                           bitmaps[r], probe, rows[r].front(), true)
+                           .hits
+                     : tricount::kernels::bitmap_probe_scalar(
+                           bitmaps[r], probe, rows[r].front(), true)
+                           .hits;
+      }
+    }
+    benchmark::DoNotOptimize(hits);
+  }
+  state.counters["per_probe"] = benchmark::Counter(
+      static_cast<double>(kRows * kProbesPerRow),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_BitmapProbeLength)
+    ->ArgsProduct({{0, 1},
+                   {2, 4, 8, 12, 16, 24, 32, 64, 256, 1024, 4096},
+                   {16, 20}})
+    ->ArgNames({"simd", "len", "log2_universe"});
 
 void BM_BlockBlobRoundTrip(benchmark::State& state) {
   std::vector<tricount::core::LocalEntry> entries;

@@ -79,11 +79,11 @@ BaselineResult count_triangles_aop1d(const graph::EdgeList& graph, int ranks,
     for (VertexId k = 0; k < dag.owned(); ++k) {
       const auto aw = dag.adj_plus[k];
       if (aw.empty()) continue;
-      scratch.begin_row(aw, /*allow_direct=*/true);
-      for (const VertexId u : aw) {
-        local += scratch.task(options.kernel, plus_of(u),
-                              /*backward_early_exit=*/true, counters);
-      }
+      local += scratch.intersect_row(
+          options.kernel, aw, /*allow_direct=*/true,
+          /*backward_early_exit=*/true, counters, [&](auto&& emit) {
+            for (const VertexId u : aw) emit(plus_of(u));
+          });
     }
     const TriangleCount total = mpisim::allreduce_sum(comm, local);
     recorder.record(comm.rank(), 2, tracker.cut());

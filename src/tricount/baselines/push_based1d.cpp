@@ -34,11 +34,11 @@ BaselineResult count_triangles_push1d(const graph::EdgeList& graph, int ranks,
     auto count_against = [&](std::span<const VertexId> aw,
                              std::span<const VertexId> targets) {
       if (aw.empty()) return;
-      scratch.begin_row(aw, /*allow_direct=*/true);
-      for (const VertexId u : targets) {
-        local += scratch.task(options.kernel, dag.plus(u),
-                              /*backward_early_exit=*/true, counters);
-      }
+      local += scratch.intersect_row(
+          options.kernel, aw, /*allow_direct=*/true,
+          /*backward_early_exit=*/true, counters, [&](auto&& emit) {
+            for (const VertexId u : targets) emit(dag.plus(u));
+          });
     };
     const VertexId owned = dag.owned();
     for (int round = 0; round < options.rounds; ++round) {

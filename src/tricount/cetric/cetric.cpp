@@ -82,12 +82,9 @@ void close_at(kernels::IntersectScratch& scratch, const Config& config,
               std::span<const VertexId> closing, core::StepCount& step,
               Tails&& tails) {
   ++step.kernel.rows_visited;
-  scratch.begin_row(closing, config.modified_hashing);
-  tails([&](std::span<const VertexId> tail) {
-    ++step.kernel.intersection_tasks;
-    step.triangles += scratch.task(config.kernel, tail,
-                                   config.backward_early_exit, step.kernel);
-  });
+  step.triangles += scratch.intersect_row(
+      config.kernel, closing, config.modified_hashing,
+      config.backward_early_exit, step.kernel, std::forward<Tails>(tails));
 }
 
 using SliceFactory = std::function<LocalSlice(mpisim::Comm&)>;

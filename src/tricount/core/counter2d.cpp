@@ -129,24 +129,33 @@ TriangleCount intersect_tally(const BlockCsr& tasks, const BlockCsr& ublock,
     const auto urow = ublock.row(r);
     if (urow.empty()) return;  // no closing vertices in this column block
 
-    scratch.begin_row(urow, config.modified_hashing);
-
-    for (const VertexId& e : task_cols) {
-      if (e >= lblock.num_local_rows()) continue;
-      const auto lrow = lblock.row(e);
-      if (lrow.empty()) continue;
-      ++counters.intersection_tasks;
-      if constexpr (kCredits) {
+    // Calls run(e, lrow) for every task (r, e) whose L row is non-empty.
+    auto each_task = [&](auto&& run) {
+      for (const VertexId& e : task_cols) {
+        if (e >= lblock.num_local_rows()) continue;
+        const auto lrow = lblock.row(e);
+        if (!lrow.empty()) run(e, lrow);
+      }
+    };
+    if constexpr (kCredits) {
+      scratch.begin_row(urow, config.modified_hashing);
+      each_task([&](const VertexId& e, std::span<const VertexId> lrow) {
+        ++counters.intersection_tasks;
         const TriangleCount hits = scratch.each_match(
             lrow, config.backward_early_exit, counters,
             [&](VertexId t) { tally.closer(r, e, t); });
         tally.task(r, e, static_cast<std::size_t>(&e - tasks.adj().data()),
                    hits);
         found += hits;
-      } else {
-        found += scratch.task(config.kernel, lrow,
-                              config.backward_early_exit, counters);
-      }
+      });
+    } else {
+      found += scratch.intersect_row(
+          config.kernel, urow, config.modified_hashing,
+          config.backward_early_exit, counters, [&](auto&& emit) {
+            each_task([&](VertexId, std::span<const VertexId> lrow) {
+              emit(lrow);
+            });
+          });
     }
   };
 

@@ -52,15 +52,14 @@ TriangleCount count_triangles_kernel(const Csr& csr,
   for (VertexId v = 0; v < csr.num_vertices(); ++v) {
     if (forward[v].empty()) continue;
     ++k.rows_visited;
-    scratch.begin_row(std::span<const VertexId>(forward[v]),
-                      /*allow_direct=*/true);
-    for (const VertexId wp : forward[v]) {
-      const std::vector<VertexId>& fw = forward[order[wp]];
-      if (fw.empty()) continue;
-      ++k.intersection_tasks;
-      total += scratch.task(policy, std::span<const VertexId>(fw),
-                            /*backward_early_exit=*/true, k);
-    }
+    total += scratch.intersect_row(
+        policy, forward[v], /*allow_direct=*/true,
+        /*backward_early_exit=*/true, k, [&](auto&& emit) {
+          for (const VertexId wp : forward[v]) {
+            const std::vector<VertexId>& fw = forward[order[wp]];
+            if (!fw.empty()) emit(fw);
+          }
+        });
   }
   k.probes += scratch.probes();
   return total;

@@ -1,7 +1,11 @@
 #include "tricount/kernels/intersect.hpp"
 
 #include <algorithm>
-#include <cassert>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#define TRICOUNT_SIMD_PROBE 1
+#endif
 
 namespace tricount::kernels {
 
@@ -9,13 +13,102 @@ void RowBitmap::build(std::span<const VertexId> row) {
   for (const std::uint32_t word : touched_) words_[word] = 0;
   touched_.clear();
   universe_ = row.empty() ? 0 : row.back() + 1;
-  const std::size_t needed = (static_cast<std::size_t>(universe_) + 63) / 64;
+  const std::size_t needed = (static_cast<std::size_t>(universe_) + 31) / 32;
   if (words_.size() < needed) words_.resize(needed, 0);
   for (const VertexId v : row) {
-    const auto word = static_cast<std::uint32_t>(v >> 6);
+    const VertexId word = v >> 5;
     if (words_[word] == 0) touched_.push_back(word);
-    words_[word] |= std::uint64_t{1} << (v & 63);
+    words_[word] |= std::uint32_t{1} << (v & 31);
   }
+}
+
+#ifdef TRICOUNT_SIMD_PROBE
+namespace {
+
+/// The AVX2 probe over ids[0, n), eight ids per step; the last, partial
+/// step loads its ids through a mask. Lanes outside [min, universe) are
+/// masked out of the gather, so it reads only words the bitmap owns, and
+/// a masked lane gathers 0 and never hits. It stops after the first step
+/// that holds an id at or past the universe (the probe ascends, so every
+/// later id misses too). AVX2 compares signed lanes, so the ids and both
+/// bounds are biased by 2^31 to order them as unsigned.
+__attribute__((target("avx2"))) BitmapProbe probe_avx2(
+    const std::uint32_t* words, VertexId universe, VertexId min,
+    const VertexId* ids, std::size_t n) {
+  const __m256i bias = _mm256_set1_epi32(INT32_MIN);
+  const __m256i lo =
+      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(min)), bias);
+  const __m256i hi =
+      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(universe)), bias);
+  const __m256i low_bits = _mm256_set1_epi32(31);
+  // Compare masks hold -1 per set lane: subtracting them counts.
+  __m256i hits = _mm256_setzero_si256();
+  __m256i tests = _mm256_setzero_si256();
+  for (std::size_t at = 0; at < n; at += 8) {
+    __m256i live = _mm256_set1_epi32(-1);
+    __m256i x;
+    if (n - at >= 8) {
+      x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids + at));
+    } else {
+      live = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n - at)),
+                                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+      x = _mm256_maskload_epi32(reinterpret_cast<const int*>(ids + at), live);
+    }
+    const __m256i biased = _mm256_xor_si256(x, bias);
+    const __m256i below_universe = _mm256_cmpgt_epi32(hi, biased);
+    const __m256i in_range = _mm256_and_si256(
+        live,
+        _mm256_andnot_si256(_mm256_cmpgt_epi32(lo, biased), below_universe));
+    const __m256i word = _mm256_mask_i32gather_epi32(
+        _mm256_setzero_si256(), reinterpret_cast<const int*>(words),
+        _mm256_srli_epi32(x, 5), in_range, 4);
+    // Shift bit x & 31 of each word up to the sign bit (31 - (x & 31) is
+    // ~x & 31), then spread it to -1 for a hit.
+    const __m256i bit =
+        _mm256_sllv_epi32(word, _mm256_andnot_si256(x, low_bits));
+    hits = _mm256_sub_epi32(hits, _mm256_srai_epi32(bit, 31));
+    tests = _mm256_sub_epi32(tests, in_range);
+    if (!_mm256_testc_si256(below_universe, live)) break;
+  }
+  alignas(32) std::uint32_t hit_lanes[8];
+  alignas(32) std::uint32_t test_lanes[8];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(hit_lanes), hits);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(test_lanes), tests);
+  BitmapProbe out;
+  for (int lane = 0; lane < 8; ++lane) {
+    out.hits += hit_lanes[lane];
+    out.tests += test_lanes[lane];
+  }
+  return out;
+}
+
+}  // namespace
+#endif
+
+bool simd_probe_supported() {
+#ifdef TRICOUNT_SIMD_PROBE
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return supported;
+#else
+  return false;
+#endif
+}
+
+BitmapProbe bitmap_probe_simd(const RowBitmap& bitmap,
+                              std::span<const VertexId> probe, VertexId min,
+                              bool clip) {
+#ifdef TRICOUNT_SIMD_PROBE
+  if (simd_probe_supported()) {
+    BitmapProbe out = probe_avx2(bitmap.words(), bitmap.universe(),
+                                 clip ? min : 0, probe.data(), probe.size());
+    out.clipped = clip && !probe.empty() && probe.front() < min;
+    return out;
+  }
+#endif
+  return bitmap_probe_scalar(bitmap, probe, min, clip);
 }
 
 // The kernels tally lookups, per-kernel operations and hits in locals and
@@ -102,34 +195,6 @@ TriangleCount galloping_intersect(std::span<const VertexId> needles,
   return hits;
 }
 
-TriangleCount bitmap_intersect(const RowBitmap& bitmap,
-                               std::span<const VertexId> probe,
-                               VertexId hashed_min, bool backward_early_exit,
-                               KernelCounters& counters) {
-  const VertexId* first = probe.data();
-  const VertexId* const last = first + probe.size();
-  // §5.2's bound from below: the bitmap holds nothing under hashed_min.
-  if (backward_early_exit && first != last && *first < hashed_min) {
-    first = std::lower_bound(first, last, hashed_min);
-    ++counters.early_exits;
-  }
-  // The probe is ascending, so the ids past the universe come last and
-  // every id the loop tests indexes a word the bitmap owns.
-  const std::uint64_t* const words = bitmap.words();
-  const VertexId universe = bitmap.universe();
-  TriangleCount hits = 0;
-  const VertexId* at = first;
-  for (; at != last && *at < universe; ++at) {
-    hits += (words[*at >> 6] >> (*at & 63)) & 1;
-  }
-  const auto tests = static_cast<std::uint64_t>(at - first);
-  ++counters.bitmap_calls;
-  counters.lookups += tests;
-  counters.bitmap_tests += tests;
-  counters.hits += hits;
-  return hits;
-}
-
 TriangleCount hash_intersect(const hashmap::VertexHashSet& set,
                              std::span<const VertexId> probe,
                              VertexId hashed_min, bool backward_early_exit,
@@ -156,68 +221,27 @@ TriangleCount hash_intersect(const hashmap::VertexHashSet& set,
   return hits;
 }
 
-void IntersectScratch::begin_row(std::span<const VertexId> row,
-                                 bool allow_direct) {
-  row_ = row;
-  allow_direct_ = allow_direct;
-  hash_built_ = false;
-  bitmap_built_ = false;
-}
-
-const hashmap::VertexHashSet& IntersectScratch::hash(KernelCounters& counters) {
-  if (!hash_built_) {
-    hash_.build(row_, allow_direct_);
-    hash_built_ = true;
-    ++counters.hash_builds;
-    if (hash_.mode() == hashmap::VertexHashSet::Mode::kDirect) {
-      ++counters.direct_builds;
-    }
+void IntersectScratch::build_hash(KernelCounters& counters) {
+  hash_.build(row_, allow_direct_);
+  hash_built_ = true;
+  ++counters.hash_builds;
+  if (hash_.mode() == hashmap::VertexHashSet::Mode::kDirect) {
+    ++counters.direct_builds;
+  }
 #ifndef NDEBUG
-    hash_row_data_ = row_.data();
-    hash_row_size_ = row_.size();
+  hash_row_data_ = row_.data();
+  hash_row_size_ = row_.size();
 #endif
-  }
-  // The scratch is reused across tasks and rows; a hash that was built
-  // for a different row than the one currently pinned means begin_row was
-  // skipped and stale entries would corrupt the count.
-  assert(hash_row_data_ == row_.data() && hash_row_size_ == row_.size());
-  return hash_;
 }
 
-const RowBitmap& IntersectScratch::bitmap(KernelCounters& counters) {
-  if (!bitmap_built_) {
-    bitmap_.build(row_);
-    bitmap_built_ = true;
-    ++counters.bitmap_builds;
+void IntersectScratch::build_bitmap(KernelCounters& counters) {
+  bitmap_.build(row_);
+  bitmap_built_ = true;
+  ++counters.bitmap_builds;
 #ifndef NDEBUG
-    bitmap_row_data_ = row_.data();
-    bitmap_row_size_ = row_.size();
+  bitmap_row_data_ = row_.data();
+  bitmap_row_size_ = row_.size();
 #endif
-  }
-  assert(bitmap_row_data_ == row_.data() && bitmap_row_size_ == row_.size());
-  return bitmap_;
-}
-
-TriangleCount IntersectScratch::task(KernelPolicy policy,
-                                     std::span<const VertexId> probe,
-                                     bool backward_early_exit,
-                                     KernelCounters& counters) {
-  if (row_.empty() || probe.empty()) return 0;
-  switch (choose_kernel(policy, row_.size(), probe.size(), row_.back())) {
-    case KernelKind::kMerge:
-      return merge_intersect(row_, probe, counters);
-    case KernelKind::kGalloping:
-      return row_.size() <= probe.size()
-                 ? galloping_intersect(row_, probe, counters)
-                 : galloping_intersect(probe, row_, counters);
-    case KernelKind::kBitmap:
-      return bitmap_intersect(bitmap(counters), probe, row_.front(),
-                              backward_early_exit, counters);
-    case KernelKind::kHash:
-      return hash_intersect(hash(counters), probe, row_.front(),
-                            backward_early_exit, counters);
-  }
-  return 0;
 }
 
 }  // namespace tricount::kernels

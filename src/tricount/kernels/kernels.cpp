@@ -40,22 +40,6 @@ bool parse_policy(std::string_view name, KernelPolicy& out) {
   return true;
 }
 
-KernelKind choose_kernel(KernelPolicy policy, std::size_t hashed_len,
-                         std::size_t probe_len, graph::VertexId hashed_max) {
-  switch (policy) {
-    case KernelPolicy::kMerge: return KernelKind::kMerge;
-    case KernelPolicy::kGalloping: return KernelKind::kGalloping;
-    case KernelPolicy::kBitmap: return KernelKind::kBitmap;
-    case KernelPolicy::kHash: return KernelKind::kHash;
-    case KernelPolicy::kAuto: break;
-  }
-  if (probe_len >= AutoThresholds::kGallopingSkew * hashed_len) {
-    return KernelKind::kGalloping;
-  }
-  return hashed_max < AutoThresholds::kBitmapMaxUniverse ? KernelKind::kBitmap
-                                                         : KernelKind::kHash;
-}
-
 KernelCounters& KernelCounters::operator+=(const KernelCounters& other) {
   intersection_tasks += other.intersection_tasks;
   lookups += other.lookups;

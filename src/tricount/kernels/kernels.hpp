@@ -56,9 +56,24 @@ struct AutoThresholds {
 /// over); `hashed_max` is that row's largest id. Both lengths must be
 /// non-zero (empty rows never reach a kernel). kAuto returns galloping
 /// iff probe_len >= kGallopingSkew · hashed_len, else bitmap iff
-/// hashed_max < kBitmapMaxUniverse, else hash.
-KernelKind choose_kernel(KernelPolicy policy, std::size_t hashed_len,
-                         std::size_t probe_len, graph::VertexId hashed_max);
+/// hashed_max < kBitmapMaxUniverse, else hash. Inline: the row call
+/// resolves it once per task.
+inline KernelKind choose_kernel(KernelPolicy policy, std::size_t hashed_len,
+                                std::size_t probe_len,
+                                graph::VertexId hashed_max) {
+  switch (policy) {
+    case KernelPolicy::kMerge: return KernelKind::kMerge;
+    case KernelPolicy::kGalloping: return KernelKind::kGalloping;
+    case KernelPolicy::kBitmap: return KernelKind::kBitmap;
+    case KernelPolicy::kHash: return KernelKind::kHash;
+    case KernelPolicy::kAuto: break;
+  }
+  if (probe_len >= AutoThresholds::kGallopingSkew * hashed_len) {
+    return KernelKind::kGalloping;
+  }
+  return hashed_max < AutoThresholds::kBitmapMaxUniverse ? KernelKind::kBitmap
+                                                         : KernelKind::kHash;
+}
 
 /// Counter bundle recorded by the counting kernels on each rank.
 ///

@@ -364,10 +364,10 @@ void delta_rank(mpisim::Comm& comm, const StreamState& state,
       if (v_shard.empty()) continue;
 
       ++step.kernel.rows_visited;
-      ++step.kernel.intersection_tasks;
-      scratch.begin_row(u_shard, /*allow_direct=*/true);
-      const TriangleCount counted = scratch.task(
-          config.kernel, v_shard, /*backward_early_exit=*/false, step.kernel);
+      const TriangleCount counted = scratch.intersect_row(
+          config.kernel, u_shard, /*allow_direct=*/true,
+          /*backward_early_exit=*/false, step.kernel,
+          [&](auto&& emit) { emit(v_shard); });
       merge_corners(u_shard, v_shard, corners);
       if (counted != corners.size()) {
         throw std::runtime_error(

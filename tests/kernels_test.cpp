@@ -6,6 +6,7 @@
 // against stale hash entries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "tricount/core/block_matrix.hpp"
@@ -32,6 +33,18 @@ std::vector<VertexId> sorted_random(std::size_t n, std::uint64_t seed,
   return keys;
 }
 
+// One row call of `scratch` that pins `row` and probes it with `probes`.
+TriangleCount run_row(IntersectScratch& scratch, KernelPolicy policy,
+                      std::span<const VertexId> row,
+                      const std::vector<std::vector<VertexId>>& probes,
+                      bool backward_early_exit, KernelCounters& counters) {
+  return scratch.intersect_row(policy, row, /*allow_direct=*/true,
+                               backward_early_exit, counters,
+                               [&](auto&& emit) {
+                                 for (const auto& probe : probes) emit(probe);
+                               });
+}
+
 // Runs one (hashed, probe) pair through the scratch under `policy`.
 TriangleCount run_task(KernelPolicy policy, const std::vector<VertexId>& hashed,
                        const std::vector<VertexId>& probe,
@@ -39,9 +52,8 @@ TriangleCount run_task(KernelPolicy policy, const std::vector<VertexId>& hashed,
   IntersectScratch scratch;
   scratch.reserve_for(hashed.size());
   KernelCounters counters;
-  scratch.begin_row(hashed, /*allow_direct=*/true);
-  const TriangleCount found =
-      scratch.task(policy, probe, /*backward_early_exit=*/false, counters);
+  const TriangleCount found = run_row(scratch, policy, hashed, {probe},
+                                      /*backward_early_exit=*/false, counters);
   if (out != nullptr) *out = counters;
   return found;
 }
@@ -217,10 +229,11 @@ TEST(Kernels, BitmapClipsProbeToHashedRowRange) {
                                     900};
   IntersectScratch scratch;
   scratch.reserve_for(row.size());
-  scratch.begin_row(row, true);
 
   KernelCounters clipped;
-  EXPECT_EQ(scratch.task(KernelPolicy::kBitmap, probe, true, clipped), 2u);
+  EXPECT_EQ(run_row(scratch, KernelPolicy::kBitmap, row, {probe}, true,
+                    clipped),
+            2u);
   EXPECT_EQ(clipped.lookups, 4u);
   EXPECT_EQ(clipped.bitmap_tests, 4u);
   EXPECT_EQ(clipped.early_exits, 1u);
@@ -228,7 +241,9 @@ TEST(Kernels, BitmapClipsProbeToHashedRowRange) {
 
   // Without the §5.2 exit only the stop past the max applies.
   KernelCounters unclipped;
-  EXPECT_EQ(scratch.task(KernelPolicy::kBitmap, probe, false, unclipped), 2u);
+  EXPECT_EQ(run_row(scratch, KernelPolicy::kBitmap, row, {probe}, false,
+                    unclipped),
+            2u);
   EXPECT_EQ(unclipped.lookups, 8u);
   EXPECT_EQ(unclipped.bitmap_tests, 8u);
   EXPECT_EQ(unclipped.early_exits, 0u);
@@ -236,7 +251,8 @@ TEST(Kernels, BitmapClipsProbeToHashedRowRange) {
   // A probe wholly below the min tests nothing and still exits once.
   const std::vector<VertexId> below{3, 99};
   KernelCounters none;
-  EXPECT_EQ(scratch.task(KernelPolicy::kBitmap, below, true, none), 0u);
+  EXPECT_EQ(run_row(scratch, KernelPolicy::kBitmap, row, {below}, true, none),
+            0u);
   EXPECT_EQ(none.lookups, 0u);
   EXPECT_EQ(none.early_exits, 1u);
 }
@@ -248,22 +264,182 @@ TEST(Kernels, AutoBuildsLongPinnedRowOnceForShortProbes) {
   const std::vector<VertexId> row = sorted_random(2048, 21, 1u << 16);
   IntersectScratch scratch;
   scratch.reserve_for(row.size());
-  scratch.begin_row(row, true);
   util::Xoshiro256 rng(22);
-  KernelCounters counters;
-  TriangleCount found = 0;
+  std::vector<std::vector<VertexId>> probes;
   TriangleCount expected = 0;
   for (int t = 0; t < 16; ++t) {
-    const auto probe = sorted_random(1 + rng.bounded(8), rng(), 1u << 16);
+    probes.push_back(sorted_random(1 + rng.bounded(8), rng(), 1u << 16));
     KernelCounters reference;
-    expected += merge_intersect(row, probe, reference);
-    found += scratch.task(KernelPolicy::kAuto, probe, true, counters);
+    expected += merge_intersect(row, probes.back(), reference);
   }
-  EXPECT_EQ(found, expected);
+  KernelCounters counters;
+  EXPECT_EQ(run_row(scratch, KernelPolicy::kAuto, row, probes, true, counters),
+            expected);
   EXPECT_EQ(counters.galloping_calls, 0u);
   EXPECT_EQ(counters.bitmap_calls, 16u);
   EXPECT_EQ(counters.bitmap_builds, 1u);
   EXPECT_EQ(counters.hash_calls, 0u);
+}
+
+TEST(IntersectScratch, EachMatchAttributesItsLookupsToTheHashKernel) {
+  // The credited sweeps' kernel counts as hash_intersect does: one
+  // hash_calls per call, every lookup a hash_lookups, and one early_exits
+  // when the §5.2 exit breaks the walk.
+  const std::vector<VertexId> row{100, 150, 175, 200};
+  const std::vector<VertexId> probe{1, 7, 99, 100, 120, 150, 200, 300};
+  hashmap::VertexHashSet set;
+  set.reserve_for(row.size());
+  set.build(row, /*allow_direct=*/true);
+  IntersectScratch scratch;
+  scratch.reserve_for(row.size());
+  for (const bool exit : {true, false}) {
+    SCOPED_TRACE(exit ? "backward early exit" : "forward");
+    scratch.begin_row(row, /*allow_direct=*/true);
+    KernelCounters counters;
+    std::vector<VertexId> matched;
+    EXPECT_EQ(scratch.each_match(probe, exit, counters,
+                                 [&](VertexId k) { matched.push_back(k); }),
+              3u);
+    EXPECT_EQ(matched.size(), 3u);
+    EXPECT_EQ(counters.hash_calls, 1u);
+    EXPECT_EQ(counters.hash_lookups, counters.lookups);
+    // Walking down from 300, the exit stops at 99 after five lookups.
+    EXPECT_EQ(counters.lookups, exit ? 5u : probe.size());
+    EXPECT_EQ(counters.early_exits, exit ? 1u : 0u);
+    KernelCounters reference;
+    hash_intersect(set, probe, row.front(), exit, reference);
+    counters.hash_builds = 0;  // each_match built the pinned row's set
+    counters.direct_builds = 0;
+    EXPECT_EQ(counters, reference);
+  }
+}
+
+// `len` distinct ascending ids: every id of `must` below len, then ids
+// drawn from [lo, hi) (as many as fit).
+std::vector<VertexId> distinct_ids(util::Xoshiro256& rng, std::size_t len,
+                                   VertexId lo, VertexId hi,
+                                   const std::vector<VertexId>& must) {
+  std::vector<VertexId> ids(
+      must.begin(), must.begin() + static_cast<std::ptrdiff_t>(
+                                       std::min(len, must.size())));
+  len = std::min<std::size_t>(len, ids.size() + (hi - lo));
+  for (;;) {
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    if (ids.size() >= len) return ids;
+    while (ids.size() < len) {
+      ids.push_back(lo + static_cast<VertexId>(rng.bounded(hi - lo)));
+    }
+  }
+}
+
+TEST(BitmapProbe, SimdMatchesScalar) {
+  if (!simd_probe_supported()) {
+    GTEST_SKIP() << "this CPU has no AVX2, so the SIMD probe runs the "
+                    "scalar loop";
+  }
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 1; len <= 64; ++len) lengths.push_back(len);
+  for (const std::size_t len : {1000u, 1023u, 2048u, 3333u, 5000u}) {
+    lengths.push_back(len);
+  }
+  util::Xoshiro256 rng(4242);
+  RowBitmap bitmap;
+  std::size_t simd_probes = 0;
+  for (const std::size_t len : lengths) {
+    // The pinned row starts at min (0 half the time) and holds the word
+    // edges 31, 32, 63 and 64 when they lie above min.
+    const VertexId min =
+        rng.bounded(2) == 0 ? 0 : 1 + static_cast<VertexId>(rng.bounded(100));
+    const auto span = static_cast<VertexId>(4 * len + 128);
+    std::vector<VertexId> edges{min};
+    for (const VertexId v : {31u, 32u, 63u, 64u}) {
+      if (v > min) edges.push_back(v);
+    }
+    const std::vector<VertexId> row =
+        distinct_ids(rng, len + edges.size(), min, min + span, edges);
+    ASSERT_EQ(row.front(), min);
+    bitmap.build(row);
+    const VertexId universe = bitmap.universe();
+    const std::vector<std::vector<VertexId>> probes{
+        // Across the row, with the word edges, universe - 1 and universe.
+        distinct_ids(rng, len, 0, universe + 64,
+                     {31, 32, 63, 64, universe - 1, universe}),
+        distinct_ids(rng, len, 0, universe + 64, {}),
+        // Wholly below the min (empty when min is 0), wholly past the
+        // max, and empty.
+        distinct_ids(rng, len, 0, min, {}),
+        distinct_ids(rng, len, universe, universe + span, {universe}),
+        {}};
+    for (const auto& probe : probes) {
+      for (const bool clip : {true, false}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "len=" << len << " |probe|=" << probe.size()
+                     << " min=" << min << " universe=" << universe
+                     << " clip=" << clip);
+        const BitmapProbe scalar =
+            bitmap_probe_scalar(bitmap, probe, min, clip);
+        ASSERT_EQ(bitmap_probe_simd(bitmap, probe, min, clip), scalar);
+        // The hits are the intersection whatever the clip.
+        KernelCounters merged;
+        EXPECT_EQ(scalar.hits, merge_intersect(row, probe, merged));
+        // A row call on the bitmap kernel (the row starts at min) adds
+        // the same counts.
+        IntersectScratch scratch;
+        KernelCounters counters;
+        EXPECT_EQ(run_row(scratch, KernelPolicy::kBitmap, row, {probe}, clip,
+                          counters),
+                  scalar.hits);
+        EXPECT_EQ(counters.bitmap_calls, probe.empty() ? 0u : 1u);
+        EXPECT_EQ(counters.lookups, scalar.tests);
+        EXPECT_EQ(counters.bitmap_tests, scalar.tests);
+        EXPECT_EQ(counters.early_exits, scalar.clipped ? 1u : 0u);
+        EXPECT_EQ(counters.hits, scalar.hits);
+        simd_probes += probe.size() >= kSimdProbeFloor;
+      }
+    }
+  }
+  EXPECT_GT(simd_probes, 0u);
+}
+
+TEST(IntersectScratch, RowCallMatchesOneProbeCalls) {
+  // Row A's ids fit the bitmap budget; row B's lie past 2^22, so kAuto
+  // hashes it. Each row takes empty probes, a probe 32x the row (kAuto
+  // gallops it) and probes on both sides of the SIMD floor.
+  util::Xoshiro256 rng(808);
+  const VertexId past_budget = AutoThresholds::kBitmapMaxUniverse;
+  const std::vector<std::vector<VertexId>> rows{
+      distinct_ids(rng, 24, 1000, 1u << 14, {}),
+      distinct_ids(rng, 24, past_budget, past_budget + (1u << 14), {})};
+  for (const auto& row : rows) {
+    const VertexId base = row.front() - 1000;
+    std::vector<std::vector<VertexId>> probes{{}};
+    for (const std::size_t len :
+         {std::size_t{1}, kSimdProbeFloor - 1, kSimdProbeFloor,
+          kSimdProbeFloor + 1, std::size_t{100},
+          AutoThresholds::kGallopingSkew * row.size()}) {
+      probes.push_back(distinct_ids(rng, len, base, base + (1u << 14), {}));
+    }
+    probes.push_back({});
+    for (const KernelPolicy policy : kAllPolicies) {
+      SCOPED_TRACE(::testing::Message() << to_string(policy)
+                                        << " row.front()=" << row.front());
+      IntersectScratch scratch;
+      scratch.reserve_for(row.size());
+      KernelCounters row_call;
+      const TriangleCount total =
+          run_row(scratch, policy, row, probes, true, row_call);
+      KernelCounters one_probe;
+      TriangleCount sum = 0;
+      scratch.begin_row(row, /*allow_direct=*/true);
+      for (const auto& probe : probes) {
+        sum += scratch.task(policy, probe, true, one_probe);
+      }
+      EXPECT_EQ(total, sum);
+      EXPECT_EQ(row_call, one_probe);
+      EXPECT_EQ(row_call.intersection_tasks, probes.size());
+    }
+  }
 }
 
 TEST(RowBitmap, RebuildClearsStaleBits) {
@@ -314,13 +490,12 @@ TEST(IntersectScratch, NoStaleEntriesAcrossRows) {
   for (const KernelPolicy policy :
        {KernelPolicy::kHash, KernelPolicy::kBitmap, KernelPolicy::kAuto}) {
     SCOPED_TRACE(to_string(policy));
-    scratch.begin_row(row_a, true);
-    EXPECT_EQ(scratch.task(policy, probe, false, counters), 3u);  // 10,20,30
-    scratch.begin_row(row_b, true);
-    EXPECT_EQ(scratch.task(policy, probe, false, counters), 2u);  // 15,25
-    // Repeating the task gives the same answer (builds are cached, not
-    // re-accumulated).
-    EXPECT_EQ(scratch.task(policy, probe, false, counters), 2u);
+    // 10, 20, 30.
+    EXPECT_EQ(run_row(scratch, policy, row_a, {probe}, false, counters), 3u);
+    // 15, 25 per probe: repeating the probe gives the same answer (builds
+    // are cached, not re-accumulated).
+    EXPECT_EQ(run_row(scratch, policy, row_b, {probe, probe}, false, counters),
+              4u);
   }
 }
 
@@ -330,18 +505,15 @@ TEST(IntersectScratch, LazyBuildsHappenOncePerRow) {
   IntersectScratch scratch;
   scratch.reserve_for(row.size());
   KernelCounters counters;
-  scratch.begin_row(row, true);
-  for (int i = 0; i < 5; ++i) {
-    scratch.task(KernelPolicy::kHash, probe, false, counters);
-    scratch.task(KernelPolicy::kBitmap, probe, false, counters);
-  }
+  const std::vector<std::vector<VertexId>> five(5, probe);
+  run_row(scratch, KernelPolicy::kHash, row, five, false, counters);
+  run_row(scratch, KernelPolicy::kBitmap, row, five, false, counters);
   EXPECT_EQ(counters.hash_builds, 1u);
   EXPECT_EQ(counters.bitmap_builds, 1u);
   EXPECT_EQ(counters.hash_calls, 5u);
   EXPECT_EQ(counters.bitmap_calls, 5u);
   // A merge task on the same row builds nothing.
-  scratch.begin_row(row, true);
-  scratch.task(KernelPolicy::kMerge, probe, false, counters);
+  run_row(scratch, KernelPolicy::kMerge, row, {probe}, false, counters);
   EXPECT_EQ(counters.hash_builds, 1u);
   EXPECT_EQ(counters.bitmap_builds, 1u);
 }
