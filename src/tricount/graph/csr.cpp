@@ -1,6 +1,7 @@
 #include "tricount/graph/csr.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "tricount/util/prefix.hpp"
@@ -28,9 +29,13 @@ Csr Csr::from_edges(const EdgeList& graph) {
     adj[cursor[e.u]++] = e.v;
     adj[cursor[e.v]++] = e.u;
   }
+  // A simplified list places every row ascending: sort only the others.
   for (VertexId v = 0; v < graph.num_vertices; ++v) {
-    std::sort(adj.begin() + static_cast<std::ptrdiff_t>(xadj[v]),
-              adj.begin() + static_cast<std::ptrdiff_t>(xadj[v + 1]));
+    const auto first = adj.begin() + static_cast<std::ptrdiff_t>(xadj[v]);
+    const auto last = adj.begin() + static_cast<std::ptrdiff_t>(xadj[v + 1]);
+    if (std::adjacent_find(first, last, std::greater_equal<>()) != last) {
+      std::sort(first, last);
+    }
   }
   return Csr(graph.num_vertices, std::move(xadj), std::move(adj));
 }

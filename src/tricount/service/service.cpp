@@ -428,10 +428,12 @@ void Service::ensure_world() {
 }
 
 void Service::ensure_stream() {
-  if (stream_ == nullptr) {
-    stream_ = std::make_unique<stream::StreamState>(
-        stream::StreamState::from_graph(resident_.graph()));
-  }
+  if (stream_ != nullptr) return;
+  // Before the stream starts no batch is queued, so this count runs on
+  // the 2D partition graph.load built, with no patch and no rebuild.
+  const core::RunResult start = run_tally(core::Tally::kCount);
+  stream_ = std::make_unique<stream::StreamState>(
+      stream::StreamState::from_graph(resident_.graph(), start.triangles));
 }
 
 core::RunResult Service::run_plan(const engine::Plan& plan) {

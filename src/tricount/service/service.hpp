@@ -166,7 +166,8 @@ class Service {
   /// job only reads them, a piece whose build failed is never marked
   /// current, and a 2D piece whose patch failed is dropped.
   void ensure_world();
-  /// Lazily builds the maintained stream state from the resident graph.
+  /// Lazily builds the maintained stream state from the resident graph,
+  /// seeded by one Cannon count on the resident 2D partition.
   void ensure_stream();
   /// Runs `plan` through engine::run on the resident state. A rank
   /// failure throws (→ `internal`) and poisons the world; the next request

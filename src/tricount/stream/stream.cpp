@@ -156,18 +156,27 @@ std::optional<DeltaOp> parse_op(std::string_view text) {
   return op;
 }
 
-StreamState StreamState::from_graph(const graph::EdgeList& simplified) {
-  const graph::Csr csr = graph::Csr::from_edges(simplified);
+StreamState StreamState::from_graph(const graph::EdgeList& simplified,
+                                    TriangleCount triangles) {
   StreamState state;
-  state.adj_ = rows_of(csr);
-  for (const Edge& e : simplified.edges) {
-    state.seq_.emplace(edge_key(e.u, e.v), state.next_seq_);
-    state.order_.emplace_back(state.next_seq_, e);
-    ++state.next_seq_;
-  }
+  state.adj_ = rows_of(graph::Csr::from_edges(simplified));
+  state.order_ = simplified.edges;
+  state.base_ = state.order_.size();
   state.live_edges_ = simplified.num_edges();
-  state.triangles_ = graph::count_triangles_serial(csr);
+  state.triangles_ = triangles;
   return state;
+}
+
+StreamState StreamState::from_graph(const graph::EdgeList& simplified) {
+  return from_graph(simplified, graph::count_triangles_serial(
+                                    graph::Csr::from_edges(simplified)));
+}
+
+bool StreamState::arrival_live(std::size_t at) const {
+  const Edge e = order_[at];
+  const auto it = seq_.find(edge_key(e.u, e.v));
+  if (at < base_) return it == seq_.end() && has_edge(e.u, e.v);
+  return it != seq_.end() && it->second == at;
 }
 
 bool StreamState::has_edge(VertexId u, VertexId v) const {
@@ -195,9 +204,7 @@ std::vector<Edge> StreamState::oldest_live(std::size_t count) const {
   std::vector<Edge> out;
   for (std::size_t at = order_scan_; at < order_.size() && out.size() < count;
        ++at) {
-    const auto& [seq, edge] = order_[at];
-    const auto it = seq_.find(edge_key(edge.u, edge.v));
-    if (it != seq_.end() && it->second == seq) out.push_back(edge);
+    if (arrival_live(at)) out.push_back(order_[at]);
   }
   return out;
 }
@@ -492,18 +499,15 @@ struct ApplyAccess {
       if (!op.insert) continue;
       insert_sorted(state.adj_[op.edge.u], op.edge.v);
       insert_sorted(state.adj_[op.edge.v], op.edge.u);
-      state.seq_[edge_key(op.edge.u, op.edge.v)] = state.next_seq_;
-      state.order_.emplace_back(state.next_seq_, op.edge);
-      ++state.next_seq_;
+      state.seq_[edge_key(op.edge.u, op.edge.v)] = state.order_.size();
+      state.order_.push_back(op.edge);
       ++state.live_edges_;
     }
     state.triangles_ += delta.added();
     state.triangles_ -= delta.removed();
     // Compact the arrival order's dead prefix so window scans stay cheap.
-    while (state.order_scan_ < state.order_.size()) {
-      const auto& [seq, edge] = state.order_[state.order_scan_];
-      const auto it = state.seq_.find(edge_key(edge.u, edge.v));
-      if (it != state.seq_.end() && it->second == seq) break;
+    while (state.order_scan_ < state.order_.size() &&
+           !state.arrival_live(state.order_scan_)) {
       ++state.order_scan_;
     }
   }

@@ -11,9 +11,11 @@
 //           + triangles wholly inside D                (3 deleted edges)
 //   added   = the same three terms over B,
 //
-// and |T(G')| = |T(G)| − removed + added, exactly. The starting total
-// comes from the library's serial counter (graph::count_triangles_serial);
-// from then on only the delta is counted.
+// and |T(G')| = |T(G)| − removed + added, exactly. The starting total is
+// given by the caller: the service seeds it with one Cannon count on the
+// resident 2D partition, and the one-argument from_graph counts it with
+// the serial oracle (graph::count_triangles_serial). From then on only
+// the delta is counted.
 //
 // The dominant term-1 intersections are sharded over the 2D grid: the
 // cell (x, y) owns the shard N_y(u) = {w ∈ N(u) : w ≡ y (mod q)} for
@@ -70,9 +72,14 @@ class StreamState {
  public:
   StreamState() = default;
 
-  /// Builds the state from a simplified edge list: adjacency and the
-  /// exact triangle total (graph::count_triangles_serial). The base
-  /// edges enter the arrival order in edge-list order.
+  /// Builds the state from a simplified edge list and its triangle total,
+  /// which the caller vouches is exact (the service passes the resident
+  /// Cannon count). The base edges enter the arrival order in edge-list
+  /// order.
+  static StreamState from_graph(const graph::EdgeList& simplified,
+                                TriangleCount triangles);
+  /// The same, with the total counted by graph::count_triangles_serial:
+  /// the tests' and benches' oracle form.
   static StreamState from_graph(const graph::EdgeList& simplified);
 
   VertexId num_vertices() const { return static_cast<VertexId>(adj_.size()); }
@@ -94,14 +101,19 @@ class StreamState {
   friend struct ApplyAccess;
 
  private:
+  /// True iff order_[at] is its edge's live arrival.
+  bool arrival_live(std::size_t at) const;
+
   std::vector<std::vector<VertexId>> adj_;
   TriangleCount triangles_ = 0;
   EdgeIndex live_edges_ = 0;
-  /// Arrival order; entries are stale once their sequence number no
-  /// longer matches seq_ (edge deleted or re-inserted).
-  std::vector<std::pair<std::uint64_t, Edge>> order_;
-  std::unordered_map<std::uint64_t, std::uint64_t> seq_;
-  std::uint64_t next_seq_ = 0;
+  /// Arrival order, oldest first. The base edges are order_[0, base_),
+  /// with no seq_ entry: one is live while its edge is live and has not
+  /// been re-inserted since. Every later entry is an insert, live while
+  /// seq_ maps its edge to its index.
+  std::vector<Edge> order_;
+  std::size_t base_ = 0;
+  std::unordered_map<std::uint64_t, std::size_t> seq_;
   std::size_t order_scan_ = 0;  ///< first possibly-live order_ entry
 };
 

@@ -88,6 +88,26 @@ TEST(CsrTest, FromEdgesBuildsSymmetricSortedLists) {
   EXPECT_EQ(csr.max_degree(), 2u);
 }
 
+TEST(CsrTest, RowsThatDoNotAscendAreSorted) {
+  // An unsimplified list: reversed, repeated and out-of-order edges. The
+  // build sorts every row that does not ascend and keeps the repeats.
+  EdgeList g;
+  g.num_vertices = 5;
+  g.edges = {{3, 0}, {0, 2}, {1, 0}, {2, 0}, {4, 1}, {1, 4}, {2, 3}};
+  const Csr csr = Csr::from_edges(g);
+  csr.validate();
+  const auto row = [&](VertexId v) {
+    const auto nbrs = csr.neighbors(v);
+    return std::vector<VertexId>(nbrs.begin(), nbrs.end());
+  };
+  EXPECT_EQ(row(0), (std::vector<VertexId>{1, 2, 2, 3}));
+  EXPECT_EQ(row(1), (std::vector<VertexId>{0, 4, 4}));
+  EXPECT_EQ(row(2), (std::vector<VertexId>{0, 0, 3}));
+  EXPECT_EQ(row(3), (std::vector<VertexId>{0, 2}));
+  EXPECT_EQ(row(4), (std::vector<VertexId>{1, 1}));
+  EXPECT_EQ(csr.num_directed_edges(), 14u);
+}
+
 TEST(CsrTest, EmptyGraph) {
   EdgeList g;
   g.num_vertices = 0;

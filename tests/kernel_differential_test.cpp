@@ -106,9 +106,11 @@ struct NamedGraph {
   EdgeList graph;
 };
 
-/// One instance per family: skewed power-law (RMAT), locally-clustered
-/// (Watts-Strogatz), the dense extreme (clique), the sparse triangle-free
-/// extreme (star), and the degenerate empty graph.
+/// One instance per family: skewed power-law (RMAT), a denser RMAT whose
+/// hub rows give `auto` bitmap probes of kSimdProbeFloor ids and more
+/// (the AVX2 probe), locally-clustered (Watts-Strogatz), the dense
+/// extreme (clique), the sparse triangle-free extreme (star), and the
+/// degenerate empty graph.
 std::vector<NamedGraph> differential_graphs(std::uint64_t seed) {
   std::vector<NamedGraph> graphs;
   {
@@ -117,6 +119,13 @@ std::vector<NamedGraph> differential_graphs(std::uint64_t seed) {
     params.edge_factor = 8;
     params.seed = seed;
     graphs.push_back({"rmat_s7", graph::rmat(params)});
+  }
+  {
+    graph::RmatParams params;
+    params.scale = 9;
+    params.edge_factor = 16;
+    params.seed = seed + 2;
+    graphs.push_back({"rmat_s9_ef16", graph::rmat(params)});
   }
   graphs.push_back(
       {"watts_strogatz",

@@ -5,10 +5,12 @@
 // the delta against survivor-graph recounts, typed batch rejections,
 // delta replay under chaos faults (including a crash), the resident 2D
 // partition patched across queued batches against fresh builds, the
-// sliding window's eviction order, the DOULION sampled estimator (exact at
-// retention 1, unbiased at retention < 1, maintained == rebuilt), and
-// the service-layer wiring (graph.apply / graph.window / delta.stats /
-// stream.sample, version bumps, cache invalidation, artifact lint).
+// sliding window's eviction order against a naive arrival model, the
+// DOULION sampled estimator (exact at retention 1, unbiased at retention
+// < 1, maintained == rebuilt), and the service-layer wiring (the stream's
+// start from the resident count, graph.apply / graph.window /
+// delta.stats / stream.sample, version bumps, cache invalidation,
+// artifact lint).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -142,6 +144,38 @@ TEST(StreamState, FromGraphMatchesSerialOnCorpus) {
         stream::StreamState::from_graph(entry.graph);
     EXPECT_EQ(state.triangles(), entry.expected);
     EXPECT_EQ(state.num_edges(), entry.graph.num_edges());
+  }
+}
+
+TEST(StreamState, FromGraphWithKnownTotalMatchesSerial) {
+  // The service seeds the stream with the resident Cannon count. Given
+  // the exact total, the state must be the one the serial oracle form
+  // builds, at the start and after the same batches.
+  util::Xoshiro256 rng(util::stream_seed(test_support::fuzz_seed(), 0x5eed));
+  for (std::size_t gi = 0; gi < test_support::corpus().size(); ++gi) {
+    const auto& entry = test_support::corpus()[gi];
+    stream::StreamState oracle = stream::StreamState::from_graph(entry.graph);
+    stream::StreamState seeded =
+        stream::StreamState::from_graph(entry.graph, entry.expected);
+    EXPECT_EQ(seeded.triangles(), entry.expected);
+    EXPECT_EQ(seeded.edge_list().edges, entry.graph.edges);
+    EXPECT_EQ(seeded.oldest_live(entry.graph.edges.size()), entry.graph.edges)
+        << "the base edges arrive in edge-list order";
+    for (int round = 0; round < 3; ++round) {
+      const std::string where =
+          "graph " + std::to_string(gi) + " round " + std::to_string(round);
+      EXPECT_EQ(seeded.triangles(), oracle.triangles()) << where;
+      EXPECT_EQ(seeded.num_edges(), oracle.num_edges()) << where;
+      EXPECT_EQ(seeded.num_vertices(), oracle.num_vertices()) << where;
+      EXPECT_EQ(seeded.edge_list().edges, oracle.edge_list().edges) << where;
+      EXPECT_EQ(seeded.oldest_live(oracle.num_edges()),
+                oracle.oldest_live(oracle.num_edges()))
+          << where;
+      const stream::Batch batch = random_batch(rng, oracle, Mode::kMixed, 8);
+      if (batch.ops.empty()) break;
+      count_and_apply(oracle, batch, 1, kernels::KernelPolicy::kAuto);
+      count_and_apply(seeded, batch, 4, kernels::KernelPolicy::kAuto);
+    }
   }
 }
 
@@ -581,6 +615,136 @@ TEST(StreamWindow, EvictsOldestFirst) {
   EXPECT_EQ(evict.ops[0].edge, (Edge{1, 2}));
 }
 
+/// The naive arrival order: every arrival in order with a live flag,
+/// cleared when its edge is deleted.
+struct ArrivalModel {
+  explicit ArrivalModel(const graph::EdgeList& base)
+      : base_count(base.edges.size()) {
+    for (const Edge& e : base.edges) arrivals.emplace_back(e, true);
+  }
+
+  void apply(const stream::Batch& batch) {
+    for (const stream::DeltaOp& op : batch.ops) {
+      if (op.insert) continue;
+      for (auto& [edge, alive] : arrivals) {
+        if (edge == op.edge) alive = false;
+      }
+    }
+    for (const stream::DeltaOp& op : batch.ops) {
+      if (op.insert) arrivals.emplace_back(op.edge, true);
+    }
+  }
+
+  std::vector<Edge> live() const {
+    std::vector<Edge> out;
+    for (const auto& [edge, alive] : arrivals) {
+      if (alive) out.push_back(edge);
+    }
+    return out;
+  }
+
+  std::size_t base_count;
+  std::vector<std::pair<Edge, bool>> arrivals;
+};
+
+// The sliding window's arrival order against the naive model: base edges
+// deleted, re-inserted and deleted again, fresh inserts, and evictions
+// down to several capacities. After every batch, oldest_live(k) must be
+// the model's k oldest live edges for every k.
+TEST(StreamWindow, ArrivalOrderMatchesReferenceModel) {
+  util::Xoshiro256 rng(util::stream_seed(test_support::fuzz_seed(), 0xa771));
+  enum Kind {
+    kBaseDelete,
+    kReinsert,
+    kFresh,
+    kReinsertedDelete,
+    kFreshDelete,
+    kEvict,
+    kKinds
+  };
+  std::uint64_t ops_of[kKinds] = {};
+  for (std::size_t gi = 0; gi < test_support::corpus().size(); ++gi) {
+    const graph::EdgeList& base = test_support::corpus()[gi].graph;
+    const std::set<Edge> base_set(base.edges.begin(), base.edges.end());
+    stream::StreamState state = stream::StreamState::from_graph(base);
+    ArrivalModel model(base);
+    for (int round = 0; round < 8; ++round) {
+      const std::string where =
+          "graph " + std::to_string(gi) + " round " + std::to_string(round);
+      const std::vector<Edge> live = model.live();
+      stream::Batch batch;
+      if (round % 4 == 3) {
+        if (live.empty()) continue;
+        const std::uint64_t m = live.size();
+        const std::uint64_t capacities[] = {m - 1, m * 7 / 8, m / 2};
+        batch = stream::window_evictions(
+            state, capacities[(gi + static_cast<std::size_t>(round)) % 3]);
+        std::vector<Edge> evicted;
+        for (const stream::DeltaOp& op : batch.ops) evicted.push_back(op.edge);
+        EXPECT_EQ(evicted,
+                  std::vector<Edge>(live.begin(),
+                                    live.begin() + static_cast<std::ptrdiff_t>(
+                                                       evicted.size())))
+            << where;
+        ops_of[kEvict] += batch.ops.size();
+      } else {
+        // Up to two ops of each kind, each edge at most once.
+        std::vector<Edge> candidates[kEvict];
+        for (std::size_t at = 0; at < model.arrivals.size(); ++at) {
+          const auto& [edge, alive] = model.arrivals[at];
+          if (!alive) continue;
+          const Kind kind = at < model.base_count  ? kBaseDelete
+                            : base_set.count(edge) ? kReinsertedDelete
+                                                   : kFreshDelete;
+          candidates[kind].push_back(edge);
+        }
+        for (const Edge& e : base.edges) {
+          if (!state.has_edge(e.u, e.v)) candidates[kReinsert].push_back(e);
+        }
+        const VertexId n = state.num_vertices();
+        for (int guard = 0; guard < 50 && n >= 2; ++guard) {
+          const auto u = static_cast<VertexId>(rng.bounded(n));
+          const auto v = static_cast<VertexId>(rng.bounded(n));
+          const Edge e{std::min(u, v), std::max(u, v)};
+          if (u != v && base_set.count(e) == 0 && !state.has_edge(u, v)) {
+            candidates[kFresh].push_back(e);
+          }
+        }
+        std::set<Edge> used;
+        for (int kind = 0; kind < kEvict; ++kind) {
+          const std::vector<Edge>& pool = candidates[kind];
+          for (int pick = 0; pick < 2 && !pool.empty(); ++pick) {
+            const Edge e = pool[static_cast<std::size_t>(
+                rng.bounded(pool.size()))];
+            if (!used.insert(e).second) continue;
+            const bool insert = kind == kReinsert || kind == kFresh;
+            batch.ops.push_back(stream::DeltaOp{insert, e});
+            ++ops_of[kind];
+          }
+        }
+      }
+      if (batch.ops.empty()) continue;
+      count_and_apply(state, batch, 1, kernels::KernelPolicy::kAuto);
+      model.apply(batch);
+
+      const std::vector<Edge> after = model.live();
+      ASSERT_EQ(state.num_edges(), after.size()) << where;
+      for (std::size_t k = 0; k <= after.size() + 1; ++k) {
+        const auto take =
+            static_cast<std::ptrdiff_t>(std::min(k, after.size()));
+        ASSERT_EQ(state.oldest_live(k),
+                  std::vector<Edge>(after.begin(), after.begin() + take))
+            << where << " k " << k;
+      }
+    }
+    expect_matches_cold(state, "arrival campaign graph " + std::to_string(gi));
+  }
+  // Every kind of op must actually have been exercised.
+  for (int kind = 0; kind < kKinds; ++kind) {
+    EXPECT_GT(ops_of[kind], 0u) << "op kind " << kind;
+  }
+}
+
 // --- DOULION sampled estimator ------------------------------------------
 
 TEST(StreamSample, RetentionOneIsExactUnderMaintenance) {
@@ -680,6 +844,18 @@ struct Harness {
   service::Service svc;
 };
 
+/// The graph.apply request line carrying `batch`.
+std::string apply_request(int id, const stream::Batch& batch) {
+  std::string ops;
+  for (const auto& op : batch.ops) {
+    if (!ops.empty()) ops += ',';
+    ops += std::string("\"") + (op.insert ? "+" : "-") +
+           std::to_string(op.edge.u) + " " + std::to_string(op.edge.v) + "\"";
+  }
+  return R"({"id":)" + std::to_string(id) +
+         R"(,"verb":"graph.apply","params":{"ops":[)" + ops + "]}}";
+}
+
 TEST(StreamService, ApplyMaintainsServedCounts) {
   service::ServiceOptions options;
   options.ranks = 4;
@@ -700,15 +876,7 @@ TEST(StreamService, ApplyMaintainsServedCounts) {
   stream::StreamState shadow = stream::StreamState::from_graph(entry.graph);
   const stream::Batch batch = random_batch(rng, shadow, Mode::kMixed, 10);
   ASSERT_FALSE(batch.ops.empty());
-  std::string ops;
-  for (const auto& op : batch.ops) {
-    if (!ops.empty()) ops += ',';
-    ops += std::string("\"") + (op.insert ? "+" : "-") +
-           std::to_string(op.edge.u) + " " + std::to_string(op.edge.v) + "\"";
-  }
-  Value applied = h.result(
-      h.ask(R"({"id":2,"verb":"graph.apply","params":{"ops":[)" + ops +
-            "]}}"));
+  Value applied = h.result(h.ask(apply_request(2, batch)));
   EXPECT_EQ(applied.get("result").get("applied").as_uint(), batch.ops.size());
   EXPECT_EQ(h.svc.graph_version(), v1 + 1);
 
@@ -854,14 +1022,7 @@ TEST(StreamService, SampledEstimatorOverTheWire) {
   stream::StreamState shadow = stream::StreamState::from_graph(entry.graph);
   const stream::Batch batch = random_batch(rng, shadow, Mode::kMixed, 6);
   ASSERT_FALSE(batch.ops.empty());
-  std::string ops;
-  for (const auto& op : batch.ops) {
-    if (!ops.empty()) ops += ',';
-    ops += std::string("\"") + (op.insert ? "+" : "-") +
-           std::to_string(op.edge.u) + " " + std::to_string(op.edge.v) + "\"";
-  }
-  h.result(h.ask(R"({"id":2,"verb":"graph.apply","params":{"ops":[)" + ops +
-                 "]}}"));
+  h.result(h.ask(apply_request(2, batch)));
   count_and_apply(shadow, batch, 1, kernels::KernelPolicy::kAuto);
 
   // Re-query WITHOUT params: the maintained estimator, still exact.
@@ -869,6 +1030,51 @@ TEST(StreamService, SampledEstimatorOverTheWire) {
   EXPECT_EQ(after.get("result").get("sparsified_triangles").as_uint(),
             shadow.triangles());
   EXPECT_EQ(after.get("result").get("exact").as_uint(), shadow.triangles());
+}
+
+std::uint64_t resident_builds_2d(const Harness& h) {
+  const Value artifact = h.svc.session_artifact();
+  const Value* value = artifact.get("metrics").get("counters").find(
+      "tc.resident.builds.2d");
+  return value != nullptr ? value->as_uint() : 0;
+}
+
+// The stream starts from one Cannon count on the 2D partition graph.load
+// built: the first delta.stats runs one world job, builds nothing, and
+// answers the serial count, and a later apply and count still agree.
+TEST(StreamService, StreamStartsFromResidentCount) {
+  util::Xoshiro256 rng(util::stream_seed(test_support::fuzz_seed(), 0x57a7));
+  for (std::size_t gi = 0; gi < test_support::corpus().size(); ++gi) {
+    const auto& entry = test_support::corpus()[gi];
+    const std::string where = "corpus" + std::to_string(gi);
+    service::ServiceOptions options;
+    options.ranks = 4;
+    Harness h(options);
+    h.svc.load_graph(entry.graph, where);
+    EXPECT_EQ(resident_builds_2d(h), 1u) << where;
+
+    const std::uint64_t jobs = h.svc.jobs_run();
+    const Value stats = h.result(h.ask(R"({"id":1,"verb":"delta.stats"})"));
+    EXPECT_EQ(stats.get("result").get("triangles").as_uint(), entry.expected)
+        << where;
+    EXPECT_EQ(h.svc.jobs_run(), jobs + 1) << where;
+    EXPECT_EQ(resident_builds_2d(h), 1u) << where;
+
+    stream::StreamState shadow = stream::StreamState::from_graph(entry.graph);
+    const stream::Batch batch = random_batch(rng, shadow, Mode::kMixed, 10);
+    ASSERT_FALSE(batch.ops.empty()) << where;
+    const Value applied = h.result(h.ask(apply_request(2, batch)));
+    count_and_apply(shadow, batch, 1, kernels::KernelPolicy::kAuto);
+    EXPECT_EQ(applied.get("result").get("triangles").as_uint(),
+              shadow.triangles())
+        << where;
+    const Value count = h.result(
+        h.ask(R"({"id":3,"verb":"count","params":{"algo":"2d"}})"));
+    EXPECT_EQ(count.get("result").get("triangles").as_uint(),
+              shadow.triangles())
+        << where;
+    EXPECT_EQ(resident_builds_2d(h), 1u) << where << ": patched, not rebuilt";
+  }
 }
 
 }  // namespace
