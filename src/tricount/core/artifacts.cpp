@@ -37,6 +37,8 @@ obs::analysis::RunReport report_of(const RunResult& result) {
   report.ranks = result.ranks;
   report.grid_q = result.grid_q;
   report.algorithm = result.algorithm;
+  report.overlap = result.overlap_enabled;
+  report.chaos = result.chaos_enabled;
   report.vertices = static_cast<std::uint64_t>(result.num_vertices);
   report.edges = static_cast<std::uint64_t>(result.num_edges);
   report.triangles = static_cast<std::uint64_t>(result.triangles);
@@ -57,6 +59,53 @@ obs::analysis::RunReport report_of(const RunResult& result) {
   }
   report.metrics = build_run_snapshot(result);
   return report;
+}
+
+/// The `run` header of the metrics and msgtrace artifacts.
+obs::json::Value run_json(const RunResult& result) {
+  using obs::json::Value;
+  Value run = Value::object();
+  run.set("ranks", result.ranks);
+  run.set("grid_q", result.grid_q);
+  run.set("algorithm", result.algorithm);
+  run.set("vertices", static_cast<std::uint64_t>(result.num_vertices));
+  run.set("edges", static_cast<std::uint64_t>(result.num_edges));
+  run.set("triangles", static_cast<std::uint64_t>(result.triangles));
+  run.set("overlap", result.overlap_enabled);
+  run.set("chaos", result.chaos_enabled);
+  Value model = Value::object();
+  model.set("alpha_seconds", result.model.alpha_seconds);
+  model.set("beta_seconds_per_byte", result.model.beta_seconds_per_byte);
+  run.set("model", std::move(model));
+  return run;
+}
+
+/// The p×p comm matrix, one array of rows per traffic class. The chaos
+/// classes hold the reliability overhead (retransmitted copies and acks).
+obs::json::Value comm_matrix_json(const mpisim::CommMatrix& matrix) {
+  using obs::json::Value;
+  using Cell = mpisim::CommCell;
+  const std::pair<const char*, std::uint64_t Cell::*> fields[] = {
+      {"user_messages", &Cell::user_messages},
+      {"user_bytes", &Cell::user_bytes},
+      {"collective_messages", &Cell::collective_messages},
+      {"collective_bytes", &Cell::collective_bytes},
+      {"chaos_messages", &Cell::chaos_messages},
+      {"chaos_bytes", &Cell::chaos_bytes}};
+  Value out = Value::object();
+  out.set("size", matrix.size());
+  for (const auto& [name, member] : fields) {
+    Value rows = Value::array();
+    for (int s = 0; s < matrix.size(); ++s) {
+      Value row = Value::array();
+      for (int d = 0; d < matrix.size(); ++d) {
+        row.push_back(matrix.at(s, d).*member);
+      }
+      rows.push_back(std::move(row));
+    }
+    out.set(name, std::move(rows));
+  }
+  return out;
 }
 
 }  // namespace
@@ -174,135 +223,71 @@ obs::Snapshot build_run_snapshot(const RunResult& result) {
     }
   }
 
-  // Overlap tallies appear only on overlapped runs, so overlap-off
-  // artifacts stay byte-comparable to the checked-in baselines
-  // (tests/perf_gate.cmake). Efficiency = hidden / network per superstep.
-  if (result.overlap_enabled) {
-    double hidden_total = 0.0;
-    double exposed_total = 0.0;
-    std::uint64_t overlap_steps = 0;
-    obs::Histogram& efficiency =
-        registry.histogram("tc.overlap.step_efficiency", /*scale=*/1e-3);
-    for (std::size_t s = 0; s < result.num_shifts(); ++s) {
-      const PhaseBreakdown b = breakdown(result.shift_samples(s));
-      if (!b.overlapped) continue;
-      overlap_steps += 1;
-      const double network = result.model.cost(b.max_messages, b.max_bytes);
-      const double hidden = b.hidden_seconds(result.model);
-      hidden_total += hidden;
-      exposed_total += network - hidden;
-      if (network > 0.0) efficiency.observe(hidden / network);
-    }
-    registry.counter("tc.overlap.steps").set(overlap_steps);
-    registry.gauge("tc.overlap.hidden_seconds").set(hidden_total);
-    registry.gauge("tc.overlap.exposed_network_seconds").set(exposed_total);
+  // Overlap tallies; efficiency = hidden / network per overlapped
+  // superstep. All zero on overlap-off runs.
+  double hidden_total = 0.0;
+  double exposed_total = 0.0;
+  std::uint64_t overlap_steps = 0;
+  obs::Histogram& efficiency =
+      registry.histogram("tc.overlap.step_efficiency", /*scale=*/1e-3);
+  for (std::size_t s = 0; s < result.num_shifts(); ++s) {
+    const PhaseBreakdown b = breakdown(result.shift_samples(s));
+    if (!b.overlapped) continue;
+    overlap_steps += 1;
+    const double network = result.model.cost(b.max_messages, b.max_bytes);
+    const double hidden = b.hidden_seconds(result.model);
+    hidden_total += hidden;
+    exposed_total += network - hidden;
+    if (network > 0.0) efficiency.observe(hidden / network);
   }
+  registry.counter("tc.overlap.steps").set(overlap_steps);
+  registry.gauge("tc.overlap.hidden_seconds").set(hidden_total);
+  registry.gauge("tc.overlap.exposed_network_seconds").set(exposed_total);
 
-  // Cetric's local/cut classification and wedge-traffic tallies, present
-  // only on cetric runs: 2D artifacts stay byte-identical to the
-  // checked-in baselines, and lint_metrics can reconcile these against
-  // the comm-matrix user rows (all user traffic of a cetric run is
-  // cut-wedge traffic).
-  if (!result.per_rank_cetric.empty()) {
-    const CetricRankCounters cet = result.total_cetric();
-    registry.counter("tc.cetric.local_triangles").set(cet.local_triangles);
-    registry.counter("tc.cetric.cut_triangles").set(cet.cut_triangles);
-    registry.counter("tc.cetric.cut_wedges_sent").set(cet.cut_wedges_sent);
-    registry.counter("tc.cetric.cut_wedge_messages_sent")
-        .set(cet.cut_wedge_messages_sent);
-    registry.counter("tc.cetric.cut_wedge_bytes_sent")
-        .set(cet.cut_wedge_bytes_sent);
-    registry.counter("tc.cetric.ghost_lists_fetched")
-        .set(cet.ghost_lists_fetched);
-    registry.counter("tc.cetric.ghost_list_entries")
-        .set(cet.ghost_list_entries);
-  }
+  // Cetric's local/cut classification and wedge-traffic tallies (zero on
+  // 2D runs); lint_metrics reconciles them against the comm-matrix user
+  // rows, since all user traffic of a cetric run is cut-wedge traffic.
+  const CetricRankCounters cet = result.total_cetric();
+  registry.counter("tc.cetric.local_triangles").set(cet.local_triangles);
+  registry.counter("tc.cetric.cut_triangles").set(cet.cut_triangles);
+  registry.counter("tc.cetric.cut_wedges_sent").set(cet.cut_wedges_sent);
+  registry.counter("tc.cetric.cut_wedge_messages_sent")
+      .set(cet.cut_wedge_messages_sent);
+  registry.counter("tc.cetric.cut_wedge_bytes_sent")
+      .set(cet.cut_wedge_bytes_sent);
+  registry.counter("tc.cetric.ghost_lists_fetched")
+      .set(cet.ghost_lists_fetched);
+  registry.counter("tc.cetric.ghost_list_entries").set(cet.ghost_list_entries);
 
-  // Chaos tallies appear only on chaos runs, so fault-free artifacts stay
-  // byte-comparable to pre-chaos baselines (tests/perf_gate.cmake).
-  if (result.chaos_enabled) {
-    const mpisim::ChaosCounters chaos = result.total_chaos();
-    registry.counter("chaos.drops_injected").set(chaos.drops_injected);
-    registry.counter("chaos.duplicates_injected").set(chaos.duplicates_injected);
-    registry.counter("chaos.reorders_injected").set(chaos.reorders_injected);
-    registry.counter("chaos.delays_injected").set(chaos.delays_injected);
-    registry.gauge("chaos.delay_modeled_seconds").set(chaos.delay_modeled_seconds);
-    registry.counter("chaos.acks_sent").set(chaos.acks_sent);
-    registry.counter("chaos.retransmits").set(chaos.retransmits);
-    registry.counter("chaos.duplicates_discarded").set(chaos.duplicates_discarded);
-    registry.counter("chaos.out_of_order_stashed").set(chaos.out_of_order_stashed);
-    registry.counter("chaos.crashes").set(chaos.crashes);
-    registry.counter("chaos.recoveries").set(chaos.recoveries);
-    registry.gauge("chaos.recovery_seconds").set(chaos.recovery_seconds);
-    registry.counter("chaos.straggler_steps").set(chaos.straggler_steps);
-    registry.gauge("chaos.straggler_injected_seconds")
-        .set(chaos.straggler_injected_seconds);
-  }
+  // Chaos tallies (zero on fault-free runs).
+  const mpisim::ChaosCounters chaos = result.total_chaos();
+  registry.counter("chaos.drops_injected").set(chaos.drops_injected);
+  registry.counter("chaos.duplicates_injected").set(chaos.duplicates_injected);
+  registry.counter("chaos.reorders_injected").set(chaos.reorders_injected);
+  registry.counter("chaos.delays_injected").set(chaos.delays_injected);
+  registry.gauge("chaos.delay_modeled_seconds").set(chaos.delay_modeled_seconds);
+  registry.counter("chaos.acks_sent").set(chaos.acks_sent);
+  registry.counter("chaos.retransmits").set(chaos.retransmits);
+  registry.counter("chaos.duplicates_discarded").set(chaos.duplicates_discarded);
+  registry.counter("chaos.out_of_order_stashed").set(chaos.out_of_order_stashed);
+  registry.counter("chaos.crashes").set(chaos.crashes);
+  registry.counter("chaos.recoveries").set(chaos.recoveries);
+  registry.gauge("chaos.recovery_seconds").set(chaos.recovery_seconds);
+  registry.counter("chaos.straggler_steps").set(chaos.straggler_steps);
+  registry.gauge("chaos.straggler_injected_seconds")
+      .set(chaos.straggler_injected_seconds);
 
   return registry.snapshot();
-}
-
-obs::json::Value comm_matrix_to_json(const mpisim::CommMatrix& matrix,
-                                     bool include_chaos) {
-  using obs::json::Value;
-  Value out = Value::object();
-  out.set("size", matrix.size());
-  std::vector<std::string> fields = {"user_messages", "user_bytes",
-                                     "collective_messages",
-                                     "collective_bytes"};
-  if (include_chaos) {
-    // Reliability overhead (retransmitted copies + acks) — emitted only
-    // for chaos runs so fault-free artifacts stay byte-identical to
-    // baselines written before the columns existed.
-    fields.push_back("chaos_messages");
-    fields.push_back("chaos_bytes");
-  }
-  for (const std::string& name : fields) {
-    Value rows = Value::array();
-    for (int s = 0; s < matrix.size(); ++s) {
-      Value row = Value::array();
-      for (int d = 0; d < matrix.size(); ++d) {
-        const mpisim::CommCell& cell = matrix.at(s, d);
-        if (name == "user_messages") row.push_back(cell.user_messages);
-        else if (name == "user_bytes") row.push_back(cell.user_bytes);
-        else if (name == "collective_messages") row.push_back(cell.collective_messages);
-        else if (name == "collective_bytes") row.push_back(cell.collective_bytes);
-        else if (name == "chaos_messages") row.push_back(cell.chaos_messages);
-        else row.push_back(cell.chaos_bytes);
-      }
-      rows.push_back(std::move(row));
-    }
-    out.set(name, std::move(rows));
-  }
-  return out;
 }
 
 obs::json::Value build_run_metrics(const RunResult& result) {
   using obs::json::Value;
   Value root = Value::object();
-  // v2 = v1 plus the per-kernel attribution counters (docs/kernels.md);
-  // readers accept both.
-  root.set("schema", "tricount.metrics.v2");
+  root.set("schema", obs::analysis::kMetricsSchema);
   // Build provenance travels at the top level, where diff_metrics ignores
   // unknown keys — artifacts stay comparable across builds.
   root.set("build", obs::build_info_json());
-
-  Value run = Value::object();
-  run.set("ranks", result.ranks);
-  run.set("grid_q", result.grid_q);
-  // The algorithm tag is written only for non-2D runs: artifacts written
-  // before the key existed (all 2D) stay byte-identical, and readers
-  // default a missing key to "2d".
-  if (result.algorithm != "2d") run.set("algorithm", result.algorithm);
-  run.set("vertices", static_cast<std::uint64_t>(result.num_vertices));
-  run.set("edges", static_cast<std::uint64_t>(result.num_edges));
-  run.set("triangles", static_cast<std::uint64_t>(result.triangles));
-  Value model = Value::object();
-  model.set("alpha_seconds", result.model.alpha_seconds);
-  model.set("beta_seconds_per_byte", result.model.beta_seconds_per_byte);
-  run.set("model", std::move(model));
-  root.set("run", std::move(run));
-
+  root.set("run", run_json(result));
   root.set("metrics", build_run_snapshot(result).to_json());
 
   Value steps = Value::array();
@@ -319,9 +304,7 @@ obs::json::Value build_run_metrics(const RunResult& result) {
     entry.set("max_bytes", b.max_bytes);
     entry.set("total_bytes", b.total_bytes);
     entry.set("max_comm_cpu_seconds", b.max_comm_cpu_seconds);
-    // Written only on overlapped runs: overlap-off artifacts must stay
-    // byte-identical to baselines produced before the key existed.
-    if (result.overlap_enabled) entry.set("overlapped", b.overlapped);
+    entry.set("overlapped", b.overlapped);
     Value rank_rows = Value::array();
     for (const PhaseSample& sample : step.samples) {
       Value row = Value::object();
@@ -337,12 +320,15 @@ obs::json::Value build_run_metrics(const RunResult& result) {
   }
   root.set("steps", std::move(steps));
 
-  root.set("comm_matrix", comm_matrix_to_json(result.comm_matrix,
-                                              result.chaos_enabled));
+  root.set("comm_matrix", comm_matrix_json(result.comm_matrix));
 
   Value per_rank = Value::array();
   for (std::size_t r = 0; r < result.per_rank_counters.size(); ++r) {
     const mpisim::PerfCounters& c = result.per_rank_counters[r];
+    // 2D runs keep no cetric tallies; their columns read zero.
+    const CetricRankCounters cet = r < result.per_rank_cetric.size()
+                                       ? result.per_rank_cetric[r]
+                                       : CetricRankCounters{};
     Value entry = Value::object();
     entry.set("rank", static_cast<std::uint64_t>(r));
     entry.set("messages_sent", c.messages_sent);
@@ -351,24 +337,16 @@ obs::json::Value build_run_metrics(const RunResult& result) {
     entry.set("bytes_received", c.bytes_received);
     entry.set("collective_messages_sent", c.collective_messages_sent);
     entry.set("collective_bytes_sent", c.collective_bytes_sent);
-    // Reliability-overhead split, present only on chaos runs (keeps
-    // fault-free artifacts byte-identical to the checked-in baselines).
-    if (result.chaos_enabled) {
-      entry.set("chaos_messages_sent", c.chaos_messages_sent);
-      entry.set("chaos_bytes_sent", c.chaos_bytes_sent);
-      entry.set("chaos_acks_sent", c.chaos_acks_sent);
-    }
-    // Per-rank local/cut classification, present only on cetric runs.
-    if (r < result.per_rank_cetric.size()) {
-      const CetricRankCounters& cet = result.per_rank_cetric[r];
-      entry.set("cetric_local_triangles", cet.local_triangles);
-      entry.set("cetric_cut_triangles", cet.cut_triangles);
-      entry.set("cetric_cut_wedges_sent", cet.cut_wedges_sent);
-      entry.set("cetric_cut_wedge_messages_sent", cet.cut_wedge_messages_sent);
-      entry.set("cetric_cut_wedge_bytes_sent", cet.cut_wedge_bytes_sent);
-      entry.set("cetric_ghost_lists_fetched", cet.ghost_lists_fetched);
-      entry.set("cetric_ghost_list_entries", cet.ghost_list_entries);
-    }
+    entry.set("chaos_messages_sent", c.chaos_messages_sent);
+    entry.set("chaos_bytes_sent", c.chaos_bytes_sent);
+    entry.set("chaos_acks_sent", c.chaos_acks_sent);
+    entry.set("cetric_local_triangles", cet.local_triangles);
+    entry.set("cetric_cut_triangles", cet.cut_triangles);
+    entry.set("cetric_cut_wedges_sent", cet.cut_wedges_sent);
+    entry.set("cetric_cut_wedge_messages_sent", cet.cut_wedge_messages_sent);
+    entry.set("cetric_cut_wedge_bytes_sent", cet.cut_wedge_bytes_sent);
+    entry.set("cetric_ghost_lists_fetched", cet.ghost_lists_fetched);
+    entry.set("cetric_ghost_list_entries", cet.ghost_list_entries);
     entry.set("comm_cpu_seconds", c.comm_cpu_seconds);
     per_rank.push_back(std::move(entry));
   }
@@ -392,20 +370,7 @@ obs::json::Value build_run_msgtrace(const RunResult& result,
 
   // Replace the bare run.ranks header with the full run description the
   // analyzer needs to pair measurements with the α–β model.
-  Value run = Value::object();
-  run.set("ranks", result.ranks);
-  run.set("grid_q", result.grid_q);
-  if (result.algorithm != "2d") run.set("algorithm", result.algorithm);
-  run.set("vertices", static_cast<std::uint64_t>(result.num_vertices));
-  run.set("edges", static_cast<std::uint64_t>(result.num_edges));
-  run.set("triangles", static_cast<std::uint64_t>(result.triangles));
-  run.set("overlap", result.overlap_enabled);
-  run.set("chaos", result.chaos_enabled);
-  Value model = Value::object();
-  model.set("alpha_seconds", result.model.alpha_seconds);
-  model.set("beta_seconds_per_byte", result.model.beta_seconds_per_byte);
-  run.set("model", std::move(model));
-  root.set("run", std::move(run));
+  root.set("run", run_json(result));
 
   // The modeled step table: what the α–β model predicts per superstep,
   // so analyze_msgtrace can report measured-vs-modeled deltas without a

@@ -37,20 +37,15 @@ obs::Trace build_run_trace(const RunResult& result);
 /// exactly). Feeds `tricount_cli count --analyze` without a temp file.
 obs::analysis::RunReport build_run_report(const RunResult& result);
 
-/// Registry snapshot of every run measurement (kernel.*, phase.*,
-/// comm.*) — see docs/observability.md for the naming convention.
+/// Registry snapshot of every run measurement (kernel.*, phase.*, comm.*,
+/// tc.overlap.*, tc.cetric.*, chaos.*; the last three are zero when the
+/// run did not use the feature) — see docs/observability.md.
 obs::Snapshot build_run_snapshot(const RunResult& result);
 
-/// Full metrics artifact: run metadata + registry snapshot + per-step
-/// breakdowns + the p×p comm matrix + per-rank traffic counters.
+/// Full obs::analysis::kMetricsSchema artifact: run metadata + registry
+/// snapshot + per-step breakdowns + the p×p comm matrix + per-rank
+/// traffic counters. Its keys are the same for every run.
 obs::json::Value build_run_metrics(const RunResult& result);
-
-/// The comm matrix as JSON (also embedded in build_run_metrics). With
-/// `include_chaos` the reliability-overhead columns (chaos_messages /
-/// chaos_bytes) are emitted too — chaos runs only, so fault-free
-/// artifacts stay byte-identical to pre-chaos baselines.
-obs::json::Value comm_matrix_to_json(const mpisim::CommMatrix& matrix,
-                                     bool include_chaos = false);
 
 /// Full tricount.msgtrace.v1 artifact: the captured causal records
 /// (obs::MsgTrace::to_json) plus the run header and the modeled per-step

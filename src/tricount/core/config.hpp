@@ -51,8 +51,8 @@ struct Config {
   /// with isend/irecv before running the current superstep's
   /// intersections, and complete it afterwards. Counts are unchanged; the
   /// α–β model then charges max(compute, network) per overlapped
-  /// superstep instead of their sum (docs/overlap.md). Off by default so
-  /// checked-in baseline artifacts stay byte-identical.
+  /// superstep instead of their sum (docs/overlap.md). Off by default, as
+  /// in the paper's algorithm.
   bool overlap = false;
 
   std::string describe() const;

@@ -77,16 +77,12 @@ struct RunResult {
   mpisim::CommMatrix comm_matrix;
   /// True when a fault injector was installed for this run.
   bool chaos_enabled = false;
-  /// True when the run used comm/compute overlap (Config::overlap); the
-  /// overlap metrics block is emitted only in this case so overlap-off
-  /// artifacts stay byte-identical to pre-overlap builds.
+  /// True when the run used comm/compute overlap (Config::overlap).
   bool overlap_enabled = false;
   /// Per-rank chaos tallies (all zero unless chaos_enabled).
   std::vector<mpisim::ChaosCounters> per_rank_chaos;
   /// Which counting algorithm produced this result ("2d", "cetric", or
   /// "summa" for a SUMMA sweep over resident blocks).
-  /// Artifacts serialize the key only when it differs from "2d", so
-  /// pre-cetric baselines stay byte-identical.
   std::string algorithm = "2d";
   /// Per-rank CETRIC tallies (empty unless algorithm == "cetric").
   std::vector<CetricRankCounters> per_rank_cetric;

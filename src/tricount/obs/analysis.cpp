@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <numeric>
 #include <set>
 #include <utility>
 
@@ -13,15 +14,7 @@ namespace tricount::obs::analysis {
 
 namespace {
 
-// v2 added the per-kernel attribution counters; the layout is otherwise
-// identical, so every reader accepts both.
-constexpr const char* kMetricsSchemaV1 = "tricount.metrics.v1";
-constexpr const char* kMetricsSchemaV2 = "tricount.metrics.v2";
 constexpr const char* kBenchSchema = "tricount.bench.v1";
-
-bool is_metrics_schema(const std::string& schema) {
-  return schema == kMetricsSchemaV1 || schema == kMetricsSchemaV2;
-}
 
 /// Relative disagreement test for the consistency check. Values that
 /// round-tripped through our own JSON (%.17g) agree bit-for-bit, so any
@@ -37,17 +30,18 @@ bool disagrees(double declared, double recomputed, double tolerance) {
 
 RunReport RunReport::from_metrics_json(const json::Value& root) {
   if (const json::Value* schema = root.find("schema");
-      schema == nullptr || !is_metrics_schema(schema->as_string())) {
-    throw std::runtime_error("analysis: not a tricount.metrics.v1/v2 document");
+      schema == nullptr || !schema->is_string() ||
+      schema->as_string() != kMetricsSchema) {
+    throw std::runtime_error(std::string("analysis: not a ") + kMetricsSchema +
+                             " document");
   }
   RunReport report;
   const json::Value& run = root.get("run");
   report.ranks = static_cast<int>(run.get("ranks").as_uint());
   report.grid_q = static_cast<int>(run.get("grid_q").as_uint());
-  // Absent in 2D artifacts (all baselines predate the key).
-  if (const json::Value* algorithm = run.find("algorithm")) {
-    report.algorithm = algorithm->as_string();
-  }
+  report.algorithm = run.get("algorithm").as_string();
+  report.overlap = run.get("overlap").as_bool();
+  report.chaos = run.get("chaos").as_bool();
   report.vertices = run.get("vertices").as_uint();
   report.edges = run.get("edges").as_uint();
   report.triangles = run.get("triangles").as_uint();
@@ -64,10 +58,7 @@ RunReport RunReport::from_metrics_json(const json::Value& root) {
     step.phase = entry.get("phase").as_string();
     step.declared_seconds = entry.get("modeled_seconds").as_number();
     step.declared_comm_seconds = entry.get("modeled_comm_seconds").as_number();
-    // Absent in overlap-off artifacts (and all pre-overlap baselines).
-    if (const json::Value* overlapped = entry.find("overlapped")) {
-      step.overlapped = overlapped->as_bool();
-    }
+    step.overlapped = entry.get("overlapped").as_bool();
     const json::Value& per_rank = entry.get("per_rank");
     for (std::size_t r = 0; r < per_rank.size(); ++r) {
       const json::Value& row = per_rank.at(r);
@@ -128,9 +119,9 @@ Analysis analyze(const RunReport& report, double tolerance) {
             ? 0.0
             : sum_compute / static_cast<double>(step.ranks.size());
     // Overlap charges only the network time that exceeds the compute it
-    // hid behind; `network - 0.0` is bit-identical to `network`, so the
-    // non-overlapped window reproduces pre-overlap artifacts exactly
-    // (mirror of PhaseBreakdown::modeled_comm_seconds).
+    // hid behind; `network - 0.0` is bit-identical to `network`, so a
+    // non-overlapped window is exactly compute + network (mirror of
+    // PhaseBreakdown::modeled_comm_seconds).
     const double network = report.model.cost(max_messages, max_bytes);
     const double hidden =
         step.overlapped ? std::min(max_compute, network) : 0.0;
@@ -257,6 +248,15 @@ Analysis analyze(const RunReport& report, double tolerance) {
 
 void print_report(const RunReport& report, const Analysis& analysis,
                   int top_stragglers) {
+  const auto counter = [&](const char* name) -> std::uint64_t {
+    const auto it = report.metrics.counters.find(name);
+    return it == report.metrics.counters.end() ? 0 : it->second;
+  };
+  const auto gauge = [&](const char* name) {
+    const auto it = report.metrics.gauges.find(name);
+    return it == report.metrics.gauges.end() ? 0.0 : it->second;
+  };
+
   util::print_heading("run");
   if (report.algorithm == "2d") {
     std::printf("ranks %d (grid %dx%d), %llu vertices, %llu edges, %llu "
@@ -379,15 +379,10 @@ void print_report(const RunReport& report, const Analysis& analysis,
     table.print();
   }
 
-  // Kernel mix (v2 artifacts): which intersection kernels the compute
-  // phase actually ran, and each one's share of the elementary-operation
-  // total — the attribution behind a `--kernel` comparison.
+  // Kernel mix: which intersection kernels the compute phase actually
+  // ran, and each one's share of the elementary-operation total — the
+  // attribution behind a `--kernel` comparison.
   {
-    const auto& counters = report.metrics.counters;
-    auto counter = [&](const char* name) -> std::uint64_t {
-      const auto it = counters.find(name);
-      return it == counters.end() ? 0 : it->second;
-    };
     struct KernelRow {
       const char* name;
       const char* calls_key;
@@ -452,92 +447,66 @@ void print_report(const RunReport& report, const Analysis& analysis,
     table.print();
   }
 
-  // Cetric classification (docs/cetric.md): the tc.cetric.* block exists
-  // only in artifacts from the communication-avoiding counter, so 2D
-  // reports render unchanged. The local-vs-cut split is the algorithm's
-  // headline number — the share of the triangle total that cost zero
-  // point-to-point messages.
-  {
-    const auto& counters = report.metrics.counters;
-    const auto counter = [&](const char* name) -> std::uint64_t {
-      const auto it = counters.find(name);
-      return it == counters.end() ? 0 : it->second;
-    };
-    if (counters.find("tc.cetric.local_triangles") != counters.end()) {
-      const std::uint64_t local = counter("tc.cetric.local_triangles");
-      const std::uint64_t cut = counter("tc.cetric.cut_triangles");
-      const std::uint64_t total = local + cut;
-      util::print_heading("cetric classification");
-      util::Table table({"class", "triangles", "share %"});
-      table.row().cell("local (zero-message)").cell(local).cell(
-          total > 0 ? 100.0 * static_cast<double>(local) /
-                          static_cast<double>(total)
-                    : 0.0,
-          1);
-      table.row().cell("cut (wedges routed)").cell(cut).cell(
-          total > 0 ? 100.0 * static_cast<double>(cut) /
-                          static_cast<double>(total)
-                    : 0.0,
-          1);
-      table.print();
-      std::printf("cut wedges sent %llu in %llu messages (%llu bytes); "
-                  "ghost lists pulled %llu (%llu entries)\n",
-                  static_cast<unsigned long long>(
-                      counter("tc.cetric.cut_wedges_sent")),
-                  static_cast<unsigned long long>(
-                      counter("tc.cetric.cut_wedge_messages_sent")),
-                  static_cast<unsigned long long>(
-                      counter("tc.cetric.cut_wedge_bytes_sent")),
-                  static_cast<unsigned long long>(
-                      counter("tc.cetric.ghost_lists_fetched")),
-                  static_cast<unsigned long long>(
-                      counter("tc.cetric.ghost_list_entries")));
-    }
+  // Cetric classification (docs/cetric.md): the local-vs-cut split is
+  // the algorithm's headline number — the share of the triangle total
+  // that cost zero point-to-point messages.
+  if (report.algorithm == "cetric") {
+    const std::uint64_t local = counter("tc.cetric.local_triangles");
+    const std::uint64_t cut = counter("tc.cetric.cut_triangles");
+    const std::uint64_t total = local + cut;
+    util::print_heading("cetric classification");
+    util::Table table({"class", "triangles", "share %"});
+    table.row().cell("local (zero-message)").cell(local).cell(
+        total > 0 ? 100.0 * static_cast<double>(local) /
+                        static_cast<double>(total)
+                  : 0.0,
+        1);
+    table.row().cell("cut (wedges routed)").cell(cut).cell(
+        total > 0 ? 100.0 * static_cast<double>(cut) /
+                        static_cast<double>(total)
+                  : 0.0,
+        1);
+    table.print();
+    std::printf("cut wedges sent %llu in %llu messages (%llu bytes); "
+                "ghost lists pulled %llu (%llu entries)\n",
+                static_cast<unsigned long long>(
+                    counter("tc.cetric.cut_wedges_sent")),
+                static_cast<unsigned long long>(
+                    counter("tc.cetric.cut_wedge_messages_sent")),
+                static_cast<unsigned long long>(
+                    counter("tc.cetric.cut_wedge_bytes_sent")),
+                static_cast<unsigned long long>(
+                    counter("tc.cetric.ghost_lists_fetched")),
+                static_cast<unsigned long long>(
+                    counter("tc.cetric.ghost_list_entries")));
   }
 
-  // Chaos tallies (docs/chaos.md): present only in artifacts from runs
-  // with fault injection armed, so fault-free reports are unchanged.
-  {
-    bool any_chaos = false;
+  // Chaos tallies (docs/chaos.md), shown for runs with fault injection
+  // armed.
+  if (report.chaos) {
+    util::print_heading("chaos");
+    util::Table table({"counter", "value"});
     for (const auto& [name, value] : report.metrics.counters) {
-      any_chaos = any_chaos || name.rfind("chaos.", 0) == 0;
-      (void)value;
+      if (name.rfind("chaos.", 0) != 0) continue;
+      table.row().cell(name.substr(6)).cell(value);
     }
     for (const auto& [name, value] : report.metrics.gauges) {
-      any_chaos = any_chaos || name.rfind("chaos.", 0) == 0;
-      (void)value;
+      if (name.rfind("chaos.", 0) != 0) continue;
+      table.row().cell(name.substr(6)).cell(value, 6);
     }
-    if (any_chaos) {
-      util::print_heading("chaos");
-      util::Table table({"counter", "value"});
-      for (const auto& [name, value] : report.metrics.counters) {
-        if (name.rfind("chaos.", 0) != 0) continue;
-        table.row().cell(name.substr(6)).cell(value);
-      }
-      for (const auto& [name, value] : report.metrics.gauges) {
-        if (name.rfind("chaos.", 0) != 0) continue;
-        table.row().cell(name.substr(6)).cell(value, 6);
-      }
-      table.print();
-    }
+    table.print();
   }
 
-  // Overlap summary (docs/overlap.md): the tc.overlap.* block exists only
-  // in artifacts from overlapped runs, so other reports are unchanged.
-  if (const auto steps_it = report.metrics.counters.find("tc.overlap.steps");
-      steps_it != report.metrics.counters.end()) {
-    const auto gauge = [&](const char* name) {
-      const auto it = report.metrics.gauges.find(name);
-      return it == report.metrics.gauges.end() ? 0.0 : it->second;
-    };
+  // Overlap summary (docs/overlap.md), shown for overlapped runs.
+  if (report.overlap) {
     const double hidden = gauge("tc.overlap.hidden_seconds");
     const double exposed = gauge("tc.overlap.exposed_network_seconds");
     const double network = hidden + exposed;
     util::print_heading("overlap");
     std::printf("%llu overlapped supersteps: %.6f s of network time hidden "
                 "behind compute, %.6f s exposed (%.1f%% efficiency)\n",
-                static_cast<unsigned long long>(steps_it->second), hidden,
-                exposed, network > 0.0 ? 100.0 * hidden / network : 0.0);
+                static_cast<unsigned long long>(counter("tc.overlap.steps")),
+                hidden, exposed, network > 0.0 ? 100.0 * hidden / network : 0.0);
   }
 
   util::print_heading("alpha-beta consistency");
@@ -597,6 +566,14 @@ class Linter {
     }
     return n;
   }
+
+  void boolean(const json::Value& parent, const char* key,
+               const std::string& where) {
+    const json::Value* v = require(parent, key, where);
+    if (v != nullptr && v->type() != json::Value::Type::kBool) {
+      flag(where + ": '" + std::string(key) + "' is not a boolean");
+    }
+  }
 };
 
 /// Sums one row of one comm-matrix field; returns false on shape errors.
@@ -613,6 +590,46 @@ bool sum_matrix_row(const json::Value& matrix, const char* field,
   return true;
 }
 
+// The registry entries and columns every kMetricsSchema artifact carries
+// (core/artifacts.cpp writes them all, zero when a feature is off).
+constexpr const char* kRegistryCounters[] = {
+    "kernel.intersection_tasks", "kernel.lookups", "kernel.hits",
+    "kernel.probes", "kernel.hash_builds", "kernel.direct_builds",
+    "kernel.rows_visited", "kernel.early_exits", "kernel.merge_calls",
+    "kernel.merge_steps", "kernel.galloping_calls", "kernel.galloping_steps",
+    "kernel.bitmap_calls", "kernel.bitmap_tests", "kernel.bitmap_builds",
+    "kernel.hash_calls", "kernel.hash_lookups", "phase.pre.ops",
+    "phase.tc.ops", "comm.messages_sent", "comm.bytes_sent",
+    "comm.collective_messages_sent", "comm.collective_bytes_sent",
+    "comm.user_messages_sent", "comm.user_bytes_sent", "tc.overlap.steps",
+    "tc.cetric.local_triangles", "tc.cetric.cut_triangles",
+    "tc.cetric.cut_wedges_sent", "tc.cetric.cut_wedge_messages_sent",
+    "tc.cetric.cut_wedge_bytes_sent", "tc.cetric.ghost_lists_fetched",
+    "tc.cetric.ghost_list_entries", "chaos.drops_injected",
+    "chaos.duplicates_injected", "chaos.reorders_injected",
+    "chaos.delays_injected", "chaos.acks_sent", "chaos.retransmits",
+    "chaos.duplicates_discarded", "chaos.out_of_order_stashed",
+    "chaos.crashes", "chaos.recoveries", "chaos.straggler_steps"};
+constexpr const char* kRegistryGauges[] = {
+    "phase.pre.modeled_seconds", "phase.pre.modeled_comm_seconds",
+    "phase.tc.modeled_seconds", "phase.tc.modeled_comm_seconds",
+    "phase.total.modeled_seconds", "comm.cpu_seconds",
+    "tc.overlap.hidden_seconds", "tc.overlap.exposed_network_seconds",
+    "chaos.delay_modeled_seconds", "chaos.recovery_seconds",
+    "chaos.straggler_injected_seconds"};
+constexpr const char* kRegistryHistograms[] = {"tc.shift_compute_seconds",
+                                               "tc.overlap.step_efficiency"};
+constexpr const char* kRankCounters[] = {
+    "messages_sent", "bytes_sent", "messages_received", "bytes_received",
+    "collective_messages_sent", "collective_bytes_sent",
+    "chaos_messages_sent", "chaos_bytes_sent", "chaos_acks_sent",
+    "cetric_local_triangles", "cetric_cut_triangles", "cetric_cut_wedges_sent",
+    "cetric_cut_wedge_messages_sent", "cetric_cut_wedge_bytes_sent",
+    "cetric_ghost_lists_fetched", "cetric_ghost_list_entries"};
+constexpr const char* kMatrixFields[] = {
+    "user_messages",    "user_bytes",     "collective_messages",
+    "collective_bytes", "chaos_messages", "chaos_bytes"};
+
 }  // namespace
 
 std::vector<std::string> lint_metrics(const json::Value& root) {
@@ -624,29 +641,27 @@ std::vector<std::string> lint_metrics(const json::Value& root) {
     }
     const json::Value* schema = root.find("schema");
     if (schema == nullptr || !schema->is_string() ||
-        !is_metrics_schema(schema->as_string())) {
-      lint.flag("document: 'schema' is not \"tricount.metrics.v1\"/\"v2\"");
+        schema->as_string() != kMetricsSchema) {
+      lint.flag(std::string("document: 'schema' is not \"") + kMetricsSchema +
+                "\"");
       return lint.violations;
     }
 
     std::size_t ranks = 0;
-    std::string algorithm = "2d";
+    std::string algorithm;
     double declared_triangles = -1.0;
     if (const json::Value* run = lint.require(root, "run", "document")) {
       const double r = lint.counter(*run, "ranks", "run");
       const double q = lint.counter(*run, "grid_q", "run");
-      // Absent on 2D artifacts by construction — writers omit the key so
-      // pre-existing baselines stay byte-identical.
-      if (const json::Value* algo = run->find("algorithm")) {
-        if (!algo->is_string()) {
-          lint.flag("run: 'algorithm' is not a string");
-        } else {
+      if (const json::Value* algo = lint.require(*run, "algorithm", "run")) {
+        if (algo->is_string()) {
           algorithm = algo->as_string();
-          if (algorithm == "2d") {
-            lint.flag("run: 'algorithm' key must be omitted on 2d artifacts");
-          }
+        } else {
+          lint.flag("run: 'algorithm' is not a string");
         }
       }
+      lint.boolean(*run, "overlap", "run");
+      lint.boolean(*run, "chaos", "run");
       if (r >= 0 && r < 1) lint.flag("run: 'ranks' must be >= 1");
       if (algorithm == "2d") {
         if (r >= 1 && q >= 0 && q * q != r) {
@@ -672,14 +687,18 @@ std::vector<std::string> lint_metrics(const json::Value& root) {
       try {
         const Snapshot snapshot = Snapshot::from_json(*metrics);
         metric_counters = snapshot.counters;
-        for (const char* gauge :
-             {"phase.pre.modeled_seconds", "phase.pre.modeled_comm_seconds",
-              "phase.tc.modeled_seconds", "phase.tc.modeled_comm_seconds",
-              "phase.total.modeled_seconds"}) {
-          if (snapshot.gauges.find(gauge) == snapshot.gauges.end()) {
-            lint.flag(std::string("metrics: missing gauge '") + gauge + "'");
+        const auto require_all = [&](const auto& present, const auto& names,
+                                     const char* kind) {
+          for (const char* name : names) {
+            if (present.count(name) == 0) {
+              lint.flag(std::string("metrics: missing ") + kind + " '" +
+                        name + "'");
+            }
           }
-        }
+        };
+        require_all(snapshot.counters, kRegistryCounters, "counter");
+        require_all(snapshot.gauges, kRegistryGauges, "gauge");
+        require_all(snapshot.histograms, kRegistryHistograms, "histogram");
         for (const auto& [name, value] : snapshot.gauges) {
           if (!std::isfinite(value)) {
             lint.flag("metrics: gauge '" + name + "' is not finite");
@@ -719,14 +738,7 @@ std::vector<std::string> lint_metrics(const json::Value& root) {
           lint.counter(entry, "max_messages", where);
           lint.counter(entry, "max_bytes", where);
           lint.counter(entry, "total_bytes", where);
-          // Optional: present only in artifacts from overlapped runs.
-          if (const json::Value* overlapped = entry.find("overlapped")) {
-            try {
-              (void)overlapped->as_bool();
-            } catch (const std::exception&) {
-              lint.flag(where + ": 'overlapped' is not a boolean");
-            }
-          }
+          lint.boolean(entry, "overlapped", where);
           const json::Value* per_rank = lint.require(entry, "per_rank", where);
           if (per_rank != nullptr) {
             if (!per_rank->is_array() || per_rank->size() != ranks) {
@@ -748,61 +760,24 @@ std::vector<std::string> lint_metrics(const json::Value& root) {
       }
     }
 
-    std::vector<double> sent_messages(ranks, -1.0);
-    std::vector<double> sent_bytes(ranks, -1.0);
-    std::vector<double> chaos_messages_sent(ranks, -1.0);
-    std::vector<double> chaos_bytes_sent(ranks, -1.0);
-    std::vector<double> chaos_acks_sent(ranks, -1.0);
-    std::vector<double> cetric_local(ranks, -1.0);
-    std::vector<double> cetric_cut(ranks, -1.0);
-    std::vector<double> cetric_wedge_messages(ranks, -1.0);
-    std::vector<double> cetric_wedge_bytes(ranks, -1.0);
-    bool per_rank_chaos = false;
-    bool per_rank_cetric = false;
+    // Each per-rank counter column; -1 marks a missing or invalid value
+    // (already flagged).
+    std::map<std::string, std::vector<double>> column;
+    for (const char* name : kRankCounters) column[name].assign(ranks, -1.0);
     if (const json::Value* per_rank =
             lint.require(root, "per_rank", "document")) {
       if (!per_rank->is_array() || per_rank->size() != ranks) {
         lint.flag("per_rank: length != run.ranks");
       } else {
-        for (std::size_t r = 0; r < per_rank->size(); ++r) {
+        for (std::size_t r = 0; r < ranks; ++r) {
           const std::string where = "per_rank[" + std::to_string(r) + "]";
           const json::Value& row = per_rank->at(r);
           const double rank = lint.counter(row, "rank", where);
           if (rank >= 0 && rank != static_cast<double>(r)) {
             lint.flag(where + ": 'rank' != array index");
           }
-          sent_messages[r] = lint.counter(row, "messages_sent", where);
-          sent_bytes[r] = lint.counter(row, "bytes_sent", where);
-          lint.counter(row, "messages_received", where);
-          lint.counter(row, "bytes_received", where);
-          lint.counter(row, "collective_messages_sent", where);
-          lint.counter(row, "collective_bytes_sent", where);
-          // The chaos attribution columns appear only in chaos-run
-          // artifacts, and then all three together.
-          if (row.find("chaos_messages_sent") != nullptr ||
-              row.find("chaos_bytes_sent") != nullptr ||
-              row.find("chaos_acks_sent") != nullptr) {
-            per_rank_chaos = true;
-            chaos_messages_sent[r] =
-                lint.counter(row, "chaos_messages_sent", where);
-            chaos_bytes_sent[r] = lint.counter(row, "chaos_bytes_sent", where);
-            chaos_acks_sent[r] = lint.counter(row, "chaos_acks_sent", where);
-          }
-          // The cetric classification columns appear only in cetric-run
-          // artifacts, and then the whole bundle together.
-          if (row.find("cetric_local_triangles") != nullptr ||
-              row.find("cetric_cut_triangles") != nullptr ||
-              row.find("cetric_cut_wedge_messages_sent") != nullptr) {
-            per_rank_cetric = true;
-            cetric_local[r] = lint.counter(row, "cetric_local_triangles", where);
-            cetric_cut[r] = lint.counter(row, "cetric_cut_triangles", where);
-            lint.counter(row, "cetric_cut_wedges_sent", where);
-            cetric_wedge_messages[r] =
-                lint.counter(row, "cetric_cut_wedge_messages_sent", where);
-            cetric_wedge_bytes[r] =
-                lint.counter(row, "cetric_cut_wedge_bytes_sent", where);
-            lint.counter(row, "cetric_ghost_lists_fetched", where);
-            lint.counter(row, "cetric_ghost_list_entries", where);
+          for (const char* name : kRankCounters) {
+            column[name][r] = lint.counter(row, name, where);
           }
           lint.number(row, "comm_cpu_seconds", where);
         }
@@ -812,156 +787,100 @@ std::vector<std::string> lint_metrics(const json::Value& root) {
     if (const json::Value* matrix =
             lint.require(root, "comm_matrix", "document")) {
       const double size = lint.counter(*matrix, "size", "comm_matrix");
-      const bool matrix_chaos = matrix->find("chaos_messages") != nullptr ||
-                                matrix->find("chaos_bytes") != nullptr;
-      if (matrix_chaos != per_rank_chaos && ranks > 0) {
-        lint.flag("comm_matrix: chaos columns and per_rank chaos counters "
-                  "must appear together");
-      }
       if (size >= 0 && size != static_cast<double>(ranks)) {
         lint.flag("comm_matrix: size != run.ranks");
       } else {
         // Row sums must reconcile with the per-rank send totals — the
         // documented mpisim invariant, now checked on any saved artifact.
-        // Under chaos the user/collective cells exclude retransmissions
-        // (those live in the chaos columns) while per_rank messages_sent
-        // still counts every data wire attempt; acks are protocol-only
-        // zero-byte messages, attributed to chaos_messages but never to
-        // messages_sent.
+        // The user/collective cells exclude retransmissions (those live in
+        // the chaos columns) while per_rank messages_sent still counts
+        // every data wire attempt; acks are protocol-only zero-byte
+        // messages, attributed to chaos_messages but never to
+        // messages_sent. On a fault-free run the chaos terms are zero.
         for (std::size_t r = 0; r < ranks; ++r) {
-          double messages = 0.0;
-          double bytes = 0.0;
-          if (!sum_matrix_row(*matrix, "user_messages", r, ranks, messages) ||
-              !sum_matrix_row(*matrix, "collective_messages", r, ranks,
-                              messages)) {
-            lint.flag("comm_matrix: message rows malformed (row " +
-                      std::to_string(r) + ")");
+          std::map<std::string, double> sum;
+          bool malformed = false;
+          for (const char* field : kMatrixFields) {
+            malformed = malformed ||
+                        !sum_matrix_row(*matrix, field, r, ranks, sum[field]);
+          }
+          if (malformed) {
+            lint.flag("comm_matrix: rows malformed (row " + std::to_string(r) +
+                      ")");
             break;
           }
-          if (!sum_matrix_row(*matrix, "user_bytes", r, ranks, bytes) ||
-              !sum_matrix_row(*matrix, "collective_bytes", r, ranks, bytes)) {
-            lint.flag("comm_matrix: byte rows malformed (row " +
-                      std::to_string(r) + ")");
-            break;
+          const auto at = [&](const char* name) { return column[name][r]; };
+          const std::string row = "comm_matrix: row " + std::to_string(r);
+          if (at("messages_sent") >= 0 && at("chaos_messages_sent") >= 0 &&
+              sum["user_messages"] + sum["collective_messages"] !=
+                  at("messages_sent") - at("chaos_messages_sent")) {
+            lint.flag(row + " message sum != per_rank messages_sent net of "
+                            "chaos retransmissions");
           }
-          double chaos_messages = 0.0;
-          double chaos_bytes = 0.0;
-          if (matrix_chaos &&
-              (!sum_matrix_row(*matrix, "chaos_messages", r, ranks,
-                               chaos_messages) ||
-               !sum_matrix_row(*matrix, "chaos_bytes", r, ranks,
-                               chaos_bytes))) {
-            lint.flag("comm_matrix: chaos rows malformed (row " +
-                      std::to_string(r) + ")");
-            break;
+          if (at("bytes_sent") >= 0 && at("chaos_bytes_sent") >= 0 &&
+              sum["user_bytes"] + sum["collective_bytes"] !=
+                  at("bytes_sent") - at("chaos_bytes_sent")) {
+            lint.flag(row + " byte sum != per_rank bytes_sent net of chaos "
+                            "retransmissions");
           }
-          double expect_messages = sent_messages[r];
-          double expect_bytes = sent_bytes[r];
-          if (matrix_chaos && chaos_messages_sent[r] >= 0) {
-            expect_messages -= chaos_messages_sent[r];
+          if (at("chaos_messages_sent") >= 0 && at("chaos_acks_sent") >= 0 &&
+              sum["chaos_messages"] !=
+                  at("chaos_messages_sent") + at("chaos_acks_sent")) {
+            lint.flag(row + " chaos_messages sum != per_rank "
+                            "chaos_messages_sent + chaos_acks_sent");
           }
-          if (matrix_chaos && chaos_bytes_sent[r] >= 0) {
-            expect_bytes -= chaos_bytes_sent[r];
-          }
-          if (sent_messages[r] >= 0 && messages != expect_messages) {
-            lint.flag("comm_matrix: row " + std::to_string(r) +
-                      " message sum != per_rank messages_sent" +
-                      (matrix_chaos ? " net of chaos retransmissions" : ""));
-          }
-          if (sent_bytes[r] >= 0 && bytes != expect_bytes) {
-            lint.flag("comm_matrix: row " + std::to_string(r) +
-                      " byte sum != per_rank bytes_sent" +
-                      (matrix_chaos ? " net of chaos retransmissions" : ""));
-          }
-          if (matrix_chaos && chaos_messages_sent[r] >= 0 &&
-              chaos_acks_sent[r] >= 0 &&
-              chaos_messages != chaos_messages_sent[r] + chaos_acks_sent[r]) {
-            lint.flag("comm_matrix: row " + std::to_string(r) +
-                      " chaos_messages sum != per_rank chaos_messages_sent + "
-                      "chaos_acks_sent");
-          }
-          if (matrix_chaos && chaos_bytes_sent[r] >= 0 &&
-              chaos_bytes != chaos_bytes_sent[r]) {
-            lint.flag("comm_matrix: row " + std::to_string(r) +
-                      " chaos_bytes sum != per_rank chaos_bytes_sent");
+          if (at("chaos_bytes_sent") >= 0 &&
+              sum["chaos_bytes"] != at("chaos_bytes_sent")) {
+            lint.flag(row + " chaos_bytes sum != per_rank chaos_bytes_sent");
           }
           // Cetric's defining property: every user-tagged message a rank
           // sends is a cut-wedge buffer, so the user-only row sums must
           // reproduce the algorithm's own wedge counters exactly (first
           // transmits stay user traffic even under chaos — retransmits
           // and acks live in the chaos columns).
-          if (per_rank_cetric) {
-            double user_messages = 0.0;
-            double user_bytes = 0.0;
-            if (sum_matrix_row(*matrix, "user_messages", r, ranks,
-                               user_messages) &&
-                cetric_wedge_messages[r] >= 0 &&
-                user_messages != cetric_wedge_messages[r]) {
-              lint.flag("comm_matrix: row " + std::to_string(r) +
-                        " user_messages sum != per_rank "
-                        "cetric_cut_wedge_messages_sent");
-            }
-            if (sum_matrix_row(*matrix, "user_bytes", r, ranks, user_bytes) &&
-                cetric_wedge_bytes[r] >= 0 &&
-                user_bytes != cetric_wedge_bytes[r]) {
-              lint.flag("comm_matrix: row " + std::to_string(r) +
-                        " user_bytes sum != per_rank "
-                        "cetric_cut_wedge_bytes_sent");
-            }
+          if (algorithm != "cetric") continue;
+          if (at("cetric_cut_wedge_messages_sent") >= 0 &&
+              sum["user_messages"] != at("cetric_cut_wedge_messages_sent")) {
+            lint.flag(row + " user_messages sum != per_rank "
+                            "cetric_cut_wedge_messages_sent");
+          }
+          if (at("cetric_cut_wedge_bytes_sent") >= 0 &&
+              sum["user_bytes"] != at("cetric_cut_wedge_bytes_sent")) {
+            lint.flag(row + " user_bytes sum != per_rank "
+                            "cetric_cut_wedge_bytes_sent");
           }
         }
       }
     }
 
-    // Cetric cross-checks: the tc.cetric.* registry counters, the
-    // per-rank classification columns, and the run.algorithm tag must
-    // appear together, and the classification must account for every
-    // triangle the run reports.
-    const auto cetric_metric = [&](const char* name) -> double {
-      const auto it = metric_counters.find(name);
-      return it == metric_counters.end() ? -1.0
-                                         : static_cast<double>(it->second);
-    };
-    const bool has_cetric_metrics =
-        metric_counters.find("tc.cetric.local_triangles") !=
-        metric_counters.end();
+    // Cetric cross-checks: the classification must account for every
+    // triangle the run reports, in the registry and per rank.
     if (algorithm == "cetric") {
-      if (!has_cetric_metrics) {
-        lint.flag("metrics: cetric artifact missing tc.cetric.* counters");
-      }
-      if (!per_rank_cetric && ranks > 0) {
-        lint.flag("per_rank: cetric artifact missing cetric_* counters");
-      }
-      const double local = cetric_metric("tc.cetric.local_triangles");
-      const double cut = cetric_metric("tc.cetric.cut_triangles");
+      const auto total = [&](const char* name) -> double {
+        const auto it = metric_counters.find(name);
+        return it == metric_counters.end() ? -1.0
+                                           : static_cast<double>(it->second);
+      };
+      const double local = total("tc.cetric.local_triangles");
+      const double cut = total("tc.cetric.cut_triangles");
       if (local >= 0 && cut >= 0 && declared_triangles >= 0 &&
           local + cut != declared_triangles) {
         lint.flag("metrics: tc.cetric.local_triangles + cut_triangles != "
                   "run.triangles");
       }
-      double local_sum = 0.0;
-      double cut_sum = 0.0;
-      bool rows_complete = per_rank_cetric && ranks > 0;
-      for (std::size_t r = 0; r < ranks; ++r) {
-        if (cetric_local[r] < 0 || cetric_cut[r] < 0) {
-          rows_complete = false;
-          break;
-        }
-        local_sum += cetric_local[r];
-        cut_sum += cetric_cut[r];
-      }
-      if (rows_complete &&
-          ((local >= 0 && local_sum != local) ||
-           (cut >= 0 && cut_sum != cut))) {
+      const std::vector<double>& local_rows = column["cetric_local_triangles"];
+      const std::vector<double>& cut_rows = column["cetric_cut_triangles"];
+      const bool rows_valid =
+          ranks > 0 &&
+          *std::min_element(local_rows.begin(), local_rows.end()) >= 0 &&
+          *std::min_element(cut_rows.begin(), cut_rows.end()) >= 0;
+      if (rows_valid &&
+          ((local >= 0 && std::accumulate(local_rows.begin(), local_rows.end(),
+                                          0.0) != local) ||
+           (cut >= 0 &&
+            std::accumulate(cut_rows.begin(), cut_rows.end(), 0.0) != cut))) {
         lint.flag("per_rank: cetric_* classification sums != tc.cetric.* "
                   "totals");
-      }
-    } else {
-      if (has_cetric_metrics) {
-        lint.flag("metrics: tc.cetric.* counters on a non-cetric artifact");
-      }
-      if (per_rank_cetric) {
-        lint.flag("per_rank: cetric_* counters on a non-cetric artifact");
       }
     }
   } catch (const std::exception& e) {
@@ -1125,17 +1044,8 @@ std::uint64_t comm_matrix_mismatches(const json::Value& a,
       }
     }
   };
-  for (const char* field : {"user_messages", "user_bytes",
-                            "collective_messages", "collective_bytes"}) {
+  for (const char* field : kMatrixFields) {
     compare_rows(a.find(field), b.find(field));
-  }
-  // The chaos columns exist only in chaos-run artifacts: absent on both
-  // sides is agreement, absent on one side is a structural mismatch.
-  for (const char* field : {"chaos_messages", "chaos_bytes"}) {
-    const json::Value* ra = a.find(field);
-    const json::Value* rb = b.find(field);
-    if (ra == nullptr && rb == nullptr) continue;
-    compare_rows(ra, rb);
   }
   return mismatches;
 }
@@ -1872,7 +1782,7 @@ DiffResult diff_artifacts(const json::Value& baseline,
     diff.mismatch("schema", "'" + base_schema + "' vs '" + cand_schema + "'");
     return diff.finish();
   }
-  if (is_metrics_schema(base_schema)) {
+  if (base_schema == kMetricsSchema) {
     return diff_metrics(baseline, candidate, options);
   }
   if (base_schema == kBenchSchema) {
@@ -1881,7 +1791,9 @@ DiffResult diff_artifacts(const json::Value& baseline,
   if (base_schema == kMsgTraceSchema) {
     return diff_msgtrace(baseline, candidate, options);
   }
-  throw std::runtime_error("diff: unsupported schema '" + base_schema + "'");
+  throw std::runtime_error("diff: unsupported schema '" + base_schema +
+                           "' (reads " + kMetricsSchema + ", " + kBenchSchema +
+                           ", " + kMsgTraceSchema + ")");
 }
 
 }  // namespace tricount::obs::analysis

@@ -1,6 +1,6 @@
 // Perf-doctor: critical-path and imbalance analysis over run artifacts.
 //
-// Consumes a `tricount.metrics.v1` artifact (parsed JSON, or the same
+// Consumes a `tricount.metrics.v3` artifact (parsed JSON, or the same
 // structure freshly built in memory by core/artifacts) and answers the
 // questions the paper's evaluation section asks of a run:
 //
@@ -40,6 +40,12 @@
 
 namespace tricount::obs::analysis {
 
+/// The metrics artifact's schema, written by core::build_run_metrics and
+/// required by every reader. One layout serves every run: the overlap,
+/// chaos and cetric keys are always present, and zero when the run did
+/// not use the feature.
+inline constexpr const char* kMetricsSchema = "tricount.metrics.v3";
+
 /// One rank's measurements inside one superstep (a `steps[].per_rank`
 /// row of the artifact — the obs-side mirror of core::PhaseSample).
 struct RankSample {
@@ -59,8 +65,7 @@ struct Step {
   double declared_seconds = 0.0;       ///< steps[].modeled_seconds
   double declared_comm_seconds = 0.0;  ///< steps[].modeled_comm_seconds
   /// steps[].overlapped — produced with comm/compute overlap, so the
-  /// window charges max(compute, network) instead of the sum. The key is
-  /// absent in overlap-off and pre-overlap artifacts (defaults false).
+  /// window charges max(compute, network) instead of the sum.
   bool overlapped = false;
 };
 
@@ -68,9 +73,11 @@ struct Step {
 struct RunReport {
   int ranks = 0;
   int grid_q = 0;
-  /// run.algorithm — "cetric" for the communication-avoiding counter,
-  /// "summa" reserved. The key is absent in 2D artifacts (defaults "2d").
+  /// run.algorithm — "2d", or "cetric" for the communication-avoiding
+  /// counter ("summa" reserved).
   std::string algorithm = "2d";
+  bool overlap = false;  ///< run.overlap — comm/compute overlap was on
+  bool chaos = false;    ///< run.chaos — a fault injector was installed
   std::uint64_t vertices = 0;
   std::uint64_t edges = 0;
   std::uint64_t triangles = 0;
@@ -78,8 +85,8 @@ struct RunReport {
   std::vector<Step> steps;
   Snapshot metrics;  ///< the artifact's registry snapshot, as recorded
 
-  /// Parses a tricount.metrics.v1 document. Throws std::runtime_error on
-  /// missing keys or type mismatches (run lint_metrics for a full,
+  /// Parses a kMetricsSchema document. Throws std::runtime_error on any
+  /// other schema, missing keys or type mismatches (run lint_metrics for a full,
   /// non-throwing violation list).
   static RunReport from_metrics_json(const json::Value& root);
 };
@@ -157,10 +164,11 @@ Analysis analyze(const RunReport& report, double tolerance = 1e-9);
 void print_report(const RunReport& report, const Analysis& analysis,
                   int top_stragglers = 5);
 
-/// Schema validation of a tricount.metrics.v1 document: required keys,
-/// per-rank array lengths vs the declared rank count, non-negative
-/// counters, and comm-matrix row sums that reconcile with the per-rank
-/// traffic totals. Returns human-readable violations (empty = valid).
+/// Schema validation of a kMetricsSchema document: every key of the
+/// layout, per-rank array lengths vs the declared rank count,
+/// non-negative counters, and comm-matrix row sums that reconcile with
+/// the per-rank traffic totals (and, on cetric runs, with the cut-wedge
+/// counters). Returns human-readable violations (empty = valid).
 std::vector<std::string> lint_metrics(const json::Value& root);
 
 // --- regression diff -------------------------------------------------------
@@ -194,7 +202,7 @@ struct DiffResult {
   bool ok = true;                  ///< false when any entry gates
 };
 
-/// Field-by-field comparison of two tricount.metrics.v1 artifacts.
+/// Field-by-field comparison of two kMetricsSchema artifacts.
 DiffResult diff_metrics(const json::Value& baseline,
                         const json::Value& candidate,
                         const DiffOptions& options = {});

@@ -31,12 +31,15 @@ double Value::as_number() const {
   return number_;
 }
 
+bool Value::is_uint() const {
+  // Converting a double at or past 2^64 to uint64_t is undefined.
+  return type_ == Type::kNumber && number_ >= 0 &&
+         std::floor(number_) == number_ && number_ < 0x1p64;
+}
+
 std::uint64_t Value::as_uint() const {
-  const double n = as_number();
-  if (n < 0 || std::floor(n) != n) {
-    throw std::runtime_error("json: not a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(n);
+  if (!is_uint()) throw std::runtime_error("json: not an integer in [0, 2^64)");
+  return static_cast<std::uint64_t>(number_);
 }
 
 const std::string& Value::as_string() const {

@@ -69,6 +69,9 @@ class Value {
   bool is_array() const { return type_ == Type::kArray; }
   bool is_object() const { return type_ == Type::kObject; }
 
+  /// A number that is an integer in [0, 2^64): what as_uint accepts.
+  bool is_uint() const;
+
   /// Typed accessors; throw std::runtime_error on type mismatch.
   bool as_bool() const;
   double as_number() const;

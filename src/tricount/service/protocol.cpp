@@ -1,7 +1,6 @@
 #include "tricount/service/protocol.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -116,8 +115,7 @@ ParseOutcome parse_request(std::string_view line, const WireLimits& limits) {
     return reject(ErrorCode::kBadRequest, "request must be a JSON object");
   }
   const Value* id = doc.find("id");
-  if (id == nullptr || !id->is_number() || id->as_number() < 0 ||
-      std::floor(id->as_number()) != id->as_number()) {
+  if (id == nullptr || !id->is_uint()) {
     return reject(ErrorCode::kBadRequest,
                   "'id' must be a non-negative integer");
   }

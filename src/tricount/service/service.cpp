@@ -51,10 +51,7 @@ bool get_uint_param(const Value& params, const char* key,
     out = fallback;
     return true;
   }
-  if (!v->is_number() || v->as_number() < 0 ||
-      std::floor(v->as_number()) != v->as_number()) {
-    return false;
-  }
+  if (!v->is_uint()) return false;  // so as_uint cannot throw
   out = v->as_uint();
   return out <= max;
 }
@@ -151,7 +148,7 @@ void Service::submit(const std::string& line) {
 void Service::dispatcher_loop() {
   while (true) {
     std::vector<Pending> batch =
-        queue_.pop_batch(options_.batching ? options_.max_batch : 1);
+        queue_.pop_batch(options_.max_batch);
     if (batch.empty()) break;  // stopped and drained
     execute_batch(std::move(batch));
   }
@@ -159,7 +156,7 @@ void Service::dispatcher_loop() {
 
 bool Service::dispatch_once() {
   std::vector<Pending> batch =
-      queue_.try_pop_batch(options_.batching ? options_.max_batch : 1);
+      queue_.try_pop_batch(options_.max_batch);
   if (batch.empty()) return false;
   execute_batch(std::move(batch));
   return true;
@@ -345,10 +342,10 @@ Service::Execution Service::verb_graph_load(const Request& request) {
     if (kind == "rmat") {
       std::uint64_t scale = 8;
       std::uint64_t edge_factor = 8;
-      if (!get_uint_param(*generate, "scale", 8, 22, scale) ||
+      if (!get_uint_param(*generate, "scale", 8, 22, scale) || scale < 1 ||
           !get_uint_param(*generate, "edge_factor", 8, 256, edge_factor)) {
         return fail(ErrorCode::kBadParams,
-                    "rmat: bad 'scale' or 'edge_factor'");
+                    "rmat: bad 'scale' (1..22) or 'edge_factor'");
       }
       graph::RmatParams params;
       params.scale = static_cast<int>(scale);
@@ -375,8 +372,10 @@ Service::Execution Service::verb_graph_load(const Request& request) {
       }
       const double b = beta != nullptr ? beta->as_number() : 0.1;
       if (!get_uint_param(*generate, "n", 512, 1u << 24, n) ||
-          !get_uint_param(*generate, "k", 8, 512, k) || b < 0.0 || b > 1.0) {
-        return fail(ErrorCode::kBadParams, "ws: bad 'n', 'k', or 'beta'");
+          !get_uint_param(*generate, "k", 8, 512, k) || k % 2 != 0 ||
+          b < 0.0 || b > 1.0) {
+        return fail(ErrorCode::kBadParams,
+                    "ws: bad 'n', 'k' (even), or 'beta'");
       }
       graph = graph::watts_strogatz(static_cast<graph::VertexId>(n),
                                     static_cast<int>(k), b, seed);
@@ -731,7 +730,7 @@ Service::Execution Service::verb_graph_window(const Request& request) {
       !get_uint_param(request.params, "capacity", 0, ~std::uint64_t{0},
                       capacity)) {
     return fail(ErrorCode::kBadParams,
-                "'capacity' must be a non-negative integer");
+                "'capacity' must be an integer in [0, 2^64)");
   }
   ensure_stream();
   const stream::Batch evictions = stream::window_evictions(*stream_, capacity);
@@ -852,7 +851,7 @@ void Service::shutdown() {
   // Manual mode (or a race that left a backlog): drain on this thread.
   while (true) {
     std::vector<Pending> batch =
-        queue_.try_pop_batch(options_.batching ? options_.max_batch : 1);
+        queue_.try_pop_batch(options_.max_batch);
     if (batch.empty()) break;
     execute_batch(std::move(batch));
   }

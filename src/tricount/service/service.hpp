@@ -56,7 +56,6 @@ struct ServiceOptions {
   std::size_t cache_capacity = 128;
   /// Requests coalesced per dispatcher sweep (1 = unbatched).
   std::size_t max_batch = 16;
-  bool batching = true;
   WireLimits limits;
   /// Where shutdown() writes the session artifact; empty = don't.
   std::string artifacts_dir;

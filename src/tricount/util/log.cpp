@@ -3,8 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <mutex>
-#include <set>
-#include <string>
 
 #include "tricount/util/time.hpp"
 
@@ -66,20 +64,6 @@ void log(LogLevel level, const char* format, ...) {
     std::fputc('\n', stderr);
   }
   va_end(args);
-}
-
-bool first_occurrence(const char* key) {
-  static std::mutex mutex;
-  static std::set<std::string> seen;
-  std::scoped_lock lock(mutex);
-  return seen.insert(key).second;
-}
-
-bool warn_deprecated(const char* flag, const char* replacement) {
-  const std::string key = std::string("deprecated:") + flag;
-  if (!first_occurrence(key.c_str())) return false;
-  TRICOUNT_LOG_WARN("%s is deprecated; use %s instead", flag, replacement);
-  return true;
 }
 
 }  // namespace tricount::util

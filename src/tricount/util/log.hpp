@@ -39,14 +39,6 @@ const char* thread_label();
 void log(LogLevel level, const char* format, ...)
     __attribute__((format(printf, 2, 3)));
 
-/// True exactly once per process for each distinct `key` (thread-safe) —
-/// the building block for emit-once diagnostics.
-bool first_occurrence(const char* key);
-
-/// Warns (once per process per flag) that `flag` is deprecated in favor
-/// of `replacement`. Returns true when the warning was emitted.
-bool warn_deprecated(const char* flag, const char* replacement);
-
 #define TRICOUNT_LOG_TRACE(...) \
   ::tricount::util::log(::tricount::util::LogLevel::kTrace, __VA_ARGS__)
 #define TRICOUNT_LOG_DEBUG(...) \

@@ -1,12 +1,17 @@
 // Perf-doctor analysis layer: critical-path slack reconciliation against
 // the driver's modeled phase totals, degenerate-input safety, artifact
-// linting, the regression diff, and histogram quantile estimates.
+// linting (one metrics schema, every key required), the regression diff,
+// and histogram quantile estimates.
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tricount/cetric/cetric.hpp"
 #include "tricount/core/artifacts.hpp"
 #include "tricount/core/driver.hpp"
 #include "tricount/graph/generators.hpp"
@@ -30,6 +35,24 @@ graph::EdgeList small_rmat() {
   params.edge_factor = 8;
   params.seed = 1;
   return graph::simplify(graph::rmat(params));
+}
+
+/// `object` without its member `key`.
+obs::json::Value without(const obs::json::Value& object, const char* key) {
+  obs::json::Value out = obs::json::Value::object();
+  for (const auto& [k, v] : object.members()) {
+    if (k != key) out.set(k, v);
+  }
+  return out;
+}
+
+/// True when some violation mentions `needle`.
+bool mentions(const std::vector<std::string>& violations,
+              const std::string& needle) {
+  for (const std::string& v : violations) {
+    if (v.find(needle) != std::string::npos) return true;
+  }
+  return false;
 }
 
 void expect_all_finite(const analysis::Analysis& a) {
@@ -204,6 +227,131 @@ TEST(LintMetrics, FlagsTamperedArtifacts) {
     bad.set("run", std::move(run));
     EXPECT_FALSE(analysis::lint_metrics(bad).empty());
   }
+  // Every key of the layout is required, those of features the run did
+  // not use included.
+  {
+    obs::json::Value bad = artifact;
+    bad.set("run", without(bad.get("run"), "algorithm"));
+    EXPECT_TRUE(mentions(analysis::lint_metrics(bad), "'algorithm'"));
+  }
+  {
+    obs::json::Value bad = artifact;
+    obs::json::Value metrics = bad.get("metrics");
+    metrics.set("counters", without(metrics.get("counters"), "chaos.crashes"));
+    bad.set("metrics", std::move(metrics));
+    EXPECT_TRUE(mentions(analysis::lint_metrics(bad), "'chaos.crashes'"));
+  }
+  {
+    obs::json::Value bad = artifact;
+    obs::json::Value steps = obs::json::Value::array();
+    for (std::size_t i = 0; i < artifact.get("steps").size(); ++i) {
+      steps.push_back(without(artifact.get("steps").at(i), "overlapped"));
+    }
+    bad.set("steps", std::move(steps));
+    EXPECT_TRUE(mentions(analysis::lint_metrics(bad), "'overlapped'"));
+  }
+  {
+    obs::json::Value bad = artifact;
+    obs::json::Value rows = obs::json::Value::array();
+    for (std::size_t r = 0; r < artifact.get("per_rank").size(); ++r) {
+      rows.push_back(without(artifact.get("per_rank").at(r),
+                             "cetric_cut_wedge_bytes_sent"));
+    }
+    bad.set("per_rank", std::move(rows));
+    EXPECT_TRUE(
+        mentions(analysis::lint_metrics(bad), "'cetric_cut_wedge_bytes_sent'"));
+  }
+  {
+    obs::json::Value bad = artifact;
+    bad.set("comm_matrix", without(bad.get("comm_matrix"), "chaos_bytes"));
+    EXPECT_TRUE(mentions(analysis::lint_metrics(bad), "rows malformed"));
+  }
+}
+
+TEST(LintMetrics, ReconcilesCetricWedgeTraffic) {
+  const core::RunResult result =
+      cetric::count_triangles_cetric(small_rmat(), 4);
+  const obs::json::Value artifact = core::build_run_metrics(result);
+  ASSERT_TRUE(analysis::lint_metrics(artifact).empty());
+
+  // One more wedge byte than rank 0's user row moved: caught only by the
+  // cetric reconciliation, which runs because run.algorithm is "cetric".
+  obs::json::Value bad = artifact;
+  obs::json::Value rows = obs::json::Value::array();
+  for (std::size_t r = 0; r < artifact.get("per_rank").size(); ++r) {
+    obs::json::Value row = artifact.get("per_rank").at(r);
+    if (r == 0) {
+      row.set("cetric_cut_wedge_bytes_sent",
+              row.get("cetric_cut_wedge_bytes_sent").as_uint() + 1);
+    }
+    rows.push_back(std::move(row));
+  }
+  bad.set("per_rank", std::move(rows));
+  const std::vector<std::string> violations = analysis::lint_metrics(bad);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].find("cetric_cut_wedge_bytes_sent"),
+            std::string::npos);
+}
+
+// Readers accept exactly one schema; an older document is refused with a
+// message that names the one they read.
+TEST(MetricsSchema, V2DocumentsAreRejectedNamingV3) {
+  obs::json::Value v2 = core::build_run_metrics(run_2d(small_rmat(), 4));
+  v2.set("schema", "tricount.metrics.v2");
+
+  const std::vector<std::string> violations = analysis::lint_metrics(v2);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].find("tricount.metrics.v3"), std::string::npos)
+      << violations[0];
+
+  try {
+    analysis::RunReport::from_metrics_json(v2);
+    ADD_FAILURE() << "from_metrics_json accepted a v2 document";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("tricount.metrics.v3"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// `tricount_cli summary` prints a v3 artifact and refuses a v2 one. The
+// CLI path comes from ctest via TRICOUNT_CLI.
+TEST(MetricsSchema, CliSummaryReadsOnlyV3) {
+  const char* cli = std::getenv("TRICOUNT_CLI");
+  if (cli == nullptr || *cli == '\0') {
+    GTEST_SKIP() << "TRICOUNT_CLI not set (run via ctest)";
+  }
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "tricount_analysis_test";
+  std::filesystem::create_directories(dir);
+  // Writes `artifact` and runs summary on it; returns stdout + stderr.
+  const auto summary = [&](const obs::json::Value& artifact,
+                           const char* name, int& status) {
+    const std::string path = (dir / name).string();
+    obs::json::write_file(artifact, path);
+    const std::string command =
+        std::string(cli) + " summary --file " + path + " 2>&1";
+    FILE* pipe = popen(command.c_str(), "r");
+    std::string output;
+    char buffer[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
+      output.append(buffer, n);
+    }
+    status = pclose(pipe);
+    return output;
+  };
+
+  obs::json::Value artifact = core::build_run_metrics(run_2d(small_rmat(), 4));
+  int status = -1;
+  const std::string v3_output = summary(artifact, "v3.json", status);
+  EXPECT_EQ(status, 0) << v3_output;
+
+  artifact.set("schema", "tricount.metrics.v2");
+  const std::string v2_output = summary(artifact, "v2.json", status);
+  EXPECT_NE(status, 0);
+  EXPECT_NE(v2_output.find("tricount.metrics.v3"), std::string::npos)
+      << v2_output;
 }
 
 TEST(LintMetrics, ConsistencyCheckCatchesEditedModeledTime) {
@@ -288,7 +436,7 @@ TEST(Diff, TamperedTriangleCountIsExactMismatch) {
 
 TEST(Diff, MismatchedSchemasGate) {
   obs::json::Value a = obs::json::Value::object();
-  a.set("schema", "tricount.metrics.v1");
+  a.set("schema", analysis::kMetricsSchema);
   obs::json::Value b = obs::json::Value::object();
   b.set("schema", "tricount.bench.v1");
   const analysis::DiffResult diff = analysis::diff_artifacts(a, b);

@@ -220,21 +220,21 @@ TEST(MsgTrace, ChaosCommMatrixColumnsReconcileWithCounters) {
   }
   EXPECT_GT(total_chaos_messages, 0u);
 
-  // The artifact carries the chaos columns (chaos runs only) and passes
-  // the chaos-aware lint reconciliation.
+  // The artifact's chaos columns carry that overhead and pass the lint
+  // reconciliation.
   const obs::json::Value metrics = core::build_run_metrics(result);
   ASSERT_NE(metrics.get("comm_matrix").find("chaos_messages"), nullptr);
   ASSERT_NE(metrics.get("comm_matrix").find("chaos_bytes"), nullptr);
   EXPECT_TRUE(analysis::lint_metrics(metrics).empty());
 }
 
-TEST(MsgTrace, CleanRunEmitsNoChaosColumns) {
+TEST(MsgTrace, CleanRunChaosColumnsAreZero) {
   const graph::EdgeList g = test_graph();
   const core::RunResult result = core::count_triangles_2d(g, 4, {});
   ASSERT_FALSE(result.chaos_enabled);
 
   // Clean-run invariants are untouched: chaos cells stay zero and the
-  // legacy row-sum identity holds with no chaos columns emitted.
+  // row-sum identity holds with nothing to net out.
   for (int r = 0; r < 4; ++r) {
     const mpisim::PerfCounters& c =
         result.per_rank_counters[static_cast<std::size_t>(r)];
@@ -243,9 +243,17 @@ TEST(MsgTrace, CleanRunEmitsNoChaosColumns) {
     EXPECT_EQ(row.chaos_bytes, 0u);
     EXPECT_EQ(row.messages(), c.messages_sent);
   }
+  // The artifact still carries the chaos columns, all zero.
   const obs::json::Value metrics = core::build_run_metrics(result);
-  EXPECT_EQ(metrics.get("comm_matrix").find("chaos_messages"), nullptr);
-  EXPECT_EQ(metrics.get("comm_matrix").find("chaos_bytes"), nullptr);
+  for (const char* field : {"chaos_messages", "chaos_bytes"}) {
+    const obs::json::Value& rows = metrics.get("comm_matrix").get(field);
+    ASSERT_EQ(rows.size(), 4u) << field;
+    for (std::size_t s = 0; s < rows.size(); ++s) {
+      for (std::size_t d = 0; d < rows.at(s).size(); ++d) {
+        EXPECT_EQ(rows.at(s).at(d).as_uint(), 0u) << field;
+      }
+    }
+  }
   EXPECT_TRUE(analysis::lint_metrics(metrics).empty());
 }
 

@@ -55,6 +55,24 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(obs::json::Value::parse("{} trailing"), std::runtime_error);
 }
 
+TEST(Json, AsUintRejectsValuesWithoutAUint64) {
+  const auto as_uint = [](const char* text) {
+    return obs::json::Value::parse(text).as_uint();
+  };
+  EXPECT_EQ(as_uint("0"), 0u);
+  // 2^64 - 2048, the largest double below 2^64.
+  EXPECT_EQ(as_uint("18446744073709549568"), 18446744073709549568ULL);
+  EXPECT_THROW(as_uint("18446744073709551616"), std::runtime_error);  // 2^64
+  EXPECT_THROW(as_uint("1e20"), std::runtime_error);
+  EXPECT_THROW(as_uint("-1"), std::runtime_error);
+  EXPECT_THROW(as_uint("1.5"), std::runtime_error);
+  EXPECT_THROW(as_uint("\"7\""), std::runtime_error);
+  // is_uint answers the same question without throwing.
+  EXPECT_TRUE(obs::json::Value::parse("18446744073709549568").is_uint());
+  EXPECT_FALSE(obs::json::Value::parse("1e20").is_uint());
+  EXPECT_FALSE(obs::json::Value::parse("\"7\"").is_uint());
+}
+
 // ---------------------------------------------------------------------------
 // live tracer
 
@@ -229,7 +247,7 @@ TEST_F(RunArtifactsTest, MetricsJsonHasKernelCountersAndCommMatrix) {
 
   // Round-trip through text, as a consumer would read the file.
   const obs::json::Value parsed = obs::json::Value::parse(metrics.dump(2));
-  EXPECT_EQ(parsed.get("schema").as_string(), "tricount.metrics.v2");
+  EXPECT_EQ(parsed.get("schema").as_string(), "tricount.metrics.v3");
   EXPECT_EQ(parsed.get("run").get("ranks").as_uint(),
             static_cast<std::uint64_t>(result.ranks));
   EXPECT_EQ(parsed.get("run").get("triangles").as_uint(),
@@ -253,13 +271,14 @@ TEST_F(RunArtifactsTest, MetricsJsonHasKernelCountersAndCommMatrix) {
     EXPECT_EQ(field->as_uint(), value) << name;
   }
 
-  // The p×p comm matrix rides along, with consistent dimensions.
+  // The p×p comm matrix rides along, with consistent dimensions; the
+  // chaos classes are there on a fault-free run too.
   const obs::json::Value& matrix = parsed.get("comm_matrix");
   const std::uint64_t p = matrix.get("size").as_uint();
   EXPECT_EQ(p, static_cast<std::uint64_t>(result.ranks));
   for (const char* field :
        {"user_messages", "user_bytes", "collective_messages",
-        "collective_bytes"}) {
+        "collective_bytes", "chaos_messages", "chaos_bytes"}) {
     const obs::json::Value& rows = matrix.get(field);
     ASSERT_EQ(rows.size(), p) << field;
     for (std::size_t s = 0; s < p; ++s) {

@@ -170,13 +170,19 @@ TEST(Overlap, WindowChargesMaxOfComputeAndNetwork) {
 // ---------------------------------------------------------------------------
 // Artifact schema
 
-TEST(Overlap, MetricsEmittedOnlyWhenOverlapEnabled) {
+TEST(Overlap, MetricsPresentAndZeroWhenOverlapDisabled) {
   const graph::EdgeList g = bench_rmat();
   const obs::Snapshot off = core::build_run_snapshot(run_2d(g, 16, false));
   const obs::Snapshot on = core::build_run_snapshot(run_2d(g, 16, true));
 
-  EXPECT_EQ(off.counters.count("tc.overlap.steps"), 0u);
-  EXPECT_EQ(off.gauges.count("tc.overlap.hidden_seconds"), 0u);
+  ASSERT_EQ(off.counters.count("tc.overlap.steps"), 1u);
+  EXPECT_EQ(off.counters.at("tc.overlap.steps"), 0u);
+  ASSERT_EQ(off.gauges.count("tc.overlap.hidden_seconds"), 1u);
+  EXPECT_EQ(off.gauges.at("tc.overlap.hidden_seconds"), 0.0);
+  ASSERT_EQ(off.gauges.count("tc.overlap.exposed_network_seconds"), 1u);
+  EXPECT_EQ(off.gauges.at("tc.overlap.exposed_network_seconds"), 0.0);
+  ASSERT_EQ(off.histograms.count("tc.overlap.step_efficiency"), 1u);
+  EXPECT_EQ(off.histograms.at("tc.overlap.step_efficiency").count, 0u);
 
   ASSERT_EQ(on.counters.count("tc.overlap.steps"), 1u);
   EXPECT_EQ(on.counters.at("tc.overlap.steps"), 3u);

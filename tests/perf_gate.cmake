@@ -26,8 +26,8 @@
 #             free when disarmed (docs/chaos.md).
 #   overlapoff  re-run with --no-overlap spelled out and diff against the
 #             baseline — must exit 0, proving the overlap accounting path
-#             (hidden = 0 when off) leaves artifacts byte-comparable to
-#             the pre-overlap baselines (docs/overlap.md).
+#             (hidden = 0 when off) reproduces the baseline, whose
+#             tc.overlap.* metrics read zero (docs/overlap.md).
 #   flightoff re-run with --flight off spelled out and diff against the
 #             baseline — must exit 0, proving the flight recorder (on by
 #             default) never leaks into the metrics artifact and turning
@@ -139,8 +139,7 @@ elseif(MODE STREQUAL "overlapoff")
   endif()
   set(OVERLAPOFF ${WORK_DIR}/${DATASET}_r${RANKS}_overlapoff.json)
   # --no-overlap must reproduce the baseline: with overlap off the model
-  # charges compute + network exactly as before the overlap feature, and
-  # no tc.overlap.* metrics may appear.
+  # charges compute + network, and the tc.overlap.* counters stay zero.
   run_count(${OVERLAPOFF} --no-overlap)
   execute_process(
     COMMAND ${PERF} diff ${BASELINE} ${OVERLAPOFF}

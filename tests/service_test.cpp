@@ -112,6 +112,9 @@ TEST(ServiceProtocol, EnvelopeValidation) {
       service::parse_request("{\"id\":-1,\"verb\":\"x\"}", limits).ok);
   EXPECT_FALSE(
       service::parse_request("{\"id\":1.5,\"verb\":\"x\"}", limits).ok);
+  // Past 2^64 the id has no uint64 value; rejected, not thrown.
+  EXPECT_FALSE(
+      service::parse_request("{\"id\":1e20,\"verb\":\"x\"}", limits).ok);
   EXPECT_FALSE(service::parse_request("{\"id\":1}", limits).ok);
   EXPECT_FALSE(
       service::parse_request("{\"id\":1,\"verb\":\"x\",\"params\":3}", limits)
@@ -577,7 +580,6 @@ TEST(ServiceBatching, BatchedAndUnbatchedBytesIdentical) {
     batched.max_batch = lines.size();
     service::ServiceOptions serial = batched;
     serial.max_batch = 1;
-    serial.batching = false;
 
     const auto a = run_session(batched, lines);
     const auto b = run_session(serial, lines);
@@ -666,6 +668,47 @@ TEST(ServiceTypedParams, GenerateBetaMustBeNumber) {
                     R"({"type":"ws","n":64,"k":4,"beta":"high"}}})",
                     "'beta'");
   EXPECT_EQ(h.svc.graph_version(), version);
+}
+
+TEST(ServiceTypedParams, GeneratorParamsOutsideTheGeneratorsDomain) {
+  // An odd Watts-Strogatz k and an RMAT scale of 0 both make the
+  // generator throw; the verb must refuse them before it runs.
+  LoadedHarness h;
+  const std::uint64_t version = h.svc.graph_version();
+  expect_bad_params(h,
+                    R"({"id":1,"verb":"graph.load","params":{"generate":)"
+                    R"({"type":"ws","n":64,"k":7}}})",
+                    "'k'");
+  expect_bad_params(h,
+                    R"({"id":2,"verb":"graph.load","params":{"generate":)"
+                    R"({"type":"rmat","scale":0}}})",
+                    "'scale'");
+  EXPECT_EQ(h.svc.graph_version(), version);
+}
+
+TEST(ServiceTypedParams, IntegersPastTwoToThe64AreBadParams) {
+  // 1e20 has no uint64 value; it must not wrap to a small one (a window
+  // of capacity 0 would evict every edge).
+  LoadedHarness h;
+  const auto stats = [&h] {
+    return Value::parse(h.ask(R"({"id":9,"verb":"delta.stats"})"))
+        .get("result");
+  };
+  const Value before = stats();
+  expect_bad_params(
+      h, R"({"id":1,"verb":"graph.window","params":{"capacity":1e20}})",
+      "'capacity'");
+  expect_bad_params(h,
+                    R"({"id":2,"verb":"pervertex","params":{"top":1e20}})",
+                    "'top'");
+  const Value after = stats();
+  EXPECT_EQ(after.get("num_edges").as_uint(),
+            before.get("num_edges").as_uint());
+  EXPECT_EQ(after.get("triangles").as_uint(),
+            before.get("triangles").as_uint());
+  EXPECT_EQ(after.get("graph_version").as_uint(),
+            before.get("graph_version").as_uint());
+  EXPECT_GT(after.get("num_edges").as_uint(), 0u);
 }
 
 TEST(ServiceTypedParams, PervertexIdMustBeInteger) {

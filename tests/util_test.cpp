@@ -9,7 +9,6 @@
 #include "tricount/util/argparse.hpp"
 #include "tricount/util/blob.hpp"
 #include "tricount/util/cost_model.hpp"
-#include "tricount/util/log.hpp"
 #include "tricount/util/prefix.hpp"
 #include "tricount/util/rng.hpp"
 #include "tricount/util/stats.hpp"
@@ -343,25 +342,6 @@ TEST(Time, FormatSeconds) {
   EXPECT_NE(format_seconds(0.002).find("ms"), std::string::npos);
   EXPECT_NE(format_seconds(2e-6).find("us"), std::string::npos);
   EXPECT_NE(format_seconds(2e-9).find("ns"), std::string::npos);
-}
-
-// --- log -------------------------------------------------------------------------
-
-TEST(Log, FirstOccurrenceTrueExactlyOncePerKey) {
-  EXPECT_TRUE(first_occurrence("util_test.once.a"));
-  EXPECT_FALSE(first_occurrence("util_test.once.a"));
-  EXPECT_FALSE(first_occurrence("util_test.once.a"));
-  // Distinct keys track independently.
-  EXPECT_TRUE(first_occurrence("util_test.once.b"));
-  EXPECT_FALSE(first_occurrence("util_test.once.b"));
-}
-
-TEST(Log, WarnDeprecatedEmitsOncePerFlag) {
-  // The CLI's --intersection deprecation path: the warning fires on the
-  // first use and stays silent for the rest of the process.
-  EXPECT_TRUE(warn_deprecated("--util-test-old", "--util-test-new"));
-  EXPECT_FALSE(warn_deprecated("--util-test-old", "--util-test-new"));
-  EXPECT_TRUE(warn_deprecated("--util-test-old2", "--util-test-new"));
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 //
 // Usage:
 //   tricount_trace_lint FILE.json...            lint trace files; exit 1 on any violation
-//   tricount_trace_lint --metrics FILE.json...  schema-validate tricount.metrics.v1/v2 files
+//   tricount_trace_lint --metrics FILE.json...  schema-validate tricount.metrics.v3 files
 //   tricount_trace_lint --flight FILE.jsonl...  validate tricount.flight.v1 dumps
 //   tricount_trace_lint --msgtrace FILE.json... validate tricount.msgtrace.v1 artifacts
 //   tricount_trace_lint --service FILE.json...  validate tricount.service.v1 session artifacts
@@ -60,11 +60,7 @@ int lint_metrics_file(const std::string& path) {
     std::fprintf(stderr, "%s: %s\n", path.c_str(), v.c_str());
   }
   if (violations.empty()) {
-    const obs::json::Value* schema = root.find("schema");
-    std::printf("%s: OK (%s)\n", path.c_str(),
-                schema != nullptr && schema->is_string()
-                    ? schema->as_string().c_str()
-                    : "metrics");
+    std::printf("%s: OK (%s)\n", path.c_str(), obs::analysis::kMetricsSchema);
     return 0;
   }
   return 1;

@@ -45,6 +45,7 @@
 #include "tricount/graph/serial_count.hpp"
 #include "tricount/graph/stats.hpp"
 #include "tricount/kernels/kernels.hpp"
+#include "tricount/obs/analysis.hpp"
 #include "tricount/obs/flight.hpp"
 #include "tricount/obs/graceful.hpp"
 #include "tricount/obs/msgtrace.hpp"
@@ -349,9 +350,6 @@ int cmd_count(int argc, const char* const* argv) {
   args.add_option("kernel", "auto",
                   "intersection kernel: auto | merge | galloping | bitmap | "
                   "hash (docs/kernels.md)");
-  args.add_option("intersection", "",
-                  "deprecated alias: map = --kernel hash, list = "
-                  "--kernel merge");
   args.add_flag("doubly-sparse", true, "doubly sparse traversal (§5.2)");
   args.add_flag("modified-hashing", true, "probe-free hashing (§5.2)");
   args.add_flag("backward-exit", true, "backward early exit (§5.2)");
@@ -413,17 +411,6 @@ int cmd_count(int argc, const char* const* argv) {
   if (!kernels::parse_policy(args.get("kernel"), config.kernel)) {
     std::fprintf(stderr, "unknown --kernel '%s'\n", args.get("kernel").c_str());
     return 1;
-  }
-  if (const std::string inter = args.get("intersection"); !inter.empty()) {
-    util::warn_deprecated("--intersection", "--kernel");
-    if (inter != "map" && inter != "list") {
-      std::fprintf(stderr, "unknown --intersection '%s'\n", inter.c_str());
-      return 1;
-    }
-    if (args.get("kernel") == "auto") {
-      config.kernel = inter == "list" ? kernels::KernelPolicy::kMerge
-                                      : kernels::KernelPolicy::kHash;
-    }
   }
   config.doubly_sparse = args.get_bool("doubly-sparse");
   config.modified_hashing = args.get_bool("modified-hashing");
@@ -646,10 +633,10 @@ int cmd_summary(int argc, const char* const* argv) {
 
   const obs::json::Value root = obs::json::read_file(args.get("file"));
   if (const obs::json::Value* schema = root.find("schema");
-      schema == nullptr || (schema->as_string() != "tricount.metrics.v1" &&
-                            schema->as_string() != "tricount.metrics.v2")) {
-    std::fprintf(stderr, "summary: %s is not a tricount.metrics.v1/v2 file\n",
-                 args.get("file").c_str());
+      schema == nullptr || !schema->is_string() ||
+      schema->as_string() != obs::analysis::kMetricsSchema) {
+    std::fprintf(stderr, "summary: %s is not a %s file\n",
+                 args.get("file").c_str(), obs::analysis::kMetricsSchema);
     return 1;
   }
 
@@ -703,40 +690,38 @@ int cmd_summary(int argc, const char* const* argv) {
   }
 
   if (args.get_bool("steps")) {
-    if (const obs::json::Value* steps = root.find("steps")) {
-      util::print_heading("supersteps");
-      util::Table table({"phase", "name", "modeled s", "comm s", "max comp s",
-                         "avg comp s", "max bytes"});
-      for (std::size_t i = 0; i < steps->size(); ++i) {
-        const obs::json::Value& s = steps->at(i);
-        table.row()
-            .cell(s.get("phase").as_string())
-            .cell(s.get("name").as_string())
-            .cell(s.get("modeled_seconds").as_number(), 6)
-            .cell(s.get("modeled_comm_seconds").as_number(), 6)
-            .cell(s.get("max_compute_seconds").as_number(), 6)
-            .cell(s.get("avg_compute_seconds").as_number(), 6)
-            .cell(s.get("max_bytes").as_uint());
-      }
-      table.print();
+    const obs::json::Value& steps = root.get("steps");
+    util::print_heading("supersteps");
+    util::Table table({"phase", "name", "modeled s", "comm s", "max comp s",
+                       "avg comp s", "max bytes"});
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      const obs::json::Value& s = steps.at(i);
+      table.row()
+          .cell(s.get("phase").as_string())
+          .cell(s.get("name").as_string())
+          .cell(s.get("modeled_seconds").as_number(), 6)
+          .cell(s.get("modeled_comm_seconds").as_number(), 6)
+          .cell(s.get("max_compute_seconds").as_number(), 6)
+          .cell(s.get("avg_compute_seconds").as_number(), 6)
+          .cell(s.get("max_bytes").as_uint());
     }
+    table.print();
   }
 
   if (args.get_bool("comm-matrix")) {
-    if (const obs::json::Value* matrix = root.find("comm_matrix")) {
-      const std::size_t p = matrix->get("size").as_uint();
-      std::vector<std::vector<std::uint64_t>> bytes(
-          p, std::vector<std::uint64_t>(p, 0));
-      const obs::json::Value& user = matrix->get("user_bytes");
-      const obs::json::Value& coll = matrix->get("collective_bytes");
-      for (std::size_t s = 0; s < p; ++s) {
-        for (std::size_t d = 0; d < p; ++d) {
-          bytes[s][d] = user.at(s).at(d).as_uint() + coll.at(s).at(d).as_uint();
-        }
+    const obs::json::Value& matrix = root.get("comm_matrix");
+    const std::size_t p = matrix.get("size").as_uint();
+    std::vector<std::vector<std::uint64_t>> bytes(
+        p, std::vector<std::uint64_t>(p, 0));
+    const obs::json::Value& user = matrix.get("user_bytes");
+    const obs::json::Value& coll = matrix.get("collective_bytes");
+    for (std::size_t s = 0; s < p; ++s) {
+      for (std::size_t d = 0; d < p; ++d) {
+        bytes[s][d] = user.at(s).at(d).as_uint() + coll.at(s).at(d).as_uint();
       }
-      util::print_heading("communication matrix (bytes, user + collective)");
-      print_comm_heatmap(bytes);
     }
+    util::print_heading("communication matrix (bytes, user + collective)");
+    print_comm_heatmap(bytes);
   }
   return 0;
 }

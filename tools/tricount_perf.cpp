@@ -24,7 +24,7 @@
 //   tricount_perf diff <baseline.json> <candidate.json>
 //                      [--max-regress PCT] [--noise-floor SECONDS]
 //       Field-by-field regression gate between two artifacts of the same
-//       schema (tricount.metrics.v1, tricount.bench.v1, or
+//       schema (tricount.metrics.v3, tricount.bench.v1, or
 //       tricount.msgtrace.v1). Counts and structure compare exactly;
 //       model-derived network times by the --max-regress threshold;
 //       measured CPU times and imbalance gate only past both the

@@ -201,8 +201,8 @@ int main(int argc, char** argv) {
   args.add_flag("stdio", false, "read requests from stdin until EOF");
   args.add_option("queue-depth", "64", "admission queue depth (backpressure)");
   args.add_option("cache-capacity", "128", "result cache entries (0 = off)");
-  args.add_option("max-batch", "16", "requests coalesced per sweep");
-  args.add_option("batch", "on", "request batching: on | off");
+  args.add_option("max-batch", "16",
+                  "requests coalesced per sweep (1 = no batching)");
   args.add_option("max-request-bytes", "1048576",
                   "reject request lines longer than this");
   args.add_option("max-request-depth", "16",
@@ -228,7 +228,6 @@ int main(int argc, char** argv) {
         std::max<long long>(args.get_int("cache-capacity"), 0));
     options.max_batch = static_cast<std::size_t>(
         std::max<long long>(args.get_int("max-batch"), 1));
-    options.batching = args.get("batch") != "off";
     options.limits.max_bytes = static_cast<std::size_t>(
         std::max<long long>(args.get_int("max-request-bytes"), 1024));
     options.limits.max_depth = static_cast<std::size_t>(
