@@ -124,11 +124,10 @@ FaultSpec spec_from_json(const obs::json::Value& value) {
   spec.delay_rate = value.get("delay_rate").as_number();
   spec.delay_seconds = value.get("delay_seconds").as_number();
   spec.straggler_factor = value.get("straggler_factor").as_number();
-  spec.straggler_rank = static_cast<int>(value.get("straggler_rank").as_number());
-  spec.crash_superstep =
-      static_cast<int>(value.get("crash_superstep").as_number());
-  spec.crash_rank = static_cast<int>(value.get("crash_rank").as_number());
-  spec.max_retries = static_cast<int>(value.get("max_retries").as_number());
+  spec.straggler_rank = value.get("straggler_rank").as_int();
+  spec.crash_superstep = value.get("crash_superstep").as_int();
+  spec.crash_rank = value.get("crash_rank").as_int();
+  spec.max_retries = value.get("max_retries").as_int();
   spec.retry_timeout_seconds =
       value.get("retry_timeout_seconds").as_number();
   return spec;

@@ -20,7 +20,11 @@ struct EdgeList {
 };
 
 /// Canonicalizes to a simple undirected graph: drops self-loops, orients
-/// each edge as (min, max), sorts, and removes duplicates. Idempotent.
+/// each edge as (min, max), and removes duplicates, leaving the edges in
+/// (u, v) ascending order. The sort runs in place (a radix sort on the
+/// packed key (u << b) | v) and allocates no buffer the size of the edge
+/// list. Idempotent. Throws std::out_of_range if an endpoint is not below
+/// num_vertices.
 EdgeList simplify(EdgeList graph);
 
 /// Per-vertex degrees of a simplified (undirected, one record per edge)
@@ -31,7 +35,8 @@ std::vector<EdgeIndex> degrees(const EdgeList& graph);
 EdgeIndex max_degree(const EdgeList& graph);
 
 /// Applies a vertex relabeling: vertex v becomes perm[v]. `perm` must be a
-/// permutation of [0, num_vertices). Edge orientation is re-canonicalized.
+/// permutation of [0, num_vertices). Edge orientation is re-canonicalized
+/// and the edges sorted by (u, v), in place, as `simplify` sorts them.
 EdgeList relabel(const EdgeList& graph, const std::vector<VertexId>& perm);
 
 /// True if `perm` is a permutation of [0, n).

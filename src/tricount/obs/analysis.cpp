@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <set>
@@ -1302,7 +1303,11 @@ MsgTraceReport MsgTraceReport::from_json(const json::Value& root) {
     throw std::runtime_error("msgtrace: unsupported schema '" + schema + "'");
   }
   const json::Value& run = root.get("run");
-  out.ranks = static_cast<int>(run.get("ranks").as_number());
+  const json::Value& buffers = root.get("ranks");
+  // Every rank writes a buffer, so there are at least run.ranks of them.
+  out.ranks = run.get("ranks").as_int(
+      0, static_cast<int>(std::min<std::size_t>(
+             buffers.size(), std::numeric_limits<int>::max())));
   if (const json::Value* v = run.find("overlap")) out.overlap = v->as_bool();
   if (const json::Value* v = run.find("chaos")) out.chaos = v->as_bool();
   if (const json::Value* model = run.find("model")) {
@@ -1326,11 +1331,10 @@ MsgTraceReport MsgTraceReport::from_json(const json::Value& root) {
     }
   }
 
-  out.records.resize(out.ranks > 0 ? static_cast<std::size_t>(out.ranks) : 0);
-  const json::Value& buffers = root.get("ranks");
+  out.records.resize(static_cast<std::size_t>(out.ranks));
   for (std::size_t i = 0; i < buffers.size(); ++i) {
     const json::Value& buffer = buffers.at(i);
-    const int rank = static_cast<int>(buffer.get("rank").as_number());
+    const int rank = buffer.get("rank").as_int();
     // The trailing non-rank buffer (rank -1) has no causal position.
     if (rank < 0 || rank >= out.ranks) continue;
     const json::Value& records = buffer.get("records");
@@ -1352,10 +1356,10 @@ MsgTraceReport MsgTraceReport::from_json(const json::Value& root) {
         m.collective = v->as_bool();
       }
       if (const json::Value* v = rec.find("dropped")) m.dropped = v->as_bool();
-      m.peer = static_cast<int>(rec.get("peer").as_number());
-      m.tag = static_cast<int>(rec.get("tag").as_number());
-      m.step = static_cast<int>(rec.get("step").as_number());
-      m.gen = static_cast<int>(rec.get("gen").as_number());
+      m.peer = rec.get("peer").as_int();
+      m.tag = rec.get("tag").as_int();
+      m.step = rec.get("step").as_int();
+      m.gen = rec.get("gen").as_int();
       m.id = rec.get("id").as_uint();
       m.seq = rec.get("seq").as_uint();
       m.bytes = rec.get("bytes").as_uint();

@@ -42,6 +42,22 @@ std::uint64_t Value::as_uint() const {
   return static_cast<std::uint64_t>(number_);
 }
 
+bool Value::is_int(int lo, int hi) const {
+  // Every int is exact as a double, so the bounds are checked before any
+  // conversion: converting a double outside int's range is undefined.
+  return type_ == Type::kNumber && std::floor(number_) == number_ &&
+         number_ >= lo && number_ <= hi;
+}
+
+int Value::as_int(int lo, int hi) const {
+  if (!is_int(lo, hi)) {
+    throw std::runtime_error("json: not an integer in [" +
+                             std::to_string(lo) + ", " + std::to_string(hi) +
+                             "]");
+  }
+  return static_cast<int>(number_);
+}
+
 const std::string& Value::as_string() const {
   if (type_ != Type::kString) throw std::runtime_error("json: not a string");
   return string_;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -71,11 +72,17 @@ class Value {
 
   /// A number that is an integer in [0, 2^64): what as_uint accepts.
   bool is_uint() const;
+  /// A number that is an integer in [lo, hi]: what as_int(lo, hi) accepts.
+  bool is_int(int lo = std::numeric_limits<int>::min(),
+              int hi = std::numeric_limits<int>::max()) const;
 
-  /// Typed accessors; throw std::runtime_error on type mismatch.
+  /// Typed accessors; throw std::runtime_error on type mismatch, and the
+  /// integer ones on a value outside their range.
   bool as_bool() const;
   double as_number() const;
   std::uint64_t as_uint() const;
+  int as_int(int lo = std::numeric_limits<int>::min(),
+             int hi = std::numeric_limits<int>::max()) const;
   const std::string& as_string() const;
 
   // --- array ------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include "tricount/obs/msgtrace.hpp"
 
 #include <atomic>
+#include <limits>
 
 #include "tricount/util/log.hpp"
 #include "tricount/util/time.hpp"
@@ -171,16 +172,22 @@ std::vector<std::string> lint_msgtrace(const json::Value& root) {
     flag("msgtrace: missing run object");
   } else {
     const json::Value* ranks = run->find("ranks");
-    if (ranks == nullptr || !ranks->is_number() || ranks->as_number() < 1) {
-      flag("msgtrace: run.ranks missing or < 1");
+    if (ranks == nullptr || !ranks->is_int(1)) {
+      flag("msgtrace: run.ranks is not an integer in [1, 2^31)");
     } else {
-      world = static_cast<int>(ranks->as_number());
+      world = ranks->as_int();
     }
   }
+  // Without a valid world size, ids are checked against int's range.
+  const int last_rank =
+      world > 0 ? world - 1 : std::numeric_limits<int>::max();
   const json::Value* buffers = root.find("ranks");
   if (buffers == nullptr || !buffers->is_array()) {
     flag("msgtrace: missing ranks array");
     return violations;
+  }
+  if (buffers->size() < static_cast<std::size_t>(world)) {
+    flag("msgtrace: fewer rank buffers than run.ranks");
   }
   for (std::size_t b = 0; b < buffers->size(); ++b) {
     const json::Value& entry = buffers->at(b);
@@ -190,8 +197,7 @@ std::vector<std::string> lint_msgtrace(const json::Value& root) {
       continue;
     }
     const json::Value* rank = entry.find("rank");
-    if (rank == nullptr || !rank->is_number() || rank->as_number() < -1 ||
-        (world > 0 && rank->as_number() >= world)) {
+    if (rank == nullptr || !rank->is_int(-1, last_rank)) {
       flag("msgtrace: " + where + ".rank out of range");
     }
     const json::Value* records = entry.find("records");
@@ -200,7 +206,7 @@ std::vector<std::string> lint_msgtrace(const json::Value& root) {
       continue;
     }
     const json::Value* recorded = entry.find("recorded");
-    if (recorded == nullptr || !recorded->is_number() ||
+    if (recorded == nullptr || !recorded->is_uint() ||
         recorded->as_uint() != records->size()) {
       flag("msgtrace: " + where + ".recorded disagrees with records length");
     }
@@ -220,21 +226,20 @@ std::vector<std::string> lint_msgtrace(const json::Value& root) {
         flag("msgtrace: " + at + " has unknown kind");
       }
       const json::Value* peer = rec.find("peer");
-      if (peer == nullptr || !peer->is_number() || peer->as_number() < 0 ||
-          (world > 0 && peer->as_number() >= world)) {
+      if (peer == nullptr || !peer->is_int(0, last_rank)) {
         flag("msgtrace: " + at + ".peer out of range");
       }
       const json::Value* step = rec.find("step");
-      if (step == nullptr || !step->is_number() || step->as_number() < -1) {
-        flag("msgtrace: " + at + ".step < -1");
+      if (step == nullptr || !step->is_int(-1)) {
+        flag("msgtrace: " + at + ".step is not an integer >= -1");
       }
       const json::Value* gen = rec.find("gen");
-      if (gen == nullptr || !gen->is_number() || gen->as_number() < 0) {
-        flag("msgtrace: " + at + ".gen < 0");
+      if (gen == nullptr || !gen->is_int(0)) {
+        flag("msgtrace: " + at + ".gen is not an integer >= 0");
       }
       const json::Value* bytes = rec.find("bytes");
-      if (bytes == nullptr || !bytes->is_number() || bytes->as_number() < 0) {
-        flag("msgtrace: " + at + ".bytes missing or negative");
+      if (bytes == nullptr || !bytes->is_uint()) {
+        flag("msgtrace: " + at + ".bytes is not an integer >= 0");
       }
       const json::Value* post = rec.find("post_us");
       const json::Value* wire = rec.find("wire_us");

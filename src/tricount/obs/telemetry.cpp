@@ -172,8 +172,8 @@ std::string render_telemetry(const json::Value& snapshot) {
     const json::Value& mem = row.get("mem");
     char progress[32];
     std::snprintf(progress, sizeof progress, "%d/%d",
-                  static_cast<int>(row.get("superstep").as_number()),
-                  static_cast<int>(row.get("total_supersteps").as_number()));
+                  row.get("superstep").as_int(),
+                  row.get("total_supersteps").as_int());
     table.row()
         .cell(row.get("rank").as_uint())
         .cell(row.get("phase").as_string())

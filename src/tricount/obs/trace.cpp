@@ -96,7 +96,7 @@ Trace Trace::from_json(const json::Value& root) {
     const json::Value& e = events->at(i);
     const std::string& ph = e.get("ph").as_string();
     if (ph.size() != 1) throw std::runtime_error("trace: bad ph");
-    const int tid = static_cast<int>(e.get("tid").as_number());
+    const int tid = e.get("tid").as_int();
     if (ph == "M") {
       if (e.get("name").as_string() == "thread_name") {
         out.set_thread_name(tid, e.get("args").get("name").as_string());

@@ -320,8 +320,10 @@ Service::Execution Service::verb_graph_load(const Request& request) {
       return fail(ErrorCode::kBadParams, "'path' must be a non-empty string");
     }
     try {
-      graph = load_graph_file(path->as_string());
+      graph = graph::simplify(load_graph_file(path->as_string()));
     } catch (const std::runtime_error& e) {  // unreadable or malformed file
+      return fail(ErrorCode::kBadParams, e.what());
+    } catch (const std::out_of_range& e) {  // an endpoint past num_vertices
       return fail(ErrorCode::kBadParams, e.what());
     }
     name = path->as_string();
@@ -385,7 +387,8 @@ Service::Execution Service::verb_graph_load(const Request& request) {
     }
   }
 
-  load_graph(std::move(graph), name);
+  // Every generator returns a simplified graph.
+  install_graph(std::move(graph), name);
   const core::ResidentPartition& grid = resident_.grid(*world_);
   Value result = Value::object();
   result.set("graph_version", graph_version_.load(std::memory_order_relaxed));
@@ -397,8 +400,13 @@ Service::Execution Service::verb_graph_load(const Request& request) {
 }
 
 void Service::load_graph(graph::EdgeList graph, const std::string& name) {
+  install_graph(graph::simplify(std::move(graph)), name);
+}
+
+void Service::install_graph(graph::EdgeList simplified,
+                            const std::string& name) {
   ensure_world();
-  resident_.reset(graph::simplify(std::move(graph)));
+  resident_.reset(std::move(simplified));
   graph_name_ = name;
   // The 2D partition is built at load; the cetric one waits for its
   // first request.

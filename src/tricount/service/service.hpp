@@ -155,6 +155,9 @@ class Service {
   Execution verb_delta_stats(const Request& request);
   Execution verb_stream_sample(const Request& request);
 
+  /// Makes `simplified` the resident graph: preprocesses it, bumps the
+  /// graph version, invalidates the cache and drops the stream state.
+  void install_graph(graph::EdgeList simplified, const std::string& name);
   /// Counts, applies, and accounts one validated delta batch; bumps the
   /// graph version and surgically invalidates the superseded entries.
   Execution apply_batch(const stream::Batch& batch,

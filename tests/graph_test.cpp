@@ -3,13 +3,67 @@
 // guarantees.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "test_seed.hpp"
 #include "tricount/graph/csr.hpp"
 #include "tricount/graph/degree_order.hpp"
 #include "tricount/graph/edge_list.hpp"
 #include "tricount/graph/generators.hpp"
+#include "tricount/util/rng.hpp"
 
 namespace tricount::graph {
 namespace {
+
+/// simplify's contract by the plain route: orient, drop self-loops, sort
+/// by (u, v), drop repeats.
+std::vector<Edge> reference_simplify(std::vector<Edge> edges) {
+  std::vector<Edge> out;
+  for (Edge e : edges) {
+    if (e.u > e.v) std::swap(e.u, e.v);
+    if (e.u != e.v) out.push_back(e);
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+/// A multigraph soup of `m` edges on [0, n), n >= 1: ids come from the
+/// lowest and the highest 300 ids, so they sit near both ends of the key,
+/// and the soup holds both orientations, repeats and self-loops.
+std::vector<Edge> random_soup(VertexId n, std::size_t m, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  const VertexId window = std::min<VertexId>(n, 300);
+  const auto id = [&]() -> VertexId {
+    const auto offset = static_cast<VertexId>(rng.bounded(window));
+    return rng.bounded(2) == 0 ? offset : n - 1 - offset;
+  };
+  std::vector<Edge> edges;
+  while (edges.size() < m) {
+    const std::uint64_t roll = rng.bounded(8);
+    if (roll == 0) {
+      const VertexId v = id();
+      edges.push_back({v, v});
+    } else if (roll <= 2 && !edges.empty()) {
+      const Edge e = edges[rng.bounded(edges.size())];
+      edges.push_back(roll == 1 ? e : Edge{e.v, e.u});
+    } else {
+      edges.push_back({id(), id()});
+    }
+  }
+  return edges;
+}
+
+/// Requires simplify to return exactly the reference's edges, in order.
+void expect_simplify_matches_reference(VertexId n, std::vector<Edge> edges) {
+  const std::vector<Edge> expected = reference_simplify(edges);
+  const EdgeList s = simplify(EdgeList{n, std::move(edges)});
+  EXPECT_EQ(s.num_vertices, n);
+  EXPECT_EQ(s.edges, expected) << "n=" << n;
+}
 
 TEST(EdgeListTest, SimplifyRemovesLoopsAndDuplicates) {
   EdgeList g;
@@ -28,6 +82,74 @@ TEST(EdgeListTest, SimplifyIsIdempotent) {
   const EdgeList once = simplify(g);
   const EdgeList twice = simplify(once);
   EXPECT_EQ(once.edges, twice.edges);
+
+  // A large input: a 2^17-vertex small world's edges, reversed, after a
+  // reversed copy of each.
+  EdgeList large = watts_strogatz(1u << 17, 8, 0.1, 5);
+  const std::size_t m = large.edges.size();
+  for (std::size_t i = 0; i < m; ++i) {
+    large.edges.push_back({large.edges[i].v, large.edges[i].u});
+  }
+  std::reverse(large.edges.begin(), large.edges.end());
+  const EdgeList large_once = simplify(large);
+  const EdgeList large_twice = simplify(large_once);
+  EXPECT_EQ(large_once.edges.size(), m);
+  EXPECT_EQ(large_once.edges, large_twice.edges);
+}
+
+// simplify sorts by radix on the packed key (u << b) | v, 8-bit digits
+// from the top, insertion-sorting buckets below 64 edges. The vertex
+// counts straddle the digit boundaries (b = 1, 8, 9, 17 and 32, the last a
+// 64-bit key); the edge counts straddle the insertion cut-off and the
+// 256-way fan-out.
+TEST(EdgeListTest, SimplifyMatchesSortReference) {
+  const VertexId kVertexCounts[] = {1,   2,         255,       256,
+                                    257, 65536 + 1, 0xFFFFFFFFu};
+  const std::size_t kEdgeCounts[] = {0,   1,   2,   63,   64,   65,
+                                     255, 256, 257, 4096, 70000};
+  std::uint64_t seed = test_support::fuzz_seed();
+  for (const VertexId n : kVertexCounts) {
+    for (const std::size_t m : kEdgeCounts) {
+      expect_simplify_matches_reference(n, random_soup(n, m, ++seed));
+    }
+  }
+  const EdgeList empty = simplify(EdgeList{0, {}});
+  EXPECT_EQ(empty.num_vertices, 0u);
+  EXPECT_TRUE(empty.edges.empty());
+  EXPECT_THROW(simplify(EdgeList{0, {{0, 0}}}), std::out_of_range);
+}
+
+TEST(EdgeListTest, SimplifyOrdersAHubRowAcrossDigitBuckets) {
+  // The hub's row runs both ways from the middle of the id range, so its
+  // edges fall into many buckets of every digit below the top one.
+  const VertexId n = 65536 + 1;
+  const VertexId hub = 40000;
+  std::vector<Edge> edges;
+  for (VertexId leaf = 0; leaf < n; ++leaf) {
+    edges.push_back({hub, leaf});  // (hub, hub) is a self-loop
+    if (leaf % 3 == 0) edges.push_back({leaf, hub});
+  }
+  util::Xoshiro256 rng(test_support::fuzz_seed());
+  for (std::size_t i = edges.size() - 1; i > 0; --i) {
+    std::swap(edges[i], edges[rng.bounded(i + 1)]);
+  }
+  expect_simplify_matches_reference(n, edges);
+  EXPECT_EQ(simplify(EdgeList{n, edges}).edges.size(), n - 1);
+}
+
+TEST(EdgeListTest, SimplifyCollapsesTwoMillionCopiesOfOneEdge) {
+  // Every key is equal, so each digit level finds one full bucket; a pass
+  // quadratic in a bucket's size would not finish.
+  std::vector<Edge> edges(2'000'000, Edge{7, 3});
+  for (std::size_t i = 0; i < edges.size(); i += 2) edges[i] = Edge{3, 7};
+  const EdgeList s = simplify(EdgeList{1u << 18, std::move(edges)});
+  EXPECT_EQ(s.edges, (std::vector<Edge>{{3, 7}}));
+}
+
+TEST(EdgeListTest, SimplifyOfOnlySelfLoopsIsEmpty) {
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v < 1000; ++v) edges.push_back({v % 300, v % 300});
+  EXPECT_TRUE(simplify(EdgeList{300, std::move(edges)}).edges.empty());
 }
 
 TEST(EdgeListTest, SimplifyRejectsOutOfRange) {
@@ -60,6 +182,19 @@ TEST(EdgeListTest, RelabelSizeMismatchThrows) {
   EdgeList g;
   g.num_vertices = 3;
   EXPECT_THROW(relabel(g, {0, 1}), std::invalid_argument);
+  g.edges = {{0, 1}};
+  EXPECT_THROW(relabel(g, {0, 3, 1}), std::invalid_argument);
+}
+
+TEST(EdgeListTest, RelabelSortsLikeTheReference) {
+  const VertexId n = 70001;
+  const EdgeList g{n, reference_simplify(random_soup(n, 50000, 17))};
+  std::vector<VertexId> perm(n);
+  for (VertexId v = 0; v < n; ++v) perm[v] = (v * 7919u + 11u) % n;
+  ASSERT_TRUE(is_permutation(perm));
+  std::vector<Edge> mapped;
+  for (const Edge& e : g.edges) mapped.push_back({perm[e.u], perm[e.v]});
+  EXPECT_EQ(relabel(g, perm).edges, reference_simplify(mapped));
 }
 
 TEST(EdgeListTest, IsPermutation) {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tricount/chaos/fault_plan.hpp"
@@ -318,6 +319,37 @@ TEST(MsgTrace, TinyCapacityDropsAreAccounted) {
   // A truncated capture still analyzes (partial results, flagged).
   const analysis::CausalAnalysis causal = analysis::analyze_msgtrace(report);
   EXPECT_TRUE(causal.truncated);
+}
+
+TEST(MsgTrace, IntegerFieldsOutsideIntRangeAreRejected) {
+  // A value with no int (1e20) or past the world must be flagged by the
+  // lint and refused by the reader, never converted.
+  const auto artifact = [](const std::string& ranks, const std::string& peer) {
+    return obs::json::Value::parse(
+        R"({"schema":"tricount.msgtrace.v1","capacity":16,"recorded":1,)"
+        R"("dropped":0,"run":{"ranks":)" + ranks + R"(},"ranks":[)"
+        R"({"rank":0,"recorded":1,"dropped":0,"records":[)"
+        R"({"kind":"send","peer":)" + peer + R"(,"tag":3,"step":0,"gen":0,)"
+        R"("id":1,"seq":0,"bytes":8,"post_us":1.0,"wire_us":2.0}]}]})");
+  };
+  const obs::json::Value clean = artifact("1", "0");
+  EXPECT_TRUE(obs::lint_msgtrace(clean).empty());
+  EXPECT_EQ(analysis::MsgTraceReport::from_json(clean).records.at(0).size(),
+            1u);
+  for (const auto& [ranks, peer] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"1e20", "0"}, {"2147483648", "0"}, {"1", "1e20"}, {"2", "0"}}) {
+    const obs::json::Value bad = artifact(ranks, peer);
+    EXPECT_FALSE(obs::lint_msgtrace(bad).empty()) << ranks << " " << peer;
+    EXPECT_THROW(analysis::MsgTraceReport::from_json(bad), std::runtime_error)
+        << ranks << " " << peer;
+  }
+  // The document with no records at all, too.
+  const obs::json::Value empty = obs::json::Value::parse(
+      R"({"schema":"tricount.msgtrace.v1","capacity":16,"recorded":0,)"
+      R"("dropped":0,"run":{"ranks":1e20},"ranks":[]})");
+  EXPECT_FALSE(obs::lint_msgtrace(empty).empty());
+  EXPECT_THROW(analysis::MsgTraceReport::from_json(empty), std::runtime_error);
 }
 
 TEST(MsgTrace, DiffDispatchesOnSchemaAndSelfDiffsClean) {

@@ -73,6 +73,35 @@ TEST(Json, AsUintRejectsValuesWithoutAUint64) {
   EXPECT_FALSE(obs::json::Value::parse("\"7\"").is_uint());
 }
 
+TEST(Json, AsIntRejectsValuesOutsideTheRange) {
+  const auto parse = [](const char* text) {
+    return obs::json::Value::parse(text);
+  };
+  EXPECT_EQ(parse("2147483647").as_int(), 2147483647);
+  EXPECT_EQ(parse("-2147483648").as_int(), -2147483647 - 1);
+  EXPECT_THROW(parse("2147483648").as_int(), std::runtime_error);
+  EXPECT_THROW(parse("-2147483649").as_int(), std::runtime_error);
+  EXPECT_THROW(parse("1e20").as_int(), std::runtime_error);
+  EXPECT_THROW(parse("-1e20").as_int(), std::runtime_error);
+  EXPECT_THROW(parse("1.5").as_int(), std::runtime_error);
+  EXPECT_THROW(parse("\"7\"").as_int(), std::runtime_error);
+  EXPECT_EQ(parse("-1").as_int(-1, 3), -1);
+  EXPECT_THROW(parse("-2").as_int(-1, 3), std::runtime_error);
+  EXPECT_THROW(parse("4").as_int(-1, 3), std::runtime_error);
+  EXPECT_TRUE(parse("3").is_int(-1, 3));
+  EXPECT_FALSE(parse("1e20").is_int());
+}
+
+TEST(Json, TraceReaderRejectsATidPastIntRange) {
+  const auto trace = [](const char* tid) {
+    return obs::json::Value::parse(
+        std::string(R"({"traceEvents":[{"name":"s","ph":"X","tid":)") + tid +
+        R"(,"ts":0,"dur":1}]})");
+  };
+  EXPECT_EQ(obs::Trace::from_json(trace("3")).events().at(0).tid, 3);
+  EXPECT_THROW(obs::Trace::from_json(trace("1e20")), std::runtime_error);
+}
+
 // ---------------------------------------------------------------------------
 // live tracer
 

@@ -747,6 +747,31 @@ TEST(ServiceTypedParams, UnparsablePathIsBadParams) {
   EXPECT_EQ(h.svc.graph_version(), version);
 }
 
+TEST(ServiceTypedParams, OutOfRangeEndpointIsBadParams) {
+  // A file whose edge names a vertex past its header's count: simplify
+  // rejects it, and the graph loaded before stays resident.
+  Harness h;
+  const std::filesystem::path dir = scratch_dir("typed_params");
+  const std::string good = (dir / "k4.bin").string();
+  const std::string bad = (dir / "out_of_range.bin").string();
+  graph::write_binary(graph::complete_graph(4), good);
+  graph::write_binary(graph::EdgeList{4, {{0, 1}, {1, 9}}}, bad);
+  const Value loaded = Value::parse(h.ask(
+      R"({"id":1,"verb":"graph.load","params":{"path":")" + good + "\"}}"));
+  ASSERT_TRUE(loaded.get("ok").as_bool());
+  EXPECT_EQ(loaded.get("result").get("num_edges").as_uint(), 6u);
+  const std::uint64_t version = h.svc.graph_version();
+  expect_bad_params(
+      h, R"({"id":2,"verb":"graph.load","params":{"path":")" + bad + "\"}}",
+      "out of range");
+  EXPECT_EQ(h.svc.graph_version(), version);
+  const Value stats =
+      Value::parse(h.ask(R"({"id":3,"verb":"delta.stats"})")).get("result");
+  EXPECT_EQ(stats.get("graph_version").as_uint(), version);
+  EXPECT_EQ(stats.get("num_edges").as_uint(), 6u);
+  EXPECT_EQ(stats.get("triangles").as_uint(), 4u);
+}
+
 // --- served results equal the library (corpus equivalence) ---------------
 
 TEST(ServiceEquivalence, ServedCountsMatchCorpusAcrossAlgorithms) {

@@ -289,6 +289,14 @@ int selftest() {
     std::fprintf(stderr, "selftest: bad msgtrace schema not flagged\n");
     ++failures;
   }
+  // A world size with no int value must be flagged, not converted.
+  if (obs::lint_msgtrace(obs::json::Value::parse(
+          R"({"schema":"tricount.msgtrace.v1","capacity":16,"recorded":0,)"
+          R"("dropped":0,"run":{"ranks":1e20},"ranks":[]})"))
+          .empty()) {
+    std::fprintf(stderr, "selftest: msgtrace run.ranks 1e20 not flagged\n");
+    ++failures;
+  }
 
   // --- tricount.service.v1 fixtures ---------------------------------------
 

@@ -139,8 +139,7 @@ int print_flight_section(const std::string& dir) {
     std::string label = stream != nullptr ? stream->as_string() : "?";
     if (label == "rank" && rank != nullptr) {
       char buf[16];
-      std::snprintf(buf, sizeof buf, "r%d",
-                    static_cast<int>(rank->as_number()));
+      std::snprintf(buf, sizeof buf, "r%d", rank->as_int());
       label = buf;
     }
     const obs::json::Value* reason = dump.header.find("reason");
