@@ -15,7 +15,6 @@
 #include "tricount/obs/flight.hpp"
 #include "tricount/obs/msgtrace.hpp"
 #include "tricount/obs/telemetry.hpp"
-#include "tricount/obs/trace.hpp"
 
 namespace tricount::cetric {
 

@@ -7,9 +7,9 @@
 #include "tricount/mpisim/collectives.hpp"
 #include "tricount/mpisim/recovery.hpp"
 #include "tricount/mpisim/runtime.hpp"
+#include "tricount/obs/flight.hpp"
 #include "tricount/obs/msgtrace.hpp"
 #include "tricount/obs/telemetry.hpp"
-#include "tricount/obs/trace.hpp"
 
 namespace tricount::core {
 

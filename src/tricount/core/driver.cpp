@@ -5,6 +5,7 @@
 
 #include "tricount/core/dist_graph.hpp"
 #include "tricount/mpisim/runtime.hpp"
+#include "tricount/obs/flight.hpp"
 #include "tricount/obs/telemetry.hpp"
 
 namespace tricount::core {
@@ -38,7 +39,10 @@ RunResult run_pipeline(int ranks, const RunOptions& options,
       live->phase.store("pre", std::memory_order_relaxed);
     }
 
-    const LocalSlice input = make_slice(comm);
+    const LocalSlice input = [&] {
+      obs::ScopedSpan span("slice", "pre");
+      return make_slice(comm);
+    }();
 
     PreprocessOutput pre = preprocess(grid, input, options.config);
     if (options.validate_blocks) pre.blocks.validate();

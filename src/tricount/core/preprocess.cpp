@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "tricount/mpisim/collectives.hpp"
-#include "tricount/obs/trace.hpp"
+#include "tricount/obs/flight.hpp"
 #include "tricount/util/prefix.hpp"
 
 namespace tricount::core {

@@ -9,8 +9,8 @@
 #include "tricount/core/dist_graph.hpp"
 #include "tricount/core/summa2d.hpp"
 #include "tricount/mpisim/cart2d.hpp"
+#include "tricount/obs/flight.hpp"
 #include "tricount/obs/telemetry.hpp"
-#include "tricount/obs/trace.hpp"
 
 namespace tricount::core {
 

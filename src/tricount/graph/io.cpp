@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -28,6 +29,23 @@ std::ofstream open_out(const std::string& path, std::ios::openmode mode = {}) {
   return out;
 }
 
+/// A file's vertex count, refused past what VertexId holds.
+VertexId vertex_count(const std::string& path, std::uint64_t n) {
+  if (n > kInvalidVertex) fail(path, "vertex count past the 32-bit id range");
+  return static_cast<VertexId>(n);
+}
+
+/// A file's vertex id, refused unless below kInvalidVertex.
+VertexId vertex_id(const std::string& path, std::uint64_t id) {
+  if (id >= kInvalidVertex) fail(path, "vertex id past the 32-bit id range");
+  return static_cast<VertexId>(id);
+}
+
+bool has_suffix(const std::string& s, const std::string& suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
 void finalize_vertex_count(EdgeList& graph, bool explicit_count) {
   if (explicit_count) return;
   VertexId max_id = 0;
@@ -52,7 +70,7 @@ EdgeList read_edge_list(const std::string& path) {
       if (header >> key && key == "n") {
         std::uint64_t n = 0;
         if (header >> n) {
-          graph.num_vertices = static_cast<VertexId>(n);
+          graph.num_vertices = vertex_count(path, n);
           explicit_count = true;
         }
       }
@@ -64,8 +82,7 @@ EdgeList read_edge_list(const std::string& path) {
     if (!(fields >> u >> v)) {
       fail(path, "malformed edge on line " + std::to_string(line_no));
     }
-    graph.edges.push_back(
-        Edge{static_cast<VertexId>(u), static_cast<VertexId>(v)});
+    graph.edges.push_back(Edge{vertex_id(path, u), vertex_id(path, v)});
   }
   finalize_vertex_count(graph, explicit_count);
   return graph;
@@ -95,8 +112,7 @@ EdgeList read_matrix_market(const std::string& path) {
   std::uint64_t nnz = 0;
   if (!(sizes >> rows >> cols >> nnz)) fail(path, "malformed size line");
   EdgeList graph;
-  graph.num_vertices = static_cast<VertexId>(std::max(rows, cols));
-  graph.edges.reserve(nnz);
+  graph.num_vertices = vertex_count(path, std::max(rows, cols));
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '%') continue;
     std::istringstream fields(line);
@@ -104,8 +120,11 @@ EdgeList read_matrix_market(const std::string& path) {
     std::uint64_t c = 0;
     if (!(fields >> r >> c)) fail(path, "malformed coordinate line");
     if (r == 0 || c == 0) fail(path, "MatrixMarket indices are 1-based");
-    graph.edges.push_back(Edge{static_cast<VertexId>(r - 1),
-                               static_cast<VertexId>(c - 1)});
+    graph.edges.push_back(Edge{vertex_id(path, r - 1), vertex_id(path, c - 1)});
+  }
+  if (graph.edges.size() != nnz) {
+    fail(path, "size line says " + std::to_string(nnz) + " entries, found " +
+                   std::to_string(graph.edges.size()));
   }
   return graph;
 }
@@ -134,7 +153,10 @@ EdgeList read_binary(const std::string& path) {
   in.read(reinterpret_cast<char*>(&m), sizeof(m));
   if (!in || magic != kBinaryMagic) fail(path, "bad binary graph header");
   EdgeList graph;
-  graph.num_vertices = static_cast<VertexId>(n);
+  graph.num_vertices = vertex_count(path, n);
+  const std::uint64_t body = std::filesystem::file_size(path) - sizeof(magic) -
+                             sizeof(n) - sizeof(m);
+  if (m > body / sizeof(Edge)) fail(path, "truncated binary graph");
   graph.edges.resize(m);
   in.read(reinterpret_cast<char*>(graph.edges.data()),
           static_cast<std::streamsize>(m * sizeof(Edge)));
@@ -152,6 +174,12 @@ void write_binary(const EdgeList& graph, const std::string& path) {
   out.write(reinterpret_cast<const char*>(graph.edges.data()),
             static_cast<std::streamsize>(m * sizeof(Edge)));
   if (!out) fail(path, "write failed");
+}
+
+EdgeList read_graph(const std::string& path) {
+  if (has_suffix(path, ".mtx")) return read_matrix_market(path);
+  if (has_suffix(path, ".bin")) return read_binary(path);
+  return read_edge_list(path);
 }
 
 }  // namespace tricount::graph

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "tricount/mpisim/comm.hpp"
-#include "tricount/obs/trace.hpp"
+#include "tricount/obs/flight.hpp"
 
 namespace tricount::mpisim {
 

@@ -7,9 +7,9 @@
 #include <thread>
 
 #include "tricount/mpisim/runtime.hpp"
+#include "tricount/obs/flight.hpp"
 #include "tricount/obs/msgtrace.hpp"
 #include "tricount/obs/telemetry.hpp"
-#include "tricount/obs/trace.hpp"
 #include "tricount/util/time.hpp"
 
 namespace tricount::mpisim {
@@ -32,8 +32,8 @@ double steady_seconds() {
 }
 
 void chaos_trace_instant(const char* name) {
-  if (obs::Tracer* tracer = obs::Tracer::current()) {
-    tracer->instant(name, "chaos");
+  if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
+    flight->instant(name, "chaos");
   }
 }
 

@@ -15,9 +15,6 @@ namespace detail {
 
 double begin_recovery(Comm& comm, int step) {
   comm.world().chaos_counters(comm.rank()).crashes += 1;
-  if (obs::Tracer* tracer = obs::Tracer::current()) {
-    tracer->instant("chaos.crash", "chaos");
-  }
   if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
     // Dump at the crash instant: the last "superstep" counter in the
     // crashing rank's stream is exactly the failed superstep.

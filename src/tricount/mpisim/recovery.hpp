@@ -14,7 +14,7 @@
 #include <type_traits>
 
 #include "tricount/mpisim/comm.hpp"
-#include "tricount/obs/trace.hpp"
+#include "tricount/obs/flight.hpp"
 
 namespace tricount::mpisim {
 

@@ -5,9 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
 
 #include "tricount/obs/build_info.hpp"
 #include "tricount/util/log.hpp"
@@ -19,8 +16,6 @@ namespace {
 
 std::atomic<FlightRecorder*> g_current{nullptr};
 
-constexpr std::size_t kMaxLintViolations = 32;
-
 void copy_truncated(char* dest, std::size_t dest_size, const char* src) {
   if (src == nullptr) {
     dest[0] = '\0';
@@ -31,16 +26,6 @@ void copy_truncated(char* dest, std::size_t dest_size, const char* src) {
 }
 
 }  // namespace
-
-const char* to_string(FlightRecord::Kind kind) {
-  switch (kind) {
-    case FlightRecord::kBegin: return "begin";
-    case FlightRecord::kEnd: return "end";
-    case FlightRecord::kInstant: return "instant";
-    case FlightRecord::kCounter: return "counter";
-  }
-  return "?";
-}
 
 FlightRecorder::FlightRecorder(int ranks, std::size_t capacity)
     : ranks_(ranks < 0 ? 0 : ranks),
@@ -97,8 +82,8 @@ void FlightRecorder::span_begin(const char* name, const char* cat) {
   record(FlightRecord::kBegin, name, cat, 0.0);
 }
 
-void FlightRecorder::span_end(const char* name, const char* cat) {
-  record(FlightRecord::kEnd, name, cat, 0.0);
+void FlightRecorder::span_end(const char* name) {
+  record(FlightRecord::kEnd, name, nullptr, 0.0);
 }
 
 void FlightRecorder::instant(const char* name, const char* cat,
@@ -135,7 +120,8 @@ std::vector<FlightRecord> FlightRecorder::snapshot(
     out.push_back(rec);
   }
   // A slot overwritten between head load and seq check can carry a newer
-  // record at an older position; sorting restores the lint invariant.
+  // record at an older position; sorting restores the time order that
+  // trace() pairs begins and ends in.
   std::stable_sort(out.begin(), out.end(),
                    [](const FlightRecord& a, const FlightRecord& b) {
                      return a.ts_us < b.ts_us;
@@ -143,57 +129,70 @@ std::vector<FlightRecord> FlightRecorder::snapshot(
   return out;
 }
 
-std::vector<std::string> FlightRecorder::dump(const std::string& dir,
-                                              const std::string& reason) {
-  const std::lock_guard<std::mutex> lock(dump_mutex_);
-  std::filesystem::create_directories(dir);
-  std::vector<std::string> paths;
+Trace FlightRecorder::trace() const {
+  Trace out;
+  json::Value rings = json::Value::array();
   for (std::size_t index = 0; index < rings_.size(); ++index) {
     const bool world = index == static_cast<std::size_t>(ranks_);
-    char file[64];
-    if (world) {
-      std::snprintf(file, sizeof file, "flight-world.jsonl");
-    } else {
-      std::snprintf(file, sizeof file, "flight-r%03zu.jsonl", index);
-    }
-    const std::string path = dir + "/" + file;
-
+    const int tid = world ? 0 : static_cast<int>(index) + 1;
     std::uint64_t recorded = 0;
     std::uint64_t dropped = 0;
     const std::vector<FlightRecord> records =
         snapshot(rings_[index], recorded, dropped);
-
-    json::Value header = json::Value::object();
-    header.set("schema", "tricount.flight.v1");
-    header.set("stream", world ? "world" : "rank");
-    header.set("rank", world ? -1.0 : static_cast<double>(index));
-    header.set("ranks", static_cast<double>(ranks_));
-    header.set("capacity", static_cast<double>(capacity_));
-    header.set("recorded", static_cast<double>(recorded));
-    header.set("dropped", static_cast<double>(dropped));
-    header.set("reason", reason);
-    header.set("build", build_info_json());
-
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("flight: cannot write " + path);
-    }
-    out << header.dump() << "\n";
+    // Read after the snapshot, so a span still open ends at or after
+    // every record it encloses.
+    const double snapshot_us = (util::wall_seconds() - epoch_seconds_) * 1e6;
+    out.set_thread_name(tid, world ? "world" : "rank " + std::to_string(index));
+    std::vector<const FlightRecord*> open;
     for (const FlightRecord& rec : records) {
-      json::Value line = json::Value::object();
-      line.set("ts_us", rec.ts_us);
-      line.set("kind", to_string(static_cast<FlightRecord::Kind>(rec.kind)));
-      line.set("name", rec.name);
-      line.set("cat", rec.cat);
-      if (rec.kind == FlightRecord::kCounter ||
-          rec.kind == FlightRecord::kInstant) {
-        line.set("value", rec.value);
+      switch (rec.kind) {
+        case FlightRecord::kBegin:
+          open.push_back(&rec);
+          break;
+        case FlightRecord::kEnd:
+          if (!open.empty() && std::strcmp(open.back()->name, rec.name) == 0) {
+            out.add_complete(tid, open.back()->name, open.back()->cat,
+                             open.back()->ts_us,
+                             rec.ts_us - open.back()->ts_us);
+            open.pop_back();
+          }
+          break;
+        case FlightRecord::kInstant:
+          out.add_instant(tid, rec.name, rec.cat, rec.ts_us,
+                          {{"value", rec.value}});
+          break;
+        case FlightRecord::kCounter:
+          out.add_counter(tid, rec.name, rec.cat, rec.ts_us, rec.value);
+          break;
       }
-      out << line.dump() << "\n";
     }
-    paths.push_back(path);
+    for (const FlightRecord* begin : open) {
+      out.add_complete(tid, begin->name, begin->cat, begin->ts_us,
+                       snapshot_us - begin->ts_us, {{"open", 1.0}});
+    }
+    json::Value ring = json::Value::object();
+    ring.set("tid", tid);
+    ring.set("recorded", recorded);
+    ring.set("dropped", dropped);
+    rings.push_back(std::move(ring));
   }
-  return paths;
+  json::Value& other = out.other_data();
+  other.set("ranks", ranks_);
+  other.set("capacity", static_cast<std::uint64_t>(capacity_));
+  other.set("rings", std::move(rings));
+  other.set("build", build_info_json());
+  return out;
+}
+
+std::string FlightRecorder::dump(const std::string& dir,
+                                 const std::string& reason) {
+  const std::lock_guard<std::mutex> lock(dump_mutex_);
+  std::filesystem::create_directories(dir);
+  Trace out = trace();
+  out.other_data().set("reason", reason);
+  const std::string path = dir + "/flight.json";
+  out.write_file(path);
+  return path;
 }
 
 void FlightRecorder::set_auto_dump_dir(const std::string& dir) {
@@ -205,10 +204,9 @@ void FlightRecorder::try_auto_dump(const char* reason) noexcept {
   bool expected = false;
   if (!auto_dumped_.compare_exchange_strong(expected, true)) return;
   try {
-    const std::vector<std::string> paths =
+    const std::string path =
         dump(auto_dump_dir_, reason != nullptr ? reason : "unknown");
-    TRICOUNT_LOG_INFO("flight: dumped %zu ring(s) to %s (%s)", paths.size(),
-                      auto_dump_dir_.c_str(),
+    TRICOUNT_LOG_INFO("flight: dumped the rings to %s (%s)", path.c_str(),
                       reason != nullptr ? reason : "unknown");
   } catch (const std::exception& e) {
     TRICOUNT_LOG_WARN("flight: auto dump failed: %s", e.what());
@@ -238,133 +236,6 @@ void FlightRecorder::install_signal_handlers() {
   for (const int sig : {SIGSEGV, SIGABRT, SIGBUS, SIGFPE, SIGILL}) {
     std::signal(sig, flight_signal_handler);
   }
-}
-
-// --- tricount.flight.v1 files ---------------------------------------------
-
-FlightDump read_flight_dump(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("flight: cannot read " + path);
-  }
-  FlightDump dump;
-  std::string line;
-  bool first = true;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    json::Value value;
-    try {
-      value = json::Value::parse(line);
-    } catch (const std::exception& e) {
-      std::ostringstream what;
-      what << path << ":" << line_no << ": " << e.what();
-      throw std::runtime_error(what.str());
-    }
-    if (first) {
-      dump.header = std::move(value);
-      first = false;
-    } else {
-      dump.records.push_back(std::move(value));
-    }
-  }
-  if (first) {
-    throw std::runtime_error("flight: " + path + " is empty");
-  }
-  return dump;
-}
-
-namespace {
-
-bool known_kind(const std::string& kind) {
-  return kind == "begin" || kind == "end" || kind == "instant" ||
-         kind == "counter";
-}
-
-void add_violation(std::vector<std::string>& out, const std::string& v) {
-  if (out.size() < kMaxLintViolations) out.push_back(v);
-}
-
-}  // namespace
-
-std::vector<std::string> lint_flight(const FlightDump& dump) {
-  std::vector<std::string> violations;
-  const json::Value& h = dump.header;
-  if (!h.is_object()) {
-    add_violation(violations, "header: not a JSON object");
-    return violations;
-  }
-  const json::Value* schema = h.find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->as_string() != "tricount.flight.v1") {
-    add_violation(violations, "header: schema is not tricount.flight.v1");
-  }
-  const json::Value* stream = h.find("stream");
-  const bool world = stream != nullptr && stream->is_string() &&
-                     stream->as_string() == "world";
-  if (stream == nullptr || !stream->is_string() ||
-      (stream->as_string() != "rank" && !world)) {
-    add_violation(violations, "header: stream must be \"rank\" or \"world\"");
-  }
-  const json::Value* ranks = h.find("ranks");
-  const double nranks =
-      ranks != nullptr && ranks->is_number() ? ranks->as_number() : -1.0;
-  if (nranks < 1.0) {
-    add_violation(violations, "header: ranks must be >= 1");
-  }
-  const json::Value* rank = h.find("rank");
-  if (rank == nullptr || !rank->is_number()) {
-    add_violation(violations, "header: missing rank");
-  } else if (!world &&
-             (rank->as_number() < 0.0 || rank->as_number() >= nranks)) {
-    add_violation(violations, "header: rank out of range");
-  }
-  for (const char* key : {"capacity", "recorded", "dropped"}) {
-    const json::Value* v = h.find(key);
-    if (v == nullptr || !v->is_number() || v->as_number() < 0.0) {
-      add_violation(violations,
-                    std::string("header: ") + key + " must be >= 0");
-    }
-  }
-  const json::Value* reason = h.find("reason");
-  if (reason == nullptr || !reason->is_string() ||
-      reason->as_string().empty()) {
-    add_violation(violations, "header: missing reason");
-  }
-  const json::Value* build = h.find("build");
-  if (build == nullptr || !build->is_object()) {
-    add_violation(violations, "header: missing build provenance");
-  }
-
-  double last_ts = -1.0;
-  for (std::size_t i = 0; i < dump.records.size(); ++i) {
-    const json::Value& rec = dump.records[i];
-    const std::string where = "record " + std::to_string(i);
-    if (!rec.is_object()) {
-      add_violation(violations, where + ": not a JSON object");
-      continue;
-    }
-    const json::Value* kind = rec.find("kind");
-    if (kind == nullptr || !kind->is_string() ||
-        !known_kind(kind->as_string())) {
-      add_violation(violations, where + ": unknown kind");
-    }
-    const json::Value* name = rec.find("name");
-    if (name == nullptr || !name->is_string() || name->as_string().empty()) {
-      add_violation(violations, where + ": empty name");
-    }
-    const json::Value* ts = rec.find("ts_us");
-    if (ts == nullptr || !ts->is_number() || ts->as_number() < 0.0) {
-      add_violation(violations, where + ": ts_us must be >= 0");
-    } else {
-      if (ts->as_number() < last_ts) {
-        add_violation(violations, where + ": ts_us decreases");
-      }
-      last_ts = ts->as_number();
-    }
-  }
-  return violations;
 }
 
 }  // namespace tricount::obs

@@ -1,18 +1,17 @@
-// Flight recorder: an always-on, bounded, lock-free ring of fixed-size
-// event records per rank (docs/observability.md). Unlike the Tracer —
-// which accumulates an unbounded trace and serializes it after a
-// successful run — the flight recorder overwrites oldest records and is
-// built to be dumped at the moment of failure: chaos crash injection,
-// the mpisim hang watchdog, and fatal signals all trigger an automatic
-// dump in the `tricount.flight.v1` JSONL format, so the last few
-// thousand events per rank survive exactly the runs that lose their
-// post-mortem artifacts.
+// Flight recorder: the one recorder of measured events. An always-on,
+// bounded, lock-free ring of fixed-size records per rank
+// (docs/observability.md) that overwrites its oldest records, so it can
+// stay installed for a whole run or a whole service session. trace()
+// turns the rings into a Chrome trace (obs/trace.hpp): spans, instants
+// and counters, one tid per ring. dump() writes that trace as one file,
+// and chaos crash injection, the mpisim hang watchdog and fatal signals
+// all trigger a dump automatically, so the last few thousand events per
+// rank survive exactly the runs that lose their post-mortem artifacts.
 //
 // Concurrency: rank threads write only their own ring (plus one trailing
 // ring shared by non-rank threads, claimed per-slot via an atomic head),
-// and each slot carries a seqlock so a dumper thread can snapshot every
-// ring while the run is still writing. Torn slots are skipped, and the
-// dump is sorted by timestamp.
+// and each slot carries a seqlock so trace() can snapshot every ring
+// while the run is still writing. Torn slots are skipped.
 #pragma once
 
 #include <atomic>
@@ -21,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "tricount/obs/json.hpp"
+#include "tricount/obs/trace.hpp"
 
 namespace tricount::obs {
 
@@ -36,8 +35,6 @@ struct FlightRecord {
   char name[40] = {};
   char cat[16] = {};
 };
-
-const char* to_string(FlightRecord::Kind kind);
 
 class FlightRecorder {
  public:
@@ -55,25 +52,35 @@ class FlightRecorder {
   int ranks() const { return ranks_; }
   std::size_t capacity() const { return capacity_; }
 
-  /// Publishes this recorder as the process-wide current one (mirrors
-  /// Tracer::install). The recorder must outlive the run it observes.
+  /// Publishes this recorder as the process-wide current one. The
+  /// recorder must outlive the run it observes.
   void install();
   void uninstall();
   static FlightRecorder* current();
 
   // --- recording (hot path; callers tolerate `current() == nullptr`) ----
   void span_begin(const char* name, const char* cat);
-  void span_end(const char* name, const char* cat);
+  void span_end(const char* name);
   void instant(const char* name, const char* cat, double value = 0.0);
   void counter(const char* name, const char* cat, double value);
 
-  // --- dumping ----------------------------------------------------------
-  /// Writes one `tricount.flight.v1` JSONL file per ring into `dir`
-  /// (created if missing): flight-r000.jsonl ... plus flight-world.jsonl
-  /// for the non-rank ring. Returns the paths written. Safe to call from
-  /// any thread while ranks keep recording.
-  std::vector<std::string> dump(const std::string& dir,
-                                const std::string& reason);
+  // --- reading and dumping ----------------------------------------------
+  /// A snapshot of every ring as one Chrome trace. Rank ring r is tid
+  /// r + 1 ("rank r") and the non-rank ring is tid 0 ("world"). A begin
+  /// and the end that closes it become one 'X' span; an end pairs only
+  /// with the innermost open begin of its name and is dropped otherwise
+  /// (its begin was overwritten or torn), so spans stay nested. A begin
+  /// still open at the snapshot becomes a span ending at the snapshot
+  /// with args {"open": 1}. Instants are 'i' and counters 'C' events,
+  /// each with {"value": v}. `otherData` holds ranks, capacity, each
+  /// ring's recorded/dropped counts (`rings`) and the build provenance.
+  /// Safe to call from any thread while ranks keep recording.
+  Trace trace() const;
+
+  /// Writes trace(), with `reason` added to its otherData, as
+  /// `dir`/flight.json (`dir` created if missing) and returns that path.
+  /// Safe to call from any thread while ranks keep recording.
+  std::string dump(const std::string& dir, const std::string& reason);
 
   /// Arms automatic dumps into `dir`; empty disables them.
   void set_auto_dump_dir(const std::string& dir);
@@ -103,8 +110,8 @@ class FlightRecorder {
   Ring& ring_for_caller();
   void record(FlightRecord::Kind kind, const char* name, const char* cat,
               double value);
-  /// Seqlock-consistent snapshot of one ring, oldest first, sorted by
-  /// timestamp; torn or never-written slots are skipped.
+  /// Seqlock-consistent snapshot of one ring, sorted by timestamp; torn
+  /// or never-written slots are skipped.
   std::vector<FlightRecord> snapshot(const Ring& ring,
                                      std::uint64_t& recorded,
                                      std::uint64_t& dropped) const;
@@ -118,23 +125,24 @@ class FlightRecorder {
   std::mutex dump_mutex_;
 };
 
-// --- tricount.flight.v1 files ---------------------------------------------
+/// RAII span on the installed flight recorder; a no-op when none is.
+/// Every span site (preprocessing layers, intersect, shift, collectives,
+/// recover, ...) records through this one type.
+class ScopedSpan {
+ public:
+  ScopedSpan(const char* name, const char* cat)
+      : flight_(FlightRecorder::current()), name_(name) {
+    if (flight_ != nullptr) flight_->span_begin(name, cat);
+  }
+  ~ScopedSpan() {
+    if (flight_ != nullptr) flight_->span_end(name_);
+  }
+  ScopedSpan(const ScopedSpan&) = delete;
+  ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-/// A parsed dump file: the header line plus one JSON object per record.
-struct FlightDump {
-  json::Value header;
-  std::vector<json::Value> records;
+ private:
+  FlightRecorder* flight_;
+  const char* name_;
 };
-
-/// Parses a JSONL flight dump. Throws std::runtime_error on I/O or JSON
-/// errors (a malformed *line* is a lint violation, not a parse error,
-/// only when the line is valid JSON of the wrong shape).
-FlightDump read_flight_dump(const std::string& path);
-
-/// Validates a dump against the tricount.flight.v1 invariants: header
-/// schema and fields, known record kinds, non-empty names, non-negative
-/// and non-decreasing timestamps. Returns human-readable violations
-/// (empty = clean), capped like obs::lint_trace.
-std::vector<std::string> lint_flight(const FlightDump& dump);
 
 }  // namespace tricount::obs

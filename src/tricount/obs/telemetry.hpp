@@ -73,7 +73,8 @@ class Telemetry {
   /// The installed instance's slot for the calling rank thread, or nullptr.
   static RankTelemetry* caller_slot();
 
-  /// Publishes this instance process-wide (mirrors Tracer::install).
+  /// Publishes this instance process-wide (mirrors
+  /// FlightRecorder::install).
   /// Must outlive every world it observes: mpisim::World wires mailbox
   /// queue-depth gauges straight at these atomics.
   void install();

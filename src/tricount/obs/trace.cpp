@@ -3,13 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "tricount/util/log.hpp"
-#include "tricount/util/time.hpp"
-
 namespace tricount::obs {
-
-// ---------------------------------------------------------------------------
-// Trace
 
 void Trace::set_thread_name(int tid, std::string name) {
   for (auto& [existing_tid, existing_name] : thread_names_) {
@@ -22,28 +16,21 @@ void Trace::set_thread_name(int tid, std::string name) {
 }
 
 void Trace::add_complete(int tid, std::string name, std::string cat,
-                         double ts_us, double dur_us,
-                         std::vector<std::pair<std::string, double>> args) {
-  TraceEvent e;
-  e.name = std::move(name);
-  e.cat = std::move(cat);
-  e.ph = 'X';
-  e.tid = tid;
-  e.ts_us = ts_us;
-  e.dur_us = dur_us;
-  e.args = std::move(args);
-  events_.push_back(std::move(e));
+                         double ts_us, double dur_us, TraceArgs args) {
+  events_.push_back(TraceEvent{std::move(name), std::move(cat), 'X', tid,
+                               ts_us, dur_us, std::move(args)});
 }
 
 void Trace::add_instant(int tid, std::string name, std::string cat,
-                        double ts_us) {
-  TraceEvent e;
-  e.name = std::move(name);
-  e.cat = std::move(cat);
-  e.ph = 'i';
-  e.tid = tid;
-  e.ts_us = ts_us;
-  events_.push_back(std::move(e));
+                        double ts_us, TraceArgs args) {
+  events_.push_back(TraceEvent{std::move(name), std::move(cat), 'i', tid,
+                               ts_us, 0.0, std::move(args)});
+}
+
+void Trace::add_counter(int tid, std::string name, std::string cat,
+                        double ts_us, double value) {
+  events_.push_back(TraceEvent{std::move(name), std::move(cat), 'C', tid,
+                               ts_us, 0.0, {{"value", value}}});
 }
 
 json::Value Trace::to_json() const {
@@ -79,6 +66,7 @@ json::Value Trace::to_json() const {
   json::Value root = json::Value::object();
   root.set("traceEvents", std::move(events));
   root.set("displayTimeUnit", "ms");
+  root.set("otherData", other_data_);
   return root;
 }
 
@@ -92,6 +80,12 @@ Trace Trace::from_json(const json::Value& root) {
     throw std::runtime_error("trace: missing traceEvents array");
   }
   Trace out;
+  if (const json::Value* other = root.find("otherData")) {
+    if (!other->is_object()) {
+      throw std::runtime_error("trace: otherData is not an object");
+    }
+    out.other_data_ = *other;
+  }
   for (std::size_t i = 0; i < events->size(); ++i) {
     const json::Value& e = events->at(i);
     const std::string& ph = e.get("ph").as_string();
@@ -143,7 +137,7 @@ std::vector<std::string> lint_trace(const Trace& trace) {
 
   for (const TraceEvent& e : trace.events()) {
     if (e.name.empty()) violation("event with empty name");
-    if (e.ph != 'X' && e.ph != 'i') {
+    if (e.ph != 'X' && e.ph != 'i' && e.ph != 'C') {
       violation("unknown phase code '" + std::string(1, e.ph) + "'");
       continue;
     }
@@ -177,106 +171,6 @@ std::vector<std::string> lint_trace(const Trace& trace) {
     }
   }
   return violations;
-}
-
-// ---------------------------------------------------------------------------
-// Tracer
-
-std::atomic<Tracer*> Tracer::g_current{nullptr};
-
-Tracer::Tracer(int ranks)
-    : ranks_(ranks),
-      epoch_seconds_(util::wall_seconds()),
-      buffers_(static_cast<std::size_t>(ranks) + 1) {
-  if (ranks <= 0) throw std::invalid_argument("Tracer: ranks must be > 0");
-}
-
-Tracer::~Tracer() {
-  Tracer* expected = this;
-  g_current.compare_exchange_strong(expected, nullptr);
-}
-
-void Tracer::install() { g_current.store(this); }
-
-void Tracer::uninstall() {
-  Tracer* expected = this;
-  g_current.compare_exchange_strong(expected, nullptr);
-}
-
-Tracer::Buffer& Tracer::buffer_for_caller() {
-  const int rank = util::current_rank();
-  const std::size_t index = (rank >= 0 && rank < ranks_)
-                                ? static_cast<std::size_t>(rank)
-                                : static_cast<std::size_t>(ranks_);
-  return buffers_[index];
-}
-
-double Tracer::now_us() const {
-  return (util::wall_seconds() - epoch_seconds_) * 1e6;
-}
-
-void Tracer::begin(const char* name, const char* cat) {
-  Buffer& buffer = buffer_for_caller();
-  TraceEvent e;
-  e.name = name;
-  e.cat = cat;
-  e.ph = 'X';
-  e.tid = util::current_rank() + 1;
-  e.ts_us = now_us();
-  e.dur_us = -1.0;
-  buffer.open.push_back(buffer.events.size());
-  buffer.events.push_back(std::move(e));
-}
-
-void Tracer::end() {
-  Buffer& buffer = buffer_for_caller();
-  if (buffer.open.empty()) {
-    throw std::logic_error("Tracer: end() without a matching begin()");
-  }
-  TraceEvent& e = buffer.events[buffer.open.back()];
-  buffer.open.pop_back();
-  e.dur_us = now_us() - e.ts_us;
-}
-
-void Tracer::instant(const char* name, const char* cat) {
-  Buffer& buffer = buffer_for_caller();
-  TraceEvent e;
-  e.name = name;
-  e.cat = cat;
-  e.ph = 'i';
-  e.tid = util::current_rank() + 1;
-  e.ts_us = now_us();
-  buffer.events.push_back(std::move(e));
-}
-
-Trace Tracer::collect() const {
-  Trace out;
-  out.set_thread_name(0, "driver");
-  for (int r = 0; r < ranks_; ++r) {
-    out.set_thread_name(r + 1, "rank " + std::to_string(r));
-  }
-  std::vector<TraceEvent> merged;
-  for (const Buffer& buffer : buffers_) {
-    if (!buffer.open.empty()) {
-      throw std::logic_error(
-          "Tracer: collect() with " + std::to_string(buffer.open.size()) +
-          " unclosed span(s) — begin/end calls are unbalanced");
-    }
-    merged.insert(merged.end(), buffer.events.begin(), buffer.events.end());
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.ts_us < b.ts_us;
-                   });
-  for (TraceEvent& e : merged) {
-    if (e.ph == 'X') {
-      out.add_complete(e.tid, std::move(e.name), std::move(e.cat), e.ts_us,
-                       e.dur_us, std::move(e.args));
-    } else {
-      out.add_instant(e.tid, std::move(e.name), std::move(e.cat), e.ts_us);
-    }
-  }
-  return out;
 }
 
 }  // namespace tricount::obs

@@ -1,13 +1,10 @@
-// Per-rank event tracing with Chrome trace-event JSON export.
+// Chrome trace-event JSON: the one file format for timed events.
 //
-// Two producers feed the same Trace container:
+// Two producers fill the same Trace container:
 //
-//  * The live Tracer: ranks record begin/end spans and instant events into
-//    per-rank buffers. Each buffer is written only by its own rank's
-//    thread (the rank id comes from the thread-local set by
-//    mpisim::run_world), so recording takes no locks. When no tracer is
-//    installed every hook is a single relaxed atomic load — the disabled
-//    path adds no per-message work.
+//  * The flight recorder (obs/flight.hpp): FlightRecorder::trace() turns
+//    the measured spans, instants and counters in its per-rank rings into
+//    a Trace, and every flight dump is that trace written to one file.
 //
 //  * The modeled run trace (core/artifacts.hpp): built after a run from
 //    the per-superstep samples, on a virtual timeline where superstep
@@ -15,25 +12,26 @@
 //    drawn from the α–β model, so the timeline totals match
 //    PhaseBreakdown::modeled_seconds exactly.
 //
-// The export format is the Chrome trace-event JSON array understood by
+// The export format is the Chrome trace-event JSON object understood by
 // chrome://tracing and Perfetto: one process, one "thread" per rank
-// (tid = rank + 1; tid 0 is the modeled cross-rank summary timeline).
-// See docs/observability.md for the schema.
+// (tid = rank + 1; tid 0 is the cross-rank timeline), and run metadata in
+// the top-level `otherData` object. See docs/observability.md.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "tricount/obs/flight.hpp"
 #include "tricount/obs/json.hpp"
 
 namespace tricount::obs {
 
-/// One exported event. `ph` is the trace-event phase: 'X' (complete span)
-/// or 'i' (instant). Timestamps are microseconds, as the format requires.
+/// Numeric event arguments, in order (the trace format's `args`).
+using TraceArgs = std::vector<std::pair<std::string, double>>;
+
+/// One exported event. `ph` is the trace-event phase: 'X' (complete span),
+/// 'i' (instant) or 'C' (counter). Timestamps are microseconds, as the
+/// format requires.
 struct TraceEvent {
   std::string name;
   std::string cat;
@@ -41,25 +39,33 @@ struct TraceEvent {
   int tid = 0;
   double ts_us = 0.0;
   double dur_us = 0.0;  ///< spans only
-  std::vector<std::pair<std::string, double>> args;
+  TraceArgs args;
 };
 
-/// An ordered collection of events plus thread naming, serializable to
-/// (and parseable from) the Chrome trace-event JSON format.
+/// An ordered collection of events plus thread naming and run metadata,
+/// serializable to (and parseable from) the Chrome trace-event JSON format.
 class Trace {
  public:
   void set_thread_name(int tid, std::string name);
   void add_complete(int tid, std::string name, std::string cat, double ts_us,
-                    double dur_us,
-                    std::vector<std::pair<std::string, double>> args = {});
-  void add_instant(int tid, std::string name, std::string cat, double ts_us);
+                    double dur_us, TraceArgs args = {});
+  void add_instant(int tid, std::string name, std::string cat, double ts_us,
+                   TraceArgs args = {});
+  /// A counter sample: one 'C' event whose args carry {"value": value}.
+  void add_counter(int tid, std::string name, std::string cat, double ts_us,
+                   double value);
 
   const std::vector<TraceEvent>& events() const { return events_; }
   const std::vector<std::pair<int, std::string>>& thread_names() const {
     return thread_names_;
   }
+  /// The top-level `otherData` object (a JSON object; empty unless a
+  /// producer records run metadata in it).
+  json::Value& other_data() { return other_data_; }
+  const json::Value& other_data() const { return other_data_; }
 
-  /// {"traceEvents": [...]} with metadata events for thread names.
+  /// {"traceEvents": [...], "otherData": {...}} with metadata events for
+  /// thread names.
   json::Value to_json() const;
   void write_file(const std::string& path) const;
 
@@ -70,91 +76,13 @@ class Trace {
  private:
   std::vector<TraceEvent> events_;
   std::vector<std::pair<int, std::string>> thread_names_;
+  json::Value other_data_ = json::Value::object();
 };
 
 /// Checks span invariants and returns human-readable violations (empty
-/// means the trace is well formed): non-negative timestamps/durations,
-/// known phase codes, and — per tid — spans that either nest properly or
-/// are disjoint (no partial overlap).
+/// means the trace is well formed): non-empty names, non-negative
+/// timestamps/durations, known phase codes, and — per tid — spans that
+/// either nest properly or are disjoint (no partial overlap).
 std::vector<std::string> lint_trace(const Trace& trace);
-
-/// Live tracer. Create with the world size, install(), run, collect().
-class Tracer {
- public:
-  explicit Tracer(int ranks);
-  ~Tracer();
-
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-
-  /// Makes this tracer the process-wide recording target. Install before
-  /// run_world; only one tracer can be installed at a time.
-  void install();
-  void uninstall();
-
-  /// The installed tracer, or nullptr (the common, zero-cost case).
-  static Tracer* current() {
-    return g_current.load(std::memory_order_relaxed);
-  }
-
-  /// Opens a span on the calling thread's rank timeline. Timestamps are
-  /// wall-clock microseconds since the tracer was created.
-  void begin(const char* name, const char* cat);
-  /// Closes the innermost open span on the calling thread's rank.
-  void end();
-  void instant(const char* name, const char* cat);
-
-  int ranks() const { return ranks_; }
-
-  /// Merges all per-rank buffers into one Trace (call after the world has
-  /// joined). Throws std::logic_error if any rank left a span open.
-  Trace collect() const;
-
- private:
-  struct Buffer {
-    std::vector<TraceEvent> events;
-    std::vector<std::size_t> open;  ///< indices of unclosed spans
-  };
-
-  Buffer& buffer_for_caller();
-  double now_us() const;
-
-  static std::atomic<Tracer*> g_current;
-
-  int ranks_;
-  double epoch_seconds_;
-  /// One buffer per rank plus one trailing buffer for non-rank threads
-  /// (the driver thread before/after run_world).
-  std::vector<Buffer> buffers_;
-};
-
-/// RAII span against the installed tracer AND the installed flight
-/// recorder; all-no-op when neither is. Routing both through the one
-/// RAII type means every existing span site (checkpoint, intersect,
-/// shift, recover, ...) lands in the flight ring for free.
-class ScopedSpan {
- public:
-  ScopedSpan(const char* name, const char* cat)
-      : tracer_(Tracer::current()), flight_(FlightRecorder::current()) {
-    if (tracer_ != nullptr) tracer_->begin(name, cat);
-    if (flight_ != nullptr) {
-      flight_->span_begin(name, cat);
-      name_ = name;
-      cat_ = cat;
-    }
-  }
-  ~ScopedSpan() {
-    if (tracer_ != nullptr) tracer_->end();
-    if (flight_ != nullptr) flight_->span_end(name_, cat_);
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  Tracer* tracer_;
-  FlightRecorder* flight_;
-  const char* name_ = nullptr;
-  const char* cat_ = nullptr;
-};
 
 }  // namespace tricount::obs

@@ -31,17 +31,6 @@ bool cacheable_verb(const std::string& verb) {
          verb == "truss" || verb == "support" || verb == "approx";
 }
 
-bool has_suffix(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-graph::EdgeList load_graph_file(const std::string& path) {
-  if (has_suffix(path, ".mtx")) return graph::read_matrix_market(path);
-  if (has_suffix(path, ".bin")) return graph::read_binary(path);
-  return graph::read_edge_list(path);
-}
-
 /// Reads an optional bounded non-negative integer param.
 bool get_uint_param(const Value& params, const char* key,
                     std::uint64_t fallback, std::uint64_t max,
@@ -320,7 +309,7 @@ Service::Execution Service::verb_graph_load(const Request& request) {
       return fail(ErrorCode::kBadParams, "'path' must be a non-empty string");
     }
     try {
-      graph = graph::simplify(load_graph_file(path->as_string()));
+      graph = graph::simplify(graph::read_graph(path->as_string()));
     } catch (const std::runtime_error& e) {  // unreadable or malformed file
       return fail(ErrorCode::kBadParams, e.what());
     } catch (const std::out_of_range& e) {  // an endpoint past num_vertices

@@ -1,6 +1,7 @@
 // Flight-recorder + live-telemetry tests (docs/observability.md): the
-// ring-buffer overwrite/dropped accounting, the tricount.flight.v1 dump
-// and lint round trip, the two automatic dump triggers (chaos crash
+// ring-buffer overwrite/dropped accounting, the trace() snapshot and its
+// one-file Chrome trace dump, the spans of a real run's pipeline layers,
+// the chaos instants, the two automatic dump triggers (chaos crash
 // injection and the hang watchdog) against real runs, the telemetry
 // snapshot/publish/render path, the memory-accounting gauges, and the
 // quantile edge cases the telemetry views depend on.
@@ -9,11 +10,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "test_seed.hpp"
@@ -24,9 +26,9 @@
 #include "tricount/mpisim/runtime.hpp"
 #include "tricount/obs/build_info.hpp"
 #include "tricount/obs/flight.hpp"
+#include "tricount/obs/json.hpp"
 #include "tricount/obs/metrics.hpp"
 #include "tricount/obs/telemetry.hpp"
-#include "tricount/obs/trace.hpp"
 #include "tricount/util/build.hpp"
 
 namespace tricount {
@@ -52,33 +54,36 @@ std::vector<std::string> dump_files(const std::string& dir) {
   return files;
 }
 
-/// The last value carried by `kind`/`name` records in a dump, or -1.
-double last_value(const obs::FlightDump& dump, const std::string& kind,
-                  const std::string& name) {
-  double last = -1.0;
-  for (const obs::json::Value& rec : dump.records) {
-    const obs::json::Value* k = rec.find("kind");
-    const obs::json::Value* n = rec.find("name");
-    const obs::json::Value* v = rec.find("value");
-    if (k == nullptr || n == nullptr || v == nullptr) continue;
-    if (k->as_string() == kind && n->as_string() == name) {
-      last = v->as_number();
-    }
-  }
-  return last;
+/// Reads back the one file a flight dump writes.
+obs::Trace read_dump(const std::string& dir) {
+  return obs::Trace::from_json(obs::json::read_file(dir + "/flight.json"));
 }
 
-bool has_record(const obs::FlightDump& dump, const std::string& kind,
-                const std::string& name) {
-  for (const obs::json::Value& rec : dump.records) {
-    const obs::json::Value* k = rec.find("kind");
-    const obs::json::Value* n = rec.find("name");
-    if (k != nullptr && n != nullptr && k->as_string() == kind &&
-        n->as_string() == name) {
-      return true;
+/// The `otherData.rings` entry of ring `tid`.
+const obs::json::Value& ring_info(const obs::Trace& trace, int tid) {
+  const obs::json::Value& rings = trace.other_data().get("rings");
+  for (std::size_t i = 0; i < rings.size(); ++i) {
+    if (rings.at(i).get("tid").as_int() == tid) return rings.at(i);
+  }
+  throw std::runtime_error("no ring with tid " + std::to_string(tid));
+}
+
+/// The args value of every `ph` event named `name` on `tid`, in order.
+std::vector<double> values(const obs::Trace& trace, int tid, char ph,
+                           const std::string& name) {
+  std::vector<double> out;
+  for (const obs::TraceEvent& e : trace.events()) {
+    if (e.tid == tid && e.ph == ph && e.name == name) {
+      out.push_back(e.args.empty() ? 0.0 : e.args.front().second);
     }
   }
-  return false;
+  return out;
+}
+
+double last_value(const obs::Trace& trace, int tid, char ph,
+                  const std::string& name) {
+  const std::vector<double> all = values(trace, tid, ph, name);
+  return all.empty() ? -1.0 : all.back();
 }
 
 // --- ring accounting -------------------------------------------------------
@@ -87,44 +92,46 @@ TEST(FlightRecorder, RingOverwritesOldestAndCountsDrops) {
   const std::string dir = fresh_dump_dir("ring");
   obs::FlightRecorder recorder(/*ranks=*/1, /*capacity=*/8);
   // The test thread is not a rank thread, so these land in the trailing
-  // "world" ring.
+  // "world" ring, tid 0.
   for (int i = 0; i < 20; ++i) {
     recorder.counter("tick", "test", static_cast<double>(i));
   }
-  const std::vector<std::string> written = recorder.dump(dir, "unit-test");
-  ASSERT_EQ(written.size(), 2u);  // flight-r000.jsonl + flight-world.jsonl
+  EXPECT_EQ(recorder.dump(dir, "unit-test"), dir + "/flight.json");
+  ASSERT_EQ(dump_files(dir).size(), 1u);
 
-  const obs::FlightDump world =
-      obs::read_flight_dump(dir + "/flight-world.jsonl");
-  EXPECT_TRUE(obs::lint_flight(world).empty());
-  EXPECT_EQ(world.header.get("recorded").as_number(), 20.0);
-  EXPECT_EQ(world.header.get("dropped").as_number(), 12.0);
-  ASSERT_EQ(world.records.size(), 8u);
-  // Oldest surviving record is tick 12; the newest is tick 19.
-  EXPECT_EQ(world.records.front().get("value").as_number(), 12.0);
-  EXPECT_EQ(world.records.back().get("value").as_number(), 19.0);
+  const obs::Trace trace = read_dump(dir);
+  EXPECT_TRUE(obs::lint_trace(trace).empty());
+  EXPECT_EQ(trace.other_data().get("reason").as_string(), "unit-test");
+  EXPECT_EQ(ring_info(trace, 0).get("recorded").as_number(), 20.0);
+  EXPECT_EQ(ring_info(trace, 0).get("dropped").as_number(), 12.0);
+  // The surviving ticks are 12 to 19, oldest first.
+  EXPECT_EQ(values(trace, 0, 'C', "tick"),
+            (std::vector<double>{12, 13, 14, 15, 16, 17, 18, 19}));
 
-  // The rank ring never recorded: header-only dump, still lint-clean.
-  const obs::FlightDump rank0 =
-      obs::read_flight_dump(dir + "/flight-r000.jsonl");
-  EXPECT_TRUE(obs::lint_flight(rank0).empty());
-  EXPECT_TRUE(rank0.records.empty());
-  EXPECT_EQ(rank0.header.get("reason").as_string(), "unit-test");
+  // The rank ring (tid 1) never recorded: named, counted, no events.
+  EXPECT_EQ(ring_info(trace, 1).get("recorded").as_number(), 0.0);
+  EXPECT_EQ(trace.events().size(), 8u);
+  EXPECT_EQ(trace.thread_names(),
+            (std::vector<std::pair<int, std::string>>{{1, "rank 0"},
+                                                      {0, "world"}}));
 }
 
 TEST(FlightRecorder, ScopedSpansFeedTheInstalledRecorder) {
-  const std::string dir = fresh_dump_dir("spans");
   obs::FlightRecorder recorder(1, 32);
   recorder.install();
   {
     obs::ScopedSpan span("unit.work", "test");
   }
   recorder.uninstall();
-  recorder.dump(dir, "unit-test");
-  const obs::FlightDump world =
-      obs::read_flight_dump(dir + "/flight-world.jsonl");
-  EXPECT_TRUE(has_record(world, "begin", "unit.work"));
-  EXPECT_TRUE(has_record(world, "end", "unit.work"));
+  const obs::Trace trace = recorder.trace();
+  ASSERT_EQ(trace.events().size(), 1u);
+  const obs::TraceEvent& span = trace.events().front();
+  EXPECT_EQ(span.name, "unit.work");
+  EXPECT_EQ(span.cat, "test");
+  EXPECT_EQ(span.ph, 'X');
+  EXPECT_EQ(span.tid, 0);
+  EXPECT_GE(span.dur_us, 0.0);
+  EXPECT_TRUE(span.args.empty());  // closed, so not marked open
 }
 
 TEST(FlightRecorder, AutoDumpFiresOnceAndOnlyWhenArmed) {
@@ -141,9 +148,70 @@ TEST(FlightRecorder, AutoDumpFiresOnceAndOnlyWhenArmed) {
   EXPECT_TRUE(recorder.auto_dumped());
   // Second trigger must not overwrite the first (most informative) dump.
   recorder.try_auto_dump("second");
-  const obs::FlightDump world =
-      obs::read_flight_dump(dir + "/flight-world.jsonl");
-  EXPECT_EQ(world.header.get("reason").as_string(), "first");
+  EXPECT_EQ(read_dump(dir).other_data().get("reason").as_string(), "first");
+}
+
+// --- spans and instants of real runs ---------------------------------------
+
+TEST(FlightRecorder, TraceHoldsEachPreprocessingLayerAndTheCount) {
+  const int ranks = 4;  // q = 2
+  const graph::EdgeList g =
+      graph::simplify(graph::watts_strogatz(96, 6, 0.2, 5));
+  obs::FlightRecorder recorder(ranks);
+  recorder.install();
+  core::count_triangles_2d(g, ranks);
+  recorder.uninstall();
+
+  const obs::Trace trace = recorder.trace();
+  EXPECT_TRUE(obs::lint_trace(trace).empty());
+  const std::vector<std::string> layers = {"slice", "redistribute",
+                                           "degree_order", "scatter_2d",
+                                           "intersect"};
+  for (int r = 0; r < ranks; ++r) {
+    // Each layer's first span on this rank starts after the last layer's.
+    double previous = -1.0;
+    for (const std::string& layer : layers) {
+      double start = -1.0;
+      for (const obs::TraceEvent& e : trace.events()) {
+        if (e.tid == r + 1 && e.ph == 'X' && e.name == layer &&
+            (start < 0.0 || e.ts_us < start)) {
+          start = e.ts_us;
+        }
+      }
+      ASSERT_GE(start, 0.0) << layer << " span missing on rank " << r;
+      EXPECT_GT(start, previous) << layer << " out of order on rank " << r;
+      previous = start;
+    }
+  }
+}
+
+TEST(FlightRecorder, ChaosDropsAreInstantsOnTheSendersRing) {
+  const int ranks = 4;  // q = 2
+  const graph::EdgeList g =
+      graph::simplify(graph::watts_strogatz(96, 6, 0.2, 7));
+  chaos::FaultSpec spec;
+  spec.seed = test_support::chaos_seed();
+  spec.drop_rate = 0.2;
+  core::RunOptions options;
+  options.chaos = std::make_shared<const chaos::FaultPlan>(spec, ranks);
+
+  // Large enough that no ring wraps, so every drop is still there.
+  obs::FlightRecorder recorder(ranks, 1 << 16);
+  recorder.install();
+  const core::RunResult r = core::count_triangles_2d(g, ranks, options);
+  recorder.uninstall();
+
+  EXPECT_EQ(r.triangles,
+            graph::count_triangles_serial(graph::Csr::from_edges(g)));
+  ASSERT_GT(r.total_chaos().drops_injected, 0u);
+  const obs::Trace trace = recorder.trace();
+  EXPECT_TRUE(obs::lint_trace(trace).empty());
+  for (int rank = 0; rank < ranks; ++rank) {
+    ASSERT_EQ(ring_info(trace, rank + 1).get("dropped").as_number(), 0.0);
+    EXPECT_EQ(values(trace, rank + 1, 'i', "chaos.drop").size(),
+              r.per_rank_chaos[static_cast<std::size_t>(rank)].drops_injected)
+        << "rank " << rank;
+  }
 }
 
 // --- automatic dumps against real runs -------------------------------------
@@ -174,26 +242,18 @@ TEST(FlightRecorder, ChaosCrashDumpEndsAtTheCrashSuperstep) {
   EXPECT_EQ(r.total_chaos().crashes, 1u);
   // ...but the crash armed an automatic dump at the moment of failure.
   ASSERT_TRUE(recorder.auto_dumped());
-  ASSERT_EQ(dump_files(dir).size(), static_cast<std::size_t>(ranks) + 1);
+  ASSERT_EQ(dump_files(dir).size(), 1u);
 
-  char name[32];
-  std::snprintf(name, sizeof(name), "/flight-r%03d.jsonl",
-                plan->crash_rank());
-  const obs::FlightDump crashed = obs::read_flight_dump(dir + name);
-  EXPECT_TRUE(obs::lint_flight(crashed).empty());
-  EXPECT_EQ(crashed.header.get("reason").as_string(), "chaos-crash");
-  // The crashing rank's stream ends at the failed superstep: its last
+  const obs::Trace trace = read_dump(dir);
+  EXPECT_TRUE(obs::lint_trace(trace).empty());
+  EXPECT_EQ(trace.other_data().get("reason").as_string(), "chaos-crash");
+  // The crashing rank's ring ends at the failed superstep: its last
   // superstep counter and the chaos.crash marker both carry the step.
-  EXPECT_EQ(last_value(crashed, "counter", "superstep"),
+  const int tid = plan->crash_rank() + 1;
+  EXPECT_EQ(last_value(trace, tid, 'C', "superstep"),
             static_cast<double>(crash_step));
-  EXPECT_EQ(last_value(crashed, "instant", "chaos.crash"),
+  EXPECT_EQ(last_value(trace, tid, 'i', "chaos.crash"),
             static_cast<double>(crash_step));
-
-  // Every per-rank dump in the directory lints clean.
-  for (const std::string& file : dump_files(dir)) {
-    EXPECT_TRUE(obs::lint_flight(obs::read_flight_dump(file)).empty())
-        << file;
-  }
 }
 
 TEST(FlightRecorder, WatchdogStallDumpsBeforeFailingTheWorld) {
@@ -218,13 +278,12 @@ TEST(FlightRecorder, WatchdogStallDumpsBeforeFailingTheWorld) {
   recorder.uninstall();
 
   ASSERT_TRUE(recorder.auto_dumped());
-  const obs::FlightDump world =
-      obs::read_flight_dump(dir + "/flight-world.jsonl");
-  EXPECT_TRUE(obs::lint_flight(world).empty());
-  EXPECT_EQ(world.header.get("reason").as_string(), "watchdog-stall");
-  // The watchdog thread marks the stall in the world stream before
-  // failing the blocked ranks.
-  EXPECT_TRUE(has_record(world, "instant", "watchdog.stall"));
+  const obs::Trace trace = read_dump(dir);
+  EXPECT_TRUE(obs::lint_trace(trace).empty());
+  EXPECT_EQ(trace.other_data().get("reason").as_string(), "watchdog-stall");
+  // The watchdog thread marks the stall on the world tid before failing
+  // the blocked ranks.
+  EXPECT_FALSE(values(trace, 0, 'i', "watchdog.stall").empty());
 }
 
 // --- live telemetry --------------------------------------------------------

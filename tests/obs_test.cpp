@@ -16,6 +16,7 @@
 #include "tricount/graph/generators.hpp"
 #include "tricount/mpisim/collectives.hpp"
 #include "tricount/mpisim/runtime.hpp"
+#include "tricount/obs/flight.hpp"
 #include "tricount/obs/json.hpp"
 #include "tricount/obs/metrics.hpp"
 #include "tricount/obs/trace.hpp"
@@ -103,55 +104,77 @@ TEST(Json, TraceReaderRejectsATidPastIntRange) {
 }
 
 // ---------------------------------------------------------------------------
-// live tracer
+// the flight recorder's trace snapshot
 
-TEST(Tracer, ProducesValidParseableTrace) {
+TEST(FlightTrace, ProducesValidParseableTrace) {
   constexpr int kRanks = 4;
-  obs::Tracer tracer(kRanks);
-  tracer.install();
+  obs::FlightRecorder recorder(kRanks);
+  recorder.install();
   mpisim::run_world(kRanks, [](mpisim::Comm& comm) {
     obs::ScopedSpan outer("superstep", "test");
     mpisim::barrier(comm);
     std::vector<std::uint64_t> data(8, static_cast<std::uint64_t>(comm.rank()));
     mpisim::allreduce(comm, data, std::plus<std::uint64_t>());
     if (comm.rank() == 0) {
-      obs::Tracer::current()->instant("checkpoint", "test");
+      obs::FlightRecorder::current()->instant("checkpoint", "test");
     }
   });
-  tracer.uninstall();
+  recorder.uninstall();
 
-  const obs::Trace collected = tracer.collect();
+  const obs::Trace collected = recorder.trace();
   EXPECT_FALSE(collected.events().empty());
 
-  // Export -> parse back -> same number of events, lint-clean.
+  // Export -> parse back -> same events and metadata, lint-clean.
   const std::string text = collected.to_json().dump(2);
   const obs::Trace reparsed =
       obs::Trace::from_json(obs::json::Value::parse(text));
   EXPECT_EQ(reparsed.events().size(), collected.events().size());
+  EXPECT_EQ(reparsed.other_data().dump(), collected.other_data().dump());
+  EXPECT_EQ(reparsed.other_data().get("ranks").as_int(), kRanks);
   EXPECT_TRUE(obs::lint_trace(reparsed).empty());
 
-  // Every rank's timeline (tid = rank + 1) recorded its superstep span,
-  // and span nesting balanced (collect() would have thrown otherwise).
+  // Every rank's timeline (tid = rank + 1) recorded its closed superstep
+  // span, and rank 0's also the instant.
   std::set<int> tids_with_superstep;
-  for (const obs::TraceEvent& e : collected.events()) {
-    if (e.name == "superstep") tids_with_superstep.insert(e.tid);
+  int checkpoints = 0;
+  for (const obs::TraceEvent& e : reparsed.events()) {
+    if (e.name == "superstep" && e.ph == 'X' && e.args.empty()) {
+      tids_with_superstep.insert(e.tid);
+    }
+    if (e.name == "checkpoint" && e.ph == 'i' && e.tid == 1) ++checkpoints;
   }
   for (int r = 0; r < kRanks; ++r) {
     EXPECT_TRUE(tids_with_superstep.count(r + 1)) << "rank " << r;
   }
+  EXPECT_EQ(checkpoints, 1);
 }
 
-TEST(Tracer, UnbalancedSpanIsAnError) {
-  obs::Tracer tracer(1);
-  tracer.install();
-  tracer.begin("never closed", "test");
-  tracer.uninstall();
-  EXPECT_THROW(tracer.collect(), std::logic_error);
+TEST(FlightTrace, OpenSpanIsClosedAtTheSnapshotAndMarkedOpen) {
+  obs::FlightRecorder recorder(1);
+  recorder.install();
+  recorder.span_begin("never closed", "test");
+  {
+    obs::ScopedSpan inner("inner", "test");
+  }
+  recorder.uninstall();
+
+  const obs::Trace trace = recorder.trace();
+  EXPECT_TRUE(obs::lint_trace(trace).empty());
+  ASSERT_EQ(trace.events().size(), 2u);
+  const obs::TraceEvent& inner = trace.events().at(0);
+  const obs::TraceEvent& open = trace.events().at(1);
+  EXPECT_EQ(inner.name, "inner");
+  EXPECT_TRUE(inner.args.empty());
+  EXPECT_EQ(open.name, "never closed");
+  EXPECT_EQ(open.args, (obs::TraceArgs{{"open", 1.0}}));
+  // It encloses everything recorded after it.
+  EXPECT_LE(open.ts_us, inner.ts_us);
+  EXPECT_GE(open.ts_us + open.dur_us, inner.ts_us + inner.dur_us);
 }
 
-TEST(Tracer, DisabledTracingRecordsNothing) {
-  ASSERT_EQ(obs::Tracer::current(), nullptr);
-  // No tracer installed: spans must be no-ops, not crashes.
+TEST(FlightTrace, NoRecorderRecordsNothing) {
+  ASSERT_EQ(obs::FlightRecorder::current(), nullptr);
+  // No recorder installed: spans must be no-ops, not crashes.
   obs::ScopedSpan span("ignored", "test");
 }
 
@@ -252,6 +275,8 @@ TEST_F(RunArtifactsTest, TracePhaseSumsMatchPhaseBreakdown) {
   const core::RunResult result = run();
   const obs::Trace trace = core::build_run_trace(result);
   EXPECT_TRUE(obs::lint_trace(trace).empty());
+  // The modeled trace writes an empty otherData object.
+  EXPECT_EQ(trace.to_json().get("otherData").dump(), "{}");
 
   // One timeline per rank plus the modeled summary timeline.
   std::set<int> tids;

@@ -772,6 +772,62 @@ TEST(ServiceTypedParams, OutOfRangeEndpointIsBadParams) {
   EXPECT_EQ(stats.get("triangles").as_uint(), 4u);
 }
 
+TEST(ServiceTypedParams, GraphFilesPast32BitsAreBadParams) {
+  // Files whose counts or ids do not fit a 32-bit VertexId, or whose
+  // header claims more entries than the file holds: each is refused, and
+  // the graph loaded before stays resident.
+  Harness h;
+  const std::filesystem::path dir = scratch_dir("past_32_bits");
+  const std::string good = (dir / "k4.bin").string();
+  graph::write_binary(graph::complete_graph(4), good);
+  ASSERT_TRUE(Value::parse(h.ask(R"({"id":1,"verb":"graph.load","params":)"
+                                 R"({"path":")" + good + "\"}}"))
+                  .get("ok")
+                  .as_bool());
+  const std::uint64_t version = h.svc.graph_version();
+
+  // A binary file whose header words (after the magic) say n and m.
+  const auto binary = [&](const std::string& name, const graph::EdgeList& g,
+                          std::uint64_t n, std::uint64_t m) {
+    const std::string file = (dir / name).string();
+    graph::write_binary(g, file);
+    std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(8);
+    f.write(reinterpret_cast<const char*>(&n), sizeof n);
+    f.write(reinterpret_cast<const char*>(&m), sizeof m);
+    return file;
+  };
+  const auto text = [&](const std::string& name, const std::string& body) {
+    const std::string file = (dir / name).string();
+    std::ofstream(file) << body;
+    return file;
+  };
+  const std::string kBanner =
+      "%%MatrixMarket matrix coordinate pattern general\n";
+  const std::vector<std::string> files = {
+      binary("wide_n.bin", graph::EdgeList{4, {{1, 2}}},
+             (std::uint64_t{1} << 32) + 4, 1),
+      binary("huge_m.bin", graph::EdgeList{4, {}}, 4, std::uint64_t{1} << 62),
+      text("huge_nnz.mtx", kBanner + "3 3 4611686018427387904\n2 1\n"),
+      text("wide_rows.mtx", kBanner + "4294967300 4294967300 1\n"
+                                      "4294967299 2\n"),
+      text("wide_id.txt", "#n 5\n4294967297 2\n"),
+  };
+  std::uint64_t id = 1;
+  for (const std::string& file : files) {
+    expect_bad_params(h,
+                      R"({"id":)" + std::to_string(++id) +
+                          R"(,"verb":"graph.load","params":{"path":")" +
+                          file + "\"}}",
+                      std::filesystem::path(file).filename().string());
+    EXPECT_EQ(h.svc.graph_version(), version) << file;
+    const Value stats = Value::parse(h.ask(R"({"id":99,"verb":"delta.stats"})"))
+                            .get("result");
+    EXPECT_EQ(stats.get("graph_version").as_uint(), version) << file;
+    EXPECT_EQ(stats.get("num_edges").as_uint(), 6u) << file;
+  }
+}
+
 // --- served results equal the library (corpus equivalence) ---------------
 
 TEST(ServiceEquivalence, ServedCountsMatchCorpusAcrossAlgorithms) {

@@ -1,12 +1,12 @@
-// tricount_trace_lint — validates a Chrome trace-event JSON file against
-// the invariants obs::lint_trace checks: parseable JSON, known phase
-// codes, non-negative timestamps, and per-timeline spans that nest or are
+// tricount_trace_lint — validates a Chrome trace-event JSON file (a
+// modeled run trace or a flight dump) against the invariants
+// obs::lint_trace checks: parseable JSON, known phase codes, named events,
+// non-negative timestamps, and per-timeline spans that nest or are
 // disjoint (no partial overlap).
 //
 // Usage:
 //   tricount_trace_lint FILE.json...            lint trace files; exit 1 on any violation
 //   tricount_trace_lint --metrics FILE.json...  schema-validate tricount.metrics.v3 files
-//   tricount_trace_lint --flight FILE.jsonl...  validate tricount.flight.v1 dumps
 //   tricount_trace_lint --msgtrace FILE.json... validate tricount.msgtrace.v1 artifacts
 //   tricount_trace_lint --service FILE.json...  validate tricount.service.v1 session artifacts
 //   tricount_trace_lint --selftest              run the built-in good/bad fixtures
@@ -66,25 +66,6 @@ int lint_metrics_file(const std::string& path) {
   return 1;
 }
 
-int lint_flight_file(const std::string& path) {
-  obs::FlightDump dump;
-  try {
-    dump = obs::read_flight_dump(path);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
-    return 1;
-  }
-  const std::vector<std::string> violations = obs::lint_flight(dump);
-  for (const std::string& v : violations) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), v.c_str());
-  }
-  if (violations.empty()) {
-    std::printf("%s: OK (%zu records)\n", path.c_str(), dump.records.size());
-    return 0;
-  }
-  return 1;
-}
-
 int lint_msgtrace_file(const std::string& path) {
   obs::json::Value root;
   try {
@@ -127,18 +108,6 @@ int lint_service_file(const std::string& path) {
     return 0;
   }
   return 1;
-}
-
-/// Builds a tricount.flight.v1 dump fixture in memory for the selftest:
-/// the well-formed header plus `records` (already-parsed JSON lines).
-obs::FlightDump flight_fixture(std::vector<obs::json::Value> records) {
-  obs::FlightDump dump;
-  dump.header = obs::json::Value::parse(
-      R"({"schema":"tricount.flight.v1","stream":"rank","rank":0,)"
-      R"("ranks":4,"capacity":16,"recorded":2,"dropped":0,)"
-      R"("reason":"selftest","build":{}})");
-  dump.records = std::move(records);
-  return dump;
 }
 
 int selftest() {
@@ -196,49 +165,57 @@ int selftest() {
     ++failures;
   }
 
-  // --- tricount.flight.v1 fixtures ---------------------------------------
+  // A counter sample is a known phase; an unnamed one is flagged.
+  obs::Trace counters;
+  counters.add_counter(0, "superstep", "tc", 10.0, 3.0);
+  if (!obs::lint_trace(counters).empty()) {
+    std::fprintf(stderr, "selftest: clean counter event flagged\n");
+    ++failures;
+  }
+  counters.add_counter(0, "", "tc", 20.0, 4.0);
+  if (obs::lint_trace(counters).empty()) {
+    std::fprintf(stderr, "selftest: unnamed counter event not flagged\n");
+    ++failures;
+  }
 
-  // Clean dump: monotonic timestamps, known kinds.
+  // A phase the producers never write (here a begin half) is flagged.
+  if (obs::lint_trace(obs::Trace::from_json(obs::json::Value::parse(
+          R"({"traceEvents":[{"name":"a","ph":"B","tid":0,"ts":1}]})")))
+          .empty()) {
+    std::fprintf(stderr, "selftest: unknown phase code not flagged\n");
+    ++failures;
+  }
+
+  // --- flight recorder snapshots -----------------------------------------
+  // This thread is no rank, so both recorders write their world ring.
+
+  // A ring that wrapped mid-span: the end whose begin was overwritten is
+  // dropped, and what is left nests.
   {
-    std::vector<obs::json::Value> records;
-    records.push_back(obs::json::Value::parse(
-        R"({"ts_us":1.0,"kind":"begin","name":"intersect","cat":"tc"})"));
-    records.push_back(obs::json::Value::parse(
-        R"({"ts_us":2.0,"kind":"counter","name":"superstep","cat":"tc",)"
-        R"("value":3})"));
-    if (!obs::lint_flight(flight_fixture(std::move(records))).empty()) {
-      std::fprintf(stderr, "selftest: clean flight dump flagged\n");
+    obs::FlightRecorder recorder(/*ranks=*/1, /*capacity=*/4);
+    recorder.span_begin("outer", "pre");
+    for (int i = 0; i < 4; ++i) recorder.counter("tick", "pre", i);
+    recorder.span_begin("inner", "pre");
+    recorder.span_end("inner");
+    recorder.span_end("outer");
+    const obs::Trace wrapped = recorder.trace();
+    // Left: the last tick and the inner span; the outer end is dropped.
+    if (wrapped.events().size() != 2 || !obs::lint_trace(wrapped).empty()) {
+      std::fprintf(stderr, "selftest: wrapped flight ring not clean\n");
       ++failures;
     }
   }
 
-  // Decreasing timestamps must be flagged.
+  // A span still open at the snapshot ends there, around its children.
   {
-    std::vector<obs::json::Value> records;
-    records.push_back(obs::json::Value::parse(
-        R"({"ts_us":5.0,"kind":"instant","name":"a","cat":"tc","value":0})"));
-    records.push_back(obs::json::Value::parse(
-        R"({"ts_us":1.0,"kind":"instant","name":"b","cat":"tc","value":0})"));
-    if (obs::lint_flight(flight_fixture(std::move(records))).empty()) {
-      std::fprintf(stderr, "selftest: flight ts regression not flagged\n");
-      ++failures;
-    }
-  }
-
-  // Unknown record kind and a broken header must both be flagged.
-  {
-    std::vector<obs::json::Value> records;
-    records.push_back(obs::json::Value::parse(
-        R"({"ts_us":1.0,"kind":"jump","name":"a","cat":"tc"})"));
-    if (obs::lint_flight(flight_fixture(std::move(records))).empty()) {
-      std::fprintf(stderr, "selftest: unknown flight kind not flagged\n");
-      ++failures;
-    }
-    obs::FlightDump bad_header = flight_fixture({});
-    bad_header.header.set("schema", "tricount.flight.v999");
-    bad_header.header.set("rank", 7);  // >= ranks
-    if (obs::lint_flight(bad_header).size() < 2) {
-      std::fprintf(stderr, "selftest: bad flight header not fully flagged\n");
+    obs::FlightRecorder recorder(/*ranks=*/1, /*capacity=*/16);
+    recorder.span_begin("open", "tc");
+    recorder.span_begin("closed", "tc");
+    recorder.span_end("closed");
+    recorder.instant("mark", "tc", 1.0);
+    const obs::Trace snapshot = recorder.trace();
+    if (snapshot.events().size() != 3 || !obs::lint_trace(snapshot).empty()) {
+      std::fprintf(stderr, "selftest: open flight span not clean\n");
       ++failures;
     }
   }
@@ -374,9 +351,8 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: tricount_trace_lint <FILE.json...|--metrics "
-                 "FILE.json...|--flight FILE.jsonl...|--msgtrace "
-                 "FILE.json...|--service FILE.json...|--selftest|"
-                 "--version>\n");
+                 "FILE.json...|--msgtrace FILE.json...|--service "
+                 "FILE.json...|--selftest|--version>\n");
     return 2;
   }
   if (std::strcmp(argv[1], "--selftest") == 0) return selftest();
@@ -386,11 +362,9 @@ int main(int argc, char** argv) {
     return 0;
   }
   const bool metrics_mode = std::strcmp(argv[1], "--metrics") == 0;
-  const bool flight_mode = std::strcmp(argv[1], "--flight") == 0;
   const bool msgtrace_mode = std::strcmp(argv[1], "--msgtrace") == 0;
   const bool service_mode = std::strcmp(argv[1], "--service") == 0;
-  const bool has_mode =
-      metrics_mode || flight_mode || msgtrace_mode || service_mode;
+  const bool has_mode = metrics_mode || msgtrace_mode || service_mode;
   if (has_mode && argc < 3) {
     std::fprintf(stderr, "usage: tricount_trace_lint %s FILE...\n", argv[1]);
     return 2;
@@ -399,8 +373,6 @@ int main(int argc, char** argv) {
   for (int i = has_mode ? 2 : 1; i < argc; ++i) {
     if (metrics_mode) {
       status |= lint_metrics_file(argv[i]);
-    } else if (flight_mode) {
-      status |= lint_flight_file(argv[i]);
     } else if (msgtrace_mode) {
       status |= lint_msgtrace_file(argv[i]);
     } else if (service_mode) {

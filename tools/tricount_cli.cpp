@@ -64,12 +64,6 @@ bool has_suffix(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-graph::EdgeList load(const std::string& path) {
-  if (has_suffix(path, ".mtx")) return graph::read_matrix_market(path);
-  if (has_suffix(path, ".bin")) return graph::read_binary(path);
-  return graph::read_edge_list(path);
-}
-
 void store(const graph::EdgeList& g, const std::string& path) {
   if (has_suffix(path, ".mtx")) {
     graph::write_matrix_market(g, path);
@@ -133,7 +127,7 @@ int cmd_stats(int argc, const char* const* argv) {
   args.add_flag("truss", false, "also compute the k-truss decomposition");
   if (!args.parse(argc, argv)) return args.help_requested() ? 0 : 1;
 
-  const graph::EdgeList g = graph::simplify(load(args.get("file")));
+  const graph::EdgeList g = graph::simplify(graph::read_graph(args.get("file")));
   const graph::Csr csr = graph::Csr::from_edges(g);
   const auto triangles = graph::count_triangles_serial(csr);
   util::Table table({"metric", "value"});
@@ -398,7 +392,7 @@ int cmd_count(int argc, const char* const* argv) {
   chaos::add_chaos_options(args);
   if (!args.parse(argc, argv)) return args.help_requested() ? 0 : 1;
 
-  const graph::EdgeList g = graph::simplify(load(args.get("file")));
+  const graph::EdgeList g = graph::simplify(graph::read_graph(args.get("file")));
   const int ranks = static_cast<int>(args.get_int("ranks"));
   const std::string algorithm = args.get("algo").empty()
                                     ? args.get("algorithm")
@@ -559,7 +553,7 @@ int cmd_pervertex(int argc, const char* const* argv) {
   args.add_option("top", "10", "print the top-N triangle-dense vertices");
   if (!args.parse(argc, argv)) return args.help_requested() ? 0 : 1;
 
-  const graph::EdgeList g = graph::simplify(load(args.get("file")));
+  const graph::EdgeList g = graph::simplify(graph::read_graph(args.get("file")));
   const graph::Csr csr = graph::Csr::from_edges(g);
   const auto result = core::count_per_vertex_2d(
       g, static_cast<int>(args.get_int("ranks")));
@@ -593,7 +587,7 @@ int cmd_truss(int argc, const char* const* argv) {
   args.add_option("file", "", "input graph (.txt / .mtx / .bin)");
   if (!args.parse(argc, argv)) return args.help_requested() ? 0 : 1;
 
-  const graph::EdgeList g = graph::simplify(load(args.get("file")));
+  const graph::EdgeList g = graph::simplify(graph::read_graph(args.get("file")));
   const graph::KtrussResult result = graph::ktruss_decomposition(g);
   std::printf("max k-truss: %d\n", result.max_k);
   util::Table table({"k", "edges in k-truss"});
@@ -614,7 +608,7 @@ int cmd_convert(int argc, const char* const* argv) {
   args.add_flag("simplify", true, "canonicalize to a simple graph");
   if (!args.parse(argc, argv)) return args.help_requested() ? 0 : 1;
 
-  graph::EdgeList g = load(args.get("in"));
+  graph::EdgeList g = graph::read_graph(args.get("in"));
   if (args.get_bool("simplify")) g = graph::simplify(std::move(g));
   store(g, args.get("out"));
   std::printf("wrote %s: %u vertices, %zu edges\n", args.get("out").c_str(),

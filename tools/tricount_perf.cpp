@@ -10,7 +10,7 @@
 //       the communication-avoiding counter), chaos fault tallies (when
 //       the artifact came from a chaos run), and the α–β consistency
 //       check. With --flight-dir, also a section correlating the
-//       directory's tricount.flight.v1 dumps (dump reason, last recorded
+//       directory's flight.json dump (dump reason, last recorded
 //       superstep, crash markers) with the run. With --msgtrace, also
 //       the causal section from the given tricount.msgtrace.v1 artifact:
 //       measured critical path, wait states, and measured-vs-modeled
@@ -49,9 +49,9 @@
 #include <vector>
 
 #include "tricount/obs/analysis.hpp"
-#include "tricount/obs/flight.hpp"
 #include "tricount/obs/json.hpp"
 #include "tricount/obs/telemetry.hpp"
+#include "tricount/obs/trace.hpp"
 #include "tricount/util/build.hpp"
 #include "tricount/util/table.hpp"
 
@@ -80,86 +80,65 @@ bool parse_double(const char* text, double& out) {
   return end != text && *end == '\0';
 }
 
-/// The `report --flight-dir` section: one row per tricount.flight.v1
-/// dump in `dir`, correlating each stream's dump reason and final
-/// recorded superstep (plus any chaos.crash marker) with the run the
-/// metrics artifact describes. Returns 2 on unreadable dumps.
+/// The `report --flight-dir` section: one row per ring of the flight
+/// dump `dir`/flight.json, correlating the dump reason and each ring's
+/// final recorded superstep (plus any chaos.crash marker) with the run the
+/// metrics artifact describes. Returns 2 on a missing directory or an
+/// unreadable dump.
 int print_flight_section(const std::string& dir) {
-  namespace fs = std::filesystem;
-  std::vector<std::string> files;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("flight-", 0) == 0 &&
-        name.size() >= 6 + 6 &&  // "flight" + ".jsonl"
-        name.compare(name.size() - 6, 6, ".jsonl") == 0) {
-      files.push_back(entry.path().string());
-    }
-  }
-  if (ec) {
-    std::fprintf(stderr, "tricount_perf: --flight-dir %s: %s\n", dir.c_str(),
-                 ec.message().c_str());
+  if (!std::filesystem::is_directory(dir)) {
+    std::fprintf(stderr, "tricount_perf: --flight-dir %s: not a directory\n",
+                 dir.c_str());
     return 2;
   }
-  std::sort(files.begin(), files.end());
-  std::printf("\n== flight dumps (%s) ==\n", dir.c_str());
-  if (files.empty()) {
-    std::printf("no tricount.flight.v1 dumps found — the run completed "
-                "without a crash/hang/signal trigger\n");
+  const std::string path = dir + "/flight.json";
+  std::printf("\n== flight dump (%s) ==\n", path.c_str());
+  if (!std::filesystem::exists(path)) {
+    std::printf("no flight dump found — the run completed without a "
+                "crash/hang/signal trigger\n");
     return 0;
   }
-  util::Table table({"stream", "reason", "recorded", "dropped",
-                     "last superstep", "crash step", "lint"});
-  for (const std::string& file : files) {
-    obs::FlightDump dump;
-    try {
-      dump = obs::read_flight_dump(file);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "tricount_perf: %s\n", e.what());
-      return 2;
-    }
-    const std::vector<std::string> violations = obs::lint_flight(dump);
-    double last_superstep = -1.0;
-    double crash_step = -1.0;
-    for (const obs::json::Value& rec : dump.records) {
-      const obs::json::Value* kind = rec.find("kind");
-      const obs::json::Value* name = rec.find("name");
-      const obs::json::Value* value = rec.find("value");
-      if (kind == nullptr || name == nullptr || value == nullptr) continue;
-      if (kind->as_string() == "counter" &&
-          name->as_string() == "superstep") {
-        last_superstep = value->as_number();
-      } else if (kind->as_string() == "instant" &&
-                 name->as_string() == "chaos.crash") {
-        crash_step = value->as_number();
+  try {
+    const obs::Trace trace = obs::Trace::from_json(obs::json::read_file(path));
+    const std::size_t violations = obs::lint_trace(trace).size();
+    const obs::json::Value& other = trace.other_data();
+    const obs::json::Value& rings = other.get("rings");
+    util::Table table({"ring", "reason", "recorded", "dropped",
+                       "last superstep", "crash step", "lint"});
+    for (std::size_t i = 0; i < rings.size(); ++i) {
+      const obs::json::Value& ring = rings.at(i);
+      const int tid = ring.get("tid").as_int();
+      double last_superstep = -1.0;
+      double crash_step = -1.0;
+      for (const obs::TraceEvent& e : trace.events()) {
+        if (e.tid != tid || e.args.empty()) continue;
+        if (e.ph == 'C' && e.name == "superstep") {
+          last_superstep = e.args.front().second;
+        } else if (e.ph == 'i' && e.name == "chaos.crash") {
+          crash_step = e.args.front().second;
+        }
       }
+      char label[16] = "world";
+      if (tid != 0) std::snprintf(label, sizeof label, "r%d", tid - 1);
+      table.row()
+          .cell(std::string(label))
+          .cell(other.get("reason").as_string())
+          .cell(ring.get("recorded").as_number(), 0)
+          .cell(ring.get("dropped").as_number(), 0)
+          .cell(last_superstep, 0)
+          .cell(crash_step, 0)
+          .cell(violations == 0
+                    ? std::string("clean")
+                    : std::to_string(violations) + " violation(s)");
     }
-    const obs::json::Value* stream = dump.header.find("stream");
-    const obs::json::Value* rank = dump.header.find("rank");
-    std::string label = stream != nullptr ? stream->as_string() : "?";
-    if (label == "rank" && rank != nullptr) {
-      char buf[16];
-      std::snprintf(buf, sizeof buf, "r%d", rank->as_int());
-      label = buf;
-    }
-    const obs::json::Value* reason = dump.header.find("reason");
-    const obs::json::Value* recorded = dump.header.find("recorded");
-    const obs::json::Value* dropped = dump.header.find("dropped");
-    table.row()
-        .cell(label)
-        .cell(reason != nullptr ? reason->as_string() : "?")
-        .cell(recorded != nullptr ? recorded->as_number() : -1.0, 0)
-        .cell(dropped != nullptr ? dropped->as_number() : -1.0, 0)
-        .cell(last_superstep, 0)
-        .cell(crash_step, 0)
-        .cell(violations.empty()
-                  ? std::string("clean")
-                  : std::to_string(violations.size()) + " violation(s)");
+    table.print();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "tricount_perf: %s: %s\n", path.c_str(), e.what());
+    return 2;
   }
-  table.print();
-  std::printf("(last superstep / crash step are -1 when the stream carries "
-              "no such record; correlate the crashing rank's crash step "
-              "with the chaos tallies above)\n");
+  std::printf("(last superstep / crash step are -1 when the ring carries "
+              "no such event; correlate the crashing rank's crash step "
+              "with the chaos tallies above; lint is the whole file's)\n");
   return 0;
 }
 

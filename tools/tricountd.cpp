@@ -45,17 +45,6 @@ namespace {
 
 using namespace tricount;
 
-bool has_suffix(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-graph::EdgeList load(const std::string& path) {
-  if (has_suffix(path, ".mtx")) return graph::read_matrix_market(path);
-  if (has_suffix(path, ".bin")) return graph::read_binary(path);
-  return graph::read_edge_list(path);
-}
-
 /// Routes response lines to the current client fd, or stdout when none.
 /// Best-effort: a response completing after its client disconnected is
 /// dropped (the client is gone; the session artifact still records it).
@@ -255,7 +244,7 @@ int main(int argc, char** argv) {
 
     const std::string graph_path = args.get("graph");
     if (!graph_path.empty()) {
-      svc.load_graph(load(graph_path), graph_path);
+      svc.load_graph(graph::read_graph(graph_path), graph_path);
       TRICOUNT_LOG_INFO("tricountd: graph %s resident (v%llu)",
                         graph_path.c_str(),
                         static_cast<unsigned long long>(svc.graph_version()));
