@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "tricount/mpisim/collectives.hpp"
@@ -91,26 +92,24 @@ struct Credits {
     return (*edges)[(static_cast<std::uint64_t>(std::min(a, b)) << 32) |
                     std::max(a, b)];
   }
-  /// Closer t of task (r, e): credits k, or the edges j–k and i–k.
-  void closer(VertexId r, VertexId e, VertexId t) {
-    if (closers != nullptr) {
-      ++(*closers)[t];
-    } else {
-      const VertexId k = t * q + z;
-      ++edge(r * q + x, k);
-      ++edge(e * q + y, k);
-    }
-  }
-  /// Task (r, e), entry `at` of the task block, closed `hits` triangles,
-  /// all of them through j, i and the edge j–i: one credit per task, not
-  /// per triangle.
-  void task(VertexId r, VertexId e, std::size_t at, TriangleCount hits) {
-    if (hits == 0) return;
+  /// Task (r, e), entry `at` of the task block, closed one triangle
+  /// through each closer t: credits each k, or the edges j–k and i–k.
+  /// Every triangle also goes through j, i and the edge j–i, which take
+  /// one credit per task, not per triangle.
+  void task(VertexId r, VertexId e, std::size_t at,
+            std::span<const VertexId> closed) {
+    if (closed.empty()) return;
     if (rows != nullptr) {
-      (*rows)[r] += hits;
-      (*cols)[e] += hits;
+      for (const VertexId t : closed) ++(*closers)[t];
+      (*rows)[r] += closed.size();
+      (*cols)[e] += closed.size();
     } else {
-      (*task_edges)[at] += hits;
+      for (const VertexId t : closed) {
+        const VertexId k = t * q + z;
+        ++edge(r * q + x, k);
+        ++edge(e * q + y, k);
+      }
+      (*task_edges)[at] += closed.size();
     }
   }
 };
@@ -137,17 +136,21 @@ TriangleCount intersect_tally(const BlockCsr& tasks, const BlockCsr& ublock,
         if (!lrow.empty()) run(e, lrow);
       }
     };
+    // One row call per task row. A crediting tally takes each task's
+    // closers from the row call's match sink.
     if constexpr (kCredits) {
-      scratch.begin_row(urow, config.modified_hashing);
-      each_task([&](const VertexId& e, std::span<const VertexId> lrow) {
-        ++counters.intersection_tasks;
-        const TriangleCount hits = scratch.each_match(
-            lrow, config.backward_early_exit, counters,
-            [&](VertexId t) { tally.closer(r, e, t); });
-        tally.task(r, e, static_cast<std::size_t>(&e - tasks.adj().data()),
-                   hits);
-        found += hits;
-      });
+      const TriangleCount closed_in_row = scratch.intersect_row(
+          config.kernel, urow, config.modified_hashing,
+          config.backward_early_exit, counters, [&](auto&& emit) {
+            each_task([&](const VertexId& e, std::span<const VertexId> lrow) {
+              emit(lrow, [&](std::span<const VertexId> closed) {
+                tally.task(r, e,
+                           static_cast<std::size_t>(&e - tasks.adj().data()),
+                           closed);
+              });
+            });
+          });
+      found += closed_in_row;
     } else {
       found += scratch.intersect_row(
           config.kernel, urow, config.modified_hashing,
@@ -363,16 +366,36 @@ TriangleCount intersect_blocks(const BlockCsr& tasks, const BlockCsr& ublock,
 }
 
 CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
+                         const Config& config) {
+  CountOutput out;
+  cannon_sweep<false>(grid, std::move(blocks), config, Tally::kCount, 0, out);
+  return out;
+}
+
+CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
                          const Config& config, Tally tally,
                          VertexId num_vertices) {
-  CountOutput out;
   if (tally == Tally::kCount) {
-    cannon_sweep<false>(grid, std::move(blocks), config, tally, num_vertices,
-                        out);
-  } else {
-    cannon_sweep<true>(grid, std::move(blocks), config, tally, num_vertices,
-                       out);
+    return cannon_count(grid, std::move(blocks), config);
   }
+  // The credits are indexed by block-local rows: U and task rows on grid
+  // row x, L rows on grid column y, closers in every residue class. A
+  // vertex count that sizes them wrongly on any rank fails every rank.
+  const int q = grid.q();
+  const bool sized =
+      blocks.ublock.num_local_rows() ==
+          cyclic_row_count(num_vertices, q, grid.row()) &&
+      blocks.tasks.num_local_rows() ==
+          cyclic_row_count(num_vertices, q, grid.row()) &&
+      blocks.lblock.num_local_rows() ==
+          cyclic_row_count(num_vertices, q, grid.col());
+  if (mpisim::allreduce_max(grid.comm(), sized ? 0 : 1) != 0) {
+    throw std::invalid_argument(
+        "cannon_count: num_vertices does not size the blocks' rows");
+  }
+  CountOutput out;
+  cannon_sweep<true>(grid, std::move(blocks), config, tally, num_vertices,
+                     out);
   return out;
 }
 

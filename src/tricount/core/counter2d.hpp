@@ -56,12 +56,21 @@ TriangleCount intersect_blocks(const BlockCsr& tasks, const BlockCsr& ublock,
                                kernels::IntersectScratch& scratch,
                                KernelCounters& counters);
 
-/// Runs the full counting phase. Consumes (shifts away) the U/L blocks.
-/// kCount runs the kernel `config.kernel` selects per task; the crediting
-/// tallies run the hash kernel, which yields each closing vertex.
-/// `num_vertices` sizes the kPerVertex credits.
+/// Runs the full counting phase (Tally::kCount). Consumes (shifts away)
+/// the U/L blocks. Each task runs the kernel `config.kernel` selects for
+/// it.
 CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
-                         const Config& config, Tally tally = Tally::kCount,
-                         VertexId num_vertices = 0);
+                         const Config& config);
+
+/// The same sweep under `tally`. A crediting tally makes the same row
+/// calls as the count, so it runs the same kernels and counts the same
+/// KernelCounters, and credits each task's closers from the ids the
+/// kernel packs for it. `num_vertices` is the vertex count the blocks
+/// were built for, which sizes the kPerVertex credits: when it does not
+/// size every rank's block rows, all ranks throw std::invalid_argument
+/// before the first superstep (one allreduce, which kCount skips).
+CountOutput cannon_count(mpisim::Cart2D& grid, Blocks blocks,
+                         const Config& config, Tally tally,
+                         VertexId num_vertices);
 
 }  // namespace tricount::core

@@ -1,6 +1,7 @@
 #include "tricount/kernels/intersect.hpp"
 
 #include <algorithm>
+#include <array>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -25,16 +26,34 @@ void RowBitmap::build(std::span<const VertexId> row) {
 #ifdef TRICOUNT_SIMD_PROBE
 namespace {
 
+/// kLeftPack[mask] holds, one per byte from the lowest, the lanes whose
+/// bits are set in `mask`: the permutation that moves a step's hit lanes
+/// to its front.
+constexpr std::array<std::uint64_t, 256> kLeftPack = [] {
+  std::array<std::uint64_t, 256> table{};
+  for (std::uint64_t mask = 0; mask < 256; ++mask) {
+    int slot = 0;
+    for (std::uint64_t lane = 0; lane < 8; ++lane) {
+      if (((mask >> lane) & 1) != 0) table[mask] |= lane << (8 * slot++);
+    }
+  }
+  return table;
+}();
+
 /// The AVX2 probe over ids[0, n), eight ids per step; the last, partial
 /// step loads its ids through a mask. Lanes outside [min, universe) are
 /// masked out of the gather, so it reads only words the bitmap owns, and
 /// a masked lane gathers 0 and never hits. It stops after the first step
 /// that holds an id at or past the universe (the probe ascends, so every
 /// later id misses too). AVX2 compares signed lanes, so the ids and both
-/// bounds are biased by 2^31 to order them as unsigned.
-__attribute__((target("avx2"))) BitmapProbe probe_avx2(
+/// bounds are biased by 2^31 to order them as unsigned. With kPack, each
+/// step also permutes its hit lanes to the front and stores all eight at
+/// matches + (hits so far): the lanes past the hits are overwritten by
+/// the next step or lie in the buffer's slack.
+template <bool kPack>
+__attribute__((target("avx2,popcnt"))) BitmapProbe probe_avx2(
     const std::uint32_t* words, VertexId universe, VertexId min,
-    const VertexId* ids, std::size_t n) {
+    const VertexId* ids, std::size_t n, VertexId* matches) {
   const __m256i bias = _mm256_set1_epi32(INT32_MIN);
   const __m256i lo =
       _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(min)), bias);
@@ -44,6 +63,7 @@ __attribute__((target("avx2"))) BitmapProbe probe_avx2(
   // Compare masks hold -1 per set lane: subtracting them counts.
   __m256i hits = _mm256_setzero_si256();
   __m256i tests = _mm256_setzero_si256();
+  std::size_t packed = 0;
   for (std::size_t at = 0; at < n; at += 8) {
     __m256i live = _mm256_set1_epi32(-1);
     __m256i x;
@@ -68,6 +88,15 @@ __attribute__((target("avx2"))) BitmapProbe probe_avx2(
         _mm256_sllv_epi32(word, _mm256_andnot_si256(x, low_bits));
     hits = _mm256_sub_epi32(hits, _mm256_srai_epi32(bit, 31));
     tests = _mm256_sub_epi32(tests, in_range);
+    if constexpr (kPack) {
+      const auto mask = static_cast<unsigned>(
+          _mm256_movemask_ps(_mm256_castsi256_ps(bit)));
+      const __m256i lanes = _mm256_cvtepu8_epi32(
+          _mm_loadl_epi64(reinterpret_cast<const __m128i*>(&kLeftPack[mask])));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(matches + packed),
+                          _mm256_permutevar8x32_epi32(x, lanes));
+      packed += static_cast<std::size_t>(_mm_popcnt_u32(mask));
+    }
     if (!_mm256_testc_si256(below_universe, live)) break;
   }
   alignas(32) std::uint32_t hit_lanes[8];
@@ -89,7 +118,8 @@ bool simd_probe_supported() {
 #ifdef TRICOUNT_SIMD_PROBE
   static const bool supported = [] {
     __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") != 0;
+    return __builtin_cpu_supports("avx2") != 0 &&
+           __builtin_cpu_supports("popcnt") != 0;
   }();
   return supported;
 #else
@@ -97,18 +127,22 @@ bool simd_probe_supported() {
 #endif
 }
 
+template <class... Matches>
 BitmapProbe bitmap_probe_simd(const RowBitmap& bitmap,
                               std::span<const VertexId> probe, VertexId min,
-                              bool clip) {
+                              bool clip, Matches... matches) {
 #ifdef TRICOUNT_SIMD_PROBE
   if (simd_probe_supported()) {
-    BitmapProbe out = probe_avx2(bitmap.words(), bitmap.universe(),
-                                 clip ? min : 0, probe.data(), probe.size());
-    out.clipped = clip && !probe.empty() && probe.front() < min;
-    return out;
+    VertexId* buffer = nullptr;
+    ((buffer = matches), ...);
+    BitmapProbe result = probe_avx2<sizeof...(Matches) != 0>(
+        bitmap.words(), bitmap.universe(), clip ? min : 0, probe.data(),
+        probe.size(), buffer);
+    result.clipped = clip && !probe.empty() && probe.front() < min;
+    return result;
   }
 #endif
-  return bitmap_probe_scalar(bitmap, probe, min, clip);
+  return bitmap_probe_scalar(bitmap, probe, min, clip, matches...);
 }
 
 // The kernels tally lookups, per-kernel operations and hits in locals and
@@ -116,15 +150,17 @@ BitmapProbe bitmap_probe_simd(const RowBitmap& bitmap,
 // counter in memory is a loop-carried store-to-load chain. Hits are summed
 // from the comparison itself, without a branch.
 
+template <class... Matches>
 TriangleCount merge_intersect(std::span<const VertexId> a,
                               std::span<const VertexId> b,
-                              KernelCounters& counters) {
+                              KernelCounters& counters, Matches... matches) {
   TriangleCount hits = 0;
   std::size_t i = 0;
   std::size_t j = 0;
   while (i < a.size() && j < b.size()) {
     const VertexId x = a[i];
     const VertexId y = b[j];
+    store_match(hits, x, matches...);
     hits += x == y;
     i += x <= y;
     j += y <= x;
@@ -173,9 +209,11 @@ std::size_t gallop_lower_bound(std::span<const VertexId> haystack,
 
 }  // namespace
 
+template <class... Matches>
 TriangleCount galloping_intersect(std::span<const VertexId> needles,
                                   std::span<const VertexId> haystack,
-                                  KernelCounters& counters) {
+                                  KernelCounters& counters,
+                                  Matches... matches) {
   TriangleCount hits = 0;
   std::uint64_t steps = 0;
   std::size_t at = 0;
@@ -185,6 +223,7 @@ TriangleCount galloping_intersect(std::span<const VertexId> needles,
     at = gallop_lower_bound(haystack, at, x, steps);
     if (at == haystack.size()) break;
     const bool hit = haystack[at] == x;
+    store_match(hits, x, matches...);
     hits += hit;
     at += hit;
   }
@@ -195,10 +234,11 @@ TriangleCount galloping_intersect(std::span<const VertexId> needles,
   return hits;
 }
 
+template <class... Matches>
 TriangleCount hash_intersect(const hashmap::VertexHashSet& set,
                              std::span<const VertexId> probe,
                              VertexId hashed_min, bool backward_early_exit,
-                             KernelCounters& counters) {
+                             KernelCounters& counters, Matches... matches) {
   TriangleCount hits = 0;
   std::size_t looked_up = probe.size();
   if (backward_early_exit) {
@@ -207,12 +247,16 @@ TriangleCount hash_intersect(const hashmap::VertexHashSet& set,
     // below it — every further lookup would miss.
     std::size_t at = probe.size();
     for (; at > 0 && probe[at - 1] >= hashed_min; --at) {
+      store_match(hits, probe[at - 1], matches...);
       hits += set.contains(probe[at - 1]);
     }
     if (at > 0) ++counters.early_exits;
     looked_up -= at;
   } else {
-    for (const VertexId k : probe) hits += set.contains(k);
+    for (const VertexId k : probe) {
+      store_match(hits, k, matches...);
+      hits += set.contains(k);
+    }
   }
   ++counters.hash_calls;
   counters.lookups += looked_up;
@@ -220,6 +264,33 @@ TriangleCount hash_intersect(const hashmap::VertexHashSet& set,
   counters.hits += hits;
   return hits;
 }
+
+// Each out-of-line kernel in its two forms: counting, and counting while
+// packing the matched ids.
+template BitmapProbe bitmap_probe_simd(const RowBitmap&,
+                                       std::span<const VertexId>, VertexId,
+                                       bool);
+template BitmapProbe bitmap_probe_simd(const RowBitmap&,
+                                       std::span<const VertexId>, VertexId,
+                                       bool, VertexId*);
+template TriangleCount merge_intersect(std::span<const VertexId>,
+                                       std::span<const VertexId>,
+                                       KernelCounters&);
+template TriangleCount merge_intersect(std::span<const VertexId>,
+                                       std::span<const VertexId>,
+                                       KernelCounters&, VertexId*);
+template TriangleCount galloping_intersect(std::span<const VertexId>,
+                                           std::span<const VertexId>,
+                                           KernelCounters&);
+template TriangleCount galloping_intersect(std::span<const VertexId>,
+                                           std::span<const VertexId>,
+                                           KernelCounters&, VertexId*);
+template TriangleCount hash_intersect(const hashmap::VertexHashSet&,
+                                      std::span<const VertexId>, VertexId,
+                                      bool, KernelCounters&);
+template TriangleCount hash_intersect(const hashmap::VertexHashSet&,
+                                      std::span<const VertexId>, VertexId,
+                                      bool, KernelCounters&, VertexId*);
 
 void IntersectScratch::build_hash(KernelCounters& counters) {
   hash_.build(row_, allow_direct_);

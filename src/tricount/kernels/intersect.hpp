@@ -8,11 +8,15 @@
 // probe a caller's generator emits against it, choosing the kernel per
 // probe, building the hash set or bitset lazily on the first probe that
 // needs it and reusing it for the rest of the row. The bitmap probe runs
-// inline for short probes and eight ids per AVX2 step for long ones.
+// inline for short probes and eight ids per AVX2 step for long ones. A
+// probe emitted with a match sink runs the same kernel, which also packs
+// the probe's matched ids for the sink: the per-vertex and edge-support
+// sweeps credit each closing vertex from them.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
+#include <concepts>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -56,6 +60,29 @@ class RowBitmap {
   VertexId universe_ = 0;
 };
 
+/// Every kernel below counts the matches of two ascending, duplicate-free
+/// id lists. Its trailing `matches...` is empty for a count, or one
+/// VertexId* into which the kernel also packs the matched ids, in no
+/// particular order and without a branch: each id it looks up is stored
+/// at the next free slot, which advances only on a hit. The buffer thus
+/// needs kMatchSlack slots past the most matches the call can find (the
+/// shorter list's length): one for the scalar loops' last store, eight
+/// for the SIMD probe, which stores a whole step.
+template <class... Matches>
+concept MatchBuffer =
+    sizeof...(Matches) <= 1 && (std::same_as<Matches, VertexId*> && ...);
+
+inline constexpr std::size_t kMatchSlack = 8;
+
+/// Stores `id` at slot `n` of the match buffer, when the call has one.
+/// Every kernel stores through it, so its constraint checks theirs.
+template <class... Matches>
+  requires MatchBuffer<Matches...>
+inline void store_match([[maybe_unused]] std::uint64_t n,
+                        [[maybe_unused]] VertexId id, Matches... matches) {
+  ((matches[n] = id), ...);
+}
+
 /// What one bitmap probe found: its hits, its tests (the probe ids it
 /// looked up, those in [min, universe) under the clip and below the
 /// universe without it), and whether the §5.2 clip skipped ids below the
@@ -77,9 +104,11 @@ inline constexpr std::size_t kSimdProbeFloor = 16;
 /// probe ids below `min`, and the loop stops at the first id at or past
 /// the universe (the probe ascends, so every later id misses too). The
 /// fallback on CPUs without AVX2 and the reference for the SIMD probe.
+template <class... Matches>
 inline BitmapProbe bitmap_probe_scalar(const RowBitmap& bitmap,
                                        std::span<const VertexId> probe,
-                                       VertexId min, bool clip) {
+                                       VertexId min, bool clip,
+                                       Matches... matches) {
   BitmapProbe out;
   const VertexId* first = probe.data();
   const VertexId* const last = first + probe.size();
@@ -92,6 +121,7 @@ inline BitmapProbe bitmap_probe_scalar(const RowBitmap& bitmap,
   std::uint64_t hits = 0;
   const VertexId* at = first;
   for (; at != last && *at < universe; ++at) {
+    store_match(hits, *at, matches...);
     hits += (words[*at >> 5] >> (*at & 31)) & 1;
   }
   out.hits = hits;
@@ -110,41 +140,49 @@ bool simd_probe_supported();
 /// variable shift, and per-lane counts of the hit and in-range lanes —
 /// stopping after the first step that holds an id at or past the
 /// universe. Returns what bitmap_probe_scalar returns on the same input.
-/// Runs the scalar loop when !simd_probe_supported().
+/// With a match buffer each step also left-packs its hit lanes into it
+/// (one permute and one 8-lane store). Runs the scalar loop when
+/// !simd_probe_supported().
+template <class... Matches>
 BitmapProbe bitmap_probe_simd(const RowBitmap& bitmap,
                               std::span<const VertexId> probe, VertexId min,
-                              bool clip);
+                              bool clip, Matches... matches);
 
 /// The bitmap kernel's probe: scalar below kSimdProbeFloor ids, SIMD at
 /// or above it.
+template <class... Matches>
 inline BitmapProbe bitmap_probe(const RowBitmap& bitmap,
                                 std::span<const VertexId> probe, VertexId min,
-                                bool clip) {
+                                bool clip, Matches... matches) {
   return probe.size() < kSimdProbeFloor
-             ? bitmap_probe_scalar(bitmap, probe, min, clip)
-             : bitmap_probe_simd(bitmap, probe, min, clip);
+             ? bitmap_probe_scalar(bitmap, probe, min, clip, matches...)
+             : bitmap_probe_simd(bitmap, probe, min, clip, matches...);
 }
 
 /// Sorted-merge intersection counting matches between two ascending lists.
+template <class... Matches>
 TriangleCount merge_intersect(std::span<const VertexId> a,
                               std::span<const VertexId> b,
-                              KernelCounters& counters);
+                              KernelCounters& counters, Matches... matches);
 
 /// Galloping (exponential + binary search) intersection: every needle is
 /// located in `haystack` with a doubling jump from the previous match
 /// position. Both lists ascending; pass the shorter list as `needles`.
+template <class... Matches>
 TriangleCount galloping_intersect(std::span<const VertexId> needles,
                                   std::span<const VertexId> haystack,
-                                  KernelCounters& counters);
+                                  KernelCounters& counters,
+                                  Matches... matches);
 
 /// Probes `probe` against a built hash set. With `backward_early_exit`
 /// (§5.2) the probe list is walked from the largest id down and the loop
 /// breaks at the first id below `hashed_min` — every further lookup
 /// would miss.
+template <class... Matches>
 TriangleCount hash_intersect(const hashmap::VertexHashSet& set,
                              std::span<const VertexId> probe,
                              VertexId hashed_min, bool backward_early_exit,
-                             KernelCounters& counters);
+                             KernelCounters& counters, Matches... matches);
 
 /// Reusable per-rank scratch: the hash set and bitmap for the currently
 /// pinned hashed row, built lazily per row and cached across that row's
@@ -155,8 +193,8 @@ class IntersectScratch {
   /// Sizes the hash table for the longest row this scratch will see.
   void reserve_for(std::size_t max_row_len) { hash_.reserve_for(max_row_len); }
 
-  /// Pins `row` as the hashed side for subsequent task() and each_match()
-  /// calls and invalidates any structure built for the previous row.
+  /// Pins `row` as the hashed side for subsequent task() calls and
+  /// invalidates any structure built for the previous row.
   /// `allow_direct` is the §5.2 modified-hashing switch, forwarded to the
   /// hash build.
   void begin_row(std::span<const VertexId> row, bool allow_direct) {
@@ -174,6 +212,12 @@ class IntersectScratch {
   /// bitmap kernel runs inline and its counters are tallied in locals and
   /// added once per row; galloping, hash, merge and the SIMD probe run
   /// out of line and add theirs once per call.
+  ///
+  /// A task that needs its matched ids emits `emit(probe, sink)`: the
+  /// same kernel also packs them into a scratch buffer, and `sink` gets
+  /// them as a std::span<const VertexId> (in no particular order, empty
+  /// when either side is) before the next task runs. Its total and
+  /// counters are those of `emit(probe)`; only the packing stores differ.
   template <class Probes>
   TriangleCount intersect_row(KernelPolicy policy,
                               std::span<const VertexId> row,
@@ -190,37 +234,6 @@ class IntersectScratch {
                      bool backward_early_exit, KernelCounters& counters) {
     return intersect_pinned(policy, backward_early_exit, counters,
                             [&](auto&& emit) { emit(probe); });
-  }
-
-  /// Like one probe of intersect_row() on the hash kernel, but also calls
-  /// `on_match(k)` for every matched id: the per-vertex and per-edge
-  /// tallies credit each closing vertex, so a count alone is not enough.
-  /// Counts as hash_intersect does.
-  template <class OnMatch>
-  TriangleCount each_match(std::span<const VertexId> probe,
-                           bool backward_early_exit, KernelCounters& counters,
-                           OnMatch&& on_match) {
-    if (row_.empty() || probe.empty()) return 0;
-    const hashmap::VertexHashSet& set = hash(counters);
-    TriangleCount hits = 0;
-    std::size_t n = 0;
-    for (; n < probe.size(); ++n) {
-      // §5.2 backward early exit: walk down from the largest id and stop
-      // below the hashed row's minimum.
-      const VertexId k =
-          backward_early_exit ? probe[probe.size() - 1 - n] : probe[n];
-      if (backward_early_exit && k < row_.front()) break;
-      if (set.contains(k)) {
-        ++hits;
-        on_match(k);
-      }
-    }
-    ++counters.hash_calls;
-    counters.lookups += n;
-    counters.hash_lookups += n;
-    counters.early_exits += n < probe.size();  // only the break stops early
-    counters.hits += hits;
-    return hits;
   }
 
   std::uint64_t probes() const { return hash_.probes(); }
@@ -240,32 +253,77 @@ class IntersectScratch {
     std::uint64_t bitmap_tests = 0;
     std::uint64_t bitmap_hits = 0;
     std::uint64_t clipped = 0;
-    probes([&](std::span<const VertexId> probe) {
+    probes([&](std::span<const VertexId> probe, auto&&... sink) {
+      static_assert(sizeof...(sink) <= 1, "emit(probe) or emit(probe, sink)");
       ++tasks;
-      if (row.empty() || probe.empty()) return;
-      switch (choose_kernel(policy, row.size(), probe.size(), row.back())) {
-        case KernelKind::kBitmap: {
-          const BitmapProbe hit = bitmap_probe(bitmap(counters), probe,
-                                               row.front(),
-                                               backward_early_exit);
-          ++bitmap_calls;
-          bitmap_tests += hit.tests;
-          bitmap_hits += hit.hits;
-          clipped += hit.clipped;
-          return;
+      // Each form keeps its own switch, so a probe emitted without a sink
+      // compiles to the counting loop alone: one switch shared through a
+      // lambda changed how GCC inlines the count's row call.
+      if constexpr (sizeof...(sink) == 0) {
+        if (row.empty() || probe.empty()) return;
+        switch (choose_kernel(policy, row.size(), probe.size(), row.back())) {
+          case KernelKind::kBitmap: {
+            const BitmapProbe hit = bitmap_probe(bitmap(counters), probe,
+                                                 row.front(),
+                                                 backward_early_exit);
+            ++bitmap_calls;
+            bitmap_tests += hit.tests;
+            bitmap_hits += hit.hits;
+            clipped += hit.clipped;
+            return;
+          }
+          case KernelKind::kMerge:
+            found += merge_intersect(row, probe, counters);
+            return;
+          case KernelKind::kGalloping:
+            found += row.size() <= probe.size()
+                         ? galloping_intersect(row, probe, counters)
+                         : galloping_intersect(probe, row, counters);
+            return;
+          case KernelKind::kHash:
+            found += hash_intersect(hash(counters), probe, row.front(),
+                                    backward_early_exit, counters);
+            return;
         }
-        case KernelKind::kMerge:
-          found += merge_intersect(row, probe, counters);
-          return;
-        case KernelKind::kGalloping:
-          found += row.size() <= probe.size()
-                       ? galloping_intersect(row, probe, counters)
-                       : galloping_intersect(probe, row, counters);
-          return;
-        case KernelKind::kHash:
-          found += hash_intersect(hash(counters), probe, row.front(),
-                                  backward_early_exit, counters);
-          return;
+      } else {
+        VertexId* const matches =
+            match_buffer(std::min(row.size(), probe.size()));
+        std::size_t matched = 0;
+        if (!row.empty() && !probe.empty()) {
+          switch (choose_kernel(policy, row.size(), probe.size(),
+                                row.back())) {
+            case KernelKind::kBitmap: {
+              const BitmapProbe hit =
+                  bitmap_probe(bitmap(counters), probe, row.front(),
+                               backward_early_exit, matches);
+              ++bitmap_calls;
+              bitmap_tests += hit.tests;
+              bitmap_hits += hit.hits;
+              clipped += hit.clipped;
+              matched = hit.hits;
+              break;
+            }
+            case KernelKind::kMerge:
+              matched = merge_intersect(row, probe, counters, matches);
+              found += matched;
+              break;
+            case KernelKind::kGalloping:
+              matched = row.size() <= probe.size()
+                            ? galloping_intersect(row, probe, counters,
+                                                  matches)
+                            : galloping_intersect(probe, row, counters,
+                                                  matches);
+              found += matched;
+              break;
+            case KernelKind::kHash:
+              matched = hash_intersect(hash(counters), probe, row.front(),
+                                       backward_early_exit, counters,
+                                       matches);
+              found += matched;
+              break;
+          }
+        }
+        (sink(std::span<const VertexId>(matches, matched)), ...);
       }
     });
     counters.intersection_tasks += tasks;
@@ -293,6 +351,13 @@ class IntersectScratch {
   }
   void build_hash(KernelCounters& counters);
   void build_bitmap(KernelCounters& counters);
+  /// The packed-match buffer, with room for `most` matches.
+  VertexId* match_buffer(std::size_t most) {
+    if (matches_.size() < most + kMatchSlack) {
+      matches_.resize(most + kMatchSlack);
+    }
+    return matches_.data();
+  }
 
   hashmap::VertexHashSet hash_;
   RowBitmap bitmap_;
@@ -300,6 +365,7 @@ class IntersectScratch {
   bool allow_direct_ = true;
   bool hash_built_ = false;
   bool bitmap_built_ = false;
+  std::vector<VertexId> matches_;
 #ifndef NDEBUG
   /// Identity of the row each cached structure was built from; the
   /// cleared-between-rows assertion compares against the pinned row.

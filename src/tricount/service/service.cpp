@@ -532,17 +532,19 @@ Service::Execution Service::verb_pervertex(const Request& request) {
       emit_vertex(static_cast<graph::VertexId>(v.as_uint()));
     }
   } else {
+    // Only the first `top` places are ordered (count descending, then id
+    // ascending), so the answer is that of a full sort.
     std::vector<graph::VertexId> order(
         static_cast<std::size_t>(graph.num_vertices));
     std::iota(order.begin(), order.end(), graph::VertexId{0});
-    std::sort(order.begin(), order.end(),
-              [&](graph::VertexId a, graph::VertexId b) {
-                const auto ca = per_vertex.counts[static_cast<std::size_t>(a)];
-                const auto cb = per_vertex.counts[static_cast<std::size_t>(b)];
-                return ca != cb ? ca > cb : a < b;
-              });
-    const std::size_t take =
-        std::min<std::size_t>(top, order.size());
+    const std::size_t take = std::min<std::size_t>(top, order.size());
+    std::partial_sort(
+        order.begin(), order.begin() + static_cast<std::ptrdiff_t>(take),
+        order.end(), [&](graph::VertexId a, graph::VertexId b) {
+          const auto ca = per_vertex.counts[static_cast<std::size_t>(a)];
+          const auto cb = per_vertex.counts[static_cast<std::size_t>(b)];
+          return ca != cb ? ca > cb : a < b;
+        });
     for (std::size_t i = 0; i < take; ++i) emit_vertex(order[i]);
   }
 

@@ -2,11 +2,13 @@
 // values on degenerate shapes (empty, singleton, identical, disjoint),
 // the auto policy's decision boundaries at exactly the thresholds, the
 // bitmap's [min, max] clip, the bitmap's stale-bit clearing across
-// rebuilds, and the scratch's cleared-between-rows invariant that guards
-// against stale hash entries.
+// rebuilds, the scratch's cleared-between-rows invariant that guards
+// against stale hash entries, and the matched ids a crediting row call
+// packs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "tricount/core/block_matrix.hpp"
@@ -281,39 +283,6 @@ TEST(Kernels, AutoBuildsLongPinnedRowOnceForShortProbes) {
   EXPECT_EQ(counters.hash_calls, 0u);
 }
 
-TEST(IntersectScratch, EachMatchAttributesItsLookupsToTheHashKernel) {
-  // The credited sweeps' kernel counts as hash_intersect does: one
-  // hash_calls per call, every lookup a hash_lookups, and one early_exits
-  // when the §5.2 exit breaks the walk.
-  const std::vector<VertexId> row{100, 150, 175, 200};
-  const std::vector<VertexId> probe{1, 7, 99, 100, 120, 150, 200, 300};
-  hashmap::VertexHashSet set;
-  set.reserve_for(row.size());
-  set.build(row, /*allow_direct=*/true);
-  IntersectScratch scratch;
-  scratch.reserve_for(row.size());
-  for (const bool exit : {true, false}) {
-    SCOPED_TRACE(exit ? "backward early exit" : "forward");
-    scratch.begin_row(row, /*allow_direct=*/true);
-    KernelCounters counters;
-    std::vector<VertexId> matched;
-    EXPECT_EQ(scratch.each_match(probe, exit, counters,
-                                 [&](VertexId k) { matched.push_back(k); }),
-              3u);
-    EXPECT_EQ(matched.size(), 3u);
-    EXPECT_EQ(counters.hash_calls, 1u);
-    EXPECT_EQ(counters.hash_lookups, counters.lookups);
-    // Walking down from 300, the exit stops at 99 after five lookups.
-    EXPECT_EQ(counters.lookups, exit ? 5u : probe.size());
-    EXPECT_EQ(counters.early_exits, exit ? 1u : 0u);
-    KernelCounters reference;
-    hash_intersect(set, probe, row.front(), exit, reference);
-    counters.hash_builds = 0;  // each_match built the pinned row's set
-    counters.direct_builds = 0;
-    EXPECT_EQ(counters, reference);
-  }
-}
-
 // `len` distinct ascending ids: every id of `must` below len, then ids
 // drawn from [lo, hi) (as many as fit).
 std::vector<VertexId> distinct_ids(util::Xoshiro256& rng, std::size_t len,
@@ -438,6 +407,84 @@ TEST(IntersectScratch, RowCallMatchesOneProbeCalls) {
       EXPECT_EQ(total, sum);
       EXPECT_EQ(row_call, one_probe);
       EXPECT_EQ(row_call.intersection_tasks, probes.size());
+    }
+  }
+}
+
+TEST(IntersectScratch, CreditingRowCallMatchesCountingRowCall) {
+  // A task emitted with a match sink runs the kernel the counting row
+  // call runs: the same total and counters, and the ids it packs are the
+  // task's intersection with the row. Row A fits the bitmap budget; row B
+  // lies past 2^22, so kAuto hashes it. Both hold the word edges 31 and
+  // 32 (63 and 64) above their base, and their probes take lengths 1-40
+  // (both sides of the SIMD floor, every length mod 8), longer ones, ids
+  // at universe - 1 and universe, a probe 32x the row (kAuto gallops it),
+  // and probes wholly below the min and wholly past the max.
+  util::Xoshiro256 rng(2828);
+  for (const VertexId base :
+       {VertexId{0}, AutoThresholds::kBitmapMaxUniverse}) {
+    const VertexId min = base + 5;
+    const std::vector<VertexId> row = distinct_ids(
+        rng, 200, min, base + 2000,
+        {min, base + 31, base + 32, base + 63, base + 64});
+    const VertexId universe = row.back() + 1;
+    std::vector<std::vector<VertexId>> probes{{}};
+    for (std::size_t len = 1; len <= 40; ++len) {
+      probes.push_back(distinct_ids(rng, len, base, universe + 64,
+                                    {base + 31, base + 32, universe - 1,
+                                     universe}));
+    }
+    for (const std::size_t len : {100u, 1001u, 1003u, 1005u, 1007u}) {
+      probes.push_back(distinct_ids(rng, len, base, universe + 64,
+                                    {universe - 1, universe}));
+    }
+    probes.push_back(distinct_ids(
+        rng, AutoThresholds::kGallopingSkew * row.size() + 1, base,
+        base + 20000, {}));
+    for (const std::size_t len : {1u, 5u, 17u}) {
+      probes.push_back(distinct_ids(rng, len, base, min, {}));
+      probes.push_back(
+          distinct_ids(rng, len, universe, universe + 4000, {universe}));
+    }
+    for (const KernelPolicy policy : kAllPolicies) {
+      for (const bool clip : {true, false}) {
+        SCOPED_TRACE(::testing::Message()
+                     << to_string(policy) << " base=" << base
+                     << " clip=" << clip);
+        IntersectScratch counting;
+        KernelCounters counted;
+        const TriangleCount total =
+            run_row(counting, policy, row, probes, clip, counted);
+
+        IntersectScratch crediting;
+        KernelCounters credited;
+        std::vector<std::vector<VertexId>> matched;
+        EXPECT_EQ(crediting.intersect_row(
+                      policy, row, /*allow_direct=*/true, clip, credited,
+                      [&](auto&& emit) {
+                        for (const auto& probe : probes) {
+                          emit(probe, [&](std::span<const VertexId> ids) {
+                            matched.emplace_back(ids.begin(), ids.end());
+                          });
+                        }
+                      }),
+                  total);
+        EXPECT_EQ(credited, counted);
+        ASSERT_EQ(matched.size(), probes.size());
+        for (std::size_t task = 0; task < probes.size(); ++task) {
+          std::vector<VertexId> expected;
+          std::set_intersection(row.begin(), row.end(),
+                                probes[task].begin(), probes[task].end(),
+                                std::back_inserter(expected));
+          std::sort(matched[task].begin(), matched[task].end());
+          EXPECT_EQ(matched[task], expected)
+              << "task " << task << " |probe|=" << probes[task].size();
+        }
+        if (policy == KernelPolicy::kAuto && base != 0) {
+          EXPECT_GT(credited.hash_calls, 0u);
+          EXPECT_EQ(credited.bitmap_calls, 0u);
+        }
+      }
     }
   }
 }

@@ -3,11 +3,18 @@
 // reference on every graph family and grid size.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <stdexcept>
 #include <tuple>
 
+#include "tricount/core/counter2d.hpp"
+#include "tricount/core/dist_graph.hpp"
 #include "tricount/core/per_vertex.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/serial_count.hpp"
+#include "tricount/mpisim/cart2d.hpp"
+#include "tricount/mpisim/runtime.hpp"
 
 namespace tricount::core {
 namespace {
@@ -97,6 +104,45 @@ TEST(PerVertex, EmptyAndIsolated) {
   const PerVertexResult result = count_per_vertex_2d(g, 4);
   EXPECT_EQ(result.total_triangles, 0u);
   for (const auto c : result.counts) EXPECT_EQ(c, 0u);
+}
+
+TEST(CannonCount, CreditingTallyRejectsAVertexCountThatMissesTheBlocks) {
+  // The credits are indexed by block-local rows, so a vertex count that
+  // does not size the blocks' rows would write out of bounds (0 sizes no
+  // credit at all). Every rank must throw before the first superstep,
+  // also the ranks whose own rows it happens to size (39 and 41 size rank
+  // (0,0)'s on this 2x2 grid). Each rank catches and returns, so the
+  // world finishes only when all of them agree; the watchdog fails a
+  // rank left waiting for a shift.
+  const EdgeList g = graph::simplify(graph::complete_graph(40));
+  mpisim::WorldOptions options;
+  options.watchdog_seconds = 10.0;
+  for (const Tally tally : {Tally::kPerVertex, Tally::kEdgeSupport}) {
+    for (const VertexId wrong : {VertexId{41}, VertexId{39}, VertexId{0}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "tally=" << static_cast<int>(tally)
+                   << " num_vertices=" << wrong);
+      std::array<std::atomic<bool>, 4> threw{};
+      mpisim::run_world(
+          4,
+          [&](mpisim::Comm& comm) {
+            mpisim::Cart2D grid(comm);
+            PreprocessOutput pre = preprocess(
+                grid, block_slice_from_edges(g, comm.rank(), 4), Config{});
+            ASSERT_EQ(pre.num_vertices, 40u);
+            try {
+              (void)cannon_count(grid, std::move(pre.blocks), Config{}, tally,
+                                 wrong);
+            } catch (const std::invalid_argument&) {
+              threw[static_cast<std::size_t>(comm.rank())] = true;
+            }
+          },
+          options);
+      for (std::size_t rank = 0; rank < threw.size(); ++rank) {
+        EXPECT_TRUE(threw[rank]) << "rank " << rank;
+      }
+    }
+  }
 }
 
 TEST(PerVertex, NonSquareRanksThrow) {

@@ -25,6 +25,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -39,6 +40,7 @@
 #include "tricount/core/summa2d.hpp"
 #include "tricount/graph/approx.hpp"
 #include "tricount/graph/generators.hpp"
+#include "tricount/graph/serial_count.hpp"
 #include "tricount/graph/io.hpp"
 #include "tricount/obs/graceful.hpp"
 #include "tricount/obs/json.hpp"
@@ -1018,6 +1020,58 @@ TEST(ServiceEquivalence, ApproxMatchesLibraryCall) {
                    approx.estimate);
   EXPECT_EQ(h.svc.records().back().supersteps, 0u)
       << "approx runs no counting superstep";
+}
+
+TEST(ServiceEquivalence, PervertexTopMatchesAFullSortOnTies) {
+  // Disjoint K4s (3 triangles per vertex), triangles (1 each) and
+  // isolated vertices (0), scattered over shuffled ids: nearly every
+  // place of the ranking is a tie that the id breaks. `top` must answer
+  // what a full sort (count descending, then id ascending) answers.
+  constexpr graph::VertexId kN = 240;
+  std::vector<graph::VertexId> ids(kN);
+  std::iota(ids.begin(), ids.end(), graph::VertexId{0});
+  util::Xoshiro256 rng(61);
+  for (std::size_t i = ids.size() - 1; i > 0; --i) {
+    std::swap(ids[i], ids[rng.bounded(i + 1)]);
+  }
+  graph::EdgeList g;
+  g.num_vertices = kN;
+  std::size_t at = 0;
+  for (const std::size_t size : {4u, 3u}) {
+    for (int copy = 0; copy < 25; ++copy, at += size) {
+      for (std::size_t a = 0; a < size; ++a) {
+        for (std::size_t b = a + 1; b < size; ++b) {
+          g.edges.push_back({ids[at + a], ids[at + b]});
+        }
+      }
+    }
+  }
+  g = graph::simplify(std::move(g));
+  const std::vector<graph::TriangleCount> counts =
+      graph::per_vertex_triangles(graph::Csr::from_edges(g));
+  std::vector<graph::VertexId> order(kN);
+  std::iota(order.begin(), order.end(), graph::VertexId{0});
+  std::sort(order.begin(), order.end(),
+            [&](graph::VertexId a, graph::VertexId b) {
+              return counts[a] != counts[b] ? counts[a] > counts[b] : a < b;
+            });
+
+  Harness h;
+  h.svc.load_graph(g, "ties");
+  for (const std::uint64_t top : {0u, 1u, 7u, 99u, 100u, 101u, 175u, 240u,
+                                  10000u}) {
+    const Value doc = h.result(h.ask(
+        "{\"id\":1,\"verb\":\"pervertex\",\"params\":{\"top\":" +
+        std::to_string(top) + "}}"));
+    const Value& rows = doc.get("result").get("top");
+    ASSERT_EQ(rows.size(), std::min<std::size_t>(top, kN)) << "top=" << top;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows.at(i).get("vertex").as_uint(), order[i])
+          << "top=" << top << " place " << i;
+      EXPECT_EQ(rows.at(i).get("triangles").as_uint(), counts[order[i]])
+          << "top=" << top << " place " << i;
+    }
+  }
 }
 
 // --- resident state: each piece built once per graph version -------------
