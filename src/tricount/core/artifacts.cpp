@@ -61,7 +61,7 @@ obs::analysis::RunReport report_of(const RunResult& result) {
   return report;
 }
 
-/// The `run` header of the metrics and msgtrace artifacts.
+/// The `run` header of the metrics artifact and the message trace.
 obs::json::Value run_json(const RunResult& result) {
   using obs::json::Value;
   Value run = Value::object();
@@ -362,15 +362,13 @@ void write_run_metrics(const RunResult& result, const std::string& path) {
   obs::json::write_file(build_run_metrics(result), path);
 }
 
-obs::json::Value build_run_msgtrace(const RunResult& result,
-                                    const obs::MsgTrace& trace) {
+obs::Trace build_run_msgtrace(const RunResult& result,
+                              const obs::MsgTrace& trace) {
   using obs::json::Value;
-  Value root = trace.to_json();
-  root.set("build", obs::build_info_json());
-
-  // Replace the bare run.ranks header with the full run description the
-  // analyzer needs to pair measurements with the α–β model.
-  root.set("run", run_json(result));
+  obs::Trace out = trace.trace();
+  // The full run description the analyzer needs to pair measurements
+  // with the α–β model.
+  out.other_data().set("run", run_json(result));
 
   // The modeled step table: what the α–β model predicts per superstep,
   // so analyze_msgtrace can report measured-vs-modeled deltas without a
@@ -387,13 +385,13 @@ obs::json::Value build_run_msgtrace(const RunResult& result,
     entry.set("overlapped", b.overlapped);
     steps.push_back(std::move(entry));
   }
-  root.set("steps", std::move(steps));
-  return root;
+  out.other_data().set("steps", std::move(steps));
+  return out;
 }
 
 void write_run_msgtrace(const RunResult& result, const obs::MsgTrace& trace,
                         const std::string& path) {
-  obs::json::write_file(build_run_msgtrace(result, trace), path);
+  build_run_msgtrace(result, trace).write_file(path);
 }
 
 }  // namespace tricount::core

@@ -47,11 +47,11 @@ obs::Snapshot build_run_snapshot(const RunResult& result);
 /// traffic counters. Its keys are the same for every run.
 obs::json::Value build_run_metrics(const RunResult& result);
 
-/// Full tricount.msgtrace.v1 artifact: the captured causal records
-/// (obs::MsgTrace::to_json) plus the run header and the modeled per-step
-/// table the analyzer compares measurements against.
-obs::json::Value build_run_msgtrace(const RunResult& result,
-                                    const obs::MsgTrace& trace);
+/// The message trace of the run: obs::MsgTrace::trace() with the run
+/// header (`run`) and the modeled per-step table (`steps`) the analyzer
+/// compares measurements against added to its otherData.
+obs::Trace build_run_msgtrace(const RunResult& result,
+                              const obs::MsgTrace& trace);
 
 void write_run_trace(const RunResult& result, const std::string& path);
 void write_run_metrics(const RunResult& result, const std::string& path);

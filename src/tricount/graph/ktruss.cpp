@@ -19,12 +19,6 @@ void require_simplified(const EdgeList& graph) {
   }
 }
 
-/// Index of edge (a, b), a < b, in the sorted edge array.
-std::size_t edge_id(const std::vector<Edge>& edges, VertexId a, VertexId b) {
-  const auto it = std::lower_bound(edges.begin(), edges.end(), Edge{a, b});
-  return static_cast<std::size_t>(it - edges.begin());
-}
-
 }  // namespace
 
 std::vector<TriangleCount> edge_supports(const EdgeList& simplified) {
@@ -67,6 +61,18 @@ KtrussResult ktruss_from_supports(const EdgeList& simplified,
   if (m == 0) return result;
 
   const Csr csr = Csr::from_edges(simplified);
+
+  // slot_edge[i] is the id of the edge behind CSR slot i. Walking the
+  // (u, v)-sorted edges hands each row its smaller neighbours before its
+  // larger ones, both ascending: exactly the CSR's slot order.
+  std::vector<std::size_t> slot_edge(csr.adj().size());
+  {
+    std::vector<EdgeIndex> cursor(csr.xadj().begin(), csr.xadj().end() - 1);
+    for (std::size_t e = 0; e < m; ++e) {
+      slot_edge[cursor[simplified.edges[e].u]++] = e;
+      slot_edge[cursor[simplified.edges[e].v]++] = e;
+    }
+  }
 
   // Bucket queue over support values (Batagelj–Zaveršnik style): `order`
   // holds edge ids sorted by current support, `pos` the index of each
@@ -118,15 +124,14 @@ KtrussResult ktruss_from_supports(const EdgeList& simplified,
     const VertexId v = simplified.edges[e].v;
     const auto nu = csr.neighbors(u);
     const auto nv = csr.neighbors(v);
+    const std::size_t* eu = slot_edge.data() + csr.xadj()[u];
+    const std::size_t* ev = slot_edge.data() + csr.xadj()[v];
     std::size_t i = 0;
     std::size_t j = 0;
     while (i < nu.size() && j < nv.size()) {
       if (nu[i] == nv[j]) {
-        const VertexId w = nu[i];
-        const std::size_t e1 = edge_id(simplified.edges, std::min(u, w),
-                                       std::max(u, w));
-        const std::size_t e2 = edge_id(simplified.edges, std::min(v, w),
-                                       std::max(v, w));
+        const std::size_t e1 = eu[i];  // (u, w)
+        const std::size_t e2 = ev[j];  // (v, w)
         if (!removed[e1] && !removed[e2]) {
           // The triangle (u, v, w) dies with e; its other two edges lose
           // one unit of support, floored at e's peel level.

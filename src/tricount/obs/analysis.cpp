@@ -1246,8 +1246,6 @@ DiffResult diff_bench(const json::Value& baseline, const json::Value& candidate,
 
 namespace {
 
-constexpr const char* kMsgTraceSchema = "tricount.msgtrace.v1";
-
 /// Half-open wall-clock interval in microseconds.
 using Interval = std::pair<double, double>;
 
@@ -1296,77 +1294,82 @@ struct MatchedPair {
 
 }  // namespace
 
-MsgTraceReport MsgTraceReport::from_json(const json::Value& root) {
+MsgTraceReport MsgTraceReport::from_trace(const Trace& trace) {
   MsgTraceReport out;
-  const std::string schema = root.get("schema").as_string();
-  if (schema != kMsgTraceSchema) {
-    throw std::runtime_error("msgtrace: unsupported schema '" + schema + "'");
+  const json::Value& other = trace.other_data();
+  const json::Value* run = other.find("run");
+  if (run == nullptr) {
+    throw std::runtime_error(
+        "msgtrace: otherData has no run header; this reads the message "
+        "traces that count --msgtrace writes");
   }
-  const json::Value& run = root.get("run");
-  const json::Value& buffers = root.get("ranks");
-  // Every rank writes a buffer, so there are at least run.ranks of them.
-  out.ranks = run.get("ranks").as_int(
-      0, static_cast<int>(std::min<std::size_t>(
-             buffers.size(), std::numeric_limits<int>::max())));
-  if (const json::Value* v = run.find("overlap")) out.overlap = v->as_bool();
-  if (const json::Value* v = run.find("chaos")) out.chaos = v->as_bool();
-  if (const json::Value* model = run.find("model")) {
-    out.model.alpha_seconds = model->get("alpha_seconds").as_number();
-    out.model.beta_seconds_per_byte =
-        model->get("beta_seconds_per_byte").as_number();
+  const json::Value& rings = other.get("rings");
+  // Every rank has a ring, and so does the world.
+  out.ranks = other.get("ranks").as_int(
+      1, static_cast<int>(std::min<std::size_t>(
+             rings.size(), std::numeric_limits<int>::max())) - 1);
+  out.overlap = run->get("overlap").as_bool();
+  out.chaos = run->get("chaos").as_bool();
+  const json::Value& model = run->get("model");
+  out.model.alpha_seconds = model.get("alpha_seconds").as_number();
+  out.model.beta_seconds_per_byte =
+      model.get("beta_seconds_per_byte").as_number();
+  for (std::size_t i = 0; i < rings.size(); ++i) {
+    out.dropped += rings.at(i).get("dropped").as_uint();
   }
-  out.dropped = root.get("dropped").as_uint();
 
-  if (const json::Value* steps = root.find("steps")) {
-    for (std::size_t i = 0; i < steps->size(); ++i) {
-      const json::Value& entry = steps->at(i);
-      MsgTraceStep step;
-      step.name = entry.get("name").as_string();
-      step.phase = entry.get("phase").as_string();
-      step.modeled_seconds = entry.get("modeled_seconds").as_number();
-      step.modeled_comm_seconds = entry.get("modeled_comm_seconds").as_number();
-      step.hidden_seconds = entry.get("hidden_seconds").as_number();
-      step.overlapped = entry.get("overlapped").as_bool();
-      out.steps.push_back(std::move(step));
-    }
+  const json::Value& steps = other.get("steps");
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const json::Value& entry = steps.at(i);
+    MsgTraceStep step;
+    step.name = entry.get("name").as_string();
+    step.phase = entry.get("phase").as_string();
+    step.modeled_seconds = entry.get("modeled_seconds").as_number();
+    step.modeled_comm_seconds = entry.get("modeled_comm_seconds").as_number();
+    step.hidden_seconds = entry.get("hidden_seconds").as_number();
+    step.overlapped = entry.get("overlapped").as_bool();
+    out.steps.push_back(std::move(step));
   }
 
   out.records.resize(static_cast<std::size_t>(out.ranks));
-  for (std::size_t i = 0; i < buffers.size(); ++i) {
-    const json::Value& buffer = buffers.at(i);
-    const int rank = buffer.get("rank").as_int();
-    // The trailing non-rank buffer (rank -1) has no causal position.
-    if (rank < 0 || rank >= out.ranks) continue;
-    const json::Value& records = buffer.get("records");
-    for (std::size_t r = 0; r < records.size(); ++r) {
-      const json::Value& rec = records.at(r);
-      MsgRecord m;
-      const std::string kind = rec.get("kind").as_string();
-      if (kind == "send") {
-        m.kind = MsgRecord::Kind::kSend;
-      } else if (kind == "recv") {
-        m.kind = MsgRecord::Kind::kRecv;
-      } else if (kind == "ack") {
-        m.kind = MsgRecord::Kind::kAck;
-      } else {
-        throw std::runtime_error("msgtrace: unknown record kind '" + kind +
-                                 "'");
-      }
-      if (const json::Value* v = rec.find("collective")) {
-        m.collective = v->as_bool();
-      }
-      if (const json::Value* v = rec.find("dropped")) m.dropped = v->as_bool();
-      m.peer = rec.get("peer").as_int();
-      m.tag = rec.get("tag").as_int();
-      m.step = rec.get("step").as_int();
-      m.gen = rec.get("gen").as_int();
-      m.id = rec.get("id").as_uint();
-      m.seq = rec.get("seq").as_uint();
-      m.bytes = rec.get("bytes").as_uint();
-      m.post_us = rec.get("post_us").as_number();
-      m.wire_us = rec.get("wire_us").as_number();
-      out.records[static_cast<std::size_t>(rank)].push_back(m);
+  for (const TraceEvent& e : trace.events()) {
+    // The non-rank buffer (tid 0) has no causal position.
+    if (e.ph != 'X' || e.cat != kMsgCategory || e.tid < 1 ||
+        e.tid > out.ranks) {
+      continue;
     }
+    const auto arg = [&](const char* key) {
+      const double* value = e.arg(key);
+      if (value == nullptr) {
+        throw std::runtime_error("msgtrace: msg span '" + e.name +
+                                 "' has no " + key);
+      }
+      return json::Value(*value);
+    };
+    MsgRecord m;
+    bool known = false;
+    for (const MsgRecord::Kind kind :
+         {MsgRecord::kSend, MsgRecord::kRecv, MsgRecord::kAck}) {
+      if (e.name == to_string(kind)) {
+        m.kind = kind;
+        known = true;
+      }
+    }
+    if (!known) {
+      throw std::runtime_error("msgtrace: unknown msg span '" + e.name + "'");
+    }
+    m.collective = arg("collective").as_int(0, 1) == 1;
+    m.dropped = arg("dropped").as_int(0, 1) == 1;
+    m.peer = arg("peer").as_int(0, out.ranks - 1);
+    m.tag = arg("tag").as_int();
+    m.step = arg("step").as_int(-1);
+    m.gen = arg("gen").as_int(0);
+    m.id = arg("id").as_uint();
+    m.seq = arg("seq").as_uint();
+    m.bytes = arg("bytes").as_uint();
+    m.post_us = e.ts_us;
+    m.wire_us = e.ts_us + e.dur_us;
+    out.records[static_cast<std::size_t>(e.tid - 1)].push_back(m);
   }
   return out;
 }
@@ -1715,11 +1718,10 @@ void print_causal_report(const MsgTraceReport& report,
               analysis.modeled_total_seconds, analysis.makespan_seconds);
 }
 
-DiffResult diff_msgtrace(const json::Value& baseline,
-                         const json::Value& candidate,
+DiffResult diff_msgtrace(const Trace& baseline, const Trace& candidate,
                          const DiffOptions& options) {
-  const MsgTraceReport base = MsgTraceReport::from_json(baseline);
-  const MsgTraceReport cand = MsgTraceReport::from_json(candidate);
+  const MsgTraceReport base = MsgTraceReport::from_trace(baseline);
+  const MsgTraceReport cand = MsgTraceReport::from_trace(candidate);
   const CausalAnalysis ba = analyze_msgtrace(base);
   const CausalAnalysis ca = analyze_msgtrace(cand);
   DiffBuilder diff(options);
@@ -1779,25 +1781,32 @@ DiffResult diff_msgtrace(const json::Value& baseline,
 DiffResult diff_artifacts(const json::Value& baseline,
                           const json::Value& candidate,
                           const DiffOptions& options) {
-  const std::string base_schema = baseline.get("schema").as_string();
-  const std::string cand_schema = candidate.get("schema").as_string();
-  if (base_schema != cand_schema) {
+  // A message trace is a Chrome trace, which names no schema.
+  constexpr const char* kTrace = "Chrome trace";
+  const auto format_of = [&](const json::Value& doc) -> std::string {
+    return doc.find("traceEvents") != nullptr ? kTrace
+                                              : doc.get("schema").as_string();
+  };
+  const std::string base_format = format_of(baseline);
+  const std::string cand_format = format_of(candidate);
+  if (base_format != cand_format) {
     DiffBuilder diff(options);
-    diff.mismatch("schema", "'" + base_schema + "' vs '" + cand_schema + "'");
+    diff.mismatch("schema", "'" + base_format + "' vs '" + cand_format + "'");
     return diff.finish();
   }
-  if (base_schema == kMetricsSchema) {
+  if (base_format == kMetricsSchema) {
     return diff_metrics(baseline, candidate, options);
   }
-  if (base_schema == kBenchSchema) {
+  if (base_format == kBenchSchema) {
     return diff_bench(baseline, candidate, options);
   }
-  if (base_schema == kMsgTraceSchema) {
-    return diff_msgtrace(baseline, candidate, options);
+  if (base_format == kTrace) {
+    return diff_msgtrace(Trace::from_json(baseline),
+                         Trace::from_json(candidate), options);
   }
-  throw std::runtime_error("diff: unsupported schema '" + base_schema +
+  throw std::runtime_error("diff: unsupported schema '" + base_format +
                            "' (reads " + kMetricsSchema + ", " + kBenchSchema +
-                           ", " + kMsgTraceSchema + ")");
+                           " and the message traces of count --msgtrace)");
 }
 
 }  // namespace tricount::obs::analysis

@@ -212,14 +212,17 @@ DiffResult diff_metrics(const json::Value& baseline,
 DiffResult diff_bench(const json::Value& baseline, const json::Value& candidate,
                       const DiffOptions& options = {});
 
-/// Dispatches on the documents' "schema" field (both must agree).
+/// Dispatches on the documents' "schema" field (both must agree); two
+/// Chrome traces (a `traceEvents` array, no schema) diff as message
+/// traces through diff_msgtrace.
 DiffResult diff_artifacts(const json::Value& baseline,
                           const json::Value& candidate,
                           const DiffOptions& options = {});
 
-// --- causal message-trace analysis (tricount.msgtrace.v1) ------------------
+// --- causal message-trace analysis (count --msgtrace) ---------------------
 //
-// The msgtrace artifact carries what the metrics artifact cannot: wall
+// The message trace (obs::MsgTrace::trace() plus the run header and the
+// modeled step table) carries what the metrics artifact cannot: wall
 // clock causality. Every logical message joins the sender's wire
 // attempts (post/wire timestamps, retransmit generations) with the
 // receiver's delivery, so the analyzer can derive the run's *measured*
@@ -232,7 +235,7 @@ DiffResult diff_artifacts(const json::Value& baseline,
 // reconciliation guarantee is internal: the extracted critical path
 // telescopes to the observed makespan.
 
-/// One modeled superstep from the artifact's steps table (produced by
+/// One modeled superstep from the trace's `otherData.steps` (produced by
 /// core::build_run_msgtrace with exactly PhaseBreakdown's arithmetic).
 struct MsgTraceStep {
   std::string name;
@@ -243,21 +246,23 @@ struct MsgTraceStep {
   bool overlapped = false;
 };
 
-/// A parsed tricount.msgtrace.v1 artifact.
+/// A message trace read back into records.
 struct MsgTraceReport {
   int ranks = 0;
   bool overlap = false;
   bool chaos = false;
   util::AlphaBetaModel model;
   std::vector<MsgTraceStep> steps;
-  /// Per-rank causal records, in recording order. Records from the
-  /// artifact's non-rank buffer (rank -1), if any, are not included.
+  /// Per-rank causal records, in recording order: the `msg` spans of
+  /// tids 1..ranks. The non-rank buffer's (tid 0) are not included.
   std::vector<std::vector<MsgRecord>> records;
   std::uint64_t dropped = 0;  ///< records lost to buffer capacity
 
-  /// Throws std::runtime_error on missing keys or type mismatches (run
-  /// lint_msgtrace for a full, non-throwing violation list).
-  static MsgTraceReport from_json(const json::Value& root);
+  /// Reads the `msg` spans and `otherData` of a message trace. Throws
+  /// std::runtime_error on a trace without a run header, on missing keys
+  /// or args, and on an integer outside its range (run lint_trace for a
+  /// full, non-throwing violation list).
+  static MsgTraceReport from_trace(const Trace& trace);
 };
 
 /// One segment of the measured critical path, in microseconds since the
@@ -340,12 +345,11 @@ void print_causal_report(const MsgTraceReport& report,
                          const CausalAnalysis& analysis,
                          int top_segments = 8);
 
-/// Regression diff between two tricount.msgtrace.v1 artifacts: structure
-/// and (chaos-free) counts exactly; measured times past the noise floor;
-/// and the measured-vs-modeled overlap divergence, so a candidate whose
-/// α–β prediction drifts away from measurement is flagged.
-DiffResult diff_msgtrace(const json::Value& baseline,
-                         const json::Value& candidate,
+/// Regression diff between two message traces: structure and
+/// (chaos-free) counts exactly; measured times past the noise floor; and
+/// the measured-vs-modeled overlap divergence, so a candidate whose α–β
+/// prediction drifts away from measurement is flagged.
+DiffResult diff_msgtrace(const Trace& baseline, const Trace& candidate,
                          const DiffOptions& options = {});
 
 }  // namespace tricount::obs::analysis

@@ -7,12 +7,17 @@
 //
 // Like the flight recorder, a MsgTrace installs process-globally and is
 // consulted through MsgTrace::current(); the mpisim capture sites are
-// no-ops when none is installed, so off-mode runs stay byte-identical
-// (the perf_msgtraceoff_clean gate proves it). Unlike the flight rings,
-// buffers stop recording when full instead of overwriting: causal
-// analysis needs matched pairs, and losing the oldest sends would
-// silently orphan their receives. Drops are tallied and the artifact is
-// marked truncated instead.
+// no-ops when none is installed, so a run without one records nothing
+// and its metrics do not move (the perf_msgtraceoff_clean gate checks
+// it). Unlike the flight rings, buffers stop recording when full instead
+// of overwriting: causal analysis needs matched pairs, and losing the
+// oldest sends would silently orphan their receives. Drops are tallied
+// per buffer instead.
+//
+// trace() writes the records as a Chrome trace (obs/trace.hpp), the
+// format of every measured recording: one `msg` span per record and one
+// flow pair per message, which lint_trace checks and
+// obs::analysis::MsgTraceReport::from_trace reads back.
 //
 // This header is mpisim-free on purpose: tricount_mpisim links
 // tricount_obs, so the record carries plain ints, not mpisim types.
@@ -23,9 +28,12 @@
 #include <string>
 #include <vector>
 
-#include "tricount/obs/json.hpp"
+#include "tricount/obs/trace.hpp"
 
 namespace tricount::obs {
+
+/// The trace category of message spans and flows.
+inline constexpr const char* kMsgCategory = "msg";
 
 /// One causal event, recorded by the rank that produced it.
 ///
@@ -68,9 +76,9 @@ const char* to_string(MsgRecord::Kind kind);
 ///
 /// Threading model: each rank thread appends only to its own buffer
 /// (selected by util::current_rank(); non-rank threads share a trailing
-/// buffer they are not expected to use). Reads — to_json(), recorded(),
-/// dropped() — are valid only after the world's rank threads have
-/// joined, the same single-writer-then-read contract as CommMatrix.
+/// buffer they are not expected to use). trace() is valid only after the
+/// world's rank threads have joined, the same single-writer-then-read
+/// contract as CommMatrix.
 class MsgTrace {
  public:
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 16;
@@ -102,17 +110,18 @@ class MsgTrace {
   /// Once the buffer is full further records are counted as dropped.
   void record(MsgRecord r);
 
-  int ranks() const { return ranks_; }
-  std::size_t capacity() const { return capacity_; }
-  std::uint64_t recorded() const;
-  std::uint64_t dropped() const;
-
-  /// Serializes every buffer as the core of a tricount.msgtrace.v1
-  /// document: schema, capacity, totals, run.ranks, and one ranks[]
-  /// entry per buffer (the trailing non-rank buffer appears as rank -1
-  /// only when non-empty). core::build_run_msgtrace adds the run header
-  /// and modeled step table on top.
-  json::Value to_json() const;
+  /// Every buffer as one Chrome trace, laid out like
+  /// FlightRecorder::trace(): rank r's buffer is tid r + 1 ("rank r") and
+  /// the non-rank buffer tid 0 ("world"). Each record is one 'X' span in
+  /// category kMsgCategory, named by its kind and running from post_us
+  /// to wire_us, with peer, tag, step, gen, id, seq, bytes, collective
+  /// and dropped as args, in recording order. Each message adds one flow
+  /// whose id is the trace id: 's' at the start of the sender's first
+  /// attempt that was not dropped, 'f' at the start of the receive.
+  /// `otherData` holds ranks, capacity, each buffer's recorded/dropped
+  /// counts (`rings`) and the build provenance; core::build_run_msgtrace
+  /// adds the run header and the modeled step table.
+  Trace trace() const;
 
  private:
   struct Buffer {
@@ -130,13 +139,5 @@ class MsgTrace {
   double epoch_seconds_;
   std::vector<Buffer> buffers_;
 };
-
-/// Schema validation of a tricount.msgtrace.v1 document: required keys,
-/// known record kinds, peers within the declared rank count, wire_us >=
-/// post_us per record, and wire_us non-decreasing within each rank's
-/// buffer. (post_us is *not* required monotone: a retransmit recorded
-/// from inside a receive loop legitimately carries a later post than the
-/// receive recorded after it.) Returns human-readable violations.
-std::vector<std::string> lint_msgtrace(const json::Value& root);
 
 }  // namespace tricount::obs

@@ -1,9 +1,127 @@
 #include "tricount/obs/trace.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <stdexcept>
 
+#include "tricount/obs/msgtrace.hpp"
+
 namespace tricount::obs {
+
+namespace {
+
+/// Collects at most 32 violations.
+struct Violations {
+  std::vector<std::string> list;
+  void operator()(const std::string& what) {
+    if (list.size() < 32) list.push_back(what);
+  }
+};
+
+const double kEps = 5e-3;  // 5 ns in µs: absorbs float rounding
+
+/// The checks of a message trace (MsgTrace::trace()): one `msg` span per
+/// captured record, on the tid of the buffer that recorded it, and one
+/// flow pair per message.
+void lint_messages(const Trace& trace, Violations& violation) {
+  const json::Value& other = trace.other_data();
+  int world = 0;
+  if (const json::Value* ranks = other.find("ranks");
+      ranks == nullptr || !ranks->is_int(1)) {
+    violation("msg: otherData.ranks is not an integer in [1, 2^31)");
+  } else {
+    world = ranks->as_int();
+  }
+  // Without a valid world size, peers are checked against int's range.
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  const int last_rank = world > 0 ? world - 1 : kIntMax;
+
+  struct Timeline {
+    std::uint64_t spans = 0;
+    double last_end = 0.0;
+  };
+  std::map<int, Timeline> timelines;
+  std::map<std::uint64_t, std::pair<int, int>> flows;  // id -> (s, f)
+  for (const TraceEvent& e : trace.events()) {
+    if (e.cat != kMsgCategory) continue;
+    if (e.ph == 's' || e.ph == 'f') {
+      ++(e.ph == 's' ? flows[e.id].first : flows[e.id].second);
+    }
+    if (e.ph != 'X') continue;
+    const std::string at =
+        "msg '" + e.name + "' on tid " + std::to_string(e.tid);
+    if (e.name != to_string(MsgRecord::kSend) &&
+        e.name != to_string(MsgRecord::kRecv) &&
+        e.name != to_string(MsgRecord::kAck)) {
+      violation(at + " has an unknown name");
+    }
+    if (e.tid < 0 || (world > 0 && e.tid > world)) {
+      violation(at + " is on no ring's tid");
+    }
+    const auto int_arg = [&](const char* key, int lo, int hi,
+                             const char* what) {
+      const double* v = e.arg(key);
+      if (v == nullptr || !json::Value(*v).is_int(lo, hi)) {
+        violation(at + ": " + key + " " + what);
+      }
+    };
+    int_arg("peer", 0, last_rank, "is outside the world");
+    int_arg("step", -1, kIntMax, "is not an integer >= -1");
+    int_arg("gen", 0, kIntMax, "is not an integer >= 0");
+    if (const double* bytes = e.arg("bytes");
+        bytes == nullptr || !json::Value(*bytes).is_uint()) {
+      violation(at + ": bytes is not an integer >= 0");
+    }
+    // A buffer records in wire order, so span ends never run backwards
+    // within a tid (posts may: a retransmit re-stamps its post).
+    Timeline& timeline = timelines[e.tid];
+    const double end = e.ts_us + e.dur_us;
+    if (timeline.spans++ > 0 && end < timeline.last_end - kEps) {
+      violation(at + " ends before the span recorded before it");
+    }
+    timeline.last_end = end;
+  }
+
+  std::uint64_t dropped = 0;
+  try {
+    const json::Value& rings = other.get("rings");
+    if (world > 0 && rings.size() != static_cast<std::size_t>(world) + 1) {
+      violation("msg: otherData.rings is not one ring per rank plus the "
+                "world ring");
+    }
+    for (std::size_t i = 0; i < rings.size(); ++i) {
+      const json::Value& ring = rings.at(i);
+      const int tid = ring.get("tid").as_int();
+      dropped += ring.get("dropped").as_uint();
+      if (ring.get("recorded").as_uint() != timelines[tid].spans) {
+        violation("msg: the ring of tid " + std::to_string(tid) +
+                  " recorded other than its span count");
+      }
+    }
+  } catch (const std::exception& e) {
+    violation(std::string("msg: otherData.rings: ") + e.what());
+  }
+  // A full buffer stops recording, so a truncated capture may hold one
+  // end of a flow without the other; it never holds an end twice.
+  for (const auto& [id, ends] : flows) {
+    if (ends.first > 1 || ends.second > 1 ||
+        (dropped == 0 && ends.first != ends.second)) {
+      violation("msg: flow " + std::to_string(id) + " has " +
+                std::to_string(ends.first) + " start(s) and " +
+                std::to_string(ends.second) + " finish(es)");
+    }
+  }
+}
+
+}  // namespace
+
+const double* TraceEvent::arg(std::string_view key) const {
+  for (const auto& [arg_name, value] : args) {
+    if (arg_name == key) return &value;
+  }
+  return nullptr;
+}
 
 void Trace::set_thread_name(int tid, std::string name) {
   for (auto& [existing_tid, existing_name] : thread_names_) {
@@ -33,6 +151,12 @@ void Trace::add_counter(int tid, std::string name, std::string cat,
                                ts_us, 0.0, {{"value", value}}});
 }
 
+void Trace::add_flow(char ph, int tid, std::string name, std::string cat,
+                     double ts_us, std::uint64_t id) {
+  events_.push_back(TraceEvent{std::move(name), std::move(cat), ph, tid,
+                               ts_us, 0.0, {}, id});
+}
+
 json::Value Trace::to_json() const {
   json::Value events = json::Value::array();
   for (const auto& [tid, name] : thread_names_) {
@@ -56,6 +180,8 @@ json::Value Trace::to_json() const {
     event.set("ts", e.ts_us);
     if (e.ph == 'X') event.set("dur", e.dur_us);
     if (e.ph == 'i') event.set("s", "t");  // instant scope: thread
+    if (e.ph == 's' || e.ph == 'f') event.set("id", e.id);
+    if (e.ph == 'f') event.set("bp", "e");  // bind to the enclosing slice
     if (!e.args.empty()) {
       json::Value args = json::Value::object();
       for (const auto& [key, value] : e.args) args.set(key, value);
@@ -104,6 +230,7 @@ Trace Trace::from_json(const json::Value& root) {
     event.tid = tid;
     event.ts_us = e.get("ts").as_number();
     if (event.ph == 'X') event.dur_us = e.get("dur").as_number();
+    if (event.ph == 's' || event.ph == 'f') event.id = e.get("id").as_uint();
     if (const json::Value* args = e.find("args")) {
       for (const auto& [key, value] : args->members()) {
         if (value.is_number()) event.args.emplace_back(key, value.as_number());
@@ -115,10 +242,8 @@ Trace Trace::from_json(const json::Value& root) {
 }
 
 std::vector<std::string> lint_trace(const Trace& trace) {
-  std::vector<std::string> violations;
-  auto violation = [&](const std::string& what) {
-    if (violations.size() < 32) violations.push_back(what);
-  };
+  Violations violation;
+  bool messages = false;
 
   struct Span {
     double start;
@@ -137,7 +262,9 @@ std::vector<std::string> lint_trace(const Trace& trace) {
 
   for (const TraceEvent& e : trace.events()) {
     if (e.name.empty()) violation("event with empty name");
-    if (e.ph != 'X' && e.ph != 'i' && e.ph != 'C') {
+    messages = messages || e.cat == kMsgCategory;
+    if (e.ph != 'X' && e.ph != 'i' && e.ph != 'C' && e.ph != 's' &&
+        e.ph != 'f') {
       violation("unknown phase code '" + std::string(1, e.ph) + "'");
       continue;
     }
@@ -151,7 +278,6 @@ std::vector<std::string> lint_trace(const Trace& trace) {
   // Per timeline, spans must either nest or be disjoint. Sort by start
   // (longer span first on ties, so a parent precedes the children it
   // starts with) and sweep with a stack of open spans.
-  const double eps = 5e-3;  // 5 ns in µs: absorbs float rounding
   for (auto& [tid, spans] : per_tid) {
     std::sort(spans.begin(), spans.end(), [](const Span& a, const Span& b) {
       if (a.start != b.start) return a.start < b.start;
@@ -159,10 +285,10 @@ std::vector<std::string> lint_trace(const Trace& trace) {
     });
     std::vector<const Span*> open;
     for (const Span& s : spans) {
-      while (!open.empty() && open.back()->end <= s.start + eps) {
+      while (!open.empty() && open.back()->end <= s.start + kEps) {
         open.pop_back();
       }
-      if (!open.empty() && open.back()->end < s.end - eps) {
+      if (!open.empty() && open.back()->end < s.end - kEps) {
         violation("spans overlap without nesting on tid " +
                   std::to_string(tid) + ": '" + open.back()->event->name +
                   "' vs '" + s.event->name + "'");
@@ -170,7 +296,10 @@ std::vector<std::string> lint_trace(const Trace& trace) {
       open.push_back(&s);
     }
   }
-  return violations;
+  if (messages || trace.other_data().find("run") != nullptr) {
+    lint_messages(trace, violation);
+  }
+  return violation.list;
 }
 
 }  // namespace tricount::obs

@@ -1,10 +1,14 @@
 // Chrome trace-event JSON: the one file format for timed events.
 //
-// Two producers fill the same Trace container:
+// Three producers fill the same Trace container:
 //
 //  * The flight recorder (obs/flight.hpp): FlightRecorder::trace() turns
 //    the measured spans, instants and counters in its per-rank rings into
 //    a Trace, and every flight dump is that trace written to one file.
+//
+//  * The message trace (obs/msgtrace.hpp): MsgTrace::trace() turns each
+//    captured message record into a `msg` span and joins each message's
+//    send to its receive with a flow pair.
 //
 //  * The modeled run trace (core/artifacts.hpp): built after a run from
 //    the per-superstep samples, on a virtual timeline where superstep
@@ -18,7 +22,9 @@
 // the top-level `otherData` object. See docs/observability.md.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -30,8 +36,8 @@ namespace tricount::obs {
 using TraceArgs = std::vector<std::pair<std::string, double>>;
 
 /// One exported event. `ph` is the trace-event phase: 'X' (complete span),
-/// 'i' (instant) or 'C' (counter). Timestamps are microseconds, as the
-/// format requires.
+/// 'i' (instant), 'C' (counter), or 's'/'f' (the start and finish of a
+/// flow arrow). Timestamps are microseconds, as the format requires.
 struct TraceEvent {
   std::string name;
   std::string cat;
@@ -40,6 +46,10 @@ struct TraceEvent {
   double ts_us = 0.0;
   double dur_us = 0.0;  ///< spans only
   TraceArgs args;
+  std::uint64_t id = 0;  ///< flows only: the id both ends share
+
+  /// The arg named `key`, or nullptr when the event has none.
+  const double* arg(std::string_view key) const;
 };
 
 /// An ordered collection of events plus thread naming and run metadata,
@@ -54,6 +64,10 @@ class Trace {
   /// A counter sample: one 'C' event whose args carry {"value": value}.
   void add_counter(int tid, std::string name, std::string cat, double ts_us,
                    double value);
+  /// One end of flow `id`: ph 's' starts it, ph 'f' finishes it (written
+  /// with `bp: "e"`, binding to the slice that encloses `ts_us`).
+  void add_flow(char ph, int tid, std::string name, std::string cat,
+                double ts_us, std::uint64_t id);
 
   const std::vector<TraceEvent>& events() const { return events_; }
   const std::vector<std::pair<int, std::string>>& thread_names() const {
@@ -82,7 +96,13 @@ class Trace {
 /// Checks span invariants and returns human-readable violations (empty
 /// means the trace is well formed): non-empty names, non-negative
 /// timestamps/durations, known phase codes, and — per tid — spans that
-/// either nest properly or are disjoint (no partial overlap).
+/// either nest properly or are disjoint (no partial overlap). A trace
+/// with `msg` events or a `run` header in its otherData is a message
+/// trace (docs/observability.md, "Causal message tracing") and also gets
+/// its checks: the world size in `otherData.ranks`, each `msg` span's
+/// name and integer args, span ends non-decreasing per tid in file order,
+/// each ring's `recorded` equal to its span count, and — when no ring
+/// dropped records — exactly one 's' and one 'f' per flow id.
 std::vector<std::string> lint_trace(const Trace& trace);
 
 }  // namespace tricount::obs

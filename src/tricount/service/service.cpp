@@ -572,15 +572,17 @@ Service::Execution Service::verb_truss(const Request&) {
   const core::RunResult run = run_tally(core::Tally::kEdgeSupport);
   const graph::KtrussResult truss =
       graph::ktruss_from_supports(resident_.graph(), run.edge_supports);
+  // at_least[k] = edges of trussness >= k: one histogram, summed from
+  // the top.
+  std::vector<std::uint64_t> at_least(
+      static_cast<std::size_t>(truss.max_k) + 1);
+  for (const int t : truss.trussness) ++at_least[static_cast<std::size_t>(t)];
+  std::partial_sum(at_least.rbegin(), at_least.rend(), at_least.rbegin());
   Value per_k = Value::array();
   for (int k = 3; k <= truss.max_k; ++k) {
-    std::uint64_t edges = 0;
-    for (const int t : truss.trussness) {
-      if (t >= k) ++edges;
-    }
     Value row = Value::object();
     row.set("k", k);
-    row.set("edges", edges);
+    row.set("edges", at_least[static_cast<std::size_t>(k)]);
     per_k.push_back(std::move(row));
   }
   Value result = Value::object();
@@ -598,13 +600,19 @@ Service::Execution Service::verb_support(const Request& request) {
   const core::RunResult run = run_tally(core::Tally::kEdgeSupport);
   const std::vector<graph::TriangleCount>& supports = run.edge_supports;
 
+  // Only the first `top` places are ordered (support descending, then
+  // edge index ascending), so the answer is that of a full sort.
   std::vector<std::size_t> order(supports.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return supports[a] != supports[b] ? supports[a] > supports[b] : a < b;
-  });
-  Value rows = Value::array();
   const std::size_t take = std::min<std::size_t>(top, order.size());
+  std::partial_sort(order.begin(),
+                    order.begin() + static_cast<std::ptrdiff_t>(take),
+                    order.end(), [&](std::size_t a, std::size_t b) {
+                      return supports[a] != supports[b]
+                                 ? supports[a] > supports[b]
+                                 : a < b;
+                    });
+  Value rows = Value::array();
   for (std::size_t i = 0; i < take; ++i) {
     const auto& edge = resident_.graph().edges[order[i]];
     Value row = Value::object();

@@ -139,5 +139,52 @@ TEST(Ktruss, MaxTrussIsMaximal) {
   EXPECT_TRUE(result.truss_edges(g, result.max_k + 1).empty());
 }
 
+/// The k-truss by its definition: repeatedly drop every edge whose
+/// support within the remaining subgraph is below k - 2.
+std::vector<Edge> brute_force_truss(const EdgeList& g, int k) {
+  EdgeList left = g;
+  for (;;) {
+    const std::vector<TriangleCount> supports = edge_supports(left);
+    std::vector<Edge> kept;
+    for (std::size_t e = 0; e < left.edges.size(); ++e) {
+      if (static_cast<int>(supports[e]) >= k - 2) {
+        kept.push_back(left.edges[e]);
+      }
+    }
+    if (kept.size() == left.edges.size()) return kept;
+    left.edges = std::move(kept);
+  }
+}
+
+TEST(Ktruss, TrussAtEveryKMatchesBruteForcePeeling) {
+  // A K9 planted in a sparse random graph, so the peel meets both the
+  // clique's core and the fringe that touches it.
+  EdgeList planted = erdos_renyi(120, 500, 23);
+  for (VertexId u = 0; u < 9; ++u) {
+    for (VertexId v = u + 1; v < 9; ++v) {
+      planted.edges.push_back(Edge{u * 13, v * 13});
+    }
+  }
+  const std::vector<std::pair<const char*, EdgeList>> graphs = {
+      {"erdos-renyi", simplify(erdos_renyi(150, 1400, 31))},
+      {"rmat", simplify(rmat([] {
+         RmatParams p;
+         p.scale = 8;
+         p.edge_factor = 8;
+         p.seed = 5;
+         return p;
+       }()))},
+      {"planted-clique", simplify(std::move(planted))},
+  };
+  for (const auto& [name, g] : graphs) {
+    const KtrussResult result = ktruss_decomposition(g);
+    EXPECT_GE(result.max_k, 4) << name;
+    for (int k = 3; k <= result.max_k + 1; ++k) {
+      EXPECT_EQ(result.truss_edges(g, k), brute_force_truss(g, k))
+          << name << " k=" << k;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tricount::graph

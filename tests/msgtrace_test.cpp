@@ -1,5 +1,5 @@
 // Causal message-trace tests (docs/observability.md): capture around
-// real 2D runs, the tricount.msgtrace.v1 artifact round trip and lint,
+// real 2D runs, the message trace's JSON round trip and lint,
 // the measured critical path's telescoping reconciliation against the
 // observed makespan, wait-state sanity, causal edges surviving chaos
 // drop/reorder/duplicate faults (with retransmissions attributed, not
@@ -21,8 +21,10 @@
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/serial_count.hpp"
 #include "tricount/obs/analysis.hpp"
+#include "tricount/obs/flight.hpp"
 #include "tricount/obs/json.hpp"
 #include "tricount/obs/msgtrace.hpp"
+#include "tricount/obs/trace.hpp"
 
 namespace tricount {
 namespace {
@@ -35,11 +37,11 @@ graph::EdgeList test_graph() {
 
 struct TracedRun {
   core::RunResult result;
-  obs::json::Value artifact;
+  obs::Trace artifact;
 };
 
 /// Runs the 2D pipeline with a MsgTrace installed for its duration and
-/// returns both the run and the serialized tricount.msgtrace.v1 artifact.
+/// returns both the run and its message trace.
 TracedRun traced_run(const graph::EdgeList& g, int ranks,
                      const core::RunOptions& options,
                      std::size_t capacity = std::size_t{1} << 16) {
@@ -47,7 +49,7 @@ TracedRun traced_run(const graph::EdgeList& g, int ranks,
   trace.install();
   core::RunResult result = core::count_triangles_2d(g, ranks, options);
   trace.uninstall();
-  obs::json::Value artifact = core::build_run_msgtrace(result, trace);
+  obs::Trace artifact = core::build_run_msgtrace(result, trace);
   return {std::move(result), std::move(artifact)};
 }
 
@@ -68,9 +70,9 @@ TEST(MsgTrace, CleanRunCriticalPathReconcilesWithMakespan) {
   const graph::EdgeList g = test_graph();
   const TracedRun run = traced_run(g, 4, {});
 
-  EXPECT_TRUE(obs::lint_msgtrace(run.artifact).empty());
+  EXPECT_TRUE(obs::lint_trace(run.artifact).empty());
   const analysis::MsgTraceReport report =
-      analysis::MsgTraceReport::from_json(run.artifact);
+      analysis::MsgTraceReport::from_trace(run.artifact);
   EXPECT_EQ(report.ranks, 4);
   EXPECT_FALSE(report.chaos);
   EXPECT_EQ(report.dropped, 0u);
@@ -124,23 +126,53 @@ TEST(MsgTrace, ArtifactRoundTripPreservesRecords) {
   const graph::EdgeList g = test_graph();
   const TracedRun run = traced_run(g, 4, {});
 
-  const std::string dumped = run.artifact.dump();
   const analysis::MsgTraceReport a =
-      analysis::MsgTraceReport::from_json(run.artifact);
-  const analysis::MsgTraceReport b =
-      analysis::MsgTraceReport::from_json(obs::json::Value::parse(dumped));
+      analysis::MsgTraceReport::from_trace(run.artifact);
+  const analysis::MsgTraceReport b = analysis::MsgTraceReport::from_trace(
+      obs::Trace::from_json(obs::json::Value::parse(
+          run.artifact.to_json().dump())));
   ASSERT_EQ(a.records.size(), b.records.size());
   std::size_t total = 0;
   for (std::size_t r = 0; r < a.records.size(); ++r) {
     ASSERT_EQ(a.records[r].size(), b.records[r].size());
     total += a.records[r].size();
     for (std::size_t i = 0; i < a.records[r].size(); ++i) {
-      EXPECT_EQ(a.records[r][i].id, b.records[r][i].id);
-      EXPECT_EQ(a.records[r][i].kind, b.records[r][i].kind);
-      EXPECT_DOUBLE_EQ(a.records[r][i].wire_us, b.records[r][i].wire_us);
+      const obs::MsgRecord& x = a.records[r][i];
+      const obs::MsgRecord& y = b.records[r][i];
+      EXPECT_EQ(x.kind, y.kind);
+      EXPECT_EQ(x.collective, y.collective);
+      EXPECT_EQ(x.dropped, y.dropped);
+      EXPECT_EQ(x.peer, y.peer);
+      EXPECT_EQ(x.tag, y.tag);
+      EXPECT_EQ(x.step, y.step);
+      EXPECT_EQ(x.gen, y.gen);
+      EXPECT_EQ(x.id, y.id);
+      EXPECT_EQ(x.seq, y.seq);
+      EXPECT_EQ(x.bytes, y.bytes);
+      EXPECT_EQ(x.post_us, y.post_us);
+      EXPECT_EQ(x.wire_us, y.wire_us);
     }
   }
   EXPECT_GT(total, 0u);
+  EXPECT_EQ(a.ranks, b.ranks);
+  EXPECT_EQ(a.dropped, b.dropped);
+
+  // One flow per message: its 's' on the send, its 'f' on the receive,
+  // under the trace id both records carry.
+  std::size_t starts = 0;
+  std::size_t finishes = 0;
+  for (const obs::TraceEvent& e : run.artifact.events()) {
+    starts += e.ph == 's';
+    finishes += e.ph == 'f';
+  }
+  std::size_t recvs = 0;
+  for (const auto& records : a.records) {
+    for (const obs::MsgRecord& m : records) {
+      recvs += m.kind == obs::MsgRecord::kRecv;
+    }
+  }
+  EXPECT_EQ(starts, recvs);
+  EXPECT_EQ(finishes, recvs);
 
   // The modeled step table carries every superstep with its phase; the
   // tc entries line up 1:1 with the counting loop's shifts, which is
@@ -168,10 +200,10 @@ TEST(MsgTrace, CausalEdgesSurviveChaosFaults) {
   const TracedRun run = traced_run(g, ranks, options);
   EXPECT_EQ(run.result.triangles, expected);
   EXPECT_TRUE(run.result.chaos_enabled);
-  EXPECT_TRUE(obs::lint_msgtrace(run.artifact).empty());
+  EXPECT_TRUE(obs::lint_trace(run.artifact).empty());
 
   const analysis::MsgTraceReport report =
-      analysis::MsgTraceReport::from_json(run.artifact);
+      analysis::MsgTraceReport::from_trace(run.artifact);
   EXPECT_TRUE(report.chaos);
   const analysis::CausalAnalysis causal = analysis::analyze_msgtrace(report);
 
@@ -267,10 +299,10 @@ TEST(MsgTrace, OverlapMeasuredHiddenBoundedByModel) {
   options.config.overlap = true;
   const TracedRun run = traced_run(g, 4, options);
   ASSERT_TRUE(run.result.overlap_enabled);
-  EXPECT_TRUE(obs::lint_msgtrace(run.artifact).empty());
+  EXPECT_TRUE(obs::lint_trace(run.artifact).empty());
 
   const analysis::MsgTraceReport report =
-      analysis::MsgTraceReport::from_json(run.artifact);
+      analysis::MsgTraceReport::from_trace(run.artifact);
   EXPECT_TRUE(report.overlap);
   const analysis::CausalAnalysis causal = analysis::analyze_msgtrace(report);
 
@@ -305,16 +337,22 @@ TEST(MsgTrace, OffModeCapturesNothing) {
   obs::MsgTrace trace(4, 64);  // constructed but never installed
   const core::RunResult result = core::count_triangles_2d(g, 4, {});
   (void)result;
-  EXPECT_EQ(trace.recorded(), 0u);
-  EXPECT_EQ(trace.dropped(), 0u);
+  const obs::Trace captured = trace.trace();
+  EXPECT_TRUE(captured.events().empty());
+  const obs::json::Value& rings = captured.other_data().get("rings");
+  ASSERT_EQ(rings.size(), 5u);
+  for (std::size_t i = 0; i < rings.size(); ++i) {
+    EXPECT_EQ(rings.at(i).get("recorded").as_uint(), 0u);
+    EXPECT_EQ(rings.at(i).get("dropped").as_uint(), 0u);
+  }
 }
 
 TEST(MsgTrace, TinyCapacityDropsAreAccounted) {
   const graph::EdgeList g = test_graph();
   const TracedRun run = traced_run(g, 4, {}, /*capacity=*/4);
-  EXPECT_TRUE(obs::lint_msgtrace(run.artifact).empty());
+  EXPECT_TRUE(obs::lint_trace(run.artifact).empty());
   const analysis::MsgTraceReport report =
-      analysis::MsgTraceReport::from_json(run.artifact);
+      analysis::MsgTraceReport::from_trace(run.artifact);
   EXPECT_GT(report.dropped, 0u);
   // A truncated capture still analyzes (partial results, flagged).
   const analysis::CausalAnalysis causal = analysis::analyze_msgtrace(report);
@@ -323,48 +361,80 @@ TEST(MsgTrace, TinyCapacityDropsAreAccounted) {
 
 TEST(MsgTrace, IntegerFieldsOutsideIntRangeAreRejected) {
   // A value with no int (1e20) or past the world must be flagged by the
-  // lint and refused by the reader, never converted.
-  const auto artifact = [](const std::string& ranks, const std::string& peer) {
-    return obs::json::Value::parse(
-        R"({"schema":"tricount.msgtrace.v1","capacity":16,"recorded":1,)"
-        R"("dropped":0,"run":{"ranks":)" + ranks + R"(},"ranks":[)"
-        R"({"rank":0,"recorded":1,"dropped":0,"records":[)"
-        R"({"kind":"send","peer":)" + peer + R"(,"tag":3,"step":0,"gen":0,)"
-        R"("id":1,"seq":0,"bytes":8,"post_us":1.0,"wire_us":2.0}]}]})");
+  // lint and refused by the reader, never converted. The trace holds one
+  // rank's ring plus the world ring, and one message to itself.
+  const auto message_trace = [](const std::string& ranks,
+                                const std::string& peer) {
+    const std::string args = R"("tag":3,"step":0,"gen":0,"id":1,"seq":0,)"
+                             R"("bytes":8,"collective":0,"dropped":0})";
+    return obs::Trace::from_json(obs::json::Value::parse(
+        R"({"traceEvents":[)"
+        R"({"name":"send","cat":"msg","ph":"X","tid":1,"ts":1,"dur":1,)"
+        R"("args":{"peer":)" + peer + "," + args + "},"
+        R"({"name":"msg","cat":"msg","ph":"s","tid":1,"ts":1,"id":1},)"
+        R"({"name":"recv","cat":"msg","ph":"X","tid":1,"ts":3,"dur":1,)"
+        R"("args":{"peer":0,)" + args + "},"
+        R"({"name":"msg","cat":"msg","ph":"f","bp":"e","tid":1,"ts":3,)"
+        R"("id":1}],"otherData":{"ranks":)" + ranks +
+        R"(,"capacity":16,"rings":[{"tid":1,"recorded":2,"dropped":0},)"
+        R"({"tid":0,"recorded":0,"dropped":0}],"run":{"overlap":false,)"
+        R"("chaos":false,"model":{"alpha_seconds":1e-6,)"
+        R"("beta_seconds_per_byte":1e-9}},"steps":[]}})"));
   };
-  const obs::json::Value clean = artifact("1", "0");
-  EXPECT_TRUE(obs::lint_msgtrace(clean).empty());
-  EXPECT_EQ(analysis::MsgTraceReport::from_json(clean).records.at(0).size(),
-            1u);
+  const obs::Trace clean = message_trace("1", "0");
+  EXPECT_TRUE(obs::lint_trace(clean).empty());
+  EXPECT_EQ(analysis::MsgTraceReport::from_trace(clean).records.at(0).size(),
+            2u);
   for (const auto& [ranks, peer] :
        std::vector<std::pair<std::string, std::string>>{
            {"1e20", "0"}, {"2147483648", "0"}, {"1", "1e20"}, {"2", "0"}}) {
-    const obs::json::Value bad = artifact(ranks, peer);
-    EXPECT_FALSE(obs::lint_msgtrace(bad).empty()) << ranks << " " << peer;
-    EXPECT_THROW(analysis::MsgTraceReport::from_json(bad), std::runtime_error)
+    const obs::Trace bad = message_trace(ranks, peer);
+    EXPECT_FALSE(obs::lint_trace(bad).empty()) << ranks << " " << peer;
+    EXPECT_THROW(analysis::MsgTraceReport::from_trace(bad),
+                 std::runtime_error)
         << ranks << " " << peer;
   }
-  // The document with no records at all, too.
-  const obs::json::Value empty = obs::json::Value::parse(
-      R"({"schema":"tricount.msgtrace.v1","capacity":16,"recorded":0,)"
-      R"("dropped":0,"run":{"ranks":1e20},"ranks":[]})");
-  EXPECT_FALSE(obs::lint_msgtrace(empty).empty());
-  EXPECT_THROW(analysis::MsgTraceReport::from_json(empty), std::runtime_error);
+  // The trace with no records at all, too.
+  const obs::Trace empty = obs::Trace::from_json(obs::json::Value::parse(
+      R"({"traceEvents":[],"otherData":{"ranks":1e20,"capacity":16,)"
+      R"("rings":[],"run":{"overlap":false,"chaos":false,"model":)"
+      R"({"alpha_seconds":1e-6,"beta_seconds_per_byte":1e-9}},)"
+      R"("steps":[]}})"));
+  EXPECT_FALSE(obs::lint_trace(empty).empty());
+  EXPECT_THROW(analysis::MsgTraceReport::from_trace(empty),
+               std::runtime_error);
 }
 
 TEST(MsgTrace, DiffDispatchesOnSchemaAndSelfDiffsClean) {
   const graph::EdgeList g = test_graph();
   const TracedRun run = traced_run(g, 4, {});
-  const analysis::DiffResult self =
-      analysis::diff_artifacts(run.artifact, run.artifact);
+  const analysis::DiffResult self = analysis::diff_artifacts(
+      run.artifact.to_json(), run.artifact.to_json());
   EXPECT_TRUE(self.ok);
 
   // Two runs of the same config: counts identical, measured times and
   // the overlap divergence within the default noise floor.
   const TracedRun again = traced_run(g, 4, {});
-  const analysis::DiffResult rerun =
-      analysis::diff_artifacts(run.artifact, again.artifact);
+  const analysis::DiffResult rerun = analysis::diff_artifacts(
+      run.artifact.to_json(), again.artifact.to_json());
   EXPECT_TRUE(rerun.ok);
+}
+
+TEST(MsgTrace, DiffRefusesTracesWithoutARunHeader) {
+  // A flight dump is a Chrome trace too, but it has no run header to
+  // pair measurements with the model: the diff names what it reads.
+  obs::FlightRecorder recorder(/*ranks=*/1);
+  recorder.span_begin("slice", "pre");
+  recorder.span_end("slice");
+  const obs::json::Value dump = recorder.trace().to_json();
+  try {
+    analysis::diff_artifacts(dump, dump);
+    ADD_FAILURE() << "a flight dump diffed as a message trace";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("count --msgtrace"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -33,11 +33,11 @@
 #             default) never leaks into the metrics artifact and turning
 #             it off cannot change the run (docs/observability.md).
 #   msgtraceoff  re-run with the msgtrace output knobs spelled out but NO
-#             --msgtrace (capture stays uninstalled) — the msgtrace
-#             artifact must NOT be written and the metrics artifact must
-#             diff clean against the baseline (docs/observability.md).
-#   msgtracesmoke  re-run with --msgtrace, lint the captured artifact
-#             with `tricount_trace_lint --msgtrace`, and render the
+#             --msgtrace (capture stays uninstalled) — the message trace
+#             must NOT be written and the metrics artifact must diff
+#             clean against the baseline (docs/observability.md).
+#   msgtracesmoke  re-run with --msgtrace, lint the captured message
+#             trace with `tricount_trace_lint FILE`, and render the
 #             causal section via `tricount_perf report --msgtrace` —
 #             all must exit 0.
 #   cetric    run the communication-avoiding counter (--algorithm cetric),
@@ -196,7 +196,7 @@ elseif(MODE STREQUAL "msgtracesmoke")
     message(FATAL_ERROR "perf_gate: --msgtrace wrote no artifact")
   endif()
   execute_process(
-    COMMAND ${LINT} --msgtrace ${MSGTRACE_OUT}
+    COMMAND ${LINT} ${MSGTRACE_OUT}
     RESULT_VARIABLE status)
   if(NOT status EQUAL 0)
     message(FATAL_ERROR "perf_gate: msgtrace lint failed (${status})")

@@ -42,6 +42,7 @@
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/serial_count.hpp"
 #include "tricount/graph/io.hpp"
+#include "tricount/graph/ktruss.hpp"
 #include "tricount/obs/graceful.hpp"
 #include "tricount/obs/json.hpp"
 #include "tricount/service/service.hpp"
@@ -1026,7 +1027,10 @@ TEST(ServiceEquivalence, PervertexTopMatchesAFullSortOnTies) {
   // Disjoint K4s (3 triangles per vertex), triangles (1 each) and
   // isolated vertices (0), scattered over shuffled ids: nearly every
   // place of the ranking is a tie that the id breaks. `top` must answer
-  // what a full sort (count descending, then id ascending) answers.
+  // what a full sort (count descending, then id ascending) answers. The
+  // edges tie the same way (support 2 in a K4, 1 in a triangle), so
+  // `support`'s `top` must answer what a full sort of the edge supports
+  // (support descending, then edge index ascending) answers.
   constexpr graph::VertexId kN = 240;
   std::vector<graph::VertexId> ids(kN);
   std::iota(ids.begin(), ids.end(), graph::VertexId{0});
@@ -1069,6 +1073,33 @@ TEST(ServiceEquivalence, PervertexTopMatchesAFullSortOnTies) {
       EXPECT_EQ(rows.at(i).get("vertex").as_uint(), order[i])
           << "top=" << top << " place " << i;
       EXPECT_EQ(rows.at(i).get("triangles").as_uint(), counts[order[i]])
+          << "top=" << top << " place " << i;
+    }
+  }
+
+  const std::vector<graph::TriangleCount> supports = graph::edge_supports(g);
+  std::vector<std::size_t> edge_order(supports.size());
+  std::iota(edge_order.begin(), edge_order.end(), std::size_t{0});
+  std::sort(edge_order.begin(), edge_order.end(),
+            [&](std::size_t a, std::size_t b) {
+              return supports[a] != supports[b] ? supports[a] > supports[b]
+                                                : a < b;
+            });
+  for (const std::uint64_t top : {0u, 1u, 7u, 99u, 100u, 101u, 175u, 240u,
+                                  10000u}) {
+    const Value doc = h.result(h.ask(
+        "{\"id\":2,\"verb\":\"support\",\"params\":{\"top\":" +
+        std::to_string(top) + "}}"));
+    const Value& rows = doc.get("result").get("top");
+    ASSERT_EQ(rows.size(), std::min<std::size_t>(top, supports.size()))
+        << "top=" << top;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const graph::Edge& edge = g.edges[edge_order[i]];
+      EXPECT_EQ(rows.at(i).get("u").as_uint(), edge.u)
+          << "top=" << top << " place " << i;
+      EXPECT_EQ(rows.at(i).get("v").as_uint(), edge.v)
+          << "top=" << top << " place " << i;
+      EXPECT_EQ(rows.at(i).get("support").as_uint(), supports[edge_order[i]])
           << "top=" << top << " place " << i;
     }
   }

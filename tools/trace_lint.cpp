@@ -1,13 +1,13 @@
 // tricount_trace_lint — validates a Chrome trace-event JSON file (a
-// modeled run trace or a flight dump) against the invariants
-// obs::lint_trace checks: parseable JSON, known phase codes, named events,
-// non-negative timestamps, and per-timeline spans that nest or are
-// disjoint (no partial overlap).
+// modeled run trace, a flight dump or a message trace) against the
+// invariants obs::lint_trace checks: parseable JSON, known phase codes,
+// named events, non-negative timestamps, per-timeline spans that nest or
+// are disjoint (no partial overlap), and, for a message trace, its `msg`
+// spans' args, its rings' counts and its flow pairs.
 //
 // Usage:
 //   tricount_trace_lint FILE.json...            lint trace files; exit 1 on any violation
 //   tricount_trace_lint --metrics FILE.json...  schema-validate tricount.metrics.v3 files
-//   tricount_trace_lint --msgtrace FILE.json... validate tricount.msgtrace.v1 artifacts
 //   tricount_trace_lint --service FILE.json...  validate tricount.service.v1 session artifacts
 //   tricount_trace_lint --selftest              run the built-in good/bad fixtures
 #include <cstdio>
@@ -18,7 +18,6 @@
 #include "tricount/obs/analysis.hpp"
 #include "tricount/obs/flight.hpp"
 #include "tricount/obs/json.hpp"
-#include "tricount/obs/msgtrace.hpp"
 #include "tricount/obs/trace.hpp"
 #include "tricount/service/artifact.hpp"
 #include "tricount/util/build.hpp"
@@ -27,87 +26,46 @@ namespace {
 
 using namespace tricount;
 
-int lint_file(const std::string& path) {
-  obs::Trace trace;
+/// Lints the JSON file `path` with `lint`, which returns the violations
+/// and sets what an OK line reports; prints either. Returns 1 on a
+/// violation or an unreadable file.
+template <class Lint>
+int lint_path(const std::string& path, Lint lint) {
+  std::vector<std::string> violations;
+  std::string summary;
   try {
-    trace = obs::Trace::from_json(obs::json::read_file(path));
+    violations = lint(obs::json::read_file(path), summary);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
     return 1;
   }
-  const std::vector<std::string> violations = obs::lint_trace(trace);
   for (const std::string& v : violations) {
     std::fprintf(stderr, "%s: %s\n", path.c_str(), v.c_str());
   }
-  if (violations.empty()) {
-    std::printf("%s: OK (%zu events)\n", path.c_str(), trace.events().size());
-    return 0;
-  }
-  return 1;
+  if (!violations.empty()) return 1;
+  std::printf("%s: OK (%s)\n", path.c_str(), summary.c_str());
+  return 0;
 }
 
-int lint_metrics_file(const std::string& path) {
-  obs::json::Value root;
-  try {
-    root = obs::json::read_file(path);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
-    return 1;
-  }
-  const std::vector<std::string> violations =
-      obs::analysis::lint_metrics(root);
-  for (const std::string& v : violations) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), v.c_str());
-  }
-  if (violations.empty()) {
-    std::printf("%s: OK (%s)\n", path.c_str(), obs::analysis::kMetricsSchema);
-    return 0;
-  }
-  return 1;
+std::vector<std::string> lint_trace_file(const obs::json::Value& root,
+                                         std::string& summary) {
+  const obs::Trace trace = obs::Trace::from_json(root);
+  summary = std::to_string(trace.events().size()) + " events";
+  return obs::lint_trace(trace);
 }
 
-int lint_msgtrace_file(const std::string& path) {
-  obs::json::Value root;
-  try {
-    root = obs::json::read_file(path);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
-    return 1;
-  }
-  const std::vector<std::string> violations = obs::lint_msgtrace(root);
-  for (const std::string& v : violations) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), v.c_str());
-  }
-  if (violations.empty()) {
-    const obs::json::Value* recorded = root.find("recorded");
-    std::printf("%s: OK (%.0f records)\n", path.c_str(),
-                recorded != nullptr && recorded->is_number()
-                    ? recorded->as_number()
-                    : -1.0);
-    return 0;
-  }
-  return 1;
+std::vector<std::string> lint_metrics_file(const obs::json::Value& root,
+                                           std::string& summary) {
+  summary = obs::analysis::kMetricsSchema;
+  return obs::analysis::lint_metrics(root);
 }
 
-int lint_service_file(const std::string& path) {
-  obs::json::Value root;
-  try {
-    root = obs::json::read_file(path);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
-    return 1;
-  }
-  const std::vector<std::string> violations = service::lint_service(root);
-  for (const std::string& v : violations) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), v.c_str());
-  }
-  if (violations.empty()) {
-    const obs::json::Value* requests = root.find("requests");
-    std::printf("%s: OK (%zu requests)\n", path.c_str(),
-                requests != nullptr ? requests->size() : std::size_t{0});
-    return 0;
-  }
-  return 1;
+std::vector<std::string> lint_service_file(const obs::json::Value& root,
+                                           std::string& summary) {
+  const obs::json::Value* requests = root.find("requests");
+  summary = std::to_string(requests != nullptr ? requests->size() : 0) +
+            " requests";
+  return service::lint_service(root);
 }
 
 int selftest() {
@@ -220,58 +178,53 @@ int selftest() {
     }
   }
 
-  // --- tricount.msgtrace.v1 fixtures --------------------------------------
+  // --- message traces (count --msgtrace) ---------------------------------
 
-  // Parameterized minimal artifact: one send (rank 0) and one matched
-  // recv (rank 1). The defaults are lint-clean; each bad fixture swaps
-  // one field.
-  auto msgtrace_fixture = [](const char* schema, const char* send_kind,
-                             double send_wire_us) {
-    char buf[1024];
+  // Parameterized minimal message trace: one send (rank 0, tid 1) and its
+  // receive (rank 1, tid 2), joined by flow 1. The defaults are
+  // lint-clean; each bad fixture swaps one field.
+  auto message_fixture = [](const char* ranks, int peer, double send_dur,
+                            int start_id) {
+    const char* args = R"("tag":3,"step":0,"gen":0,"id":1,"seq":0,)"
+                       R"("bytes":8,"collective":0,"dropped":0)";
+    char buf[1536];
     std::snprintf(
         buf, sizeof buf,
-        R"({"schema":"%s","capacity":16,"recorded":2,"dropped":0,)"
-        R"("run":{"ranks":2},"ranks":[)"
-        R"({"rank":0,"recorded":1,"dropped":0,"records":[)"
-        R"({"kind":"%s","peer":1,"tag":3,"step":-1,"gen":0,"id":1,"seq":0,)"
-        R"("bytes":8,"post_us":1.0,"wire_us":%g}]},)"
-        R"({"rank":1,"recorded":1,"dropped":0,"records":[)"
-        R"({"kind":"recv","peer":0,"tag":3,"step":0,"gen":0,"id":1,"seq":0,)"
-        R"("bytes":8,"post_us":1.5,"wire_us":2.5}]}]})",
-        schema, send_kind, send_wire_us);
-    return obs::json::Value::parse(buf);
+        R"({"traceEvents":[)"
+        R"({"name":"send","cat":"msg","ph":"X","tid":1,"ts":1,"dur":%g,)"
+        R"("args":{"peer":%d,%s}},)"
+        R"({"name":"msg","cat":"msg","ph":"s","tid":1,"ts":1,"id":%d},)"
+        R"({"name":"recv","cat":"msg","ph":"X","tid":2,"ts":1.5,"dur":1,)"
+        R"("args":{"peer":0,%s}},)"
+        R"({"name":"msg","cat":"msg","ph":"f","bp":"e","tid":2,"ts":1.5,)"
+        R"("id":1}],"otherData":{"ranks":%s,"capacity":16,"rings":[)"
+        R"({"tid":1,"recorded":1,"dropped":0},)"
+        R"({"tid":2,"recorded":1,"dropped":0},)"
+        R"({"tid":0,"recorded":0,"dropped":0}]}})",
+        send_dur, peer, args, start_id, args, ranks);
+    return obs::Trace::from_json(obs::json::Value::parse(buf));
   };
-  if (!obs::lint_msgtrace(msgtrace_fixture("tricount.msgtrace.v1", "send", 2.0))
-           .empty()) {
-    std::fprintf(stderr, "selftest: clean msgtrace flagged\n");
+  if (!obs::lint_trace(message_fixture("2", 1, 1.0, 1)).empty()) {
+    std::fprintf(stderr, "selftest: clean message trace flagged\n");
     ++failures;
   }
-  // wire_us before post_us must be flagged (delivery cannot precede the
-  // post of the very call that recorded it).
-  if (obs::lint_msgtrace(msgtrace_fixture("tricount.msgtrace.v1", "send", 0.5))
-          .empty()) {
-    std::fprintf(stderr, "selftest: msgtrace wire<post not flagged\n");
+  if (obs::lint_trace(message_fixture("2", 2, 1.0, 1)).empty()) {
+    std::fprintf(stderr, "selftest: msg peer outside the world not flagged\n");
     ++failures;
   }
-  // Unknown record kind and a bad schema must both be flagged.
-  if (obs::lint_msgtrace(
-          msgtrace_fixture("tricount.msgtrace.v1", "teleport", 2.0))
-          .empty()) {
-    std::fprintf(stderr, "selftest: unknown msgtrace kind not flagged\n");
+  // A delivery cannot precede the post of the call that recorded it.
+  if (obs::lint_trace(message_fixture("2", 1, -0.5, 1)).empty()) {
+    std::fprintf(stderr, "selftest: negative msg span not flagged\n");
     ++failures;
   }
-  if (obs::lint_msgtrace(
-          msgtrace_fixture("tricount.msgtrace.v999", "send", 2.0))
-          .empty()) {
-    std::fprintf(stderr, "selftest: bad msgtrace schema not flagged\n");
+  // The flow starts under another id, so flow 1 has an 'f' and no 's'.
+  if (obs::lint_trace(message_fixture("2", 1, 1.0, 2)).empty()) {
+    std::fprintf(stderr, "selftest: flow finish without start not flagged\n");
     ++failures;
   }
   // A world size with no int value must be flagged, not converted.
-  if (obs::lint_msgtrace(obs::json::Value::parse(
-          R"({"schema":"tricount.msgtrace.v1","capacity":16,"recorded":0,)"
-          R"("dropped":0,"run":{"ranks":1e20},"ranks":[]})"))
-          .empty()) {
-    std::fprintf(stderr, "selftest: msgtrace run.ranks 1e20 not flagged\n");
+  if (obs::lint_trace(message_fixture("1e20", 1, 1.0, 1)).empty()) {
+    std::fprintf(stderr, "selftest: msg world size 1e20 not flagged\n");
     ++failures;
   }
 
@@ -351,8 +304,8 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: tricount_trace_lint <FILE.json...|--metrics "
-                 "FILE.json...|--msgtrace FILE.json...|--service "
-                 "FILE.json...|--selftest|--version>\n");
+                 "FILE.json...|--service FILE.json...|--selftest|"
+                 "--version>\n");
     return 2;
   }
   if (std::strcmp(argv[1], "--selftest") == 0) return selftest();
@@ -362,24 +315,17 @@ int main(int argc, char** argv) {
     return 0;
   }
   const bool metrics_mode = std::strcmp(argv[1], "--metrics") == 0;
-  const bool msgtrace_mode = std::strcmp(argv[1], "--msgtrace") == 0;
   const bool service_mode = std::strcmp(argv[1], "--service") == 0;
-  const bool has_mode = metrics_mode || msgtrace_mode || service_mode;
+  const bool has_mode = metrics_mode || service_mode;
   if (has_mode && argc < 3) {
     std::fprintf(stderr, "usage: tricount_trace_lint %s FILE...\n", argv[1]);
     return 2;
   }
   int status = 0;
   for (int i = has_mode ? 2 : 1; i < argc; ++i) {
-    if (metrics_mode) {
-      status |= lint_metrics_file(argv[i]);
-    } else if (msgtrace_mode) {
-      status |= lint_msgtrace_file(argv[i]);
-    } else if (service_mode) {
-      status |= lint_service_file(argv[i]);
-    } else {
-      status |= lint_file(argv[i]);
-    }
+    status |= metrics_mode   ? lint_path(argv[i], lint_metrics_file)
+              : service_mode ? lint_path(argv[i], lint_service_file)
+                             : lint_path(argv[i], lint_trace_file);
   }
   return status;
 }

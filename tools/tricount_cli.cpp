@@ -305,8 +305,8 @@ class FlightSession {
 /// Owns the causal message-trace capture for one `count` run. Separate
 /// from FlightSession because msgtrace is off by default (capture adds a
 /// record per message; the flight recorder is cheap enough to stay on):
-/// no --msgtrace means no MsgTrace is ever constructed, so off-mode runs
-/// and their artifacts are byte-identical to pre-msgtrace builds.
+/// no --msgtrace means no MsgTrace is ever constructed, so the capture
+/// sites record nothing and no message trace is written.
 class MsgTraceSession {
  public:
   MsgTraceSession(const util::ArgParser& args, int ranks) {
@@ -382,11 +382,11 @@ int cmd_count(int argc, const char* const* argv) {
   args.add_option("flight-telemetry-interval-ms", "200",
                   "telemetry publish interval in milliseconds");
   args.add_flag("msgtrace", false,
-                "capture causal message traces and write the "
-                "tricount.msgtrace.v1 artifact (2d/cetric; "
+                "capture causal message traces and write them as a Chrome "
+                "trace of per-rank msg spans and flows (2d/cetric; "
                 "docs/observability.md)");
   args.add_option("msgtrace-out", "msgtrace.json",
-                  "path for the msgtrace artifact (with --msgtrace)");
+                  "path for the message trace (with --msgtrace)");
   args.add_option("msgtrace-capacity", "65536",
                   "msgtrace buffer capacity in records per rank");
   chaos::add_chaos_options(args);

@@ -12,24 +12,25 @@
 //       check. With --flight-dir, also a section correlating the
 //       directory's flight.json dump (dump reason, last recorded
 //       superstep, crash markers) with the run. With --msgtrace, also
-//       the causal section from the given tricount.msgtrace.v1 artifact:
-//       measured critical path, wait states, and measured-vs-modeled
-//       overlap. With --compare, also a communication-volume table
-//       against a second artifact of the same graph (e.g. cetric vs 2d);
-//       --require-less-comm turns that table into a gate — exit 1 unless
-//       the primary artifact moved strictly fewer user bytes than the
-//       comparison target.
+//       the causal section from the given message trace (the Chrome
+//       trace `count --msgtrace` writes): measured critical path, wait
+//       states, and measured-vs-modeled overlap. With --compare, also a
+//       communication-volume table against a second artifact of the same
+//       graph (e.g. cetric vs 2d); --require-less-comm turns that table
+//       into a gate — exit 1 unless the primary artifact moved strictly
+//       fewer user bytes than the comparison target.
 //       Exit 1 when the consistency check fails, 0 otherwise.
 //
 //   tricount_perf diff <baseline.json> <candidate.json>
 //                      [--max-regress PCT] [--noise-floor SECONDS]
 //       Field-by-field regression gate between two artifacts of the same
-//       schema (tricount.metrics.v3, tricount.bench.v1, or
-//       tricount.msgtrace.v1). Counts and structure compare exactly;
-//       model-derived network times by the --max-regress threshold;
-//       measured CPU times and imbalance gate only past both the
-//       threshold and the absolute noise floor. For msgtrace artifacts
-//       the gate also covers the measured-vs-modeled overlap divergence.
+//       format (tricount.metrics.v3, tricount.bench.v1, or two message
+//       traces). Counts and structure compare exactly; model-derived
+//       network times by the --max-regress threshold; measured CPU times
+//       and imbalance gate only past both the threshold and the absolute
+//       noise floor. For message traces the gate also covers the
+//       measured-vs-modeled overlap divergence; a trace without the
+//       run header (a flight dump, a modeled run trace) exits 2.
 //       Exit 1 on any gating difference, 0 when clean.
 //
 //   tricount_perf watch [--file PATH] [--once] [--jsonl] [--interval-ms N]
@@ -143,11 +144,12 @@ int print_flight_section(const std::string& dir) {
 }
 
 /// The `report --msgtrace` section: the causal analysis of a saved
-/// tricount.msgtrace.v1 artifact. Returns 2 on unreadable artifacts.
+/// message trace. Returns 2 on an unreadable trace.
 int print_causal_section(const std::string& path, int top) {
   analysis::MsgTraceReport report;
   try {
-    report = analysis::MsgTraceReport::from_json(obs::json::read_file(path));
+    report = analysis::MsgTraceReport::from_trace(
+        obs::Trace::from_json(obs::json::read_file(path)));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tricount_perf: %s: %s\n", path.c_str(), e.what());
     return 2;
