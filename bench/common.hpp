@@ -218,9 +218,7 @@ class JsonReport {
     obs::json::Value record = obs::json::Value::object();
     record.set("dataset", dataset);
     record.set("ranks", r.ranks);
-    // Key absent on 2D records (the historical schema); readers default a
-    // missing algorithm to "2d", and existing BENCH_*.json stay identical.
-    if (r.algorithm != "2d") record.set("algorithm", r.algorithm);
+    record.set("algorithm", r.algorithm);
     record.set("triangles", static_cast<std::uint64_t>(r.triangles));
     record.set("vertices", static_cast<std::uint64_t>(r.num_vertices));
     record.set("edges", static_cast<std::uint64_t>(r.num_edges));
@@ -263,7 +261,7 @@ class JsonReport {
     provenance.set("ranks", r.ranks);
     // Part of provenance so `tricount_perf diff` never gates a cetric
     // record against a 2D one.
-    if (r.algorithm != "2d") provenance.set("algorithm", r.algorithm);
+    provenance.set("algorithm", r.algorithm);
     obs::json::Value model = obs::json::Value::object();
     model.set("alpha_seconds", r.model.alpha_seconds);
     model.set("beta_seconds_per_byte", r.model.beta_seconds_per_byte);

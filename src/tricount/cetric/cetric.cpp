@@ -470,10 +470,6 @@ RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
         }
       },
       core::world_options(options)));
-
-  for (const auto& [name, sample] : result.per_rank[0].pre_steps) {
-    result.step_names.push_back(name);
-  }
   return result;
 }
 

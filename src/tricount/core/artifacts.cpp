@@ -19,8 +19,9 @@ struct Superstep {
 
 std::vector<Superstep> supersteps_of(const RunResult& result) {
   std::vector<Superstep> steps;
-  for (std::size_t s = 0; s < result.step_names.size(); ++s) {
-    steps.push_back({result.step_names[s], "pre", result.step_samples(s)});
+  for (std::size_t s = 0; s < result.num_steps(); ++s) {
+    steps.push_back({result.per_rank[0].pre_steps[s].first, "pre",
+                     result.step_samples(s)});
   }
   for (std::size_t s = 0; s < result.num_shifts(); ++s) {
     steps.push_back(

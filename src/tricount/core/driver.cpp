@@ -64,10 +64,6 @@ RunResult run_pipeline(int ranks, const RunOptions& options,
   }, world_options(options));
 
   result.take(std::move(report));
-
-  for (const auto& [name, sample] : result.per_rank[0].pre_steps) {
-    result.step_names.push_back(name);
-  }
   return result;
 }
 
@@ -91,13 +87,17 @@ std::vector<PhaseSample> RunResult::shift_samples(std::size_t shift_index) const
   return samples;
 }
 
+std::size_t RunResult::num_steps() const {
+  return per_rank.empty() ? 0 : per_rank[0].pre_steps.size();
+}
+
 std::size_t RunResult::num_shifts() const {
   return per_rank.empty() ? 0 : per_rank[0].shifts.size();
 }
 
 double RunResult::pre_modeled_seconds() const {
   double total = 0.0;
-  for (std::size_t s = 0; s < step_names.size(); ++s) {
+  for (std::size_t s = 0; s < num_steps(); ++s) {
     total += breakdown(step_samples(s)).modeled_seconds(model);
   }
   return total;
@@ -113,7 +113,7 @@ double RunResult::tc_modeled_seconds() const {
 
 double RunResult::pre_modeled_comm_seconds() const {
   double total = 0.0;
-  for (std::size_t s = 0; s < step_names.size(); ++s) {
+  for (std::size_t s = 0; s < num_steps(); ++s) {
     total += breakdown(step_samples(s)).modeled_comm_seconds(model);
   }
   return total;

@@ -39,9 +39,8 @@ struct RunOptions {
 
 /// The world a run's options ask for: their fault plan and watchdog
 /// budget. Every library call that builds its own world builds it from
-/// these (RunOptions and SummaOptions alike).
-template <class Options>
-mpisim::WorldOptions world_options(const Options& options) {
+/// these.
+inline mpisim::WorldOptions world_options(const RunOptions& options) {
   return {options.chaos.get(), options.watchdog_seconds};
 }
 
@@ -63,13 +62,12 @@ struct CetricRankCounters {
 struct RunResult {
   graph::TriangleCount triangles = 0;
   int ranks = 0;
-  /// Cannon/SUMMA grid edge; 0 for 1D-partitioned algorithms (cetric).
+  /// Edge of a square grid (Cannon, and SUMMA on a q × q grid); 0 for a
+  /// rectangular SUMMA grid and for 1D-partitioned algorithms (cetric).
   int grid_q = 0;
   VertexId num_vertices = 0;
   EdgeIndex num_edges = 0;
   util::AlphaBetaModel model;
-  /// Preprocessing superstep names, in pipeline order (same on all ranks).
-  std::vector<std::string> step_names;
   std::vector<RankStats> per_rank;
   /// Whole-run traffic counters per rank (totals + collective split).
   std::vector<mpisim::PerfCounters> per_rank_counters;
@@ -81,8 +79,8 @@ struct RunResult {
   bool overlap_enabled = false;
   /// Per-rank chaos tallies (all zero unless chaos_enabled).
   std::vector<mpisim::ChaosCounters> per_rank_chaos;
-  /// Which counting algorithm produced this result ("2d", "cetric", or
-  /// "summa" for a SUMMA sweep over resident blocks).
+  /// Which counting algorithm produced this result: "2d", "cetric" or
+  /// "summa".
   std::string algorithm = "2d";
   /// Per-rank CETRIC tallies (empty unless algorithm == "cetric").
   std::vector<CetricRankCounters> per_rank_cetric;
@@ -99,9 +97,12 @@ struct RunResult {
 
   // --- derived metrics (see instrumentation.hpp for the model) ----------
 
-  /// Per-rank samples of one preprocessing superstep / one shift.
+  /// Per-rank samples of one preprocessing superstep / one counting
+  /// superstep (a Cannon shift or a SUMMA panel step). Steps are named
+  /// by rank 0's RankStats::pre_steps.
   std::vector<PhaseSample> step_samples(std::size_t step_index) const;
   std::vector<PhaseSample> shift_samples(std::size_t shift_index) const;
+  std::size_t num_steps() const;
   std::size_t num_shifts() const;
 
   /// Modeled parallel times (the reproduction's analogue of the paper's

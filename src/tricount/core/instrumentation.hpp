@@ -52,11 +52,15 @@ struct PhaseSample {
 /// (tricount/kernels/kernels.hpp); core keeps the historical name.
 using KernelCounters = kernels::KernelCounters;
 
+/// Named supersteps in pipeline order.
+using StepSamples = std::vector<std::pair<std::string, PhaseSample>>;
+
 /// Everything one rank measured during a full run.
 struct RankStats {
   /// Ordered preprocessing supersteps (same keys on every rank).
-  std::vector<std::pair<std::string, PhaseSample>> pre_steps;
-  /// One sample per Cannon shift (compute + the shift's communication).
+  StepSamples pre_steps;
+  /// One sample per counting superstep: a Cannon shift or a SUMMA panel
+  /// step (compute + the step's communication).
   std::vector<PhaseSample> shifts;
   KernelCounters kernel;
 

@@ -181,46 +181,51 @@ Blocks scatter_2d(mpisim::Cart2D& grid, const RelabeledSlice& slice,
   return blocks;
 }
 
-PreprocessOutput preprocess(mpisim::Cart2D& grid, const LocalSlice& input,
-                            const Config& config) {
-  mpisim::Comm& comm = grid.comm();
-  PreprocessOutput out;
-  out.num_vertices = input.num_vertices;
-  PhaseTracker tracker(comm);
+void cut_step(PhaseTracker& tracker, StepSamples& steps, const char* name,
+              std::uint64_t ops) {
+  PhaseSample s = tracker.cut();
+  s.ops += ops;
+  steps.emplace_back(name, s);
+}
 
-  CyclicSlice cyclic = [&] {
+RelabeledSlice redistribute_and_order(mpisim::Comm& comm,
+                                      const LocalSlice& input,
+                                      const Config& config,
+                                      PhaseTracker& tracker,
+                                      StepSamples& steps) {
+  const CyclicSlice cyclic = [&] {
     obs::ScopedSpan span("redistribute", "pre");
     return cyclic_redistribute(comm, input);
   }();
-  {
-    PhaseSample s = tracker.cut();
-    s.ops += cyclic.adj.ids.size();
-    out.steps.emplace_back("redistribute", s);
-  }
+  cut_step(tracker, steps, "redistribute", cyclic.adj.ids.size());
 
   RelabeledSlice relabeled = [&] {
     obs::ScopedSpan span("degree_order", "pre");
     return config.degree_ordering ? degree_relabel(comm, cyclic)
                                   : identity_relabel(comm, cyclic);
   }();
-  {
-    PhaseSample s = tracker.cut();
-    s.ops += relabeled.adj.ids.size();
-    s.ops += relabeled.global_max_degree;
-    out.steps.emplace_back("degree_order", s);
-  }
+  cut_step(tracker, steps, "degree_order",
+           relabeled.adj.ids.size() + relabeled.global_max_degree);
+  return relabeled;
+}
+
+PreprocessOutput preprocess(mpisim::Cart2D& grid, const LocalSlice& input,
+                            const Config& config) {
+  mpisim::Comm& comm = grid.comm();
+  PreprocessOutput out;
+  out.num_vertices = input.num_vertices;
+  PhaseTracker tracker(comm);
+  RelabeledSlice relabeled =
+      redistribute_and_order(comm, input, config, tracker, out.steps);
 
   {
     obs::ScopedSpan span("scatter_2d", "pre");
     out.blocks = scatter_2d(grid, relabeled, config.enumeration);
   }
-  {
-    PhaseSample s = tracker.cut();
-    s.ops += 2 * (out.blocks.ublock.num_entries() +
-                  out.blocks.lblock.num_entries() +
-                  out.blocks.tasks.num_entries());
-    out.steps.emplace_back("scatter_2d", s);
-  }
+  cut_step(tracker, out.steps, "scatter_2d",
+           2 * (out.blocks.ublock.num_entries() +
+                out.blocks.lblock.num_entries() +
+                out.blocks.tasks.num_entries()));
   out.new_ids = std::move(relabeled.new_ids);
 
   {
@@ -228,10 +233,7 @@ PreprocessOutput preprocess(mpisim::Cart2D& grid, const LocalSlice& input,
     out.num_edges =
         mpisim::allreduce_sum(comm, out.blocks.ublock.num_entries());
   }
-  {
-    PhaseSample s = tracker.cut();
-    out.steps.emplace_back("edge_count", s);
-  }
+  cut_step(tracker, out.steps, "edge_count");
   return out;
 }
 

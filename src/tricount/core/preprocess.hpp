@@ -47,6 +47,21 @@ RelabeledSlice degree_relabel(mpisim::Comm& comm, const CyclicSlice& slice);
 /// performance benefits disappear.
 RelabeledSlice identity_relabel(mpisim::Comm& comm, const CyclicSlice& slice);
 
+/// Ends `tracker`'s current superstep as step `name` of `steps`, credited
+/// with `ops` operations.
+void cut_step(PhaseTracker& tracker, StepSamples& steps, const char* name,
+              std::uint64_t ops = 0);
+
+/// Steps (i) and (ii) on this rank, each under a flight span and cut from
+/// `tracker` into `steps`: `redistribute`, then `degree_order`
+/// (degree_relabel, or identity_relabel when Config::degree_ordering is
+/// off). The Cannon and SUMMA pipelines both start with these.
+RelabeledSlice redistribute_and_order(mpisim::Comm& comm,
+                                      const LocalSlice& input,
+                                      const Config& config,
+                                      PhaseTracker& tracker,
+                                      StepSamples& steps);
+
 /// The three blocks each rank owns during counting, already in Cannon's
 /// aligned start position: U_{x,(x+y)%q}, L_{(x+y)%q,y}, and the task
 /// block at (x,y).
@@ -111,7 +126,7 @@ struct PreprocessOutput {
   /// new_ids[k] = degree-ordered id of input vertex rank + k·p.
   std::vector<VertexId> new_ids;
   /// Per-superstep measurements on this rank, in pipeline order.
-  std::vector<std::pair<std::string, PhaseSample>> steps;
+  StepSamples steps;
 };
 
 /// Runs the full pipeline on this rank's input slice.

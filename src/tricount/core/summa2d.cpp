@@ -6,7 +6,6 @@
 
 #include "tricount/core/counter2d.hpp"
 #include "tricount/core/dist_graph.hpp"
-#include "tricount/core/driver.hpp"
 #include "tricount/core/preprocess.hpp"
 #include "tricount/mpisim/collectives.hpp"
 #include "tricount/mpisim/recovery.hpp"
@@ -32,6 +31,14 @@ struct SummaBlocks {
   std::vector<BlockCsr> upanels;  ///< panel z = col + t*qc at index t
   std::vector<BlockCsr> lpanels;  ///< panel z = row + t*qr at index t
   BlockCsr tasks;
+
+  /// Calls f on every block this rank holds.
+  template <typename F>
+  void each(F&& f) const {
+    for (const BlockCsr& b : upanels) f(b);
+    for (const BlockCsr& b : lpanels) f(b);
+    f(tasks);
+  }
 };
 
 SummaBlocks scatter_summa(mpisim::Comm& comm, int qr, int qc, int K,
@@ -136,12 +143,6 @@ const BlockCsr& panel_bcast(mpisim::Comm& comm, const BlockCsr* own,
 }
 
 }  // namespace
-
-mpisim::ChaosCounters SummaResult::total_chaos() const {
-  mpisim::ChaosCounters total;
-  for (const mpisim::ChaosCounters& c : per_rank_chaos) total += c;
-  return total;
-}
 
 SummaSweep summa_sweep(mpisim::Comm& comm, int qr, int qc, int K,
                        const PanelSchedule& schedule, const BlockCsr& tasks,
@@ -293,40 +294,50 @@ SummaSweep summa_sweep(mpisim::Comm& comm, int qr, int qc, int K,
   return out;
 }
 
-SummaResult count_triangles_summa(const graph::EdgeList& graph,
-                                  const SummaOptions& options) {
+RunResult count_triangles_summa(const graph::EdgeList& graph,
+                                const SummaOptions& options) {
   const int qr = options.grid_rows;
   const int qc = options.grid_cols;
   if (qr <= 0 || qc <= 0) {
     throw std::invalid_argument("summa: grid dims must be positive");
   }
   const int p = qr * qc;
-  const int K = qr / std::gcd(qr, qc) * qc;
+  const int K = std::lcm(qr, qc);
 
-  SummaResult result;
+  RunResult result;
+  result.algorithm = "summa";
   result.ranks = p;
-  result.grid_rows = qr;
-  result.grid_cols = qc;
-  result.panels = K;
-
-  std::vector<PhaseSample> pre_samples(static_cast<std::size_t>(p));
-  std::vector<std::vector<PhaseSample>> step_samples(
-      static_cast<std::size_t>(p));
-  std::vector<KernelCounters> kernels(static_cast<std::size_t>(p));
-  graph::TriangleCount triangles = 0;
-
+  result.grid_q = qr == qc ? qr : 0;
+  // A simplified input holds each undirected edge once.
+  result.num_vertices = graph.num_vertices;
+  result.num_edges = graph.edges.size();
+  result.model = options.model;
+  result.per_rank.assign(static_cast<std::size_t>(p), RankStats{});
   result.chaos_enabled = options.chaos != nullptr;
+  result.overlap_enabled = options.config.overlap;
 
-  mpisim::WorldReport report = mpisim::run_world(p, [&](mpisim::Comm& comm) {
+  result.take(mpisim::run_world(p, [&](mpisim::Comm& comm) {
+    obs::RankTelemetry* live = obs::Telemetry::caller_slot();
+    if (live != nullptr) live->phase.store("pre", std::memory_order_relaxed);
+    const LocalSlice input = [&] {
+      obs::ScopedSpan span("slice", "pre");
+      return block_slice_from_edges(graph, comm.rank(), p);
+    }();
+    RankStats& stats = result.per_rank[static_cast<std::size_t>(comm.rank())];
     PhaseTracker tracker(comm);
-    const LocalSlice input =
-        block_slice_from_edges(graph, comm.rank(), comm.size());
-    const CyclicSlice cyclic = cyclic_redistribute(comm, input);
-    const RelabeledSlice relabeled = degree_relabel(comm, cyclic);
-    const SummaBlocks blocks =
-        scatter_summa(comm, qr, qc, K, relabeled, options.config.enumeration);
-    const auto rank = static_cast<std::size_t>(comm.rank());
-    pre_samples[rank] = tracker.cut();
+    const RelabeledSlice relabeled = redistribute_and_order(
+        comm, input, options.config, tracker, stats.pre_steps);
+    const SummaBlocks blocks = [&] {
+      obs::ScopedSpan span("scatter_summa", "pre");
+      return scatter_summa(comm, qr, qc, K, relabeled,
+                           options.config.enumeration);
+    }();
+    std::uint64_t entries = 0;
+    blocks.each([&](const BlockCsr& b) { entries += b.num_entries(); });
+    cut_step(tracker, stats.pre_steps, "scatter_summa", 2 * entries);
+    if (options.validate_blocks) {
+      blocks.each([](const BlockCsr& b) { b.validate(); });
+    }
 
     // Panel z lives at grid column z % qc (U) and grid row z % qr (L).
     PanelSchedule schedule;
@@ -334,28 +345,12 @@ SummaResult count_triangles_summa(const graph::EdgeList& graph,
     schedule.lpanels = blocks.lpanels;
     SummaSweep sweep = summa_sweep(comm, qr, qc, K, schedule, blocks.tasks,
                                    options.config, tracker);
-    step_samples[rank] = std::move(sweep.steps);
-    kernels[rank] = sweep.kernel;
-
-    const graph::TriangleCount total = mpisim::allreduce_sum(comm, sweep.local);
-    if (comm.rank() == 0) triangles = total;
-  }, world_options(options));
-
-  result.per_rank_chaos = std::move(report.chaos);
-  result.triangles = triangles;
-  result.pre_modeled_seconds =
-      breakdown(pre_samples).modeled_seconds(options.model);
-  for (int z = 0; z < K; ++z) {
-    std::vector<PhaseSample> at_step;
-    at_step.reserve(static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      at_step.push_back(step_samples[static_cast<std::size_t>(r)]
-                                    [static_cast<std::size_t>(z)]);
-    }
-    result.tc_modeled_seconds +=
-        breakdown(at_step).modeled_seconds(options.model);
-  }
-  for (const KernelCounters& k : kernels) result.kernel += k;
+    stats.shifts = std::move(sweep.steps);
+    stats.kernel = sweep.kernel;
+    const TriangleCount total = mpisim::allreduce_sum(comm, sweep.local);
+    if (comm.rank() == 0) result.triangles = total;
+    if (live != nullptr) live->phase.store("done", std::memory_order_relaxed);
+  }, world_options(options)));
   return result;
 }
 

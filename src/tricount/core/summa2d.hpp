@@ -16,17 +16,15 @@
 // broadcasts instead of shifts.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "tricount/core/block_matrix.hpp"
 #include "tricount/core/config.hpp"
+#include "tricount/core/driver.hpp"
 #include "tricount/core/instrumentation.hpp"
 #include "tricount/graph/edge_list.hpp"
 #include "tricount/mpisim/comm.hpp"
-#include "tricount/mpisim/fault.hpp"
-#include "tricount/util/cost_model.hpp"
 
 namespace tricount::core {
 
@@ -56,42 +54,20 @@ SummaSweep summa_sweep(mpisim::Comm& comm, int qr, int qc, int K,
                        const PanelSchedule& schedule, const BlockCsr& tasks,
                        const Config& config, PhaseTracker& tracker);
 
-struct SummaOptions {
+/// A SUMMA run's options: every RunOptions field, honoured as by
+/// count_triangles_2d (validate_blocks checks the panels and the task
+/// block), plus the grid.
+struct SummaOptions : RunOptions {
   int grid_rows = 2;
   int grid_cols = 2;
-  Config config;
-  util::AlphaBetaModel model;
-  /// Fault injector for the run (chaos subsystem, docs/chaos.md); null
-  /// keeps the fault-free fast path.
-  std::shared_ptr<const mpisim::FaultInjector> chaos;
-  /// Hang-watchdog budget forwarded to mpisim (0 = auto, <0 = off).
-  double watchdog_seconds = 0.0;
 };
 
-struct SummaResult {
-  graph::TriangleCount triangles = 0;
-  int ranks = 0;
-  int grid_rows = 0;
-  int grid_cols = 0;
-  int panels = 0;  ///< K = lcm(qr, qc)
-  /// Modeled parallel times, same construction as RunResult's.
-  double pre_modeled_seconds = 0.0;
-  double tc_modeled_seconds = 0.0;
-  KernelCounters kernel;  ///< summed over ranks
-  /// True when a fault injector was installed for this run.
-  bool chaos_enabled = false;
-  /// Per-rank chaos tallies (all zero unless chaos_enabled).
-  std::vector<mpisim::ChaosCounters> per_rank_chaos;
-
-  mpisim::ChaosCounters total_chaos() const;
-
-  double total_modeled_seconds() const {
-    return pre_modeled_seconds + tc_modeled_seconds;
-  }
-};
-
-/// Counts triangles on a qr × qc simulated grid.
-SummaResult count_triangles_summa(const graph::EdgeList& graph,
-                                  const SummaOptions& options);
+/// Counts triangles on a qr × qc simulated grid. The result's algorithm
+/// is "summa", its grid_q the edge of a square grid (0 on a rectangular
+/// one), its preprocessing steps `redistribute`, `degree_order` and
+/// `scatter_summa`, and its counting supersteps the K = lcm(qr, qc) panel
+/// steps.
+RunResult count_triangles_summa(const graph::EdgeList& graph,
+                                const SummaOptions& options);
 
 }  // namespace tricount::core

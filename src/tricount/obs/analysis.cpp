@@ -259,21 +259,17 @@ void print_report(const RunReport& report, const Analysis& analysis,
   };
 
   util::print_heading("run");
-  if (report.algorithm == "2d") {
-    std::printf("ranks %d (grid %dx%d), %llu vertices, %llu edges, %llu "
-                "triangles\n",
-                report.ranks, report.grid_q, report.grid_q,
-                static_cast<unsigned long long>(report.vertices),
-                static_cast<unsigned long long>(report.edges),
-                static_cast<unsigned long long>(report.triangles));
-  } else {
-    std::printf("algorithm %s, ranks %d (1D partition), %llu vertices, "
-                "%llu edges, %llu triangles\n",
-                report.algorithm.c_str(), report.ranks,
-                static_cast<unsigned long long>(report.vertices),
-                static_cast<unsigned long long>(report.edges),
-                static_cast<unsigned long long>(report.triangles));
-  }
+  const std::string layout =
+      report.grid_q > 0 ? "grid " + std::to_string(report.grid_q) + "x" +
+                              std::to_string(report.grid_q)
+      : report.algorithm == "summa" ? "rectangular grid"
+                                    : "1D partition";
+  std::printf("algorithm %s, ranks %d (%s), %llu vertices, %llu edges, %llu "
+              "triangles\n",
+              report.algorithm.c_str(), report.ranks, layout.c_str(),
+              static_cast<unsigned long long>(report.vertices),
+              static_cast<unsigned long long>(report.edges),
+              static_cast<unsigned long long>(report.triangles));
   std::printf("model: alpha %.3g s/message, beta %.3g s/byte\n",
               report.model.alpha_seconds, report.model.beta_seconds_per_byte);
 
@@ -667,6 +663,11 @@ std::vector<std::string> lint_metrics(const json::Value& root) {
       if (algorithm == "2d") {
         if (r >= 1 && q >= 0 && q * q != r) {
           lint.flag("run: grid_q^2 != ranks");
+        }
+      } else if (algorithm == "summa") {
+        // The edge of a square grid, 0 on a rectangular one.
+        if (r >= 1 && q > 0 && q * q != r) {
+          lint.flag("run: summa grid_q is neither 0 nor sqrt(ranks)");
         }
       } else if (q > 0) {
         lint.flag("run: grid_q must be 0 for 1D-partitioned algorithms");
@@ -1182,8 +1183,13 @@ DiffResult diff_bench(const json::Value& baseline, const json::Value& candidate,
     const json::Value& list = root.get("records");
     for (std::size_t i = 0; i < list.size(); ++i) {
       const json::Value& record = list.at(i);
-      records[record.get("dataset").as_string() + "|ranks=" +
-              std::to_string(record.get("ranks").as_uint())] = &record;
+      // One bench may measure several algorithms on one configuration.
+      std::string key = record.get("dataset").as_string() + "|ranks=" +
+                        std::to_string(record.get("ranks").as_uint());
+      if (const json::Value* algorithm = record.find("algorithm")) {
+        key += "|" + algorithm->as_string();
+      }
+      records[key] = &record;
     }
     return records;
   };

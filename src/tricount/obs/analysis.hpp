@@ -73,8 +73,8 @@ struct Step {
 struct RunReport {
   int ranks = 0;
   int grid_q = 0;
-  /// run.algorithm — "2d", or "cetric" for the communication-avoiding
-  /// counter ("summa" reserved).
+  /// run.algorithm — "2d", "cetric" for the communication-avoiding
+  /// counter, or "summa".
   std::string algorithm = "2d";
   bool overlap = false;  ///< run.overlap — comm/compute overlap was on
   bool chaos = false;    ///< run.chaos — a fault injector was installed
@@ -208,7 +208,8 @@ DiffResult diff_metrics(const json::Value& baseline,
                         const DiffOptions& options = {});
 
 /// Record-by-record comparison of two tricount.bench.v1 reports; records
-/// pair up by (dataset, ranks) and must carry matching provenance.
+/// pair up by (dataset, ranks, algorithm) and must carry matching
+/// provenance.
 DiffResult diff_bench(const json::Value& baseline, const json::Value& candidate,
                       const DiffOptions& options = {});
 

@@ -14,6 +14,7 @@
 #include "tricount/cetric/cetric.hpp"
 #include "tricount/core/artifacts.hpp"
 #include "tricount/core/driver.hpp"
+#include "tricount/core/summa2d.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/obs/analysis.hpp"
 #include "tricount/obs/json.hpp"
@@ -293,6 +294,34 @@ TEST(LintMetrics, ReconcilesCetricWedgeTraffic) {
             std::string::npos);
 }
 
+// A SUMMA artifact's grid_q is the edge of a square grid or 0 on a
+// rectangular one; any other value is flagged.
+TEST(LintMetrics, ChecksSummaGridEdge) {
+  const auto artifact = [](int rows, int cols) {
+    core::SummaOptions options;
+    options.grid_rows = rows;
+    options.grid_cols = cols;
+    return core::build_run_metrics(
+        core::count_triangles_summa(small_rmat(), options));
+  };
+  const auto with_grid_q = [](obs::json::Value doc, std::uint64_t q) {
+    obs::json::Value run = doc.get("run");
+    run.set("grid_q", q);
+    doc.set("run", std::move(run));
+    return doc;
+  };
+  const obs::json::Value square = artifact(2, 2);
+  const obs::json::Value rectangular = artifact(2, 3);
+  EXPECT_TRUE(analysis::lint_metrics(square).empty());
+  EXPECT_TRUE(analysis::lint_metrics(rectangular).empty());
+  EXPECT_EQ(square.get("run").get("grid_q").as_uint(), 2u);
+  EXPECT_EQ(rectangular.get("run").get("grid_q").as_uint(), 0u);
+  EXPECT_TRUE(mentions(analysis::lint_metrics(with_grid_q(square, 3)),
+                       "summa grid_q"));
+  EXPECT_TRUE(mentions(analysis::lint_metrics(with_grid_q(rectangular, 2)),
+                       "summa grid_q"));
+}
+
 // Readers accept exactly one schema; an older document is refused with a
 // message that names the one they read.
 TEST(MetricsSchema, V2DocumentsAreRejectedNamingV3) {
@@ -441,6 +470,43 @@ TEST(Diff, MismatchedSchemasGate) {
   b.set("schema", "tricount.bench.v1");
   const analysis::DiffResult diff = analysis::diff_artifacts(a, b);
   EXPECT_FALSE(diff.ok);
+}
+
+// A bench that measures two algorithms on one configuration (table 6
+// writes a 2D and a cetric record per dataset and rank count) diffs every
+// record: a 2D regression does not hide behind the cetric record.
+TEST(Diff, BenchRecordsPairByAlgorithm) {
+  const auto record = [](const char* algorithm, std::uint64_t triangles) {
+    obs::json::Value r = obs::json::Value::object();
+    r.set("dataset", "rmat_s10");
+    r.set("ranks", 16);
+    r.set("algorithm", algorithm);
+    r.set("triangles", triangles);
+    obs::json::Value provenance = obs::json::Value::object();
+    provenance.set("ranks", 16);
+    provenance.set("algorithm", algorithm);
+    r.set("provenance", std::move(provenance));
+    return r;
+  };
+  const auto report = [&](std::uint64_t triangles_2d) {
+    obs::json::Value root = obs::json::Value::object();
+    root.set("schema", "tricount.bench.v1");
+    root.set("bench", "table6_other_algorithms");
+    obs::json::Value records = obs::json::Value::array();
+    records.push_back(record("2d", triangles_2d));
+    records.push_back(record("cetric", 1000));
+    root.set("records", std::move(records));
+    return root;
+  };
+
+  EXPECT_TRUE(analysis::diff_artifacts(report(1000), report(1000)).ok);
+  const analysis::DiffResult diff =
+      analysis::diff_artifacts(report(1000), report(999));
+  EXPECT_FALSE(diff.ok);
+  ASSERT_EQ(diff.entries.size(), 1u);
+  EXPECT_EQ(diff.entries[0].kind, analysis::DiffEntry::Kind::kExactMismatch);
+  EXPECT_NE(diff.entries[0].field.find("|2d triangles"), std::string::npos)
+      << diff.entries[0].field;
 }
 
 // ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ mpisim::ChaosCounters expect_exact_summa(const graph::EdgeList& g, int rows,
   options.grid_cols = cols;
   options.chaos =
       std::make_shared<const chaos::FaultPlan>(spec, rows * cols);
-  const core::SummaResult r = core::count_triangles_summa(g, options);
+  const core::RunResult r = core::count_triangles_summa(g, options);
   EXPECT_TRUE(r.chaos_enabled);
   EXPECT_EQ(r.triangles, expected)
       << "summa " << rows << "x" << cols << " chaos seed=" << spec.seed;
@@ -549,19 +549,19 @@ TEST(ChaosRecovery, ReplayedSuperstepLeavesNoTrace) {
     summa.config = config;
     summa.grid_rows = grid[0];
     summa.grid_cols = grid[1];
-    const core::SummaResult free = core::count_triangles_summa(g, summa);
-    summa_probes += free.kernel.probes;
+    const core::RunResult free = core::count_triangles_summa(g, summa);
+    summa_probes += free.total_kernel().probes;
     for (int step = 0; step < grid[2]; ++step) {
       core::SummaOptions crashed = summa;
       const auto salt = 0xab52 + static_cast<std::uint64_t>(grid[1]);
       crashed.chaos =
           crash_plan(step, grid[0] * grid[1], run_seed(salt, step));
-      const core::SummaResult r = core::count_triangles_summa(g, crashed);
+      const core::RunResult r = core::count_triangles_summa(g, crashed);
       const std::string where = "summa " + std::to_string(grid[1]) +
                                 " columns, step " + std::to_string(step);
       expect_one_recovery(r.total_chaos(), where);
       EXPECT_EQ(r.triangles, free.triangles) << where;
-      EXPECT_EQ(r.kernel, free.kernel) << where;
+      EXPECT_EQ(r.total_kernel(), free.total_kernel()) << where;
     }
   }
   EXPECT_GT(summa_probes, 0u);

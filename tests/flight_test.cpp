@@ -21,6 +21,7 @@
 #include "test_seed.hpp"
 #include "tricount/chaos/fault_plan.hpp"
 #include "tricount/core/driver.hpp"
+#include "tricount/core/summa2d.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/serial_count.hpp"
 #include "tricount/mpisim/runtime.hpp"
@@ -154,35 +155,42 @@ TEST(FlightRecorder, AutoDumpFiresOnceAndOnlyWhenArmed) {
 // --- spans and instants of real runs ---------------------------------------
 
 TEST(FlightRecorder, TraceHoldsEachPreprocessingLayerAndTheCount) {
-  const int ranks = 4;  // q = 2
   const graph::EdgeList g =
       graph::simplify(graph::watts_strogatz(96, 6, 0.2, 5));
-  obs::FlightRecorder recorder(ranks);
-  recorder.install();
-  core::count_triangles_2d(g, ranks);
-  recorder.uninstall();
+  const auto check = [&](int ranks, const auto& count,
+                         const std::vector<std::string>& layers) {
+    obs::FlightRecorder recorder(ranks);
+    recorder.install();
+    count();
+    recorder.uninstall();
 
-  const obs::Trace trace = recorder.trace();
-  EXPECT_TRUE(obs::lint_trace(trace).empty());
-  const std::vector<std::string> layers = {"slice", "redistribute",
-                                           "degree_order", "scatter_2d",
-                                           "intersect"};
-  for (int r = 0; r < ranks; ++r) {
-    // Each layer's first span on this rank starts after the last layer's.
-    double previous = -1.0;
-    for (const std::string& layer : layers) {
-      double start = -1.0;
-      for (const obs::TraceEvent& e : trace.events()) {
-        if (e.tid == r + 1 && e.ph == 'X' && e.name == layer &&
-            (start < 0.0 || e.ts_us < start)) {
-          start = e.ts_us;
+    const obs::Trace trace = recorder.trace();
+    EXPECT_TRUE(obs::lint_trace(trace).empty());
+    for (int r = 0; r < ranks; ++r) {
+      // Each layer's first span on this rank starts after the last layer's.
+      double previous = -1.0;
+      for (const std::string& layer : layers) {
+        double start = -1.0;
+        for (const obs::TraceEvent& e : trace.events()) {
+          if (e.tid == r + 1 && e.ph == 'X' && e.name == layer &&
+              (start < 0.0 || e.ts_us < start)) {
+            start = e.ts_us;
+          }
         }
+        ASSERT_GE(start, 0.0) << layer << " span missing on rank " << r;
+        EXPECT_GT(start, previous) << layer << " out of order on rank " << r;
+        previous = start;
       }
-      ASSERT_GE(start, 0.0) << layer << " span missing on rank " << r;
-      EXPECT_GT(start, previous) << layer << " out of order on rank " << r;
-      previous = start;
     }
-  }
+  };
+  check(4, [&] { return core::count_triangles_2d(g, 4); },  // q = 2
+        {"slice", "redistribute", "degree_order", "scatter_2d", "intersect"});
+  // SUMMA shares the first three layers, then scatters its panels.
+  core::SummaOptions summa;
+  summa.grid_rows = 2;
+  summa.grid_cols = 3;
+  check(6, [&] { return core::count_triangles_summa(g, summa); },
+        {"slice", "redistribute", "degree_order", "scatter_summa"});
 }
 
 TEST(FlightRecorder, ChaosDropsAreInstantsOnTheSendersRing) {
@@ -322,26 +330,35 @@ TEST(Telemetry, SnapshotPublishesAndRendersAtomically) {
 }
 
 TEST(Telemetry, TracksALiveRunThroughCompletion) {
-  const int ranks = 4;  // q = 2
   const graph::EdgeList g =
       graph::simplify(graph::watts_strogatz(96, 6, 0.2, 11));
-  obs::Telemetry telemetry(ranks);
-  telemetry.install();
-  const core::RunResult r = core::count_triangles_2d(g, ranks);
-  telemetry.uninstall();
+  const auto check = [&](int ranks, const auto& count, const char* where) {
+    obs::Telemetry telemetry(ranks);
+    telemetry.install();
+    const core::RunResult r = count();
+    telemetry.uninstall();
 
-  std::uint64_t triangles = 0;
-  for (int rank = 0; rank < ranks; ++rank) {
-    const obs::RankTelemetry& t = telemetry.rank(rank);
-    EXPECT_STREQ(t.phase.load(std::memory_order_relaxed), "done");
-    // The final update parks superstep at total_supersteps.
-    EXPECT_EQ(t.superstep.load(std::memory_order_relaxed), r.grid_q);
-    EXPECT_EQ(t.total_supersteps.load(std::memory_order_relaxed), r.grid_q);
-    EXPECT_GT(t.graph_bytes.load(std::memory_order_relaxed), 0u);
-    EXPECT_GT(t.scratch_bytes.load(std::memory_order_relaxed), 0u);
-    triangles += t.triangles.load(std::memory_order_relaxed);
-  }
-  EXPECT_EQ(triangles, static_cast<std::uint64_t>(r.triangles));
+    const auto steps = static_cast<int>(r.num_shifts());
+    std::uint64_t triangles = 0;
+    for (int rank = 0; rank < ranks; ++rank) {
+      const obs::RankTelemetry& t = telemetry.rank(rank);
+      EXPECT_STREQ(t.phase.load(std::memory_order_relaxed), "done") << where;
+      // The final update parks superstep at total_supersteps.
+      EXPECT_EQ(t.superstep.load(std::memory_order_relaxed), steps) << where;
+      EXPECT_EQ(t.total_supersteps.load(std::memory_order_relaxed), steps)
+          << where;
+      EXPECT_GT(t.graph_bytes.load(std::memory_order_relaxed), 0u) << where;
+      EXPECT_GT(t.scratch_bytes.load(std::memory_order_relaxed), 0u) << where;
+      triangles += t.triangles.load(std::memory_order_relaxed);
+    }
+    EXPECT_EQ(triangles, static_cast<std::uint64_t>(r.triangles)) << where;
+  };
+  check(4, [&] { return core::count_triangles_2d(g, 4); }, "2d, q = 2");
+  core::SummaOptions summa;
+  summa.grid_rows = 2;
+  summa.grid_cols = 3;
+  check(6, [&] { return core::count_triangles_summa(g, summa); },
+        "summa 2x3");
 }
 
 TEST(Telemetry, ExportsMemoryGaugesThatRoundTripThroughSnapshots) {

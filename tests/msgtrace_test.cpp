@@ -1,5 +1,5 @@
 // Causal message-trace tests (docs/observability.md): capture around
-// real 2D runs, the message trace's JSON round trip and lint,
+// real 2D and SUMMA runs, the message trace's JSON round trip and lint,
 // the measured critical path's telescoping reconciliation against the
 // observed makespan, wait-state sanity, causal edges surviving chaos
 // drop/reorder/duplicate faults (with retransmissions attributed, not
@@ -18,6 +18,7 @@
 #include "tricount/chaos/fault_plan.hpp"
 #include "tricount/core/artifacts.hpp"
 #include "tricount/core/driver.hpp"
+#include "tricount/core/summa2d.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/serial_count.hpp"
 #include "tricount/obs/analysis.hpp"
@@ -40,17 +41,26 @@ struct TracedRun {
   obs::Trace artifact;
 };
 
-/// Runs the 2D pipeline with a MsgTrace installed for its duration and
-/// returns both the run and its message trace.
-TracedRun traced_run(const graph::EdgeList& g, int ranks,
-                     const core::RunOptions& options,
-                     std::size_t capacity = std::size_t{1} << 16) {
+/// Runs `count` on `ranks` ranks with a MsgTrace installed for its
+/// duration and returns both the run and its message trace.
+template <typename Count>
+TracedRun capture(int ranks, Count&& count,
+                  std::size_t capacity = std::size_t{1} << 16) {
   obs::MsgTrace trace(ranks, capacity);
   trace.install();
-  core::RunResult result = core::count_triangles_2d(g, ranks, options);
+  core::RunResult result = count();
   trace.uninstall();
   obs::Trace artifact = core::build_run_msgtrace(result, trace);
   return {std::move(result), std::move(artifact)};
+}
+
+/// The same around the 2D pipeline.
+TracedRun traced_run(const graph::EdgeList& g, int ranks,
+                     const core::RunOptions& options,
+                     std::size_t capacity = std::size_t{1} << 16) {
+  return capture(
+      ranks, [&] { return core::count_triangles_2d(g, ranks, options); },
+      capacity);
 }
 
 chaos::FaultSpec faulty_spec() {
@@ -184,6 +194,42 @@ TEST(MsgTrace, ArtifactRoundTripPreservesRecords) {
     if (step.phase == "tc") ++tc_steps;
   }
   EXPECT_EQ(tc_steps, run.result.num_shifts());
+}
+
+// A SUMMA run writes the same message trace: on a rectangular grid, with
+// its panels broadcast or prefetched point to point, the capture lints
+// clean and reads back with one modeled tc step per panel step.
+TEST(MsgTrace, SummaCaptureLintsCleanAndReadsBack) {
+  const graph::EdgeList g = test_graph();
+  for (const bool overlap : {false, true}) {
+    core::SummaOptions options;
+    options.grid_rows = 2;
+    options.grid_cols = 3;
+    options.config.overlap = overlap;
+    const TracedRun run =
+        capture(6, [&] { return core::count_triangles_summa(g, options); });
+    const std::string where = overlap ? "overlap" : "broadcast";
+    for (const std::string& violation : obs::lint_trace(run.artifact)) {
+      ADD_FAILURE() << where << ": " << violation;
+    }
+
+    const analysis::MsgTraceReport report =
+        analysis::MsgTraceReport::from_trace(run.artifact);
+    EXPECT_EQ(report.ranks, 6) << where;
+    EXPECT_EQ(report.overlap, overlap) << where;
+    EXPECT_EQ(report.dropped, 0u) << where;
+    std::size_t tc_steps = 0;
+    for (const analysis::MsgTraceStep& step : report.steps) {
+      tc_steps += step.phase == "tc";
+    }
+    EXPECT_EQ(tc_steps, run.result.num_shifts()) << where;
+
+    const analysis::CausalAnalysis causal = analysis::analyze_msgtrace(report);
+    EXPECT_GT(causal.sends, 0u) << where;
+    EXPECT_EQ(causal.unmatched_recvs, 0u) << where;
+    EXPECT_EQ(causal.matched, causal.recvs) << where;
+    EXPECT_NEAR(causal.path_seconds, causal.makespan_seconds, 1e-9) << where;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ TEST(Overlap, SummaCountMatchesSerial) {
     options.grid_rows = grid[0];
     options.grid_cols = grid[1];
     options.config.overlap = true;
-    const core::SummaResult r = core::count_triangles_summa(g, options);
+    const core::RunResult r = core::count_triangles_summa(g, options);
     EXPECT_EQ(r.triangles, expected) << grid[0] << "x" << grid[1];
   }
 }

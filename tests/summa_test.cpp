@@ -1,11 +1,16 @@
 // Tests for the SUMMA rectangular-grid extension (paper §8).
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "tricount/core/artifacts.hpp"
 #include "tricount/core/summa2d.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/serial_count.hpp"
+#include "tricount/obs/analysis.hpp"
 
 namespace tricount::core {
 namespace {
@@ -33,11 +38,12 @@ TEST_P(SummaGrid, MatchesSerialOnRectangularGrids) {
   SummaOptions options;
   options.grid_rows = qr;
   options.grid_cols = qc;
-  const SummaResult result = count_triangles_summa(g, options);
+  options.validate_blocks = true;  // every panel and the task block
+  const RunResult result = count_triangles_summa(g, options);
   EXPECT_EQ(result.triangles, reference(g)) << qr << "x" << qc;
   EXPECT_EQ(result.ranks, qr * qc);
-  EXPECT_EQ(result.panels % qr, 0);
-  EXPECT_EQ(result.panels % qc, 0);
+  EXPECT_EQ(result.num_shifts() % static_cast<std::size_t>(qr), 0u);
+  EXPECT_EQ(result.num_shifts() % static_cast<std::size_t>(qc), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -110,10 +116,78 @@ TEST(Summa, ModeledTimesPositiveOnRealWork) {
   SummaOptions options;
   options.grid_rows = 2;
   options.grid_cols = 2;
-  const SummaResult result = count_triangles_summa(g, options);
-  EXPECT_GT(result.pre_modeled_seconds, 0.0);
-  EXPECT_GT(result.tc_modeled_seconds, 0.0);
-  EXPECT_GT(result.kernel.lookups, 0u);
+  const RunResult result = count_triangles_summa(g, options);
+  EXPECT_GT(result.pre_modeled_seconds(), 0.0);
+  EXPECT_GT(result.tc_modeled_seconds(), 0.0);
+  EXPECT_GT(result.total_kernel().lookups, 0u);
+}
+
+// On a square grid SUMMA's panels are Cannon's blocks, so the two counts
+// do the same intersections, whichever vertex order preprocessing picks.
+TEST(Summa, SquareGridDoesCannonsWorkUnderEveryOrdering) {
+  graph::RmatParams params;  // Graph500 skew: hub rows dominate the work
+  params.scale = 9;
+  params.edge_factor = 8;
+  params.seed = 5;
+  const EdgeList g = graph::rmat(params);
+  for (const int q : {2, 3}) {
+    for (const bool ordering : {true, false}) {
+      SummaOptions options;
+      options.grid_rows = q;
+      options.grid_cols = q;
+      options.config.degree_ordering = ordering;
+      const RunResult summa = count_triangles_summa(g, options);
+      const RunResult cannon = count_triangles_2d(g, q * q, options);
+      const std::string where =
+          std::to_string(q) + "x" + std::to_string(q) +
+          (ordering ? " ordered" : " unordered");
+      EXPECT_EQ(summa.triangles, cannon.triangles) << where;
+      EXPECT_EQ(summa.total_kernel().lookups, cannon.total_kernel().lookups)
+          << where;
+      EXPECT_EQ(summa.total_kernel().intersection_tasks,
+                cannon.total_kernel().intersection_tasks)
+          << where;
+    }
+  }
+}
+
+// A SUMMA run writes the artifacts a 2D run does, and they check out: the
+// metrics lint, the analyzer's re-derivation of every modeled step, and
+// one counting superstep per panel.
+TEST(Summa, ArtifactsLintCleanOnEveryGrid) {
+  const EdgeList g = sweep_graph();
+  for (const auto& [rows, cols] : {std::pair{2, 2}, std::pair{2, 3},
+                                   std::pair{3, 2}, std::pair{4, 4}}) {
+    for (const bool overlap : {false, true}) {
+      SummaOptions options;
+      options.grid_rows = rows;
+      options.grid_cols = cols;
+      options.config.overlap = overlap;
+      const RunResult r = count_triangles_summa(g, options);
+      const std::string where = std::to_string(rows) + "x" +
+                                std::to_string(cols) +
+                                (overlap ? " overlap" : "");
+      EXPECT_EQ(r.algorithm, "summa") << where;
+      EXPECT_EQ(r.grid_q, rows == cols ? rows : 0) << where;
+      EXPECT_EQ(r.num_shifts(), static_cast<std::size_t>(std::lcm(rows, cols)))
+          << where;
+      EXPECT_EQ(r.overlap_enabled, overlap) << where;
+      std::vector<std::string> steps;
+      for (const auto& [name, sample] : r.per_rank[0].pre_steps) {
+        steps.push_back(name);
+      }
+      EXPECT_EQ(steps, (std::vector<std::string>{"redistribute", "degree_order",
+                                                 "scatter_summa"}))
+          << where;
+      for (const std::string& violation :
+           obs::analysis::lint_metrics(build_run_metrics(r))) {
+        ADD_FAILURE() << where << ": " << violation;
+      }
+      const obs::analysis::Analysis analysis =
+          obs::analysis::analyze(build_run_report(r));
+      EXPECT_TRUE(analysis.consistency_issues.empty()) << where;
+    }
+  }
 }
 
 }  // namespace

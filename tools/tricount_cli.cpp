@@ -352,16 +352,17 @@ int cmd_count(int argc, const char* const* argv) {
                 "overlap block shifts / panel broadcasts with intersections "
                 "(2d and summa; docs/overlap.md)");
   args.add_option("trace-out", "",
-                  "write a Chrome trace-event JSON timeline (2d/cetric)");
+                  "write a Chrome trace-event JSON timeline "
+                  "(2d/cetric/summa)");
   args.add_option("metrics-out", "",
-                  "write the metrics JSON artifact (2d/cetric)");
+                  "write the metrics JSON artifact (2d/cetric/summa)");
   args.add_flag("comm-matrix", false,
-                "print the p x p traffic heatmap (2d/cetric)");
+                "print the p x p traffic heatmap (2d/cetric/summa)");
   args.add_option("model", "",
                   "alpha,beta cost-model override, e.g. 1.5e-6,2.9e-10 "
-                  "(2d only)");
+                  "(2d/cetric/summa)");
   args.add_flag("analyze", false,
-                "print the perf-doctor bottleneck report (2d/cetric)");
+                "print the perf-doctor bottleneck report (2d/cetric/summa)");
   args.add_option("watchdog", "0",
                   "hang-watchdog budget in seconds (0 = auto, negative = "
                   "off; see docs/chaos.md)");
@@ -378,12 +379,12 @@ int cmd_count(int argc, const char* const* argv) {
                 "also dump the flight rings when the run ends");
   args.add_option("flight-telemetry", "",
                   "publish live tricount.telemetry.v1 snapshots to this "
-                  "path (read by tricount_top / tricount_perf watch)");
+                  "path (read by tricount_top)");
   args.add_option("flight-telemetry-interval-ms", "200",
                   "telemetry publish interval in milliseconds");
   args.add_flag("msgtrace", false,
                 "capture causal message traces and write them as a Chrome "
-                "trace of per-rank msg spans and flows (2d/cetric; "
+                "trace of per-rank msg spans and flows (2d/cetric/summa; "
                 "docs/observability.md)");
   args.add_option("msgtrace-out", "msgtrace.json",
                   "path for the message trace (with --msgtrace)");
@@ -413,12 +414,29 @@ int cmd_count(int argc, const char* const* argv) {
   config.overlap = args.get_bool("overlap");
   const double watchdog = args.get_double("watchdog");
 
-  if (algorithm == "2d" || algorithm == "cetric") {
-    // Both counters return a full core::RunResult, so the entire artifact
-    // pipeline (trace, metrics, msgtrace, heatmap, analyzer) is shared.
-    core::RunOptions options;
+  if (algorithm == "2d" || algorithm == "cetric" || algorithm == "summa") {
+    // All three counters return a full core::RunResult, so the entire
+    // artifact pipeline (trace, metrics, msgtrace, heatmap, analyzer) is
+    // shared. SummaOptions is RunOptions plus the SUMMA grid.
+    core::SummaOptions options;
     options.config = config;
-    options.chaos = chaos::plan_from_args(args, ranks);
+    int world = ranks;
+    if (algorithm == "summa") {
+      int rows = static_cast<int>(args.get_int("grid-rows"));
+      int cols = static_cast<int>(args.get_int("grid-cols"));
+      if (rows <= 0 || cols <= 0) {
+        // Auto: most-square factorization of `ranks`.
+        rows = 1;
+        for (int r = 1; r * r <= ranks; ++r) {
+          if (ranks % r == 0) rows = r;
+        }
+        cols = ranks / rows;
+      }
+      options.grid_rows = rows;
+      options.grid_cols = cols;
+      world = rows * cols;
+    }
+    options.chaos = chaos::plan_from_args(args, world);
     options.watchdog_seconds = watchdog;
     if (!args.get("model").empty()) {
       try {
@@ -429,12 +447,14 @@ int cmd_count(int argc, const char* const* argv) {
         return 1;
       }
     }
-    FlightSession flight_session(args, ranks);
-    MsgTraceSession msgtrace_session(args, ranks);
-    const auto result =
-        algorithm == "cetric"
-            ? cetric::count_triangles_cetric(g, ranks, options)
-            : core::count_triangles_2d(g, ranks, options);
+    FlightSession flight_session(args, world);
+    MsgTraceSession msgtrace_session(args, world);
+    const core::RunResult result =
+        algorithm == "summa"
+            ? core::count_triangles_summa(g, options)
+            : algorithm == "cetric"
+                  ? cetric::count_triangles_cetric(g, ranks, options)
+                  : core::count_triangles_2d(g, ranks, options);
     if (algorithm == "cetric") {
       const core::CetricRankCounters cet = result.total_cetric();
       std::printf("cetric: %llu local + %llu cut triangles, %llu cut "
@@ -442,6 +462,9 @@ int cmd_count(int argc, const char* const* argv) {
                   static_cast<unsigned long long>(cet.local_triangles),
                   static_cast<unsigned long long>(cet.cut_triangles),
                   static_cast<unsigned long long>(cet.cut_wedges_sent));
+    } else if (algorithm == "summa") {
+      std::printf("summa: grid %dx%d, %zu panel steps\n", options.grid_rows,
+                  options.grid_cols, result.num_shifts());
     }
     std::printf("triangles: %llu\n",
                 static_cast<unsigned long long>(result.triangles));
@@ -481,44 +504,6 @@ int cmd_count(int argc, const char* const* argv) {
     if (args.get_bool("analyze")) {
       const obs::analysis::RunReport report = core::build_run_report(result);
       obs::analysis::print_report(report, obs::analysis::analyze(report));
-    }
-  } else if (algorithm == "summa") {
-    core::SummaOptions options;
-    options.config = config;
-    int rows = static_cast<int>(args.get_int("grid-rows"));
-    int cols = static_cast<int>(args.get_int("grid-cols"));
-    if (rows <= 0 || cols <= 0) {
-      // Auto: most-square factorization of `ranks`.
-      rows = 1;
-      for (int r = 1; r * r <= ranks; ++r) {
-        if (ranks % r == 0) rows = r;
-      }
-      cols = ranks / rows;
-    }
-    options.grid_rows = rows;
-    options.grid_cols = cols;
-    options.chaos = chaos::plan_from_args(args, rows * cols);
-    options.watchdog_seconds = watchdog;
-    FlightSession flight_session(args, rows * cols);
-    if (args.get_bool("msgtrace")) {
-      // SUMMA has no RunResult-based artifact pipeline; the capture
-      // hooks fire but there is nothing to serialize them into yet.
-      std::fprintf(stderr,
-                   "note: --msgtrace artifact output is 2d-only; ignoring\n");
-    }
-    const auto result = core::count_triangles_summa(g, options);
-    std::printf("triangles: %llu (grid %dx%d, %d panels)\n",
-                static_cast<unsigned long long>(result.triangles),
-                result.grid_rows, result.grid_cols, result.panels);
-    std::printf("modeled ppt/tct: %.4f / %.4f s\n", result.pre_modeled_seconds,
-                result.tc_modeled_seconds);
-    if (result.chaos_enabled) {
-      const mpisim::ChaosCounters c = result.total_chaos();
-      std::printf("chaos: %llu faults injected, %llu retransmits, %llu "
-                  "crash(es) recovered\n",
-                  static_cast<unsigned long long>(c.total_injected()),
-                  static_cast<unsigned long long>(c.retransmits),
-                  static_cast<unsigned long long>(c.crashes));
     }
   } else if (algorithm == "aop") {
     baselines::AopOptions options;

@@ -33,25 +33,16 @@
 //       run header (a flight dump, a modeled run trace) exits 2.
 //       Exit 1 on any gating difference, 0 when clean.
 //
-//   tricount_perf watch [--file PATH] [--once] [--jsonl] [--interval-ms N]
-//       Streams a live run's tricount.telemetry.v1 snapshot (published
-//       via tricount_cli count --flight-telemetry) as a refreshing table
-//       or JSONL feed — the same view as tricount_top.
-//
 // Exit code 2 signals usage or I/O errors.
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "tricount/obs/analysis.hpp"
 #include "tricount/obs/json.hpp"
-#include "tricount/obs/telemetry.hpp"
 #include "tricount/obs/trace.hpp"
 #include "tricount/util/build.hpp"
 #include "tricount/util/table.hpp"
@@ -69,8 +60,6 @@ int usage() {
       "                     [--compare OTHER.json] [--require-less-comm]\n"
       "       tricount_perf diff <baseline.json> <candidate.json>\n"
       "                     [--max-regress PCT] [--noise-floor SECONDS]\n"
-      "       tricount_perf watch [--file PATH] [--once] [--jsonl]\n"
-      "                     [--interval-ms N]\n"
       "       tricount_perf --version\n");
   return 2;
 }
@@ -353,72 +342,6 @@ int cmd_diff(const std::vector<std::string>& args) {
   return 1;
 }
 
-int cmd_watch(const std::vector<std::string>& args) {
-  std::string path = "live.json";
-  bool once = false;
-  bool jsonl = false;
-  long interval_ms = 500;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--file" && i + 1 < args.size()) {
-      path = args[++i];
-    } else if (args[i] == "--once") {
-      once = true;
-    } else if (args[i] == "--jsonl") {
-      jsonl = true;
-    } else if (args[i] == "--interval-ms" && i + 1 < args.size()) {
-      interval_ms = std::max(10L, std::atol(args[++i].c_str()));
-    } else {
-      return usage();
-    }
-  }
-
-  // Wait briefly for the publisher to create the snapshot, then stream
-  // it — the same view tricount_top renders. The publisher rewrites the
-  // file on every interval, so a read can race the writer and observe a
-  // torn or truncated snapshot: once a snapshot has been seen, parse and
-  // render failures are treated as transient and retried, and only a
-  // sustained run of consecutive failures (the publisher is gone or the
-  // file was replaced with garbage) ends the stream.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  constexpr int kMaxConsecutiveFailures = 100;  // ~5 s at the 50 ms retry
-  int consecutive_failures = 0;
-  std::string last_rendered;
-  bool seen = false;
-  for (;;) {
-    obs::json::Value snapshot;
-    std::string rendered;
-    try {
-      snapshot = obs::json::read_file(path);
-      if (!jsonl) rendered = obs::render_telemetry(snapshot);
-    } catch (const std::exception& e) {
-      if (!seen && std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        continue;
-      }
-      if (seen && ++consecutive_failures < kMaxConsecutiveFailures) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        continue;
-      }
-      std::fprintf(stderr, "tricount_perf: %s\n", e.what());
-      return 2;
-    }
-    seen = true;
-    consecutive_failures = 0;
-    if (jsonl) {
-      std::printf("%s\n", snapshot.dump().c_str());
-      std::fflush(stdout);
-    } else if (rendered != last_rendered) {
-      if (!once && !last_rendered.empty()) std::printf("\n");
-      std::fputs(rendered.c_str(), stdout);
-      std::fflush(stdout);
-      last_rendered = std::move(rendered);
-    }
-    if (once) return 0;
-    std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -431,6 +354,5 @@ int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 2, argv + argc);
   if (command == "report") return cmd_report(args);
   if (command == "diff") return cmd_diff(args);
-  if (command == "watch") return cmd_watch(args);
   return usage();
 }
