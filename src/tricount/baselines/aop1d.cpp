@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <span>
-#include <unordered_map>
 
 #include "tricount/kernels/intersect.hpp"
 #include "tricount/mpisim/collectives.hpp"
@@ -51,20 +50,8 @@ BaselineResult count_triangles_aop1d(const graph::EdgeList& graph, int ranks,
         core::append_record(reply, u, dag.plus(u));
       }
     }
-    const auto ghost_data = mpisim::alltoallv(comm, replies);
-    std::unordered_map<VertexId, std::vector<VertexId>> ghosts;
-    for (const auto& bucket : ghost_data) {
-      std::size_t at = 0;
-      while (at < bucket.size()) {
-        const VertexId u = bucket[at++];
-        const VertexId len = bucket[at++];
-        ghosts.emplace(
-            u, std::vector<VertexId>(
-                   bucket.begin() + static_cast<std::ptrdiff_t>(at),
-                   bucket.begin() + static_cast<std::ptrdiff_t>(at + len)));
-        at += len;
-      }
-    }
+    const core::GhostRows ghosts = core::unpack_ghosts(
+        wanted, mpisim::alltoallv(comm, replies), "aop1d");
     recorder.record(comm.rank(), 1, tracker.cut());
 
     // --- counting phase: purely local intersections via the shared

@@ -145,20 +145,10 @@ RankPartition build_partition(mpisim::Comm& comm, const LocalSlice& input,
         core::append_record(replies[s], v, g.plus(v));
       }
     }
-    const auto incoming_replies = mpisim::alltoallv(comm, replies);
-    for (const auto& bucket : incoming_replies) {
-      std::size_t at = 0;
-      while (at < bucket.size()) {
-        const VertexId v = bucket[at++];
-        const VertexId len = bucket[at++];
-        part.ghosts[v].assign(
-            bucket.begin() + static_cast<std::ptrdiff_t>(at),
-            bucket.begin() + static_cast<std::ptrdiff_t>(at + len));
-        at += len;
-        part.ghost_counters.ghost_lists_fetched += 1;
-        part.ghost_counters.ghost_list_entries += len;
-      }
-    }
+    part.ghosts = core::unpack_ghosts(
+        requests, mpisim::alltoallv(comm, replies), "cetric");
+    part.ghost_counters.ghost_lists_fetched = part.ghosts.size();
+    part.ghost_counters.ghost_list_entries = part.ghosts.rows.ids.size();
   }
   {
     PhaseSample sample = tracker.cut();
@@ -177,7 +167,7 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
   const int rank = comm.rank();
   const int p = comm.size();
   const CetricGraph& g = part.graph;
-  const auto& ghosts = part.ghosts;
+  const core::GhostRows& ghosts = part.ghosts;
   core::CetricRankCounters cet = part.ghost_counters;
   obs::RankTelemetry* live = obs::Telemetry::caller_slot();
 
@@ -191,8 +181,8 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
   for (std::size_t k = 0; k < g.adj_plus.size(); ++k) {
     max_row = std::max(max_row, g.adj_plus[k].size());
   }
-  for (const auto& [v, list] : ghosts) {
-    max_row = std::max(max_row, list.size());
+  for (std::size_t k = 0; k < ghosts.size(); ++k) {
+    max_row = std::max(max_row, ghosts.rows[k].size());
   }
   scratch.reserve_for(max_row);
 
@@ -259,7 +249,9 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
     for (VertexId v = base; v < g.part.end(); ++v) {
       closing[v - base].hold(g.plus(v));
     }
-    for (const auto& [v, list] : ghosts) closing[v - base].hold(list);
+    for (std::size_t k = 0; k < ghosts.size(); ++k) {
+      closing[ghosts.keys[k] - base].hold(ghosts.rows[k]);
+    }
     std::vector<Cursor> cursors(g.part.owned());
     // Chains row r under its first locally closable entry in [at, end)
     // that still has a tail; a row with none drops out.
@@ -474,6 +466,18 @@ RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
 }
 
 }  // namespace
+
+std::uint64_t RankPartition::heap_bytes() const {
+  return graph.adj_plus.heap_bytes() + ghosts.heap_bytes() +
+         (graph.deg_plus.size() + graph.part.boundaries.size()) *
+             sizeof(VertexId);
+}
+
+std::uint64_t ResidentCetric::resident_bytes() const {
+  std::uint64_t total = 0;
+  for (const RankPartition& part : per_rank) total += part.heap_bytes();
+  return total;
+}
 
 RunResult count_triangles_cetric(const graph::EdgeList& graph, int ranks,
                                  const RunOptions& options) {

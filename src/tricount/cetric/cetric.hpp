@@ -23,22 +23,27 @@
 // reuse every existing seam.
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "tricount/cetric/partition.hpp"
+#include "tricount/core/adjacency.hpp"
 #include "tricount/core/driver.hpp"
 #include "tricount/mpisim/runtime.hpp"
 
 namespace tricount::cetric {
 
 /// One rank's cetric state between counts: its share of the degree-ordered
-/// DAG plus the Adj+ rows it pulled as ghosts.
+/// DAG plus the Adj+ rows it pulled as ghosts, in the same flat layout.
 struct RankPartition {
   CetricGraph graph;
-  std::unordered_map<VertexId, std::vector<VertexId>> ghosts;
+  core::GhostRows ghosts;
   /// The ghost exchange's tallies (only the ghost_* fields are set).
   core::CetricRankCounters ghost_counters;
+
+  /// The arrays' footprint (owned and ghost rows, the replicated deg+ and
+  /// the boundaries), not an exact allocator tally.
+  std::uint64_t heap_bytes() const;
 };
 
 /// The output of the "partition" and "ghost" pre-supersteps on every
@@ -46,6 +51,9 @@ struct RankPartition {
 struct ResidentCetric {
   util::AlphaBetaModel model;
   std::vector<RankPartition> per_rank;
+
+  /// Sum of every rank's heap_bytes(); 0 before the first build.
+  std::uint64_t resident_bytes() const;
 };
 
 /// Runs the two pre-supersteps once on `world` (any size) over a

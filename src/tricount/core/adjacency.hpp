@@ -1,10 +1,12 @@
 // Adjacency: one rank's rows as a single flat CSR, the form every §5.3
 // preprocessing stage hands to the next (dist_graph.hpp, preprocess.hpp),
-// plus the routing record the stages exchange whole rows in.
+// plus the routing record the stages exchange whole rows in, and the same
+// flat layout for the rows a rank pulls from other ranks as ghosts.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -53,7 +55,31 @@ struct Adjacency {
   /// strictly ascends is only moved.
   void sort_rows();
 
+  /// The arrays' footprint, not an exact allocator tally.
+  std::uint64_t heap_bytes() const {
+    return offsets.size() * sizeof(EdgeIndex) + ids.size() * sizeof(VertexId);
+  }
+
   friend bool operator==(const Adjacency&, const Adjacency&) = default;
+};
+
+/// Rows held for a sparse set of vertex ids, such as the rows a rank pulls
+/// from their owners as ghosts: row k belongs to keys[k], and the keys
+/// strictly ascend.
+struct GhostRows {
+  std::vector<VertexId> keys;
+  Adjacency rows;
+
+  /// Number of rows.
+  std::size_t size() const { return keys.size(); }
+
+  /// The row of `key`, by binary search over the keys. Throws
+  /// std::out_of_range when no row is held for it.
+  std::span<const VertexId> at(VertexId key) const;
+
+  std::uint64_t heap_bytes() const {
+    return keys.size() * sizeof(VertexId) + rows.heap_bytes();
+  }
 };
 
 /// Appends `row` to a routing bucket as the record [key, length, ids...].
@@ -109,5 +135,18 @@ Adjacency unpack_records(std::size_t rows,
   }
   return adj;
 }
+
+/// Unpacks the routing records that answer a row pull into GhostRows, in
+/// one pass: bucket s holds rank s's replies to requests[s], which
+/// ascends. Owners hold ascending id ranges and answer their requests in
+/// order, so the records arrive in id order. Throws std::runtime_error
+/// "<context>: truncated record" as unpack_records does, "<context>:
+/// ghost ids out of order" for an id not above the one before it, and
+/// "<context>: unrequested ghost" for an id requests[s] does not hold;
+/// std::invalid_argument when the request lists and buckets differ in
+/// number.
+GhostRows unpack_ghosts(const std::vector<std::vector<VertexId>>& requests,
+                        const std::vector<std::vector<VertexId>>& buckets,
+                        const char* context);
 
 }  // namespace tricount::core

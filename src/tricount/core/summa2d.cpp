@@ -272,6 +272,7 @@ SummaSweep summa_sweep(mpisim::Comm& comm, int qr, int qc, int K,
       scratch.reserve_for(
           std::max<std::size_t>(uz->max_row_degree(), std::size_t{16}));
       scratch.reset_probes();
+      obs::ScopedSpan span("intersect", "tc");
       result.triangles =
           intersect_blocks(tasks, *uz, *lz, config, scratch, result.kernel);
       result.kernel.probes = scratch.probes();

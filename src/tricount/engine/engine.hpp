@@ -61,6 +61,7 @@ class Resident {
     return piece == Algo::kCetric ? cetric_builds_ : grid_builds_;
   }
   std::uint64_t grid_bytes() const { return grid_.resident_bytes(); }
+  std::uint64_t cetric_bytes() const { return cetric_.resident_bytes(); }
 
  private:
   core::RunOptions options_;

@@ -106,8 +106,7 @@ class Telemetry {
 };
 
 /// Renders a tricount.telemetry.v1 snapshot as the fixed-width table
-/// tricount_top and `tricount_perf watch` print. Throws
-/// std::runtime_error on a wrong schema.
+/// tricount_top prints. Throws std::runtime_error on a wrong schema.
 std::string render_telemetry(const json::Value& snapshot);
 
 }  // namespace tricount::obs

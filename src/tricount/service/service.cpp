@@ -844,6 +844,7 @@ Service::Execution Service::verb_stats(const Request&) {
   result.set("queue_depth", static_cast<std::uint64_t>(queue.depth));
   result.set("queue_max_depth", queue.max_depth);
   result.set("resident_bytes", resident_.grid_bytes());
+  result.set("cetric_resident_bytes", resident_.cetric_bytes());
   return done(result);
 }
 

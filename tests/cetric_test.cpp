@@ -1,17 +1,23 @@
 // CETRIC-style communication-avoiding counter (src/tricount/cetric/,
-// docs/cetric.md): partition and ghost-exchange units, the local-vs-cut
-// classification invariants, the zero-message property of the local
-// superstep (and of whole runs whose components align with the
-// partition), and a seeded chaos exactness campaign mirroring the
-// Cannon/SUMMA campaigns.
+// docs/cetric.md): partition and ghost-exchange units, the flat ghost
+// rows and the checks of the builder that fills them, the resident
+// partition, the local-vs-cut classification invariants, the
+// zero-message property of the local superstep (and of whole runs whose
+// components align with the partition), and a seeded chaos exactness
+// campaign mirroring the Cannon/SUMMA campaigns.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <numeric>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "test_corpus.hpp"
 #include "test_seed.hpp"
 #include "tricount/cetric/cetric.hpp"
 #include "tricount/cetric/partition.hpp"
@@ -90,11 +96,42 @@ TEST(CetricPartition, MoreRanksThanVertices) {
 
 // --- distributed graph build ----------------------------------------------
 
+/// The degree-ordered DAG a p-rank build produces, replicated and built
+/// serially: new ids sort by (degree, v mod p, v div p), the distributed
+/// relabel's tie-break (core_preprocess_test), and dag[w] = Adj+(w), w's
+/// neighbours above w, ascending.
+std::vector<std::vector<VertexId>> replicated_dag(const graph::EdgeList& g,
+                                                  int p) {
+  const std::vector<graph::EdgeIndex> degree = graph::degrees(g);
+  const auto pv = static_cast<VertexId>(p);
+  std::vector<VertexId> order(g.num_vertices);
+  std::iota(order.begin(), order.end(), VertexId{0});
+  std::sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
+    return std::tuple(degree[a], a % pv, a / pv) <
+           std::tuple(degree[b], b % pv, b / pv);
+  });
+  std::vector<VertexId> new_id(g.num_vertices);
+  for (VertexId pos = 0; pos < g.num_vertices; ++pos) new_id[order[pos]] = pos;
+  std::vector<std::vector<VertexId>> dag(g.num_vertices);
+  for (const graph::Edge& e : g.edges) {
+    const auto [lo, hi] = std::minmax(new_id[e.u], new_id[e.v]);
+    dag[lo].push_back(hi);
+  }
+  for (auto& row : dag) std::sort(row.begin(), row.end());
+  return dag;
+}
+
+bool rows_equal(std::span<const VertexId> row,
+                const std::vector<VertexId>& expected) {
+  return std::equal(row.begin(), row.end(), expected.begin(), expected.end());
+}
+
 TEST(CetricGraphBuild, RoutedListsMatchReplicatedOracle) {
   const graph::EdgeList g =
       graph::simplify(graph::watts_strogatz(90, 6, 0.2, 77));
   const auto m = static_cast<graph::EdgeIndex>(g.edges.size());
   const int p = 4;
+  const auto dag_rows = replicated_dag(g, p);
   mpisim::run_world(p, [&](mpisim::Comm& comm) {
     const core::LocalSlice slice =
         core::block_slice_from_edges(g, comm.rank(), comm.size());
@@ -105,15 +142,11 @@ TEST(CetricGraphBuild, RoutedListsMatchReplicatedOracle) {
     const std::uint64_t oracle_sum = std::accumulate(
         dag.deg_plus.begin(), dag.deg_plus.end(), std::uint64_t{0});
     EXPECT_EQ(oracle_sum, m);
-    // Owned lists are sorted, point upward, and agree with the oracle.
+    // Owned lists are the replicated DAG's Adj+ and agree with the oracle.
     for (VertexId v = dag.part.begin(); v < dag.part.end(); ++v) {
       const auto plus = dag.plus(v);
       EXPECT_EQ(plus.size(), dag.deg_plus[v]);
-      EXPECT_TRUE(std::is_sorted(plus.begin(), plus.end()));
-      for (const VertexId w : plus) {
-        EXPECT_GT(w, v);
-        EXPECT_LT(w, dag.part.num_vertices);
-      }
+      EXPECT_TRUE(rows_equal(plus, dag_rows[v])) << "v=" << v;
     }
   });
 }
@@ -129,6 +162,146 @@ TEST(CetricGraphBuild, OverlappingSlicesThrow) {
                                    cetric::build_cetric_graph(comm, slice);
                                  }),
                std::runtime_error);
+}
+
+// --- ghost rows ---------------------------------------------------------------
+
+/// Runs unpack_ghosts and returns what it threw ("" when it did not).
+std::string unpack_error(const std::vector<std::vector<VertexId>>& requests,
+                         const std::vector<std::vector<VertexId>>& buckets) {
+  try {
+    core::unpack_ghosts(requests, buckets, "test");
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(GhostRows, UnpackFillsOneFlatRowPerRecord) {
+  // Rank 1 answers {5, 9} and rank 2 answers {12}; rank 0 was asked nothing.
+  const std::vector<std::vector<VertexId>> requests = {{}, {5, 9}, {12}};
+  std::vector<std::vector<VertexId>> replies(3);
+  core::append_record(replies[1], 5, std::vector<VertexId>{6, 7});
+  core::append_record(replies[1], 9, {});
+  core::append_record(replies[2], 12, std::vector<VertexId>{13});
+  const core::GhostRows ghosts = core::unpack_ghosts(requests, replies, "t");
+  EXPECT_EQ(ghosts.keys, (std::vector<VertexId>{5, 9, 12}));
+  EXPECT_EQ(ghosts.rows.offsets, (std::vector<graph::EdgeIndex>{0, 2, 2, 3}));
+  EXPECT_EQ(ghosts.rows.ids, (std::vector<VertexId>{6, 7, 13}));
+  EXPECT_TRUE(rows_equal(ghosts.at(5), {6, 7}));
+  EXPECT_TRUE(ghosts.at(9).empty());
+  EXPECT_TRUE(rows_equal(ghosts.at(12), {13}));
+  EXPECT_THROW(ghosts.at(6), std::out_of_range);
+  EXPECT_THROW(ghosts.at(13), std::out_of_range);
+}
+
+TEST(GhostRows, EmptyBucketsGiveNoRows) {
+  for (const auto& requests : std::vector<std::vector<std::vector<VertexId>>>{
+           {{}, {}}, {{}, {3, 4}}}) {
+    const core::GhostRows ghosts = core::unpack_ghosts(
+        requests, std::vector<std::vector<VertexId>>(2), "t");
+    EXPECT_EQ(ghosts.size(), 0u);
+    EXPECT_EQ(ghosts.rows.size(), 0u);
+    EXPECT_TRUE(ghosts.rows.ids.empty());
+    EXPECT_THROW(ghosts.at(3), std::out_of_range);
+  }
+}
+
+TEST(GhostRows, MalformedRepliesThrow) {
+  const std::vector<std::vector<VertexId>> requests = {{}, {5, 9}, {12}};
+  // A record whose ids run past its bucket, and one cut inside its header.
+  EXPECT_NE(unpack_error(requests, {{}, {5, 3, 6, 7}, {}})
+                .find("test: truncated record"),
+            std::string::npos);
+  EXPECT_NE(unpack_error(requests, {{}, {5, 0, 9}, {}})
+                .find("test: truncated record"),
+            std::string::npos);
+  // Ids out of order within a bucket, across buckets, and repeated.
+  EXPECT_NE(unpack_error(requests, {{}, {9, 0, 5, 0}, {}})
+                .find("test: ghost ids out of order"),
+            std::string::npos);
+  EXPECT_NE(unpack_error({{}, {12}, {5}}, {{}, {12, 0}, {5, 0}})
+                .find("test: ghost ids out of order"),
+            std::string::npos);
+  EXPECT_NE(unpack_error(requests, {{}, {5, 0, 5, 0}, {}})
+                .find("test: ghost ids out of order"),
+            std::string::npos);
+  // An id never requested, one requested of another rank, and a reply
+  // from a rank asked nothing.
+  EXPECT_NE(unpack_error(requests, {{}, {6, 0}, {}})
+                .find("test: unrequested ghost"),
+            std::string::npos);
+  EXPECT_NE(unpack_error(requests, {{}, {12, 0}, {}})
+                .find("test: unrequested ghost"),
+            std::string::npos);
+  EXPECT_NE(unpack_error(requests, {{1, 0}, {}, {}})
+                .find("test: unrequested ghost"),
+            std::string::npos);
+  // One request list per reply bucket.
+  EXPECT_THROW(core::unpack_ghosts(requests, {{}, {}}, "test"),
+               std::invalid_argument);
+}
+
+/// The shared corpus plus a dense graph whose 8-way split pulls ghosts.
+std::vector<graph::EdgeList> resident_inputs() {
+  std::vector<graph::EdgeList> inputs;
+  for (const auto& entry : test_support::corpus()) {
+    inputs.push_back(graph::simplify(entry.graph));
+  }
+  inputs.push_back(graph::simplify(graph::erdos_renyi(100, 2000, 21)));
+  return inputs;
+}
+
+TEST(CetricResident, GhostRowsAscendStayUnownedAndMatchTheDag) {
+  std::uint64_t ghosts_seen = 0;
+  for (const graph::EdgeList& g : resident_inputs()) {
+    for (const int p : {1, 3, 8}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << g.num_vertices
+                                        << " p=" << p);
+      mpisim::PersistentWorld world(p);
+      const cetric::ResidentCetric resident =
+          cetric::preprocess_resident(world, g);
+      const auto dag = replicated_dag(g, p);
+      std::uint64_t bytes = 0;
+      for (const cetric::RankPartition& part : resident.per_rank) {
+        const core::GhostRows& ghosts = part.ghosts;
+        ASSERT_EQ(ghosts.rows.size(), ghosts.size());
+        EXPECT_EQ(std::adjacent_find(ghosts.keys.begin(), ghosts.keys.end(),
+                                     std::greater_equal<>()),
+                  ghosts.keys.end())
+            << "ghost ids must strictly ascend";
+        for (std::size_t k = 0; k < ghosts.size(); ++k) {
+          const VertexId v = ghosts.keys[k];
+          EXPECT_FALSE(part.graph.part.owns(v)) << "v=" << v;
+          EXPECT_EQ(ghosts.rows[k].size(), part.graph.deg_plus[v]);
+          EXPECT_TRUE(rows_equal(ghosts.rows[k], dag[v])) << "v=" << v;
+        }
+        EXPECT_EQ(part.ghost_counters.ghost_lists_fetched, ghosts.size());
+        EXPECT_EQ(part.ghost_counters.ghost_list_entries,
+                  ghosts.rows.ids.size());
+        ghosts_seen += ghosts.size();
+        bytes += part.heap_bytes();
+      }
+      EXPECT_EQ(resident.resident_bytes(), bytes);
+    }
+  }
+  EXPECT_GT(ghosts_seen, 0u) << "no input pulled a ghost row";
+}
+
+TEST(CetricResident, RepeatedCountsOnOnePartitionMatchSerial) {
+  for (const graph::EdgeList& g : resident_inputs()) {
+    const graph::TriangleCount expected = serial_count(g);
+    for (const int p : {1, 3, 8}) {
+      mpisim::PersistentWorld world(p);
+      const cetric::ResidentCetric resident =
+          cetric::preprocess_resident(world, g);
+      for (int run = 0; run < 2; ++run) {
+        EXPECT_EQ(cetric::count_resident(world, resident, {}).triangles,
+                  expected)
+            << "n=" << g.num_vertices << " p=" << p << " run " << run;
+      }
+    }
+  }
 }
 
 // --- exactness + classification invariants ---------------------------------

@@ -185,12 +185,14 @@ TEST(FlightRecorder, TraceHoldsEachPreprocessingLayerAndTheCount) {
   };
   check(4, [&] { return core::count_triangles_2d(g, 4); },  // q = 2
         {"slice", "redistribute", "degree_order", "scatter_2d", "intersect"});
-  // SUMMA shares the first three layers, then scatters its panels.
+  // SUMMA shares the first three layers, then scatters its panels and
+  // intersects them once per panel step.
   core::SummaOptions summa;
   summa.grid_rows = 2;
   summa.grid_cols = 3;
   check(6, [&] { return core::count_triangles_summa(g, summa); },
-        {"slice", "redistribute", "degree_order", "scatter_summa"});
+        {"slice", "redistribute", "degree_order", "scatter_summa",
+         "intersect"});
 }
 
 TEST(FlightRecorder, ChaosDropsAreInstantsOnTheSendersRing) {

@@ -1162,6 +1162,34 @@ TEST(ServiceResident, EachPieceBuiltOncePerGraphVersion) {
   EXPECT_EQ(resident_builds(h, "cetric"), 2u);
 }
 
+TEST(ServiceResident, StatsReportTheCetricPartitionsBytes) {
+  service::ServiceOptions options;
+  options.cache_capacity = 0;
+  Harness h(options);
+  const graph::EdgeList g = graph::simplify(test_support::corpus()[1].graph);
+  h.svc.load_graph(g, "corpus1");
+  std::uint64_t id = 0;
+  const auto stats = [&] {
+    return h.result(h.ask(R"({"id":)" + std::to_string(++id) +
+                          R"(,"verb":"stats"})"))
+        .get("result");
+  };
+  EXPECT_EQ(stats().get("cetric_resident_bytes").as_uint(), 0u);
+  h.result(h.ask(count_request(100, "2d")));
+  EXPECT_EQ(stats().get("cetric_resident_bytes").as_uint(), 0u)
+      << "a 2D count builds no cetric partition";
+  h.result(h.ask(count_request(101, "cetric")));
+
+  mpisim::PersistentWorld world(options.ranks);
+  const std::uint64_t library =
+      cetric::preprocess_resident(world, g).resident_bytes();
+  EXPECT_GT(library, 0u);
+  const Value after = stats();
+  EXPECT_EQ(after.get("cetric_resident_bytes").as_uint(), library);
+  EXPECT_GT(after.get("resident_bytes").as_uint(), 0u)
+      << "resident_bytes still reports the 2D partition";
+}
+
 // --- client threads read while the dispatcher serves ---------------------
 
 TEST(ServiceConcurrency, ClientReadsWhileDispatcherServes) {
