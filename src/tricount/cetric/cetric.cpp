@@ -96,7 +96,10 @@ RankPartition build_partition(mpisim::Comm& comm, const LocalSlice& input,
   RankPartition part;
 
   // --- pre superstep "partition": degree-aware contiguous split.
-  part.graph = build_cetric_graph(comm, input);
+  {
+    obs::ScopedSpan span("partition", "pre");
+    part.graph = build_cetric_graph(comm, input);
+  }
   const CetricGraph& g = part.graph;
   {
     PhaseSample sample = tracker.cut();
@@ -446,7 +449,10 @@ RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
       ranks,
       [&](mpisim::Comm& comm) {
         mark_pre();
-        const LocalSlice input = make_slice(comm);
+        const LocalSlice input = [&] {
+          obs::ScopedSpan span("slice", "pre");
+          return make_slice(comm);
+        }();
         const auto rank = static_cast<std::size_t>(comm.rank());
         PhaseTracker tracker(comm);
         const RankPartition part =

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "tricount/core/adjacency.hpp"
-
 namespace tricount::core {
 
 VertexId cyclic_row_count(VertexId n, int q, int residue) {
@@ -15,11 +13,14 @@ VertexId cyclic_row_count(VertexId n, int q, int residue) {
 
 BlockCsr BlockCsr::from_entries(
     VertexId num_local_rows, std::span<const std::vector<LocalEntry>> buckets) {
-  Adjacency rows = Adjacency::build(num_local_rows, [&](auto&& emit) {
+  return build(num_local_rows, [&](auto&& emit) {
     for (const auto& bucket : buckets) {
       for (const LocalEntry& e : bucket) emit(e.row, e.col);
     }
   });
+}
+
+BlockCsr BlockCsr::from_rows(VertexId num_local_rows, Adjacency rows) {
   // §5.2 notes the sort cost is amortized over the many intersections
   // that rely on sorted order for the backward early exit. Rows that
   // arrive as one ascending run, as all of scatter_2d's do, skip it.

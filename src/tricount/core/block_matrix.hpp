@@ -17,8 +17,10 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "tricount/core/adjacency.hpp"
 #include "tricount/graph/types.hpp"
 #include "tricount/util/blob.hpp"
 
@@ -42,10 +44,18 @@ class BlockCsr {
  public:
   BlockCsr() = default;
 
-  /// Builds from entries split over any number of buckets (an alltoallv's
-  /// received buckets), taken in order. Rows outside [0, num_local_rows)
-  /// are an error. A row whose entries arrive strictly ascending is kept
-  /// as it arrives; any other row is sorted ascending and deduplicated.
+  /// Builds from a generator it runs twice, as Adjacency::build does:
+  /// each(emit) must call emit(row, col) for the same entries in the same
+  /// order both times. Rows outside [0, num_local_rows) are an error. A
+  /// row whose entries arrive strictly ascending is kept as it arrives;
+  /// any other row is sorted ascending and deduplicated.
+  template <typename Each>
+  static BlockCsr build(VertexId num_local_rows, Each&& each) {
+    Adjacency rows = Adjacency::build(num_local_rows, std::forward<Each>(each));
+    return from_rows(num_local_rows, std::move(rows));
+  }
+  /// The same, from entries split over any number of buckets (an
+  /// alltoallv's received buckets), taken in order.
   static BlockCsr from_entries(
       VertexId num_local_rows,
       std::span<const std::vector<LocalEntry>> buckets);
@@ -101,6 +111,10 @@ class BlockCsr {
   friend bool operator==(const BlockCsr&, const BlockCsr&) = default;
 
  private:
+  /// Takes built rows: sorts the rows that need it, then lists the
+  /// nonempty ones.
+  static BlockCsr from_rows(VertexId num_local_rows, Adjacency rows);
+
   VertexId num_local_rows_ = 0;
   std::vector<std::uint64_t> xadj_{0};
   std::vector<VertexId> adj_;

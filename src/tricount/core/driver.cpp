@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <stdexcept>
+#include <utility>
 
 #include "tricount/core/dist_graph.hpp"
 #include "tricount/mpisim/runtime.hpp"
@@ -39,12 +40,12 @@ RunResult run_pipeline(int ranks, const RunOptions& options,
       live->phase.store("pre", std::memory_order_relaxed);
     }
 
-    const LocalSlice input = [&] {
+    LocalSlice input = [&] {
       obs::ScopedSpan span("slice", "pre");
       return make_slice(comm);
     }();
 
-    PreprocessOutput pre = preprocess(grid, input, options.config);
+    PreprocessOutput pre = preprocess(grid, std::move(input), options.config);
     if (options.validate_blocks) pre.blocks.validate();
     CountOutput count = cannon_count(grid, std::move(pre.blocks),
                                      options.config);

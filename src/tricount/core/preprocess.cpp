@@ -1,9 +1,9 @@
 #include "tricount/core/preprocess.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "tricount/mpisim/collectives.hpp"
 #include "tricount/obs/flight.hpp"
@@ -148,36 +148,28 @@ RelabeledSlice identity_relabel(mpisim::Comm& comm,
 
 Blocks scatter_2d(mpisim::Cart2D& grid, const RelabeledSlice& slice,
                   Enumeration enumeration) {
-  mpisim::Comm& comm = grid.comm();
   const int q = grid.q();
-  const std::size_t p = static_cast<std::size_t>(comm.size());
-
-  // out[part][rank]: the entries of one block kind bound for one rank.
-  std::array<std::vector<std::vector<LocalEntry>>, 3> out;
-  out.fill(std::vector<std::vector<LocalEntry>>(p));
-  for (std::size_t k = 0; k < slice.adj.size(); ++k) {
-    for (const VertexId u : slice.adj[k]) {
-      // u == w cannot happen: new ids form a permutation and self-loops
-      // were removed at ingestion.
-      place_2d(q, slice.new_ids[k], u, enumeration,
-               [&](Part part, int dest, LocalEntry entry) {
-                 out[static_cast<std::size_t>(part)]
-                    [static_cast<std::size_t>(dest)]
-                        .push_back(entry);
-               });
-    }
-  }
-
-  const auto u_in = mpisim::alltoallv(comm, out[0]);
-  const auto l_in = mpisim::alltoallv(comm, out[1]);
-  const auto t_in = mpisim::alltoallv(comm, out[2]);
-
-  Blocks blocks;
   const VertexId u_rows = cyclic_row_count(slice.num_vertices, q, grid.row());
   const VertexId l_rows = cyclic_row_count(slice.num_vertices, q, grid.col());
-  blocks.ublock = BlockCsr::from_entries(u_rows, u_in);
-  blocks.lblock = BlockCsr::from_entries(l_rows, l_in);
-  blocks.tasks = BlockCsr::from_entries(u_rows, t_in);
+  Blocks blocks;
+  scatter_parts<LocalEntry>(
+      grid.comm(),
+      [&](auto&& place) {
+        for (std::size_t k = 0; k < slice.adj.size(); ++k) {
+          for (const VertexId u : slice.adj[k]) {
+            // u == w cannot happen: new ids form a permutation and
+            // self-loops were removed at ingestion.
+            place_2d(q, slice.new_ids[k], u, enumeration, place);
+          }
+        }
+      },
+      [&](Part part, const std::vector<std::vector<LocalEntry>>& received) {
+        BlockCsr& block = part == Part::kU   ? blocks.ublock
+                          : part == Part::kL ? blocks.lblock
+                                             : blocks.tasks;
+        block = BlockCsr::from_entries(part == Part::kL ? l_rows : u_rows,
+                                       received);
+      });
   return blocks;
 }
 
@@ -188,14 +180,15 @@ void cut_step(PhaseTracker& tracker, StepSamples& steps, const char* name,
   steps.emplace_back(name, s);
 }
 
-RelabeledSlice redistribute_and_order(mpisim::Comm& comm,
-                                      const LocalSlice& input,
+RelabeledSlice redistribute_and_order(mpisim::Comm& comm, LocalSlice input,
                                       const Config& config,
                                       PhaseTracker& tracker,
                                       StepSamples& steps) {
   const CyclicSlice cyclic = [&] {
     obs::ScopedSpan span("redistribute", "pre");
-    return cyclic_redistribute(comm, input);
+    CyclicSlice routed = cyclic_redistribute(comm, input);
+    input = LocalSlice{};
+    return routed;
   }();
   cut_step(tracker, steps, "redistribute", cyclic.adj.ids.size());
 
@@ -209,14 +202,14 @@ RelabeledSlice redistribute_and_order(mpisim::Comm& comm,
   return relabeled;
 }
 
-PreprocessOutput preprocess(mpisim::Cart2D& grid, const LocalSlice& input,
+PreprocessOutput preprocess(mpisim::Cart2D& grid, LocalSlice input,
                             const Config& config) {
   mpisim::Comm& comm = grid.comm();
   PreprocessOutput out;
   out.num_vertices = input.num_vertices;
   PhaseTracker tracker(comm);
-  RelabeledSlice relabeled =
-      redistribute_and_order(comm, input, config, tracker, out.steps);
+  RelabeledSlice relabeled = redistribute_and_order(
+      comm, std::move(input), config, tracker, out.steps);
 
   {
     obs::ScopedSpan span("scatter_2d", "pre");

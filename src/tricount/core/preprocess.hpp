@@ -6,8 +6,12 @@
 //         grid (directly into Cannon's aligned starting positions),
 //   (iv)  per-block CSR construction with transformed indices, sorted
 //         rows, and DCSR non-empty row lists.
+// Each stage frees what it consumed once its output is routed, so a rank
+// holds an entry in one buffer at a time.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +21,7 @@
 #include "tricount/core/dist_graph.hpp"
 #include "tricount/core/instrumentation.hpp"
 #include "tricount/mpisim/cart2d.hpp"
+#include "tricount/mpisim/collectives.hpp"
 
 namespace tricount::core {
 
@@ -55,9 +60,10 @@ void cut_step(PhaseTracker& tracker, StepSamples& steps, const char* name,
 /// Steps (i) and (ii) on this rank, each under a flight span and cut from
 /// `tracker` into `steps`: `redistribute`, then `degree_order`
 /// (degree_relabel, or identity_relabel when Config::degree_ordering is
-/// off). The Cannon and SUMMA pipelines both start with these.
-RelabeledSlice redistribute_and_order(mpisim::Comm& comm,
-                                      const LocalSlice& input,
+/// off). The block slice is freed once cyclic_redistribute has routed it,
+/// and the cyclic slice once it is relabeled. The Cannon and SUMMA
+/// pipelines both start with these.
+RelabeledSlice redistribute_and_order(mpisim::Comm& comm, LocalSlice input,
                                       const Config& config,
                                       PhaseTracker& tracker,
                                       StepSamples& steps);
@@ -112,10 +118,46 @@ void place_2d(int q, VertexId w, VertexId u, Enumeration enumeration,
   }
 }
 
+/// The exchange both grid scatters make (scatter_2d, and SUMMA's panel
+/// scatter). A count pass sizes every (part, rank) bucket exactly, then a
+/// fill pass writes the entries: walk(place) must call place(part, rank,
+/// entry) for the same entries in the same order both times. The U, L and
+/// task buckets then go out in that order, by one alltoallv each, with
+/// one part in flight: a part's send buckets are freed when its alltoallv
+/// returns, and its received buckets once build(part, received) returns.
+template <typename Entry, typename Walk, typename Build>
+void scatter_parts(mpisim::Comm& comm, Walk&& walk, Build&& build) {
+  const auto p = static_cast<std::size_t>(comm.size());
+  std::array<std::vector<std::vector<Entry>>, 3> out;
+  std::vector<std::size_t> sizes(out.size() * p, 0);
+  walk([&](Part part, int rank, const Entry&) {
+    ++sizes[static_cast<std::size_t>(part) * p +
+            static_cast<std::size_t>(rank)];
+  });
+  for (std::size_t part = 0; part < out.size(); ++part) {
+    out[part].resize(p);
+    for (std::size_t r = 0; r < p; ++r) {
+      out[part][r].reserve(sizes[part * p + r]);
+    }
+  }
+  walk([&](Part part, int rank, const Entry& entry) {
+    out[static_cast<std::size_t>(part)][static_cast<std::size_t>(rank)]
+        .push_back(entry);
+  });
+  for (const Part part : {Part::kU, Part::kL, Part::kTasks}) {
+    const auto received = [&] {
+      const auto sent = std::move(out[static_cast<std::size_t>(part)]);
+      return mpisim::alltoallv(comm, sent);
+    }();
+    build(part, received);
+  }
+}
+
 /// Steps (iii)+(iv): scatter entries per the 2D cyclic map (place_2d)
-/// and build the block CSRs. A block row holds one vertex w's entries,
-/// all sent by the one rank holding w, and that rank walks w's ascending
-/// row, so every block row arrives as one ascending run, kept as is.
+/// through scatter_parts and build each block CSR as its part arrives. A
+/// block row holds one vertex w's entries, all sent by the one rank
+/// holding w, and that rank walks w's ascending row, so every block row
+/// arrives as one ascending run, kept as is.
 Blocks scatter_2d(mpisim::Cart2D& grid, const RelabeledSlice& slice,
                   Enumeration enumeration);
 
@@ -129,8 +171,9 @@ struct PreprocessOutput {
   StepSamples steps;
 };
 
-/// Runs the full pipeline on this rank's input slice.
-PreprocessOutput preprocess(mpisim::Cart2D& grid, const LocalSlice& input,
+/// Runs the full pipeline on this rank's input slice, which is freed once
+/// it is redistributed.
+PreprocessOutput preprocess(mpisim::Cart2D& grid, LocalSlice input,
                             const Config& config);
 
 }  // namespace tricount::core

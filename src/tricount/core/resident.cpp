@@ -145,9 +145,9 @@ ResidentPartition preprocess_resident(mpisim::PersistentWorld& world,
     obs::RankTelemetry* live = obs::Telemetry::caller_slot();
     if (live != nullptr) live->phase.store("pre", std::memory_order_relaxed);
 
-    const LocalSlice input =
-        block_slice_from_edges(graph, comm.rank(), comm.size());
-    PreprocessOutput pre = preprocess(grid, input, options.config);
+    PreprocessOutput pre = preprocess(
+        grid, block_slice_from_edges(graph, comm.rank(), comm.size()),
+        options.config);
     if (options.validate_blocks) pre.blocks.validate();
     const auto rank = static_cast<std::size_t>(comm.rank());
 

@@ -1,8 +1,10 @@
 #include "tricount/core/summa2d.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "tricount/core/counter2d.hpp"
 #include "tricount/core/dist_graph.hpp"
@@ -41,90 +43,73 @@ struct SummaBlocks {
   }
 };
 
+/// Scatters the panels through scatter_parts. Each received part builds
+/// its blocks straight from the received buckets: a panel's block takes
+/// the entries filed under its local index (panel / qc for U, panel / qr
+/// for L), so no per-panel copy of the entries is made.
 SummaBlocks scatter_summa(mpisim::Comm& comm, int qr, int qc, int K,
                           const RelabeledSlice& slice,
                           Enumeration enumeration) {
   const auto qrv = static_cast<VertexId>(qr);
   const auto qcv = static_cast<VertexId>(qc);
   const auto Kv = static_cast<VertexId>(K);
-  const std::size_t p = static_cast<std::size_t>(comm.size());
-  auto rank_of = [qc](int x, int y) { return x * qc + y; };
-
-  std::vector<std::vector<PanelEntry>> u_out(p);
-  std::vector<std::vector<PanelEntry>> l_out(p);
-  std::vector<std::vector<PanelEntry>> t_out(p);
-
-  for (std::size_t k = 0; k < slice.adj.size(); ++k) {
-    const VertexId w = slice.new_ids[k];
-    for (const VertexId u : slice.adj[k]) {
-      if (u > w) {
-        const VertexId z = u % Kv;
-        // U_{x,z} at rank (w%qr, z%qc).
-        const int u_dest = rank_of(static_cast<int>(w % qrv),
-                                   static_cast<int>(z % qcv));
-        u_out[static_cast<std::size_t>(u_dest)].push_back(
-            PanelEntry{z, w / qrv, u / Kv});
-        // L_{z,y} at rank (z%qr, w%qc), stored row-major by i = w.
-        const int l_dest = rank_of(static_cast<int>(z % qrv),
-                                   static_cast<int>(w % qcv));
-        l_out[static_cast<std::size_t>(l_dest)].push_back(
-            PanelEntry{z, w / qcv, u / Kv});
-        if (enumeration == Enumeration::kIJK) {
-          const int t_dest = rank_of(static_cast<int>(w % qrv),
-                                     static_cast<int>(u % qcv));
-          t_out[static_cast<std::size_t>(t_dest)].push_back(
-              PanelEntry{0, w / qrv, u / qcv});
-        }
-      } else if (u < w && enumeration == Enumeration::kJIK) {
-        const int t_dest = rank_of(static_cast<int>(w % qrv),
-                                   static_cast<int>(u % qcv));
-        t_out[static_cast<std::size_t>(t_dest)].push_back(
-            PanelEntry{0, w / qrv, u / qcv});
-      }
-    }
-  }
-
-  const auto u_in = mpisim::alltoallv(comm, u_out);
-  const auto l_in = mpisim::alltoallv(comm, l_out);
-  const auto t_in = mpisim::alltoallv(comm, t_out);
-
+  auto rank_of = [qc](VertexId x, VertexId y) {
+    return static_cast<int>(x) * qc + static_cast<int>(y);
+  };
   const int x = comm.rank() / qc;
   const int y = comm.rank() % qc;
-  const VertexId n = slice.num_vertices;
+  const VertexId u_rows = cyclic_row_count(slice.num_vertices, qr, x);
+  const VertexId l_rows = cyclic_row_count(slice.num_vertices, qc, y);
 
   SummaBlocks blocks;
-  // Split incoming panel entries by local panel index, then build CSRs.
-  const int u_count = K / qc;
-  const int l_count = K / qr;
-  std::vector<std::vector<LocalEntry>> u_split(static_cast<std::size_t>(u_count));
-  std::vector<std::vector<LocalEntry>> l_split(static_cast<std::size_t>(l_count));
-  for (const auto& bucket : u_in) {
-    for (const PanelEntry& e : bucket) {
-      u_split[e.panel / static_cast<VertexId>(qc)].push_back(
-          LocalEntry{e.row, e.col});
-    }
-  }
-  for (const auto& bucket : l_in) {
-    for (const PanelEntry& e : bucket) {
-      l_split[e.panel / static_cast<VertexId>(qr)].push_back(
-          LocalEntry{e.row, e.col});
-    }
-  }
-  const VertexId u_rows = cyclic_row_count(n, qr, x);
-  const VertexId l_rows = cyclic_row_count(n, qc, y);
-  for (const auto& entries : u_split) {
-    blocks.upanels.push_back(BlockCsr::from_entries(u_rows, entries));
-  }
-  for (const auto& entries : l_split) {
-    blocks.lpanels.push_back(BlockCsr::from_entries(l_rows, entries));
-  }
-  std::vector<LocalEntry> task_entries;
-  for (const auto& bucket : t_in) {
-    for (const PanelEntry& e : bucket) {
-      task_entries.push_back(LocalEntry{e.row, e.col});
-    }
-  }
-  blocks.tasks = BlockCsr::from_entries(u_rows, task_entries);
+  scatter_parts<PanelEntry>(
+      comm,
+      [&](auto&& place) {
+        for (std::size_t k = 0; k < slice.adj.size(); ++k) {
+          const VertexId w = slice.new_ids[k];
+          for (const VertexId u : slice.adj[k]) {
+            if (u > w) {
+              const VertexId z = u % Kv;
+              // U_{x,z} at rank (w%qr, z%qc).
+              place(Part::kU, rank_of(w % qrv, z % qcv),
+                    PanelEntry{z, w / qrv, u / Kv});
+              // L_{z,y} at rank (z%qr, w%qc), stored row-major by i = w.
+              place(Part::kL, rank_of(z % qrv, w % qcv),
+                    PanelEntry{z, w / qcv, u / Kv});
+            }
+            // As in place_2d: from U for ⟨i,j,k⟩, from L for ⟨j,i,k⟩.
+            if ((u > w) == (enumeration == Enumeration::kIJK)) {
+              place(Part::kTasks, rank_of(w % qrv, u % qcv),
+                    PanelEntry{0, w / qrv, u / qcv});
+            }
+          }
+        }
+      },
+      [&](Part part, const std::vector<std::vector<PanelEntry>>& received) {
+        auto block_of = [&](VertexId rows, auto&& keep) {
+          return BlockCsr::build(rows, [&](auto&& emit) {
+            for (const auto& bucket : received) {
+              for (const PanelEntry& e : bucket) {
+                if (keep(e)) emit(e.row, e.col);
+              }
+            }
+          });
+        };
+        if (part == Part::kTasks) {
+          blocks.tasks =
+              block_of(u_rows, [](const PanelEntry&) { return true; });
+          return;
+        }
+        const bool upper = part == Part::kU;
+        const VertexId stride = upper ? qcv : qrv;
+        std::vector<BlockCsr>& panels = upper ? blocks.upanels : blocks.lpanels;
+        for (VertexId t = 0; t < Kv / stride; ++t) {
+          panels.push_back(block_of(upper ? u_rows : l_rows,
+                                    [&](const PanelEntry& e) {
+                                      return e.panel / stride == t;
+                                    }));
+        }
+      });
   return blocks;
 }
 
@@ -309,9 +294,7 @@ RunResult count_triangles_summa(const graph::EdgeList& graph,
   result.algorithm = "summa";
   result.ranks = p;
   result.grid_q = qr == qc ? qr : 0;
-  // A simplified input holds each undirected edge once.
   result.num_vertices = graph.num_vertices;
-  result.num_edges = graph.edges.size();
   result.model = options.model;
   result.per_rank.assign(static_cast<std::size_t>(p), RankStats{});
   result.chaos_enabled = options.chaos != nullptr;
@@ -320,15 +303,16 @@ RunResult count_triangles_summa(const graph::EdgeList& graph,
   result.take(mpisim::run_world(p, [&](mpisim::Comm& comm) {
     obs::RankTelemetry* live = obs::Telemetry::caller_slot();
     if (live != nullptr) live->phase.store("pre", std::memory_order_relaxed);
-    const LocalSlice input = [&] {
+    LocalSlice input = [&] {
       obs::ScopedSpan span("slice", "pre");
       return block_slice_from_edges(graph, comm.rank(), p);
     }();
     RankStats& stats = result.per_rank[static_cast<std::size_t>(comm.rank())];
     PhaseTracker tracker(comm);
-    const RelabeledSlice relabeled = redistribute_and_order(
-        comm, input, options.config, tracker, stats.pre_steps);
+    // The relabeled slice is freed once its panels are scattered.
     const SummaBlocks blocks = [&] {
+      const RelabeledSlice relabeled = redistribute_and_order(
+          comm, std::move(input), options.config, tracker, stats.pre_steps);
       obs::ScopedSpan span("scatter_summa", "pre");
       return scatter_summa(comm, qr, qc, K, relabeled,
                            options.config.enumeration);
@@ -348,8 +332,16 @@ RunResult count_triangles_summa(const graph::EdgeList& graph,
                                    options.config, tracker);
     stats.shifts = std::move(sweep.steps);
     stats.kernel = sweep.kernel;
-    const TriangleCount total = mpisim::allreduce_sum(comm, sweep.local);
-    if (comm.rank() == 0) result.triangles = total;
+    // The U panels hold each undirected edge once, so the edges of an
+    // unsimplified list count as its simplification's. One allreduce
+    // sums them beside the triangles.
+    std::vector<std::uint64_t> totals{sweep.local, 0};
+    for (const BlockCsr& b : blocks.upanels) totals[1] += b.num_entries();
+    mpisim::allreduce(comm, totals, std::plus<std::uint64_t>());
+    if (comm.rank() == 0) {
+      result.triangles = totals[0];
+      result.num_edges = totals[1];
+    }
     if (live != nullptr) live->phase.store("done", std::memory_order_relaxed);
   }, world_options(options)));
   return result;

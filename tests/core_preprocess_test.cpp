@@ -1,8 +1,9 @@
 // Tests for the preprocessing pipeline: block/cyclic distributions, the
 // distributed degree relabel (its exact order, ties included, and the
-// relabeled adjacency), and the 2D scatter's structural invariants.
+// relabeled adjacency), and the 2D scatter's placement and traffic.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <functional>
 #include <map>
@@ -225,6 +226,74 @@ TEST(Scatter2D, BlockEntryCountsAddUp) {
   EXPECT_EQ(u_total.load(), g.edges.size());
   EXPECT_EQ(l_total.load(), g.edges.size());
   EXPECT_EQ(t_total.load(), g.edges.size());
+}
+
+TEST(Scatter2D, BlocksEqualASerialPlacement) {
+  // Each rank's blocks against place_2d run serially over every rank's
+  // relabeled rows, which reach the owner in rank order as alltoallv's
+  // buckets do; and the scatter's traffic: one message per part and
+  // peer, 8 bytes per entry bound for another rank.
+  for (const auto& entry : test_support::corpus()) {
+    const EdgeList& g = entry.graph;
+    for (const int p : {1, 4, 9, 16}) {
+      const int q = mpisim::perfect_square_root(p);
+      for (const Enumeration enumeration :
+           {Enumeration::kJIK, Enumeration::kIJK}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << g.num_vertices << " p=" << p
+                     << " enumeration=" << static_cast<int>(enumeration));
+        const auto ranks = static_cast<std::size_t>(p);
+        std::vector<RelabeledSlice> slices(ranks);
+        std::vector<Blocks> blocks(ranks);
+        std::vector<mpisim::PerfCounters> traffic(ranks);
+        mpisim::run_world(p, [&](mpisim::Comm& comm) {
+          mpisim::Cart2D grid(comm);
+          const auto r = static_cast<std::size_t>(comm.rank());
+          slices[r] = degree_relabel(
+              comm, cyclic_redistribute(
+                        comm, block_slice_from_edges(g, comm.rank(), p)));
+          const mpisim::PerfCounters before = comm.counters();
+          blocks[r] = scatter_2d(grid, slices[r], enumeration);
+          traffic[r] = comm.counters() - before;
+        });
+
+        // placed[dest][part]: the entries every rank sends to dest.
+        std::vector<std::array<std::vector<LocalEntry>, 3>> placed(ranks);
+        std::vector<std::uint64_t> sent_away(ranks, 0);
+        for (std::size_t r = 0; r < ranks; ++r) {
+          const RelabeledSlice& rel = slices[r];
+          for (std::size_t k = 0; k < rel.adj.size(); ++k) {
+            for (const VertexId u : rel.adj[k]) {
+              place_2d(q, rel.new_ids[k], u, enumeration,
+                       [&](Part part, int dest, LocalEntry e) {
+                         const auto d = static_cast<std::size_t>(dest);
+                         placed[d][static_cast<std::size_t>(part)].push_back(e);
+                         if (d != r) ++sent_away[r];
+                       });
+            }
+          }
+        }
+        for (int r = 0; r < p; ++r) {
+          const auto at = static_cast<std::size_t>(r);
+          const VertexId u_rows = cyclic_row_count(g.num_vertices, q, r / q);
+          const VertexId l_rows = cyclic_row_count(g.num_vertices, q, r % q);
+          EXPECT_EQ(blocks[at].ublock,
+                    BlockCsr::from_entries(u_rows, placed[at][0]))
+              << "rank " << r;
+          EXPECT_EQ(blocks[at].lblock,
+                    BlockCsr::from_entries(l_rows, placed[at][1]))
+              << "rank " << r;
+          EXPECT_EQ(blocks[at].tasks,
+                    BlockCsr::from_entries(u_rows, placed[at][2]))
+              << "rank " << r;
+          EXPECT_EQ(traffic[at].messages_sent,
+                    3 * static_cast<std::uint64_t>(p - 1))
+              << "rank " << r;
+          EXPECT_EQ(traffic[at].bytes_sent, 8 * sent_away[at]) << "rank " << r;
+        }
+      }
+    }
+  }
 }
 
 TEST(Preprocess, StepsAreNamedAndEdgeCountIsGlobal) {

@@ -1,15 +1,18 @@
 // Tests for the driver's input paths: CSR-based slicing must agree with
-// edge-list slicing, an unsimplified edge list must slice and count like
-// its simplification, and the CSR driver overload must produce identical
+// edge-list slicing, an unsimplified edge list must slice and count (its
+// triangles and its edges, on every algorithm) like its simplification,
+// and the CSR driver overload must produce identical
 // runs (it is the path the bench harness uses).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "tricount/cetric/cetric.hpp"
 #include "tricount/core/dist_graph.hpp"
 #include "tricount/core/driver.hpp"
+#include "tricount/core/summa2d.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/serial_count.hpp"
 #include "tricount/util/rng.hpp"
@@ -67,12 +70,22 @@ TEST(SlicePaths, UnsimplifiedListsCountAsTheirSimplification) {
                   block_slice_from_edges(simple, r, p).adj)
             << "p=" << p << " rank=" << r;
       }
-      EXPECT_EQ(cetric::count_triangles_cetric(g, p).triangles, 2)
-          << "p=" << p;
+      const RunResult cetric = cetric::count_triangles_cetric(g, p);
+      EXPECT_EQ(cetric.triangles, 2) << "p=" << p;
+      EXPECT_EQ(cetric.num_edges, simple.edges.size()) << "p=" << p;
     }
     for (const int ranks : {1, 4}) {
-      EXPECT_EQ(count_triangles_2d(g, ranks).triangles, 2)
-          << "ranks=" << ranks;
+      const RunResult two_d = count_triangles_2d(g, ranks);
+      EXPECT_EQ(two_d.triangles, 2) << "ranks=" << ranks;
+      EXPECT_EQ(two_d.num_edges, simple.edges.size()) << "ranks=" << ranks;
+    }
+    for (const auto& [rows, cols] : {std::pair{2, 2}, std::pair{2, 3}}) {
+      SummaOptions options;
+      options.grid_rows = rows;
+      options.grid_cols = cols;
+      const RunResult summa = count_triangles_summa(g, options);
+      EXPECT_EQ(summa.triangles, 2) << rows << "x" << cols;
+      EXPECT_EQ(summa.num_edges, simple.edges.size()) << rows << "x" << cols;
     }
   }
 }

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "test_seed.hpp"
+#include "tricount/cetric/cetric.hpp"
 #include "tricount/chaos/fault_plan.hpp"
 #include "tricount/core/driver.hpp"
 #include "tricount/core/summa2d.hpp"
@@ -193,6 +194,10 @@ TEST(FlightRecorder, TraceHoldsEachPreprocessingLayerAndTheCount) {
   check(6, [&] { return core::count_triangles_summa(g, summa); },
         {"slice", "redistribute", "degree_order", "scatter_summa",
          "intersect"});
+  // cetric slices, splits the vertices into ranges, pulls its ghost rows
+  // and then counts.
+  check(3, [&] { return cetric::count_triangles_cetric(g, 3); },
+        {"slice", "partition", "ghost", "intersect"});
 }
 
 TEST(FlightRecorder, ChaosDropsAreInstantsOnTheSendersRing) {

@@ -4,9 +4,11 @@
 #include <numeric>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "tricount/core/artifacts.hpp"
+#include "tricount/core/preprocess.hpp"
 #include "tricount/core/summa2d.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/serial_count.hpp"
@@ -147,6 +149,54 @@ TEST(Summa, SquareGridDoesCannonsWorkUnderEveryOrdering) {
       EXPECT_EQ(summa.total_kernel().intersection_tasks,
                 cannon.total_kernel().intersection_tasks)
           << where;
+    }
+  }
+}
+
+// The panel scatter makes one alltoallv per part (U, L, tasks): one
+// message per part and peer, and 12 bytes (panel, row and column ids) per
+// entry bound for another rank. The entries are placed here by the layout
+// summa2d.hpp documents, over the relabeled rows each rank holds.
+TEST(Summa, ScatterSendsEachEntryOnceInThreeExchanges) {
+  const EdgeList g = sweep_graph();
+  for (const auto& [qr, qc] : {std::pair{2, 3}, std::pair{3, 2}}) {
+    const int p = qr * qc;
+    const auto ranks = static_cast<std::size_t>(p);
+    const auto K = static_cast<VertexId>(std::lcm(qr, qc));
+    std::vector<RelabeledSlice> slices(ranks);
+    mpisim::run_world(p, [&](mpisim::Comm& comm) {
+      slices[static_cast<std::size_t>(comm.rank())] = degree_relabel(
+          comm, cyclic_redistribute(
+                    comm, block_slice_from_edges(g, comm.rank(), p)));
+    });
+    SummaOptions options;
+    options.grid_rows = qr;
+    options.grid_cols = qc;
+    const RunResult r = count_triangles_summa(g, options);
+    const auto rank_of = [&](VertexId x, VertexId y) {
+      return static_cast<std::size_t>(x % static_cast<VertexId>(qr)) *
+                 static_cast<std::size_t>(qc) +
+             y % static_cast<VertexId>(qc);
+    };
+    for (std::size_t rank = 0; rank < ranks; ++rank) {
+      const RelabeledSlice& rel = slices[rank];
+      std::uint64_t away = 0;
+      for (std::size_t k = 0; k < rel.adj.size(); ++k) {
+        const VertexId w = rel.new_ids[k];
+        for (const VertexId u : rel.adj[k]) {
+          if (u > w) {  // U_{x,z} and L_{z,y}, z = u mod K
+            away += rank_of(w, u % K) != rank;
+            away += rank_of(u % K, w) != rank;
+          } else {  // ⟨j,i,k⟩ takes its task (w, u) from L
+            away += rank_of(w, u) != rank;
+          }
+        }
+      }
+      const auto& [name, step] = r.per_rank[rank].pre_steps.at(2);
+      ASSERT_EQ(name, "scatter_summa");
+      EXPECT_EQ(step.messages, 3 * (ranks - 1))
+          << qr << "x" << qc << " rank " << rank;
+      EXPECT_EQ(step.bytes, 12 * away) << qr << "x" << qc << " rank " << rank;
     }
   }
 }
