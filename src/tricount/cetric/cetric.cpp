@@ -14,7 +14,6 @@
 #include "tricount/mpisim/recovery.hpp"
 #include "tricount/obs/flight.hpp"
 #include "tricount/obs/msgtrace.hpp"
-#include "tricount/obs/telemetry.hpp"
 
 namespace tricount::cetric {
 
@@ -172,7 +171,6 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
   const CetricGraph& g = part.graph;
   const core::GhostRows& ghosts = part.ghosts;
   core::CetricRankCounters cet = part.ghost_counters;
-  obs::RankTelemetry* live = obs::Telemetry::caller_slot();
 
   // --- triangle counting: superstep 0 (local) + superstep 1 (cut). Each
   // superstep's compute returns what it adds and reads only the partition
@@ -193,18 +191,26 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
   TriangleCount cut_count = 0;
   KernelCounters kernel;
 
+  obs::FlightRecorder* flight = obs::FlightRecorder::current();
+  obs::RankGauges* gauges = obs::FlightRecorder::caller_gauges();
   auto publish_live = [&](int step) {
-    if (live != nullptr) {
-      live->phase.store("tc", std::memory_order_relaxed);
-      live->superstep.store(step, std::memory_order_relaxed);
-      live->total_supersteps.store(kSupersteps,
-                                   std::memory_order_relaxed);
-      live->triangles.store(
+    if (gauges != nullptr) {
+      gauges->total_supersteps.store(std::uint64_t{kSupersteps},
+                                     std::memory_order_relaxed);
+      gauges->triangles.store(
           static_cast<std::uint64_t>(local_count + cut_count),
           std::memory_order_relaxed);
-      live->lookups.store(kernel.lookups, std::memory_order_relaxed);
+      gauges->lookups.store(kernel.lookups, std::memory_order_relaxed);
+      // The rows the counting intersects, owned and ghost; the rest of
+      // the partition is its degree and range tables.
+      const std::uint64_t rows = g.adj_plus.heap_bytes() + ghosts.heap_bytes();
+      gauges->graph_bytes.store(rows, std::memory_order_relaxed);
+      gauges->partition_bytes.store(part.heap_bytes() - rows,
+                                    std::memory_order_relaxed);
+      gauges->scratch_bytes.store(scratch.hash_capacity() * sizeof(VertexId),
+                                  std::memory_order_relaxed);
     }
-    if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
+    if (flight != nullptr) {
       flight->counter("superstep", "tc", static_cast<double>(step));
     }
     if (obs::MsgTrace* mt = obs::MsgTrace::current()) {
@@ -393,19 +399,16 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
   cut_count = cut.triangles;
   finish_superstep(cut.kernel);
 
-  if (live != nullptr) {
-    live->superstep.store(kSupersteps, std::memory_order_relaxed);
-    live->triangles.store(
+  if (flight != nullptr) flight->counter("superstep", "tc", kSupersteps);
+  if (gauges != nullptr) {
+    gauges->triangles.store(
         static_cast<std::uint64_t>(local_count + cut_count),
         std::memory_order_relaxed);
-    live->lookups.store(kernel.lookups, std::memory_order_relaxed);
+    gauges->lookups.store(kernel.lookups, std::memory_order_relaxed);
   }
 
   const TriangleCount total =
       mpisim::allreduce_sum(comm, local_count + cut_count);
-  if (live != nullptr) {
-    live->phase.store("done", std::memory_order_relaxed);
-  }
 
   stats.kernel = kernel;
   cet.local_triangles = static_cast<std::uint64_t>(local_count);
@@ -429,13 +432,6 @@ RunResult cetric_result(int ranks, const util::AlphaBetaModel& model) {
   return result;
 }
 
-/// Live telemetry phase tag: "pre" until the counting supersteps start.
-void mark_pre() {
-  if (obs::RankTelemetry* live = obs::Telemetry::caller_slot()) {
-    live->phase.store("pre", std::memory_order_relaxed);
-  }
-}
-
 RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
                               const SliceFactory& make_slice) {
   if (ranks < 1) {
@@ -448,7 +444,6 @@ RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
   result.take(mpisim::run_world(
       ranks,
       [&](mpisim::Comm& comm) {
-        mark_pre();
         const LocalSlice input = [&] {
           obs::ScopedSpan span("slice", "pre");
           return make_slice(comm);
@@ -506,7 +501,6 @@ ResidentCetric preprocess_resident(mpisim::PersistentWorld& world,
   resident.model = options.model;
   resident.per_rank.resize(static_cast<std::size_t>(world.size()));
   world.run_job([&](mpisim::Comm& comm) {
-    mark_pre();
     const LocalSlice input =
         core::block_slice_from_edges(graph, comm.rank(), comm.size());
     PhaseTracker tracker(comm);

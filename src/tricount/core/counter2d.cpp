@@ -10,7 +10,6 @@
 #include "tricount/mpisim/runtime.hpp"
 #include "tricount/obs/flight.hpp"
 #include "tricount/obs/msgtrace.hpp"
-#include "tricount/obs/telemetry.hpp"
 
 namespace tricount::core {
 
@@ -198,28 +197,28 @@ void cannon_sweep(mpisim::Cart2D& grid, Blocks blocks, const Config& config,
   };
   reserve_scratch();
 
-  // Live telemetry + flight recorder: publish superstep progress at every
+  // Live gauges + flight recorder: publish superstep progress at every
   // loop entry. The flight "superstep" counter doubles as the crash
   // witness — on a chaos crash the dump's final superstep record is the
   // superstep the recovery path reports.
-  obs::RankTelemetry* live = obs::Telemetry::caller_slot();
+  obs::FlightRecorder* flight = obs::FlightRecorder::current();
+  obs::RankGauges* gauges = obs::FlightRecorder::caller_gauges();
   auto publish_live = [&](int step) {
-    if (live != nullptr) {
-      live->phase.store("tc", std::memory_order_relaxed);
-      live->superstep.store(step, std::memory_order_relaxed);
-      live->total_supersteps.store(q, std::memory_order_relaxed);
-      live->triangles.store(static_cast<std::uint64_t>(out.local_triangles),
-                            std::memory_order_relaxed);
-      live->lookups.store(out.kernel.lookups, std::memory_order_relaxed);
-      live->graph_bytes.store(
+    if (gauges != nullptr) {
+      gauges->total_supersteps.store(static_cast<std::uint64_t>(q),
+                                     std::memory_order_relaxed);
+      gauges->triangles.store(static_cast<std::uint64_t>(out.local_triangles),
+                              std::memory_order_relaxed);
+      gauges->lookups.store(out.kernel.lookups, std::memory_order_relaxed);
+      gauges->graph_bytes.store(
           blocks.ublock.heap_bytes() + blocks.lblock.heap_bytes(),
           std::memory_order_relaxed);
-      live->partition_bytes.store(blocks.tasks.heap_bytes(),
+      gauges->partition_bytes.store(blocks.tasks.heap_bytes(),
+                                    std::memory_order_relaxed);
+      gauges->scratch_bytes.store(scratch.hash_capacity() * sizeof(VertexId),
                                   std::memory_order_relaxed);
-      live->scratch_bytes.store(scratch.hash_capacity() * sizeof(VertexId),
-                                std::memory_order_relaxed);
     }
-    if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
+    if (flight != nullptr) {
       flight->counter("superstep", "tc", static_cast<double>(step));
     }
     if (obs::MsgTrace* mt = obs::MsgTrace::current()) {
@@ -342,13 +341,13 @@ void cannon_sweep(mpisim::Cart2D& grid, Blocks blocks, const Config& config,
     }
     out.edge_credits.push_back(std::move(by_key));
   }
-  if (live != nullptr) {
-    // Final readings: superstep == q renders as "q/q" (done) in the
-    // streaming views.
-    live->superstep.store(q, std::memory_order_relaxed);
-    live->triangles.store(static_cast<std::uint64_t>(out.local_triangles),
-                          std::memory_order_relaxed);
-    live->lookups.store(out.kernel.lookups, std::memory_order_relaxed);
+  // Final readings: a last superstep counter of q renders as "q/q"
+  // (done) in the live view.
+  if (flight != nullptr) flight->counter("superstep", "tc", q);
+  if (gauges != nullptr) {
+    gauges->triangles.store(static_cast<std::uint64_t>(out.local_triangles),
+                            std::memory_order_relaxed);
+    gauges->lookups.store(out.kernel.lookups, std::memory_order_relaxed);
   }
 
   out.total_triangles = mpisim::allreduce_sum(comm, out.local_triangles);

@@ -7,7 +7,6 @@
 #include "tricount/core/dist_graph.hpp"
 #include "tricount/mpisim/runtime.hpp"
 #include "tricount/obs/flight.hpp"
-#include "tricount/obs/telemetry.hpp"
 
 namespace tricount::core {
 
@@ -32,14 +31,6 @@ RunResult run_pipeline(int ranks, const RunOptions& options,
 
   mpisim::WorldReport report = mpisim::run_world(ranks, [&](mpisim::Comm& comm) {
     mpisim::Cart2D grid(comm);
-
-    // Live telemetry phase tag: "pre" until cannon_count flips it to "tc"
-    // at its first superstep.
-    obs::RankTelemetry* live = obs::Telemetry::caller_slot();
-    if (live != nullptr) {
-      live->phase.store("pre", std::memory_order_relaxed);
-    }
-
     LocalSlice input = [&] {
       obs::ScopedSpan span("slice", "pre");
       return make_slice(comm);
@@ -49,9 +40,6 @@ RunResult run_pipeline(int ranks, const RunOptions& options,
     if (options.validate_blocks) pre.blocks.validate();
     CountOutput count = cannon_count(grid, std::move(pre.blocks),
                                      options.config);
-    if (live != nullptr) {
-      live->phase.store("done", std::memory_order_relaxed);
-    }
 
     RankStats& stats = result.per_rank[static_cast<std::size_t>(comm.rank())];
     stats.pre_steps = std::move(pre.steps);

@@ -10,7 +10,6 @@
 #include "tricount/core/summa2d.hpp"
 #include "tricount/mpisim/cart2d.hpp"
 #include "tricount/obs/flight.hpp"
-#include "tricount/obs/telemetry.hpp"
 
 namespace tricount::core {
 
@@ -142,9 +141,6 @@ ResidentPartition preprocess_resident(mpisim::PersistentWorld& world,
 
   world.run_job([&](mpisim::Comm& comm) {
     mpisim::Cart2D grid(comm);
-    obs::RankTelemetry* live = obs::Telemetry::caller_slot();
-    if (live != nullptr) live->phase.store("pre", std::memory_order_relaxed);
-
     PreprocessOutput pre = preprocess(
         grid, block_slice_from_edges(graph, comm.rank(), comm.size()),
         options.config);
@@ -176,10 +172,9 @@ ResidentPartition preprocess_resident(mpisim::PersistentWorld& world,
       partition.num_vertices = pre.num_vertices;
       partition.num_edges = pre.num_edges;
     }
-    if (live != nullptr) {
-      live->partition_bytes.store(partition.blocks[rank].heap_bytes(),
-                                  std::memory_order_relaxed);
-      live->phase.store("resident", std::memory_order_relaxed);
+    if (obs::RankGauges* gauges = obs::FlightRecorder::caller_gauges()) {
+      gauges->partition_bytes.store(partition.blocks[rank].heap_bytes(),
+                                    std::memory_order_relaxed);
     }
   });
 
@@ -204,8 +199,6 @@ void patch_resident(mpisim::PersistentWorld& world,
 
   world.run_job([&](mpisim::Comm& comm) {
     obs::ScopedSpan span("patch_2d", "pre");
-    obs::RankTelemetry* live = obs::Telemetry::caller_slot();
-    if (live != nullptr) live->phase.store("patch", std::memory_order_relaxed);
     const auto pv = static_cast<VertexId>(comm.size());
     const auto rank = static_cast<std::size_t>(comm.rank());
     const std::vector<VertexId>& new_ids = partition.new_ids[rank];
@@ -252,10 +245,9 @@ void patch_resident(mpisim::PersistentWorld& world,
     blocks.ublock.patch(std::move(removed[0]), std::move(added[0]));
     blocks.lblock.patch(std::move(removed[1]), std::move(added[1]));
     blocks.tasks.patch(std::move(removed[2]), std::move(added[2]));
-    if (live != nullptr) {
-      live->partition_bytes.store(blocks.heap_bytes(),
-                                  std::memory_order_relaxed);
-      live->phase.store("resident", std::memory_order_relaxed);
+    if (obs::RankGauges* gauges = obs::FlightRecorder::caller_gauges()) {
+      gauges->partition_bytes.store(blocks.heap_bytes(),
+                                    std::memory_order_relaxed);
     }
   });
   partition.num_edges += inserted.size();
@@ -278,7 +270,6 @@ RunResult count_resident(mpisim::PersistentWorld& world,
 
   result.take(world.run_job([&](mpisim::Comm& comm) {
     mpisim::Cart2D grid(comm);
-    obs::RankTelemetry* live = obs::Telemetry::caller_slot();
     const auto rank = static_cast<std::size_t>(comm.rank());
     // Copy: cannon_count shifts the blocks away; the resident set must
     // survive for the next query.
@@ -296,9 +287,6 @@ RunResult count_resident(mpisim::PersistentWorld& world,
     } else if (tally == Tally::kEdgeSupport) {
       reduce_edge_credits(comm, count.edge_credits, partition.old_ids[rank],
                           *simplified, result.edge_supports);
-    }
-    if (live != nullptr) {
-      live->phase.store("resident", std::memory_order_relaxed);
     }
   }));
   return result;

@@ -14,7 +14,6 @@
 #include "tricount/mpisim/runtime.hpp"
 #include "tricount/obs/flight.hpp"
 #include "tricount/obs/msgtrace.hpp"
-#include "tricount/obs/telemetry.hpp"
 
 namespace tricount::core {
 
@@ -197,29 +196,29 @@ SummaSweep summa_sweep(mpisim::Comm& comm, int qr, int qc, int K,
     next_l = post_l(0);
   }
 
-  // Live telemetry + flight recorder, mirroring cannon_count: the
+  // Live gauges + flight recorder, mirroring cannon_count: the
   // "superstep" flight counter marks each panel step so a crash dump's
   // final superstep record is the failed step.
-  obs::RankTelemetry* live = obs::Telemetry::caller_slot();
+  obs::FlightRecorder* flight = obs::FlightRecorder::current();
+  obs::RankGauges* gauges = obs::FlightRecorder::caller_gauges();
   std::uint64_t panels_bytes = 0;
   for (const auto panels : {schedule.upanels, schedule.lpanels}) {
     for (const BlockCsr& b : panels) panels_bytes += b.heap_bytes();
   }
   auto publish_live = [&](int step) {
-    if (live != nullptr) {
-      live->phase.store("tc", std::memory_order_relaxed);
-      live->superstep.store(step, std::memory_order_relaxed);
-      live->total_supersteps.store(K, std::memory_order_relaxed);
-      live->triangles.store(static_cast<std::uint64_t>(out.local),
-                            std::memory_order_relaxed);
-      live->lookups.store(out.kernel.lookups, std::memory_order_relaxed);
-      live->graph_bytes.store(panels_bytes, std::memory_order_relaxed);
-      live->partition_bytes.store(tasks.heap_bytes(),
+    if (gauges != nullptr) {
+      gauges->total_supersteps.store(static_cast<std::uint64_t>(K),
+                                     std::memory_order_relaxed);
+      gauges->triangles.store(static_cast<std::uint64_t>(out.local),
+                              std::memory_order_relaxed);
+      gauges->lookups.store(out.kernel.lookups, std::memory_order_relaxed);
+      gauges->graph_bytes.store(panels_bytes, std::memory_order_relaxed);
+      gauges->partition_bytes.store(tasks.heap_bytes(),
+                                    std::memory_order_relaxed);
+      gauges->scratch_bytes.store(scratch.hash_capacity() * sizeof(VertexId),
                                   std::memory_order_relaxed);
-      live->scratch_bytes.store(scratch.hash_capacity() * sizeof(VertexId),
-                                std::memory_order_relaxed);
     }
-    if (obs::FlightRecorder* flight = obs::FlightRecorder::current()) {
+    if (flight != nullptr) {
       flight->counter("superstep", "tc", static_cast<double>(step));
     }
     if (obs::MsgTrace* mt = obs::MsgTrace::current()) {
@@ -271,11 +270,11 @@ SummaSweep summa_sweep(mpisim::Comm& comm, int qr, int qc, int K,
     s.overlapped = overlap;
     out.steps.push_back(s);
   }
-  if (live != nullptr) {
-    live->superstep.store(K, std::memory_order_relaxed);
-    live->triangles.store(static_cast<std::uint64_t>(out.local),
-                          std::memory_order_relaxed);
-    live->lookups.store(out.kernel.lookups, std::memory_order_relaxed);
+  if (flight != nullptr) flight->counter("superstep", "tc", K);
+  if (gauges != nullptr) {
+    gauges->triangles.store(static_cast<std::uint64_t>(out.local),
+                            std::memory_order_relaxed);
+    gauges->lookups.store(out.kernel.lookups, std::memory_order_relaxed);
   }
   return out;
 }
@@ -301,8 +300,6 @@ RunResult count_triangles_summa(const graph::EdgeList& graph,
   result.overlap_enabled = options.config.overlap;
 
   result.take(mpisim::run_world(p, [&](mpisim::Comm& comm) {
-    obs::RankTelemetry* live = obs::Telemetry::caller_slot();
-    if (live != nullptr) live->phase.store("pre", std::memory_order_relaxed);
     LocalSlice input = [&] {
       obs::ScopedSpan span("slice", "pre");
       return block_slice_from_edges(graph, comm.rank(), p);
@@ -342,7 +339,6 @@ RunResult count_triangles_summa(const graph::EdgeList& graph,
       result.triangles = totals[0];
       result.num_edges = totals[1];
     }
-    if (live != nullptr) live->phase.store("done", std::memory_order_relaxed);
   }, world_options(options)));
   return result;
 }

@@ -43,19 +43,6 @@ DegreeStats degree_stats(const Csr& csr) {
   return stats;
 }
 
-std::vector<VertexId> degree_histogram_log2(const Csr& csr) {
-  std::vector<VertexId> bins;
-  for (VertexId v = 0; v < csr.num_vertices(); ++v) {
-    const EdgeIndex d = csr.degree(v);
-    if (d == 0) continue;
-    std::size_t bin = 0;
-    for (EdgeIndex x = d; x > 1; x >>= 1) ++bin;
-    if (bin >= bins.size()) bins.resize(bin + 1, 0);
-    ++bins[bin];
-  }
-  return bins;
-}
-
 double degree_assortativity(const Csr& csr) {
   // Newman's formulation over directed stubs: for each edge, both
   // orientations contribute a (d(u), d(v)) sample.

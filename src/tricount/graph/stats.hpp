@@ -25,11 +25,6 @@ struct DegreeStats {
 
 DegreeStats degree_stats(const Csr& csr);
 
-/// Log2-binned degree histogram: bins[b] = number of vertices with degree
-/// in [2^b, 2^(b+1)); bins[0] additionally holds degree-1 vertices and
-/// isolated vertices are excluded.
-std::vector<VertexId> degree_histogram_log2(const Csr& csr);
-
 /// Degree assortativity coefficient (Newman): Pearson correlation of the
 /// degrees at the two ends of each edge, in [-1, 1]. Social networks are
 /// typically assortative (> 0), RMAT graphs disassortative (< 0).

@@ -9,13 +9,13 @@
 //  * bcast      -- binomial tree
 //  * reduce     -- binomial tree (mirror of bcast)
 //  * allreduce  -- reduce to root 0 + bcast
-//  * gather(v)  -- p-1 point-to-point sends to root
-//  * allgather(v) -- gather + bcast
+//  * gatherv    -- p-1 point-to-point sends to root
+//  * allgatherv -- gatherv + bcast
 //  * alltoallv  -- p point-to-point send/recv pairs, matching the paper's
 //                  §5.4 statement that the all-to-all personalized exchange
 //                  is "implemented using p point-to-point send and receive
 //                  operations"
-//  * scan/exscan -- Hillis–Steele dissemination prefix, log2 p rounds
+//  * scan_and_exscan -- Hillis–Steele dissemination prefix, log2 p rounds
 //                  (the paper's d_max·log p counting-sort term)
 #pragma once
 
@@ -57,13 +57,6 @@ void bcast(Comm& comm, std::vector<T>& data, int root = 0) {
     }
     mask >>= 1;
   }
-}
-
-template <typename T>
-T bcast_value(Comm& comm, T value, int root = 0) {
-  std::vector<T> data{value};
-  bcast(comm, data, root);
-  return data.at(0);
 }
 
 /// Element-wise reduction of equal-length vectors onto `root`
@@ -145,17 +138,6 @@ std::vector<std::vector<T>> gatherv(Comm& comm, const std::vector<T>& local,
   return out;
 }
 
-/// Gathers one value per rank onto root; empty on non-roots.
-template <typename T>
-std::vector<T> gather_value(Comm& comm, T value, int root = 0) {
-  const auto per_rank = gatherv(comm, std::vector<T>{value}, root);
-  std::vector<T> flat;
-  for (const auto& v : per_rank) {
-    flat.insert(flat.end(), v.begin(), v.end());
-  }
-  return flat;
-}
-
 /// All ranks receive every rank's vector (gather to 0 + broadcast).
 template <typename T>
 std::vector<std::vector<T>> allgatherv(Comm& comm,
@@ -184,14 +166,6 @@ std::vector<std::vector<T>> allgatherv(Comm& comm,
     at += n;
   }
   return out;
-}
-
-template <typename T>
-std::vector<T> allgather_value(Comm& comm, T value) {
-  const auto per_rank = allgatherv(comm, std::vector<T>{value});
-  std::vector<T> flat;
-  for (const auto& v : per_rank) flat.insert(flat.end(), v.begin(), v.end());
-  return flat;
 }
 
 /// Personalized all-to-all exchange: outgoing[r] is delivered to rank r;
@@ -260,51 +234,6 @@ void bcast_group(Comm& comm, std::vector<T>& data,
   }
 }
 
-/// Scatters root's per-rank buckets: rank r receives buckets[r]. The
-/// inverse of gatherv.
-template <typename T>
-std::vector<T> scatterv(Comm& comm,
-                        const std::vector<std::vector<T>>& buckets,
-                        int root = 0) {
-  obs::ScopedSpan obs_span("scatterv", "collective");
-  const int p = comm.size();
-  const int tag = comm.next_collective_tag();
-  if (comm.rank() == root) {
-    if (buckets.size() != static_cast<std::size_t>(p)) {
-      throw std::invalid_argument("mpisim: scatterv needs one bucket per rank");
-    }
-    for (int r = 0; r < p; ++r) {
-      if (r == root) continue;
-      comm.send<T>(r, tag, buckets[static_cast<std::size_t>(r)]);
-    }
-    return buckets[static_cast<std::size_t>(root)];
-  }
-  return comm.recv<T>(root, tag);
-}
-
-/// Reduce-scatter with equal blocks: element-wise reduction of
-/// equal-length vectors (length = block * p), after which rank r holds
-/// block r of the reduced vector. Implemented as reduce + scatterv.
-template <typename T, typename Op>
-std::vector<T> reduce_scatter_block(Comm& comm, std::vector<T> data, Op op) {
-  const int p = comm.size();
-  if (data.size() % static_cast<std::size_t>(p) != 0) {
-    throw std::invalid_argument(
-        "mpisim: reduce_scatter_block needs length divisible by p");
-  }
-  const std::size_t block = data.size() / static_cast<std::size_t>(p);
-  reduce(comm, data, op, /*root=*/0);
-  std::vector<std::vector<T>> buckets;
-  if (comm.rank() == 0) {
-    buckets.resize(static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      const auto begin = data.begin() + static_cast<std::ptrdiff_t>(block * static_cast<std::size_t>(r));
-      buckets[static_cast<std::size_t>(r)].assign(begin, begin + static_cast<std::ptrdiff_t>(block));
-    }
-  }
-  return scatterv(comm, buckets, /*root=*/0);
-}
-
 /// Element-wise inclusive and exclusive prefix over ranks
 /// (Hillis–Steele dissemination; log2 p rounds). `data` becomes the
 /// inclusive prefix; the returned vector is the exclusive prefix
@@ -333,22 +262,6 @@ std::vector<T> scan_and_exscan(Comm& comm, std::vector<T>& data, Op op,
     }
   }
   return exclusive;
-}
-
-/// Exclusive prefix sum of a single value (identity on rank 0).
-template <typename T>
-T exscan_sum(Comm& comm, T value) {
-  std::vector<T> data{value};
-  const auto excl = scan_and_exscan(comm, data, std::plus<T>(), T{});
-  return excl.at(0);
-}
-
-/// Inclusive prefix sum of a single value.
-template <typename T>
-T scan_sum(Comm& comm, T value) {
-  std::vector<T> data{value};
-  scan_and_exscan(comm, data, std::plus<T>(), T{});
-  return data.at(0);
 }
 
 }  // namespace tricount::mpisim

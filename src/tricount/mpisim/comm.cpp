@@ -9,7 +9,6 @@
 #include "tricount/mpisim/runtime.hpp"
 #include "tricount/obs/flight.hpp"
 #include "tricount/obs/msgtrace.hpp"
-#include "tricount/obs/telemetry.hpp"
 #include "tricount/util/time.hpp"
 
 namespace tricount::mpisim {
@@ -230,10 +229,10 @@ void Comm::reliable_send(int dest, int tag,
 }
 
 void Comm::publish_unacked_depth() const {
-  obs::Telemetry* telemetry = obs::Telemetry::current();
-  if (telemetry == nullptr || rank_ >= telemetry->ranks()) return;
-  telemetry->rank(rank_).unacked_sends.store(unacked_.size(),
-                                             std::memory_order_relaxed);
+  obs::FlightRecorder* recorder = obs::FlightRecorder::current();
+  if (recorder == nullptr || rank_ >= recorder->ranks()) return;
+  recorder->gauges(rank_).unacked_sends.store(unacked_.size(),
+                                              std::memory_order_relaxed);
 }
 
 void Comm::transmit(const PendingSend& p) {

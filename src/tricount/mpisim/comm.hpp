@@ -257,8 +257,8 @@ class Comm {
   /// matrix's chaos columns instead of the user/collective ones.
   void count_send(int dest, int tag, std::size_t bytes,
                   bool retransmit = false);
-  /// Mirrors unacked_.size() into the live-telemetry slot (no-op when no
-  /// obs::Telemetry is installed).
+  /// Mirrors unacked_.size() into the rank's live gauges (no-op when no
+  /// obs::FlightRecorder is installed).
   void publish_unacked_depth() const;
 
   World& world_;

@@ -63,13 +63,13 @@ class Mailbox {
   /// Returns true if a matching message is queued (MPI_Iprobe analogue).
   bool probe(int source, int tag);
 
-  /// Points the live-telemetry gauges at this mailbox: `depth` receives
-  /// the queued-message count and `bytes` the queued payload bytes after
+  /// Points the live gauges at this mailbox: `depth` receives the
+  /// queued-message count and `bytes` the queued payload bytes after
   /// every queue mutation. Same null-tolerant pattern as the watchdog's
-  /// `progress` pointer; wired by World when an obs::Telemetry is
+  /// `progress` pointer; wired by World when an obs::FlightRecorder is
   /// installed, zero cost otherwise. The atomics must outlive the world.
-  void set_telemetry_gauges(std::atomic<std::uint64_t>* depth,
-                            std::atomic<std::uint64_t>* bytes) {
+  void set_gauges(std::atomic<std::uint64_t>* depth,
+                  std::atomic<std::uint64_t>* bytes) {
     depth_gauge_ = depth;
     bytes_gauge_ = bytes;
   }
@@ -113,7 +113,7 @@ class Mailbox {
     }
   }
 
-  /// Publishes queue depth/bytes to the telemetry gauges. Call with
+  /// Publishes queue depth/bytes to the live gauges. Call with
   /// mutex_ held, after any queue_ mutation.
   void publish_depth_locked() {
     if (depth_gauge_ != nullptr) {

@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "tricount/obs/flight.hpp"
-#include "tricount/obs/telemetry.hpp"
 #include "tricount/util/log.hpp"
 
 namespace tricount::mpisim {
@@ -217,16 +216,16 @@ World::World(int size, const WorldOptions& options)
       fault_injector_(options.fault_injector) {
   if (size <= 0) throw std::invalid_argument("mpisim: world size must be > 0");
   mailboxes_.reserve(static_cast<size_t>(size));
-  obs::Telemetry* telemetry = obs::Telemetry::current();
-  if (telemetry != nullptr && telemetry->ranks() < size) {
-    telemetry = nullptr;  // sized for a different world; don't misattribute
+  obs::FlightRecorder* recorder = obs::FlightRecorder::current();
+  if (recorder != nullptr && recorder->ranks() < size) {
+    recorder = nullptr;  // sized for a different world; don't misattribute
   }
   for (int i = 0; i < size; ++i) {
     mailboxes_.push_back(std::make_unique<Mailbox>(&progress_));
-    if (telemetry != nullptr) {
-      obs::RankTelemetry& slot = telemetry->rank(i);
-      mailboxes_.back()->set_telemetry_gauges(&slot.mailbox_depth,
-                                              &slot.mailbox_bytes);
+    if (recorder != nullptr) {
+      obs::RankGauges& gauges = recorder->gauges(i);
+      mailboxes_.back()->set_gauges(&gauges.mailbox_depth,
+                                    &gauges.mailbox_bytes);
     }
   }
 }

@@ -1,7 +1,7 @@
 // Structured build provenance for artifacts: the util/build.hpp strings
 // packaged as a struct and as the JSON object stamped into
-// tricount.metrics artifacts, flight-recorder dumps, telemetry
-// snapshots, and bench --json records.
+// tricount.metrics artifacts, flight-recorder dumps and live views,
+// service session traces, and bench --json records.
 #pragma once
 
 #include <string>

@@ -5,9 +5,14 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <map>
+#include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "tricount/obs/build_info.hpp"
 #include "tricount/util/log.hpp"
+#include "tricount/util/table.hpp"
 #include "tricount/util/time.hpp"
 
 namespace tricount::obs {
@@ -25,13 +30,28 @@ void copy_truncated(char* dest, std::size_t dest_size, const char* src) {
   dest[dest_size - 1] = '\0';
 }
 
+/// Each gauge's counter name in a trace.
+constexpr std::pair<const char*, std::atomic<std::uint64_t> RankGauges::*>
+    kGauges[] = {
+        {"total_supersteps", &RankGauges::total_supersteps},
+        {"mailbox_depth", &RankGauges::mailbox_depth},
+        {"mailbox_bytes", &RankGauges::mailbox_bytes},
+        {"unacked_sends", &RankGauges::unacked_sends},
+        {"triangles", &RankGauges::triangles},
+        {"lookups", &RankGauges::lookups},
+        {"graph_bytes", &RankGauges::graph_bytes},
+        {"partition_bytes", &RankGauges::partition_bytes},
+        {"scratch_bytes", &RankGauges::scratch_bytes},
+};
+
 }  // namespace
 
 FlightRecorder::FlightRecorder(int ranks, std::size_t capacity)
     : ranks_(ranks < 0 ? 0 : ranks),
       capacity_(capacity == 0 ? 1 : capacity),
       epoch_seconds_(util::wall_seconds()),
-      rings_(static_cast<std::size_t>(ranks_) + 1) {
+      rings_(static_cast<std::size_t>(ranks_) + 1),
+      gauges_(new RankGauges[static_cast<std::size_t>(ranks_)]) {
   for (Ring& ring : rings_) {
     ring.slots = std::vector<Slot>(capacity_);
   }
@@ -53,6 +73,19 @@ FlightRecorder* FlightRecorder::current() {
   return g_current.load(std::memory_order_relaxed);
 }
 
+RankGauges* FlightRecorder::caller_gauges() {
+  FlightRecorder* recorder = current();
+  const int rank = util::current_rank();
+  if (recorder == nullptr || rank < 0 || rank >= recorder->ranks_) {
+    return nullptr;
+  }
+  return &recorder->gauges(rank);
+}
+
+double FlightRecorder::now_us() const {
+  return (util::wall_seconds() - epoch_seconds_) * 1e6;
+}
+
 FlightRecorder::Ring& FlightRecorder::ring_for_caller() {
   const int rank = util::current_rank();
   const std::size_t index = (rank >= 0 && rank < ranks_)
@@ -70,7 +103,7 @@ void FlightRecorder::record(FlightRecord::Kind kind, const char* name,
   const std::uint64_t h = ring.head.fetch_add(1, std::memory_order_acq_rel);
   Slot& slot = ring.slots[h % capacity_];
   slot.seq.fetch_add(1, std::memory_order_acq_rel);  // odd: write in flight
-  slot.record.ts_us = (util::wall_seconds() - epoch_seconds_) * 1e6;
+  slot.record.ts_us = now_us();
   slot.record.kind = kind;
   slot.record.value = value;
   copy_truncated(slot.record.name, sizeof slot.record.name, name);
@@ -129,7 +162,11 @@ std::vector<FlightRecord> FlightRecorder::snapshot(
   return out;
 }
 
-Trace FlightRecorder::trace() const {
+Trace FlightRecorder::trace() const { return build_trace(false); }
+
+Trace FlightRecorder::live_trace() const { return build_trace(true); }
+
+Trace FlightRecorder::build_trace(bool live) const {
   Trace out;
   json::Value rings = json::Value::array();
   for (std::size_t index = 0; index < rings_.size(); ++index) {
@@ -141,9 +178,11 @@ Trace FlightRecorder::trace() const {
         snapshot(rings_[index], recorded, dropped);
     // Read after the snapshot, so a span still open ends at or after
     // every record it encloses.
-    const double snapshot_us = (util::wall_seconds() - epoch_seconds_) * 1e6;
+    const double snapshot_us = now_us();
     out.set_thread_name(tid, world ? "world" : "rank " + std::to_string(index));
     std::vector<const FlightRecord*> open;
+    // The live view keeps only each counter's last sample.
+    std::map<std::string_view, const FlightRecord*> last;
     for (const FlightRecord& rec : records) {
       switch (rec.kind) {
         case FlightRecord::kBegin:
@@ -151,24 +190,46 @@ Trace FlightRecorder::trace() const {
           break;
         case FlightRecord::kEnd:
           if (!open.empty() && std::strcmp(open.back()->name, rec.name) == 0) {
-            out.add_complete(tid, open.back()->name, open.back()->cat,
-                             open.back()->ts_us,
-                             rec.ts_us - open.back()->ts_us);
+            if (!live) {
+              out.add_complete(tid, open.back()->name, open.back()->cat,
+                               open.back()->ts_us,
+                               rec.ts_us - open.back()->ts_us);
+            }
             open.pop_back();
           }
           break;
         case FlightRecord::kInstant:
-          out.add_instant(tid, rec.name, rec.cat, rec.ts_us,
-                          {{"value", rec.value}});
+          if (!live) {
+            out.add_instant(tid, rec.name, rec.cat, rec.ts_us,
+                            {{"value", rec.value}});
+          }
           break;
         case FlightRecord::kCounter:
-          out.add_counter(tid, rec.name, rec.cat, rec.ts_us, rec.value);
+          if (live) {
+            last[rec.name] = &rec;
+          } else {
+            out.add_counter(tid, rec.name, rec.cat, rec.ts_us, rec.value);
+          }
           break;
       }
     }
     for (const FlightRecord* begin : open) {
       out.add_complete(tid, begin->name, begin->cat, begin->ts_us,
                        snapshot_us - begin->ts_us, {{"open", 1.0}});
+    }
+    for (const auto& [name, rec] : last) {
+      out.add_counter(tid, rec->name, rec->cat, rec->ts_us, rec->value);
+    }
+    if (!world) {
+      const RankGauges& gauges = gauges_[index];
+      for (const auto& [name, gauge] : kGauges) {
+        const std::uint64_t value =
+            (gauges.*gauge).load(std::memory_order_relaxed);
+        if (value != 0) {
+          out.add_counter(tid, name, "gauge", snapshot_us,
+                          static_cast<double>(value));
+        }
+      }
     }
     json::Value ring = json::Value::object();
     ring.set("tid", tid);
@@ -236,6 +297,89 @@ void FlightRecorder::install_signal_handlers() {
   for (const int sig : {SIGSEGV, SIGABRT, SIGBUS, SIGFPE, SIGILL}) {
     std::signal(sig, flight_signal_handler);
   }
+}
+
+std::string render_telemetry(const Trace& live) {
+  const json::Value* ranks_value = live.other_data().find("ranks");
+  if (ranks_value == nullptr || !ranks_value->is_int(0)) {
+    throw std::runtime_error("telemetry: not a live view (no otherData.ranks)");
+  }
+  const int ranks = ranks_value->as_int();
+  // Per tid: the innermost open span and the last value of each counter.
+  // Tid 0 contributes only the "service" counters a daemon adds.
+  struct Timeline {
+    std::string phase = "idle";
+    double phase_ts = -1.0;
+    std::map<std::string, double> counters;
+    double get(const char* name, double fallback = 0.0) const {
+      const auto it = counters.find(name);
+      return it != counters.end() ? it->second : fallback;
+    }
+  };
+  std::vector<Timeline> timelines(static_cast<std::size_t>(ranks) + 1);
+  for (const TraceEvent& e : live.events()) {
+    if (e.tid < 0 || e.tid > ranks) continue;
+    Timeline& t = timelines[static_cast<std::size_t>(e.tid)];
+    if (e.ph == 'X' && e.arg("open") != nullptr && e.ts_us >= t.phase_ts) {
+      t.phase = e.name;
+      t.phase_ts = e.ts_us;
+    } else if (e.ph == 'C' && e.arg("value") != nullptr &&
+               (e.tid != 0 || e.cat == "service")) {
+      t.counters[e.name] = *e.arg("value");
+    }
+  }
+
+  util::Table table({"rank", "phase", "superstep", "mbox depth", "unacked",
+                     "graph KiB", "part KiB", "scratch KiB", "mbox KiB",
+                     "triangles", "lookups"});
+  double triangles = 0.0;
+  double lookups = 0.0;
+  double mem_bytes = 0.0;
+  for (int r = 0; r < ranks; ++r) {
+    const Timeline& t = timelines[static_cast<std::size_t>(r) + 1];
+    char progress[32];
+    std::snprintf(progress, sizeof progress, "%d/%d",
+                  static_cast<int>(t.get("superstep", -1.0)),
+                  static_cast<int>(t.get("total_supersteps")));
+    table.row()
+        .cell(static_cast<std::uint64_t>(r))
+        .cell(t.phase)
+        .cell(std::string(progress))
+        .cell(t.get("mailbox_depth"), 0)
+        .cell(t.get("unacked_sends"), 0)
+        .cell(t.get("graph_bytes") / 1024.0, 1)
+        .cell(t.get("partition_bytes") / 1024.0, 1)
+        .cell(t.get("scratch_bytes") / 1024.0, 1)
+        .cell(t.get("mailbox_bytes") / 1024.0, 1)
+        .cell(t.get("triangles"), 0)
+        .cell(t.get("lookups"), 0);
+    triangles += t.get("triangles");
+    lookups += t.get("lookups");
+    mem_bytes += t.get("graph_bytes") + t.get("partition_bytes") +
+                 t.get("scratch_bytes") + t.get("mailbox_bytes");
+  }
+  std::string out = table.str();
+  char line[200];
+  std::snprintf(line, sizeof line,
+                "totals: %.0f triangles, %.0f lookups, %.1f KiB tracked\n",
+                triangles, lookups, mem_bytes / 1024.0);
+  out += line;
+  const Timeline& service = timelines[0];
+  if (!service.counters.empty()) {
+    const double hits = service.get("cache_hits");
+    const double lookups_served = hits + service.get("cache_misses");
+    std::snprintf(
+        line, sizeof line,
+        "service: queue %.0f/%.0f, in-flight %.0f, %.0f reqs (%.0f shed), "
+        "cache %.0f%% hit, graph v%.0f\n",
+        service.get("queue_depth"), service.get("queue_capacity"),
+        service.get("in_flight"), service.get("requests"),
+        service.get("shed"),
+        lookups_served > 0 ? 100.0 * hits / lookups_served : 0.0,
+        service.get("graph_version"));
+    out += line;
+  }
+  return out;
 }
 
 }  // namespace tricount::obs

@@ -8,6 +8,11 @@
 // all trigger a dump automatically, so the last few thousand events per
 // rank survive exactly the runs that lose their post-mortem artifacts.
 //
+// The recorder also holds each rank's live gauges (RankGauges): values a
+// progress view needs but a ring should not hold, since a record per
+// change would crowd out the history. live_trace() cuts trace() down to
+// what `tricount_top` reads (docs/observability.md, "Live telemetry").
+//
 // Concurrency: rank threads write only their own ring (plus one trailing
 // ring shared by non-rank threads, claimed per-slot via an atomic head),
 // and each slot carries a seqlock so trace() can snapshot every ring
@@ -16,6 +21,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -34,6 +40,21 @@ struct FlightRecord {
   double value = 0.0;
   char name[40] = {};
   char cat[16] = {};
+};
+
+/// One rank's live gauges. Producers store with relaxed ordering on the
+/// hot path; trace() reads them at the snapshot time, so readers tolerate
+/// slight cross-field skew (a progress view, not an audit log).
+struct alignas(64) RankGauges {
+  std::atomic<std::uint64_t> total_supersteps{0};
+  std::atomic<std::uint64_t> mailbox_depth{0};
+  std::atomic<std::uint64_t> mailbox_bytes{0};
+  std::atomic<std::uint64_t> unacked_sends{0};
+  std::atomic<std::uint64_t> triangles{0};
+  std::atomic<std::uint64_t> lookups{0};
+  std::atomic<std::uint64_t> graph_bytes{0};
+  std::atomic<std::uint64_t> partition_bytes{0};
+  std::atomic<std::uint64_t> scratch_bytes{0};
 };
 
 class FlightRecorder {
@@ -64,6 +85,18 @@ class FlightRecorder {
   void instant(const char* name, const char* cat, double value = 0.0);
   void counter(const char* name, const char* cat, double value);
 
+  /// Rank r's gauges. They must outlive every world wired to them:
+  /// mpisim points mailbox queue gauges straight at these atomics.
+  RankGauges& gauges(int rank) {
+    return gauges_[static_cast<std::size_t>(rank)];
+  }
+  /// The installed recorder's gauges for the calling rank thread, or
+  /// nullptr (none installed, a non-rank thread, or a rank past its
+  /// world).
+  static RankGauges* caller_gauges();
+  /// Microseconds since this recorder was made: the clock of its events.
+  double now_us() const;
+
   // --- reading and dumping ----------------------------------------------
   /// A snapshot of every ring as one Chrome trace. Rank ring r is tid
   /// r + 1 ("rank r") and the non-rank ring is tid 0 ("world"). A begin
@@ -72,10 +105,17 @@ class FlightRecorder {
   /// (its begin was overwritten or torn), so spans stay nested. A begin
   /// still open at the snapshot becomes a span ending at the snapshot
   /// with args {"open": 1}. Instants are 'i' and counters 'C' events,
-  /// each with {"value": v}. `otherData` holds ranks, capacity, each
-  /// ring's recorded/dropped counts (`rings`) and the build provenance.
-  /// Safe to call from any thread while ranks keep recording.
+  /// each with {"value": v}. Each rank's nonzero gauges follow its ring
+  /// as 'C' events of category "gauge" at the snapshot time. `otherData`
+  /// holds ranks, capacity, each ring's recorded/dropped counts (`rings`)
+  /// and the build provenance. Safe to call from any thread while ranks
+  /// keep recording.
   Trace trace() const;
+
+  /// The live view: trace() holding, per tid, only the open spans and
+  /// the last value of each counter, gauges included. A rank's phase is
+  /// its innermost open span and its progress the `superstep` counter.
+  Trace live_trace() const;
 
   /// Writes trace(), with `reason` added to its otherData, as
   /// `dir`/flight.json (`dir` created if missing) and returns that path.
@@ -107,6 +147,8 @@ class FlightRecorder {
     std::vector<Slot> slots;
   };
 
+  /// trace() (`live` false) or live_trace() (`live` true).
+  Trace build_trace(bool live) const;
   Ring& ring_for_caller();
   void record(FlightRecord::Kind kind, const char* name, const char* cat,
               double value);
@@ -120,10 +162,18 @@ class FlightRecorder {
   std::size_t capacity_ = 0;
   double epoch_seconds_ = 0.0;
   std::vector<Ring> rings_;  // ranks_ + 1, trailing = non-rank threads
+  std::unique_ptr<RankGauges[]> gauges_;  // atomics: not vector-movable
   std::string auto_dump_dir_;
   std::atomic<bool> auto_dumped_{false};
   std::mutex dump_mutex_;
 };
+
+/// Renders a live view (FlightRecorder::live_trace(), as `tricount_top`
+/// reads it back) as a fixed-width table: per rank its phase, superstep
+/// progress, queue depths, memory gauges and counts, then a totals line,
+/// and a service line when tid 0 carries "service" counters. Throws
+/// std::runtime_error when otherData has no `ranks`.
+std::string render_telemetry(const Trace& live);
 
 /// RAII span on the installed flight recorder; a no-op when none is.
 /// Every span site (preprocessing layers, intersect, shift, collectives,

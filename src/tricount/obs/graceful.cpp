@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "tricount/obs/flight.hpp"
-#include "tricount/obs/telemetry.hpp"
 
 namespace tricount::obs {
 
@@ -12,7 +11,6 @@ namespace {
 
 std::atomic<int> g_shutdown_signal{0};
 std::atomic<int> g_mode{static_cast<int>(ShutdownMode::kFlagOnly)};
-std::atomic<Telemetry*> g_telemetry{nullptr};
 // Written only before handlers can fire (registration happens on the main
 // thread before long-running work); read by the handler.
 std::string g_telemetry_path;  // NOLINT(runtime/string)
@@ -28,12 +26,11 @@ extern "C" void handle_shutdown_signal(int signum) {
   if (FlightRecorder* recorder = FlightRecorder::current()) {
     recorder->try_auto_dump(signum == SIGINT ? "signal:SIGINT"
                                              : "signal:SIGTERM");
-  }
-  Telemetry* telemetry = g_telemetry.load(std::memory_order_relaxed);
-  if (telemetry != nullptr && !g_telemetry_path.empty()) {
-    try {
-      telemetry->publish(g_telemetry_path);
-    } catch (...) {  // a failed flush must not turn shutdown into a crash
+    if (!g_telemetry_path.empty()) {
+      try {
+        recorder->live_trace().publish(g_telemetry_path);
+      } catch (...) {  // a failed flush must not turn shutdown into a crash
+      }
     }
   }
   std::_Exit(0);
@@ -55,9 +52,8 @@ int shutdown_signal() {
   return g_shutdown_signal.load(std::memory_order_relaxed);
 }
 
-void set_shutdown_telemetry(Telemetry* telemetry, const std::string& path) {
+void set_shutdown_telemetry(const std::string& path) {
   g_telemetry_path = path;
-  g_telemetry.store(telemetry, std::memory_order_relaxed);
 }
 
 void reset_shutdown_for_tests() {

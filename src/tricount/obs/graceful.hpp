@@ -10,19 +10,17 @@
 //    shutdown_requested() from its main loop, drains in-flight work,
 //    flushes artifacts itself, and exits 0. This is what tricountd uses.
 //  * kFlushAndExit — for batch tools with no event loop: the handler
-//    auto-dumps the current flight recorder, publishes the current
-//    telemetry snapshot (when a publish path was registered), and
-//    _Exit(0)s. Like the flight fatal-signal path, the flush is not
-//    async-signal-safe — an accepted trade for an artifact that usually
-//    survives (see flight.hpp).
+//    auto-dumps the current flight recorder, publishes its live view
+//    (when a publish path was registered), and _Exit(0)s. Like the
+//    flight fatal-signal path, the flush is not async-signal-safe — an
+//    accepted trade for an artifact that usually survives (see
+//    flight.hpp).
 #pragma once
 
 #include <csignal>
 #include <string>
 
 namespace tricount::obs {
-
-class Telemetry;
 
 enum class ShutdownMode {
   kFlagOnly,      ///< handler sets a flag; owner drains and exits
@@ -39,10 +37,9 @@ bool shutdown_requested();
 /// The signal number that requested shutdown, or 0.
 int shutdown_signal();
 
-/// Registers the telemetry instance + path the kFlushAndExit handler
-/// publishes on signal. Pass nullptr / empty to clear. The instance must
-/// stay valid while registered.
-void set_shutdown_telemetry(Telemetry* telemetry, const std::string& path);
+/// Registers the path the kFlushAndExit handler publishes the current
+/// flight recorder's live view to on signal. Empty clears it.
+void set_shutdown_telemetry(const std::string& path);
 
 /// Clears the shutdown flag (tests raise() real signals).
 void reset_shutdown_for_tests();

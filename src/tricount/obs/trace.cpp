@@ -1,6 +1,10 @@
 #include "tricount/obs/trace.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cstdio>
 #include <limits>
 #include <map>
 #include <stdexcept>
@@ -114,6 +118,154 @@ void lint_messages(const Trace& trace, Violations& violation) {
   }
 }
 
+/// The checks of a service session trace (Service::session_artifact(),
+/// laid out as session_trace declares): one span per executed request,
+/// one instant per shed or rejected request, and the tallies in
+/// otherData.session.
+void lint_session(const Trace& trace, Violations& violation) {
+  namespace st = session_trace;
+  const auto cache_tag = [](std::string_view cat) {
+    return cat == st::kHit || cat == st::kMiss || cat == st::kCoalesced ||
+           cat == st::kNone;
+  };
+  // A failed request's category; an empty one is written as "default".
+  const auto error_code = [&](std::string_view cat) {
+    return !cat.empty() && cat != "default" && !cache_tag(cat);
+  };
+  try {
+    const json::Value& other = trace.other_data();
+    if (const json::Value* ranks = other.find("ranks");
+        ranks == nullptr || !ranks->is_int(1)) {
+      violation("session: otherData.ranks is not an integer >= 1");
+    }
+    const json::Value& session = other.get("session");
+    const std::uint64_t admitted = session.get("admitted").as_uint();
+    const std::uint64_t shed = session.get("shed").as_uint();
+    const std::uint64_t rejected = session.get("rejected").as_uint();
+    if (admitted + shed + rejected != session.get("requests").as_uint()) {
+      violation("session: admitted + shed + rejected != requests");
+    }
+
+    std::uint64_t spans = 0;
+    std::uint64_t shed_instants = 0;
+    std::uint64_t rejected_instants = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t ok_applies = 0;
+    std::uint64_t ok_windows = 0;
+    for (const TraceEvent& e : trace.events()) {
+      const std::string at =
+          (e.ph == 'i' ? "request instant '" : "request span '") + e.name +
+          "'";
+      // The arg `key` when it is an unsigned integer (at most 1 for a
+      // flag), else nullptr and a violation.
+      const auto uint_arg = [&](const char* key, bool flag) -> const double* {
+        const double* v = e.arg(key);
+        if (v != nullptr && json::Value(*v).is_uint() && (!flag || *v <= 1.0)) {
+          return v;
+        }
+        violation(at + ": " + key +
+                  (flag ? " is not 0 or 1" : " is not an unsigned integer"));
+        return nullptr;
+      };
+      if (e.ph == 'i') {
+        if (e.tid != st::kAdmissionTid) {
+          violation(at + ": not on the admission tid");
+        }
+        uint_arg(st::kId, false);
+        if (!error_code(e.cat)) {
+          violation(at + ": shed or rejected request without an error code");
+        }
+        ++(e.cat == "shed" ? shed_instants : rejected_instants);
+        continue;
+      }
+      if (e.ph != 'X') {
+        violation("session: event '" + e.name + "' is neither a request "
+                  "span nor a request instant");
+        continue;
+      }
+      ++spans;
+      if (e.tid != st::kDispatcherTid) {
+        violation(at + ": not on the dispatcher tid");
+      }
+      uint_arg(st::kId, false);
+      uint_arg(st::kGraphVersion, false);
+      uint_arg(st::kBatched, true);
+      const double* ok = uint_arg(st::kOk, true);
+      const double* supersteps = uint_arg(st::kSupersteps, false);
+      const double* queue_us = e.arg(st::kQueueUs);
+      if (queue_us == nullptr || *queue_us < 0.0) {
+        violation(at + ": queue_us is missing or negative");
+      }
+      if ((e.cat == st::kHit || e.cat == st::kCoalesced) &&
+          supersteps != nullptr && *supersteps != 0.0) {
+        violation(at + ": cache " + e.cat + " ran supersteps");
+      }
+      if (e.cat == st::kHit) ++hits;
+      if (ok == nullptr) continue;
+      if (*ok == 0.0) {
+        if (!error_code(e.cat)) {
+          violation(at + ": failed request without an error code");
+        }
+      } else if (!cache_tag(e.cat)) {
+        violation(at + ": unknown cache disposition '" + e.cat + "'");
+      } else if (e.name == "graph.apply") {
+        ++ok_applies;
+      } else if (e.name == "graph.window") {
+        ++ok_windows;
+      }
+    }
+    if (spans != admitted) violation("session: request spans != admitted");
+    if (shed_instants != shed) violation("session: shed instants != shed");
+    if (rejected_instants != rejected) {
+      violation("session: rejected instants != rejected");
+    }
+    if (session.get("cache").get("hits").as_uint() != hits) {
+      violation("session.cache.hits != number of 'hit' spans");
+    }
+
+    // Streaming maintenance: the delta block, the tc.delta.* counters and
+    // the request spans must agree.
+    const json::Value& delta = session.get("delta");
+    const std::uint64_t batches = delta.get("batches").as_uint();
+    if (batches == 0 && (delta.get("edges_applied").as_uint() != 0 ||
+                         delta.get("triangles_added").as_uint() != 0 ||
+                         delta.get("triangles_removed").as_uint() != 0)) {
+      violation("session.delta: nonzero tallies without any batch");
+    }
+    if (const json::Value* metrics = other.find("metrics")) {
+      const json::Value* counters = metrics->find("counters");
+      for (const char* field : {"batches", "edges_applied", "wedges_probed",
+                                "triangles_added", "triangles_removed"}) {
+        const std::string name = std::string("tc.delta.") + field;
+        const json::Value* v =
+            counters != nullptr ? counters->find(name) : nullptr;
+        if ((v != nullptr ? v->as_uint() : 0) != delta.get(field).as_uint()) {
+          violation(std::string("session.delta.") + field +
+                    " != metrics counter " + name);
+        }
+      }
+    }
+    // Every applied batch came from an ok graph.apply or graph.window;
+    // a window that evicted nothing applies no batch.
+    if (batches < ok_applies || batches > ok_applies + ok_windows) {
+      violation("session.delta.batches inconsistent with the ok "
+                "graph.apply/graph.window spans");
+    }
+
+    const json::Value& latency = session.get("latency_us");
+    if (latency.get("count").as_uint() > 0) {
+      const double p50 = latency.get("p50").as_number();
+      const double p95 = latency.get("p95").as_number();
+      const double p99 = latency.get("p99").as_number();
+      if (!(p50 <= p95 && p95 <= p99)) {
+        violation("session.latency_us: quantiles not monotone");
+      }
+    }
+  } catch (const std::exception& e) {
+    violation(std::string("session: otherData.session: ") + e.what());
+  }
+}
+
 }  // namespace
 
 const double* TraceEvent::arg(std::string_view key) const {
@@ -198,6 +350,23 @@ json::Value Trace::to_json() const {
 
 void Trace::write_file(const std::string& path) const {
   json::write_file(to_json(), path);
+}
+
+void Trace::publish(const std::string& path) const {
+  static std::atomic<std::uint64_t> serial{0};
+  const std::string tmp =
+      path + ".tmp." + std::to_string(::getpid()) + "." +
+      std::to_string(serial.fetch_add(1, std::memory_order_relaxed));
+  try {
+    write_file(tmp);
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error("trace: cannot publish " + path);
+  }
 }
 
 Trace Trace::from_json(const json::Value& root) {
@@ -298,6 +467,9 @@ std::vector<std::string> lint_trace(const Trace& trace) {
   }
   if (messages || trace.other_data().find("run") != nullptr) {
     lint_messages(trace, violation);
+  }
+  if (trace.other_data().find("session") != nullptr) {
+    lint_session(trace, violation);
   }
   return violation.list;
 }

@@ -1,14 +1,20 @@
 // Chrome trace-event JSON: the one file format for timed events.
 //
-// Three producers fill the same Trace container:
+// Four producers fill the same Trace container:
 //
 //  * The flight recorder (obs/flight.hpp): FlightRecorder::trace() turns
 //    the measured spans, instants and counters in its per-rank rings into
 //    a Trace, and every flight dump is that trace written to one file.
+//    Its live view (live_trace()) is what `--flight-telemetry` and
+//    `tricountd --telemetry` publish for `tricount_top`.
 //
 //  * The message trace (obs/msgtrace.hpp): MsgTrace::trace() turns each
 //    captured message record into a `msg` span and joins each message's
 //    send to its receive with a flow pair.
+//
+//  * The service session (service/service.hpp): one span per executed
+//    request on the dispatcher's tid, one instant per shed or rejected
+//    request, and the session tallies in `otherData.session`.
 //
 //  * The modeled run trace (core/artifacts.hpp): built after a run from
 //    the per-superstep samples, on a virtual timeline where superstep
@@ -82,6 +88,10 @@ class Trace {
   /// thread names.
   json::Value to_json() const;
   void write_file(const std::string& path) const;
+  /// Writes the trace to `path` atomically: to a temporary name unique to
+  /// this call, then renamed over `path`. A reader never sees a torn
+  /// file, and two writers of one path never share a temporary.
+  void publish(const std::string& path) const;
 
   /// Rebuilds a Trace from to_json() output (or any trace file using the
   /// same subset). Throws std::runtime_error on schema violations.
@@ -93,6 +103,29 @@ class Trace {
   json::Value other_data_ = json::Value::object();
 };
 
+/// The layout of a service session trace, which Service::session_artifact()
+/// writes and lint_trace checks (docs/service.md, "Observability").
+namespace session_trace {
+/// Shed and rejected requests: one instant each, with the `kId` arg.
+inline constexpr int kAdmissionTid = 0;
+/// Executed requests: one span each, with all six args below. The
+/// dispatcher runs one request at a time, so its spans never overlap.
+inline constexpr int kDispatcherTid = 1;
+inline constexpr const char* kId = "id";
+inline constexpr const char* kGraphVersion = "graph_version";
+inline constexpr const char* kBatched = "batched";  ///< 0 or 1
+inline constexpr const char* kOk = "ok";            ///< 0 or 1
+inline constexpr const char* kSupersteps = "supersteps";
+inline constexpr const char* kQueueUs = "queue_us";  ///< admission wait
+/// An ok span's category: its cache disposition. The category of a
+/// failed span, and of every instant, is the request's error code.
+inline constexpr std::string_view kHit = "hit";    ///< from the result cache
+inline constexpr std::string_view kMiss = "miss";  ///< computed and cached
+/// A batch-local duplicate of a miss, answered without computing.
+inline constexpr std::string_view kCoalesced = "coalesced";
+inline constexpr std::string_view kNone = "none";  ///< not cacheable
+}  // namespace session_trace
+
 /// Checks span invariants and returns human-readable violations (empty
 /// means the trace is well formed): non-empty names, non-negative
 /// timestamps/durations, known phase codes, and — per tid — spans that
@@ -102,7 +135,17 @@ class Trace {
 /// its checks: the world size in `otherData.ranks`, each `msg` span's
 /// name and integer args, span ends non-decreasing per tid in file order,
 /// each ring's `recorded` equal to its span count, and — when no ring
-/// dropped records — exactly one 's' and one 'f' per flow id.
+/// dropped records — exactly one 's' and one 'f' per flow id. A trace
+/// with `otherData.session` is a service session (docs/service.md,
+/// "Observability") and also gets its checks: admitted + shed + rejected
+/// equal the requests, one span per admitted request on the dispatcher's
+/// tid and one instant per shed or rejected one on the admission tid,
+/// integer request args (`ok` and `batched` 0 or 1), hits and coalesced
+/// requests ran no superstep, an ok span's category is a cache
+/// disposition and a failed span's or an instant's its error code, the
+/// cache hits equal the `hit` spans, the delta block equals the
+/// `tc.delta.*` counters and agrees with the ok `graph.apply` and
+/// `graph.window` spans, and the latency quantiles are monotone.
 std::vector<std::string> lint_trace(const Trace& trace);
 
 }  // namespace tricount::obs

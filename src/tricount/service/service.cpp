@@ -14,6 +14,7 @@
 #include "tricount/graph/io.hpp"
 #include "tricount/graph/ktruss.hpp"
 #include "tricount/kernels/kernels.hpp"
+#include "tricount/obs/build_info.hpp"
 #include "tricount/util/time.hpp"
 
 namespace tricount::service {
@@ -25,6 +26,52 @@ namespace {
 constexpr const char* kLatencyHistogram = "service.request_latency_us";
 
 double now_us() { return util::wall_seconds() * 1e6; }
+
+/// The session trace's otherData.session: the counters, the cache stats,
+/// the request-latency quantiles and the streaming-maintenance tallies.
+Value session_json(const SessionCounters& counters,
+                   const ResultCache::Stats& cache_stats,
+                   const obs::Snapshot& metrics) {
+  Value session = Value::object();
+  session.set("requests", counters.requests);
+  session.set("admitted", counters.admitted);
+  session.set("shed", counters.shed);
+  session.set("rejected", counters.rejected);
+  session.set("errors", counters.errors);
+  session.set("jobs", counters.jobs);
+  session.set("graph_version", counters.graph_version);
+
+  Value cache = Value::object();
+  cache.set("hits", cache_stats.hits);
+  cache.set("misses", cache_stats.misses);
+  cache.set("evictions", cache_stats.evictions);
+  cache.set("invalidations", cache_stats.invalidations);
+  cache.set("size", static_cast<std::uint64_t>(cache_stats.size));
+  cache.set("capacity", static_cast<std::uint64_t>(cache_stats.capacity));
+  session.set("cache", std::move(cache));
+
+  Value latency = Value::object();
+  auto it = metrics.histograms.find(kLatencyHistogram);
+  if (it != metrics.histograms.end() && it->second.count > 0) {
+    latency.set("count", it->second.count);
+    latency.set("p50", it->second.quantile(0.50));
+    latency.set("p95", it->second.quantile(0.95));
+    latency.set("p99", it->second.quantile(0.99));
+    latency.set("max", it->second.max);
+  } else {
+    latency.set("count", 0);
+  }
+  session.set("latency_us", std::move(latency));
+
+  Value delta = Value::object();
+  delta.set("batches", counters.delta_batches);
+  delta.set("edges_applied", counters.delta_edges_applied);
+  delta.set("wedges_probed", counters.delta_wedges_probed);
+  delta.set("triangles_added", counters.delta_triangles_added);
+  delta.set("triangles_removed", counters.delta_triangles_removed);
+  session.set("delta", std::move(delta));
+  return session;
+}
 
 bool cacheable_verb(const std::string& verb) {
   return verb == "count" || verb == "pervertex" || verb == "clustering" ||
@@ -52,14 +99,10 @@ Service::Service(const ServiceOptions& options, ResponseSink sink)
       sink_(std::move(sink)),
       queue_(options.queue_depth),
       cache_(options.cache_capacity),
+      epoch_us_(now_us()),
       resident_(options.config, options.model) {
   if (mpisim::perfect_square_root(options_.ranks) == 0) {
     throw std::invalid_argument("service: ranks must be a perfect square");
-  }
-  gauges_.queue_capacity.store(options_.queue_depth,
-                               std::memory_order_relaxed);
-  if (obs::Telemetry* telemetry = obs::Telemetry::current()) {
-    telemetry->set_service(&gauges_);
   }
   if (!options_.manual_dispatch) {
     dispatcher_ = std::thread([this] { dispatcher_loop(); });
@@ -70,9 +113,6 @@ Service::~Service() {
   try {
     shutdown();
   } catch (...) {  // a failed artifact flush must not abort teardown
-  }
-  if (obs::Telemetry* telemetry = obs::Telemetry::current()) {
-    if (telemetry->service() == &gauges_) telemetry->set_service(nullptr);
   }
 }
 
@@ -96,8 +136,9 @@ void Service::submit(const std::string& line) {
     row.verb = outcome.request.verb.empty() ? "?" : outcome.request.verb;
     row.ok = false;
     row.error = to_string(outcome.error);
+    row.dispatched = false;
+    row.start_us = now_us();
     record(std::move(row));
-    refresh_gauges();
     return;
   }
 
@@ -123,15 +164,13 @@ void Service::submit(const std::string& line) {
     row.verb = verb;
     row.ok = false;
     row.error = to_string(ErrorCode::kShed);
+    row.dispatched = false;
+    row.start_us = now_us();
     record(std::move(row));
-    refresh_gauges();
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    ++counters_.admitted;
-  }
-  refresh_gauges();
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  ++counters_.admitted;
 }
 
 void Service::dispatcher_loop() {
@@ -157,7 +196,7 @@ void Service::drain() {
 }
 
 void Service::execute_batch(std::vector<Pending> batch) {
-  gauges_.in_flight.store(batch.size(), std::memory_order_relaxed);
+  in_flight_.store(batch.size(), std::memory_order_relaxed);
   const bool batched = batch.size() > 1;
   // Batch-local coalescing when the cache is disabled: identical queries
   // in one sweep still compute once. With the cache on, the first miss is
@@ -175,6 +214,8 @@ void Service::execute_batch(std::vector<Pending> batch) {
     row.verb = request.verb;
     row.graph_version = exec_version;
     row.batched = batched;
+    row.start_us = now_us();
+    row.queue_us = std::max(0.0, row.start_us - pending.submit_us);
 
     // A version-skewed request (admitted under N, executing under N+k)
     // computes fresh and stays out of the cache entirely: serving the
@@ -189,10 +230,10 @@ void Service::execute_batch(std::vector<Pending> batch) {
     std::string response;
     if (use_cache) {
       if (auto hit = cache_.get(key)) {
-        row.cache = "hit";
+        row.cache = obs::session_trace::kHit;
         response = ok_response_raw(request.id, *hit);
       } else if (auto it = computed.find(key); it != computed.end()) {
-        row.cache = "coalesced";
+        row.cache = obs::session_trace::kCoalesced;
         response = ok_response_raw(request.id, it->second);
       }
     }
@@ -204,7 +245,7 @@ void Service::execute_batch(std::vector<Pending> batch) {
         row.supersteps = exec.supersteps;
         if (use_cache && exec.cacheable &&
             graph_version_.load(std::memory_order_relaxed) == exec_version) {
-          row.cache = "miss";
+          row.cache = obs::session_trace::kMiss;
           if (options_.cache_capacity > 0) {
             cache_.put(key, exec.result_json);
           } else {
@@ -219,13 +260,14 @@ void Service::execute_batch(std::vector<Pending> batch) {
         ++counters_.errors;
       }
     }
-    row.latency_us = std::max(0.0, now_us() - pending.submit_us);
-    registry_.histogram(kLatencyHistogram).observe(row.latency_us);
+    const double end_us = now_us();
+    row.dur_us = std::max(0.0, end_us - row.start_us);
+    registry_.histogram(kLatencyHistogram)
+        .observe(std::max(0.0, end_us - pending.submit_us));
     emit(response);
     record(std::move(row));
   }
-  gauges_.in_flight.store(0, std::memory_order_relaxed);
-  refresh_gauges();
+  in_flight_.store(0, std::memory_order_relaxed);
 }
 
 Service::Execution Service::execute(const Request& request) {
@@ -410,7 +452,6 @@ void Service::install_graph(graph::EdgeList simplified,
     std::lock_guard<std::mutex> lock(state_mutex_);
     counters_.graph_version = version;
   }
-  refresh_gauges();
 }
 
 void Service::ensure_world() {
@@ -687,7 +728,6 @@ Service::Execution Service::apply_batch(const stream::Batch& batch,
     counters_.delta_triangles_removed += delta.removed();
     counters_.graph_version = old_version + 1;
   }
-  refresh_gauges();
 
   Value result = Value::object();
   result.set("applied", static_cast<std::uint64_t>(batch.ops.size()));
@@ -876,7 +916,7 @@ std::uint64_t Service::graph_version() const {
 }
 
 std::size_t Service::in_flight() const {
-  return gauges_.in_flight.load(std::memory_order_relaxed);
+  return in_flight_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t Service::jobs_run() const {
@@ -895,21 +935,49 @@ SessionCounters Service::counters() const {
   return counters;
 }
 
-Value Service::session_artifact() const {
-  SessionCounters session = counters();
+obs::Trace Service::session_artifact() const {
+  const SessionCounters counters = this->counters();
   std::vector<RequestRecord> records;
   {
     std::lock_guard<std::mutex> lock(state_mutex_);
     records = records_;
   }
-  return build_session_artifact(options_.ranks, session, cache_.stats(),
-                                registry_.snapshot(), records);
+  const obs::Snapshot metrics = registry_.snapshot();
+
+  namespace st = obs::session_trace;
+  obs::Trace trace;
+  trace.set_thread_name(st::kAdmissionTid, "admission");
+  trace.set_thread_name(st::kDispatcherTid, "dispatcher");
+  for (const RequestRecord& r : records) {
+    const double ts = r.start_us - epoch_us_;
+    const auto id = static_cast<double>(r.id);
+    if (!r.dispatched) {
+      trace.add_instant(st::kAdmissionTid, r.verb, std::string(r.error), ts,
+                        {{st::kId, id}});
+      continue;
+    }
+    trace.add_complete(
+        st::kDispatcherTid, r.verb, std::string(r.ok ? r.cache : r.error), ts,
+        r.dur_us,
+        {{st::kId, id},
+         {st::kGraphVersion, static_cast<double>(r.graph_version)},
+         {st::kBatched, r.batched ? 1.0 : 0.0},
+         {st::kOk, r.ok ? 1.0 : 0.0},
+         {st::kSupersteps, static_cast<double>(r.supersteps)},
+         {st::kQueueUs, r.queue_us}});
+  }
+  Value& other = trace.other_data();
+  other.set("ranks", options_.ranks);
+  other.set("build", obs::build_info_json());
+  other.set("session", session_json(counters, cache_.stats(), metrics));
+  other.set("metrics", metrics.to_json());
+  return trace;
 }
 
 std::string Service::write_session_artifact() const {
   std::filesystem::create_directories(options_.artifacts_dir);
   const std::string path = options_.artifacts_dir + "/service-session.json";
-  obs::json::write_file(session_artifact(), path);
+  session_artifact().write_file(path);
   return path;
 }
 
@@ -921,19 +989,6 @@ void Service::emit(const std::string& line) {
 void Service::record(RequestRecord row) {
   std::lock_guard<std::mutex> lock(state_mutex_);
   records_.push_back(std::move(row));
-}
-
-void Service::refresh_gauges() {
-  const AdmissionQueue::Stats queue = queue_.stats();
-  const ResultCache::Stats cache = cache_.stats();
-  gauges_.queue_depth.store(queue.depth, std::memory_order_relaxed);
-  gauges_.shed.store(queue.shed, std::memory_order_relaxed);
-  gauges_.cache_hits.store(cache.hits, std::memory_order_relaxed);
-  gauges_.cache_misses.store(cache.misses, std::memory_order_relaxed);
-  gauges_.graph_version.store(graph_version_.load(std::memory_order_relaxed),
-                              std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(state_mutex_);
-  gauges_.requests.store(counters_.requests, std::memory_order_relaxed);
 }
 
 }  // namespace tricount::service

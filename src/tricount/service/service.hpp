@@ -9,8 +9,7 @@
 //  * the versioned LRU ResultCache (a graph.load/swap bumps the version
 //    and invalidates), and
 //  * per-request observability: a metrics registry with the request-
-//    latency histogram, ServiceTelemetry gauges for tricount_top, and
-//    the tricount.service.v1 session artifact.
+//    latency histogram, and the session trace (session_artifact()).
 //
 // Threading: submit() may be called from one reader thread (the socket /
 // stdin loop); parse failures and sheds are answered inline, admitted
@@ -27,6 +26,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -36,14 +36,56 @@
 #include "tricount/graph/edge_list.hpp"
 #include "tricount/mpisim/runtime.hpp"
 #include "tricount/obs/metrics.hpp"
-#include "tricount/obs/telemetry.hpp"
+#include "tricount/obs/trace.hpp"
 #include "tricount/service/admission.hpp"
-#include "tricount/service/artifact.hpp"
 #include "tricount/service/cache.hpp"
 #include "tricount/service/protocol.hpp"
 #include "tricount/stream/stream.hpp"
 
 namespace tricount::service {
+
+/// One answered request, as the session trace records it: a span on the
+/// dispatcher's tid, or an instant on the admission tid when it was shed
+/// or rejected there.
+struct RequestRecord {
+  std::uint64_t id = 0;
+  std::string verb;
+  std::uint64_t graph_version = 0;
+  /// The cache disposition (obs::session_trace: hit, miss, coalesced, or
+  /// none on admin and error paths). This and `error` view string
+  /// literals: a session keeps every record.
+  std::string_view cache = obs::session_trace::kNone;
+  bool batched = false;
+  bool ok = true;
+  /// False when shed or rejected at admission: never dispatched.
+  bool dispatched = true;
+  std::string_view error;  ///< error code string (to_string) when !ok
+  double start_us = 0.0;  ///< wall µs the dispatcher took it up (or shed it)
+  double dur_us = 0.0;    ///< from start_us to its response
+  double queue_us = 0.0;  ///< admission wait before start_us
+  /// Counting supersteps this request caused. Cache hits and coalesced
+  /// requests must report 0 — the acceptance criterion "a cache hit
+  /// answers without any counting superstep" is linted, not assumed.
+  std::uint64_t supersteps = 0;
+};
+
+/// Session-level tallies, the session trace's otherData.session.
+struct SessionCounters {
+  std::uint64_t requests = 0;  ///< every line received
+  std::uint64_t admitted = 0;
+  std::uint64_t shed = 0;
+  std::uint64_t rejected = 0;  ///< parse/validation failures
+  std::uint64_t errors = 0;    ///< admitted but failed to execute
+  std::uint64_t jobs = 0;      ///< SPMD jobs run on the world
+  std::uint64_t graph_version = 0;
+  // Streaming-maintenance tallies (docs/streaming.md), mirrored into
+  // the tc.delta.* registry counters; the lint reconciles the two.
+  std::uint64_t delta_batches = 0;         ///< applied delta batches
+  std::uint64_t delta_edges_applied = 0;   ///< ops across those batches
+  std::uint64_t delta_wedges_probed = 0;   ///< kernel elementary lookups
+  std::uint64_t delta_triangles_added = 0;
+  std::uint64_t delta_triangles_removed = 0;
+};
 
 struct ServiceOptions {
   /// World size; must be a perfect square (2D partition).
@@ -57,7 +99,7 @@ struct ServiceOptions {
   /// Requests coalesced per dispatcher sweep (1 = unbatched).
   std::size_t max_batch = 16;
   WireLimits limits;
-  /// Where shutdown() writes the session artifact; empty = don't.
+  /// Where shutdown() writes the session trace; empty = don't.
   std::string artifacts_dir;
   /// Tests: no dispatcher thread; drive dispatch_once()/drain() manually.
   bool manual_dispatch = false;
@@ -88,7 +130,7 @@ class Service {
   void drain();
 
   /// Stops admission, drains the backlog, joins the dispatcher, and
-  /// writes the session artifact (when artifacts_dir is set). Idempotent.
+  /// writes the session trace (when artifacts_dir is set). Idempotent.
   void shutdown();
 
   /// Preloads a graph directly (tests, --graph flag), bypassing the wire
@@ -116,10 +158,13 @@ class Service {
   AdmissionQueue::Stats queue_stats() const;
   SessionCounters counters() const;
   const std::vector<RequestRecord>& records() const { return records_; }
-  /// The tricount.service.v1 session document, buildable at any quiesced
-  /// point (tests lint it without shutting down).
-  obs::json::Value session_artifact() const;
-  /// Writes the session artifact into artifacts_dir; returns the path.
+  /// The session trace (docs/service.md, "Observability"): one span per
+  /// dispatched request on tid 1, one instant per shed or rejected
+  /// request on tid 0, and the tallies, cache stats, latency quantiles
+  /// and metrics snapshot in otherData. Buildable at any quiesced point
+  /// (tests lint it without shutting down).
+  obs::Trace session_artifact() const;
+  /// Writes the session trace into artifacts_dir; returns the path.
   std::string write_session_artifact() const;
 
  private:
@@ -181,14 +226,16 @@ class Service {
   core::RunResult run_tally(core::Tally tally);
   void emit(const std::string& line);
   void record(RequestRecord row);
-  void refresh_gauges();
 
   ServiceOptions options_;
   ResponseSink sink_;
   AdmissionQueue queue_;
   ResultCache cache_;
   obs::Registry registry_;
-  obs::ServiceTelemetry gauges_;
+  /// Wall µs at construction: time zero of the session trace.
+  double epoch_us_ = 0.0;
+  /// Requests of the batch being executed (in_flight()).
+  std::atomic<std::size_t> in_flight_{0};
 
   // Dispatcher-owned state.
   std::unique_ptr<mpisim::PersistentWorld> world_;

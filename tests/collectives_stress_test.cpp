@@ -86,13 +86,19 @@ TEST_P(CollectivesStress, LongMixedSequencesStayInLockstep) {
           }
           break;
         }
-        case 3: {  // exclusive prefix sum
-          const auto mine = static_cast<std::uint64_t>(comm.rank() + round);
+        case 3: {  // inclusive and exclusive prefix sums
+          std::vector<std::uint64_t> mine{
+              static_cast<std::uint64_t>(comm.rank() + round)};
           std::uint64_t expected = 0;
           for (int r = 0; r < comm.rank(); ++r) {
             expected += static_cast<std::uint64_t>(r + round);
           }
-          ASSERT_EQ(exscan_sum(comm, mine), expected);
+          const auto exclusive = scan_and_exscan(
+              comm, mine, std::plus<std::uint64_t>(), std::uint64_t{0});
+          ASSERT_EQ(exclusive, std::vector<std::uint64_t>{expected});
+          ASSERT_EQ(mine, std::vector<std::uint64_t>{
+                              expected + static_cast<std::uint64_t>(
+                                             comm.rank() + round)});
           break;
         }
         case 4: {  // gatherv to a random root, then barrier
@@ -109,12 +115,13 @@ TEST_P(CollectivesStress, LongMixedSequencesStayInLockstep) {
           barrier(comm);
           break;
         }
-        default: {  // allgather of one value
-          const auto all = allgather_value(
-              comm, value_of(seed_, comm.rank(), round, 1));
+        default: {  // allgatherv of one value per rank
+          const auto all = allgatherv(
+              comm, std::vector<std::uint64_t>{
+                        value_of(seed_, comm.rank(), round, 1)});
           for (int r = 0; r < p_; ++r) {
             ASSERT_EQ(all[static_cast<std::size_t>(r)],
-                      value_of(seed_, r, round, 1));
+                      std::vector<std::uint64_t>{value_of(seed_, r, round, 1)});
           }
           break;
         }

@@ -1,70 +1,17 @@
 // Tests for the distributed analytics built on the triangle machinery:
-// label-propagation connected components and distributed k-truss support
-// counting, each validated against its serial reference.
+// distributed k-truss support counting and decomposition, validated
+// against their serial references.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
-#include "tricount/core/components.hpp"
 #include "tricount/core/dist_truss.hpp"
 #include "tricount/graph/generators.hpp"
-#include "tricount/graph/stats.hpp"
 
 namespace tricount::core {
 namespace {
 
 using graph::EdgeList;
-
-TEST(DistComponentsTest, MatchesSerialOnRandomGraphs) {
-  for (const std::uint64_t seed : {1u, 7u, 23u}) {
-    const EdgeList g = graph::simplify(graph::erdos_renyi(300, 500, seed));
-    const auto serial =
-        graph::connected_components(graph::Csr::from_edges(g));
-    for (const int p : {1, 3, 4, 8}) {
-      const DistComponents dist = connected_components_dist(g, p);
-      EXPECT_EQ(dist.num_components, serial.num_components)
-          << "seed=" << seed << " p=" << p;
-      EXPECT_EQ(dist.largest_component, serial.largest_component);
-      // Same partition: labels must induce the same equivalence classes.
-      for (graph::VertexId u = 0; u + 1 < g.num_vertices; ++u) {
-        EXPECT_EQ(dist.label[u] == dist.label[u + 1],
-                  serial.component[u] == serial.component[u + 1]);
-      }
-    }
-  }
-}
-
-TEST(DistComponentsTest, LabelIsComponentMinimum) {
-  EdgeList g;
-  g.num_vertices = 8;
-  g.edges = {{3, 5}, {5, 7}, {2, 6}};
-  g = graph::simplify(std::move(g));
-  const DistComponents dist = connected_components_dist(g, 4);
-  EXPECT_EQ(dist.label[3], 3u);
-  EXPECT_EQ(dist.label[5], 3u);
-  EXPECT_EQ(dist.label[7], 3u);
-  EXPECT_EQ(dist.label[2], 2u);
-  EXPECT_EQ(dist.label[6], 2u);
-  EXPECT_EQ(dist.label[0], 0u);  // isolated keeps its own id
-  EXPECT_EQ(dist.num_components, 5u);
-}
-
-TEST(DistComponentsTest, EmptyGraph) {
-  EdgeList g;
-  g.num_vertices = 0;
-  const DistComponents dist = connected_components_dist(g, 3);
-  EXPECT_EQ(dist.num_components, 0u);
-}
-
-TEST(DistComponentsTest, ConvergesWithinDiameterRounds) {
-  // A path has diameter n-1; label propagation needs O(n) rounds, and
-  // the round counter must reflect that (sanity of the instrumentation).
-  const EdgeList g = graph::simplify(graph::path_graph(20));
-  const DistComponents dist = connected_components_dist(g, 4);
-  EXPECT_EQ(dist.num_components, 1u);
-  EXPECT_GE(dist.rounds, 19);
-  EXPECT_LE(dist.rounds, 25);
-}
 
 class DistTrussSweep
     : public ::testing::TestWithParam<std::tuple<int, int>> {};  // (graph, p)

@@ -2,12 +2,13 @@
 // ring-buffer overwrite/dropped accounting, the trace() snapshot and its
 // one-file Chrome trace dump, the spans of a real run's pipeline layers,
 // the chaos instants, the two automatic dump triggers (chaos crash
-// injection and the hang watchdog) against real runs, the telemetry
-// snapshot/publish/render path, the memory-accounting gauges, and the
-// quantile edge cases the telemetry views depend on.
+// injection and the hang watchdog) against real runs, the live view's
+// publish/render path and its reading of every counting loop, and the
+// quantile edge cases the live views depend on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -30,8 +32,9 @@
 #include "tricount/obs/flight.hpp"
 #include "tricount/obs/json.hpp"
 #include "tricount/obs/metrics.hpp"
-#include "tricount/obs/telemetry.hpp"
+#include "tricount/service/service.hpp"
 #include "tricount/util/build.hpp"
+#include "tricount/util/log.hpp"
 
 namespace tricount {
 namespace {
@@ -303,93 +306,166 @@ TEST(FlightRecorder, WatchdogStallDumpsBeforeFailingTheWorld) {
 
 // --- live telemetry --------------------------------------------------------
 
-TEST(Telemetry, SnapshotPublishesAndRendersAtomically) {
-  obs::Telemetry telemetry(2);
-  telemetry.rank(0).phase.store("tc", std::memory_order_relaxed);
-  telemetry.rank(0).superstep.store(1, std::memory_order_relaxed);
-  telemetry.rank(0).total_supersteps.store(2, std::memory_order_relaxed);
-  telemetry.rank(0).triangles.store(42, std::memory_order_relaxed);
-  telemetry.rank(1).graph_bytes.store(1024, std::memory_order_relaxed);
+/// The events of `ph` on `tid` whose args carry "open".
+std::size_t open_spans(const obs::Trace& trace, int tid) {
+  std::size_t open = 0;
+  for (const obs::TraceEvent& e : trace.events()) {
+    if (e.tid == tid && e.ph == 'X' && e.arg("open") != nullptr) ++open;
+  }
+  return open;
+}
 
-  const obs::json::Value snapshot = telemetry.snapshot_json();
-  EXPECT_EQ(snapshot.get("schema").as_string(), "tricount.telemetry.v1");
-  EXPECT_EQ(snapshot.get("ranks").as_number(), 2.0);
-  EXPECT_EQ(snapshot.get("per_rank").size(), 2u);
-  EXPECT_EQ(snapshot.get("totals").get("triangles").as_number(), 42.0);
-  ASSERT_TRUE(snapshot.find("build") != nullptr);
+TEST(Telemetry, SnapshotPublishesAndRendersAtomically) {
+  obs::FlightRecorder recorder(2, 64);
+  // Rank 0 is inside its intersection of superstep 1 of 2.
+  util::set_current_rank(0);
+  recorder.span_begin("intersect", "tc");
+  recorder.counter("superstep", "tc", 1.0);
+  util::set_current_rank(-1);
+  recorder.gauges(0).total_supersteps.store(2, std::memory_order_relaxed);
+  recorder.gauges(0).triangles.store(42, std::memory_order_relaxed);
+  recorder.gauges(1).graph_bytes.store(1024, std::memory_order_relaxed);
+
+  const obs::Trace live = recorder.live_trace();
+  EXPECT_EQ(live.other_data().get("ranks").as_number(), 2.0);
+  EXPECT_EQ(ring_info(live, 1).get("recorded").as_number(), 2.0);
+  EXPECT_EQ(ring_info(live, 2).get("recorded").as_number(), 0.0);
+  EXPECT_EQ(last_value(live, 1, 'C', "triangles") +
+                std::max(0.0, last_value(live, 2, 'C', "triangles")),
+            42.0);
+  ASSERT_TRUE(live.other_data().find("build") != nullptr);
+  EXPECT_EQ(open_spans(live, 1), 1u);
+  EXPECT_TRUE(obs::lint_trace(live).empty());
 
   // publish() must round-trip through the filesystem with no tmp file
   // left behind.
   const std::string dir = fresh_dump_dir("telemetry");
   const std::string path = dir + "/live.json";
-  telemetry.publish(path);
-  const obs::json::Value reread = obs::json::read_file(path);
-  EXPECT_EQ(reread.get("schema").as_string(), "tricount.telemetry.v1");
+  live.publish(path);
+  const obs::Trace reread = obs::Trace::from_json(obs::json::read_file(path));
+  EXPECT_EQ(reread.other_data().get("ranks").as_number(), 2.0);
   EXPECT_EQ(dump_files(dir).size(), 1u);
 
-  // The rendered table carries the per-rank rows; a wrong schema throws.
+  // The rendered table carries the per-rank rows: the open span is the
+  // phase and the superstep counter the progress. A trace that is no
+  // live view throws.
   const std::string rendered = obs::render_telemetry(reread);
-  EXPECT_NE(rendered.find("tc"), std::string::npos);
+  EXPECT_NE(rendered.find("intersect"), std::string::npos);
   EXPECT_NE(rendered.find("1/2"), std::string::npos);
-  obs::json::Value wrong;
-  wrong.set("schema", "tricount.metrics.v2");
-  EXPECT_THROW(obs::render_telemetry(wrong), std::runtime_error);
+  EXPECT_THROW(obs::render_telemetry(obs::Trace{}), std::runtime_error);
+}
+
+TEST(Telemetry, ConcurrentPublishersNeverTearTheFile) {
+  // A publisher thread and a signal flush may publish one path at once;
+  // a reader must only ever see whole files, and no publish may fail.
+  obs::FlightRecorder recorder(16, 64);
+  for (int r = 0; r < 16; ++r) {
+    recorder.gauges(r).graph_bytes.store(1024u * static_cast<unsigned>(r + 1),
+                                         std::memory_order_relaxed);
+  }
+  const obs::Trace live = recorder.live_trace();
+  const std::string dir = fresh_dump_dir("publishers");
+  const std::string path = dir + "/live.json";
+  live.publish(path);
+
+  constexpr int kPublishes = 3000;
+  std::atomic<int> failed_publishes{0};
+  std::atomic<int> writers{2};
+  const auto publisher = [&] {
+    for (int i = 0; i < kPublishes; ++i) {
+      try {
+        live.publish(path);
+      } catch (const std::exception&) {
+        ++failed_publishes;
+      }
+    }
+    --writers;
+  };
+  int reads = 0;
+  int torn_reads = 0;
+  std::thread a(publisher);
+  std::thread b(publisher);
+  while (writers.load() > 0) {
+    ++reads;
+    try {
+      const obs::Trace seen = obs::Trace::from_json(obs::json::read_file(path));
+      if (seen.events().size() != live.events().size()) ++torn_reads;
+    } catch (const std::exception&) {
+      ++torn_reads;
+    }
+  }
+  a.join();
+  b.join();
+  EXPECT_GT(reads, 0);
+  EXPECT_EQ(torn_reads, 0) << "of " << reads << " reads";
+  EXPECT_EQ(failed_publishes.load(), 0) << "of " << 2 * kPublishes;
+  EXPECT_EQ(dump_files(dir).size(), 1u);  // no temporary left behind
 }
 
 TEST(Telemetry, TracksALiveRunThroughCompletion) {
   const graph::EdgeList g =
       graph::simplify(graph::watts_strogatz(96, 6, 0.2, 11));
+  // `count` runs one count with the recorder installed and returns its
+  // triangles and steps.
   const auto check = [&](int ranks, const auto& count, const char* where) {
-    obs::Telemetry telemetry(ranks);
-    telemetry.install();
-    const core::RunResult r = count();
-    telemetry.uninstall();
+    obs::FlightRecorder recorder(ranks);
+    recorder.install();
+    const auto [triangles, steps] = count();
+    recorder.uninstall();
 
-    const auto steps = static_cast<int>(r.num_shifts());
-    std::uint64_t triangles = 0;
+    const obs::Trace live = recorder.live_trace();
+    EXPECT_TRUE(obs::lint_trace(live).empty()) << where;
+    double sum = 0.0;
     for (int rank = 0; rank < ranks; ++rank) {
-      const obs::RankTelemetry& t = telemetry.rank(rank);
-      EXPECT_STREQ(t.phase.load(std::memory_order_relaxed), "done") << where;
-      // The final update parks superstep at total_supersteps.
-      EXPECT_EQ(t.superstep.load(std::memory_order_relaxed), steps) << where;
-      EXPECT_EQ(t.total_supersteps.load(std::memory_order_relaxed), steps)
+      const int tid = rank + 1;
+      EXPECT_EQ(open_spans(live, tid), 0u) << where << ", rank " << rank;
+      // The last superstep counter reads the step count: "done".
+      EXPECT_EQ(last_value(live, tid, 'C', "superstep"), steps) << where;
+      EXPECT_EQ(last_value(live, tid, 'C', "total_supersteps"), steps)
           << where;
-      EXPECT_GT(t.graph_bytes.load(std::memory_order_relaxed), 0u) << where;
-      EXPECT_GT(t.scratch_bytes.load(std::memory_order_relaxed), 0u) << where;
-      triangles += t.triangles.load(std::memory_order_relaxed);
+      EXPECT_GT(last_value(live, tid, 'C', "graph_bytes"), 0.0) << where;
+      EXPECT_GT(last_value(live, tid, 'C', "scratch_bytes"), 0.0) << where;
+      sum += std::max(0.0, last_value(live, tid, 'C', "triangles"));
     }
-    EXPECT_EQ(triangles, static_cast<std::uint64_t>(r.triangles)) << where;
+    EXPECT_EQ(sum, triangles) << where;
+    EXPECT_NE(obs::render_telemetry(live).find(
+                  std::to_string(static_cast<int>(steps)) + "/" +
+                  std::to_string(static_cast<int>(steps))),
+              std::string::npos)
+        << where;
   };
-  check(4, [&] { return core::count_triangles_2d(g, 4); }, "2d, q = 2");
+  const auto run = [](const core::RunResult& r) {
+    return std::pair{static_cast<double>(r.triangles),
+                     static_cast<double>(r.num_shifts())};
+  };
+  check(4, [&] { return run(core::count_triangles_2d(g, 4)); }, "2d, q = 2");
   core::SummaOptions summa;
   summa.grid_rows = 2;
   summa.grid_cols = 3;
-  check(6, [&] { return core::count_triangles_summa(g, summa); },
+  check(6, [&] { return run(core::count_triangles_summa(g, summa)); },
         "summa 2x3");
-}
-
-TEST(Telemetry, ExportsMemoryGaugesThatRoundTripThroughSnapshots) {
-  obs::Telemetry telemetry(2);
-  telemetry.rank(0).graph_bytes.store(100, std::memory_order_relaxed);
-  telemetry.rank(1).graph_bytes.store(28, std::memory_order_relaxed);
-  telemetry.rank(0).partition_bytes.store(64, std::memory_order_relaxed);
-  telemetry.rank(1).scratch_bytes.store(32, std::memory_order_relaxed);
-  telemetry.rank(0).mailbox_bytes.store(16, std::memory_order_relaxed);
-
-  obs::Registry registry;
-  registry.counter("tc.triangles").inc(9);
-  telemetry.export_memory_gauges(registry);
-
-  // The gauges survive a JSON round trip alongside ordinary metrics —
-  // the contract ad-hoc consumers (not the run artifact) rely on.
-  const obs::Snapshot before = registry.snapshot();
-  const obs::Snapshot after = obs::Snapshot::from_json(before.to_json());
-  EXPECT_EQ(after, before);
-  EXPECT_DOUBLE_EQ(after.gauges.at("obs.mem.graph_bytes"), 128.0);
-  EXPECT_DOUBLE_EQ(after.gauges.at("obs.mem.partition_bytes"), 64.0);
-  EXPECT_DOUBLE_EQ(after.gauges.at("obs.mem.scratch_bytes"), 32.0);
-  EXPECT_DOUBLE_EQ(after.gauges.at("obs.mem.mailbox_bytes"), 16.0);
-  EXPECT_EQ(after.counters.at("tc.triangles"), 9u);
+  check(3, [&] { return run(cetric::count_triangles_cetric(g, 3)); },
+        "cetric, 3 ranks");
+  // A served 2D count: the daemon's path through the resident partition.
+  check(
+      4,
+      [&] {
+        service::ServiceOptions options;
+        options.manual_dispatch = true;
+        std::vector<std::string> responses;
+        service::Service svc(options, [&](const std::string& line) {
+          responses.push_back(line);
+        });
+        svc.load_graph(g, "ws96");
+        svc.submit(R"({"id":1,"verb":"count","params":{"algo":"2d"}})");
+        svc.drain();
+        const obs::json::Value response =
+            obs::json::Value::parse(responses.back());
+        return std::pair{
+            response.get("result").get("triangles").as_number(),
+            static_cast<double>(svc.records().back().supersteps)};
+      },
+      "served 2d");
 }
 
 // --- quantile edge cases (feeds tricount_top / the perf report) ------------

@@ -457,51 +457,6 @@ TEST(CollectivesGroup, NonMemberCallThrows) {
   });
 }
 
-TEST_P(CollectivesTest, ScattervDeliversPerRankBuckets) {
-  const int p = GetParam();
-  run_world(p, [&](Comm& comm) {
-    std::vector<std::vector<int>> buckets;
-    if (comm.rank() == 0) {
-      buckets.resize(static_cast<std::size_t>(p));
-      for (int r = 0; r < p; ++r) {
-        buckets[static_cast<std::size_t>(r)].assign(
-            static_cast<std::size_t>(r + 1), r * 7);
-      }
-    }
-    const auto mine = scatterv(comm, buckets, 0);
-    EXPECT_EQ(mine.size(), static_cast<std::size_t>(comm.rank() + 1));
-    for (const int v : mine) EXPECT_EQ(v, comm.rank() * 7);
-  });
-}
-
-TEST_P(CollectivesTest, ReduceScatterBlock) {
-  const int p = GetParam();
-  run_world(p, [&](Comm& comm) {
-    // Every rank contributes vector [0, 1, ..., 2p-1] scaled by its rank+1.
-    std::vector<std::uint64_t> data(static_cast<std::size_t>(2 * p));
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      data[i] = i * static_cast<std::size_t>(comm.rank() + 1);
-    }
-    const auto mine =
-        reduce_scatter_block(comm, data, std::plus<std::uint64_t>());
-    // Reduced element i = i * sum(1..p); rank r owns elements [2r, 2r+2).
-    const std::uint64_t scale =
-        static_cast<std::uint64_t>(p) * static_cast<std::uint64_t>(p + 1) / 2;
-    ASSERT_EQ(mine.size(), 2u);
-    EXPECT_EQ(mine[0], static_cast<std::uint64_t>(2 * comm.rank()) * scale);
-    EXPECT_EQ(mine[1], static_cast<std::uint64_t>(2 * comm.rank() + 1) * scale);
-  });
-}
-
-TEST_P(CollectivesTest, ScanAndExscanSum) {
-  const int p = GetParam();
-  run_world(p, [&](Comm& comm) {
-    const int r = comm.rank();
-    EXPECT_EQ(exscan_sum(comm, r + 1), r * (r + 1) / 2);
-    EXPECT_EQ(scan_sum(comm, r + 1), (r + 1) * (r + 2) / 2);
-  });
-}
-
 TEST_P(CollectivesTest, VectorScanExscan) {
   const int p = GetParam();
   run_world(p, [&](Comm& comm) {
@@ -522,7 +477,9 @@ TEST_P(CollectivesTest, BackToBackCollectivesDoNotInterfere) {
     for (int i = 0; i < 10; ++i) {
       EXPECT_EQ(allreduce_sum(comm, 1), p);
       barrier(comm);
-      EXPECT_EQ(bcast_value(comm, comm.rank() == i % p ? 99 : -1, i % p), 99);
+      std::vector<int> data{comm.rank() == i % p ? 99 : -1};
+      bcast(comm, data, i % p);
+      EXPECT_EQ(data, std::vector<int>{99});
     }
   });
 }

@@ -154,7 +154,7 @@ elseif(MODE STREQUAL "flightoff")
     message(FATAL_ERROR "perf_gate: missing baseline ${BASELINE}")
   endif()
   set(FLIGHTOFF ${WORK_DIR}/${DATASET}_r${RANKS}_flightoff.json)
-  # --flight off skips recorder/telemetry install entirely; the artifact
+  # --flight off skips the recorder install entirely; the artifact
   # must diff clean against the (default, flight-on) baseline.
   run_count(${FLIGHTOFF} --flight off)
   execute_process(

@@ -13,8 +13,9 @@
 # cache hits, clustering, per-vertex, approx, streaming verbs, shutdown).
 # It asserts the daemon exits 0, every served triangle count equals the
 # CLI's reference — including a 2d recount after a graph.apply insert
-# and its reverting delete — the cache saw hits, and the session
-# artifact passes `tricount_trace_lint --service`.
+# and its reverting delete — the cache saw hits, and the session trace
+# passes the plain `tricount_trace_lint FILE`, which runs the session
+# checks on any trace with an `otherData.session`.
 #
 # Parts 2 and 3: socket-mode sessions through tricount_client, run as a
 # concurrent execute_process pipeline (daemon + client side by side).
@@ -120,10 +121,10 @@ if(NOT ${responses} MATCHES "\"sparsified_triangles\":${EXPECTED}")
 endif()
 
 execute_process(
-  COMMAND ${LINT} --service ${ARTIFACTS}/service-session.json
+  COMMAND ${LINT} ${ARTIFACTS}/service-session.json
   RESULT_VARIABLE status)
 if(NOT status EQUAL 0)
-  message(FATAL_ERROR "service_gate: session artifact failed lint (${status})")
+  message(FATAL_ERROR "service_gate: session trace failed lint (${status})")
 endif()
 message(STATUS "service_gate: OK (${EXPECTED} triangles across 6 served counts)")
 

@@ -5,8 +5,8 @@
 // served-equals-library equivalence corpus (every verb, before and after
 // graph.apply), once-per-version resident builds, self-healing after a
 // failed rank (with a seeded failure campaign), the warm-vs-cold
-// speedup acceptance gate, graceful-shutdown signal handling, and
-// tricount.service.v1 artifact linting.
+// speedup acceptance gate, graceful-shutdown signal handling, and the
+// session trace's lint.
 //
 // Services here run with manual_dispatch: submit() parses and admits,
 // the test thread drives dispatch_once()/drain(), and every response
@@ -45,6 +45,7 @@
 #include "tricount/graph/ktruss.hpp"
 #include "tricount/obs/graceful.hpp"
 #include "tricount/obs/json.hpp"
+#include "tricount/obs/trace.hpp"
 #include "tricount/service/service.hpp"
 #include "tricount/util/rng.hpp"
 #include "tricount/util/time.hpp"
@@ -1108,9 +1109,10 @@ TEST(ServiceEquivalence, PervertexTopMatchesAFullSortOnTies) {
 // --- resident state: each piece built once per graph version -------------
 
 std::uint64_t resident_builds(const Harness& h, const std::string& piece) {
-  const Value artifact = h.svc.session_artifact();
-  const Value* value = artifact.get("metrics").get("counters").find(
-      "tc.resident.builds." + piece);
+  const obs::Trace artifact = h.svc.session_artifact();
+  const Value* value =
+      artifact.other_data().get("metrics").get("counters").find(
+          "tc.resident.builds." + piece);
   return value != nullptr ? value->as_uint() : 0;
 }
 
@@ -1277,9 +1279,10 @@ namespace {
 using service::ServiceTestPeer;
 
 std::uint64_t recoveries(const service::Service& svc) {
-  const Value artifact = svc.session_artifact();
+  const obs::Trace artifact = svc.session_artifact();
   const Value* value =
-      artifact.get("metrics").get("counters").find("tc.service.recoveries");
+      artifact.other_data().get("metrics").get("counters").find(
+          "tc.service.recoveries");
   return value != nullptr ? value->as_uint() : 0;
 }
 
@@ -1481,7 +1484,13 @@ TEST(ServiceGraceful, ShutdownVerbStopsAndShutdownDrains) {
   EXPECT_EQ(h.responses.size(), 2u);
 }
 
-// --- session artifact ----------------------------------------------------
+// --- session trace -------------------------------------------------------
+
+std::string joined(const std::vector<std::string>& violations) {
+  std::string out;
+  for (const auto& v : violations) out += v + "\n  ";
+  return out;
+}
 
 TEST(ServiceArtifact, MixedSessionLintsClean) {
   service::ServiceOptions options;
@@ -1505,41 +1514,145 @@ TEST(ServiceArtifact, MixedSessionLintsClean) {
   h.svc.submit("{\"id\":7,\"verb\":\"hello\"}");  // queue_depth 3: shed
   h.svc.drain();
 
-  const Value artifact = h.svc.session_artifact();
-  const std::vector<std::string> violations = service::lint_service(artifact);
+  const obs::Trace artifact = h.svc.session_artifact();
+  const std::vector<std::string> violations = obs::lint_trace(artifact);
   EXPECT_TRUE(violations.empty())
-      << "lint violations:\n  "
-      << [&violations] {
-           std::string joined;
-           for (const auto& v : violations) joined += v + "\n  ";
-           return joined;
-         }();
+      << "lint violations:\n  " << joined(violations);
 
   const std::string path = h.svc.write_session_artifact();
   EXPECT_TRUE(std::filesystem::exists(path));
-  EXPECT_TRUE(service::lint_service(obs::json::read_file(path)).empty());
+  EXPECT_TRUE(obs::lint_trace(obs::Trace::from_json(obs::json::read_file(path)))
+                  .empty());
+}
+
+/// Whether lint_trace(trace) reports a violation containing `what`.
+bool flags(const obs::Trace& trace, const std::string& what) {
+  const std::vector<std::string> violations = obs::lint_trace(trace);
+  return std::any_of(violations.begin(), violations.end(),
+                     [&](const std::string& v) {
+                       return v.find(what) != std::string::npos;
+                     });
+}
+
+/// `trace` rebuilt with `edit` applied to each of its spans and instants
+/// (the only events a session trace holds); otherData is kept.
+obs::Trace edited(const obs::Trace& trace,
+                  const std::function<void(obs::TraceEvent&)>& edit) {
+  obs::Trace out;
+  out.other_data() = trace.other_data();
+  for (obs::TraceEvent e : trace.events()) {
+    edit(e);
+    if (e.ph == 'X') {
+      out.add_complete(e.tid, e.name, e.cat, e.ts_us, e.dur_us, e.args);
+    } else {
+      out.add_instant(e.tid, e.name, e.cat, e.ts_us, e.args);
+    }
+  }
+  return out;
+}
+
+void set_arg(obs::TraceEvent& e, const std::string& key, double value) {
+  for (auto& [name, v] : e.args) {
+    if (name == key) v = value;
+  }
 }
 
 TEST(ServiceArtifact, LintCatchesBrokenDocuments) {
   Harness h;
   h.svc.load_graph(test_support::corpus()[0].graph, "corpus0");
   served_triangles(h, count_request(1, "2d"));
-  Value artifact = h.svc.session_artifact();
-  ASSERT_TRUE(service::lint_service(artifact).empty());
+  served_triangles(h, count_request(2, "2d"));  // a cache hit
+  const obs::Trace artifact = h.svc.session_artifact();
+  ASSERT_TRUE(obs::lint_trace(artifact).empty())
+      << joined(obs::lint_trace(artifact));
+  ASSERT_EQ(std::count_if(artifact.events().begin(), artifact.events().end(),
+                          [](const obs::TraceEvent& e) {
+                            return e.cat == "hit";
+                          }),
+            1);
 
-  Value wrong_schema = Value::parse(artifact.dump());
-  wrong_schema.set("schema", "tricount.metrics.v3");
-  EXPECT_FALSE(service::lint_service(wrong_schema).empty());
+  // A malformed otherData.session: its counters are missing.
+  obs::Trace malformed = artifact;
+  malformed.other_data().set("session", Value::object());
+  EXPECT_TRUE(flags(malformed, "otherData.session"));
 
-  // The compact dump's first "requests" key is session.requests (the
-  // requests array comes later); corrupt it and the counter
-  // reconciliation must fire.
-  std::string dump = artifact.dump();
-  const std::string needle = "\"requests\":1,";
-  const std::size_t at = dump.find(needle);
-  ASSERT_NE(at, std::string::npos);
-  dump.replace(at, needle.size(), "\"requests\":99,");
-  EXPECT_FALSE(service::lint_service(Value::parse(dump)).empty());
+  // otherData.session with `key` of `block` ("" = the session itself)
+  // set to `value`.
+  const auto with_session = [&](const std::string& block,
+                                const std::string& key, std::uint64_t value) {
+    obs::Trace out = artifact;
+    Value session = out.other_data().get("session");
+    if (block.empty()) {
+      session.set(key, value);
+    } else {
+      Value inner = session.get(block);
+      inner.set(key, value);
+      session.set(block, std::move(inner));
+    }
+    out.other_data().set("session", std::move(session));
+    return out;
+  };
+  EXPECT_TRUE(flags(with_session("", "requests", 99),
+                    "admitted + shed + rejected != requests"));
+  EXPECT_TRUE(flags(with_session("cache", "hits", 5), "session.cache.hits"));
+  EXPECT_TRUE(flags(with_session("delta", "edges_applied", 5),
+                    "nonzero tallies without any batch"));
+
+  // One span per admitted request, one instant per shed request.
+  obs::Trace spanless;
+  spanless.other_data() = artifact.other_data();
+  EXPECT_TRUE(flags(spanless, "request spans != admitted"));
+  obs::Trace unknown_shed = artifact;
+  unknown_shed.add_instant(0, "count", "shed", 0.0, {{"id", 3.0}});
+  EXPECT_TRUE(flags(unknown_shed, "shed instants != shed"));
+
+  // A cache hit that ran counting supersteps, and a failed request
+  // without an error code.
+  EXPECT_TRUE(flags(edited(artifact,
+                           [](obs::TraceEvent& e) {
+                             if (e.cat == "hit") set_arg(e, "supersteps", 2.0);
+                           }),
+                    "cache hit ran supersteps"));
+  EXPECT_TRUE(flags(edited(artifact,
+                           [](obs::TraceEvent& e) {
+                             if (e.cat == "miss") set_arg(e, "ok", 0.0);
+                           }),
+                    "failed request without an error code"));
+
+  // A request's args are unsigned integers, `ok` and `batched` 0 or 1.
+  for (const char* key : {"id", "graph_version", "supersteps"}) {
+    for (const double bad : {1.5, -1.0}) {
+      EXPECT_TRUE(flags(edited(artifact,
+                               [&](obs::TraceEvent& e) {
+                                 if (e.cat == "miss") set_arg(e, key, bad);
+                               }),
+                        std::string(key) + " is not an unsigned integer"))
+          << key << " = " << bad;
+    }
+  }
+  for (const char* key : {"ok", "batched"}) {
+    EXPECT_TRUE(flags(edited(artifact,
+                             [&](obs::TraceEvent& e) {
+                               if (e.cat == "miss") set_arg(e, key, 2.0);
+                             }),
+                      std::string(key) + " is not 0 or 1"))
+        << key;
+  }
+
+  // A shed or rejected request's instant carries an integer id and its
+  // error code; an executed request's span sits on the dispatcher's tid.
+  for (const std::string cat : {"", "miss"}) {
+    obs::Trace uncoded = artifact;
+    uncoded.add_instant(0, "count", cat, 0.0, {{"id", 3.0}});
+    EXPECT_TRUE(flags(uncoded,
+                      "shed or rejected request without an error code"))
+        << "'" << cat << "'";
+  }
+  obs::Trace idless = artifact;
+  idless.add_instant(0, "bogus", "bad_verb", 0.0, {{"id", 2.5}});
+  EXPECT_TRUE(flags(idless, "id is not an unsigned integer"));
+  EXPECT_TRUE(flags(edited(artifact, [](obs::TraceEvent& e) { e.tid = 0; }),
+                    "not on the dispatcher tid"));
 }
 
 }  // namespace

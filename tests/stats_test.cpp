@@ -1,5 +1,5 @@
-// Tests for the structural statistics module: degree summaries, log
-// histograms, assortativity, connected components, and 2-core size.
+// Tests for the structural statistics module: degree summaries,
+// assortativity, connected components, and 2-core size.
 #include <gtest/gtest.h>
 
 #include "tricount/graph/generators.hpp"
@@ -35,34 +35,6 @@ TEST(DegreeStatsTest, EmptyAndIsolated) {
   g.edges = {{0, 1}};
   const DegreeStats stats = degree_stats(Csr::from_edges(g));
   EXPECT_EQ(stats.isolated_vertices, 3u);
-}
-
-TEST(DegreeHistogram, BinsByLog2) {
-  // Star(8): hub degree 8 -> bin 3; eight leaves degree 1 -> bin 0.
-  const auto bins = degree_histogram_log2(csr_of(star_graph(8)));
-  ASSERT_EQ(bins.size(), 4u);
-  EXPECT_EQ(bins[0], 8u);
-  EXPECT_EQ(bins[1], 0u);
-  EXPECT_EQ(bins[2], 0u);
-  EXPECT_EQ(bins[3], 1u);
-}
-
-TEST(DegreeHistogram, TotalsMatchNonIsolatedVertices) {
-  const Csr csr = csr_of(rmat([] {
-    RmatParams p;
-    p.scale = 9;
-    p.edge_factor = 6;
-    p.seed = 8;
-    return p;
-  }()));
-  const auto bins = degree_histogram_log2(csr);
-  VertexId total = 0;
-  for (const VertexId b : bins) total += b;
-  VertexId non_isolated = 0;
-  for (VertexId v = 0; v < csr.num_vertices(); ++v) {
-    if (csr.degree(v) > 0) ++non_isolated;
-  }
-  EXPECT_EQ(total, non_isolated);
 }
 
 TEST(Assortativity, RegularGraphIsDegenerate) {

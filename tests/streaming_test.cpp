@@ -902,8 +902,8 @@ TEST(StreamService, ApplyMaintainsServedCounts) {
   EXPECT_EQ(stats.get("result").get("triangles").as_uint(),
             shadow.triangles());
 
-  // The session artifact (with its delta block) lints clean.
-  EXPECT_TRUE(service::lint_service(h.svc.session_artifact()).empty());
+  // The session trace (with its delta block) lints clean.
+  EXPECT_TRUE(obs::lint_trace(h.svc.session_artifact()).empty());
 }
 
 TEST(StreamService, ApplyInvalidatesCacheSurgically) {
@@ -972,7 +972,7 @@ TEST(StreamService, TypedErrorsOverTheWire) {
                 .get("batches")
                 .as_uint(),
             0u);
-  EXPECT_TRUE(service::lint_service(h.svc.session_artifact()).empty());
+  EXPECT_TRUE(obs::lint_trace(h.svc.session_artifact()).empty());
 }
 
 TEST(StreamService, WindowEvictionOverTheWire) {
@@ -1033,9 +1033,10 @@ TEST(StreamService, SampledEstimatorOverTheWire) {
 }
 
 std::uint64_t resident_builds_2d(const Harness& h) {
-  const Value artifact = h.svc.session_artifact();
-  const Value* value = artifact.get("metrics").get("counters").find(
-      "tc.resident.builds.2d");
+  const obs::Trace artifact = h.svc.session_artifact();
+  const Value* value =
+      artifact.other_data().get("metrics").get("counters").find(
+          "tc.resident.builds.2d");
   return value != nullptr ? value->as_uint() : 0;
 }
 

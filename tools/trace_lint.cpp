@@ -1,14 +1,15 @@
 // tricount_trace_lint — validates a Chrome trace-event JSON file (a
-// modeled run trace, a flight dump or a message trace) against the
-// invariants obs::lint_trace checks: parseable JSON, known phase codes,
-// named events, non-negative timestamps, per-timeline spans that nest or
-// are disjoint (no partial overlap), and, for a message trace, its `msg`
-// spans' args, its rings' counts and its flow pairs.
+// modeled run trace, a flight dump, a live view, a message trace or a
+// service session) against the invariants obs::lint_trace checks:
+// parseable JSON, known phase codes, named events, non-negative
+// timestamps, per-timeline spans that nest or are disjoint (no partial
+// overlap), for a message trace its `msg` spans' args, its rings' counts
+// and its flow pairs, and for a service session its request spans and
+// instants against the session tallies.
 //
 // Usage:
 //   tricount_trace_lint FILE.json...            lint trace files; exit 1 on any violation
 //   tricount_trace_lint --metrics FILE.json...  schema-validate tricount.metrics.v3 files
-//   tricount_trace_lint --service FILE.json...  validate tricount.service.v1 session artifacts
 //   tricount_trace_lint --selftest              run the built-in good/bad fixtures
 #include <cstdio>
 #include <cstring>
@@ -19,7 +20,6 @@
 #include "tricount/obs/flight.hpp"
 #include "tricount/obs/json.hpp"
 #include "tricount/obs/trace.hpp"
-#include "tricount/service/artifact.hpp"
 #include "tricount/util/build.hpp"
 
 namespace {
@@ -58,14 +58,6 @@ std::vector<std::string> lint_metrics_file(const obs::json::Value& root,
                                            std::string& summary) {
   summary = obs::analysis::kMetricsSchema;
   return obs::analysis::lint_metrics(root);
-}
-
-std::vector<std::string> lint_service_file(const obs::json::Value& root,
-                                           std::string& summary) {
-  const obs::json::Value* requests = root.find("requests");
-  summary = std::to_string(requests != nullptr ? requests->size() : 0) +
-            " requests";
-  return service::lint_service(root);
 }
 
 int selftest() {
@@ -228,72 +220,6 @@ int selftest() {
     ++failures;
   }
 
-  // --- tricount.service.v1 fixtures ---------------------------------------
-
-  // Parameterized minimal session artifact: one miss then one hit of the
-  // same count query. The defaults are lint-clean; each bad fixture
-  // swaps one field.
-  auto service_fixture = [](const char* schema, std::uint64_t hits,
-                            std::uint64_t hit_supersteps) {
-    char buf[1536];
-    std::snprintf(
-        buf, sizeof buf,
-        R"({"schema":"%s","build":{},"ranks":4,"session":{)"
-        R"("requests":2,"admitted":2,"shed":0,"rejected":0,"errors":0,)"
-        R"("jobs":2,"graph_version":1,)"
-        R"("delta":{"batches":0,"edges_applied":0,"wedges_probed":0,)"
-        R"("triangles_added":0,"triangles_removed":0},)"
-        R"("cache":{"hits":%llu,"misses":1,"evictions":0,"invalidations":0,)"
-        R"("size":1,"capacity":128},)"
-        R"("latency_us":{"count":2,"p50":10.0,"p95":90.0,"p99":99.0,)"
-        R"("max":100.0}},"metrics":{"counters":{},"gauges":{},)"
-        R"("histograms":{}},"requests":[)"
-        R"({"id":1,"verb":"count","graph_version":1,"cache":"miss",)"
-        R"("batched":false,"ok":true,"latency_us":100.0,"supersteps":2},)"
-        R"({"id":2,"verb":"count","graph_version":1,"cache":"hit",)"
-        R"("batched":false,"ok":true,"latency_us":10.0,"supersteps":%llu}]})",
-        schema, static_cast<unsigned long long>(hits),
-        static_cast<unsigned long long>(hit_supersteps));
-    return obs::json::Value::parse(buf);
-  };
-  if (!service::lint_service(service_fixture("tricount.service.v1", 1, 0))
-           .empty()) {
-    std::fprintf(stderr, "selftest: clean service artifact flagged\n");
-    ++failures;
-  }
-  // A cache hit that ran counting supersteps violates the resident-
-  // partition contract and must be flagged.
-  if (service::lint_service(service_fixture("tricount.service.v1", 1, 2))
-          .empty()) {
-    std::fprintf(stderr, "selftest: service hit-with-supersteps not flagged\n");
-    ++failures;
-  }
-  // Hit accounting that disagrees with the records must be flagged.
-  if (service::lint_service(service_fixture("tricount.service.v1", 5, 0))
-          .empty()) {
-    std::fprintf(stderr, "selftest: service hit mismatch not flagged\n");
-    ++failures;
-  }
-  if (service::lint_service(service_fixture("tricount.service.v999", 1, 0))
-          .empty()) {
-    std::fprintf(stderr, "selftest: bad service schema not flagged\n");
-    ++failures;
-  }
-  // Delta tallies without any applied batch are unaccounted streaming
-  // work and must be flagged (docs/streaming.md reconciliation).
-  {
-    std::string broken =
-        service_fixture("tricount.service.v1", 1, 0).dump();
-    const std::string zero = R"("delta":{"batches":0,"edges_applied":0)";
-    const std::string bad = R"("delta":{"batches":0,"edges_applied":5)";
-    broken.replace(broken.find(zero), zero.size(), bad);
-    if (service::lint_service(obs::json::Value::parse(broken)).empty()) {
-      std::fprintf(stderr,
-                   "selftest: batchless delta tallies not flagged\n");
-      ++failures;
-    }
-  }
-
   if (failures == 0) std::printf("selftest: OK\n");
   return failures == 0 ? 0 : 1;
 }
@@ -304,8 +230,7 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: tricount_trace_lint <FILE.json...|--metrics "
-                 "FILE.json...|--service FILE.json...|--selftest|"
-                 "--version>\n");
+                 "FILE.json...|--selftest|--version>\n");
     return 2;
   }
   if (std::strcmp(argv[1], "--selftest") == 0) return selftest();
@@ -315,17 +240,14 @@ int main(int argc, char** argv) {
     return 0;
   }
   const bool metrics_mode = std::strcmp(argv[1], "--metrics") == 0;
-  const bool service_mode = std::strcmp(argv[1], "--service") == 0;
-  const bool has_mode = metrics_mode || service_mode;
-  if (has_mode && argc < 3) {
+  if (metrics_mode && argc < 3) {
     std::fprintf(stderr, "usage: tricount_trace_lint %s FILE...\n", argv[1]);
     return 2;
   }
   int status = 0;
-  for (int i = has_mode ? 2 : 1; i < argc; ++i) {
-    status |= metrics_mode   ? lint_path(argv[i], lint_metrics_file)
-              : service_mode ? lint_path(argv[i], lint_service_file)
-                             : lint_path(argv[i], lint_trace_file);
+  for (int i = metrics_mode ? 2 : 1; i < argc; ++i) {
+    status |= metrics_mode ? lint_path(argv[i], lint_metrics_file)
+                           : lint_path(argv[i], lint_trace_file);
   }
   return status;
 }

@@ -49,7 +49,6 @@
 #include "tricount/obs/flight.hpp"
 #include "tricount/obs/graceful.hpp"
 #include "tricount/obs/msgtrace.hpp"
-#include "tricount/obs/telemetry.hpp"
 #include "tricount/util/argparse.hpp"
 #include "tricount/util/build.hpp"
 #include "tricount/util/log.hpp"
@@ -216,8 +215,8 @@ void print_comm_heatmap(const mpisim::CommMatrix& matrix) {
   print_comm_heatmap(bytes);
 }
 
-/// Owns the flight recorder, live telemetry, and the optional snapshot
-/// publisher thread for one `count` run (docs/observability.md). Scope
+/// Owns the flight recorder and the optional publisher thread of its live
+/// view for one `count` run (docs/observability.md). Scope
 /// exit tears everything down — including during exception unwinding, so
 /// a watchdog-stall ChaosError still leaves the auto dump behind and no
 /// installed recorder dangling.
@@ -233,12 +232,10 @@ class FlightSession {
     recorder_->set_auto_dump_dir(dump_dir_);
     recorder_->install();
     obs::FlightRecorder::install_signal_handlers();
-    telemetry_ = std::make_unique<obs::Telemetry>(ranks);
-    telemetry_->install();
     telemetry_path_ = args.get("flight-telemetry");
     // Operator signals (ctrl-C, kill) salvage the same artifacts the
     // fatal-signal path does, then exit 0 instead of dying mid-run.
-    obs::set_shutdown_telemetry(telemetry_.get(), telemetry_path_);
+    obs::set_shutdown_telemetry(telemetry_path_);
     obs::install_shutdown_handlers(obs::ShutdownMode::kFlushAndExit);
     if (!telemetry_path_.empty()) {
       const auto interval = std::chrono::milliseconds(std::max<long long>(
@@ -249,7 +246,7 @@ class FlightSession {
         while (!stop_) {
           lock.unlock();
           try {
-            telemetry_->publish(telemetry_path_);
+            recorder_->live_trace().publish(telemetry_path_);
           } catch (const std::exception&) {
             // Best-effort: a failed snapshot must never fail the run.
           }
@@ -261,7 +258,7 @@ class FlightSession {
   }
 
   ~FlightSession() {
-    obs::set_shutdown_telemetry(nullptr, "");
+    obs::set_shutdown_telemetry("");
     if (publisher_.joinable()) {
       {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -270,11 +267,10 @@ class FlightSession {
       cv_.notify_all();
       publisher_.join();
       try {
-        telemetry_->publish(telemetry_path_);  // final (post-run) snapshot
+        recorder_->live_trace().publish(telemetry_path_);  // post-run view
       } catch (const std::exception&) {
       }
     }
-    if (telemetry_ != nullptr) telemetry_->uninstall();
     if (recorder_ != nullptr) {
       if (dump_on_exit_ && !recorder_->auto_dumped()) {
         try {
@@ -292,7 +288,6 @@ class FlightSession {
 
  private:
   std::unique_ptr<obs::FlightRecorder> recorder_;
-  std::unique_ptr<obs::Telemetry> telemetry_;
   std::thread publisher_;
   std::mutex mutex_;
   std::condition_variable cv_;
@@ -367,7 +362,7 @@ int cmd_count(int argc, const char* const* argv) {
                   "hang-watchdog budget in seconds (0 = auto, negative = "
                   "off; see docs/chaos.md)");
   args.add_option("flight", "on",
-                  "flight recorder + live telemetry: on | off "
+                  "flight recorder and its live view: on | off "
                   "(docs/observability.md)");
   args.add_option("flight-capacity", "4096",
                   "flight ring capacity in records per rank");
@@ -378,8 +373,8 @@ int cmd_count(int argc, const char* const* argv) {
   args.add_flag("flight-dump-on-exit", false,
                 "also dump the flight rings when the run ends");
   args.add_option("flight-telemetry", "",
-                  "publish live tricount.telemetry.v1 snapshots to this "
-                  "path (read by tricount_top)");
+                  "publish the flight recorder's live view, a Chrome "
+                  "trace, to this path (read by tricount_top)");
   args.add_option("flight-telemetry-interval-ms", "200",
                   "telemetry publish interval in milliseconds");
   args.add_flag("msgtrace", false,

@@ -1,9 +1,10 @@
-// tricount_top — streaming view of a live run's telemetry snapshot.
+// tricount_top — streaming view of a live run.
 //
-// `tricount_cli count --flight-telemetry live.json ...` publishes a
-// tricount.telemetry.v1 snapshot atomically every interval; this tool
-// polls that file and renders the per-rank table (phase, superstep
-// progress, queue depths, memory gauges, rolling tc.* counters) without
+// `tricount_cli count --flight-telemetry live.json ...` (or `tricountd
+// --telemetry live.json`) publishes the flight recorder's live view, a
+// Chrome trace, atomically every interval; this tool polls that file and
+// renders the per-rank table (phase, superstep progress, queue depths,
+// memory gauges, counts), plus the daemon's health line, without
 // stopping the run. See docs/observability.md for a walkthrough.
 //
 // Examples:
@@ -17,8 +18,8 @@
 #include <string>
 #include <thread>
 
+#include "tricount/obs/flight.hpp"
 #include "tricount/obs/json.hpp"
-#include "tricount/obs/telemetry.hpp"
 #include "tricount/util/argparse.hpp"
 
 namespace {
@@ -33,7 +34,7 @@ bool try_read(const std::string& path, bool jsonl, obs::json::Value& out,
               std::string& rendered, std::string& error) {
   try {
     out = obs::json::read_file(path);
-    if (!jsonl) rendered = obs::render_telemetry(out);
+    if (!jsonl) rendered = obs::render_telemetry(obs::Trace::from_json(out));
     return true;
   } catch (const std::exception& e) {
     error = e.what();
@@ -45,10 +46,10 @@ bool try_read(const std::string& path, bool jsonl, obs::json::Value& out,
 
 int main(int argc, char** argv) {
   util::ArgParser args("tricount_top",
-                       "Streaming view of a live run's "
-                       "tricount.telemetry.v1 snapshot.");
+                       "Streaming view of a live run's published "
+                       "live view.");
   args.add_option("file", "live.json",
-                  "telemetry snapshot path (the run's --flight-telemetry)");
+                  "live view path (the run's --flight-telemetry)");
   args.add_flag("once", false, "print one snapshot and exit");
   args.add_flag("jsonl", false,
                 "emit one compact JSON line per refresh instead of a table");

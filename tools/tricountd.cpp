@@ -9,8 +9,8 @@
 //   --socket PATH   listen on a Unix-domain socket (sequential clients)
 //
 // SIGINT/SIGTERM request a graceful shutdown: the frontends stop
-// admitting, in-flight requests drain, the session artifact and final
-// telemetry snapshot are flushed, and the process exits 0.
+// admitting, in-flight requests drain, the session trace and the final
+// live view are flushed, and the process exits 0.
 //
 // Examples:
 //   tricountd --graph g.mtx --ranks 4 --script session.jsonl
@@ -23,6 +23,7 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -36,7 +37,6 @@
 #include "tricount/kernels/kernels.hpp"
 #include "tricount/obs/flight.hpp"
 #include "tricount/obs/graceful.hpp"
-#include "tricount/obs/telemetry.hpp"
 #include "tricount/service/service.hpp"
 #include "tricount/util/argparse.hpp"
 #include "tricount/util/log.hpp"
@@ -47,7 +47,7 @@ using namespace tricount;
 
 /// Routes response lines to the current client fd, or stdout when none.
 /// Best-effort: a response completing after its client disconnected is
-/// dropped (the client is gone; the session artifact still records it).
+/// dropped (the client is gone; the session trace still records it).
 class ResponseRouter {
  public:
   void set_fd(int fd) {
@@ -77,6 +77,30 @@ class ResponseRouter {
   std::mutex mutex_;
   int fd_ = -1;
 };
+
+/// Publishes the recorder's live view with the daemon's health added as
+/// "service" counters on tid 0, the line `tricount_top` prints under the
+/// per-rank table.
+void publish_live(const obs::FlightRecorder& recorder,
+                  const service::Service& svc, const std::string& path) {
+  obs::Trace live = recorder.live_trace();
+  const double now = recorder.now_us();
+  const auto add = [&](const char* name, std::uint64_t value) {
+    live.add_counter(0, name, "service", now, static_cast<double>(value));
+  };
+  const service::AdmissionQueue::Stats queue = svc.queue_stats();
+  const service::ResultCache::Stats cache = svc.cache_stats();
+  const service::SessionCounters counters = svc.counters();
+  add("queue_depth", queue.depth);
+  add("queue_capacity", queue.capacity);
+  add("in_flight", svc.in_flight());
+  add("requests", counters.requests);
+  add("shed", counters.shed);
+  add("cache_hits", cache.hits);
+  add("cache_misses", cache.misses);
+  add("graph_version", svc.graph_version());
+  live.publish(path);
+}
 
 bool stopping(const service::Service& svc) {
   return obs::shutdown_requested() || svc.stop_requested();
@@ -197,9 +221,9 @@ int main(int argc, char** argv) {
   args.add_option("max-request-depth", "16",
                   "reject requests nested deeper than this");
   args.add_option("artifacts-dir", "service-artifacts",
-                  "session artifact directory ('' = don't write)");
+                  "session trace directory ('' = don't write)");
   args.add_option("telemetry", "",
-                  "publish live telemetry snapshots to this path");
+                  "publish the live view, a Chrome trace, to this path");
   args.add_option("telemetry-interval-ms", "200",
                   "telemetry publish interval in milliseconds");
   if (!args.parse(argc, argv)) return args.help_requested() ? 0 : 1;
@@ -223,8 +247,8 @@ int main(int argc, char** argv) {
         std::max<long long>(args.get_int("max-request-depth"), 2));
     options.artifacts_dir = args.get("artifacts-dir");
 
-    // Observability: flight recorder armed for crashes, telemetry
-    // installed before the service so its gauges register, INT/TERM in
+    // Observability: flight recorder armed for crashes and installed
+    // before the service so its world wires the rank gauges, INT/TERM in
     // flag mode so the frontend loops drain before exiting.
     obs::FlightRecorder recorder(options.ranks);
     recorder.set_auto_dump_dir(options.artifacts_dir.empty()
@@ -232,8 +256,6 @@ int main(int argc, char** argv) {
                                    : options.artifacts_dir);
     recorder.install();
     obs::FlightRecorder::install_signal_handlers();
-    obs::Telemetry telemetry(options.ranks);
-    telemetry.install();
     obs::install_shutdown_handlers(obs::ShutdownMode::kFlagOnly);
 
     ResponseRouter router;
@@ -250,7 +272,7 @@ int main(int argc, char** argv) {
                         static_cast<unsigned long long>(svc.graph_version()));
     }
 
-    // Optional live-telemetry publisher.
+    // Optional publisher of the live view.
     std::thread publisher;
     std::mutex publisher_mutex;
     std::condition_variable publisher_cv;
@@ -265,7 +287,7 @@ int main(int argc, char** argv) {
         while (!publisher_stop) {
           lock.unlock();
           try {
-            telemetry.publish(telemetry_path);
+            publish_live(recorder, svc, telemetry_path);
           } catch (const std::exception&) {
           }
           lock.lock();
@@ -286,8 +308,8 @@ int main(int argc, char** argv) {
       run_stdio(svc);  // default frontend, also behind --stdio
     }
 
-    // Drain in-flight requests, flush the session artifact, stop the
-    // publisher, and leave a final telemetry snapshot behind.
+    // Drain in-flight requests, flush the session trace, stop the
+    // publisher, and leave a final live view behind.
     svc.shutdown();
     if (publisher.joinable()) {
       {
@@ -299,7 +321,7 @@ int main(int argc, char** argv) {
     }
     if (!telemetry_path.empty()) {
       try {
-        telemetry.publish(telemetry_path);
+        publish_live(recorder, svc, telemetry_path);
       } catch (const std::exception&) {
       }
     }
@@ -307,7 +329,6 @@ int main(int argc, char** argv) {
       TRICOUNT_LOG_INFO("tricountd: graceful shutdown (signal %d)",
                         obs::shutdown_signal());
     }
-    telemetry.uninstall();
     recorder.uninstall();
     return exit_code;
   } catch (const std::exception& e) {
