@@ -36,10 +36,10 @@ int main(int argc, char** argv) {
 
     baselines::WedgeOptions wedge_options;
     wedge_options.model = model;
-    const baselines::WedgeResult wedge =
+    const core::RunResult wedge =
         baselines::count_triangles_wedge(g, p, wedge_options);
-    const double twocore = wedge.base.phase_modeled_seconds(0, model);
-    const double wedge_time = wedge.base.phase_modeled_seconds(1, model);
+    const double twocore = wedge.pre_modeled_seconds();
+    const double wedge_time = wedge.tc_modeled_seconds();
 
     core::RunOptions options;
     options.model = model;
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     options.config.overlap = args.get_bool("overlap");
     options.chaos = bench::chaos_from_args(args, p);
     const core::RunResult ours = core::count_triangles_2d(g, p, options);
-    if (ours.triangles != wedge.triangles()) {
+    if (ours.triangles != wedge.triangles) {
       std::fprintf(stderr, "COUNT MISMATCH on %s\n", dataset.name.c_str());
       return 1;
     }
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
         .cell(havoq_total * 1e3, 3)
         .cell(our_tct * 1e3, 3)
         .cell(speedup, 1)
-        .cell(wedge.wedges_checked);
+        .cell(wedge.tc_ops());
   }
   table.print();
   bench::maybe_write_csv(table, args.get("csv"));

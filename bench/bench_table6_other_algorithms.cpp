@@ -105,32 +105,35 @@ int main(int argc, char** argv) {
     baselines::AopOptions aop_options;
     aop_options.model = model;
     aop_options.kernel = kernel;
-    const baselines::BaselineResult aop =
+    const core::RunResult aop =
         baselines::count_triangles_aop1d(g, p, aop_options);
     check_count(aop.triangles);
-    // AOP's "count" phase excludes its ghost exchange; include both views.
+    report.add_record(dataset, aop);
+    // AOP's count superstep excludes its ghost exchange, the "overlap"
+    // pre step; the count column includes both.
     table.row()
         .cell("AOP (overlapping 1D)")
-        .cell((aop.phase_modeled_seconds(1, model) +
-               aop.phase_modeled_seconds(2, model)) * 1e3,
+        .cell((core::breakdown(aop.step_samples(1)).modeled_seconds(model) +
+               aop.tc_modeled_seconds()) * 1e3,
               3)
-        .cell(aop.total_modeled_seconds(model) * 1e3, 3)
+        .cell(aop.total_modeled_seconds() * 1e3, 3)
         .cell(static_cast<std::int64_t>(p))
-        .cell(aop.total_bytes());
+        .cell(run_bytes(aop));
   }
   if (wants("push")) {
     baselines::PushOptions push_options;
     push_options.model = model;
     push_options.kernel = kernel;
-    const baselines::BaselineResult push =
+    const core::RunResult push =
         baselines::count_triangles_push1d(g, p, push_options);
     check_count(push.triangles);
+    report.add_record(dataset, push);
     table.row()
         .cell("Surrogate (push-based 1D)")
-        .cell(push.phase_modeled_seconds(1, model) * 1e3, 3)
-        .cell(push.total_modeled_seconds(model) * 1e3, 3)
+        .cell(push.tc_modeled_seconds() * 1e3, 3)
+        .cell(push.total_modeled_seconds() * 1e3, 3)
         .cell(static_cast<std::int64_t>(p))
-        .cell(push.total_bytes());
+        .cell(run_bytes(push));
   }
   if (!have_expected) {
     std::fprintf(stderr, "--algo '%s' selected no algorithms\n",

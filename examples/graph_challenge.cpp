@@ -7,6 +7,7 @@
 //   ./graph_challenge [--file path] [--ranks P]
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "tricount/baselines/aop1d.hpp"
 #include "tricount/baselines/push_based1d.hpp"
@@ -48,45 +49,35 @@ int main(int argc, char** argv) {
   std::printf("graph: %s  (%u vertices, %zu edges)\n", path.c_str(),
               g.num_vertices, g.edges.size());
 
-  const util::AlphaBetaModel model;
   const auto serial =
       graph::count_triangles_serial(graph::Csr::from_edges(g));
 
-  const auto ours = core::count_triangles_2d(g, ranks);
-  const auto aop = baselines::count_triangles_aop1d(g, ranks);
-  const auto push = baselines::count_triangles_push1d(g, ranks);
-  const auto wedge = baselines::count_triangles_wedge(g, ranks);
-
-  bool all_agree = ours.triangles == serial && aop.triangles == serial &&
-                   push.triangles == serial && wedge.triangles() == serial;
+  // Every algorithm returns a core::RunResult, so one loop reports them.
+  const std::pair<const char*, core::RunResult> runs[] = {
+      {"2D Cannon (this paper)", core::count_triangles_2d(g, ranks)},
+      {"AOP 1D (overlapping)", baselines::count_triangles_aop1d(g, ranks)},
+      {"Push-based 1D (space-eff.)",
+       baselines::count_triangles_push1d(g, ranks)},
+      {"Wedge counting (Havoq-like)",
+       baselines::count_triangles_wedge(g, ranks)},
+  };
 
   util::print_heading("Algorithm comparison");
   util::Table table({"algorithm", "triangles", "modeled time (s)",
                      "comm bytes"});
-  std::uint64_t ours_bytes = 0;
-  for (const auto& stats : ours.per_rank) {
-    ours_bytes += stats.pre_total().bytes + stats.tc_total().bytes;
+  bool all_agree = true;
+  for (const auto& [name, run] : runs) {
+    all_agree = all_agree && run.triangles == serial;
+    std::uint64_t bytes = 0;
+    for (const auto& stats : run.per_rank) {
+      bytes += stats.pre_total().bytes + stats.tc_total().bytes;
+    }
+    table.row()
+        .cell(name)
+        .cell(static_cast<std::uint64_t>(run.triangles))
+        .cell(run.total_modeled_seconds(), 4)
+        .cell(bytes);
   }
-  table.row()
-      .cell("2D Cannon (this paper)")
-      .cell(static_cast<std::uint64_t>(ours.triangles))
-      .cell(ours.total_modeled_seconds(), 4)
-      .cell(ours_bytes);
-  table.row()
-      .cell("AOP 1D (overlapping)")
-      .cell(static_cast<std::uint64_t>(aop.triangles))
-      .cell(aop.total_modeled_seconds(model), 4)
-      .cell(aop.total_bytes());
-  table.row()
-      .cell("Push-based 1D (space-eff.)")
-      .cell(static_cast<std::uint64_t>(push.triangles))
-      .cell(push.total_modeled_seconds(model), 4)
-      .cell(push.total_bytes());
-  table.row()
-      .cell("Wedge counting (Havoq-like)")
-      .cell(static_cast<std::uint64_t>(wedge.triangles()))
-      .cell(wedge.base.total_modeled_seconds(model), 4)
-      .cell(wedge.base.total_bytes());
   table.print();
 
   std::printf("\nserial reference: %llu  -> %s\n",

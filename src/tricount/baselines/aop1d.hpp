@@ -20,14 +20,10 @@ struct AopOptions {
   kernels::KernelPolicy kernel = kernels::KernelPolicy::kAuto;
 };
 
-/// Phases recorded: "preprocess" (DAG build), "overlap" (ghost exchange),
-/// "count" (local counting).
-BaselineResult count_triangles_aop1d(const graph::EdgeList& graph, int ranks,
-                                     const AopOptions& options = {});
-
-/// Aggregate ghost-list entries fetched across ranks in the last run’s
-/// overlap phase — exposed via the result’s overlap-phase byte counters;
-/// this helper converts bytes to entries for reporting.
-std::uint64_t ghost_entries_from_bytes(std::uint64_t bytes);
+/// Algorithm "aop". Pre steps "preprocess" (DAG build) and "overlap"
+/// (ghost exchange), then the counting superstep (local counting), whose
+/// ops are its kernel lookups.
+core::RunResult count_triangles_aop1d(const graph::EdgeList& graph, int ranks,
+                                      const AopOptions& options = {});
 
 }  // namespace tricount::baselines

@@ -1,18 +1,25 @@
 #include "tricount/baselines/common1d.hpp"
 
 #include <algorithm>
+#include <numeric>
+#include <stdexcept>
 
 #include "tricount/core/preprocess.hpp"
 #include "tricount/mpisim/collectives.hpp"
+#include "tricount/mpisim/runtime.hpp"
+#include "tricount/obs/flight.hpp"
 
 namespace tricount::baselines {
 
-Dag1D build_dag_1d(mpisim::Comm& comm, const core::LocalSlice& input) {
+Dag1D build_dag_1d(mpisim::Comm& comm, core::LocalSlice input) {
   const int p = comm.size();
   const VertexId n = input.num_vertices;
 
-  const core::RelabeledSlice relabeled =
-      core::degree_relabel(comm, core::cyclic_redistribute(comm, input));
+  const core::RelabeledSlice relabeled = [&] {
+    const core::CyclicSlice cyclic = core::cyclic_redistribute(comm, input);
+    input = core::LocalSlice{};
+    return core::degree_relabel(comm, cyclic);
+  }();
 
   // Route (new id, Adj+ in new ids) to the block owner of the new id.
   std::vector<std::vector<VertexId>> outgoing(static_cast<std::size_t>(p));
@@ -37,44 +44,38 @@ Dag1D build_dag_1d(mpisim::Comm& comm, const core::LocalSlice& input) {
   return dag;
 }
 
-double BaselineResult::phase_modeled_seconds(
-    std::size_t phase, const util::AlphaBetaModel& model) const {
-  return core::breakdown(phase_samples.at(phase)).modeled_seconds(model);
-}
-
-double BaselineResult::total_modeled_seconds(
-    const util::AlphaBetaModel& model) const {
-  double total = 0.0;
-  for (std::size_t i = 0; i < phase_samples.size(); ++i) {
-    total += phase_modeled_seconds(i, model);
+core::RunResult run_baseline(const char* algorithm,
+                             const graph::EdgeList& graph, int ranks,
+                             const util::AlphaBetaModel& model,
+                             const RankCount& count) {
+  if (ranks < 1) {
+    throw std::invalid_argument("baselines: rank count must be positive");
   }
-  return total;
-}
+  core::RunResult result;
+  result.algorithm = algorithm;
+  result.ranks = ranks;
+  result.num_vertices = graph.num_vertices;
+  result.model = model;
+  result.per_rank.assign(static_cast<std::size_t>(ranks), core::RankStats{});
+  // Each rank's slice holds its rows' entries, every undirected edge once
+  // from each end; summing them here adds no traffic to any step.
+  std::vector<EdgeIndex> entries(static_cast<std::size_t>(ranks), 0);
 
-std::uint64_t BaselineResult::total_bytes() const {
-  std::uint64_t bytes = 0;
-  for (const auto& per_rank : phase_samples) {
-    for (const PhaseSample& s : per_rank) bytes += s.bytes;
-  }
-  return bytes;
-}
-
-PhaseRecorder::PhaseRecorder(int ranks, std::vector<std::string> names)
-    : ranks_(ranks), names_(std::move(names)) {
-  samples_.assign(names_.size(),
-                  std::vector<PhaseSample>(static_cast<std::size_t>(ranks)));
-}
-
-void PhaseRecorder::record(int rank, std::size_t phase, PhaseSample sample) {
-  samples_.at(phase).at(static_cast<std::size_t>(rank)) = sample;
-}
-
-BaselineResult PhaseRecorder::finish(TriangleCount triangles) const {
-  BaselineResult result;
-  result.triangles = triangles;
-  result.ranks = ranks_;
-  result.phase_names = names_;
-  result.phase_samples = samples_;
+  result.take(mpisim::run_world(ranks, [&](mpisim::Comm& comm) {
+    const auto rank = static_cast<std::size_t>(comm.rank());
+    core::LocalSlice input = [&] {
+      obs::ScopedSpan span("slice", "pre");
+      return core::block_slice_from_edges(graph, comm.rank(), comm.size());
+    }();
+    entries[rank] = input.adj.ids.size();
+    core::RankStats& stats = result.per_rank[rank];
+    core::PhaseTracker tracker(comm, stats);
+    const TriangleCount total = count(comm, std::move(input), tracker, stats);
+    tracker.end_sweep();
+    if (rank == 0) result.triangles = total;
+  }));
+  result.num_edges =
+      std::accumulate(entries.begin(), entries.end(), EdgeIndex{0}) / 2;
   return result;
 }
 

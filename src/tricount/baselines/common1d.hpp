@@ -1,15 +1,14 @@
 // Shared infrastructure for the 1D-decomposition baselines the paper
 // compares against (§4): a degree-ordered DAG ("Adj+" lists) distributed
-// by 1D block over the reordered vertex ids, plus a small result type
-// with the same modeled-time construction as the 2D algorithm's.
+// by 1D block over the reordered vertex ids, and the run every baseline
+// makes, which returns the same core::RunResult as the 2D algorithm.
 #pragma once
 
+#include <functional>
 #include <span>
-#include <string>
-#include <utility>
-#include <vector>
 
 #include "tricount/core/dist_graph.hpp"
+#include "tricount/core/driver.hpp"
 #include "tricount/core/instrumentation.hpp"
 #include "tricount/graph/edge_list.hpp"
 #include "tricount/util/cost_model.hpp"
@@ -17,7 +16,6 @@
 namespace tricount::baselines {
 
 using core::EdgeIndex;
-using core::PhaseSample;
 using core::VertexId;
 using graph::TriangleCount;
 
@@ -41,37 +39,24 @@ struct Dag1D {
 /// cyclic redistribution, distributed degree relabel (reusing the core
 /// preprocessing), then routing each vertex's Adj+ list, the suffix of
 /// its ascending relabeled row above it, to the block owner of its new id.
-Dag1D build_dag_1d(mpisim::Comm& comm, const core::LocalSlice& input);
+/// The slice is freed once cyclic_redistribute has routed it.
+Dag1D build_dag_1d(mpisim::Comm& comm, core::LocalSlice input);
 
-/// Result of a baseline run: triangles plus named per-rank phase samples
-/// so benchmarks can model parallel time the same way as RunResult.
-struct BaselineResult {
-  TriangleCount triangles = 0;
-  int ranks = 0;
-  std::vector<std::string> phase_names;
-  /// phase_samples[phase][rank]
-  std::vector<std::vector<PhaseSample>> phase_samples;
+/// One rank of a baseline: marks its steps on `tracker`, each earlier
+/// phase a pre step and its last phase the one counting superstep, and
+/// returns the world's triangle total. It sets `stats.kernel` when it
+/// counts through the kernel layer.
+using RankCount = std::function<TriangleCount(
+    mpisim::Comm& comm, core::LocalSlice input, core::PhaseTracker& tracker,
+    core::RankStats& stats)>;
 
-  double phase_modeled_seconds(std::size_t phase,
-                               const util::AlphaBetaModel& model) const;
-  double total_modeled_seconds(const util::AlphaBetaModel& model) const;
-  std::uint64_t total_bytes() const;
-};
-
-/// Helper used by the baseline drivers to assemble a BaselineResult from
-/// per-rank recordings.
-class PhaseRecorder {
- public:
-  PhaseRecorder(int ranks, std::vector<std::string> names);
-
-  /// Called by rank `rank` to store its sample for phase `phase`.
-  void record(int rank, std::size_t phase, PhaseSample sample);
-  BaselineResult finish(TriangleCount triangles) const;
-
- private:
-  int ranks_;
-  std::vector<std::string> names_;
-  std::vector<std::vector<PhaseSample>> samples_;
-};
+/// Runs a baseline on a world of `ranks`. Each rank first takes its block
+/// slice of `graph` under a `slice` span, outside every step, then runs
+/// `count` on it. The result is algorithm `algorithm` with grid_q 0, and
+/// carries the world's report.
+core::RunResult run_baseline(const char* algorithm,
+                             const graph::EdgeList& graph, int ranks,
+                             const util::AlphaBetaModel& model,
+                             const RankCount& count);
 
 }  // namespace tricount::baselines

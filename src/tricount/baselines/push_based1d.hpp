@@ -23,9 +23,11 @@ struct PushOptions {
   kernels::KernelPolicy kernel = kernels::KernelPolicy::kAuto;
 };
 
-/// Phases recorded: "preprocess" (DAG build), "count" (push rounds +
-/// local intersections).
-BaselineResult count_triangles_push1d(const graph::EdgeList& graph, int ranks,
-                                      const PushOptions& options = {});
+/// Algorithm "push". Pre step "preprocess" (DAG build), then the counting
+/// superstep (push rounds + local intersections), whose ops are its
+/// kernel lookups.
+core::RunResult count_triangles_push1d(const graph::EdgeList& graph,
+                                       int ranks,
+                                       const PushOptions& options = {});
 
 }  // namespace tricount::baselines

@@ -1,12 +1,10 @@
 #include "tricount/baselines/wedge_counting.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <span>
 #include <stdexcept>
 
 #include "tricount/mpisim/collectives.hpp"
-#include "tricount/mpisim/runtime.hpp"
 
 namespace tricount::baselines {
 
@@ -75,80 +73,68 @@ VertexId two_core_peel(mpisim::Comm& comm, core::LocalSlice& slice) {
 
 }  // namespace
 
-WedgeResult count_triangles_wedge(const graph::EdgeList& graph, int ranks,
-                                  const WedgeOptions& options) {
+core::RunResult count_triangles_wedge(const graph::EdgeList& graph, int ranks,
+                                      const WedgeOptions& options) {
   if (options.rounds < 1) {
     throw std::invalid_argument("wedge: rounds must be >= 1");
   }
-  PhaseRecorder recorder(ranks, {"twocore", "wedge_count"});
-  TriangleCount triangles = 0;
-  std::atomic<std::uint64_t> wedges_total{0};
-  std::atomic<std::uint64_t> peeled_total{0};
+  return run_baseline(
+      "wedge", graph, ranks, options.model,
+      [&](mpisim::Comm& comm, core::LocalSlice slice,
+          core::PhaseTracker& tracker, core::RankStats&) {
+        const int p = comm.size();
+        core::PhaseTracker::Step twocore = tracker.pre("twocore");
+        twocore.close(two_core_peel(comm, slice));
 
-  mpisim::run_world(ranks, [&](mpisim::Comm& comm) {
-    const int p = comm.size();
-    core::PhaseTracker tracker(comm);
+        core::PhaseTracker::Step wedge_count = tracker.superstep();
+        // Degree-order the peeled graph and build the directed adjacency.
+        const Dag1D dag = build_dag_1d(comm, std::move(slice));
 
-    core::LocalSlice slice =
-        core::block_slice_from_edges(graph, comm.rank(), p);
-    const VertexId peeled = two_core_peel(comm, slice);
-    peeled_total.fetch_add(peeled);
-    recorder.record(comm.rank(), 0, tracker.cut());
+        TriangleCount local = 0;
+        std::uint64_t wedges = 0;
+        const VertexId owned = dag.owned();
+        for (int round = 0; round < options.rounds; ++round) {
+          const VertexId lo = static_cast<VertexId>(
+              static_cast<std::uint64_t>(owned) *
+              static_cast<std::uint64_t>(round) /
+              static_cast<std::uint64_t>(options.rounds));
+          const VertexId hi = static_cast<VertexId>(
+              static_cast<std::uint64_t>(owned) *
+              static_cast<std::uint64_t>(round + 1) /
+              static_cast<std::uint64_t>(options.rounds));
 
-    // Degree-order the peeled graph and build the directed adjacency.
-    const Dag1D dag = build_dag_1d(comm, slice);
-
-    TriangleCount local = 0;
-    std::uint64_t wedges = 0;
-    const VertexId owned = dag.owned();
-    for (int round = 0; round < options.rounds; ++round) {
-      const VertexId lo = static_cast<VertexId>(
-          static_cast<std::uint64_t>(owned) * static_cast<std::uint64_t>(round) /
-          static_cast<std::uint64_t>(options.rounds));
-      const VertexId hi = static_cast<VertexId>(
-          static_cast<std::uint64_t>(owned) *
-          static_cast<std::uint64_t>(round + 1) /
-          static_cast<std::uint64_t>(options.rounds));
-
-      // Generate directed wedges (a, b), a < b, centered at each owned
-      // vertex, and ship each to a's owner for the closure check.
-      std::vector<std::vector<VertexId>> queries(static_cast<std::size_t>(p));
-      for (VertexId k = lo; k < hi; ++k) {
-        const auto plus = dag.adj_plus[k];
-        for (std::size_t i = 0; i < plus.size(); ++i) {
-          for (std::size_t j = i + 1; j < plus.size(); ++j) {
-            const VertexId a = plus[i];
-            const VertexId b = plus[j];
-            auto& bucket = queries[static_cast<std::size_t>(
-                core::block_owner(a, dag.num_vertices, p))];
-            bucket.push_back(a);
-            bucket.push_back(b);
-            ++wedges;
+          // Generate directed wedges (a, b), a < b, centered at each owned
+          // vertex, and ship each to a's owner for the closure check.
+          std::vector<std::vector<VertexId>> queries(
+              static_cast<std::size_t>(p));
+          for (VertexId k = lo; k < hi; ++k) {
+            const auto plus = dag.adj_plus[k];
+            for (std::size_t i = 0; i < plus.size(); ++i) {
+              for (std::size_t j = i + 1; j < plus.size(); ++j) {
+                const VertexId a = plus[i];
+                const VertexId b = plus[j];
+                auto& bucket = queries[static_cast<std::size_t>(
+                    core::block_owner(a, dag.num_vertices, p))];
+                bucket.push_back(a);
+                bucket.push_back(b);
+                ++wedges;
+              }
+            }
+          }
+          const auto incoming = mpisim::alltoallv(comm, queries);
+          for (const auto& bucket : incoming) {
+            for (std::size_t at = 0; at + 1 < bucket.size(); at += 2) {
+              const VertexId a = bucket[at];
+              const VertexId b = bucket[at + 1];
+              const auto& list = dag.plus(a);
+              if (std::binary_search(list.begin(), list.end(), b)) ++local;
+            }
           }
         }
-      }
-      const auto incoming = mpisim::alltoallv(comm, queries);
-      for (const auto& bucket : incoming) {
-        for (std::size_t at = 0; at + 1 < bucket.size();
-             at += 2) {
-          const VertexId a = bucket[at];
-          const VertexId b = bucket[at + 1];
-          const auto& list = dag.plus(a);
-          if (std::binary_search(list.begin(), list.end(), b)) ++local;
-        }
-      }
-    }
-    wedges_total.fetch_add(wedges);
-    const TriangleCount total = mpisim::allreduce_sum(comm, local);
-    recorder.record(comm.rank(), 1, tracker.cut());
-    if (comm.rank() == 0) triangles = total;
-  });
-
-  WedgeResult result;
-  result.base = recorder.finish(triangles);
-  result.wedges_checked = wedges_total.load();
-  result.vertices_peeled = static_cast<VertexId>(peeled_total.load());
-  return result;
+        const TriangleCount total = mpisim::allreduce_sum(comm, local);
+        wedge_count.close(wedges);
+        return total;
+      });
 }
 
 }  // namespace tricount::baselines

@@ -25,15 +25,11 @@ struct WedgeOptions {
   util::AlphaBetaModel model;
 };
 
-struct WedgeResult {
-  BaselineResult base;  ///< phases: "twocore", "wedge_count"
-  std::uint64_t wedges_checked = 0;
-  VertexId vertices_peeled = 0;
-
-  TriangleCount triangles() const { return base.triangles; }
-};
-
-WedgeResult count_triangles_wedge(const graph::EdgeList& graph, int ranks,
-                                  const WedgeOptions& options = {});
+/// Algorithm "wedge". Pre step "twocore", whose ops are the vertices it
+/// peels (pre_ops()), then the counting superstep "wedge_count" (DAG
+/// build, wedge generation and closure checks), whose ops are the wedges
+/// it checks (tc_ops()).
+core::RunResult count_triangles_wedge(const graph::EdgeList& graph, int ranks,
+                                      const WedgeOptions& options = {});
 
 }  // namespace tricount::baselines

@@ -13,7 +13,6 @@
 #include "tricount/mpisim/collectives.hpp"
 #include "tricount/mpisim/recovery.hpp"
 #include "tricount/obs/flight.hpp"
-#include "tricount/obs/msgtrace.hpp"
 
 namespace tricount::cetric {
 
@@ -22,7 +21,6 @@ namespace {
 using core::Config;
 using core::KernelCounters;
 using core::LocalSlice;
-using core::PhaseSample;
 using core::PhaseTracker;
 using core::RunOptions;
 using core::RunResult;
@@ -87,31 +85,25 @@ void close_at(kernels::IntersectScratch& scratch, const Config& config,
 
 using SliceFactory = std::function<LocalSlice(mpisim::Comm&)>;
 
-/// Pre-supersteps "partition" and "ghost" on one rank; their samples
-/// land in `stats.pre_steps`.
-RankPartition build_partition(mpisim::Comm& comm, const LocalSlice& input,
-                              PhaseTracker& tracker, core::RankStats& stats) {
+/// `tracker`'s pre steps "partition" and "ghost" on one rank. The input
+/// slice is freed once it is routed.
+RankPartition build_partition(mpisim::Comm& comm, LocalSlice input,
+                              PhaseTracker& tracker) {
   const int p = comm.size();
   RankPartition part;
 
-  // --- pre superstep "partition": degree-aware contiguous split.
-  {
-    obs::ScopedSpan span("partition", "pre");
-    part.graph = build_cetric_graph(comm, input);
-  }
+  // --- pre step "partition": degree-aware contiguous split.
+  PhaseTracker::Step partition = tracker.pre("partition");
+  part.graph = build_cetric_graph(comm, std::move(input));
   const CetricGraph& g = part.graph;
-  {
-    PhaseSample sample = tracker.cut();
-    sample.ops = g.routed_entries;
-    stats.pre_steps.emplace_back("partition", sample);
-  }
+  partition.close(g.routed_entries);
 
-  // --- pre superstep "ghost": pull Adj+(v) once for every external
-  // closing vertex whose wedge mass exceeds its list length — the
-  // degree-aware trade between replicating a row and shipping the
-  // wedges that close against it.
+  // --- pre step "ghost": pull Adj+(v) once for every external closing
+  // vertex whose wedge mass exceeds its list length — the degree-aware
+  // trade between replicating a row and shipping the wedges that close
+  // against it.
+  PhaseTracker::Step ghost = tracker.pre("ghost");
   {
-    obs::ScopedSpan span("ghost", "pre");
     // Adj+ entries exceed their row, so every unowned closing vertex lies
     // above this rank's range: mass[v - above] is v's wedge mass.
     const VertexId above = g.part.end();
@@ -152,16 +144,13 @@ RankPartition build_partition(mpisim::Comm& comm, const LocalSlice& input,
     part.ghost_counters.ghost_lists_fetched = part.ghosts.size();
     part.ghost_counters.ghost_list_entries = part.ghosts.rows.ids.size();
   }
-  {
-    PhaseSample sample = tracker.cut();
-    sample.ops = part.ghost_counters.ghost_list_entries;
-    stats.pre_steps.emplace_back("ghost", sample);
-  }
+  ghost.close(part.ghost_counters.ghost_list_entries);
   return part;
 }
 
-/// Superstep 0 (local) and superstep 1 (cut) on one rank; fills `stats`
-/// and `cet_out` and returns the global total.
+/// Superstep 0 (local) and superstep 1 (cut) on one rank, as `tracker`'s
+/// counting supersteps; sets `stats.kernel` and `cet_out` and returns the
+/// global total.
 TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
                               const Config& config, PhaseTracker& tracker,
                               core::RankStats& stats,
@@ -191,9 +180,8 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
   TriangleCount cut_count = 0;
   KernelCounters kernel;
 
-  obs::FlightRecorder* flight = obs::FlightRecorder::current();
   obs::RankGauges* gauges = obs::FlightRecorder::caller_gauges();
-  auto publish_live = [&](int step) {
+  auto publish_gauges = [&] {
     if (gauges != nullptr) {
       gauges->total_supersteps.store(std::uint64_t{kSupersteps},
                                      std::memory_order_relaxed);
@@ -201,8 +189,8 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
           static_cast<std::uint64_t>(local_count + cut_count),
           std::memory_order_relaxed);
       gauges->lookups.store(kernel.lookups, std::memory_order_relaxed);
-      // The rows the counting intersects, owned and ghost; the rest of
-      // the partition is its degree and range tables.
+      // The rows the counting intersects, owned and ghost; the rest of the
+      // partition is its degree and range tables.
       const std::uint64_t rows = g.adj_plus.heap_bytes() + ghosts.heap_bytes();
       gauges->graph_bytes.store(rows, std::memory_order_relaxed);
       gauges->partition_bytes.store(part.heap_bytes() - rows,
@@ -210,19 +198,6 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
       gauges->scratch_bytes.store(scratch.hash_capacity() * sizeof(VertexId),
                                   std::memory_order_relaxed);
     }
-    if (flight != nullptr) {
-      flight->counter("superstep", "tc", static_cast<double>(step));
-    }
-    if (obs::MsgTrace* mt = obs::MsgTrace::current()) {
-      mt->note_superstep(step);
-    }
-  };
-  auto finish_superstep = [&](const KernelCounters& step) {
-    kernel += step;
-    PhaseSample sample = tracker.cut();
-    core::apply_straggler(comm, sample);
-    sample.ops = step.lookups;
-    stats.shifts.push_back(sample);
   };
 
   // ------- superstep 0: local counting, zero messages. ----------
@@ -235,7 +210,8 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
   // waits in v's chain, and an upward sweep over v pins Adj+(v) once,
   // probes the tail after every waiting cursor, and moves each row on
   // to the chain of its next such entry, which lies above v.
-  publish_live(0);
+  publish_gauges();
+  PhaseTracker::Step local_superstep = tracker.superstep();
   struct LocalStep : core::StepCount {
     std::uint64_t cut_wedges = 0;
     std::vector<std::vector<VertexId>> wedge_out;
@@ -316,10 +292,12 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
   });
   local_count = local.triangles;
   cet.cut_wedges_sent += local.cut_wedges;
-  finish_superstep(local.kernel);
+  kernel += local.kernel;
+  local_superstep.close(local.kernel.lookups);
 
   // ------- superstep 1: cut-wedge exchange + resolution. ---------
-  publish_live(1);
+  publish_gauges();
+  PhaseTracker::Step cut_superstep = tracker.superstep();
   std::vector<std::vector<VertexId>> received(
       static_cast<std::size_t>(p));
   std::vector<CutTask> tasks;
@@ -397,9 +375,10 @@ TriangleCount count_partition(mpisim::Comm& comm, const RankPartition& part,
     return step;
   });
   cut_count = cut.triangles;
-  finish_superstep(cut.kernel);
+  kernel += cut.kernel;
+  cut_superstep.close(cut.kernel.lookups);
+  tracker.end_sweep();
 
-  if (flight != nullptr) flight->counter("superstep", "tc", kSupersteps);
   if (gauges != nullptr) {
     gauges->triangles.store(
         static_cast<std::uint64_t>(local_count + cut_count),
@@ -444,14 +423,14 @@ RunResult run_cetric_pipeline(int ranks, const RunOptions& options,
   result.take(mpisim::run_world(
       ranks,
       [&](mpisim::Comm& comm) {
-        const LocalSlice input = [&] {
+        LocalSlice input = [&] {
           obs::ScopedSpan span("slice", "pre");
           return make_slice(comm);
         }();
         const auto rank = static_cast<std::size_t>(comm.rank());
-        PhaseTracker tracker(comm);
+        PhaseTracker tracker(comm, result.per_rank[rank]);
         const RankPartition part =
-            build_partition(comm, input, tracker, result.per_rank[rank]);
+            build_partition(comm, std::move(input), tracker);
         const TriangleCount total =
             count_partition(comm, part, options.config, tracker,
                             result.per_rank[rank],
@@ -501,12 +480,12 @@ ResidentCetric preprocess_resident(mpisim::PersistentWorld& world,
   resident.model = options.model;
   resident.per_rank.resize(static_cast<std::size_t>(world.size()));
   world.run_job([&](mpisim::Comm& comm) {
-    const LocalSlice input =
+    LocalSlice input =
         core::block_slice_from_edges(graph, comm.rank(), comm.size());
-    PhaseTracker tracker(comm);
     core::RankStats stats;  // build samples are not reported per request
+    PhaseTracker tracker(comm, stats);
     resident.per_rank[static_cast<std::size_t>(comm.rank())] =
-        build_partition(comm, input, tracker, stats);
+        build_partition(comm, std::move(input), tracker);
   });
   return resident;
 }
@@ -523,7 +502,7 @@ RunResult count_resident(mpisim::PersistentWorld& world,
   result.num_edges = resident.per_rank[0].graph.num_edges;
   result.take(world.run_job([&](mpisim::Comm& comm) {
     const auto rank = static_cast<std::size_t>(comm.rank());
-    PhaseTracker tracker(comm);
+    PhaseTracker tracker(comm, result.per_rank[rank]);
     const TriangleCount total =
         count_partition(comm, resident.per_rank[rank], config, tracker,
                         result.per_rank[rank], result.per_rank_cetric[rank]);

@@ -55,11 +55,13 @@ std::vector<VertexId> degree_aware_boundaries(
   return boundaries;
 }
 
-CetricGraph build_cetric_graph(mpisim::Comm& comm,
-                               const core::LocalSlice& input) {
+CetricGraph build_cetric_graph(mpisim::Comm& comm, core::LocalSlice input) {
   const int p = comm.size();
-  const core::RelabeledSlice relabeled =
-      core::degree_relabel(comm, core::cyclic_redistribute(comm, input));
+  const core::RelabeledSlice relabeled = [&] {
+    const core::CyclicSlice cyclic = core::cyclic_redistribute(comm, input);
+    input = core::LocalSlice{};
+    return core::degree_relabel(comm, cyclic);
+  }();
   const VertexId n = relabeled.num_vertices;
 
   // Adj+(w) is the suffix of w's row above w (rows ascend in new ids, and

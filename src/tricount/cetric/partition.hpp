@@ -86,10 +86,10 @@ struct CetricGraph {
 /// redistribution -> degree relabel -> deg+ replication -> boundary
 /// computation -> all-to-all routing of Adj+ lists to their owners.
 /// Adj+(w) is the suffix of w's relabeled row above w, so nothing is
-/// filtered or sorted. Throws std::runtime_error when a routed list
-/// reaches the wrong rank, arrives twice, or disagrees in length with the
-/// replicated deg+.
-CetricGraph build_cetric_graph(mpisim::Comm& comm,
-                               const core::LocalSlice& input);
+/// filtered or sorted. The slice is freed once cyclic_redistribute has
+/// routed it. Throws std::runtime_error when a routed list reaches the
+/// wrong rank, arrives twice, or disagrees in length with the replicated
+/// deg+.
+CetricGraph build_cetric_graph(mpisim::Comm& comm, core::LocalSlice input);
 
 }  // namespace tricount::cetric

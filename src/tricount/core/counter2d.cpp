@@ -9,7 +9,6 @@
 #include "tricount/mpisim/recovery.hpp"
 #include "tricount/mpisim/runtime.hpp"
 #include "tricount/obs/flight.hpp"
-#include "tricount/obs/msgtrace.hpp"
 
 namespace tricount::core {
 
@@ -197,13 +196,9 @@ void cannon_sweep(mpisim::Cart2D& grid, Blocks blocks, const Config& config,
   };
   reserve_scratch();
 
-  // Live gauges + flight recorder: publish superstep progress at every
-  // loop entry. The flight "superstep" counter doubles as the crash
-  // witness — on a chaos crash the dump's final superstep record is the
-  // superstep the recovery path reports.
-  obs::FlightRecorder* flight = obs::FlightRecorder::current();
+  // Live gauges: publish superstep progress at every loop entry.
   obs::RankGauges* gauges = obs::FlightRecorder::caller_gauges();
-  auto publish_live = [&](int step) {
+  auto publish_gauges = [&] {
     if (gauges != nullptr) {
       gauges->total_supersteps.store(static_cast<std::uint64_t>(q),
                                      std::memory_order_relaxed);
@@ -217,12 +212,6 @@ void cannon_sweep(mpisim::Cart2D& grid, Blocks blocks, const Config& config,
                                     std::memory_order_relaxed);
       gauges->scratch_bytes.store(scratch.hash_capacity() * sizeof(VertexId),
                                   std::memory_order_relaxed);
-    }
-    if (flight != nullptr) {
-      flight->counter("superstep", "tc", static_cast<double>(step));
-    }
-    if (obs::MsgTrace* mt = obs::MsgTrace::current()) {
-      mt->note_superstep(step);
     }
   };
 
@@ -263,15 +252,17 @@ void cannon_sweep(mpisim::Cart2D& grid, Blocks blocks, const Config& config,
   if (tally == Tally::kEdgeSupport) {
     task_edges.assign(blocks.tasks.adj().size(), 0);
   }
-  PhaseTracker tracker(comm);
+  RankStats stats;
+  PhaseTracker tracker(comm, stats);
   for (int s = 0; s < q; ++s) {
-    publish_live(s);
+    publish_gauges();
     // Overlap mode posts the next shift before intersecting: buffered
     // isends copy the blobs up front, so computing on the blocks while
     // the shift is in flight is safe, and the irecvs complete after the
     // intersection. Always blob format — a four-message array shift has
     // no single completion event to hide behind the compute.
     const bool overlapped = config.overlap && s + 1 < q;
+    PhaseTracker::Step superstep = tracker.superstep(overlapped);
     mpisim::Request u_req;
     mpisim::Request l_req;
     if (overlapped) {
@@ -318,12 +309,10 @@ void cannon_sweep(mpisim::Cart2D& grid, Blocks blocks, const Config& config,
       }
       reserve_scratch();
     }
-    PhaseSample sample = tracker.cut();
-    sample.overlapped = overlapped;
-    apply_straggler(comm, sample);
-    sample.ops = step.kernel.lookups;
-    out.shifts.push_back(sample);
+    superstep.close(step.kernel.lookups);
   }
+  tracker.end_sweep();
+  out.shifts = std::move(stats.shifts);
   if (!task_edges.empty()) {
     // Task entry `at` in row r is the edge j–i, j = r·q + x, i = e·q + y.
     std::unordered_map<std::uint64_t, TriangleCount> by_key;
@@ -341,9 +330,6 @@ void cannon_sweep(mpisim::Cart2D& grid, Blocks blocks, const Config& config,
     }
     out.edge_credits.push_back(std::move(by_key));
   }
-  // Final readings: a last superstep counter of q renders as "q/q"
-  // (done) in the live view.
-  if (flight != nullptr) flight->counter("superstep", "tc", q);
   if (gauges != nullptr) {
     gauges->triangles.store(static_cast<std::uint64_t>(out.local_triangles),
                             std::memory_order_relaxed);

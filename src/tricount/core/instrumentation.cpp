@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "tricount/mpisim/runtime.hpp"
+#include "tricount/obs/flight.hpp"
+#include "tricount/obs/msgtrace.hpp"
 
 namespace tricount::core {
 
@@ -30,9 +32,52 @@ PhaseSample RankStats::tc_total() const {
   return total;
 }
 
-PhaseTracker::PhaseTracker(mpisim::Comm& comm) : comm_(comm) {
-  cpu_at_ = util::thread_cpu_seconds();
-  counters_at_ = comm.counters();
+namespace {
+
+/// Inflates `sample`'s compute by this rank's straggler factor (modeled
+/// slowdown; no-op without one) and tallies the injected share so reports
+/// can subtract it.
+void apply_straggler(mpisim::Comm& comm, PhaseSample& sample) {
+  const mpisim::FaultInjector* injector = comm.world().fault_injector();
+  const double factor =
+      injector != nullptr ? injector->straggler_factor(comm.rank()) : 1.0;
+  if (factor <= 1.0) return;
+  mpisim::ChaosCounters& cc = comm.world().chaos_counters(comm.rank());
+  cc.straggler_steps += 1;
+  cc.straggler_injected_seconds += (factor - 1.0) * sample.compute_cpu_seconds;
+  sample.compute_cpu_seconds *= factor;
+}
+
+}  // namespace
+
+PhaseTracker::PhaseTracker(mpisim::Comm& comm, RankStats& stats)
+    : comm_(comm),
+      stats_(stats),
+      flight_(obs::FlightRecorder::current()),
+      cpu_at_(util::thread_cpu_seconds()),
+      counters_at_(comm.counters()) {}
+
+PhaseTracker::Step PhaseTracker::pre(const char* name) {
+  if (flight_ != nullptr) flight_->span_begin(name, "pre");
+  return Step(*this, name, false);
+}
+
+PhaseTracker::Step PhaseTracker::superstep(bool overlapped) {
+  const auto step = static_cast<int>(stats_.shifts.size());
+  // The counter doubles as the crash witness: on a chaos crash the dump's
+  // last superstep record is the superstep the recovery path reports.
+  if (flight_ != nullptr) flight_->counter("superstep", "tc", step);
+  if (obs::MsgTrace* trace = obs::MsgTrace::current()) {
+    trace->note_superstep(step);
+  }
+  return Step(*this, nullptr, overlapped);
+}
+
+void PhaseTracker::end_sweep() {
+  if (flight_ != nullptr) {
+    flight_->counter("superstep", "tc",
+                     static_cast<double>(stats_.shifts.size()));
+  }
 }
 
 PhaseSample PhaseTracker::cut() {
@@ -48,6 +93,34 @@ PhaseSample PhaseTracker::cut() {
   cpu_at_ = cpu_now;
   counters_at_ = now;
   return sample;
+}
+
+PhaseTracker::Step::Step(PhaseTracker& tracker, const char* name,
+                         bool overlapped)
+    : tracker_(&tracker), name_(name), overlapped_(overlapped) {}
+
+void PhaseTracker::Step::close(std::uint64_t ops) {
+  if (!open_) return;
+  open_ = false;
+  PhaseTracker& t = *tracker_;
+  if (name_ != nullptr) {
+    if (t.flight_ != nullptr) t.flight_->span_end(name_);
+    PhaseSample sample = t.cut();
+    sample.ops = ops;
+    t.stats_.pre_steps.emplace_back(name_, sample);
+    return;
+  }
+  PhaseSample sample = t.cut();
+  sample.overlapped = overlapped_;
+  apply_straggler(t.comm_, sample);
+  sample.ops = ops;
+  t.stats_.shifts.push_back(sample);
+}
+
+PhaseTracker::Step::~Step() {
+  if (open_ && name_ != nullptr && tracker_->flight_ != nullptr) {
+    tracker_->flight_->span_end(name_);
+  }
 }
 
 double PhaseBreakdown::hidden_seconds(
@@ -86,17 +159,6 @@ PhaseBreakdown breakdown(const std::vector<PhaseSample>& per_rank) {
   }
   out.avg_compute_seconds = compute_total / static_cast<double>(per_rank.size());
   return out;
-}
-
-void apply_straggler(mpisim::Comm& comm, PhaseSample& sample) {
-  const mpisim::FaultInjector* injector = comm.world().fault_injector();
-  const double factor =
-      injector != nullptr ? injector->straggler_factor(comm.rank()) : 1.0;
-  if (factor <= 1.0) return;
-  mpisim::ChaosCounters& cc = comm.world().chaos_counters(comm.rank());
-  cc.straggler_steps += 1;
-  cc.straggler_injected_seconds += (factor - 1.0) * sample.compute_cpu_seconds;
-  sample.compute_cpu_seconds *= factor;
 }
 
 }  // namespace tricount::core

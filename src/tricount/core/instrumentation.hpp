@@ -26,6 +26,10 @@
 #include "tricount/util/cost_model.hpp"
 #include "tricount/util/time.hpp"
 
+namespace tricount::obs {
+class FlightRecorder;
+}  // namespace tricount::obs
+
 namespace tricount::core {
 
 /// One rank's measurements for one superstep (or phase treated as one).
@@ -68,17 +72,58 @@ struct RankStats {
   PhaseSample tc_total() const;
 };
 
-/// Captures (compute CPU, traffic) deltas around a superstep on one rank.
+/// Marks one rank's modeled steps into `stats`, in pipeline order. Each
+/// step's sample (compute CPU, traffic) runs from the previous cut, or
+/// from the tracker's construction, to its own, so no CPU time or traffic
+/// falls between steps.
+///   * A pre step opens a flight span of its name (category "pre"); when
+///     it closes, the span ends and its sample, with its ops, is appended
+///     to stats.pre_steps.
+///   * A counting superstep opens no span: it records the flight
+///     "superstep" counter and the message-trace step note when it opens.
+///     When it closes, its sample, inflated by this rank's straggler
+///     factor and carrying its ops and overlapped flag, is appended to
+///     stats.shifts. end_sweep() records the final counter.
 class PhaseTracker {
  public:
-  explicit PhaseTracker(mpisim::Comm& comm);
+  PhaseTracker(mpisim::Comm& comm, RankStats& stats);
 
-  /// Finishes the current superstep and returns its sample; restarts
-  /// tracking for the next superstep.
-  PhaseSample cut();
+  /// One open step. It is not movable: bind it where the step begins.
+  class Step {
+   public:
+    Step(const Step&) = delete;
+    Step& operator=(const Step&) = delete;
+    /// Ends the step, crediting it with `ops` operations.
+    void close(std::uint64_t ops = 0);
+    /// A step left open (an exception unwinding) ends its span and cuts
+    /// no sample.
+    ~Step();
+
+   private:
+    friend class PhaseTracker;
+    Step(PhaseTracker& tracker, const char* name, bool overlapped);
+
+    PhaseTracker* tracker_;
+    const char* name_;  ///< the pre step's name; null for a superstep
+    bool overlapped_;
+    bool open_ = true;
+  };
+
+  /// Opens pre step `name`, which must outlive the step (a literal).
+  [[nodiscard]] Step pre(const char* name);
+  /// Opens counting superstep stats.shifts.size(). `overlapped` marks one
+  /// whose communication was posted before its compute (Config::overlap).
+  [[nodiscard]] Step superstep(bool overlapped = false);
+  /// Ends the counting sweep: the final "superstep" counter reads the
+  /// number of supersteps, which the live view renders as done.
+  void end_sweep();
 
  private:
+  PhaseSample cut();
+
   mpisim::Comm& comm_;
+  RankStats& stats_;
+  obs::FlightRecorder* flight_;
   double cpu_at_ = 0.0;
   mpisim::PerfCounters counters_at_;
 };
@@ -117,10 +162,5 @@ struct StepCount {
   graph::TriangleCount triangles = 0;
   KernelCounters kernel;
 };
-
-/// Inflates `sample`'s compute by this rank's straggler factor (modeled
-/// slowdown; no-op without one) and tallies the injected share so reports
-/// can subtract it.
-void apply_straggler(mpisim::Comm& comm, PhaseSample& sample);
 
 }  // namespace tricount::core

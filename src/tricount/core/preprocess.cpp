@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "tricount/mpisim/collectives.hpp"
-#include "tricount/obs/flight.hpp"
 #include "tricount/util/prefix.hpp"
 
 namespace tricount::core {
@@ -173,32 +172,19 @@ Blocks scatter_2d(mpisim::Cart2D& grid, const RelabeledSlice& slice,
   return blocks;
 }
 
-void cut_step(PhaseTracker& tracker, StepSamples& steps, const char* name,
-              std::uint64_t ops) {
-  PhaseSample s = tracker.cut();
-  s.ops += ops;
-  steps.emplace_back(name, s);
-}
-
 RelabeledSlice redistribute_and_order(mpisim::Comm& comm, LocalSlice input,
                                       const Config& config,
-                                      PhaseTracker& tracker,
-                                      StepSamples& steps) {
-  const CyclicSlice cyclic = [&] {
-    obs::ScopedSpan span("redistribute", "pre");
-    CyclicSlice routed = cyclic_redistribute(comm, input);
-    input = LocalSlice{};
-    return routed;
-  }();
-  cut_step(tracker, steps, "redistribute", cyclic.adj.ids.size());
+                                      PhaseTracker& tracker) {
+  PhaseTracker::Step redistribute = tracker.pre("redistribute");
+  const CyclicSlice cyclic = cyclic_redistribute(comm, input);
+  input = LocalSlice{};
+  redistribute.close(cyclic.adj.ids.size());
 
-  RelabeledSlice relabeled = [&] {
-    obs::ScopedSpan span("degree_order", "pre");
-    return config.degree_ordering ? degree_relabel(comm, cyclic)
-                                  : identity_relabel(comm, cyclic);
-  }();
-  cut_step(tracker, steps, "degree_order",
-           relabeled.adj.ids.size() + relabeled.global_max_degree);
+  PhaseTracker::Step order = tracker.pre("degree_order");
+  RelabeledSlice relabeled = config.degree_ordering
+                                 ? degree_relabel(comm, cyclic)
+                                 : identity_relabel(comm, cyclic);
+  order.close(relabeled.adj.ids.size() + relabeled.global_max_degree);
   return relabeled;
 }
 
@@ -207,26 +193,22 @@ PreprocessOutput preprocess(mpisim::Cart2D& grid, LocalSlice input,
   mpisim::Comm& comm = grid.comm();
   PreprocessOutput out;
   out.num_vertices = input.num_vertices;
-  PhaseTracker tracker(comm);
-  RelabeledSlice relabeled = redistribute_and_order(
-      comm, std::move(input), config, tracker, out.steps);
+  RankStats stats;
+  PhaseTracker tracker(comm, stats);
+  RelabeledSlice relabeled =
+      redistribute_and_order(comm, std::move(input), config, tracker);
 
-  {
-    obs::ScopedSpan span("scatter_2d", "pre");
-    out.blocks = scatter_2d(grid, relabeled, config.enumeration);
-  }
-  cut_step(tracker, out.steps, "scatter_2d",
-           2 * (out.blocks.ublock.num_entries() +
-                out.blocks.lblock.num_entries() +
-                out.blocks.tasks.num_entries()));
+  PhaseTracker::Step scatter = tracker.pre("scatter_2d");
+  out.blocks = scatter_2d(grid, relabeled, config.enumeration);
+  scatter.close(2 * (out.blocks.ublock.num_entries() +
+                     out.blocks.lblock.num_entries() +
+                     out.blocks.tasks.num_entries()));
   out.new_ids = std::move(relabeled.new_ids);
 
-  {
-    obs::ScopedSpan span("edge_count", "pre");
-    out.num_edges =
-        mpisim::allreduce_sum(comm, out.blocks.ublock.num_entries());
-  }
-  cut_step(tracker, out.steps, "edge_count");
+  PhaseTracker::Step edge_count = tracker.pre("edge_count");
+  out.num_edges = mpisim::allreduce_sum(comm, out.blocks.ublock.num_entries());
+  edge_count.close();
+  out.steps = std::move(stats.pre_steps);
   return out;
 }
 

@@ -52,21 +52,15 @@ RelabeledSlice degree_relabel(mpisim::Comm& comm, const CyclicSlice& slice);
 /// performance benefits disappear.
 RelabeledSlice identity_relabel(mpisim::Comm& comm, const CyclicSlice& slice);
 
-/// Ends `tracker`'s current superstep as step `name` of `steps`, credited
-/// with `ops` operations.
-void cut_step(PhaseTracker& tracker, StepSamples& steps, const char* name,
-              std::uint64_t ops = 0);
-
-/// Steps (i) and (ii) on this rank, each under a flight span and cut from
-/// `tracker` into `steps`: `redistribute`, then `degree_order`
-/// (degree_relabel, or identity_relabel when Config::degree_ordering is
-/// off). The block slice is freed once cyclic_redistribute has routed it,
-/// and the cyclic slice once it is relabeled. The Cannon and SUMMA
-/// pipelines both start with these.
+/// Steps (i) and (ii) on this rank, as `tracker`'s pre steps
+/// `redistribute`, then `degree_order` (degree_relabel, or
+/// identity_relabel when Config::degree_ordering is off). The block slice
+/// is freed once cyclic_redistribute has routed it, and the cyclic slice
+/// once it is relabeled. The Cannon and SUMMA pipelines both start with
+/// these.
 RelabeledSlice redistribute_and_order(mpisim::Comm& comm, LocalSlice input,
                                       const Config& config,
-                                      PhaseTracker& tracker,
-                                      StepSamples& steps);
+                                      PhaseTracker& tracker);
 
 /// The three blocks each rank owns during counting, already in Cannon's
 /// aligned start position: U_{x,(x+y)%q}, L_{(x+y)%q,y}, and the task

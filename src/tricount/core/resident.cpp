@@ -309,14 +309,12 @@ RunResult count_resident_summa(mpisim::PersistentWorld& world,
     schedule.lpanels = std::span<const BlockCsr>(&blocks.lblock, 1);
     schedule.u_shift = comm.rank() / q;
     schedule.l_shift = comm.rank() % q;
-    PhaseTracker tracker(comm);
-    SummaSweep sweep =
-        summa_sweep(comm, q, q, q, schedule, blocks.tasks, config, tracker);
-
     RankStats& stats = result.per_rank[static_cast<std::size_t>(comm.rank())];
-    stats.shifts = std::move(sweep.steps);
+    PhaseTracker tracker(comm, stats);
+    const StepCount sweep =
+        summa_sweep(comm, q, q, q, schedule, blocks.tasks, config, tracker);
     stats.kernel = sweep.kernel;
-    const TriangleCount total = mpisim::allreduce_sum(comm, sweep.local);
+    const TriangleCount total = mpisim::allreduce_sum(comm, sweep.triangles);
     if (comm.rank() == 0) result.triangles = total;
   }));
   return result;

@@ -13,7 +13,6 @@
 #include "tricount/mpisim/recovery.hpp"
 #include "tricount/mpisim/runtime.hpp"
 #include "tricount/obs/flight.hpp"
-#include "tricount/obs/msgtrace.hpp"
 
 namespace tricount::core {
 
@@ -128,9 +127,9 @@ const BlockCsr& panel_bcast(mpisim::Comm& comm, const BlockCsr* own,
 
 }  // namespace
 
-SummaSweep summa_sweep(mpisim::Comm& comm, int qr, int qc, int K,
-                       const PanelSchedule& schedule, const BlockCsr& tasks,
-                       const Config& config, PhaseTracker& tracker) {
+StepCount summa_sweep(mpisim::Comm& comm, int qr, int qc, int K,
+                      const PanelSchedule& schedule, const BlockCsr& tasks,
+                      const Config& config, PhaseTracker& tracker) {
   const int x = comm.rank() / qc;
   const int y = comm.rank() % qc;
 
@@ -140,7 +139,7 @@ SummaSweep summa_sweep(mpisim::Comm& comm, int qr, int qc, int K,
   for (int r = 0; r < qr; ++r) col_members.push_back(r * qc + y);
 
   kernels::IntersectScratch scratch;
-  SummaSweep out;
+  StepCount out;
 
   // Overlap mode replaces the binomial broadcast with a point-to-point
   // prefetch pipeline one panel ahead: step z+1's owners isend their
@@ -196,20 +195,17 @@ SummaSweep summa_sweep(mpisim::Comm& comm, int qr, int qc, int K,
     next_l = post_l(0);
   }
 
-  // Live gauges + flight recorder, mirroring cannon_count: the
-  // "superstep" flight counter marks each panel step so a crash dump's
-  // final superstep record is the failed step.
-  obs::FlightRecorder* flight = obs::FlightRecorder::current();
+  // Live gauges, mirroring cannon_count.
   obs::RankGauges* gauges = obs::FlightRecorder::caller_gauges();
   std::uint64_t panels_bytes = 0;
   for (const auto panels : {schedule.upanels, schedule.lpanels}) {
     for (const BlockCsr& b : panels) panels_bytes += b.heap_bytes();
   }
-  auto publish_live = [&](int step) {
+  auto publish_gauges = [&] {
     if (gauges != nullptr) {
       gauges->total_supersteps.store(static_cast<std::uint64_t>(K),
                                      std::memory_order_relaxed);
-      gauges->triangles.store(static_cast<std::uint64_t>(out.local),
+      gauges->triangles.store(static_cast<std::uint64_t>(out.triangles),
                               std::memory_order_relaxed);
       gauges->lookups.store(out.kernel.lookups, std::memory_order_relaxed);
       gauges->graph_bytes.store(panels_bytes, std::memory_order_relaxed);
@@ -218,18 +214,13 @@ SummaSweep summa_sweep(mpisim::Comm& comm, int qr, int qc, int K,
       gauges->scratch_bytes.store(scratch.hash_capacity() * sizeof(VertexId),
                                   std::memory_order_relaxed);
     }
-    if (flight != nullptr) {
-      flight->counter("superstep", "tc", static_cast<double>(step));
-    }
-    if (obs::MsgTrace* mt = obs::MsgTrace::current()) {
-      mt->note_superstep(step);
-    }
   };
 
   BlockCsr u_storage;
   BlockCsr l_storage;
   for (int z = 0; z < K; ++z) {
-    publish_live(z);
+    publish_gauges();
+    PhaseTracker::Step superstep = tracker.superstep(overlap);
     const BlockCsr* uz = nullptr;
     const BlockCsr* lz = nullptr;
     if (overlap) {
@@ -262,17 +253,13 @@ SummaSweep summa_sweep(mpisim::Comm& comm, int qr, int qc, int K,
       result.kernel.probes = scratch.probes();
       return result;
     });
-    out.local += step.triangles;
+    out.triangles += step.triangles;
     out.kernel += step.kernel;
-    PhaseSample s = tracker.cut();
-    apply_straggler(comm, s);
-    s.ops = step.kernel.lookups;
-    s.overlapped = overlap;
-    out.steps.push_back(s);
+    superstep.close(step.kernel.lookups);
   }
-  if (flight != nullptr) flight->counter("superstep", "tc", K);
+  tracker.end_sweep();
   if (gauges != nullptr) {
-    gauges->triangles.store(static_cast<std::uint64_t>(out.local),
+    gauges->triangles.store(static_cast<std::uint64_t>(out.triangles),
                             std::memory_order_relaxed);
     gauges->lookups.store(out.kernel.lookups, std::memory_order_relaxed);
   }
@@ -305,18 +292,16 @@ RunResult count_triangles_summa(const graph::EdgeList& graph,
       return block_slice_from_edges(graph, comm.rank(), p);
     }();
     RankStats& stats = result.per_rank[static_cast<std::size_t>(comm.rank())];
-    PhaseTracker tracker(comm);
-    // The relabeled slice is freed once its panels are scattered.
-    const SummaBlocks blocks = [&] {
-      const RelabeledSlice relabeled = redistribute_and_order(
-          comm, std::move(input), options.config, tracker, stats.pre_steps);
-      obs::ScopedSpan span("scatter_summa", "pre");
-      return scatter_summa(comm, qr, qc, K, relabeled,
-                           options.config.enumeration);
-    }();
+    PhaseTracker tracker(comm, stats);
+    RelabeledSlice relabeled = redistribute_and_order(
+        comm, std::move(input), options.config, tracker);
+    PhaseTracker::Step scatter = tracker.pre("scatter_summa");
+    const SummaBlocks blocks = scatter_summa(comm, qr, qc, K, relabeled,
+                                             options.config.enumeration);
+    relabeled = RelabeledSlice{};  // freed once its panels are scattered
     std::uint64_t entries = 0;
     blocks.each([&](const BlockCsr& b) { entries += b.num_entries(); });
-    cut_step(tracker, stats.pre_steps, "scatter_summa", 2 * entries);
+    scatter.close(2 * entries);
     if (options.validate_blocks) {
       blocks.each([](const BlockCsr& b) { b.validate(); });
     }
@@ -325,14 +310,13 @@ RunResult count_triangles_summa(const graph::EdgeList& graph,
     PanelSchedule schedule;
     schedule.upanels = blocks.upanels;
     schedule.lpanels = blocks.lpanels;
-    SummaSweep sweep = summa_sweep(comm, qr, qc, K, schedule, blocks.tasks,
-                                   options.config, tracker);
-    stats.shifts = std::move(sweep.steps);
+    const StepCount sweep = summa_sweep(comm, qr, qc, K, schedule,
+                                        blocks.tasks, options.config, tracker);
     stats.kernel = sweep.kernel;
     // The U panels hold each undirected edge once, so the edges of an
     // unsimplified list count as its simplification's. One allreduce
     // sums them beside the triangles.
-    std::vector<std::uint64_t> totals{sweep.local, 0};
+    std::vector<std::uint64_t> totals{sweep.triangles, 0};
     for (const BlockCsr& b : blocks.upanels) totals[1] += b.num_entries();
     mpisim::allreduce(comm, totals, std::plus<std::uint64_t>());
     if (comm.rank() == 0) {

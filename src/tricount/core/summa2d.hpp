@@ -39,20 +39,14 @@ struct PanelSchedule {
   int l_shift = 0;
 };
 
-/// One rank's share of a SUMMA count.
-struct SummaSweep {
-  graph::TriangleCount local = 0;  ///< this rank's tasks, pre-reduction
-  KernelCounters kernel;
-  std::vector<PhaseSample> steps;  ///< one `tracker` sample per panel step
-};
-
-/// Runs the K panel steps of a qr × qc grid on one rank: broadcast (with
-/// Config::overlap, prefetch one step ahead) the step's panels, then
-/// intersect `tasks` against them. Follows the chaos schedule like
-/// cannon_count. The caller reduces `local`.
-SummaSweep summa_sweep(mpisim::Comm& comm, int qr, int qc, int K,
-                       const PanelSchedule& schedule, const BlockCsr& tasks,
-                       const Config& config, PhaseTracker& tracker);
+/// Runs the K panel steps of a qr × qc grid on one rank, each one of
+/// `tracker`'s counting supersteps: broadcast (with Config::overlap,
+/// prefetch one step ahead) the step's panels, then intersect `tasks`
+/// against them. Follows the chaos schedule like cannon_count. Returns
+/// what the steps add on this rank; the caller reduces its triangles.
+StepCount summa_sweep(mpisim::Comm& comm, int qr, int qc, int K,
+                      const PanelSchedule& schedule, const BlockCsr& tasks,
+                      const Config& config, PhaseTracker& tracker);
 
 /// A SUMMA run's options: every RunOptions field, honoured as by
 /// count_triangles_2d (validate_blocks checks the panels and the task

@@ -103,7 +103,8 @@ class MsgTrace {
   double now_us() const;
 
   /// Tags subsequent records from the calling rank with counting
-  /// superstep `step` (the 2D loops call this at each loop entry).
+  /// superstep `step` (core::PhaseTracker calls this as each counting
+  /// superstep opens).
   void note_superstep(int step);
 
   /// Appends `r` to the calling rank's buffer, stamping its superstep.

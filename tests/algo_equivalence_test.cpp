@@ -78,7 +78,7 @@ TEST(AlgoEquivalence, KernelMatrix) {
           << "push p=3";
     }
     // The wedge baseline has no kernel knob; one run per graph.
-    EXPECT_EQ(baselines::count_triangles_wedge(entry.graph, 3).triangles(),
+    EXPECT_EQ(baselines::count_triangles_wedge(entry.graph, 3).triangles,
               entry.expected)
         << "wedge p=3 graph=" << gi;
   }
@@ -117,7 +117,7 @@ TEST(AlgoEquivalence, RankCountSweep) {
       EXPECT_EQ(baselines::count_triangles_push1d(entry.graph, p).triangles,
                 entry.expected)
           << "push p=" << p;
-      EXPECT_EQ(baselines::count_triangles_wedge(entry.graph, p).triangles(),
+      EXPECT_EQ(baselines::count_triangles_wedge(entry.graph, p).triangles,
                 entry.expected)
           << "wedge p=" << p;
     }

@@ -3,13 +3,17 @@
 // (ghost overlap, wedge counts, 2-core peeling) must hold.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "tricount/baselines/aop1d.hpp"
 #include "tricount/baselines/push_based1d.hpp"
 #include "tricount/baselines/wedge_counting.hpp"
+#include "tricount/core/artifacts.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/graph/serial_count.hpp"
+#include "tricount/obs/analysis.hpp"
 
 namespace tricount::baselines {
 namespace {
@@ -59,7 +63,7 @@ TEST_P(BaselineSweep, PushMatchesSerial) {
 TEST_P(BaselineSweep, WedgeMatchesSerial) {
   const auto [gi, p] = GetParam();
   const EdgeList& g = sweep_graphs()[static_cast<std::size_t>(gi)];
-  EXPECT_EQ(count_triangles_wedge(g, p).triangles(), reference(g));
+  EXPECT_EQ(count_triangles_wedge(g, p).triangles, reference(g));
 }
 
 INSTANTIATE_TEST_SUITE_P(GraphsByRanks, BaselineSweep,
@@ -68,18 +72,20 @@ INSTANTIATE_TEST_SUITE_P(GraphsByRanks, BaselineSweep,
 
 TEST(Aop, RecordsThreePhases) {
   const EdgeList g = rmat_graph(3);
-  const BaselineResult result = count_triangles_aop1d(g, 4);
-  ASSERT_EQ(result.phase_names.size(), 3u);
-  EXPECT_EQ(result.phase_names[1], "overlap");
+  const core::RunResult result = count_triangles_aop1d(g, 4);
+  // Two pre steps, then the one counting superstep.
+  ASSERT_EQ(result.num_steps() + result.num_shifts(), 3u);
+  ASSERT_EQ(result.num_shifts(), 1u);
+  EXPECT_EQ(result.per_rank[0].pre_steps[1].first, "overlap");
   // Counting phase must be communication-free (the algorithm's point):
   // only the final allreduce travels, which is tiny.
-  const auto& count_phase = result.phase_samples[2];
+  const auto count_phase = result.shift_samples(0);
   for (const auto& sample : count_phase) {
     EXPECT_LE(sample.bytes, 1024u);
   }
   // The overlap phase moves real adjacency data on multi-rank runs.
   std::uint64_t overlap_bytes = 0;
-  for (const auto& sample : result.phase_samples[1]) {
+  for (const auto& sample : result.step_samples(1)) {
     overlap_bytes += sample.bytes;
   }
   EXPECT_GT(overlap_bytes, 0u);
@@ -100,26 +106,26 @@ TEST(Push, MoreRoundsStaysExact) {
 TEST(Wedge, PeelsTreesEntirely) {
   // A path graph is peeled to nothing by the 2-core decomposition.
   const EdgeList g = graph::simplify(graph::path_graph(50));
-  const WedgeResult result = count_triangles_wedge(g, 4);
-  EXPECT_EQ(result.triangles(), 0u);
-  EXPECT_EQ(result.vertices_peeled, 50u);
-  EXPECT_EQ(result.wedges_checked, 0u);
+  const core::RunResult result = count_triangles_wedge(g, 4);
+  EXPECT_EQ(result.triangles, 0u);
+  EXPECT_EQ(result.pre_ops(), 50u);  // vertices peeled
+  EXPECT_EQ(result.tc_ops(), 0u);    // wedges checked
 }
 
 TEST(Wedge, KeepsCyclesAndCountsWedges) {
   // A cycle is its own 2-core; it has wedges but no triangles.
   const EdgeList g = graph::simplify(graph::cycle_graph(30));
-  const WedgeResult result = count_triangles_wedge(g, 3);
-  EXPECT_EQ(result.triangles(), 0u);
-  EXPECT_EQ(result.vertices_peeled, 0u);
+  const core::RunResult result = count_triangles_wedge(g, 3);
+  EXPECT_EQ(result.triangles, 0u);
+  EXPECT_EQ(result.pre_ops(), 0u);  // vertices peeled
 }
 
 TEST(Wedge, WedgeVolumeExceedsEdgesOnSkewedGraphs) {
   // The structural reason Havoq loses (§7.4): wedge checks blow up with
   // degree skew.
   const EdgeList g = rmat_graph(9);
-  const WedgeResult result = count_triangles_wedge(g, 4);
-  EXPECT_GT(result.wedges_checked, g.edges.size());
+  const core::RunResult result = count_triangles_wedge(g, 4);
+  EXPECT_GT(result.tc_ops(), g.edges.size());  // wedges checked
 }
 
 TEST(Wedge, RoundsStayExact) {
@@ -127,7 +133,7 @@ TEST(Wedge, RoundsStayExact) {
   for (const int rounds : {1, 3, 6}) {
     WedgeOptions options;
     options.rounds = rounds;
-    EXPECT_EQ(count_triangles_wedge(g, 4, options).triangles(), reference(g));
+    EXPECT_EQ(count_triangles_wedge(g, 4, options).triangles, reference(g));
   }
 }
 
@@ -136,17 +142,81 @@ TEST(Baselines, EmptyGraphsAreFine) {
   empty.num_vertices = 10;
   EXPECT_EQ(count_triangles_aop1d(empty, 4).triangles, 0u);
   EXPECT_EQ(count_triangles_push1d(empty, 4).triangles, 0u);
-  EXPECT_EQ(count_triangles_wedge(empty, 4).triangles(), 0u);
+  EXPECT_EQ(count_triangles_wedge(empty, 4).triangles, 0u);
+}
+
+/// The bytes every step of `r` sent, summed over ranks.
+std::uint64_t step_bytes(const core::RunResult& r) {
+  std::uint64_t bytes = 0;
+  for (const core::RankStats& stats : r.per_rank) {
+    bytes += stats.pre_total().bytes + stats.tc_total().bytes;
+  }
+  return bytes;
 }
 
 TEST(Baselines, ModeledTimesAreFinite) {
   const EdgeList g = rmat_graph(21);
-  const util::AlphaBetaModel model;
-  const BaselineResult aop = count_triangles_aop1d(g, 4);
-  EXPECT_GE(aop.total_modeled_seconds(model), 0.0);
-  const BaselineResult push = count_triangles_push1d(g, 4);
-  EXPECT_GE(push.total_modeled_seconds(model), 0.0);
-  EXPECT_GT(push.total_bytes(), 0u);
+  const core::RunResult aop = count_triangles_aop1d(g, 4);
+  EXPECT_GE(aop.total_modeled_seconds(), 0.0);
+  const core::RunResult push = count_triangles_push1d(g, 4);
+  EXPECT_GE(push.total_modeled_seconds(), 0.0);
+  EXPECT_GT(step_bytes(push), 0u);
+}
+
+TEST(Baselines, ArtifactsLintCleanAndAreConsistent) {
+  // Every baseline returns a core::RunResult, so its metrics artifact
+  // must pass the same lint as the 2D one and its modeled times must
+  // agree with the analyzer's re-derivation.
+  const EdgeList g = rmat_graph(23);
+  const TriangleCount expected = reference(g);
+  for (const int p : {1, 3, 4}) {
+    const core::RunResult runs[] = {count_triangles_aop1d(g, p),
+                                    count_triangles_push1d(g, p),
+                                    count_triangles_wedge(g, p)};
+    for (const core::RunResult& r : runs) {
+      const std::string where = r.algorithm + " p=" + std::to_string(p);
+      EXPECT_EQ(r.triangles, expected) << where;
+      EXPECT_EQ(r.ranks, p) << where;
+      EXPECT_EQ(r.grid_q, 0) << where;
+      EXPECT_EQ(r.num_vertices, g.num_vertices) << where;
+      EXPECT_EQ(r.num_edges, g.edges.size()) << where;
+      EXPECT_EQ(r.num_shifts(), 1u) << where;
+      EXPECT_EQ(r.per_rank_counters.size(), static_cast<std::size_t>(p))
+          << where;
+      const std::vector<std::string> lint =
+          obs::analysis::lint_metrics(core::build_run_metrics(r));
+      EXPECT_TRUE(lint.empty()) << where << ": " << lint.front();
+      const obs::analysis::RunReport report = core::build_run_report(r);
+      EXPECT_TRUE(obs::analysis::analyze(report).consistency_issues.empty())
+          << where;
+    }
+  }
+}
+
+TEST(Baselines, StepsKeepTheirNamesAndCountTheirOps) {
+  const EdgeList g = rmat_graph(25);
+  const auto names = [](const core::RunResult& r) {
+    std::vector<std::string> out;
+    for (const auto& [name, sample] : r.per_rank[0].pre_steps) {
+      out.push_back(name);
+    }
+    return out;
+  };
+  const core::RunResult aop = count_triangles_aop1d(g, 4);
+  const core::RunResult push = count_triangles_push1d(g, 4);
+  const core::RunResult wedge = count_triangles_wedge(g, 4);
+  EXPECT_EQ(names(aop), (std::vector<std::string>{"preprocess", "overlap"}));
+  EXPECT_EQ(names(push), (std::vector<std::string>{"preprocess"}));
+  EXPECT_EQ(names(wedge), (std::vector<std::string>{"twocore"}));
+  // AOP and push count through the kernel layer: the count's ops are its
+  // lookups, and the kernel tallies reach the metrics.
+  for (const core::RunResult* r : {&aop, &push}) {
+    EXPECT_GT(r->total_kernel().lookups, 0u) << r->algorithm;
+    EXPECT_EQ(r->tc_ops(), r->total_kernel().lookups) << r->algorithm;
+  }
+  EXPECT_EQ(aop.algorithm, "aop");
+  EXPECT_EQ(push.algorithm, "push");
+  EXPECT_EQ(wedge.algorithm, "wedge");
 }
 
 }  // namespace

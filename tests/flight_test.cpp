@@ -21,8 +21,12 @@
 #include <vector>
 
 #include "test_seed.hpp"
+#include "tricount/baselines/aop1d.hpp"
+#include "tricount/baselines/push_based1d.hpp"
+#include "tricount/baselines/wedge_counting.hpp"
 #include "tricount/cetric/cetric.hpp"
 #include "tricount/chaos/fault_plan.hpp"
+#include "tricount/core/artifacts.hpp"
 #include "tricount/core/driver.hpp"
 #include "tricount/core/summa2d.hpp"
 #include "tricount/graph/generators.hpp"
@@ -201,6 +205,60 @@ TEST(FlightRecorder, TraceHoldsEachPreprocessingLayerAndTheCount) {
   // and then counts.
   check(3, [&] { return cetric::count_triangles_cetric(g, 3); },
         {"slice", "partition", "ghost", "intersect"});
+  // The 1D baselines slice, then run their pre steps; their one counting
+  // superstep opens no span.
+  check(3, [&] { return baselines::count_triangles_aop1d(g, 3); },
+        {"slice", "preprocess", "overlap"});
+  check(3, [&] { return baselines::count_triangles_push1d(g, 3); },
+        {"slice", "preprocess"});
+  check(3, [&] { return baselines::count_triangles_wedge(g, 3); },
+        {"slice", "twocore"});
+}
+
+TEST(FlightRecorder, EveryAlgorithmSpansItsPreStepsAndCountsItsSupersteps) {
+  // One marker makes every modeled step: each pre step of the metrics
+  // artifact is a span of the same name on every rank, and each rank's
+  // last superstep counter reads the run's counting supersteps.
+  const graph::EdgeList g =
+      graph::simplify(graph::watts_strogatz(96, 6, 0.2, 9));
+  const auto check = [&](int ranks, const auto& count) {
+    obs::FlightRecorder recorder(ranks);
+    recorder.install();
+    const core::RunResult r = count();
+    recorder.uninstall();
+
+    const obs::Trace trace = recorder.trace();
+    ASSERT_TRUE(obs::lint_trace(trace).empty()) << r.algorithm;
+    const obs::json::Value metrics = core::build_run_metrics(r);
+    const obs::json::Value& steps = metrics.get("steps");
+    std::size_t pre_steps = 0;
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      const obs::json::Value& step = steps.at(i);
+      if (step.get("phase").as_string() != "pre") continue;
+      ++pre_steps;
+      const std::string name = step.get("name").as_string();
+      for (int rank = 0; rank < ranks; ++rank) {
+        EXPECT_FALSE(values(trace, rank + 1, 'X', name).empty())
+            << r.algorithm << ": no '" << name << "' span on rank " << rank;
+      }
+    }
+    EXPECT_EQ(pre_steps, r.num_steps()) << r.algorithm;
+    ASSERT_GT(r.num_shifts(), 0u) << r.algorithm;
+    for (int rank = 0; rank < ranks; ++rank) {
+      EXPECT_EQ(last_value(trace, rank + 1, 'C', "superstep"),
+                static_cast<double>(r.num_shifts()))
+          << r.algorithm << ", rank " << rank;
+    }
+  };
+  check(4, [&] { return core::count_triangles_2d(g, 4); });
+  core::SummaOptions summa;
+  summa.grid_rows = 2;
+  summa.grid_cols = 3;
+  check(6, [&] { return core::count_triangles_summa(g, summa); });
+  check(3, [&] { return cetric::count_triangles_cetric(g, 3); });
+  check(3, [&] { return baselines::count_triangles_aop1d(g, 3); });
+  check(3, [&] { return baselines::count_triangles_push1d(g, 3); });
+  check(3, [&] { return baselines::count_triangles_wedge(g, 3); });
 }
 
 TEST(FlightRecorder, ChaosDropsAreInstantsOnTheSendersRing) {

@@ -122,7 +122,7 @@ TEST_P(FuzzConsistency, AllAlgorithmsAgree) {
         << "aop p=" << p;
     EXPECT_EQ(baselines::count_triangles_push1d(g, p).triangles, expected)
         << "push p=" << p;
-    EXPECT_EQ(baselines::count_triangles_wedge(g, p).triangles(), expected)
+    EXPECT_EQ(baselines::count_triangles_wedge(g, p).triangles, expected)
         << "wedge p=" << p;
 
     // Cetric on a random rank count, reusing the random config (its

@@ -347,17 +347,12 @@ int cmd_count(int argc, const char* const* argv) {
                 "overlap block shifts / panel broadcasts with intersections "
                 "(2d and summa; docs/overlap.md)");
   args.add_option("trace-out", "",
-                  "write a Chrome trace-event JSON timeline "
-                  "(2d/cetric/summa)");
-  args.add_option("metrics-out", "",
-                  "write the metrics JSON artifact (2d/cetric/summa)");
-  args.add_flag("comm-matrix", false,
-                "print the p x p traffic heatmap (2d/cetric/summa)");
+                  "write a Chrome trace-event JSON timeline");
+  args.add_option("metrics-out", "", "write the metrics JSON artifact");
+  args.add_flag("comm-matrix", false, "print the p x p traffic heatmap");
   args.add_option("model", "",
-                  "alpha,beta cost-model override, e.g. 1.5e-6,2.9e-10 "
-                  "(2d/cetric/summa)");
-  args.add_flag("analyze", false,
-                "print the perf-doctor bottleneck report (2d/cetric/summa)");
+                  "alpha,beta cost-model override, e.g. 1.5e-6,2.9e-10");
+  args.add_flag("analyze", false, "print the perf-doctor bottleneck report");
   args.add_option("watchdog", "0",
                   "hang-watchdog budget in seconds (0 = auto, negative = "
                   "off; see docs/chaos.md)");
@@ -379,8 +374,8 @@ int cmd_count(int argc, const char* const* argv) {
                   "telemetry publish interval in milliseconds");
   args.add_flag("msgtrace", false,
                 "capture causal message traces and write them as a Chrome "
-                "trace of per-rank msg spans and flows (2d/cetric/summa; "
-                "docs/observability.md)");
+                "trace of per-rank msg spans and flows "
+                "(docs/observability.md)");
   args.add_option("msgtrace-out", "msgtrace.json",
                   "path for the message trace (with --msgtrace)");
   args.add_option("msgtrace-capacity", "65536",
@@ -409,118 +404,131 @@ int cmd_count(int argc, const char* const* argv) {
   config.overlap = args.get_bool("overlap");
   const double watchdog = args.get_double("watchdog");
 
-  if (algorithm == "2d" || algorithm == "cetric" || algorithm == "summa") {
-    // All three counters return a full core::RunResult, so the entire
-    // artifact pipeline (trace, metrics, msgtrace, heatmap, analyzer) is
-    // shared. SummaOptions is RunOptions plus the SUMMA grid.
-    core::SummaOptions options;
-    options.config = config;
-    int world = ranks;
-    if (algorithm == "summa") {
-      int rows = static_cast<int>(args.get_int("grid-rows"));
-      int cols = static_cast<int>(args.get_int("grid-cols"));
-      if (rows <= 0 || cols <= 0) {
-        // Auto: most-square factorization of `ranks`.
-        rows = 1;
-        for (int r = 1; r * r <= ranks; ++r) {
-          if (ranks % r == 0) rows = r;
-        }
-        cols = ranks / rows;
-      }
-      options.grid_rows = rows;
-      options.grid_cols = cols;
-      world = rows * cols;
-    }
-    options.chaos = chaos::plan_from_args(args, world);
-    options.watchdog_seconds = watchdog;
-    if (!args.get("model").empty()) {
-      try {
-        options.model =
-            util::AlphaBetaModel::from_string(args.get("model").c_str());
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "bad --model: %s\n", e.what());
-        return 1;
-      }
-    }
-    FlightSession flight_session(args, world);
-    MsgTraceSession msgtrace_session(args, world);
-    const core::RunResult result =
-        algorithm == "summa"
-            ? core::count_triangles_summa(g, options)
-            : algorithm == "cetric"
-                  ? cetric::count_triangles_cetric(g, ranks, options)
-                  : core::count_triangles_2d(g, ranks, options);
-    if (algorithm == "cetric") {
-      const core::CetricRankCounters cet = result.total_cetric();
-      std::printf("cetric: %llu local + %llu cut triangles, %llu cut "
-                  "wedges sent\n",
-                  static_cast<unsigned long long>(cet.local_triangles),
-                  static_cast<unsigned long long>(cet.cut_triangles),
-                  static_cast<unsigned long long>(cet.cut_wedges_sent));
-    } else if (algorithm == "summa") {
-      std::printf("summa: grid %dx%d, %zu panel steps\n", options.grid_rows,
-                  options.grid_cols, result.num_shifts());
-    }
-    std::printf("triangles: %llu\n",
-                static_cast<unsigned long long>(result.triangles));
-    std::printf("modeled ppt/tct/overall: %.4f / %.4f / %.4f s\n",
-                result.pre_modeled_seconds(), result.tc_modeled_seconds(),
-                result.total_modeled_seconds());
-    if (result.chaos_enabled) {
-      const mpisim::ChaosCounters c = result.total_chaos();
-      std::printf("chaos: %llu faults injected (drop %llu, dup %llu, "
-                  "reorder %llu, delay %llu), %llu retransmits, %llu dups "
-                  "discarded, %llu crash(es) recovered\n",
-                  static_cast<unsigned long long>(c.total_injected()),
-                  static_cast<unsigned long long>(c.drops_injected),
-                  static_cast<unsigned long long>(c.duplicates_injected),
-                  static_cast<unsigned long long>(c.reorders_injected),
-                  static_cast<unsigned long long>(c.delays_injected),
-                  static_cast<unsigned long long>(c.retransmits),
-                  static_cast<unsigned long long>(c.duplicates_discarded),
-                  static_cast<unsigned long long>(c.crashes));
-    }
-    if (!args.get("trace-out").empty()) {
-      core::write_run_trace(result, args.get("trace-out"));
-      std::printf("wrote trace: %s\n", args.get("trace-out").c_str());
-    }
-    if (!args.get("metrics-out").empty()) {
-      core::write_run_metrics(result, args.get("metrics-out"));
-      std::printf("wrote metrics: %s\n", args.get("metrics-out").c_str());
-    }
-    if (msgtrace_session.trace() != nullptr) {
-      core::write_run_msgtrace(result, *msgtrace_session.trace(),
-                               args.get("msgtrace-out"));
-      std::printf("wrote msgtrace: %s\n", args.get("msgtrace-out").c_str());
-    }
-    if (args.get_bool("comm-matrix")) {
-      print_comm_heatmap(result.comm_matrix);
-    }
-    if (args.get_bool("analyze")) {
-      const obs::analysis::RunReport report = core::build_run_report(result);
-      obs::analysis::print_report(report, obs::analysis::analyze(report));
-    }
-  } else if (algorithm == "aop") {
-    baselines::AopOptions options;
-    options.kernel = config.kernel;
-    const auto result = baselines::count_triangles_aop1d(g, ranks, options);
-    std::printf("triangles: %llu\n",
-                static_cast<unsigned long long>(result.triangles));
-  } else if (algorithm == "push") {
-    baselines::PushOptions options;
-    options.kernel = config.kernel;
-    const auto result = baselines::count_triangles_push1d(g, ranks, options);
-    std::printf("triangles: %llu\n",
-                static_cast<unsigned long long>(result.triangles));
-  } else if (algorithm == "wedge") {
-    const auto result = baselines::count_triangles_wedge(g, ranks);
-    std::printf("triangles: %llu (wedges checked: %llu, peeled: %u)\n",
-                static_cast<unsigned long long>(result.triangles()),
-                static_cast<unsigned long long>(result.wedges_checked),
-                result.vertices_peeled);
-  } else {
+  const bool baseline =
+      algorithm == "aop" || algorithm == "push" || algorithm == "wedge";
+  if (!baseline && algorithm != "2d" && algorithm != "cetric" &&
+      algorithm != "summa") {
     std::fprintf(stderr, "unknown --algorithm '%s'\n", algorithm.c_str());
     return 1;
+  }
+  // Every counter returns a full core::RunResult, so the entire artifact
+  // pipeline (trace, metrics, msgtrace, heatmap, analyzer) is shared.
+  // SummaOptions is RunOptions plus the SUMMA grid.
+  core::SummaOptions options;
+  options.config = config;
+  int world = ranks;
+  if (algorithm == "summa") {
+    int rows = static_cast<int>(args.get_int("grid-rows"));
+    int cols = static_cast<int>(args.get_int("grid-cols"));
+    if (rows <= 0 || cols <= 0) {
+      // Auto: most-square factorization of `ranks`.
+      rows = 1;
+      for (int r = 1; r * r <= ranks; ++r) {
+        if (ranks % r == 0) rows = r;
+      }
+      cols = ranks / rows;
+    }
+    options.grid_rows = rows;
+    options.grid_cols = cols;
+    world = rows * cols;
+  }
+  options.chaos = chaos::plan_from_args(args, world);
+  if (baseline && options.chaos != nullptr) {
+    std::fprintf(stderr,
+                 "count: --algorithm %s runs no fault injection; drop "
+                 "--chaos-seed and --chaos-replay\n",
+                 algorithm.c_str());
+    return 1;
+  }
+  options.watchdog_seconds = watchdog;
+  if (!args.get("model").empty()) {
+    try {
+      options.model =
+          util::AlphaBetaModel::from_string(args.get("model").c_str());
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "bad --model: %s\n", e.what());
+      return 1;
+    }
+  }
+  FlightSession flight_session(args, world);
+  MsgTraceSession msgtrace_session(args, world);
+  const core::RunResult result = [&] {
+    if (algorithm == "summa") return core::count_triangles_summa(g, options);
+    if (algorithm == "cetric") {
+      return cetric::count_triangles_cetric(g, ranks, options);
+    }
+    if (algorithm == "aop") {
+      baselines::AopOptions aop;
+      aop.model = options.model;
+      aop.kernel = config.kernel;
+      return baselines::count_triangles_aop1d(g, ranks, aop);
+    }
+    if (algorithm == "push") {
+      baselines::PushOptions push;
+      push.model = options.model;
+      push.kernel = config.kernel;
+      return baselines::count_triangles_push1d(g, ranks, push);
+    }
+    if (algorithm == "wedge") {
+      baselines::WedgeOptions wedge;
+      wedge.model = options.model;
+      return baselines::count_triangles_wedge(g, ranks, wedge);
+    }
+    return core::count_triangles_2d(g, ranks, options);
+  }();
+  if (algorithm == "cetric") {
+    const core::CetricRankCounters cet = result.total_cetric();
+    std::printf("cetric: %llu local + %llu cut triangles, %llu cut "
+                "wedges sent\n",
+                static_cast<unsigned long long>(cet.local_triangles),
+                static_cast<unsigned long long>(cet.cut_triangles),
+                static_cast<unsigned long long>(cet.cut_wedges_sent));
+  } else if (algorithm == "summa") {
+    std::printf("summa: grid %dx%d, %zu panel steps\n", options.grid_rows,
+                options.grid_cols, result.num_shifts());
+  } else if (algorithm == "wedge") {
+    std::printf("wedge: %llu wedges checked, %llu vertices peeled\n",
+                static_cast<unsigned long long>(result.tc_ops()),
+                static_cast<unsigned long long>(result.pre_ops()));
+  }
+  std::printf("triangles: %llu\n",
+              static_cast<unsigned long long>(result.triangles));
+  std::printf("modeled ppt/tct/overall: %.4f / %.4f / %.4f s\n",
+              result.pre_modeled_seconds(), result.tc_modeled_seconds(),
+              result.total_modeled_seconds());
+  if (result.chaos_enabled) {
+    const mpisim::ChaosCounters c = result.total_chaos();
+    std::printf("chaos: %llu faults injected (drop %llu, dup %llu, "
+                "reorder %llu, delay %llu), %llu retransmits, %llu dups "
+                "discarded, %llu crash(es) recovered\n",
+                static_cast<unsigned long long>(c.total_injected()),
+                static_cast<unsigned long long>(c.drops_injected),
+                static_cast<unsigned long long>(c.duplicates_injected),
+                static_cast<unsigned long long>(c.reorders_injected),
+                static_cast<unsigned long long>(c.delays_injected),
+                static_cast<unsigned long long>(c.retransmits),
+                static_cast<unsigned long long>(c.duplicates_discarded),
+                static_cast<unsigned long long>(c.crashes));
+  }
+  if (!args.get("trace-out").empty()) {
+    core::write_run_trace(result, args.get("trace-out"));
+    std::printf("wrote trace: %s\n", args.get("trace-out").c_str());
+  }
+  if (!args.get("metrics-out").empty()) {
+    core::write_run_metrics(result, args.get("metrics-out"));
+    std::printf("wrote metrics: %s\n", args.get("metrics-out").c_str());
+  }
+  if (msgtrace_session.trace() != nullptr) {
+    core::write_run_msgtrace(result, *msgtrace_session.trace(),
+                             args.get("msgtrace-out"));
+    std::printf("wrote msgtrace: %s\n", args.get("msgtrace-out").c_str());
+  }
+  if (args.get_bool("comm-matrix")) {
+    print_comm_heatmap(result.comm_matrix);
+  }
+  if (args.get_bool("analyze")) {
+    const obs::analysis::RunReport report = core::build_run_report(result);
+    obs::analysis::print_report(report, obs::analysis::analyze(report));
   }
   return 0;
 }
