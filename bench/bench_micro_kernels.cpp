@@ -3,10 +3,13 @@
 // intersection, the bitmap-vs-hash universe sweep behind the auto
 // policy's bitmap budget, the pinned-row skew sweep behind its galloping
 // rule, the probe-length sweep behind the SIMD bitmap probe's floor, blob
-// serialization, and RMAT edge generation.
+// serialization, RMAT edge generation, and simplify's parallel sort.
 #include <benchmark/benchmark.h>
 
+#include <thread>
+
 #include "tricount/core/block_matrix.hpp"
+#include "tricount/graph/edge_sort.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/hashmap/hash_set.hpp"
 #include "tricount/kernels/intersect.hpp"
@@ -371,6 +374,65 @@ void BM_RmatEdgeGeneration(benchmark::State& state) {
   state.SetItemsProcessed(state.range(0) * state.iterations());
 }
 BENCHMARK(BM_RmatEdgeGeneration)->Range(1024, 65536);
+
+/// The raw list a file load hands to simplify: a generated graph's edges
+/// shuffled and each flipped at random. Family 0 is Watts-Strogatz
+/// (n = 2^18, k = 16, beta = 0.1), family 1 Graph500 RMAT at scale 17.
+const tricount::graph::EdgeList& load_input(std::int64_t family) {
+  const auto shuffled = [](tricount::graph::EdgeList g) {
+    tricount::util::Xoshiro256 rng(29);
+    for (std::size_t i = g.edges.size(); i > 1; --i) {
+      std::swap(g.edges[i - 1], g.edges[rng.bounded(i)]);
+    }
+    for (auto& e : g.edges) {
+      if ((rng() & 1) != 0) std::swap(e.u, e.v);
+    }
+    return g;
+  };
+  if (family == 0) {
+    static const auto ws =
+        shuffled(tricount::graph::watts_strogatz(1u << 18, 16, 0.1, 1));
+    return ws;
+  }
+  static const auto rmat = [&] {
+    tricount::graph::RmatParams params;
+    params.scale = 17;
+    return shuffled(tricount::graph::rmat(params));
+  }();
+  return rmat;
+}
+
+void BM_Simplify(benchmark::State& state) {
+  // simplify's sort of a load's raw list (arg 0: 0 = WS, 1 = RMAT) on
+  // arg 1 workers, in edges per second of wall time. Copying the list in
+  // is not timed.
+  const auto& input = load_input(state.range(0));
+  const auto workers = static_cast<unsigned>(state.range(1));
+  std::vector<tricount::graph::Edge> edges;
+  for (auto _ : state) {
+    state.PauseTiming();
+    edges = input.edges;
+    state.ResumeTiming();
+    tricount::graph::detail::sort_edges(edges, input.num_vertices,
+                                        /*drop_repeats=*/true, workers);
+    benchmark::DoNotOptimize(edges.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(input.edges.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_Simplify)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      const auto cores =
+          static_cast<std::int64_t>(std::thread::hardware_concurrency());
+      for (const std::int64_t family : {0, 1}) {
+        b->Args({family, 1});
+        if (cores > 1) b->Args({family, cores});
+      }
+    })
+    ->ArgNames({"rmat", "workers"})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

@@ -23,8 +23,10 @@ struct EdgeList {
 /// each edge as (min, max), and removes duplicates, leaving the edges in
 /// (u, v) ascending order. The sort runs in place (a radix sort on the
 /// packed key (u << b) | v) and allocates no buffer the size of the edge
-/// list. Idempotent. Throws std::out_of_range if an endpoint is not below
-/// num_vertices.
+/// list. It runs on up to std::thread::hardware_concurrency() worker
+/// threads, one per 2^16 edges, so a list under 2^17 edges sorts on the
+/// caller alone. Idempotent. Throws std::out_of_range, on the calling
+/// thread, if an endpoint is not below num_vertices.
 EdgeList simplify(EdgeList graph);
 
 /// Per-vertex degrees of a simplified (undirected, one record per edge)
@@ -36,7 +38,8 @@ EdgeIndex max_degree(const EdgeList& graph);
 
 /// Applies a vertex relabeling: vertex v becomes perm[v]. `perm` must be a
 /// permutation of [0, num_vertices). Edge orientation is re-canonicalized
-/// and the edges sorted by (u, v), in place, as `simplify` sorts them.
+/// and the edges sorted by (u, v), in place and on as many workers, as
+/// `simplify` sorts them.
 EdgeList relabel(const EdgeList& graph, const std::vector<VertexId>& perm);
 
 /// True if `perm` is a permutation of [0, n).

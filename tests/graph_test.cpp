@@ -1,10 +1,12 @@
-// Tests for the graph substrate: edge-list simplification, CSR/DCSR
-// invariants, degree ordering, and every generator's structural
-// guarantees.
+// Tests for the graph substrate: edge-list simplification and its
+// parallel radix sort, CSR/DCSR invariants, degree ordering, and every
+// generator's structural guarantees.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "tricount/graph/csr.hpp"
 #include "tricount/graph/degree_order.hpp"
 #include "tricount/graph/edge_list.hpp"
+#include "tricount/graph/edge_sort.hpp"
 #include "tricount/graph/generators.hpp"
 #include "tricount/util/rng.hpp"
 
@@ -32,11 +35,13 @@ std::vector<Edge> reference_simplify(std::vector<Edge> edges) {
 }
 
 /// A multigraph soup of `m` edges on [0, n), n >= 1: ids come from the
-/// lowest and the highest 300 ids, so they sit near both ends of the key,
-/// and the soup holds both orientations, repeats and self-loops.
-std::vector<Edge> random_soup(VertexId n, std::size_t m, std::uint64_t seed) {
+/// lowest and the highest `window` ids, by default 300 so they sit near
+/// both ends of the key, and the soup holds both orientations, repeats and
+/// self-loops. A window of n / 2 + 1 draws ids from all of [0, n).
+std::vector<Edge> random_soup(VertexId n, std::size_t m, std::uint64_t seed,
+                              VertexId window = 300) {
   util::Xoshiro256 rng(seed);
-  const VertexId window = std::min<VertexId>(n, 300);
+  window = std::min(n, window);
   const auto id = [&]() -> VertexId {
     const auto offset = static_cast<VertexId>(rng.bounded(window));
     return rng.bounded(2) == 0 ? offset : n - 1 - offset;
@@ -53,6 +58,29 @@ std::vector<Edge> random_soup(VertexId n, std::size_t m, std::uint64_t seed) {
     } else {
       edges.push_back({id(), id()});
     }
+  }
+  return edges;
+}
+
+/// A generated graph's edges as a file load hands them to simplify: a
+/// repeat of every 16th edge and a reversed repeat of every 16th after
+/// it, 5,000 self-loops, all shuffled and each flipped at random.
+std::vector<Edge> raw_load(const EdgeList& g, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<Edge> edges = g.edges;
+  for (std::size_t i = 0; i + 8 < g.edges.size(); i += 16) {
+    edges.push_back(g.edges[i]);
+    edges.push_back({g.edges[i + 8].v, g.edges[i + 8].u});
+  }
+  for (int i = 0; i < 5000; ++i) {
+    const auto v = static_cast<VertexId>(rng.bounded(g.num_vertices));
+    edges.push_back({v, v});
+  }
+  for (std::size_t i = edges.size(); i > 1; --i) {
+    std::swap(edges[i - 1], edges[rng.bounded(i)]);
+  }
+  for (Edge& e : edges) {
+    if (rng.bounded(2) == 0) std::swap(e.u, e.v);
   }
   return edges;
 }
@@ -101,7 +129,9 @@ TEST(EdgeListTest, SimplifyIsIdempotent) {
 // from the top, insertion-sorting buckets below 64 edges. The vertex
 // counts straddle the digit boundaries (b = 1, 8, 9, 17 and 32, the last a
 // 64-bit key); the edge counts straddle the insertion cut-off and the
-// 256-way fan-out.
+// 256-way fan-out. Lists of 2^17 edges or more sort on several workers:
+// the loads of a small world and an RMAT graph, and uniform soups, one
+// with 64-bit keys.
 TEST(EdgeListTest, SimplifyMatchesSortReference) {
   const VertexId kVertexCounts[] = {1,   2,         255,       256,
                                     257, 65536 + 1, 0xFFFFFFFFu};
@@ -112,6 +142,18 @@ TEST(EdgeListTest, SimplifyMatchesSortReference) {
     for (const std::size_t m : kEdgeCounts) {
       expect_simplify_matches_reference(n, random_soup(n, m, ++seed));
     }
+  }
+  const EdgeList ws = watts_strogatz(1u << 18, 16, 0.1, ++seed);
+  expect_simplify_matches_reference(ws.num_vertices, raw_load(ws, ++seed));
+  RmatParams params;
+  params.scale = 17;
+  params.seed = ++seed;
+  const EdgeList rmat_graph = rmat(params);
+  expect_simplify_matches_reference(rmat_graph.num_vertices,
+                                    raw_load(rmat_graph, ++seed));
+  for (const VertexId n : {0xFFFFFFFFu, (1u << 20) + 7}) {
+    expect_simplify_matches_reference(
+        n, random_soup(n, 900'000, ++seed, n / 2 + 1));
   }
   const EdgeList empty = simplify(EdgeList{0, {}});
   EXPECT_EQ(empty.num_vertices, 0u);
@@ -157,6 +199,18 @@ TEST(EdgeListTest, SimplifyRejectsOutOfRange) {
   g.num_vertices = 2;
   g.edges = {{0, 5}};
   EXPECT_THROW(simplify(std::move(g)), std::out_of_range);
+
+  // 300,000 edges check their endpoints on several workers: a bad one in
+  // the first worker's chunk or in the last throws on the caller.
+  const VertexId n = 1000;
+  std::vector<Edge> edges;
+  for (VertexId i = 0; i < 300'000; ++i) edges.push_back({i % n, i / n % n});
+  for (const std::size_t bad : {std::size_t{0}, edges.size() - 1}) {
+    std::vector<Edge> list = edges;
+    list[bad] = {3, n};
+    EXPECT_THROW(simplify(EdgeList{n, std::move(list)}), std::out_of_range)
+        << "bad edge at " << bad;
+  }
 }
 
 TEST(EdgeListTest, DegreesCountBothEndpoints) {
@@ -187,14 +241,66 @@ TEST(EdgeListTest, RelabelSizeMismatchThrows) {
 }
 
 TEST(EdgeListTest, RelabelSortsLikeTheReference) {
-  const VertexId n = 70001;
-  const EdgeList g{n, reference_simplify(random_soup(n, 50000, 17))};
-  std::vector<VertexId> perm(n);
-  for (VertexId v = 0; v < n; ++v) perm[v] = (v * 7919u + 11u) % n;
-  ASSERT_TRUE(is_permutation(perm));
-  std::vector<Edge> mapped;
-  for (const Edge& e : g.edges) mapped.push_back({perm[e.u], perm[e.v]});
-  EXPECT_EQ(relabel(g, perm).edges, reference_simplify(mapped));
+  // The second graph holds about 312,000 edges (over 2^18), which sort on
+  // several workers.
+  struct Shape {
+    VertexId n;
+    std::size_t m;
+    VertexId window;
+  };
+  for (const Shape shape : {Shape{70001, 50000, 300},
+                            Shape{(1u << 18) + 3, 500'000, 1u << 17}}) {
+    const VertexId n = shape.n;
+    const EdgeList g{
+        n, reference_simplify(random_soup(n, shape.m, 17, shape.window))};
+    std::vector<VertexId> perm(n);
+    for (VertexId v = 0; v < n; ++v) perm[v] = (v * 7919u + 11u) % n;
+    ASSERT_TRUE(is_permutation(perm));
+    std::vector<Edge> mapped;
+    for (const Edge& e : g.edges) mapped.push_back({perm[e.u], perm[e.v]});
+    EXPECT_EQ(relabel(g, perm).edges, reference_simplify(mapped)) << "n=" << n;
+  }
+}
+
+// The in-place bucket permutation behind simplify's sort, at explicit
+// worker counts: with 8-bit endpoints and a shift of 8 the digit is u.
+// Every edge must land in its digit's bucket and no edge may be lost or
+// copied, on digit distributions that fill the workers' stripes unevenly.
+TEST(EdgeSortTest, PermuteToBucketsPlacesEveryEdge) {
+  const detail::TopDigit digit{detail::PackedKey{8}, 8};
+  util::Xoshiro256 rng(test_support::fuzz_seed());
+  const auto any = [&] { return static_cast<VertexId>(rng.bounded(256)); };
+  const std::pair<std::string, std::function<VertexId()>> kDigits[] = {
+      {"uniform", any},
+      {"one bucket", [] { return VertexId{77}; }},
+      {"buckets 0 and 255",
+       [&] { return rng.bounded(2) == 0 ? VertexId{0} : VertexId{255}; }},
+      {"90% in one bucket",
+       [&] { return rng.bounded(10) == 0 ? any() : VertexId{200}; }},
+      {"triangular", [&] { return std::max(any(), any()); }},
+  };
+  for (const auto& [name, draw] : kDigits) {
+    std::vector<Edge> input(100'003);
+    for (Edge& e : input) e = {draw(), any()};
+    detail::BucketBounds bounds{};
+    for (const Edge& e : input) ++bounds[digit(e) + 1];
+    for (std::size_t d = 0; d < 256; ++d) bounds[d + 1] += bounds[d];
+    std::vector<Edge> sorted_input = input;
+    std::sort(sorted_input.begin(), sorted_input.end());
+
+    for (const unsigned workers : {1u, 2u, 3u, 4u, 7u, 16u}) {
+      std::vector<Edge> edges = input;
+      detail::permute_to_buckets(edges, bounds, digit, workers);
+      for (unsigned d = 0; d < 256; ++d) {
+        for (std::size_t i = bounds[d]; i < bounds[d + 1]; ++i) {
+          ASSERT_EQ(digit(edges[i]), d)
+              << name << ", " << workers << " workers, slot " << i;
+        }
+      }
+      std::sort(edges.begin(), edges.end());
+      EXPECT_EQ(edges, sorted_input) << name << ", " << workers << " workers";
+    }
+  }
 }
 
 TEST(EdgeListTest, IsPermutation) {

@@ -752,14 +752,23 @@ TEST(ServiceTypedParams, UnparsablePathIsBadParams) {
 }
 
 TEST(ServiceTypedParams, OutOfRangeEndpointIsBadParams) {
-  // A file whose edge names a vertex past its header's count: simplify
-  // rejects it, and the graph loaded before stays resident.
+  // Files whose edge names a vertex past its header's count: simplify
+  // rejects each, and the graph loaded before stays resident. The large
+  // file's 300,000 edges are checked on several worker threads, its bad
+  // one in the last worker's chunk.
   Harness h;
   const std::filesystem::path dir = scratch_dir("typed_params");
   const std::string good = (dir / "k4.bin").string();
   const std::string bad = (dir / "out_of_range.bin").string();
+  const std::string bad_large = (dir / "out_of_range_large.bin").string();
   graph::write_binary(graph::complete_graph(4), good);
   graph::write_binary(graph::EdgeList{4, {{0, 1}, {1, 9}}}, bad);
+  graph::EdgeList large{1000, {}};
+  for (graph::VertexId i = 0; i < 300'000; ++i) {
+    large.edges.push_back({i % 1000, i / 1000 % 1000});
+  }
+  large.edges.back() = {2, 1000};
+  graph::write_binary(large, bad_large);
   const Value loaded = Value::parse(h.ask(
       R"({"id":1,"verb":"graph.load","params":{"path":")" + good + "\"}}"));
   ASSERT_TRUE(loaded.get("ok").as_bool());
@@ -768,9 +777,13 @@ TEST(ServiceTypedParams, OutOfRangeEndpointIsBadParams) {
   expect_bad_params(
       h, R"({"id":2,"verb":"graph.load","params":{"path":")" + bad + "\"}}",
       "out of range");
+  expect_bad_params(h,
+                    R"({"id":3,"verb":"graph.load","params":{"path":")" +
+                        bad_large + "\"}}",
+                    "out of range");
   EXPECT_EQ(h.svc.graph_version(), version);
   const Value stats =
-      Value::parse(h.ask(R"({"id":3,"verb":"delta.stats"})")).get("result");
+      Value::parse(h.ask(R"({"id":4,"verb":"delta.stats"})")).get("result");
   EXPECT_EQ(stats.get("graph_version").as_uint(), version);
   EXPECT_EQ(stats.get("num_edges").as_uint(), 6u);
   EXPECT_EQ(stats.get("triangles").as_uint(), 4u);
