@@ -192,6 +192,12 @@ TEST(EdgeListTest, SimplifyOfOnlySelfLoopsIsEmpty) {
   std::vector<Edge> edges;
   for (VertexId v = 0; v < 1000; ++v) edges.push_back({v % 300, v % 300});
   EXPECT_TRUE(simplify(EdgeList{300, std::move(edges)}).edges.empty());
+
+  // Two million sort on several workers; every bucket keeps none.
+  const VertexId n = 1u << 18;
+  edges.clear();
+  for (VertexId v = 0; v < 2'000'000; ++v) edges.push_back({v % n, v % n});
+  EXPECT_TRUE(simplify(EdgeList{n, std::move(edges)}).edges.empty());
 }
 
 TEST(EdgeListTest, SimplifyRejectsOutOfRange) {
